@@ -9,15 +9,16 @@ generic route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Mapping
 
+from .covers import count_from_edge_perms, identity_perm
 from .errors import BadPathIndex, GraphTooLarge, InexactDivision
 from .graphs import (
     EdgeSubset,
     Graph,
     ThetaSpec,
     _components,
+    alternating_subset_sum,
     build_generalized_theta,
     component_count,
 )
@@ -243,68 +244,19 @@ def _conflicts(g: Graph, pc: Precoloring) -> bool:
 def precolored_count(g: Graph, pc: Precoloring, m: int) -> int:
     """Number of proper m-colorings of g agreeing with the precoloring.
 
-    Forests are counted by dynamic programming over each tree; anything
-    else falls back to brute-force enumeration under the size limit.
+    A proper coloring is a transversal of the identity cover, so this is
+    the cover counter with a one-hot start vector at each precolored
+    vertex.
     """
     if m < 1:
         raise ValueError("m must be positive")
     _check_precoloring(g, pc)
     if any(c > m for c in pc.assignment.values()):
         return 0
-    if g.is_forest():
-        return _forest_precolored_count(g, pc, m)
-    if m**g.n > 4_000_000:
-        raise GraphTooLarge("brute-force precolored count too large")
-    fixed = {g.index[v]: c - 1 for v, c in pc.assignment.items()}
-    total = 0
-    for colors in product(range(m), repeat=g.n):
-        if any(colors[v] != c for v, c in fixed.items()):
-            continue
-        if all(colors[a] != colors[b] for a, b in g.edges):
-            total += 1
-    return total
-
-
-def _forest_precolored_count(g: Graph, pc: Precoloring, m: int) -> int:
-    fixed = {g.index[v]: c - 1 for v, c in pc.assignment.items()}
-    roots = _components(g.n, g.edges)
-    comps: dict[int, list[int]] = {}
-    for v, r in enumerate(roots):
-        comps.setdefault(r, []).append(v)
-    total = 1
-    for members in comps.values():
-        total *= _tree_count(g, members[0], fixed, m)
-    return total
-
-
-def _tree_count(g: Graph, root: int, fixed: dict[int, int], m: int) -> int:
-    """Count colorings of the tree component containing root.
-
-    counts[v][c] = colorings of the subtree below v given f(v) = c; a fixed
-    vertex contributes only its own color.
-    """
-    order: list[tuple[int, int]] = []  # (vertex, parent)
-    stack = [(root, -1)]
-    seen = {root}
-    while stack:
-        v, parent = stack.pop()
-        order.append((v, parent))
-        for nxt in g.adjacency[v]:
-            if nxt != parent and nxt not in seen:
-                seen.add(nxt)
-                stack.append((nxt, v))
-    counts: dict[int, list[int]] = {}
-    for v, parent in reversed(order):
-        vec = [1] * m
-        if v in fixed:
-            vec = [1 if c == fixed[v] else 0 for c in range(m)]
-        for nxt in g.adjacency[v]:
-            if nxt != parent and nxt in counts:
-                child = counts[nxt]
-                s = sum(child)
-                vec = [vec[c] * (s - child[c]) for c in range(m)]
-        counts[v] = vec
-    return sum(counts[root])
+    allowed = [[1] * m] * g.n
+    for v, c in pc.assignment.items():
+        allowed[g.index[v]] = [int(i == c - 1) for i in range(m)]
+    return count_from_edge_perms(g, m, [identity_perm(m)] * len(g.edges), allowed)
 
 
 def precolored_polynomial(g: Graph, pc: Precoloring) -> IntPoly:
@@ -318,39 +270,18 @@ def precolored_polynomial(g: Graph, pc: Precoloring) -> IntPoly:
     _check_precoloring(g, pc)
     if _conflicts(g, pc):
         return IntPoly()
-    if not pc.assignment:
-        return chromatic_polynomial(g, limit=max(DEFAULT_VERTEX_LIMIT, g.n))
-    class_of: dict[int, int] = {}  # vertex index -> merged class index
     colors = sorted(set(pc.assignment.values()))
-    taken = set(g.vertices)
-    labels: list[str] = []
-    for c in colors:
-        name = f"<{c}>"
-        while name in taken:
-            name = "<" + name
-        taken.add(name)
-        labels.append(name)
-    for pos, c in enumerate(colors):
-        for v, cv in pc.assignment.items():
-            if cv == c:
-                class_of[g.index[v]] = pos
-    for v, lab in enumerate(g.vertices):
-        if v not in class_of:
-            class_of[v] = len(labels)
-            labels.append(lab)
-    edges = set()
-    for a, b in g.edges:
-        p, q = class_of[a], class_of[b]
-        if p != q:
-            edges.add((min(p, q), max(p, q)))
     s = len(colors)
-    for i in range(s):  # clique on the merged color classes
-        for j in range(i + 1, s):
-            edges.add((i, j))
-    merged = Graph(tuple(labels), tuple(sorted(edges)))
-    p_star = chromatic_polynomial(merged, limit=max(DEFAULT_VERTEX_LIMIT, merged.n))
+    class_of = {g.index[v]: colors.index(c) for v, c in pc.assignment.items()}
+    n = s  # merged color classes first, then the free vertices in order
+    for v in range(g.n):
+        if v not in class_of:
+            class_of[v] = n
+            n += 1
+    edges = [(class_of[a], class_of[b]) for a, b in g.edges]
+    edges += [(i, j) for i in range(s) for j in range(i + 1, s)]  # the clique
     try:
-        return p_star.exact_div(falling_factorial(s))
+        return _chrom(n, edges).exact_div(falling_factorial(s))
     except InexactDivision as exc:  # pragma: no cover - clique guarantees division
         raise InexactDivision(f"contracted graph lost its clique: {exc}") from exc
 
@@ -365,10 +296,4 @@ def subset_agreement_count(g: Graph, subset: EdgeSubset, m: int) -> int:
 
 def chromatic_by_inclusion_exclusion(g: Graph, m: int) -> int:
     """P(g, m) via the alternating sum over all edge subsets."""
-    if len(g.edges) > 20:
-        raise GraphTooLarge("more than 20 edges in the subset sum")
-    total = 0
-    for mask in range(1 << len(g.edges)):
-        sign = -1 if bin(mask).count("1") & 1 else 1
-        total += sign * subset_agreement_count(g, mask, m)
-    return total
+    return alternating_subset_sum(g, lambda subset: subset_agreement_count(g, subset, m))

@@ -10,20 +10,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .analysis import (
+    FeedbackPolynomialResult,
+    ThetaDpFormula,
     classify_generalized,
     fvs1_dp_polynomial,
     list_color_threshold,
     theta_dp_formula,
 )
 from .chromatic import chromatic_polynomial, theta_chromatic
-from .covers import cover_to_json, min_over_covers
+from .covers import cover_to_json, min_over_covers, worker_count
 from .errors import DpchromaError, SearchBudgetExceeded
 from .graphs import Graph, ThetaSpec, build_generalized_theta
-from .poly import IntPoly, poly_to_json
+from .poly import poly_to_json
 from .verify import SUITES, run_suites
 
 USAGE_ERROR = 2
@@ -55,13 +56,6 @@ def parse_m_range(text: str) -> tuple[int, int]:
     return low, high
 
 
-def effective_workers(flag: int | None) -> int:
-    env = os.environ.get("DPCHROMA_WORKERS")
-    if env:
-        return max(1, int(env))
-    return flag if flag else 1
-
-
 def emit(payload: dict, fmt: str, text_lines: list[str]) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2))
@@ -70,14 +64,10 @@ def emit(payload: dict, fmt: str, text_lines: list[str]) -> None:
             print(line)
 
 
-def _poly_payload(p: IntPoly) -> dict:
-    return poly_to_json(p)
-
-
 def cmd_chrom(args) -> int:
     g = load_graph(args.source)
     poly = chromatic_polynomial(g, limit=max(args.limit, 0))
-    payload = {"command": "chrom", "source": args.source, "polynomial": _poly_payload(poly)}
+    payload = {"command": "chrom", "source": args.source, "polynomial": poly_to_json(poly)}
     lines = [f"P({args.source}, m) = {poly}"]
     if args.m is not None:
         payload["m"] = args.m
@@ -93,7 +83,7 @@ def cmd_theta_chrom(args) -> int:
     payload = {
         "command": "theta-chrom",
         "spec": str(spec),
-        "polynomial": _poly_payload(poly),
+        "polynomial": poly_to_json(poly),
     }
     lines = [f"P({spec}, m) = {poly}"]
     if args.m is not None:
@@ -111,7 +101,7 @@ def cmd_dp_exact(args) -> int:
         args.m,
         symmetry=args.symmetry,
         budget=args.budget,
-        workers=effective_workers(args.workers),
+        workers=worker_count(args.workers),
     )
     payload = {
         "command": "dp-exact",
@@ -131,63 +121,62 @@ def cmd_dp_exact(args) -> int:
     return 0
 
 
-def _dp_value(source: str, g: Graph, m: int):
-    """Formula-route DP value: parity-case closed form or the
-    feedback-vertex polynomial (exact for m past its stabilization bound)."""
+def dp_formula_route(g: Graph) -> ThetaDpFormula | FeedbackPolynomialResult:
+    """The formula route for g, chosen once per graph: the parity-case
+    closed form for Theta(l1, l2, l3) with every l >= 2, otherwise the
+    feedback-vertex-one polynomial."""
     spec = g.theta
     if spec is not None and spec.k == 3 and min(spec.lengths) >= 2:
-        formula = theta_dp_formula(*sorted(spec.lengths))
-        return formula.value_at(m), f"parity-case-{formula.case}"
-    result = fvs1_dp_polynomial(g)
-    note = "fvs1" if m >= result.stable_from else "fvs1(below-stabilization)"
-    return result.dp_polynomial(m), note
+        return theta_dp_formula(*sorted(spec.lengths))
+    return fvs1_dp_polynomial(g)
+
+
+def _formula_value(route: ThetaDpFormula | FeedbackPolynomialResult, m: int):
+    """Value at m and the route label shown by `compare`."""
+    if isinstance(route, ThetaDpFormula):
+        return route.value_at(m), f"parity-case-{route.case}"
+    note = "fvs1" if m >= route.stable_from else "fvs1(below-stabilization)"
+    return route.dp_polynomial(m), note
 
 
 def cmd_dp_formula(args) -> int:
     g = load_graph(args.source)
-    spec = g.theta
-    if spec is not None and spec.k == 3 and min(spec.lengths) >= 2:
-        formula = theta_dp_formula(*sorted(spec.lengths))
+    route = dp_formula_route(g)
+    if isinstance(route, ThetaDpFormula):
         payload = {
             "command": "dp-formula",
             "source": args.source,
             "route": "theta-parity",
-            "case": formula.case,
-            "valid_from": formula.valid_from,
-            "polynomial": _poly_payload(formula.polynomial),
+            "case": route.case,
+            "valid_from": route.valid_from,
+            "polynomial": poly_to_json(route.polynomial),
         }
         lines = [
-            f"case {formula.case} (valid for m >= {formula.valid_from}):",
-            f"P_DP({args.source}, m) = {formula.polynomial}",
+            f"case {route.case} (valid for m >= {route.valid_from}):",
+            f"P_DP({args.source}, m) = {route.polynomial}",
         ]
-        if args.m is not None:
-            payload["m"] = args.m
-            payload["value"] = str(formula.value_at(args.m))
-            lines.append(f"P_DP({args.source}, {args.m}) = {formula.value_at(args.m)}")
     else:
-        result = fvs1_dp_polynomial(g)
         payload = {
             "command": "dp-formula",
             "source": args.source,
             "route": "feedback-vertex-one",
-            "stable_from": result.stable_from,
-            "center": result.decomposition.center,
-            "partition": [sorted(part) for part in result.partition.parts],
-            "maximizers": len(result.maximizers),
-            "weight": _poly_payload(result.weight),
-            "polynomial": _poly_payload(result.dp_polynomial),
+            "stable_from": route.stable_from,
+            "center": route.decomposition.center,
+            "partition": [sorted(part) for part in route.partition.parts],
+            "maximizers": len(route.maximizers),
+            "weight": poly_to_json(route.weight),
+            "polynomial": poly_to_json(route.dp_polynomial),
         }
         lines = [
-            f"feedback vertex {result.decomposition.center!r};"
-            f" winning partition {[sorted(p) for p in result.partition.parts]}",
-            f"P_DP({args.source}, m) = {result.dp_polynomial}   (m >= {result.stable_from})",
+            f"feedback vertex {route.decomposition.center!r};"
+            f" winning partition {[sorted(p) for p in route.partition.parts]}",
+            f"P_DP({args.source}, m) = {route.dp_polynomial}   (m >= {route.stable_from})",
         ]
-        if args.m is not None:
-            payload["m"] = args.m
-            payload["value"] = str(result.dp_polynomial(args.m))
-            lines.append(
-                f"P_DP({args.source}, {args.m}) = {result.dp_polynomial(args.m)}"
-            )
+    if args.m is not None:
+        value, _ = _formula_value(route, args.m)
+        payload["m"] = args.m
+        payload["value"] = str(value)
+        lines.append(f"P_DP({args.source}, {args.m}) = {value}")
     emit(payload, args.format, lines)
     return 0
 
@@ -201,13 +190,14 @@ def cmd_compare(args) -> int:
         if spec is not None
         else chromatic_polynomial(g, limit=max(16, g.n))
     )
+    route = None if args.exact else dp_formula_route(g)
     rows = []
     for m in range(low, high + 1):
         p = chrom(m)
-        if args.exact:
-            dp, route = min_over_covers(g, m, budget=args.budget).value, "search"
+        if route is None:
+            dp, note = min_over_covers(g, m, budget=args.budget).value, "search"
         else:
-            dp, route = _dp_value(args.source, g, m)
+            dp, note = _formula_value(route, m)
         rows.append(
             {
                 "m": m,
@@ -215,7 +205,7 @@ def cmd_compare(args) -> int:
                 "P_DP": str(dp),
                 "equal": p == dp,
                 "gap": str(p - dp),
-                "route": route,
+                "route": note,
             }
         )
     if args.format == "json":

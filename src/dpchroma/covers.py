@@ -31,6 +31,7 @@ from .graphs import (
     ThetaSpec,
     _bits,
     _components,
+    alternating_subset_sum,
     find_feedback_vertex,
 )
 
@@ -38,7 +39,7 @@ from .graphs import (
 # which only occurs in non-full covers.
 Perm = tuple[int | None, ...]
 
-BRUTE_FORCE_LIMIT = 2_000_000
+BRUTE_FORCE_LIMIT = 4_000_000
 
 
 def identity_perm(m: int) -> Perm:
@@ -343,10 +344,11 @@ def _tree_dp_vector(
     m: int,
     perms: Sequence[Perm],
     members: list[int],
-    blocked: dict[int, int | None],
+    start: Sequence[Sequence[int]],
     skip: int | None,
 ) -> int:
-    """Count colorings of a tree component under per-vertex blocked colors."""
+    """Count colorings of a tree component; start[v] is the 0/1 vector of
+    colors allowed at v."""
     member_set = set(members)
     root = members[0]
     order: list[tuple[int, int]] = []
@@ -359,13 +361,10 @@ def _tree_dp_vector(
             if nxt != parent and nxt != skip and nxt in member_set and nxt not in seen:
                 seen.add(nxt)
                 stack.append((nxt, v))
-    counts: dict[int, list[int]] = {}
+    counts: dict[int, Sequence[int]] = {}
     sums: dict[int, int] = {}
     for v, parent in reversed(order):
-        vec = [1] * m
-        b = blocked.get(v)
-        if b is not None:
-            vec[b] = 0
+        vec = start[v]
         for nxt in g.adjacency[v]:
             if nxt == parent or nxt == skip or nxt not in counts:
                 continue
@@ -380,12 +379,21 @@ def _tree_dp_vector(
     return sums[root]
 
 
-def _fvs_conditioned_count(g: Graph, m: int, perms: Sequence[Perm], pivot: int) -> int:
+def _fvs_conditioned_count(
+    g: Graph,
+    m: int,
+    perms: Sequence[Perm],
+    pivot: int,
+    start: Sequence[Sequence[int]] | None = None,
+) -> int:
     """Count transversals by conditioning on the pivot's color.
 
     The pivot is a feedback vertex, so each remaining component is a tree
-    whose DP only sees the pivot through blocked colors on its neighbors.
+    whose DP only sees the pivot through the color it blocks at each
+    neighbor, folded into that neighbor's start vector.
     """
+    if start is None:
+        start = [[1] * m] * g.n
     comps = _component_members(g, skip=pivot)
     touching = []
     free_product = 1
@@ -394,23 +402,36 @@ def _fvs_conditioned_count(g: Graph, m: int, perms: Sequence[Perm], pivot: int) 
         if pivot_neighbors & set(members):
             touching.append(members)
         else:
-            free_product *= _tree_dp_vector(g, m, perms, members, {}, pivot)
+            free_product *= _tree_dp_vector(g, m, perms, members, start, pivot)
+    edges = [(y, _oriented(g, perms, pivot, y)) for y in g.adjacency[pivot]]
+    seeds = list(start)
     total = 0
     for a in range(m):
-        blocked: dict[int, int | None] = {}
-        for y in g.adjacency[pivot]:
-            rho = _oriented(g, perms, pivot, y)
-            blocked[y] = rho[a]
+        if not start[pivot][a]:
+            continue
+        for y, rho in edges:
+            seeds[y] = folded = list(start[y])
+            if rho[a] is not None:
+                folded[rho[a]] = 0
         prod = free_product
         for members in touching:
-            prod *= _tree_dp_vector(g, m, perms, members, blocked, pivot)
+            prod *= _tree_dp_vector(g, m, perms, members, seeds, pivot)
         total += prod
     return total
 
 
-def _brute_force_count(g: Graph, m: int, perms: Sequence[Perm]) -> int:
+def _brute_force_count(
+    g: Graph,
+    m: int,
+    perms: Sequence[Perm],
+    start: Sequence[Sequence[int]] | None = None,
+) -> int:
     if m**g.n > BRUTE_FORCE_LIMIT:
         raise GraphTooLarge("transversal enumeration too large")
+    if start is None:
+        choices = [range(m)] * g.n
+    else:
+        choices = [[c for c in range(m) if vec[c]] for vec in start]
     oriented = [(a, b, perms[i]) for i, (a, b) in enumerate(g.edges)]
     total = 0
     colors = [0] * g.n
@@ -420,7 +441,7 @@ def _brute_force_count(g: Graph, m: int, perms: Sequence[Perm]) -> int:
         if v == g.n:
             total += 1
             return
-        for c in range(m):
+        for c in choices[v]:
             colors[v] = c
             ok = True
             for a, b, sigma in oriented:
@@ -439,24 +460,34 @@ def _brute_force_count(g: Graph, m: int, perms: Sequence[Perm]) -> int:
     return total
 
 
-def count_from_edge_perms(g: Graph, m: int, perms: Sequence[Perm]) -> int:
-    """Exact number of transversals avoiding every matched cross pair."""
+def count_from_edge_perms(
+    g: Graph,
+    m: int,
+    perms: Sequence[Perm],
+    allowed: Sequence[Sequence[int]] | None = None,
+) -> int:
+    """Exact number of transversals avoiding every matched cross pair.
+
+    `allowed`, when given, holds one 0/1 vector per vertex marking the
+    colors it may take; a precolored vertex has a one-hot vector.
+    """
     full = all(None not in p for p in perms)
-    if g.theta is not None and full:
+    if g.theta is not None and full and allowed is None:
         return _theta_transfer_count(
             m, g.theta.lengths, _theta_composites(g, perms)
         )
     pivot = find_feedback_vertex(g)
     if pivot is FeedbackVertex.NONE_NEEDED:
-        if full:
+        if full and allowed is None:
             return _forest_full_count(g, m)
+        start = [[1] * m] * g.n if allowed is None else allowed
         total = 1
         for members in _component_members(g):
-            total *= _tree_dp_vector(g, m, perms, members, {}, None)
+            total *= _tree_dp_vector(g, m, perms, members, start, None)
         return total
     if isinstance(pivot, str):
-        return _fvs_conditioned_count(g, m, perms, g.index[pivot])
-    return _brute_force_count(g, m, perms)
+        return _fvs_conditioned_count(g, m, perms, g.index[pivot], allowed)
+    return _brute_force_count(g, m, perms, allowed)
 
 
 def count_colorings(g: Graph, cover: FullCover) -> int:
@@ -513,13 +544,9 @@ def subset_agreement_count(g: Graph, cover: FullCover, subset: EdgeSubset) -> in
 
 def cover_count_by_inclusion_exclusion(g: Graph, cover: FullCover) -> int:
     """Cover coloring count via the alternating sum over edge subsets."""
-    if len(g.edges) > 20:
-        raise GraphTooLarge("more than 20 edges in the subset sum")
-    total = 0
-    for mask in range(1 << len(g.edges)):
-        sign = -1 if bin(mask).count("1") & 1 else 1
-        total += sign * subset_agreement_count(g, cover, mask)
-    return total
+    return alternating_subset_sum(
+        g, lambda subset: subset_agreement_count(g, cover, subset)
+    )
 
 
 @dataclass(frozen=True)
@@ -657,11 +684,13 @@ def _first_edge_options(m: int, symmetry: str) -> list[Perm]:
     return list(permutations(range(m)))
 
 
-def worker_count() -> int:
+def worker_count(flag: int | None = None) -> int:
+    """Worker processes for the search: DPCHROMA_WORKERS when set, else
+    the flag, else 1."""
     env = os.environ.get("DPCHROMA_WORKERS")
     if env:
         return max(1, int(env))
-    return 1
+    return flag or 1
 
 
 def min_over_covers(

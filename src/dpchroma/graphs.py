@@ -11,9 +11,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .errors import BadEdge, InvalidCenter, InvalidThetaSpec
+from .errors import BadEdge, GraphTooLarge, InvalidCenter, InvalidThetaSpec
 
 # Edge subsets are plain int bitmasks over a graph's edge list.
 EdgeSubset = int
@@ -304,6 +304,17 @@ def _bits(mask: int) -> Iterable[int]:
             yield i
         mask >>= 1
         i += 1
+
+
+def alternating_subset_sum(g: Graph, term: Callable[[EdgeSubset], int]) -> int:
+    """Sum of (-1)^|S| term(S) over every edge subset S (at most 20 edges)."""
+    if len(g.edges) > 20:
+        raise GraphTooLarge("more than 20 edges in the subset sum")
+    total = 0
+    for mask in range(1 << len(g.edges)):
+        sign = -1 if bin(mask).count("1") & 1 else 1
+        total += sign * term(mask)
+    return total
 
 
 def subset_cycle_lengths(g: Graph, subset: EdgeSubset) -> list[int]:

@@ -1,0 +1,203 @@
+"""Random-oracle tests for the one transversal counter.
+
+`count_from_edge_perms` counts transversals of a cover, optionally with a
+0/1 vector of allowed colors per vertex; `precolored_count` is that
+counter on the identity cover with one-hot vectors.  Every route (forest
+DP, feedback-vertex conditioning, brute force) is checked here against
+plain enumeration on random inputs, including conflicting precolorings.
+"""
+
+import random
+from itertools import product
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+import dpchroma.cli as cli
+from dpchroma.chromatic import Precoloring, precolored_count
+from dpchroma.covers import (
+    BRUTE_FORCE_LIMIT,
+    count_from_edge_perms,
+    cover_count_by_inclusion_exclusion,
+    identity_cover,
+    identity_perm,
+    worker_count,
+)
+from dpchroma.errors import GraphTooLarge
+from dpchroma.graphs import (
+    FeedbackVertex,
+    Graph,
+    ThetaSpec,
+    build_generalized_theta,
+    find_feedback_vertex,
+)
+
+from oracles import brute_force_cover_count
+
+BOWTIE = Path(__file__).parent / "golden" / "bowtie.txt"
+
+
+def precolored_by_enumeration(g: Graph, pc: Precoloring, m: int) -> int:
+    fixed = {g.index[v]: c - 1 for v, c in pc.assignment.items()}
+    return sum(
+        1
+        for colors in product(range(m), repeat=g.n)
+        if all(colors[v] == c for v, c in fixed.items())
+        and all(colors[a] != colors[b] for a, b in g.edges)
+    )
+
+
+def transversals_by_enumeration(g: Graph, m: int, perms, allowed) -> int:
+    total = 0
+    for colors in product(range(m), repeat=g.n):
+        if not all(allowed[v][c] for v, c in enumerate(colors)):
+            continue
+        if all(perms[i][colors[a]] != colors[b] for i, (a, b) in enumerate(g.edges)):
+            total += 1
+    return total
+
+
+def random_forest(rng: random.Random, n: int) -> Graph:
+    edges = tuple((rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8)
+    return Graph(tuple(f"t{i}" for i in range(n)), edges)
+
+
+def random_fvs1(rng: random.Random, n: int) -> Graph:
+    """A hub joined to at least two vertices of a random tree."""
+    tree = [(rng.randint(1, v - 1), v) for v in range(2, n)]
+    hub = [(0, v) for v in rng.sample(range(1, n), rng.randint(2, n - 1))]
+    return Graph(tuple(f"v{i}" for i in range(n)), tuple(tree + hub))
+
+
+def complete(n: int) -> Graph:
+    return Graph(
+        tuple(f"k{i}" for i in range(n)),
+        tuple((a, b) for a in range(n) for b in range(a + 1, n)),
+    )
+
+
+def random_precoloring(rng: random.Random, g: Graph, m: int) -> Precoloring:
+    # Few colors relative to the vertices, so adjacent conflicts are common.
+    bound = g.n + rng.randint(0, 1)
+    domain = [v for v in g.vertices if rng.random() < 0.5]
+    return Precoloring({v: rng.randint(1, min(m + 1, bound)) for v in domain}, bound)
+
+
+def random_partial_perm(rng: random.Random, m: int):
+    images = list(range(m))
+    rng.shuffle(images)
+    return tuple(None if rng.random() < 0.3 else x for x in images)
+
+
+def test_precolored_count_matches_enumeration_on_random_forests():
+    rng = random.Random(101)
+    for _ in range(40):
+        g = random_forest(rng, rng.randint(1, 6))
+        m = rng.randint(1, 4)
+        pc = random_precoloring(rng, g, m)
+        assert precolored_count(g, pc, m) == precolored_by_enumeration(g, pc, m)
+
+
+def test_precolored_count_matches_enumeration_on_random_fvs1_graphs():
+    rng = random.Random(202)
+    for _ in range(40):
+        g = random_fvs1(rng, rng.randint(3, 6))
+        assert isinstance(find_feedback_vertex(g), str)
+        m = rng.randint(1, 4)
+        pc = random_precoloring(rng, g, m)
+        assert precolored_count(g, pc, m) == precolored_by_enumeration(g, pc, m)
+
+
+def test_precolored_count_on_theta_skips_the_transfer_route():
+    g = build_generalized_theta(ThetaSpec((2, 2, 3)))
+    rng = random.Random(303)
+    for _ in range(10):
+        m = rng.randint(2, 3)
+        pc = random_precoloring(rng, g, m)
+        assert precolored_count(g, pc, m) == precolored_by_enumeration(g, pc, m)
+
+
+def test_precolored_count_brute_force_route_on_k4():
+    g = complete(4)
+    assert find_feedback_vertex(g) is FeedbackVertex.NOT_SIZE_ONE
+    rng = random.Random(404)
+    cases = [Precoloring({}, 4), Precoloring({"k0": 1, "k1": 1}, 4)]  # free, conflicting
+    cases += [random_precoloring(rng, g, 4) for _ in range(12)]
+    for pc in cases:
+        for m in (3, 4, 5):
+            assert precolored_count(g, pc, m) == precolored_by_enumeration(g, pc, m)
+
+
+def test_conflicting_precolorings_count_zero():
+    rng = random.Random(505)
+    for _ in range(20):
+        g = random_fvs1(rng, rng.randint(3, 6))
+        a, b = g.edge_labels(rng.randrange(len(g.edges)))
+        pc = Precoloring({a: 2, b: 2}, g.n)
+        assert precolored_count(g, pc, 4) == 0
+
+
+def test_non_full_covers_on_forests_match_brute_force():
+    rng = random.Random(606)
+    for _ in range(40):
+        g = random_forest(rng, rng.randint(1, 6))
+        m = rng.randint(1, 4)
+        perms = [random_partial_perm(rng, m) for _ in g.edges]
+        oracle = brute_force_cover_count(g, SimpleNamespace(m=m, edge_perms=lambda: perms))
+        assert count_from_edge_perms(g, m, perms) == oracle
+
+
+def test_allowed_vectors_on_every_route():
+    rng = random.Random(707)
+    graphs = [complete(4), build_generalized_theta(ThetaSpec((2, 2, 2)))]
+    graphs += [random_forest(rng, 5) for _ in range(3)]
+    graphs += [random_fvs1(rng, 5) for _ in range(3)]
+    for g in graphs:
+        for _ in range(4):
+            m = rng.randint(1, 4)
+            perms = [random_partial_perm(rng, m) for _ in g.edges]
+            allowed = [[int(rng.random() < 0.7) for _ in range(m)] for _ in g.vertices]
+            want = transversals_by_enumeration(g, m, perms, allowed)
+            assert count_from_edge_perms(g, m, perms, allowed) == want
+
+
+def test_one_brute_force_limit():
+    g = complete(5)
+    assert BRUTE_FORCE_LIMIT == 4_000_000
+    over = next(m for m in range(2, 100) if m**g.n > BRUTE_FORCE_LIMIT)
+    perms = [identity_perm(over)] * len(g.edges)
+    with pytest.raises(GraphTooLarge):
+        count_from_edge_perms(g, over, perms)
+    with pytest.raises(GraphTooLarge):
+        precolored_count(g, Precoloring({"k0": 1}, 5), over)
+
+
+def test_cover_subset_sum_edge_limit():
+    big = Graph(tuple(f"p{i}" for i in range(22)), tuple((i, i + 1) for i in range(21)))
+    with pytest.raises(GraphTooLarge):
+        cover_count_by_inclusion_exclusion(big, identity_cover(big, 2))
+
+
+def test_worker_count_precedence(monkeypatch):
+    monkeypatch.delenv("DPCHROMA_WORKERS", raising=False)
+    assert worker_count() == 1
+    assert worker_count(None) == 1
+    assert worker_count(3) == 3
+    monkeypatch.setenv("DPCHROMA_WORKERS", "2")
+    assert worker_count(3) == 2
+    assert worker_count() == 2
+
+
+def test_compare_computes_the_fvs1_polynomial_once(monkeypatch, capsys):
+    calls = []
+    original = cli.fvs1_dp_polynomial
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(cli, "fvs1_dp_polynomial", counting)
+    assert cli.main(["compare", str(BOWTIE), "--m", "2..8"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 8
+    assert len(calls) == 1
