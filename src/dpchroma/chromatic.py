@@ -17,10 +17,10 @@ from .graphs import (
     EdgeSubset,
     Graph,
     ThetaSpec,
-    _components,
     alternating_subset_sum,
     build_generalized_theta,
     component_count,
+    spanning_forest,
 )
 from .poly import M, IntPoly, constant, falling_factorial, prod
 
@@ -44,38 +44,13 @@ def _chrom(n: int, edges: list[tuple[int, int]]) -> IntPoly:
         return IntPoly()  # a loop admits no proper coloring
     # Dedupe parallel edges produced by contraction.
     edges = sorted(set((min(e), max(e)) for e in edges))
-    cycle_edge = _edge_on_cycle(n, edges)
-    if cycle_edge is None:
-        roots = _components(n, edges)
+    roots, cotree = spanning_forest(n, edges)
+    if not cotree:
         return (M ** len(set(roots))) * ((M - 1) ** len(edges))
+    cycle_edge = edges[cotree[0]]
     deleted = [e for e in edges if e != cycle_edge]
     contracted = _contract(n, deleted, cycle_edge)
     return _chrom(n, deleted) - _chrom(n - 1, contracted)
-
-
-def _edge_on_cycle(n: int, edges: list[tuple[int, int]]) -> tuple[int, int] | None:
-    """First DFS back edge, i.e. an edge on a cycle, or None for forests."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    state = [0] * n
-    for start in range(n):
-        if state[start]:
-            continue
-        stack = [(start, -1)]
-        while stack:
-            v, parent = stack.pop()
-            if state[v]:
-                continue
-            state[v] = 1
-            for nxt in adj[v]:
-                if nxt == parent:
-                    continue  # the unique tree edge back; parallels were deduped
-                if state[nxt]:
-                    return (min(v, nxt), max(v, nxt))
-                stack.append((nxt, v))
-    return None
 
 
 def _contract(

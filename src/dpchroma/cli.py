@@ -22,7 +22,7 @@ from .analysis import (
 )
 from .chromatic import chromatic_polynomial, theta_chromatic
 from .covers import cover_to_json, min_over_covers, worker_count
-from .errors import DpchromaError, SearchBudgetExceeded
+from .errors import DpchromaError, OutOfRange, SearchBudgetExceeded
 from .graphs import Graph, ThetaSpec, build_generalized_theta
 from .poly import poly_to_json
 from .verify import SUITES, run_suites
@@ -141,6 +141,8 @@ def _formula_value(route: ThetaDpFormula | FeedbackPolynomialResult, m: int):
 
 def cmd_dp_formula(args) -> int:
     g = load_graph(args.source)
+    if args.m is not None and args.m < 1:  # before the route, which can be slow
+        raise OutOfRange("m must be positive")
     route = dp_formula_route(g)
     if isinstance(route, ThetaDpFormula):
         payload = {

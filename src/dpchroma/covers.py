@@ -30,9 +30,9 @@ from .graphs import (
     StarDecomposition,
     ThetaSpec,
     _bits,
-    _components,
     alternating_subset_sum,
     find_feedback_vertex,
+    spanning_forest,
 )
 
 # A twist is a tuple of images; None marks a fiber vertex with no cross edge,
@@ -115,26 +115,44 @@ def standard_tree(g: Graph) -> frozenset[int]:
 
     For a generalized Theta graph this is everything except the u-incident
     edges of paths 2..k, so exactly those edges carry twists.  Other graphs
-    use the greedy tree in edge order.
+    use the greedy tree in edge order: every edge outside the cotree.
     """
     if g.theta is not None:
         k = g.theta.k
         return frozenset(i for i in range(len(g.edges)) if not 1 <= i < k)
-    parent = list(range(g.n))
+    _, cotree = spanning_forest(g.n, g.edges)
+    return frozenset(range(len(g.edges))).difference(cotree)
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    tree = []
-    for i, (a, b) in enumerate(g.edges):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            tree.append(i)
-    return frozenset(tree)
+def _forest_walk(
+    g: Graph, edge_ids: Iterable[int]
+) -> list[list[tuple[int, int, int]]]:
+    """Preorder (vertex, parent, edge index) of each tree of the forest
+    spanned by `edge_ids`, rooted at its least vertex; a root has parent
+    and edge -1.  Reversed, a walk visits every child before its parent.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for e in edge_ids:
+        a, b = g.edges[e]
+        adj[a].append((b, e))
+        adj[b].append((a, e))
+    seen = [False] * g.n
+    walks = []
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        walk = []
+        stack = [(root, -1, -1)]
+        while stack:
+            x, parent, e = stack.pop()
+            walk.append((x, parent, e))
+            for y, f in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    stack.append((y, x, f))
+        walks.append(walk)
+    return walks
 
 
 @dataclass(frozen=True)
@@ -157,10 +175,11 @@ class FullCover:
         edge_ids = set(range(len(g.edges)))
         if not set(self.tree_edges) <= edge_ids:
             raise CoverMismatch("tree edge outside the graph")
-        roots = _components(g.n, g.edges)
-        want = g.n - len(set(roots))
-        tree_roots = _components(g.n, (g.edges[i] for i in self.tree_edges))
-        if len(self.tree_edges) != want or len(set(tree_roots)) != len(set(roots)):
+        roots, _ = spanning_forest(g.n, g.edges)
+        tree_roots, cycles = spanning_forest(
+            g.n, [g.edges[i] for i in self.tree_edges]
+        )
+        if cycles or len(set(tree_roots)) != len(set(roots)):
             raise CoverMismatch("tree edges do not form a spanning forest")
         if set(self.twists) != edge_ids - set(self.tree_edges):
             raise CoverMismatch("twists must cover exactly the cotree edges")
@@ -203,45 +222,29 @@ class FullCover:
         """
         tree = standard_tree(g) if tree is None else tree
         full = [perms.get(i, identity_perm(m)) for i in range(len(g.edges))]
-        relabel = _tree_relabeling(g, m, tree, full)
+        if any(None in full[i] for i in tree):
+            raise CoverMismatch("tree matchings must be perfect to canonicalize")
+        # Relabeling each fiber by rho^-1 makes every tree matching the
+        # identity; a cotree twist becomes rho[b]^-1 o sigma o rho[a].
+        rho = _transport(g, m, full, tree)
         twists = {}
         for i, (a, b) in enumerate(g.edges):
             if i in tree:
                 continue
-            twists[i] = compose(relabel[b], compose(full[i], invert_perm(relabel[a])))
+            twists[i] = compose(invert_perm(rho[b]), compose(full[i], rho[a]))
         return cls(g, m, tree, twists)
 
 
-def _tree_relabeling(
-    g: Graph, m: int, tree: frozenset[int], perms: Sequence[Perm]
+def _transport(
+    g: Graph, m: int, perms: Sequence[Perm], edge_ids: Iterable[int]
 ) -> list[Perm]:
-    """Fiber relabelings making every tree matching the identity."""
-    for i in tree:
-        if None in perms[i]:
-            raise CoverMismatch("tree matchings must be perfect to canonicalize")
-    ident = identity_perm(m)
-    relabel: list[Perm | None] = [None] * g.n
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for i in tree:
-        a, b = g.edges[i]
-        adj[a].append((b, i))
-        adj[b].append((a, i))
-    for start in range(g.n):
-        if relabel[start] is not None:
-            continue
-        relabel[start] = ident
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y, e in adj[x]:
-                if relabel[y] is not None:
-                    continue
-                a, b = g.edges[e]
-                sigma = perms[e] if (a, b) == (x, y) else invert_perm(perms[e])
-                # want relabel[y] o sigma o relabel[x]^-1 == identity
-                relabel[y] = compose(relabel[x], invert_perm(sigma))
-                stack.append(y)
-    return relabel  # type: ignore[return-value]
+    """Per vertex, the permutation carrying the fiber of its tree's root to
+    its own fiber along the forest spanned by `edge_ids`."""
+    rho = [identity_perm(m)] * g.n
+    for walk in _forest_walk(g, edge_ids):
+        for y, x, e in walk[1:]:
+            rho[y] = compose(_oriented(g, perms, e, x), rho[x])
+    return rho
 
 
 def identity_cover(g: Graph, m: int) -> FullCover:
@@ -264,11 +267,10 @@ def random_cover(g: Graph, m: int, rng) -> FullCover:
     return FullCover(g, m, tree, twists)
 
 
-def _oriented(g: Graph, perms: Sequence[Perm], x: int, y: int) -> Perm:
-    """Permutation from the fiber of x to the fiber of y along edge xy."""
-    e = g.pair_index[(min(x, y), max(x, y))]
-    a, _ = g.edges[e]
-    return perms[e] if a == x else invert_perm(perms[e])
+def _oriented(g: Graph, perms: Sequence[Perm], e: int, x: int) -> Perm:
+    """Permutation along edge e from the fiber of its endpoint x to the
+    fiber of its other endpoint."""
+    return perms[e] if g.edges[e][0] == x else invert_perm(perms[e])
 
 
 def _theta_paths(g: Graph) -> list[list[int]]:
@@ -288,7 +290,8 @@ def _theta_composites(g: Graph, perms: Sequence[Perm]) -> list[Perm]:
     for path in _theta_paths(g):
         comp = identity_perm(len(perms[0]))
         for x, y in zip(path, path[1:]):
-            comp = compose(_oriented(g, perms, x, y), comp)
+            e = g.pair_index[(min(x, y), max(x, y))]
+            comp = compose(_oriented(g, perms, e, x), comp)
         composites.append(comp)
     return composites
 
@@ -325,58 +328,29 @@ def _theta_transfer_count(
 
 
 def _forest_full_count(g: Graph, m: int) -> int:
-    roots = _components(g.n, g.edges)
+    roots, _ = spanning_forest(g.n, g.edges)
     return m ** len(set(roots)) * (m - 1) ** len(g.edges)
-
-
-def _component_members(g: Graph, skip: int | None = None) -> list[list[int]]:
-    pairs = [e for e in g.edges if skip not in e]
-    roots = _components(g.n, pairs)
-    comps: dict[int, list[int]] = {}
-    for v, r in enumerate(roots):
-        if v != skip:
-            comps.setdefault(r, []).append(v)
-    return list(comps.values())
 
 
 def _tree_dp_vector(
     g: Graph,
-    m: int,
     perms: Sequence[Perm],
-    members: list[int],
+    walk: list[tuple[int, int, int]],
     start: Sequence[Sequence[int]],
-    skip: int | None,
 ) -> int:
-    """Count colorings of a tree component; start[v] is the 0/1 vector of
-    colors allowed at v."""
-    member_set = set(members)
-    root = members[0]
-    order: list[tuple[int, int]] = []
-    stack = [(root, -1)]
-    seen = {root}
-    while stack:
-        v, parent = stack.pop()
-        order.append((v, parent))
-        for nxt in g.adjacency[v]:
-            if nxt != parent and nxt != skip and nxt in member_set and nxt not in seen:
-                seen.add(nxt)
-                stack.append((nxt, v))
-    counts: dict[int, Sequence[int]] = {}
-    sums: dict[int, int] = {}
-    for v, parent in reversed(order):
-        vec = start[v]
-        for nxt in g.adjacency[v]:
-            if nxt == parent or nxt == skip or nxt not in counts:
-                continue
-            rho = _oriented(g, perms, v, nxt)
-            child, s = counts[nxt], sums[nxt]
-            vec = [
-                vec[c] * (s - (child[rho[c]] if rho[c] is not None else 0))
-                for c in range(m)
-            ]
-        counts[v] = vec
-        sums[v] = sum(vec)
-    return sums[root]
+    """Count colorings of the tree given by its preorder walk; start[v] is
+    the 0/1 vector of colors allowed at v."""
+    root = walk[0][0]
+    vecs: dict[int, Sequence[int]] = {}
+    for v, parent, e in reversed(walk[1:]):
+        child = vecs.pop(v, start[v])
+        s = sum(child)
+        rho = _oriented(g, perms, e, parent)
+        up = vecs.get(parent, start[parent])
+        vecs[parent] = [
+            a * (s - (0 if t is None else child[t])) for a, t in zip(up, rho)
+        ]
+    return sum(vecs.get(root, start[root]))
 
 
 def _fvs_conditioned_count(
@@ -394,16 +368,20 @@ def _fvs_conditioned_count(
     """
     if start is None:
         start = [[1] * m] * g.n
-    comps = _component_members(g, skip=pivot)
+    rest = [i for i, e in enumerate(g.edges) if pivot not in e]
     touching = []
     free_product = 1
     pivot_neighbors = set(g.adjacency[pivot])
-    for members in comps:
-        if pivot_neighbors & set(members):
-            touching.append(members)
-        else:
-            free_product *= _tree_dp_vector(g, m, perms, members, start, pivot)
-    edges = [(y, _oriented(g, perms, pivot, y)) for y in g.adjacency[pivot]]
+    for walk in _forest_walk(g, rest):
+        if any(v in pivot_neighbors for v, _, _ in walk):
+            touching.append(walk)
+        elif walk[0][0] != pivot:
+            free_product *= _tree_dp_vector(g, perms, walk, start)
+    # adjacency and incident list each vertex's edges in the same order
+    edges = [
+        (y, _oriented(g, perms, e, pivot))
+        for y, e in zip(g.adjacency[pivot], g.incident[pivot])
+    ]
     seeds = list(start)
     total = 0
     for a in range(m):
@@ -414,8 +392,8 @@ def _fvs_conditioned_count(
             if rho[a] is not None:
                 folded[rho[a]] = 0
         prod = free_product
-        for members in touching:
-            prod *= _tree_dp_vector(g, m, perms, members, seeds, pivot)
+        for walk in touching:
+            prod *= _tree_dp_vector(g, perms, walk, seeds)
         total += prod
     return total
 
@@ -482,8 +460,8 @@ def count_from_edge_perms(
             return _forest_full_count(g, m)
         start = [[1] * m] * g.n if allowed is None else allowed
         total = 1
-        for members in _component_members(g):
-            total *= _tree_dp_vector(g, m, perms, members, start, None)
+        for walk in _forest_walk(g, range(len(g.edges))):
+            total *= _tree_dp_vector(g, perms, walk, start)
         return total
     if isinstance(pivot, str):
         return _fvs_conditioned_count(g, m, perms, g.index[pivot], allowed)
@@ -510,35 +488,20 @@ def subset_agreement_count(g: Graph, cover: FullCover, subset: EdgeSubset) -> in
         raise CoverMismatch("agreement counts require a full cover")
     m = cover.m
     perms = cover.edge_perms()
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for i in _bits(subset):
-        a, b = g.edges[i]
-        adj[a].append(b)
-        adj[b].append(a)
-    rho: list[Perm | None] = [None] * g.n
+    edge_ids = list(_bits(subset))
+    roots, cotree = spanning_forest(g.n, [g.edges[i] for i in edge_ids])
+    closing = [edge_ids[i] for i in cotree]
+    rho = _transport(g, m, perms, set(edge_ids).difference(closing))
+    allowed = {r: [True] * m for r in roots}
+    for e in closing:
+        a, b = g.edges[e]
+        step, ra, rb, ok = perms[e], rho[a], rho[b], allowed[roots[a]]
+        for j in range(m):
+            if ok[j] and step[ra[j]] != rb[j]:
+                ok[j] = False
     total = 1
-    for start in range(g.n):
-        if rho[start] is not None:
-            continue
-        rho[start] = identity_perm(m)
-        stack = [start]
-        closing: list[tuple[int, int]] = []
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if rho[y] is None:
-                    rho[y] = compose(_oriented(g, perms, x, y), rho[x])
-                    stack.append(y)
-                else:
-                    closing.append((x, y))
-        allowed = [True] * m
-        for x, y in closing:
-            step = _oriented(g, perms, x, y)
-            rx, ry = rho[x], rho[y]
-            for j in range(m):
-                if allowed[j] and step[rx[j]] != ry[j]:
-                    allowed[j] = False
-        total *= sum(allowed)
+    for ok in allowed.values():
+        total *= sum(ok)
     return total
 
 

@@ -1,9 +1,10 @@
 """Simple undirected graphs with stable string labels.
 
 Provides the generalized Theta construction Theta(l_1, ..., l_k) with its
-fixed vertex/edge naming, edge-subset queries (components, simple cycles),
-single-vertex feedback detection, and the star + forest decomposition used
-by the feedback-vertex-one machinery.
+fixed vertex/edge naming, one union-find pass (`spanning_forest`) behind
+every forest, component and feedback-vertex query, simple-cycle lengths
+of edge subsets, and the star + forest decomposition used by the
+feedback-vertex-one machinery.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import BadEdge, GraphTooLarge, InvalidCenter, InvalidThetaSpec
 
@@ -198,7 +199,7 @@ class Graph:
         return Graph(tuple(kept_labels), kept_edges)
 
     def is_forest(self) -> bool:
-        return not subset_cycle_lengths(self, self.full_mask)
+        return not spanning_forest(self.n, self.edges)[1]
 
     def to_text(self) -> str:
         lines = [f"n {self.n}"]
@@ -272,8 +273,16 @@ def build_generalized_theta(spec: ThetaSpec) -> Graph:
     return Graph(tuple(labels), tuple(edges), theta=spec)
 
 
-def _components(n: int, edge_pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """Union-find roots; returns the parent array after path compression."""
+def spanning_forest(
+    n: int, edges: Sequence[tuple[int, int]]
+) -> tuple[list[int], list[int]]:
+    """One union-find pass over `edges` in order.
+
+    Returns the component root of each vertex and the cotree: the indices
+    of the edges that close a cycle with earlier edges.  The remaining
+    edges form a spanning forest, so the edges form a forest exactly when
+    the cotree is empty.
+    """
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -282,18 +291,21 @@ def _components(n: int, edge_pairs: Iterable[tuple[int, int]]) -> list[int]:
             x = parent[x]
         return x
 
-    for a, b in edge_pairs:
+    cotree = []
+    for i, (a, b) in enumerate(edges):
         ra, rb = find(a), find(b)
-        if ra != rb:
+        if ra == rb:
+            cotree.append(i)
+        else:
             parent[ra] = rb
-    return [find(x) for x in range(n)]
+    return [find(x) for x in range(n)], cotree
 
 
 def component_count(g: Graph, subset: EdgeSubset) -> int:
     """Components of the spanning subgraph with the given edge subset."""
     if subset >> len(g.edges):
         raise BadEdge("subset references nonexistent edges")
-    roots = _components(g.n, (g.edges[i] for i in _bits(subset)))
+    roots, _ = spanning_forest(g.n, [g.edges[i] for i in _bits(subset)])
     return len(set(roots))
 
 
@@ -355,12 +367,14 @@ def find_feedback_vertex(g: Graph) -> str | FeedbackVertex:
     """A vertex whose removal leaves a forest, trying labels in sorted order.
 
     Returns NONE_NEEDED when the graph is already a forest and NOT_SIZE_ONE
-    when no single vertex works.
+    when no single vertex works.  Each candidate costs one union-find pass
+    over the edges that avoid it.
     """
     if g.is_forest():
         return FeedbackVertex.NONE_NEEDED
     for label in sorted(g.vertices):
-        if g.without_vertex(label).is_forest():
+        v = g.index[label]
+        if not spanning_forest(g.n, [e for e in g.edges if v not in e])[1]:
             return label
     return FeedbackVertex.NOT_SIZE_ONE
 

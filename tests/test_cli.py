@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +87,14 @@ def test_usage_and_input_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "compare", "theta:2,2,2", "--m", "5..3")
     assert code == 2
+
+
+def test_dp_formula_rejects_non_positive_folds_on_both_routes(capsys):
+    bowtie = str(Path(__file__).parent / "golden" / "bowtie.txt")
+    for source in ("theta:2,2,3", bowtie):  # parity case, feedback vertex one
+        for m in ("0", "-2"):
+            code, out, err = run(capsys, "dp-formula", source, "--m", m)
+            assert (code, out, err) == (2, "", "dpchroma: m must be positive\n")
 
 
 def test_verify_single_suite(capsys):
