@@ -10,13 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .chromatic import (
     DEFAULT_VERTEX_LIMIT,
     chromatic_polynomial,
-    precolored_polynomial,
-    Precoloring,
     theta_chromatic,
     theta_closed_form,
     theta_edge_deleted_chromatic,
@@ -28,10 +25,17 @@ from .covers import (
     count_colorings,
     partitions_of,
     shift_cover,
+    star_collision_weight,
     subset_agreement_count,
     twist_profile,
 )
-from .errors import GraphTooLarge, InexactDivision, OutOfRange, OutOfScope
+from .errors import (
+    GraphTooLarge,
+    InexactDivision,
+    OutOfRange,
+    OutOfScope,
+    SearchBudgetExceeded,
+)
 from .graphs import (
     FeedbackVertex,
     Graph,
@@ -346,26 +350,25 @@ def classify_generalized(spec: ThetaSpec, max_m: int = 64) -> ParityClassificati
     return ParityClassification(spec, "eventually-less", witness, bound, max_m)
 
 
+def _leaf_grouping(d: StarDecomposition, partition: PartitionSpec) -> tuple[int, ...]:
+    """The leaves' parts, renumbered in order of first occurrence."""
+    first: dict[int, int] = {}
+    return tuple(
+        first.setdefault(partition.shift[v], len(first)) for v in d.alphas[1:]
+    )
+
+
 def partition_weight(d: StarDecomposition, partition: PartitionSpec) -> IntPoly:
     """Colorings of the forest that collide with a star cover of this shape.
 
     Counts (as a polynomial) the proper colorings of the forest that give
     the center its partition color and at least one leaf its partition
-    color, by inclusion-exclusion over leaf subsets of exact-agreement
-    polynomials.
+    color.  The count depends only on which leaves share a part, and is
+    one tree DP per tree of the forest (`covers.star_collision_weight`).
     """
     if partition.vertex_set != frozenset(d.alphas):
         raise ValueError("partition must cover exactly the star's vertices")
-    center, leaves = d.alphas[0], d.alphas[1:]
-    bound = max(d.forest.n, len(partition.parts))
-    total = IntPoly()
-    for size in range(1, len(leaves) + 1):
-        for chosen in combinations(leaves, size):
-            assignment = {center: partition.shift[center] + 1}
-            assignment.update({v: partition.shift[v] + 1 for v in chosen})
-            term = precolored_polynomial(d.forest, Precoloring(assignment, bound))
-            total = total + term if size % 2 else total - term
-    return total
+    return star_collision_weight(d, _leaf_grouping(d, partition))
 
 
 @dataclass(frozen=True)
@@ -388,6 +391,23 @@ class FeedbackPolynomialResult:
         return shift_cover(self.graph, self.decomposition, self.partition, m)
 
 
+#: Most partitions of the star that `fvs1_dp_polynomial` enumerates:
+#: Bell(10), so stars of up to 10 vertices.  Bell(11) = 678,570 partitions
+#: would take minutes and more than 1 GB.
+FVS1_PARTITION_LIMIT = 115_975
+
+
+def _bell(k: int) -> int:
+    """Number of set partitions of k items, by the Bell triangle."""
+    row = [1]
+    for _ in range(k):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
+
+
 def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
     """Polynomial form of the DP color function for feedback-vertex-one graphs.
 
@@ -395,6 +415,8 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
     that is eventually maximal (ties resolved to the earliest partition in
     restricted-growth order; tied partitions give the same polynomial),
     and subtracts m times it from the forest's chromatic polynomial.
+    A weight depends only on the leaf grouping, so a star with k vertices
+    needs Bell(k - 1) weights for its Bell(k) partitions.
     """
     pivot = find_feedback_vertex(g)
     if pivot is FeedbackVertex.NOT_SIZE_ONE:
@@ -403,8 +425,20 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
         with_degree = sorted(v for v in g.vertices if g.adjacency[g.index[v]])
         pivot = with_degree[0] if with_degree else sorted(g.vertices)[0]
     d = star_forest_decomposition(g, pivot)
+    count = _bell(len(d.alphas))
+    if count > FVS1_PARTITION_LIMIT:
+        raise SearchBudgetExceeded(
+            f"{count} partitions of {len(d.alphas)} star vertices exceed "
+            f"the limit of {FVS1_PARTITION_LIMIT}"
+        )
     candidates = partitions_of(d.alphas)
-    weights = [partition_weight(d, p) for p in candidates]
+    by_grouping: dict[tuple[int, ...], IntPoly] = {}
+    weights = []
+    for p in candidates:
+        key = _leaf_grouping(d, p)
+        if key not in by_grouping:
+            by_grouping[key] = partition_weight(d, p)
+        weights.append(by_grouping[key])
     best = 0
     for i in range(1, len(candidates)):
         relation, _ = eventual_compare(weights[i], weights[best])
@@ -419,8 +453,9 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
         if relation == "equal":
             maximizers.append(candidates[i])
         bounds.append(cross)
-    limit = max(DEFAULT_VERTEX_LIMIT, g.n)
-    forest_poly = chromatic_polynomial(d.forest, limit=limit)
+    forest = d.forest
+    trees = component_count(forest, forest.full_mask)
+    forest_poly = M**trees * (M - 1) ** len(forest.edges)
     dp = forest_poly - M * weights[best]
     return FeedbackPolynomialResult(
         g, d, candidates[best], weights[best], dp, max(bounds), tuple(maximizers)

@@ -34,6 +34,7 @@ from .graphs import (
     find_feedback_vertex,
     spanning_forest,
 )
+from .poly import M, IntPoly
 
 # A twist is a tuple of images; None marks a fiber vertex with no cross edge,
 # which only occurs in non-full covers.
@@ -351,6 +352,63 @@ def _tree_dp_vector(
             a * (s - (0 if t is None else child[t])) for a, t in zip(up, rho)
         ]
     return sum(vecs.get(root, start[root]))
+
+
+def _tree_avoidance_polynomial(
+    walk: list[tuple[int, int, int]], avoid: Mapping[int, int]
+) -> IntPoly:
+    """Proper colorings of the tree given by its preorder walk in which each
+    vertex v in `avoid` takes any color but its group's color avoid[v].
+
+    The states are the s group colors met in this tree plus one generic
+    state, which stands for each of the other m - s colors; a child sends
+    its parent total - child[c], where total = sum(special) + (m - s) *
+    generic.  The polynomial equals the count for every m >= s.
+    """
+    special: dict[int, int] = {}
+    for v, _, _ in walk:
+        if v in avoid:
+            special.setdefault(avoid[v], len(special))
+    s = len(special)
+    free = M - s
+    vecs: dict[int, list[IntPoly]] = {}
+    for v, parent, _ in reversed(walk):
+        vec = vecs.pop(v) if v in vecs else [IntPoly([1])] * (s + 1)
+        if v in avoid:
+            vec[special[avoid[v]]] = IntPoly()
+        total = sum(vec[:s], free * vec[s])
+        if parent >= 0:
+            message = [total - c for c in vec]
+            up = vecs.get(parent)
+            if up is not None:
+                message = [a * b for a, b in zip(up, message)]
+            vecs[parent] = message
+    return total  # the root comes last
+
+
+def star_collision_weight(
+    d: StarDecomposition, grouping: Sequence[int]
+) -> IntPoly:
+    """Colorings of the forest that put the center on a fixed color and at
+    least one leaf on its group's color, as a polynomial in m.
+
+    grouping[i] is the group of leaf d.alphas[i + 1]; leaves in one group
+    share one color, distinct groups get distinct colors.  The center is
+    isolated in the forest, so this is P(forest - center) minus the
+    colorings of forest - center in which every leaf avoids its color,
+    one `_tree_avoidance_polynomial` per tree.
+    """
+    g = d.forest
+    center = g.index[d.center]
+    avoid = {g.index[v]: j for v, j in zip(d.alphas[1:], grouping)}
+    trees = 0
+    none = IntPoly([1])
+    for walk in _forest_walk(g, range(len(g.edges))):
+        if walk[0][0] != center:
+            trees += 1
+            none *= _tree_avoidance_polynomial(walk, avoid)
+    every = M**trees * (M - 1) ** (g.n - 1 - trees)
+    return every - none
 
 
 def _fvs_conditioned_count(

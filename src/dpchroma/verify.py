@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from .analysis import (
     CASE_TO_TERM,
@@ -17,6 +17,7 @@ from .analysis import (
     cover_loss_terms,
     cover_subset_audit,
     fvs1_dp_polynomial,
+    partition_weight,
     theta_dp_formula,
 )
 from .chromatic import (
@@ -35,9 +36,11 @@ from .covers import (
     cover_count_by_inclusion_exclusion,
     identity_cover,
     min_over_covers,
+    PartitionSpec,
+    partitions_of,
     random_cover,
 )
-from .graphs import Graph, ThetaSpec, build_generalized_theta
+from .graphs import Graph, StarDecomposition, ThetaSpec, build_generalized_theta
 from .poly import IntPoly, eventual_compare
 
 
@@ -321,8 +324,29 @@ def suite_gap_bound(seed: int = 0, samples: int = 10) -> list[Check]:
     return checks
 
 
+def partition_weight_by_subsets(
+    d: StarDecomposition, partition: PartitionSpec
+) -> IntPoly:
+    """`partition_weight` by inclusion-exclusion over the 2^(k-1) leaf
+    subsets, each term a precolored polynomial of the forest (clique
+    contraction plus deletion-contraction).  Kept as an oracle."""
+    if partition.vertex_set != frozenset(d.alphas):
+        raise ValueError("partition must cover exactly the star's vertices")
+    center, leaves = d.alphas[0], d.alphas[1:]
+    bound = max(d.forest.n, len(partition.parts))
+    total = IntPoly()
+    for size in range(1, len(leaves) + 1):
+        for chosen in combinations(leaves, size):
+            assignment = {center: partition.shift[center] + 1}
+            assignment.update({v: partition.shift[v] + 1 for v in chosen})
+            term = precolored_polynomial(d.forest, Precoloring(assignment, bound))
+            total = total + term if size % 2 else total - term
+    return total
+
+
 def suite_fvs1(seed: int = 0) -> list[Check]:
-    """Feedback-vertex-one polynomial against search and its witness cover."""
+    """Feedback-vertex-one polynomial against search and its witness cover,
+    and every partition's tree-DP weight against the subset sum."""
     instances: list[tuple[str, Graph, tuple[int, ...]]] = [
         ("theta:2,2,2", build_generalized_theta(ThetaSpec((2, 2, 2))), (3, 4, 5, 6)),
         ("triangle", Graph(("a", "b", "c"), ((0, 1), (0, 2), (1, 2))), (3, 4, 5)),
@@ -338,6 +362,17 @@ def suite_fvs1(seed: int = 0) -> list[Check]:
     checks = []
     for name, g, folds in instances:
         result = fvs1_dp_polynomial(g)
+        d = result.decomposition
+        for p in partitions_of(d.alphas):
+            checks.append(
+                _check(
+                    "fvs1-weight",
+                    "tree-DP weight equals the leaf-subset inclusion-exclusion",
+                    f"{name} " + "|".join(",".join(sorted(part)) for part in p.parts),
+                    str(partition_weight_by_subsets(d, p)),
+                    str(partition_weight(d, p)),
+                )
+            )
         for m in folds:
             want = min_over_covers(g, m).value
             checks.append(

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -21,6 +22,7 @@ from dpchroma.covers import (
     count_colorings,
     identity_cover,
     min_over_covers,
+    partitions_of,
     random_cover,
     standard_tree,
 )
@@ -377,3 +379,148 @@ def test_list_color_threshold():
     assert threshold < 0 and least == 1
     with pytest.raises(OutOfRange):
         list_color_threshold(-1)
+
+
+# ---------------------------------------------------------------------------
+# FVS-1 weights: the tree DP against the subset sum and enumeration
+
+
+def fan(rim):
+    """The hub h joined to every vertex of the path r1 - ... - r<rim>."""
+    labels = ("h",) + tuple(f"r{i}" for i in range(1, rim + 1))
+    edges = [(0, i) for i in range(1, rim + 1)]
+    edges += [(i, i + 1) for i in range(1, rim)]
+    return Graph(labels, tuple(edges))
+
+
+def random_fvs1_graph(rng, n, leaves):
+    """A random forest on every vertex but the center c, plus `leaves`
+    star edges from c.  Forest vertices attach to an earlier one or start
+    a new tree, so the forest has pendant trees, isolated vertices and
+    several components."""
+    center = rng.randrange(n)
+    others = [v for v in range(n) if v != center]
+    edges = []
+    for i, v in enumerate(others[1:], start=1):
+        if rng.random() < 0.6:
+            edges.append((others[rng.randrange(i)], v))
+    edges += [(center, v) for v in rng.sample(others, leaves)]
+    labels = tuple(f"x{i}" for i in range(n))
+    return Graph(labels, tuple(edges)), labels[center]
+
+
+def weights_by_enumeration(d, partitions, m):
+    """Weight at m of each partition with at most m parts, by listing the
+    proper colorings of the forest with the center on color 0."""
+    forest = d.forest
+    center = forest.index[d.center]
+    leaves = [forest.index[v] for v in d.alphas[1:]]
+    ranges = [(0,) if v == center else range(m) for v in range(forest.n)]
+    proper = [
+        cols
+        for cols in product(*ranges)
+        if all(cols[a] != cols[b] for a, b in forest.edges)
+    ]
+    out = {}
+    for p in partitions:
+        if len(p.parts) <= m:
+            target = [p.shift[forest.vertices[v]] for v in leaves]
+            out[p] = sum(
+                1
+                for cols in proper
+                if any(cols[v] == t for v, t in zip(leaves, target))
+            )
+    return out
+
+
+def fvs1_instances():
+    rng = random.Random(20260418)
+    shapes = [(4, 0), (5, 1), (5, 2), (6, 2), (6, 3), (6, 3), (5, 3), (6, 4), (7, 3)]
+    out = [random_fvs1_graph(rng, n, leaves) for n, leaves in shapes]
+    # a center with no neighbors beside a forest with an edge
+    out.append((Graph(("a", "b", "c"), ((1, 2),)), "a"))
+    return out
+
+
+def test_partition_weight_against_subset_sum_and_enumeration():
+    from dpchroma.verify import partition_weight_by_subsets
+
+    for g, center in fvs1_instances():
+        d = star_forest_decomposition(g, center)
+        partitions = partitions_of(d.alphas)
+        weights = {p: partition_weight(d, p) for p in partitions}
+        for p, w in weights.items():
+            assert w == partition_weight_by_subsets(d, p), (g, p)
+        top = max(len(p.parts) for p in partitions) + 2
+        for m in range(1, top + 1):
+            for p, count in weights_by_enumeration(d, partitions, m).items():
+                if m <= len(p.parts) + 2:
+                    assert weights[p](m) == count, (g, p, m)
+
+
+def test_partitions_with_one_leaf_grouping_share_their_weight():
+    for g, center in fvs1_instances():
+        d = star_forest_decomposition(g, center)
+        by_grouping = {}
+        for p in partitions_of(d.alphas):
+            grouping = frozenset(part - {center} for part in p.parts) - {frozenset()}
+            by_grouping.setdefault(grouping, set()).add(partition_weight(d, p))
+        assert all(len(ws) == 1 for ws in by_grouping.values()), g
+
+
+def test_fvs1_weights_take_no_deletion_contraction(monkeypatch):
+    from dpchroma import analysis, chromatic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("FVS-1 weights must not run deletion-contraction")
+
+    monkeypatch.setattr(chromatic, "precolored_polynomial", refuse)
+    monkeypatch.setattr(chromatic, "_chrom", refuse)
+    calls = []
+    weight = analysis.partition_weight
+
+    def counted(d, p):
+        calls.append(p)
+        return weight(d, p)
+
+    monkeypatch.setattr(analysis, "partition_weight", counted)
+    result = fvs1_dp_polynomial(fan(5))
+    # golden values, computed by the subset sum over deletion-contraction
+    assert result.dp_polynomial.coeffs == (0, -16, 48, -56, 32, -9, 1)
+    assert result.weight.coeffs == (16, -47, 52, -26, 5)
+    assert result.stable_from == 52
+    assert len(result.maximizers) == 2
+    # one weight per grouping of the 5 leaves: Bell(5), not Bell(6) = 203
+    assert len(calls) == 52
+
+
+def test_bell_numbers_and_partition_limit():
+    from dpchroma.analysis import FVS1_PARTITION_LIMIT, _bell
+
+    assert [_bell(k) for k in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
+    assert FVS1_PARTITION_LIMIT == _bell(10)
+    assert len(partitions_of(list("abcdef"))) == _bell(6)
+
+
+def test_dp_formula_refuses_stars_past_the_partition_limit(tmp_path, monkeypatch, capsys):
+    import time
+
+    from dpchroma import analysis
+    from dpchroma.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("partitions enumerated past the limit")
+
+    monkeypatch.setattr(analysis, "partitions_of", refuse)
+    g = fan(10)  # 11 star vertices: Bell(11) = 678,570 partitions
+    lines = [f"n {g.n}"] + [f"e {a} {b}" for a, b in map(g.edge_labels, range(len(g.edges)))]
+    path = tmp_path / "fan10.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    code = main(["dp-formula", str(path)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "search budget exceeded" in err
+    assert "678570 partitions" in err and "115975" in err
+    assert elapsed < 5
