@@ -46,7 +46,7 @@ from .graphs import (
     star_forest_decomposition,
     subset_cycle_lengths,
 )
-from .poly import M, IntPoly, eventual_compare
+from .poly import M, IntPoly, eventual_compare, forest_polynomial
 
 
 def _parity_case(l1: int, l2: int, l3: int) -> int:
@@ -455,7 +455,7 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
         bounds.append(cross)
     forest = d.forest
     trees = component_count(forest, forest.full_mask)
-    forest_poly = M**trees * (M - 1) ** len(forest.edges)
+    forest_poly = forest_polynomial(trees, len(forest.edges))
     dp = forest_poly - M * weights[best]
     return FeedbackPolynomialResult(
         g, d, candidates[best], weights[best], dp, max(bounds), tuple(maximizers)

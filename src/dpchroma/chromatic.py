@@ -1,9 +1,9 @@
 """Exact chromatic polynomials and coloring counts.
 
-Generic graphs go through deletion-contraction with forests as closed-form
-base cases.  Generalized Theta graphs additionally get the classical
-closed form, which the rest of the package cross-checks against the
-generic route.
+Generic graphs go through deletion-contraction on their 2-cores, with
+the stripped trees as closed-form factors.  Generalized Theta graphs
+additionally get the classical closed form, which the rest of the
+package cross-checks against the generic route.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .covers import count_from_edge_perms, identity_perm
-from .errors import BadPathIndex, GraphTooLarge, InexactDivision
+from .errors import BadPathIndex, GraphTooLarge, InexactDivision, SearchBudgetExceeded
 from .graphs import (
     EdgeSubset,
     Graph,
@@ -22,17 +22,22 @@ from .graphs import (
     component_count,
     spanning_forest,
 )
-from .poly import M, IntPoly, constant, falling_factorial, prod
+from .poly import M, IntPoly, constant, falling_factorial, forest_polynomial, prod
 
 DEFAULT_VERTEX_LIMIT = 16
+
+#: Distinct 2-cores one deletion-contraction call may expand (memo misses).
+CHROMATIC_NODE_LIMIT = 50_000
 
 
 def chromatic_polynomial(g: Graph, limit: int = DEFAULT_VERTEX_LIMIT) -> IntPoly:
     """Exact chromatic polynomial by deletion-contraction.
 
-    The pivot is always an edge lying on a cycle, so the recursion depth is
-    the cyclomatic number and every leaf is a forest with closed form
-    m^(components) (m-1)^(edges).
+    Each node strips the vertices of degree <= 1 and looks the remaining
+    2-core up in a memo that lives for this call only; on a miss it
+    deletes and contracts the core's first cotree edge.  A forest strips
+    to nothing, so it is a leaf with closed form m^(trees) (m-1)^(edges).
+    More than `CHROMATIC_NODE_LIMIT` misses raise `SearchBudgetExceeded`.
     """
     if g.n > limit:
         raise GraphTooLarge(f"{g.n} vertices exceeds limit {limit}")
@@ -40,17 +45,73 @@ def chromatic_polynomial(g: Graph, limit: int = DEFAULT_VERTEX_LIMIT) -> IntPoly
 
 
 def _chrom(n: int, edges: list[tuple[int, int]]) -> IntPoly:
+    """P(G, m) for G on vertices 0..n-1; parallel edges allowed, loops give 0."""
+    memo: dict[tuple[int, tuple[tuple[int, int], ...]], IntPoly] = {}
+    factors: dict[tuple[int, int], IntPoly] = {}
+    misses = 0
+
+    def expand(n: int, edges: list[tuple[int, int]]) -> IntPoly:
+        nonlocal misses
+        isolated, pendant, k, core = _two_core(n, edges)
+        stripped = factors.get((isolated, pendant))
+        if stripped is None:
+            stripped = factors[isolated, pendant] = forest_polynomial(isolated, pendant)
+        if not k:
+            return stripped
+        key = (k, core)
+        poly = memo.get(key)
+        if poly is None:
+            misses += 1
+            if misses > CHROMATIC_NODE_LIMIT:
+                raise SearchBudgetExceeded(
+                    f"{misses} deletion-contraction nodes exceed the limit of "
+                    f"{CHROMATIC_NODE_LIMIT}"
+                )
+            pivot = core[spanning_forest(k, core)[1][0]]
+            deleted = [e for e in core if e != pivot]
+            poly = expand(k, deleted) - expand(k - 1, _contract(k, deleted, pivot))
+            memo[key] = poly
+        return stripped * poly if isolated or pendant else poly
+
     if any(a == b for a, b in edges):
         return IntPoly()  # a loop admits no proper coloring
-    # Dedupe parallel edges produced by contraction.
-    edges = sorted(set((min(e), max(e)) for e in edges))
-    roots, cotree = spanning_forest(n, edges)
-    if not cotree:
-        return (M ** len(set(roots))) * ((M - 1) ** len(edges))
-    cycle_edge = edges[cotree[0]]
-    deleted = [e for e in edges if e != cycle_edge]
-    contracted = _contract(n, deleted, cycle_edge)
-    return _chrom(n, deleted) - _chrom(n - 1, contracted)
+    # The core has no parallel edges, so contracting its pivot makes no loop.
+    return expand(n, edges)
+
+
+def _two_core(
+    n: int, edges: list[tuple[int, int]]
+) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
+    """Strip vertices of degree <= 1 from a loopless graph until none is left.
+
+    Returns (isolated, pendant, k, core): how many vertices were stripped
+    at degree 0 and at degree 1, and the sorted, deduplicated edges of
+    the remaining 2-core renumbered to 0..k-1 in vertex order, so that
+    P(G) = m^isolated (m-1)^pendant P(core).
+    """
+    adj: list[set[int] | None] = [set() for _ in range(n)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    stack = [v for v in range(n) if len(adj[v]) <= 1]
+    isolated = pendant = 0
+    while stack:
+        v = stack.pop()
+        if adj[v]:
+            (u,) = adj[v]
+            adj[u].discard(v)
+            if len(adj[u]) == 1:
+                stack.append(u)
+            pendant += 1
+        else:
+            isolated += 1
+        adj[v] = None
+    label = {}
+    for v in range(n):
+        if adj[v]:
+            label[v] = len(label)
+    core = tuple(sorted((label[a], label[b]) for a in label for b in adj[a] if a < b))
+    return isolated, pendant, len(label), core
 
 
 def _contract(

@@ -34,7 +34,7 @@ from .graphs import (
     find_feedback_vertex,
     spanning_forest,
 )
-from .poly import M, IntPoly
+from .poly import M, IntPoly, forest_polynomial
 
 # A twist is a tuple of images; None marks a fiber vertex with no cross edge,
 # which only occurs in non-full covers.
@@ -407,7 +407,7 @@ def star_collision_weight(
         if walk[0][0] != center:
             trees += 1
             none *= _tree_avoidance_polynomial(walk, avoid)
-    every = M**trees * (M - 1) ** (g.n - 1 - trees)
+    every = forest_polynomial(trees, g.n - 1 - trees)
     return every - none
 
 

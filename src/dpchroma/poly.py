@@ -66,10 +66,10 @@ class IntPoly:
         return IntPoly(-c for c in self.coeffs)
 
     def __sub__(self, other: "IntPoly | int") -> "IntPoly":
-        return self + (-_lift(other))
+        return _difference(self.coeffs, _lift(other).coeffs)
 
     def __rsub__(self, other: "IntPoly | int") -> "IntPoly":
-        return _lift(other) + (-self)
+        return _difference(_lift(other).coeffs, self.coeffs)
 
     def __mul__(self, other: "IntPoly | int") -> "IntPoly":
         other = _lift(other)
@@ -151,6 +151,18 @@ def _lift(x: "IntPoly | int") -> IntPoly:
     return x if isinstance(x, IntPoly) else IntPoly([x])
 
 
+def _difference(a: tuple[int, ...], b: tuple[int, ...]) -> IntPoly:
+    """a - b in one pass over coefficients that are already ints."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    while out and out[-1] == 0:
+        out.pop()
+    p = object.__new__(IntPoly)
+    object.__setattr__(p, "coeffs", tuple(out))
+    return p
+
+
 #: The variable m itself.
 M = IntPoly([0, 1])
 
@@ -161,6 +173,16 @@ def constant(c: int) -> IntPoly:
 
 def prod(polys: Iterable[IntPoly]) -> IntPoly:
     return reduce(lambda a, b: a * b, polys, IntPoly([1]))
+
+
+def forest_polynomial(trees: int, edges: int) -> IntPoly:
+    """m^trees (m-1)^edges, the chromatic polynomial of a forest.
+
+    Built from the binomial expansion of (m-1)^edges, with no products.
+    """
+    return IntPoly(
+        [0] * trees + [(-1) ** (edges - j) * math.comb(edges, j) for j in range(edges + 1)]
+    )
 
 
 def falling_factorial(count: int) -> IntPoly:

@@ -1,11 +1,12 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpchroma.errors import InexactDivision
-from dpchroma.poly import IntPoly, M, eventual_compare, falling_factorial
+from dpchroma.poly import IntPoly, M, eventual_compare, falling_factorial, forest_polynomial
 
 
 def test_normalization_and_degree():
@@ -76,3 +77,33 @@ def test_big_coefficients_stay_exact():
     assert p(2) == 1
     assert p(3) == 2**64
     assert p.exact_div((M - 1) ** 30) == (M - 1) ** 34
+
+
+def test_subtraction_matches_adding_the_negation():
+    rng = random.Random(5150)
+    for _ in range(300):
+        a = IntPoly(rng.randint(-(10**9), 10**9) for _ in range(rng.randint(0, 9)))
+        b = IntPoly(rng.randint(-(10**9), 10**9) for _ in range(rng.randint(0, 9)))
+        k = rng.randint(-(10**6), 10**6)
+        assert a - b == a + (-b)
+        assert b - a == -(a - b)
+        assert a - k == a + IntPoly([-k])
+        assert k - a == IntPoly([k]) + (-a)
+        assert (a - b)(7) == a(7) - b(7)
+
+
+def test_subtraction_normalizes_cancelled_top_coefficients():
+    a = IntPoly([4, 3, 2, 1])
+    b = IntPoly([1, 1, 2, 1])
+    assert (a - b).coeffs == (3, 2)
+    assert (b - a).coeffs == (-3, -2)
+    assert (a - a).coeffs == ()
+    assert (M - M).degree == -math.inf
+    assert (1 - IntPoly([1])).coeffs == ()
+    assert (IntPoly([5]) - 5).coeffs == ()
+
+
+def test_forest_polynomial_is_the_product():
+    for trees in range(4):
+        for edges in range(7):
+            assert forest_polynomial(trees, edges) == M**trees * (M - 1) ** edges
