@@ -1,0 +1,102 @@
+"""SHA-256 of `verify --suite <s> --format json` output for every suite.
+
+The golden file pins the bytes of a few verify suites; these digests pin
+all eleven at two seeds, so a rewrite of `verify.py` that changes any
+check, its order or a random draw fails here.  The digests were recorded
+before the suites were rewritten as row generators.
+"""
+
+import hashlib
+
+import pytest
+
+from dpchroma.cli import main
+from dpchroma.verify import SUITES
+
+DIGESTS = {
+    20200801: {
+        "theta-identity": (
+            "d1a67b2f57dde1a688251b2407b3cf95eae2153c4ab5bc02b2d8482b36171a8a"
+        ),
+        "edge-pair-forms": (
+            "9ffcbfbfe7e5d77048ea519a330607a2429f79b9db15ac99d95170d94760d53f"
+        ),
+        "term-differences": (
+            "ec6271ff363204ac1244e837918f14b2486ae09478fc02813c839fc5f596feb6"
+        ),
+        "formula-search": (
+            "2405fd95e57e7b2122c48e906c416026c229f81f5d87444b8e60749325b01248"
+        ),
+        "inclusion-exclusion": (
+            "c6c8e022d7e0071e1571195d7c25848e8f6d84841abc377ff74ffd3a1435eeb0"
+        ),
+        "subset-audit": (
+            "13d2db3b307740e72481342ef1b0e83c40ea329e7dcccab544b9d2e856f03984"
+        ),
+        "gap-bound": (
+            "f3b8b31a913ca9fe9b9a6339ec91f2c25b7155a8f2bc2b35c128d302926c416a"
+        ),
+        "fvs1": (
+            "820cef298cd26db5a07b3ddeac08b81e2c472189a99ef4a54d8d76bad10240cd"
+        ),
+        "classify": (
+            "f29927e0b7bcee08e735a8d3f95d45047a1670aebe589408bd1282fff3a2aaa2"
+        ),
+        "precolor": (
+            "7e7c3c25bf4fc91ec4c57d388a5ffb607f4d3aa73ed994394e5fad0593a42165"
+        ),
+        "poly": (
+            "a633dfbf4d9d9c9714647a6d7c7abcb091ae7b8998b4805736b7e7f445eea6c1"
+        ),
+    },
+    7: {
+        "theta-identity": (
+            "634428998ccf6d1bb7e99416d2c122fdc84922e5c26c5b03059425f566b16e0c"
+        ),
+        "edge-pair-forms": (
+            "d34e9b4a0bb16cd4f3c9ebd1f06260b4a5d255b7abcae5449ee439f550f706bd"
+        ),
+        "term-differences": (
+            "0397aec02c5b4f0c8fcf433a667aa3fe441dec4519c74b80976af379777cc9a8"
+        ),
+        "formula-search": (
+            "8f2cee48f8467b46eaafa157f3f56ef347d69241f2f085fd2678e5c5403f7577"
+        ),
+        "inclusion-exclusion": (
+            "a1b3355a7ef77567c954b227373ee24dfaea24d1c5972af66e2ced11ff70fe74"
+        ),
+        "subset-audit": (
+            "7f94308eba813d67405c96ea8806104fa8fdfc1a6c6a3dfaf73f3a7ef1cf7cbf"
+        ),
+        "gap-bound": (
+            "392fb78b670ea6d9c1d08768d055e87ec24bdcc73f8439cadfc98ca512e5d430"
+        ),
+        "fvs1": (
+            "ce6b15690450082e34104e31e98339eb0b819f850a41b632d4130aeb94d1ce36"
+        ),
+        "classify": (
+            "c2d13afdfad108e86028b19875bcf601feac68fa0a114591a801e7676719a3ec"
+        ),
+        "precolor": (
+            "0417173a67ef6573841c8f51d44126715a17460c5ef6e53675896963874b9f89"
+        ),
+        "poly": (
+            "3799c4f5ac9f4dfec4d791bb7f196b73c4d2cea888d10307e866d0effb50e15b"
+        ),
+    },
+}
+
+
+def test_digests_name_every_suite_in_order():
+    for digests in DIGESTS.values():
+        assert list(digests) == list(SUITES)
+
+
+@pytest.mark.parametrize(
+    "seed,suite", [(seed, suite) for seed in DIGESTS for suite in DIGESTS[seed]]
+)
+def test_suite_prints_the_recorded_bytes(capsys, seed, suite):
+    args = ["verify", "--suite", suite, "--format", "json", "--seed", str(seed)]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[seed][suite]
