@@ -416,7 +416,8 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
     restricted-growth order; tied partitions give the same polynomial),
     and subtracts m times it from the forest's chromatic polynomial.
     A weight depends only on the leaf grouping, so a star with k vertices
-    needs Bell(k - 1) weights for its Bell(k) partitions.
+    needs Bell(k - 1) weights for its Bell(k) partitions, and the weights
+    are compared once per grouping.
     """
     pivot = find_feedback_vertex(g)
     if pivot is FeedbackVertex.NOT_SIZE_ONE:
@@ -432,33 +433,34 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
             f"the limit of {FVS1_PARTITION_LIMIT}"
         )
     candidates = partitions_of(d.alphas)
-    by_grouping: dict[tuple[int, ...], IntPoly] = {}
-    weights = []
-    for p in candidates:
-        key = _leaf_grouping(d, p)
-        if key not in by_grouping:
-            by_grouping[key] = partition_weight(d, p)
-        weights.append(by_grouping[key])
-    best = 0
-    for i in range(1, len(candidates)):
-        relation, _ = eventual_compare(weights[i], weights[best])
+    groupings = [_leaf_grouping(d, p) for p in candidates]
+    weights: dict[tuple[int, ...], IntPoly] = {}
+    for key, p in zip(groupings, candidates):
+        if key not in weights:
+            weights[key] = partition_weight(d, p)
+    keys = list(weights)
+    best = keys[0]
+    for key in keys[1:]:
+        relation, _ = eventual_compare(weights[key], weights[best])
         if relation == "greater":
-            best = i
+            best = key
     bounds = [g.n]
-    maximizers = []
-    for i in range(len(candidates)):
-        relation, cross = eventual_compare(weights[best], weights[i])
+    tied = set()
+    for key in keys:
+        relation, cross = eventual_compare(weights[best], weights[key])
         if relation == "less":  # pragma: no cover - best is eventually maximal
             raise AssertionError("maximizer selection failed")
         if relation == "equal":
-            maximizers.append(candidates[i])
+            tied.add(key)
         bounds.append(cross)
+    maximizers = tuple(p for key, p in zip(groupings, candidates) if key in tied)
     forest = d.forest
     trees = component_count(forest, forest.full_mask)
     forest_poly = forest_polynomial(trees, len(forest.edges))
     dp = forest_poly - M * weights[best]
+    partition = candidates[groupings.index(best)]
     return FeedbackPolynomialResult(
-        g, d, candidates[best], weights[best], dp, max(bounds), tuple(maximizers)
+        g, d, partition, weights[best], dp, max(bounds), maximizers
     )
 
 

@@ -127,19 +127,20 @@ def _contract(
     return [(remap(p), remap(q)) for p, q in edges]
 
 
-def _cycle_factor(length: int, a: IntPoly) -> IntPoly:
-    """(m-1)^len + (-1)^len (m-1), the chromatic polynomial of C_len."""
-    return a**length + constant((-1) ** length) * a
-
-
 def theta_closed_form(lengths: tuple[int, ...]) -> IntPoly:
-    """Classical closed form for P(Theta(l_1,...,l_k), m); k = 1 is a path."""
+    """Classical closed form for P(Theta(l_1,...,l_k), m); k = 1 is a path.
+
+    Every power of m and m - 1 is a `forest_polynomial` (a binomial
+    expansion), not a chain of products.
+    """
     k = len(lengths)
     a = M - 1
-    first = prod(a ** (l + 1) + constant((-1) ** (l + 1)) * a for l in lengths)
-    second = prod(a**l + constant((-1) ** l) * a for l in lengths)
-    first = first.exact_div((M * a) ** (k - 1))
-    second = second.exact_div(M ** (k - 1))
+    first = prod(
+        forest_polynomial(0, l + 1) + constant((-1) ** (l + 1)) * a for l in lengths
+    )
+    second = prod(forest_polynomial(0, l) + constant((-1) ** l) * a for l in lengths)
+    first = first.exact_div(forest_polynomial(k - 1, k - 1))
+    second = second.exact_div(forest_polynomial(k - 1, 0))
     return first + second
 
 
@@ -158,7 +159,7 @@ def theta_edge_deleted_chromatic(spec: ThetaSpec, path: int) -> IntPoly:
     if not 1 <= path <= spec.k:
         raise BadPathIndex(f"path index {path} not in 1..{spec.k}")
     rest = spec.lengths[: path - 1] + spec.lengths[path:]
-    return theta_closed_form(rest) * (M - 1) ** (spec.lengths[path - 1] - 1)
+    return theta_closed_form(rest) * forest_polynomial(0, spec.lengths[path - 1] - 1)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,18 @@
 """Re-runnable invariant suites behind the `verify` CLI command.
 
-Each suite returns a list of Check records; a suite passes when every
-record does.  The suites are deterministic: randomized ones derive all
-randomness from the seed argument.
+Each suite yields `(kind, instance, expected, actual)` rows; `CHECK_KINDS`
+gives every kind its check name and rule, and `_suite` turns the rows
+into Check records.  A suite passes when every record does.  The suites
+are deterministic: randomized ones derive all randomness from the seed
+argument.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import wraps
+from itertools import combinations, combinations_with_replacement, product
 
 from .analysis import (
     CASE_TO_TERM,
@@ -17,6 +20,7 @@ from .analysis import (
     cover_loss_terms,
     cover_subset_audit,
     fvs1_dp_polynomial,
+    loss_term_differences,
     partition_weight,
     theta_dp_formula,
 )
@@ -43,6 +47,42 @@ from .covers import (
 from .graphs import Graph, StarDecomposition, ThetaSpec, build_generalized_theta
 from .poly import IntPoly, eventual_compare
 
+SUBSET_AUDIT_COVERS_PER_FOLD = 5
+GAP_BOUND_SAMPLES = 10
+PRECOLOR_SAMPLES = 100
+_FVS1_FOLDS = {"theta:2,2,2": (3, 4, 5, 6), "triangle": (3, 4, 5), "bowtie": (3, 4, 5)}
+
+# Check kind -> (name, rule).  The name is the kind up to any "/", so the
+# two parity rules of `classify` share one name.
+CHECK_KINDS = {
+    kind: (kind.split("/")[0], rule)
+    for kind, rule in {
+        "theta-chromatic": "closed form equals deletion-contraction",
+        "theta-edge-deleted": "edge-deleted closed form equals deletion-contraction",
+        "edge-pair-forms": "surgery closed form equals deletion-contraction",
+        "term-differences": "both paths agree, signs and chains hold",
+        "dp-formula-vs-search": "parity-case formula equals exhaustive minimum",
+        "loss-bound": "five-term bound equals the minimum",
+        "loss-argmax": "maximal term index follows the case mapping",
+        "ie-chromatic": "edge-subset alternating sum equals the polynomial",
+        "ie-cover": "subset alternating sum equals the transfer count",
+        "subset-audit": "deficit classification over all edge subsets",
+        "gap-bound": "coloring deficit of a twisted cover is bounded below",
+        "fvs1-weight": "tree-DP weight equals the leaf-subset inclusion-exclusion",
+        "fvs1-polynomial": "partition-maximum polynomial equals exhaustive minimum",
+        "fvs1-witness": "shift cover attains the reported count",
+        "fvs1-leading-terms":
+            "three highest coefficients match the chromatic polynomial",
+        "classify/less": "same-parity pair makes the DP function eventually smaller",
+        "classify/equal": "all-different parities keep the DP function equal",
+        "classify-equality": "eventually-equal instance matches the chromatic value",
+        "classify-k4": "minimum never exceeds the chromatic value (gap reported)",
+        "precolor": "contracted-clique polynomial matches direct counts",
+        "poly-division": "exact_div(p*q, q) == p",
+        "poly-ordering": "ordering holds at the bound and 20 folds beyond",
+    }.items()
+}
+
 
 @dataclass(frozen=True)
 class Check:
@@ -68,6 +108,26 @@ def _check(name, rule, instance, expected, actual) -> Check:
     return Check(name, rule, str(instance), str(expected), str(actual), expected == actual)
 
 
+SUITES = {}
+
+
+def _suite(name: str):
+    """Register a row generator as the suite `name`, returning Check lists."""
+
+    def register(rows):
+        @wraps(rows)
+        def suite(seed: int = 0) -> list[Check]:
+            return [
+                _check(*CHECK_KINDS[kind], instance, expected, actual)
+                for kind, instance, expected, actual in rows(seed)
+            ]
+
+        SUITES[name] = suite
+        return suite
+
+    return register
+
+
 def _valid_length_tuples(max_k: int, max_len: int):
     for k in range(2, max_k + 1):
         for lengths in product(range(1, max_len + 1), repeat=k):
@@ -75,253 +135,145 @@ def _valid_length_tuples(max_k: int, max_len: int):
                 yield lengths
 
 
-def suite_theta_identity(seed: int = 0) -> list[Check]:
+def _sorted_triples(low: int, high: int):
+    """Path lengths low <= l1 <= l2 <= l3 <= high, in lexicographic order."""
+    return combinations_with_replacement(range(low, high + 1), 3)
+
+
+def _theta(lengths) -> Graph:
+    return build_generalized_theta(ThetaSpec(lengths))
+
+
+def _chromatic(g: Graph) -> IntPoly:
+    """Deletion-contraction with no vertex limit."""
+    return chromatic_polynomial(g, limit=g.n)
+
+
+def _graph_zoo() -> dict[str, Graph]:
+    """Small named graphs, built afresh for each suite that uses them."""
+    abcd = ("a", "b", "c", "d")
+    zoo = {
+        "triangle": Graph(("a", "b", "c"), ((0, 1), (0, 2), (1, 2))),
+        "path4": Graph(abcd, ((0, 1), (1, 2), (2, 3))),
+        "c4": Graph(abcd, ((0, 1), (1, 2), (2, 3), (0, 3))),
+        "k4": Graph(abcd, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
+        "bowtie": Graph(
+            abcd + ("e",), ((0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4))
+        ),
+        "star+edge": Graph(abcd, ((0, 1), (0, 2), (0, 3))),
+        "two-comps": Graph(abcd, ((0, 1), (2, 3))),
+    }
+    for lengths in ((2, 2, 2), (2, 2, 3), (2, 3, 3), (1, 2, 2)):
+        zoo[str(ThetaSpec(lengths))] = _theta(lengths)
+    return zoo
+
+
+@_suite("theta-identity")
+def suite_theta_identity(seed):
     """Closed-form Theta chromatic polynomials against deletion-contraction."""
-    checks = []
     for lengths in _valid_length_tuples(4, 5):
         spec = ThetaSpec(lengths)
         g = build_generalized_theta(spec)
         closed = theta_chromatic(spec)
-        generic = chromatic_polynomial(g, limit=max(16, g.n))
-        checks.append(
-            _check(
-                "theta-chromatic",
-                "closed form equals deletion-contraction",
-                spec,
-                str(generic),
-                str(closed),
-            )
-        )
+        yield "theta-chromatic", spec, str(_chromatic(g)), str(closed)
     for lengths in _valid_length_tuples(3, 4):
         spec = ThetaSpec(lengths)
         g = build_generalized_theta(spec)
         for j in range(1, spec.k + 1):
             closed = theta_edge_deleted_chromatic(spec, j)
-            generic = chromatic_polynomial(g.without_edges([j - 1]), limit=max(16, g.n))
-            checks.append(
-                _check(
-                    "theta-edge-deleted",
-                    "edge-deleted closed form equals deletion-contraction",
-                    f"{spec} minus path {j} u-edge",
-                    str(generic),
-                    str(closed),
-                )
-            )
-    return checks
+            generic = _chromatic(g.without_edges([j - 1]))
+            instance = f"{spec} minus path {j} u-edge"
+            yield "theta-edge-deleted", instance, str(generic), str(closed)
 
 
-def suite_edge_pair_forms(seed: int = 0) -> list[Check]:
+@_suite("edge-pair-forms")
+def suite_edge_pair_forms(seed):
     """The five surgery-family closed forms against the explicit graphs."""
-    checks = []
-    for l1 in range(2, 5):
-        for l2 in range(l1, 5):
-            for l3 in range(l2, 5):
-                graphs = theta_edge_pair_graphs(l1, l2, l3)
-                polys = theta_edge_pair_polynomials(l1, l2, l3)
-                for tag, gg, pp in zip(
-                    ("g", "g0", "g1", "g2", "gstar"),
-                    (graphs.g, graphs.g0, graphs.g1, graphs.g2, graphs.gstar),
-                    polys.as_tuple(),
-                ):
-                    generic = chromatic_polynomial(gg, limit=max(16, gg.n))
-                    checks.append(
-                        _check(
-                            "edge-pair-forms",
-                            "surgery closed form equals deletion-contraction",
-                            f"theta:{l1},{l2},{l3} {tag}",
-                            str(generic),
-                            str(pp),
-                        )
-                    )
-    return checks
+    for l1, l2, l3 in _sorted_triples(2, 4):
+        graphs = theta_edge_pair_graphs(l1, l2, l3)
+        polys = theta_edge_pair_polynomials(l1, l2, l3)
+        for tag, gg, pp in zip(
+            ("g", "g0", "g1", "g2", "gstar"),
+            (graphs.g, graphs.g0, graphs.g1, graphs.g2, graphs.gstar),
+            polys.as_tuple(),
+        ):
+            instance = f"theta:{l1},{l2},{l3} {tag}"
+            yield "edge-pair-forms", instance, str(_chromatic(gg)), str(pp)
 
 
-def suite_term_differences(seed: int = 0) -> list[Check]:
+@_suite("term-differences")
+def suite_term_differences(seed):
     """Difference identities, sign predictions, and chain milestones."""
-    from .analysis import loss_term_differences
-
-    checks = []
-    for l1 in range(2, 7):
-        for l2 in range(l1, 7):
-            for l3 in range(l2, 7):
-                for m in range(3, 13):
-                    rep = loss_term_differences(l1, l2, l3, m)
-                    checks.append(
-                        _check(
-                            "term-differences",
-                            "both paths agree, signs and chains hold",
-                            f"theta:{l1},{l2},{l3} m={m}",
-                            True,
-                            rep.ok,
-                        )
-                    )
-    return checks
+    for l1, l2, l3 in _sorted_triples(2, 6):
+        for m in range(3, 13):
+            rep = loss_term_differences(l1, l2, l3, m)
+            yield "term-differences", f"theta:{l1},{l2},{l3} m={m}", True, rep.ok
 
 
-def suite_formula_search(seed: int = 0) -> list[Check]:
+@_suite("formula-search")
+def suite_formula_search(seed):
     """DP formula, exhaustive minimum, and loss bound on the small grid."""
-    checks = []
-    for l1 in range(2, 5):
-        for l2 in range(l1, 5):
-            for l3 in range(l2, 5):
-                formula = theta_dp_formula(l1, l2, l3)
-                g = build_generalized_theta(ThetaSpec((l1, l2, l3)))
-                for m in (3, 4):
-                    want = formula.value_at(m)
-                    found = min_over_covers(g, m).value
-                    checks.append(
-                        _check(
-                            "dp-formula-vs-search",
-                            "parity-case formula equals exhaustive minimum",
-                            f"theta:{l1},{l2},{l3} m={m}",
-                            want,
-                            found,
-                        )
-                    )
-                    terms = cover_loss_terms(l1, l2, l3, m)
-                    checks.append(
-                        _check(
-                            "loss-bound",
-                            "five-term bound equals the minimum",
-                            f"theta:{l1},{l2},{l3} m={m}",
-                            want,
-                            terms.bound,
-                        )
-                    )
-                    checks.append(
-                        _check(
-                            "loss-argmax",
-                            "maximal term index follows the case mapping",
-                            f"theta:{l1},{l2},{l3} m={m} case={formula.case}",
-                            True,
-                            CASE_TO_TERM[formula.case] in terms.best_indices,
-                        )
-                    )
-    return checks
+    for l1, l2, l3 in _sorted_triples(2, 4):
+        formula = theta_dp_formula(l1, l2, l3)
+        g = _theta((l1, l2, l3))
+        for m in (3, 4):
+            instance = f"theta:{l1},{l2},{l3} m={m}"
+            want = formula.value_at(m)
+            yield "dp-formula-vs-search", instance, want, min_over_covers(g, m).value
+            terms = cover_loss_terms(l1, l2, l3, m)
+            yield "loss-bound", instance, want, terms.bound
+            best = CASE_TO_TERM[formula.case] in terms.best_indices
+            yield "loss-argmax", f"{instance} case={formula.case}", True, best
 
 
-def _small_graph_zoo() -> list[tuple[str, Graph]]:
-    zoo: list[tuple[str, Graph]] = []
-    zoo.append(("triangle", Graph(("a", "b", "c"), ((0, 1), (0, 2), (1, 2)))))
-    zoo.append(("path4", Graph(("a", "b", "c", "d"), ((0, 1), (1, 2), (2, 3)))))
-    zoo.append(
-        ("c4", Graph(("a", "b", "c", "d"), ((0, 1), (1, 2), (2, 3), (0, 3))))
-    )
-    zoo.append(
-        (
-            "k4",
-            Graph(
-                ("a", "b", "c", "d"),
-                ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
-            ),
-        )
-    )
-    zoo.append(
-        (
-            "bowtie",
-            Graph(
-                ("a", "b", "c", "d", "e"),
-                ((0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)),
-            ),
-        )
-    )
-    zoo.append(("star+edge", Graph(("a", "b", "c", "d"), ((0, 1), (0, 2), (0, 3)))))
-    zoo.append(
-        ("two-comps", Graph(("a", "b", "c", "d"), ((0, 1), (2, 3))))
-    )
-    for lengths in ((2, 2, 2), (2, 2, 3), (2, 3, 3), (1, 2, 2)):
-        zoo.append((str(ThetaSpec(lengths)), build_generalized_theta(ThetaSpec(lengths))))
-    return [(name, g) for name, g in zoo if g.edge_count <= 8]
-
-
-def suite_inclusion_exclusion(seed: int = 0) -> list[Check]:
+@_suite("inclusion-exclusion")
+def suite_inclusion_exclusion(seed):
     """Subset-sum counts against direct evaluation, for colorings and covers."""
-    checks = []
-    for name, g in _small_graph_zoo():
+    for name, g in _graph_zoo().items():
         poly = chromatic_polynomial(g)
         for m in range(1, 5):
-            checks.append(
-                _check(
-                    "ie-chromatic",
-                    "edge-subset alternating sum equals the polynomial",
-                    f"{name} m={m}",
-                    poly(m),
-                    chromatic_by_inclusion_exclusion(g, m),
-                )
-            )
+            sum_ = chromatic_by_inclusion_exclusion(g, m)
+            yield "ie-chromatic", f"{name} m={m}", poly(m), sum_
     rng = random.Random(seed)
     for lengths in ((2, 2, 3), (2, 3, 3)):
-        g = build_generalized_theta(ThetaSpec(lengths))
+        g = _theta(lengths)
         for i in range(50):
             cover = random_cover(g, 3, rng)
-            checks.append(
-                _check(
-                    "ie-cover",
-                    "subset alternating sum equals the transfer count",
-                    f"{ThetaSpec(lengths)} m=3 sample={i}",
-                    count_colorings(g, cover),
-                    cover_count_by_inclusion_exclusion(g, cover),
-                )
-            )
-    return checks
+            instance = f"{ThetaSpec(lengths)} m=3 sample={i}"
+            count = count_colorings(g, cover)
+            by_subsets = cover_count_by_inclusion_exclusion(g, cover)
+            yield "ie-cover", instance, count, by_subsets
 
 
-def suite_subset_audit(seed: int = 0, covers_per_fold: int = 5) -> list[Check]:
+@_suite("subset-audit")
+def suite_subset_audit(seed):
     """Exhaustive subset classification for sampled covers of theta:2,3,3."""
     spec = ThetaSpec((2, 3, 3))
     g = build_generalized_theta(spec)
     rng = random.Random(seed)
-    checks = []
     for m in (3, 4, 5):
         rep = cover_subset_audit(spec, identity_cover(g, m), m)
-        checks.append(
-            _check(
-                "subset-audit",
-                "deficit classification over all edge subsets",
-                f"{spec} m={m} identity",
-                True,
-                rep.ok,
-            )
-        )
-        for i in range(covers_per_fold):
-            cover = random_cover(g, m, rng)
-            rep = cover_subset_audit(spec, cover, m)
-            checks.append(
-                _check(
-                    "subset-audit",
-                    "deficit classification over all edge subsets",
-                    f"{spec} m={m} sample={i}",
-                    True,
-                    rep.ok,
-                )
-            )
-    return checks
+        yield "subset-audit", f"{spec} m={m} identity", True, rep.ok
+        for i in range(SUBSET_AUDIT_COVERS_PER_FOLD):
+            rep = cover_subset_audit(spec, random_cover(g, m, rng), m)
+            yield "subset-audit", f"{spec} m={m} sample={i}", True, rep.ok
 
 
-def suite_gap_bound(seed: int = 0, samples: int = 10) -> list[Check]:
+@_suite("gap-bound")
+def suite_gap_bound(seed):
     """Twisted-cover coloring deficit bound at a large fold."""
     spec = ThetaSpec((2, 3, 3))
     g = build_generalized_theta(spec)
     m = 2 ** (spec.edge_count + 1)
     rng = random.Random(seed)
-    checks = []
     produced = 0
-    while produced < samples:
+    while produced < GAP_BOUND_SAMPLES:
         cover = random_cover(g, m, rng)
         rep = cover_subset_audit(spec, cover, m, subsets=False)
         if not rep.gap_checked:  # canonical sample; the bound does not apply
             continue
         produced += 1
-        checks.append(
-            _check(
-                "gap-bound",
-                "coloring deficit of a twisted cover is bounded below",
-                f"{spec} m={m} sample={produced}",
-                True,
-                rep.ok,
-            )
-        )
-    return checks
+        yield "gap-bound", f"{spec} m={m} sample={produced}", True, rep.ok
 
 
 def partition_weight_by_subsets(
@@ -344,117 +296,47 @@ def partition_weight_by_subsets(
     return total
 
 
-def suite_fvs1(seed: int = 0) -> list[Check]:
+@_suite("fvs1")
+def suite_fvs1(seed):
     """Feedback-vertex-one polynomial against search and its witness cover,
     and every partition's tree-DP weight against the subset sum."""
-    instances: list[tuple[str, Graph, tuple[int, ...]]] = [
-        ("theta:2,2,2", build_generalized_theta(ThetaSpec((2, 2, 2))), (3, 4, 5, 6)),
-        ("triangle", Graph(("a", "b", "c"), ((0, 1), (0, 2), (1, 2))), (3, 4, 5)),
-        (
-            "bowtie",
-            Graph(
-                ("a", "b", "c", "d", "e"),
-                ((0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)),
-            ),
-            (3, 4, 5),
-        ),
-    ]
-    checks = []
-    for name, g, folds in instances:
+    zoo = _graph_zoo()
+    for name, folds in _FVS1_FOLDS.items():
+        g = zoo[name]
         result = fvs1_dp_polynomial(g)
         d = result.decomposition
         for p in partitions_of(d.alphas):
-            checks.append(
-                _check(
-                    "fvs1-weight",
-                    "tree-DP weight equals the leaf-subset inclusion-exclusion",
-                    f"{name} " + "|".join(",".join(sorted(part)) for part in p.parts),
-                    str(partition_weight_by_subsets(d, p)),
-                    str(partition_weight(d, p)),
-                )
-            )
+            parts = "|".join(",".join(sorted(part)) for part in p.parts)
+            oracle = str(partition_weight_by_subsets(d, p))
+            yield "fvs1-weight", f"{name} {parts}", oracle, str(partition_weight(d, p))
         for m in folds:
             want = min_over_covers(g, m).value
-            checks.append(
-                _check(
-                    "fvs1-polynomial",
-                    "partition-maximum polynomial equals exhaustive minimum",
-                    f"{name} m={m}",
-                    want,
-                    result.dp_polynomial(m),
-                )
-            )
-            checks.append(
-                _check(
-                    "fvs1-witness",
-                    "shift cover attains the reported count",
-                    f"{name} m={m}",
-                    want,
-                    count_colorings(g, result.witness_cover(m)),
-                )
-            )
-        chrom = chromatic_polynomial(g, limit=max(16, g.n))
-        checks.append(
-            _check(
-                "fvs1-leading-terms",
-                "three highest coefficients match the chromatic polynomial",
-                name,
-                list(chrom.coeffs[-3:]),
-                list(result.dp_polynomial.coeffs[-3:]),
-            )
-        )
-    return checks
+            yield "fvs1-polynomial", f"{name} m={m}", want, result.dp_polynomial(m)
+            witness = count_colorings(g, result.witness_cover(m))
+            yield "fvs1-witness", f"{name} m={m}", want, witness
+        leading = list(_chromatic(g).coeffs[-3:])
+        top = list(result.dp_polynomial.coeffs[-3:])
+        yield "fvs1-leading-terms", name, leading, top
 
 
-def suite_classify(seed: int = 0) -> list[Check]:
+@_suite("classify")
+def suite_classify(seed):
     """Parity classification against exhaustive minima at small folds."""
-    checks = []
     res = classify_generalized(ThetaSpec((2, 2, 3)))
-    checks.append(
-        _check(
-            "classify",
-            "same-parity pair makes the DP function eventually smaller",
-            "theta:2,2,3",
-            "eventually-less j=2 N=3",
-            f"{res.kind} j={res.witness_path} N={res.empirical_bound}",
-        )
-    )
+    found = f"{res.kind} j={res.witness_path} N={res.empirical_bound}"
+    yield "classify/less", "theta:2,2,3", "eventually-less j=2 N=3", found
     res = classify_generalized(ThetaSpec((2, 3, 3)))
-    checks.append(
-        _check(
-            "classify",
-            "all-different parities keep the DP function equal",
-            "theta:2,3,3",
-            "eventually-equal",
-            res.kind,
-        )
-    )
-    g = build_generalized_theta(ThetaSpec((2, 3, 3)))
+    yield "classify/equal", "theta:2,3,3", "eventually-equal", res.kind
+    g = _theta((2, 3, 3))
     poly = theta_chromatic(ThetaSpec((2, 3, 3)))
     for m in (3, 4):
-        checks.append(
-            _check(
-                "classify-equality",
-                "eventually-equal instance matches the chromatic value",
-                f"theta:2,3,3 m={m}",
-                poly(m),
-                min_over_covers(g, m).value,
-            )
-        )
+        found = min_over_covers(g, m).value
+        yield "classify-equality", f"theta:2,3,3 m={m}", poly(m), found
     spec4 = ThetaSpec((2, 3, 3, 3))
     g4 = build_generalized_theta(spec4)
     p4 = theta_chromatic(spec4)(3)
     found = min_over_covers(g4, 3).value
-    checks.append(
-        _check(
-            "classify-k4",
-            "minimum never exceeds the chromatic value (gap reported)",
-            f"theta:2,3,3,3 m=3 gap={p4 - found}",
-            True,
-            found <= p4,
-        )
-    )
-    return checks
+    yield "classify-k4", f"theta:2,3,3,3 m=3 gap={p4 - found}", True, found <= p4
 
 
 def _random_forest(rng: random.Random, max_vertices: int = 8) -> Graph:
@@ -467,11 +349,11 @@ def _random_forest(rng: random.Random, max_vertices: int = 8) -> Graph:
     return Graph(labels, tuple(edges))
 
 
-def suite_precolor(seed: int = 0, samples: int = 100) -> list[Check]:
+@_suite("precolor")
+def suite_precolor(seed):
     """Precoloring polynomial versus direct counts on random forests."""
     rng = random.Random(seed)
-    checks = []
-    for i in range(samples):
+    for i in range(PRECOLOR_SAMPLES):
         g = _random_forest(rng)
         pool = list(g.vertices)
         rng.shuffle(pool)
@@ -479,23 +361,16 @@ def suite_precolor(seed: int = 0, samples: int = 100) -> list[Check]:
         bound = g.n + rng.randint(0, 2)
         pc = Precoloring({v: rng.randint(1, bound) for v in domain}, bound)
         poly = precolored_polynomial(g, pc)
-        values = [precolored_count(g, pc, m) for m in range(bound, bound + 6)]
-        checks.append(
-            _check(
-                "precolor",
-                "contracted-clique polynomial matches direct counts",
-                f"forest sample={i} n={g.n} fixed={len(domain)}",
-                values,
-                [poly(m) for m in range(bound, bound + 6)],
-            )
-        )
-    return checks
+        folds = range(bound, bound + 6)
+        values = [precolored_count(g, pc, m) for m in folds]
+        instance = f"forest sample={i} n={g.n} fixed={len(domain)}"
+        yield "precolor", instance, values, [poly(m) for m in folds]
 
 
-def suite_poly(seed: int = 0) -> list[Check]:
+@_suite("poly")
+def suite_poly(seed):
     """Exact division round trips and eventual-ordering sign agreement."""
     rng = random.Random(seed)
-    checks = []
     ok = True
     for _ in range(200):
         p = IntPoly([rng.randint(-(10**6), 10**6) for _ in range(rng.randint(1, 11))])
@@ -504,9 +379,7 @@ def suite_poly(seed: int = 0) -> list[Check]:
             continue
         if (p * q).exact_div(q) != p:
             ok = False
-    checks.append(
-        _check("poly-division", "exact_div(p*q, q) == p", "200 random pairs", True, ok)
-    )
+    yield "poly-division", "200 random pairs", True, ok
     ok = True
     for _ in range(100):
         p = IntPoly([rng.randint(-50, 50) for _ in range(rng.randint(0, 6))])
@@ -517,35 +390,8 @@ def suite_poly(seed: int = 0) -> list[Check]:
             want = "equal" if d == 0 else ("greater" if d > 0 else "less")
             if want != relation:
                 ok = False
-    checks.append(
-        _check(
-            "poly-ordering",
-            "ordering holds at the bound and 20 folds beyond",
-            "100 random pairs",
-            True,
-            ok,
-        )
-    )
-    return checks
-
-
-SUITES = {
-    "theta-identity": suite_theta_identity,
-    "edge-pair-forms": suite_edge_pair_forms,
-    "term-differences": suite_term_differences,
-    "formula-search": suite_formula_search,
-    "inclusion-exclusion": suite_inclusion_exclusion,
-    "subset-audit": suite_subset_audit,
-    "gap-bound": suite_gap_bound,
-    "fvs1": suite_fvs1,
-    "classify": suite_classify,
-    "precolor": suite_precolor,
-    "poly": suite_poly,
-}
+    yield "poly-ordering", "100 random pairs", True, ok
 
 
 def run_suites(names: list[str], seed: int = 0) -> list[Check]:
-    checks = []
-    for name in names:
-        checks.extend(SUITES[name](seed))
-    return checks
+    return [check for name in names for check in SUITES[name](seed)]

@@ -524,3 +524,41 @@ def test_dp_formula_refuses_stars_past_the_partition_limit(tmp_path, monkeypatch
     assert "search budget exceeded" in err
     assert "678570 partitions" in err and "115975" in err
     assert elapsed < 5
+
+
+def test_fvs1_compares_once_per_leaf_grouping(monkeypatch):
+    # the selection over Bell(k - 1) groupings must give what a selection
+    # over all Bell(k) partitions gives: the first partition with the
+    # eventually maximal weight, every partition tied with it, and the
+    # largest crossing fold
+    from dpchroma import analysis
+    from dpchroma.poly import eventual_compare
+
+    calls = []
+
+    def counted(p, q):
+        calls.append((p, q))
+        return eventual_compare(p, q)
+
+    monkeypatch.setattr(analysis, "eventual_compare", counted)
+    graphs = [fan(4), fan(5), theta(2, 2, 2), theta(2, 3, 3), theta(2, 2, 3, 3)]
+    graphs += [g for g, _ in fvs1_instances()]
+    for g in graphs:
+        calls.clear()
+        result = fvs1_dp_polynomial(g)
+        d = result.decomposition
+        partitions = partitions_of(d.alphas)
+        weights = [partition_weight(d, p) for p in partitions]
+        best = 0
+        for i, w in enumerate(weights):
+            if eventual_compare(w, weights[best])[0] == "greater":
+                best = i
+        against_best = [eventual_compare(weights[best], w) for w in weights]
+        pairs = zip(partitions, against_best)
+        tied = tuple(p for p, (relation, _) in pairs if relation == "equal")
+        assert result.partition == partitions[best], g
+        assert result.weight == weights[best], g
+        assert result.maximizers == tied, g
+        assert result.stable_from == max([g.n] + [x for _, x in against_best]), g
+        groupings = {analysis._leaf_grouping(d, p) for p in partitions}
+        assert len(calls) == 2 * len(groupings) - 1, g
