@@ -53,6 +53,7 @@ from .graphs import (
     ThetaSpec,
     build_generalized_theta,
     component_count,
+    feedback_vertex_set,
     find_feedback_vertex,
     star_forest_decomposition,
     subset_cycle_lengths,

@@ -87,30 +87,33 @@ def theta_dp_formula(l1: int, l2: int, l3: int) -> ThetaDpFormula:
         raise OutOfScope("paths of length 1 belong to a different closed form")
     if not l1 <= l2 <= l3:
         raise ValueError("need l1 <= l2 <= l3")
-    a = M - 1
     total = l1 + l2 + l3
     case = _parity_case(l1, l2, l3)
     if case == 1:
         return ThetaDpFormula((l1, l2, l3), 1, theta_closed_form((l1, l2, l3)), 1)
+
+    def a(e: int) -> IntPoly:  # (m - 1)^e
+        return forest_polynomial(0, e)
+
     if case == 2:
         bracket = (
-            a**total
-            + a**l1
-            - a ** (l2 + 1)
-            - a**l3
+            a(total)
+            + a(l1)
+            - a(l2 + 1)
+            - a(l3)
             + ((-1) ** (l3 + 1)) * (M - 2)
         )
         return ThetaDpFormula((l1, l2, l3), 2, bracket.exact_div(M), 2)
     if case == 3:
         bracket = (
-            a**total
-            + a**l1
-            - a ** (l3 + 1)
-            - a**l2
+            a(total)
+            + a(l1)
+            - a(l3 + 1)
+            - a(l2)
             + ((-1) ** (l2 + 1)) * (M - 2)
         )
         return ThetaDpFormula((l1, l2, l3), 3, bracket.exact_div(M), 2)
-    bracket = a**total - a**l1 - a**l2 - a**l3 + 2 * (-1) ** total
+    bracket = a(total) - a(l1) - a(l2) - a(l3) + 2 * (-1) ** total
     return ThetaDpFormula((l1, l2, l3), 4, bracket.exact_div(M), 3)
 
 

@@ -215,30 +215,32 @@ def theta_edge_pair_polynomials(l1: int, l2: int, l3: int) -> EdgePairPolynomial
     """
     if not 2 <= l1 <= l2 <= l3:
         raise ValueError("need 2 <= l1 <= l2 <= l3")
-    a = M - 1
     total = l1 + l2 + l3
+
+    def a(e: int) -> IntPoly:  # (m - 1)^e
+        return forest_polynomial(0, e)
 
     def sgn(e: int) -> IntPoly:
         return constant((-1) ** e)
 
     p_g = (
-        a**total
-        + sgn(total) * a * (M - 2)
-        + sgn(l1 + l2) * a ** (l3 + 1)
-        + sgn(l1 + l3) * a ** (l2 + 1)
-        + sgn(l2 + l3) * a ** (l1 + 1)
+        a(total)
+        + sgn(total) * (M - 1) * (M - 2)
+        + sgn(l1 + l2) * a(l3 + 1)
+        + sgn(l1 + l3) * a(l2 + 1)
+        + sgn(l2 + l3) * a(l1 + 1)
     ).exact_div(M)
-    p_g0 = M * a ** (total - 2)
-    p_g1 = a ** (total - 1) + sgn(l2 + l3) * a**l1
-    p_g2 = a ** (total - 1) + sgn(l1 + l3) * a**l2
+    p_g0 = forest_polynomial(1, total - 2)
+    p_g1 = a(total - 1) + sgn(l2 + l3) * a(l1)
+    p_g2 = a(total - 1) + sgn(l1 + l3) * a(l2)
     p_gstar = (
         (M - 2)
         * (
-            a ** (total - 1)
-            + sgn(l2 + l3) * a**l1
-            + sgn(l1 + l3) * a**l2
-            + sgn(l1 + l2 + 1) * a ** (l3 + 1)
-            + 2 * sgn(total) * a
+            a(total - 1)
+            + sgn(l2 + l3) * a(l1)
+            + sgn(l1 + l3) * a(l2)
+            + sgn(l1 + l2 + 1) * a(l3 + 1)
+            + 2 * sgn(total) * (M - 1)
         )
     ).exact_div(M)
     return EdgePairPolynomials(p_g, p_g0, p_g1, p_g2, p_gstar)

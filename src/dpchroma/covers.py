@@ -6,6 +6,10 @@ tree are the identity and each cotree edge carries one permutation of the
 fold [m] (oriented from the lexicographically smaller endpoint).  Any
 assignment of permutations to all edges can be brought into this form by
 relabeling fibers, which never changes the number of colorings.
+
+Full covers of a generalized Theta graph are counted by a path transfer
+from the colors of its two end vertices; every other count conditions on
+a feedback vertex set S, and `BRUTE_FORCE_LIMIT` caps its m^|S| rows.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -21,17 +25,16 @@ from .errors import (
     CoverMismatch,
     FoldTooSmall,
     GraphTooLarge,
+    OutOfRange,
     SearchBudgetExceeded,
 )
 from .graphs import (
     EdgeSubset,
-    FeedbackVertex,
     Graph,
     StarDecomposition,
     ThetaSpec,
     _bits,
     alternating_subset_sum,
-    find_feedback_vertex,
     spanning_forest,
 )
 from .poly import M, IntPoly, forest_polynomial
@@ -328,11 +331,6 @@ def _theta_transfer_count(
     return total
 
 
-def _forest_full_count(g: Graph, m: int) -> int:
-    roots, _ = spanning_forest(g.n, g.edges)
-    return m ** len(set(roots)) * (m - 1) ** len(g.edges)
-
-
 def _tree_dp_vector(
     g: Graph,
     perms: Sequence[Perm],
@@ -411,88 +409,54 @@ def star_collision_weight(
     return every - none
 
 
-def _fvs_conditioned_count(
-    g: Graph,
-    m: int,
-    perms: Sequence[Perm],
-    pivot: int,
-    start: Sequence[Sequence[int]] | None = None,
+def _conditioned_count(
+    g: Graph, m: int, perms: Sequence[Perm], start: Sequence[Sequence[int]]
 ) -> int:
-    """Count transversals by conditioning on the pivot's color.
+    """Count transversals by conditioning on the colors of the feedback set.
 
-    The pivot is a feedback vertex, so each remaining component is a tree
-    whose DP only sees the pivot through the color it blocks at each
-    neighbor, folded into that neighbor's start vector.
+    G - S is a forest for S = `g.feedback_set`.  A row colors S from its
+    allowed colors and is rejected when an edge inside S matches those
+    colors.  Each edge from S blocks one color at its other endpoint,
+    folded into that endpoint's start vector, and the row counts one tree
+    DP per tree of G - S; trees that touch no edge from S are counted once.
     """
-    if start is None:
-        start = [[1] * m] * g.n
-    rest = [i for i, e in enumerate(g.edges) if pivot not in e]
+    fvs = g.feedback_set
+    if m ** len(fvs) > BRUTE_FORCE_LIMIT:
+        raise GraphTooLarge(f"{m}^{len(fvs)} feedback-set colorings are too many")
+    slot = {v: i for i, v in enumerate(fvs)}
+    inner, outer, rest = [], [], []
+    for e, (a, b) in enumerate(g.edges):
+        if a in slot and b in slot:
+            inner.append((slot[a], slot[b], perms[e]))
+        elif a in slot or b in slot:
+            s, y = (a, b) if a in slot else (b, a)
+            outer.append((slot[s], y, _oriented(g, perms, e, s)))
+        else:
+            rest.append(e)
+    blocked = {y for _, y, _ in outer}
     touching = []
     free_product = 1
-    pivot_neighbors = set(g.adjacency[pivot])
     for walk in _forest_walk(g, rest):
-        if any(v in pivot_neighbors for v, _, _ in walk):
+        if any(v in blocked for v, _, _ in walk):
             touching.append(walk)
-        elif walk[0][0] != pivot:
+        elif walk[0][0] not in slot:
             free_product *= _tree_dp_vector(g, perms, walk, start)
-    # adjacency and incident list each vertex's edges in the same order
-    edges = [
-        (y, _oriented(g, perms, e, pivot))
-        for y, e in zip(g.adjacency[pivot], g.incident[pivot])
-    ]
+    choices = [[c for c in range(m) if start[v][c]] for v in fvs]
     seeds = list(start)
     total = 0
-    for a in range(m):
-        if not start[pivot][a]:
+    for colors in product(*choices):
+        if any(p[colors[a]] == colors[b] for a, b, p in inner):
             continue
-        for y, rho in edges:
-            seeds[y] = folded = list(start[y])
-            if rho[a] is not None:
-                folded[rho[a]] = 0
-        prod = free_product
+        for y in blocked:
+            seeds[y] = list(start[y])
+        for i, y, rho in outer:
+            c = rho[colors[i]]
+            if c is not None:
+                seeds[y][c] = 0
+        row = free_product
         for walk in touching:
-            prod *= _tree_dp_vector(g, perms, walk, seeds)
-        total += prod
-    return total
-
-
-def _brute_force_count(
-    g: Graph,
-    m: int,
-    perms: Sequence[Perm],
-    start: Sequence[Sequence[int]] | None = None,
-) -> int:
-    if m**g.n > BRUTE_FORCE_LIMIT:
-        raise GraphTooLarge("transversal enumeration too large")
-    if start is None:
-        choices = [range(m)] * g.n
-    else:
-        choices = [[c for c in range(m) if vec[c]] for vec in start]
-    oriented = [(a, b, perms[i]) for i, (a, b) in enumerate(g.edges)]
-    total = 0
-    colors = [0] * g.n
-
-    def rec(v: int):
-        nonlocal total
-        if v == g.n:
-            total += 1
-            return
-        for c in choices[v]:
-            colors[v] = c
-            ok = True
-            for a, b, sigma in oriented:
-                if b == v and a < v and sigma[colors[a]] == c:
-                    ok = False
-                    break
-                if a == v and b < v:
-                    img = sigma[c]
-                    if img is not None and img == colors[b]:
-                        ok = False
-                        break
-            if ok:
-                rec(v + 1)
-
-    rec(0)
+            row *= _tree_dp_vector(g, perms, walk, seeds)
+        total += row
     return total
 
 
@@ -505,25 +469,17 @@ def count_from_edge_perms(
     """Exact number of transversals avoiding every matched cross pair.
 
     `allowed`, when given, holds one 0/1 vector per vertex marking the
-    colors it may take; a precolored vertex has a one-hot vector.
+    colors it may take; a precolored vertex has a one-hot vector.  Full
+    covers of Theta graphs take the path transfer; every other count
+    conditions on the graph's feedback vertex set.
     """
-    full = all(None not in p for p in perms)
-    if g.theta is not None and full and allowed is None:
-        return _theta_transfer_count(
-            m, g.theta.lengths, _theta_composites(g, perms)
-        )
-    pivot = find_feedback_vertex(g)
-    if pivot is FeedbackVertex.NONE_NEEDED:
-        if full and allowed is None:
-            return _forest_full_count(g, m)
-        start = [[1] * m] * g.n if allowed is None else allowed
-        total = 1
-        for walk in _forest_walk(g, range(len(g.edges))):
-            total *= _tree_dp_vector(g, perms, walk, start)
-        return total
-    if isinstance(pivot, str):
-        return _fvs_conditioned_count(g, m, perms, g.index[pivot], allowed)
-    return _brute_force_count(g, m, perms, allowed)
+    if allowed is None:
+        if g.theta is not None and all(None not in p for p in perms):
+            return _theta_transfer_count(
+                m, g.theta.lengths, _theta_composites(g, perms)
+            )
+        allowed = [[1] * m] * g.n
+    return _conditioned_count(g, m, perms, allowed)
 
 
 def count_colorings(g: Graph, cover: FullCover) -> int:
@@ -731,6 +687,8 @@ def min_over_covers(
     All levels return the same minimum; the witness is the first attaining
     cover in enumeration order.
     """
+    if m < 1:
+        raise OutOfRange("m must be positive")
     if symmetry not in ("none", "tree-canonical", "tree-canonical+conjugacy"):
         raise ValueError(f"unknown symmetry level {symmetry!r}")
     tree = standard_tree(g)

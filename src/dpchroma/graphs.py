@@ -2,7 +2,8 @@
 
 Provides the generalized Theta construction Theta(l_1, ..., l_k) with its
 fixed vertex/edge naming, one union-find pass (`spanning_forest`) behind
-every forest, component and feedback-vertex query, simple-cycle lengths
+every forest, component and feedback-vertex query (a single feedback
+vertex, or a small greedy feedback vertex set), simple-cycle lengths
 of edge subsets, and the star + forest decomposition used by the
 feedback-vertex-one machinery.
 """
@@ -10,6 +11,7 @@ feedback-vertex-one machinery.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -198,6 +200,11 @@ class Graph:
         )
         return Graph(tuple(kept_labels), kept_edges)
 
+    @cached_property
+    def feedback_set(self) -> tuple[int, ...]:
+        """`feedback_vertex_set` of this graph, computed once."""
+        return feedback_vertex_set(self)
+
     def is_forest(self) -> bool:
         return not spanning_forest(self.n, self.edges)[1]
 
@@ -377,6 +384,30 @@ def find_feedback_vertex(g: Graph) -> str | FeedbackVertex:
         if not spanning_forest(g.n, [e for e in g.edges if v not in e])[1]:
             return label
     return FeedbackVertex.NOT_SIZE_ONE
+
+
+def feedback_vertex_set(g: Graph) -> tuple[int, ...]:
+    """Vertex indices S such that G - S is a forest, kept small.
+
+    S is empty for a forest and the `find_feedback_vertex` pivot when one
+    vertex suffices.  Otherwise S grows greedily: while G - S has a
+    cycle, the endpoint of its first cotree edge with the higher degree
+    in G - S joins S (K4 gets two vertices, K5 three).
+    """
+    pivot = find_feedback_vertex(g)
+    if pivot is FeedbackVertex.NONE_NEEDED:
+        return ()
+    if isinstance(pivot, str):
+        return (g.index[pivot],)
+    chosen: set[int] = set()
+    while True:
+        rest = [e for e in g.edges if chosen.isdisjoint(e)]
+        _, cotree = spanning_forest(g.n, rest)
+        if not cotree:
+            return tuple(sorted(chosen))
+        degree = Counter(v for e in rest for v in e)
+        a, b = rest[cotree[0]]
+        chosen.add(a if degree[a] >= degree[b] else b)
 
 
 @dataclass(frozen=True)

@@ -21,19 +21,20 @@ def proper_coloring_count(g: Graph, m: int) -> int:
     return total
 
 
-def brute_force_cover_count(g: Graph, cover: FullCover) -> int:
-    perms = cover.edge_perms()
+def transversal_count(g: Graph, m: int, perms, allowed=None) -> int:
+    """Colorings that no edge permutation matches, each vertex on a color
+    its 0/1 `allowed` vector marks (every color when `allowed` is None)."""
     total = 0
-    for colors in product(range(cover.m), repeat=g.n):
-        ok = True
-        for i, (a, b) in enumerate(g.edges):
-            image = perms[i][colors[a]]
-            if image is not None and image == colors[b]:
-                ok = False
-                break
-        if ok:
+    for colors in product(range(m), repeat=g.n):
+        if allowed is not None and not all(allowed[v][c] for v, c in enumerate(colors)):
+            continue
+        if all(perms[i][colors[a]] != colors[b] for i, (a, b) in enumerate(g.edges)):
             total += 1
     return total
+
+
+def brute_force_cover_count(g: Graph, cover: FullCover) -> int:
+    return transversal_count(g, cover.m, cover.edge_perms())
 
 
 def interpolated_chromatic(g: Graph) -> IntPoly:

@@ -97,6 +97,14 @@ def test_dp_formula_rejects_non_positive_folds_on_both_routes(capsys):
             assert (code, out, err) == (2, "", "dpchroma: m must be positive\n")
 
 
+def test_dp_exact_rejects_non_positive_folds(capsys):
+    bowtie = str(Path(__file__).parent / "golden" / "bowtie.txt")
+    for source in ("theta:2,2,2", bowtie):  # Theta transfer, feedback-set counter
+        for m in ("0", "-1"):
+            code, out, err = run(capsys, "dp-exact", source, "--m", m)
+            assert (code, out, err) == (2, "", "dpchroma: m must be positive\n")
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "poly")
     assert code == 0

@@ -221,7 +221,7 @@ def permutations_product(m, count):
 
 def test_transfer_count_matches_conditioning_dp_at_large_fold():
     from dpchroma.covers import (
-        _fvs_conditioned_count,
+        _conditioned_count,
         _theta_composites,
         _theta_transfer_count,
     )
@@ -233,7 +233,7 @@ def test_transfer_count_matches_conditioning_dp_at_large_fold():
             cover = random_cover(g, m, rng)
             perms = cover.edge_perms()
             fast = _theta_transfer_count(m, g.theta.lengths, _theta_composites(g, perms))
-            slow = _fvs_conditioned_count(g, m, perms, g.index["u"])
+            slow = _conditioned_count(g, m, perms, [[1] * m] * g.n)
             assert fast == slow
 
 

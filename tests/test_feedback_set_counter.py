@@ -1,0 +1,135 @@
+"""The one feedback-set counter behind every count but the Theta transfer.
+
+`count_from_edge_perms` conditions on the colors of `Graph.feedback_set`,
+a vertex set S whose removal leaves a forest: empty for forests, the
+`find_feedback_vertex` pivot when one vertex suffices, otherwise grown
+greedily.  These tests check S itself, every count against plain
+enumeration for |S| from 0 to 3, the cost of S, and the fold limit on
+m^|S|.
+"""
+
+import random
+from itertools import product
+from pathlib import Path
+
+import pytest
+
+import dpchroma.covers as covers
+import dpchroma.graphs as graphs
+from dpchroma.covers import count_from_edge_perms, identity_perm, min_over_covers
+from dpchroma.errors import OutOfRange
+from dpchroma.graphs import (
+    FeedbackVertex,
+    Graph,
+    ThetaSpec,
+    build_generalized_theta,
+    feedback_vertex_set,
+    find_feedback_vertex,
+    spanning_forest,
+)
+
+from oracles import transversal_count
+from test_merged_counter import complete, random_forest, random_fvs1
+
+BOWTIE = Path(__file__).parent / "golden" / "bowtie.txt"
+
+
+def random_dense(rng: random.Random, n: int) -> Graph:
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.7]
+    labels = [f"d{i}" for i in range(n)]
+    rng.shuffle(labels)  # so label order and index order differ
+    return Graph(tuple(labels), tuple(pairs))
+
+
+def zoo(seed: int) -> list[Graph]:
+    rng = random.Random(seed)
+    graphs_ = [complete(4), complete(5), build_generalized_theta(ThetaSpec((2, 2, 2)))]
+    graphs_ += [random_forest(rng, rng.randint(1, 6)) for _ in range(8)]
+    graphs_ += [random_fvs1(rng, rng.randint(3, 6)) for _ in range(8)]
+    graphs_ += [random_dense(rng, rng.randint(4, 7)) for _ in range(16)]
+    return graphs_
+
+
+def random_perm(rng: random.Random, m: int, partial: bool):
+    images = list(range(m))
+    rng.shuffle(images)
+    return tuple(None if partial and rng.random() < 0.3 else x for x in images)
+
+
+def test_feedback_set_leaves_a_forest_and_keeps_the_pivot():
+    sizes = set()
+    for g in zoo(11):
+        fvs = g.feedback_set
+        assert fvs == feedback_vertex_set(g)
+        assert len(set(fvs)) == len(fvs)
+        rest = [e for e in g.edges if set(fvs).isdisjoint(e)]
+        assert not spanning_forest(g.n, rest)[1]
+        pivot = find_feedback_vertex(g)
+        if pivot is FeedbackVertex.NONE_NEEDED:
+            assert fvs == ()
+        elif isinstance(pivot, str):
+            assert fvs == (g.index[pivot],)
+        else:
+            assert len(fvs) >= 2
+        sizes.add(len(fvs))
+    assert {0, 1, 2, 3} <= sizes
+    assert len(complete(4).feedback_set) == 2
+    assert len(complete(5).feedback_set) == 3
+    # A wheel: hub h, rim p-q-r-s.  Taking the first endpoint of each
+    # cotree edge would remove p, q and r; the higher-degree one gives two.
+    wheel = Graph(
+        tuple("hpqrs"),
+        ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (3, 4)),
+    )
+    assert wheel.feedback_set == (1, 3)
+
+
+def test_counts_match_enumeration_for_every_feedback_set_size():
+    rng = random.Random(23)
+    sizes = set()
+    for g in zoo(29):
+        sizes.add(len(g.feedback_set))
+        for partial, with_allowed in product((False, True), repeat=2):
+            m = rng.randint(1, 3 if g.n > 5 else 4)
+            perms = [random_perm(rng, m, partial) for _ in g.edges]
+            allowed = None
+            if with_allowed:
+                allowed = [[int(rng.random() < 0.7) for _ in range(m)] for _ in g.vertices]
+            want = transversal_count(g, m, perms, allowed)
+            assert count_from_edge_perms(g, m, perms, allowed) == want
+    assert {0, 1, 2, 3} <= sizes
+
+
+def test_feedback_set_is_computed_once_per_search(monkeypatch):
+    calls = []
+    original = graphs.feedback_vertex_set
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(graphs, "feedback_vertex_set", counting)
+    for g, m in ((complete(4), 3), (Graph.from_text(BOWTIE.read_text()), 4)):
+        calls.clear()
+        result = min_over_covers(g, m)
+        assert result.candidates > 1
+        assert calls == [g]
+
+
+def test_k5_identity_cover_beyond_the_old_enumeration_limit():
+    g = complete(5)
+    perms = [identity_perm(21)] * len(g.edges)
+    assert count_from_edge_perms(g, 21, perms) == 21 * 20 * 19 * 18 * 17 == 2_441_880
+
+
+def test_min_over_covers_rejects_non_positive_folds_before_searching(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(covers, "standard_tree", no_work)
+    monkeypatch.setattr(covers, "_search_chunk", no_work)
+    theta = build_generalized_theta(ThetaSpec((2, 2, 2)))
+    for g in (theta, Graph.from_text(BOWTIE.read_text())):
+        for m in (0, -1):
+            with pytest.raises(OutOfRange, match="m must be positive"):
+                min_over_covers(g, m)

@@ -2,9 +2,9 @@
 
 `count_from_edge_perms` counts transversals of a cover, optionally with a
 0/1 vector of allowed colors per vertex; `precolored_count` is that
-counter on the identity cover with one-hot vectors.  Every route (forest
-DP, feedback-vertex conditioning, brute force) is checked here against
-plain enumeration on random inputs, including conflicting precolorings.
+counter on the identity cover with one-hot vectors.  Forests, one-vertex
+feedback sets and larger ones (K4) are checked here against plain
+enumeration on random inputs, including conflicting precolorings.
 """
 
 import random
@@ -165,7 +165,10 @@ def test_allowed_vectors_on_every_route():
 def test_one_brute_force_limit():
     g = complete(5)
     assert BRUTE_FORCE_LIMIT == 4_000_000
-    over = next(m for m in range(2, 100) if m**g.n > BRUTE_FORCE_LIMIT)
+    # The limit bounds the m^|S| rows of the feedback-set conditioning.
+    size = len(g.feedback_set)
+    over = next(m for m in range(2, 1000) if m**size > BRUTE_FORCE_LIMIT)
+    assert (size, over) == (3, 159)
     perms = [identity_perm(over)] * len(g.edges)
     with pytest.raises(GraphTooLarge):
         count_from_edge_perms(g, over, perms)
