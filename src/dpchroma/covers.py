@@ -7,17 +7,22 @@ fold [m] (oriented from the lexicographically smaller endpoint).  Any
 assignment of permutations to all edges can be brought into this form by
 relabeling fibers, which never changes the number of colorings.
 
-Full covers of a generalized Theta graph are counted by a path transfer
-from the colors of its two end vertices; every other count conditions on
-a feedback vertex set S, and `BRUTE_FORCE_LIMIT` caps its m^|S| rows.
+Every count goes through a counting plan, which holds what depends only
+on the graph and the fold.  `_ThetaPlan` counts full covers of a
+generalized Theta graph by a path transfer from the colors of its two end
+vertices; `_FeedbackPlan` counts everything else by conditioning on a
+feedback vertex set S, and `BRUTE_FORCE_LIMIT` caps its m^|S| rows.
+`count_from_edge_perms` builds a plan per call; `min_over_covers` builds
+one per search chunk and counts every candidate through it.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import permutations, product
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -247,7 +252,8 @@ def _transport(
     rho = [identity_perm(m)] * g.n
     for walk in _forest_walk(g, edge_ids):
         for y, x, e in walk[1:]:
-            rho[y] = compose(_oriented(g, perms, e, x), rho[x])
+            step = perms[e] if g.edges[e][0] == x else invert_perm(perms[e])
+            rho[y] = compose(step, rho[x])
     return rho
 
 
@@ -271,80 +277,84 @@ def random_cover(g: Graph, m: int, rng) -> FullCover:
     return FullCover(g, m, tree, twists)
 
 
-def _oriented(g: Graph, perms: Sequence[Perm], e: int, x: int) -> Perm:
-    """Permutation along edge e from the fiber of its endpoint x to the
-    fiber of its other endpoint."""
-    return perms[e] if g.edges[e][0] == x else invert_perm(perms[e])
+class _ThetaPlan:
+    """Counts full covers of a generalized Theta graph by the path transfer
+    from the colors of its end vertices u and w.
 
-
-def _theta_paths(g: Graph) -> list[list[int]]:
-    spec = g.theta
-    paths = []
-    u, w = g.index["u"], g.index["w"]
-    for i, length in enumerate(spec.lengths, start=1):
-        path = [u]
-        path.extend(g.index[f"v_{i}_{j}"] for j in range(1, length))
-        path.append(w)
-        paths.append(path)
-    return paths
-
-
-def _theta_composites(g: Graph, perms: Sequence[Perm]) -> list[Perm]:
-    composites = []
-    for path in _theta_paths(g):
-        comp = identity_perm(len(perms[0]))
-        for x, y in zip(path, path[1:]):
-            e = g.pair_index[(min(x, y), max(x, y))]
-            comp = compose(_oriented(g, perms, e, x), comp)
-        composites.append(comp)
-    return composites
-
-
-def _theta_transfer_count(
-    m: int, lengths: Sequence[int], composites: Sequence[Perm]
-) -> int:
-    """Count transversals by conditioning on the colors of u and w.
-
-    For fixed endpoint colors (a, b) a path of length l contributes
-    base_l + (-1)^l [composite(a) == b] where base_l = ((m-1)^l - (-1)^l)/m,
-    the closed-form count of proper color walks along the path.
+    Each path is stored once as its (edge, forward) steps from u to w.  A
+    count composes the non-identity steps of each path into its composite
+    c_i and sums, over the colors a of u, the row of the pattern
+    (c_1[a], ..., c_k[a]).  A row depends on nothing else, so the plan
+    computes each pattern's row once: for end colors (a, b) a path of
+    length l contributes base_l + (-1)^l [c_i(a) == b], where base_l =
+    ((m-1)^l - (-1)^l)/m is the closed-form count of proper color walks
+    along the path.
     """
-    base = [((m - 1) ** l - (-1) ** l) // m for l in lengths]
-    bonus = [(-1) ** l for l in lengths]
-    k = len(lengths)
-    all_off = 1
-    for v in base:
-        all_off *= v
-    total = 0
-    for a in range(m):
+
+    def __init__(self, g: Graph, m: int):
+        u, w = g.index["u"], g.index["w"]
+        self.paths = []
+        for i, length in enumerate(g.theta.lengths, start=1):
+            walk = [u, *(g.index[f"v_{i}_{j}"] for j in range(1, length)), w]
+            steps = []
+            for x, y in zip(walk, walk[1:]):
+                e = g.pair_index[(min(x, y), max(x, y))]
+                steps.append((e, g.edges[e][0] == x))
+            self.paths.append(steps)
+        self.m = m
+        self.ident = identity_perm(m)
+        self.inverse = cache(invert_perm)
+        self.base = [((m - 1) ** l - (-1) ** l) // m for l in g.theta.lengths]
+        self.bonus = [(-1) ** l for l in g.theta.lengths]
+        self.all_off = prod(self.base)
+        self.rows: dict[tuple[int, ...], int] = {}
+
+    def count(self, perms: Sequence[Perm]) -> int:
+        ident = self.ident
+        composites = []
+        for steps in self.paths:
+            comp = ident
+            for e, forward in steps:
+                p = perms[e]
+                if p != ident:
+                    p = p if forward else self.inverse(p)
+                    comp = p if comp is ident else compose(p, comp)
+            composites.append(comp)
+        rows = self.rows
+        total = 0
+        for key in zip(*composites):
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = self._row(key)
+            total += row
+        return total
+
+    def _row(self, key: tuple[int, ...]) -> int:
         hits: dict[int, list[int]] = {}
-        for i, comp in enumerate(composites):
-            hits.setdefault(comp[a], []).append(i)
-        row = (m - len(hits)) * all_off
+        for i, b in enumerate(key):
+            hits.setdefault(b, []).append(i)
+        row = (self.m - len(hits)) * self.all_off
         for paths in hits.values():
             term = 1
-            marked = set(paths)
-            for i in range(k):
-                term *= base[i] + bonus[i] if i in marked else base[i]
+            for i, (base, bonus) in enumerate(zip(self.base, self.bonus)):
+                term *= base + bonus if i in paths else base
             row += term
-        total += row
-    return total
+        return row
 
 
 def _tree_dp_vector(
-    g: Graph,
-    perms: Sequence[Perm],
-    walk: list[tuple[int, int, int]],
+    root: int,
+    steps: list[tuple[int, int, Perm]],
     start: Sequence[Sequence[int]],
 ) -> int:
-    """Count colorings of the tree given by its preorder walk; start[v] is
-    the 0/1 vector of colors allowed at v."""
-    root = walk[0][0]
+    """Count colorings of a tree.  `steps` holds each non-root vertex as
+    (v, parent, rho), children before their parents, with rho carrying the
+    parent's fiber to v's; start[v] is the 0/1 vector of colors allowed
+    at v."""
     vecs: dict[int, Sequence[int]] = {}
-    for v, parent, e in reversed(walk[1:]):
+    for v, parent, rho in steps:
         child = vecs.pop(v, start[v])
         s = sum(child)
-        rho = _oriented(g, perms, e, parent)
         up = vecs.get(parent, start[parent])
         vecs[parent] = [
             a * (s - (0 if t is None else child[t])) for a, t in zip(up, rho)
@@ -409,55 +419,83 @@ def star_collision_weight(
     return every - none
 
 
-def _conditioned_count(
-    g: Graph, m: int, perms: Sequence[Perm], start: Sequence[Sequence[int]]
-) -> int:
-    """Count transversals by conditioning on the colors of the feedback set.
+class _FeedbackPlan:
+    """Counts transversals by conditioning on the colors of the feedback set.
 
     G - S is a forest for S = `g.feedback_set`.  A row colors S from its
     allowed colors and is rejected when an edge inside S matches those
     colors.  Each edge from S blocks one color at its other endpoint,
     folded into that endpoint's start vector, and the row counts one tree
-    DP per tree of G - S; trees that touch no edge from S are counted once.
+    DP per tree of G - S; trees that touch no edge from S are counted once
+    per count.  The plan stores the edges inside and out of S and the
+    walks of G - S, each step with its orientation, so a count orients
+    each edge once, not once per row.
     """
-    fvs = g.feedback_set
-    if m ** len(fvs) > BRUTE_FORCE_LIMIT:
-        raise GraphTooLarge(f"{m}^{len(fvs)} feedback-set colorings are too many")
-    slot = {v: i for i, v in enumerate(fvs)}
-    inner, outer, rest = [], [], []
-    for e, (a, b) in enumerate(g.edges):
-        if a in slot and b in slot:
-            inner.append((slot[a], slot[b], perms[e]))
-        elif a in slot or b in slot:
-            s, y = (a, b) if a in slot else (b, a)
-            outer.append((slot[s], y, _oriented(g, perms, e, s)))
-        else:
-            rest.append(e)
-    blocked = {y for _, y, _ in outer}
-    touching = []
-    free_product = 1
-    for walk in _forest_walk(g, rest):
-        if any(v in blocked for v, _, _ in walk):
-            touching.append(walk)
-        elif walk[0][0] not in slot:
-            free_product *= _tree_dp_vector(g, perms, walk, start)
-    choices = [[c for c in range(m) if start[v][c]] for v in fvs]
-    seeds = list(start)
-    total = 0
-    for colors in product(*choices):
-        if any(p[colors[a]] == colors[b] for a, b, p in inner):
-            continue
-        for y in blocked:
-            seeds[y] = list(start[y])
-        for i, y, rho in outer:
-            c = rho[colors[i]]
-            if c is not None:
-                seeds[y][c] = 0
-        row = free_product
-        for walk in touching:
-            row *= _tree_dp_vector(g, perms, walk, seeds)
-        total += row
-    return total
+
+    def __init__(self, g: Graph, m: int, start: Sequence[Sequence[int]]):
+        fvs = g.feedback_set
+        if m ** len(fvs) > BRUTE_FORCE_LIMIT:
+            raise GraphTooLarge(f"{m}^{len(fvs)} feedback-set colorings are too many")
+        slot = {v: i for i, v in enumerate(fvs)}
+        self.inner, self.outer, rest = [], [], []
+        for e, (a, b) in enumerate(g.edges):
+            if a in slot and b in slot:
+                self.inner.append((slot[a], slot[b], e))
+            elif a in slot or b in slot:
+                s, y = (a, b) if a in slot else (b, a)
+                self.outer.append((slot[s], y, e, s == a))
+            else:
+                rest.append(e)
+        self.blocked = {y for _, y, _, _ in self.outer}
+        self.touching, self.free = [], []
+        for walk in _forest_walk(g, rest):
+            tree = (walk[0][0], [
+                (v, parent, e, g.edges[e][0] == parent)
+                for v, parent, e in reversed(walk[1:])
+            ])
+            if any(v in self.blocked for v, _, _ in walk):
+                self.touching.append(tree)
+            elif walk[0][0] not in slot:
+                self.free.append(tree)
+        self.start = start
+        self.choices = [[c for c in range(m) if start[v][c]] for v in fvs]
+        self.inverse = cache(invert_perm)
+
+    def count(self, perms: Sequence[Perm]) -> int:
+        inverse, start = self.inverse, self.start
+
+        def oriented(tree):
+            root, steps = tree
+            return root, [
+                (v, parent, perms[e] if forward else inverse(perms[e]))
+                for v, parent, e, forward in steps
+            ]
+
+        free_product = 1
+        for tree in self.free:
+            free_product *= _tree_dp_vector(*oriented(tree), start)
+        touching = [oriented(tree) for tree in self.touching]
+        inner = [(a, b, perms[e]) for a, b, e in self.inner]
+        outer = [
+            (i, y, perms[e] if forward else inverse(perms[e]))
+            for i, y, e, forward in self.outer
+        ]
+        seeds = list(start)
+        total = 0
+        for colors in product(*self.choices):
+            if any(p[colors[a]] == colors[b] for a, b, p in inner):
+                continue
+            for y in self.blocked:
+                seeds[y] = list(start[y])
+            for i, y, rho in outer:
+                c = rho[colors[i]]
+                if c is not None:
+                    seeds[y][c] = 0
+            row = free_product
+            for root, steps in touching:
+                row *= _tree_dp_vector(root, steps, seeds)
+            total += row
+        return total
 
 
 def count_from_edge_perms(
@@ -475,11 +513,9 @@ def count_from_edge_perms(
     """
     if allowed is None:
         if g.theta is not None and all(None not in p for p in perms):
-            return _theta_transfer_count(
-                m, g.theta.lengths, _theta_composites(g, perms)
-            )
+            return _ThetaPlan(g, m).count(perms)
         allowed = [[1] * m] * g.n
-    return _conditioned_count(g, m, perms, allowed)
+    return _FeedbackPlan(g, m, allowed).count(perms)
 
 
 def count_colorings(g: Graph, cover: FullCover) -> int:
@@ -716,7 +752,7 @@ def min_over_covers(
         from concurrent.futures import ProcessPoolExecutor
 
         args = [(g, m, free_edges, chunk) for chunk in chunks]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             partials = list(pool.map(_search_chunk, args))
     else:
         partials = [_search_chunk((g, m, free_edges, chunk)) for chunk in chunks]
@@ -730,33 +766,24 @@ def min_over_covers(
 
 
 def _search_chunk(args) -> tuple[int, tuple[Perm, ...]]:
-    """Minimum over all assignments extending a fixed prefix, with memoized
-    counting keyed on the theta path composites when available."""
+    """Minimum over all assignments extending a fixed prefix, each counted
+    through one counting plan built for the chunk."""
     g, m, free_edges, prefix = args
-    ident = identity_perm(m)
-    perms: list[Perm] = [ident] * len(g.edges)
+    if g.theta is not None:
+        plan = _ThetaPlan(g, m)
+    else:
+        plan = _FeedbackPlan(g, m, [[1] * m] * g.n)
+    perms: list[Perm] = [identity_perm(m)] * len(g.edges)
     for e, p in zip(free_edges, prefix):
         perms[e] = p
     options = list(permutations(range(m)))
     remaining = free_edges[len(prefix) :]
     best: tuple[int, tuple[Perm, ...]] | None = None
-    theta_paths = _theta_paths(g) if g.theta is not None else None
-    cache: dict[tuple[Perm, ...], int] = {}
-
-    def evaluate() -> int:
-        if theta_paths is None:
-            return count_from_edge_perms(g, m, perms)
-        key = tuple(_theta_composites(g, perms))
-        value = cache.get(key)
-        if value is None:
-            value = _theta_transfer_count(m, g.theta.lengths, key)
-            cache[key] = value
-        return value
 
     def rec(i: int):
         nonlocal best
         if i == len(remaining):
-            value = evaluate()
+            value = plan.count(perms)
             if best is None or value < best[0]:
                 best = (value, tuple(perms[e] for e in free_edges))
             return

@@ -220,21 +220,18 @@ def permutations_product(m, count):
 
 
 def test_transfer_count_matches_conditioning_dp_at_large_fold():
-    from dpchroma.covers import (
-        _conditioned_count,
-        _theta_composites,
-        _theta_transfer_count,
-    )
+    from dpchroma.covers import _FeedbackPlan, _ThetaPlan
 
     rng = random.Random(19)
-    g = theta(2, 3, 3)
-    for m in (17, 47):
-        for _ in range(3):
-            cover = random_cover(g, m, rng)
-            perms = cover.edge_perms()
-            fast = _theta_transfer_count(m, g.theta.lengths, _theta_composites(g, perms))
-            slow = _conditioned_count(g, m, perms, [[1] * m] * g.n)
-            assert fast == slow
+    # A permutation on every edge; paths of length 11 or more have edges
+    # stored against the u-to-w direction ("v_2_10" sorts before "v_2_9").
+    for g in (theta(2, 3, 3), theta(2, 11, 12)):
+        for m in (17, 47):
+            transfer = _ThetaPlan(g, m)
+            conditioning = _FeedbackPlan(g, m, [[1] * m] * g.n)
+            for _ in range(3):
+                perms = [tuple(rng.sample(range(m), m)) for _ in g.edges]
+                assert transfer.count(perms) == conditioning.count(perms)
 
 
 def test_min_over_covers_symmetry_levels_agree():
