@@ -13,7 +13,9 @@ generalized Theta graph by a path transfer from the colors of its two end
 vertices; `_FeedbackPlan` counts everything else by conditioning on a
 feedback vertex set S, and `BRUTE_FORCE_LIMIT` caps its m^|S| rows.
 `count_from_edge_perms` builds a plan per call; `min_over_covers` builds
-one per search chunk and counts every candidate through it.
+one per search chunk.  At its conjugacy level the search is orderly: it
+counts one cover per conjugacy orbit and finds the same first minimum as
+a count of every cover (see `_search_chunk`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import os
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import permutations, product
-from math import prod
+from math import factorial, prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -77,20 +79,23 @@ def is_permutation(p: Sequence[int | None], m: int) -> bool:
     return all(0 <= v < m for v in seen) and len(set(seen)) == len(seen)
 
 
+def _cycles(p: Perm) -> list[list[int]]:
+    """The cycles of a full permutation, each as (x, p(x), p(p(x)), ...)."""
+    seen, cycles = [False] * len(p), []
+    for start in range(len(p)):
+        cycle, i = [], start
+        while not seen[i]:
+            seen[i] = True
+            cycle.append(i)
+            i = p[i]
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
 def cycle_type(p: Perm) -> tuple[int, ...]:
     """Ascending cycle lengths of a full permutation."""
-    seen = [False] * len(p)
-    lengths = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, size = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            size += 1
-        lengths.append(size)
-    return tuple(sorted(lengths))
+    return tuple(sorted(len(c) for c in _cycles(p)))
 
 
 def _ascending_partitions(total: int, minimum: int = 1) -> Iterable[tuple[int, ...]]:
@@ -102,7 +107,8 @@ def _ascending_partitions(total: int, minimum: int = 1) -> Iterable[tuple[int, .
             yield (first,) + rest
 
 
-def cycle_type_representatives(m: int) -> list[Perm]:
+@cache
+def cycle_type_representatives(m: int) -> tuple[Perm, ...]:
     """Lexicographically least permutation of each cycle type, sorted.
 
     The least representative places cycles on consecutive blocks in
@@ -116,7 +122,27 @@ def cycle_type_representatives(m: int) -> list[Perm]:
             perm.extend(start + (i + 1) % size for i in range(size))
             start += size
         reps.append(tuple(perm))
-    return sorted(reps)
+    return tuple(sorted(reps))
+
+
+@cache
+def _centralizer(f: Perm) -> tuple[tuple[Perm, Perm], ...]:
+    """Every permutation tau commuting with f, as (tau, tau^-1) pairs.  Such
+    a tau maps the cycles of f onto cycles of the same length, x -> y,
+    f(x) -> f(y), ..., for any y.  The search asks only for cycle-type
+    representatives, so the cache stays small."""
+    cycles = _cycles(f)
+    out = []
+    for images in permutations(cycles):
+        if any(len(c) != len(d) for c, d in zip(cycles, images)):
+            continue
+        for turns in product(*(range(len(c)) for c in cycles)):
+            tau = [0] * len(f)
+            for c, d, turn in zip(cycles, images, turns):
+                for k, x in enumerate(c):
+                    tau[x] = d[(k + turn) % len(c)]
+            out.append((tuple(tau), invert_perm(tau)))
+    return tuple(out)
 
 
 def standard_tree(g: Graph) -> frozenset[int]:
@@ -691,12 +717,6 @@ class MinimizationResult:
     candidates: int
 
 
-def _first_edge_options(m: int, symmetry: str) -> list[Perm]:
-    if symmetry == "tree-canonical+conjugacy":
-        return cycle_type_representatives(m)
-    return list(permutations(range(m)))
-
-
 def worker_count(flag: int | None = None) -> int:
     """Worker processes for the search: DPCHROMA_WORKERS when set, else
     the flag, else 1."""
@@ -715,51 +735,42 @@ def min_over_covers(
 ) -> MinimizationResult:
     """Exhaustive minimum of the coloring count over full m-fold covers.
 
-    symmetry levels:
-      "none"                      permutations on every edge (validation mode);
-      "tree-canonical"            twists on cotree edges only;
-      "tree-canonical+conjugacy"  additionally fixes the first twist to the
-                                  least representative of its cycle type.
-    All levels return the same minimum; the witness is the first attaining
-    cover in enumeration order.
+    symmetry levels, with `candidates` the size of the level's cover space:
+      "none"                      (m!)^|E|: a permutation on every edge;
+      "tree-canonical"            (m!)^c: a twist on each of c cotree edges;
+      "tree-canonical+conjugacy"  p(m) (m!)^(c-1): the first twist is the
+                                  least of its cycle type (p(m) types); the
+                                  search counts one cover per orbit.
+    The first two count every cover and are the oracles of the third.  All
+    return the same minimum; the witness is the first attaining cover in
+    enumeration order (see `_search_chunk`).
     """
     if m < 1:
         raise OutOfRange("m must be positive")
     if symmetry not in ("none", "tree-canonical", "tree-canonical+conjugacy"):
         raise ValueError(f"unknown symmetry level {symmetry!r}")
     tree = standard_tree(g)
-    if symmetry == "none":
-        free_edges = list(range(len(g.edges)))
-        first_options = list(permutations(range(m)))
-    else:
-        free_edges = sorted(set(range(len(g.edges))) - tree)
-        first_options = (
-            _first_edge_options(m, symmetry) if free_edges else [identity_perm(m)]
-        )
-    fact = 1
-    for i in range(2, m + 1):
-        fact *= i
-    rest = max(len(free_edges) - 1, 0)
-    candidates = (len(first_options) if free_edges else 1) * fact**rest
+    free_edges = [e for e in range(len(g.edges)) if symmetry == "none" or e not in tree]
+    orderly = symmetry == "tree-canonical+conjugacy"
+    firsts = cycle_type_representatives(m) if orderly else []
+    fact, rest = factorial(m), len(free_edges) - 1
+    candidates = (len(firsts) or fact) * fact**rest if free_edges else 1
     if candidates > budget:
         raise SearchBudgetExceeded(
             f"{candidates} covers exceed the budget of {budget}"
         )
-    chunks = [(first,) for first in first_options] if free_edges else [()]
+    chunks = [(p,) for p in firsts or permutations(range(m))] if free_edges else [()]
     if workers is None:
         workers = worker_count()
+    args = [(g, m, free_edges, chunk, orderly) for chunk in chunks]
     if workers > 1 and len(chunks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        args = [(g, m, free_edges, chunk) for chunk in chunks]
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             partials = list(pool.map(_search_chunk, args))
     else:
-        partials = [_search_chunk((g, m, free_edges, chunk)) for chunk in chunks]
-    best_value, best_assignment = None, None
-    for value, assignment in partials:
-        if best_value is None or value < best_value:
-            best_value, best_assignment = value, assignment
+        partials = [_search_chunk(a) for a in args]
+    best_value, best_assignment = min(partials, key=lambda part: part[0])
     perms = dict(zip(free_edges, best_assignment))
     witness = FullCover.from_edge_perms(g, m, perms, tree=tree)
     return MinimizationResult(best_value, witness, candidates)
@@ -767,31 +778,65 @@ def min_over_covers(
 
 def _search_chunk(args) -> tuple[int, tuple[Perm, ...]]:
     """Minimum over all assignments extending a fixed prefix, each counted
-    through one counting plan built for the chunk."""
-    g, m, free_edges, prefix = args
-    if g.theta is not None:
-        plan = _ThetaPlan(g, m)
-    else:
-        plan = _FeedbackPlan(g, m, [[1] * m] * g.n)
-    perms: list[Perm] = [identity_perm(m)] * len(g.edges)
+    through one counting plan built for the chunk.
+
+    When `orderly`, the search is orderly (McKay, J. Algorithms 1998): an
+    edge skips a twist p when some tau commuting with every earlier twist
+    gives tau p tau^-1 <lex p.  A lex sweep keeps the first twist of each
+    such orbit, and its stabiliser is the group at the next edge; while
+    that group is S_m the kept twists are `cycle_type_representatives(m)`.
+    Relabeling every fiber by tau keeps the tree edges and the earlier
+    twists and conjugates the rest without changing the count, so a
+    skipped cover has an equal count earlier in enumeration order.  The
+    first minimum is never skipped: value and witness are those of
+    counting every cover.
+    """
+    g, m, free_edges, prefix, orderly = args
+    theta = g.theta is not None
+    plan = _ThetaPlan(g, m) if theta else _FeedbackPlan(g, m, [[1] * m] * g.n)
+    ident = identity_perm(m)
+    perms: list[Perm] = [ident] * len(g.edges)
     for e, p in zip(free_edges, prefix):
         perms[e] = p
-    options = list(permutations(range(m)))
     remaining = free_edges[len(prefix) :]
     best: tuple[int, tuple[Perm, ...]] | None = None
 
-    def rec(i: int):
+    def options(group, deeper: bool):
+        """Each twist the next edge takes, with the H of the edge after;
+        None stands for all of S_m."""
+        if not orderly:
+            return [(p, None) for p in permutations(range(m))]
+        if group is None:
+            return [
+                (p, _centralizer(p) if deeper and p != ident else None)
+                for p in cycle_type_representatives(m)
+            ]
+        seen, kept = set(), []
+        for p in permutations(range(m)):
+            if p in seen:
+                continue
+            stabiliser = []
+            for tau, inv in group:
+                q = tuple([tau[p[j]] for j in inv])
+                seen.add(q)
+                if deeper and q == p:
+                    stabiliser.append((tau, inv))
+            kept.append((p, stabiliser))
+        return kept
+
+    def rec(i: int, group):
         nonlocal best
         if i == len(remaining):
             value = plan.count(perms)
             if best is None or value < best[0]:
                 best = (value, tuple(perms[e] for e in free_edges))
             return
-        for p in options:
+        for p, subgroup in options(group, i + 1 < len(remaining)):
             perms[remaining[i]] = p
-            rec(i + 1)
+            rec(i + 1, subgroup)
 
-    rec(0)
+    first = prefix[0] if orderly and remaining else ident
+    rec(0, None if first == ident else _centralizer(first))
     return best
 
 

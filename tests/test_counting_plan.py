@@ -3,7 +3,9 @@
 Each search chunk counts every candidate through one plan built for its
 graph (the Theta path transfer, or conditioning on the feedback set).
 These tests compare the search with a plain loop that calls
-`count_from_edge_perms` on every candidate, pin new grid values, and check
+`count_from_edge_perms` on every candidate (so the orderly conjugacy level,
+which counts one cover per orbit, must return the plain loop's first
+minimum), pin new grid values, and check
 that the process pool never asks for more workers than there are chunks.
 """
 
@@ -83,11 +85,27 @@ def test_search_matches_a_plain_loop_over_count_from_edge_perms(g):
         assert cover_to_json(result.cover) == want_witness
 
 
+@pytest.mark.parametrize(
+    "g", [BOWTIE, K4, theta(2, 2, 2, 2)], ids=["bowtie", "k4", "theta:2,2,2,2"]
+)
+def test_orderly_search_matches_a_plain_loop_at_fold_4(g):
+    result = min_over_covers(g, 4, workers=1)
+    want_value, want_witness = reference_search(g, 4, LEVELS[2])
+    assert result.value == want_value
+    assert cover_to_json(result.cover) == want_witness
+
+
 def test_theta_2222_at_fold_5():
     g = theta(2, 2, 2, 2)
     result = min_over_covers(g, 5, workers=1)
     assert result.value == 2565
     assert transversal_count(g, 5, result.cover.edge_perms()) == 2565
+
+
+def test_k4_at_fold_5():
+    result = min_over_covers(K4, 5, workers=1)
+    assert result.value == 120
+    assert transversal_count(K4, 5, result.cover.edge_perms()) == 120
 
 
 def test_bowtie_at_fold_6_equals_the_fvs1_polynomial():
