@@ -19,7 +19,6 @@ from .analysis import (
 )
 from .chromatic import (
     Precoloring,
-    chromatic_by_inclusion_exclusion,
     chromatic_polynomial,
     precolored_count,
     precolored_polynomial,
@@ -28,14 +27,12 @@ from .chromatic import (
     theta_edge_pair_graphs,
     theta_edge_pair_polynomials,
 )
-from .chromatic import subset_agreement_count as coloring_agreement_count
 from .covers import (
     FullCover,
     MinimizationResult,
     PartitionSpec,
     TwistProfile,
     count_colorings,
-    cover_count_by_inclusion_exclusion,
     cover_to_json,
     identity_cover,
     min_over_covers,
@@ -44,7 +41,6 @@ from .covers import (
     shift_cover,
     twist_profile,
 )
-from .covers import subset_agreement_count as cover_agreement_count
 from .errors import DpchromaError
 from .graphs import (
     FeedbackVertex,

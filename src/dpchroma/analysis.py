@@ -422,6 +422,8 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
     needs Bell(k - 1) weights for its Bell(k) partitions, and the weights
     are compared once per grouping.
     """
+    if not g.n:
+        raise OutOfScope("graph has no vertices")
     pivot = find_feedback_vertex(g)
     if pivot is FeedbackVertex.NOT_SIZE_ONE:
         raise OutOfScope("graph has no feedback vertex set of size one")
@@ -504,14 +506,12 @@ class SubsetAuditReport:
         return not self.failures and gap_ok
 
 
-def cover_subset_audit(
-    spec: ThetaSpec, cover: FullCover, m: int, subsets: bool = True
-) -> SubsetAuditReport:
-    """Audit one cover against the subset-deficit classification."""
-    if cover.m != m:
-        raise OutOfRange("audit fold must match the cover's fold")
-    profile = twist_profile(spec, cover)
-    g = cover.graph
+def cover_subset_audit(cover: FullCover, subsets: bool = True) -> SubsetAuditReport:
+    """Audit one cover of a generalized Theta graph against the
+    subset-deficit classification."""
+    profile = twist_profile(cover)
+    g, m = cover.graph, cover.m
+    spec = g.theta
     l = spec.edge_count
     n = spec.vertex_count
     mu = profile.first_twisted
@@ -524,7 +524,7 @@ def cover_subset_audit(
         cycle_size = None if mu == 0 else spec.lengths[0] + spec.lengths[mu - 1]
         for mask in range(1, 1 << l):
             checked += 1
-            agree = subset_agreement_count(g, cover, mask)
+            agree = subset_agreement_count(cover, mask)
             c = component_count(g, mask)
             diff = agree - m**c
             checks: list[tuple[str, str, bool]] = [

@@ -14,12 +14,9 @@ from typing import Mapping
 from .covers import count_from_edge_perms, identity_perm
 from .errors import BadPathIndex, GraphTooLarge, InexactDivision, SearchBudgetExceeded
 from .graphs import (
-    EdgeSubset,
     Graph,
     ThetaSpec,
-    alternating_subset_sum,
     build_generalized_theta,
-    component_count,
     spanning_forest,
 )
 from .poly import M, IntPoly, constant, falling_factorial, forest_polynomial, prod
@@ -37,7 +34,9 @@ def chromatic_polynomial(g: Graph, limit: int = DEFAULT_VERTEX_LIMIT) -> IntPoly
     2-core up in a memo that lives for this call only; on a miss it
     deletes and contracts the core's first cotree edge.  A forest strips
     to nothing, so it is a leaf with closed form m^(trees) (m-1)^(edges).
-    More than `CHROMATIC_NODE_LIMIT` misses raise `SearchBudgetExceeded`.
+    More than `CHROMATIC_NODE_LIMIT` misses, or a recursion deeper than
+    Python's stack allows (a cycle of about 1,000 vertices), raise
+    `SearchBudgetExceeded`.
     """
     if g.n > limit:
         raise GraphTooLarge(f"{g.n} vertices exceeds limit {limit}")
@@ -76,7 +75,12 @@ def _chrom(n: int, edges: list[tuple[int, int]]) -> IntPoly:
     if any(a == b for a, b in edges):
         return IntPoly()  # a loop admits no proper coloring
     # The core has no parallel edges, so contracting its pivot makes no loop.
-    return expand(n, edges)
+    try:
+        return expand(n, edges)
+    except RecursionError:
+        raise SearchBudgetExceeded(
+            f"deletion-contraction on {n} vertices recursed past Python's stack limit"
+        ) from None
 
 
 def _two_core(
@@ -324,15 +328,3 @@ def precolored_polynomial(g: Graph, pc: Precoloring) -> IntPoly:
     except InexactDivision as exc:  # pragma: no cover - clique guarantees division
         raise InexactDivision(f"contracted graph lost its clique: {exc}") from exc
 
-
-def subset_agreement_count(g: Graph, subset: EdgeSubset, m: int) -> int:
-    """Number of m-colorings whose endpoints agree on every subset edge.
-
-    This is m^c with c the number of components of the spanning subgraph.
-    """
-    return m ** component_count(g, subset)
-
-
-def chromatic_by_inclusion_exclusion(g: Graph, m: int) -> int:
-    """P(g, m) via the alternating sum over all edge subsets."""
-    return alternating_subset_sum(g, lambda subset: subset_agreement_count(g, subset, m))

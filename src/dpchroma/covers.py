@@ -1,8 +1,9 @@
 """Full m-fold covers as permutation twists, exact coloring counts, and the
 exhaustive minimization behind the DP color function.
 
-A cover is stored in tree-canonical form: matchings on a fixed spanning
-tree are the identity and each cotree edge carries one permutation of the
+A cover is exactly its graph, its fold and its cotree twists.  It is
+stored in tree-canonical form: matchings on the graph's `standard_tree`
+are the identity and each cotree edge carries one permutation of the
 fold [m] (oriented from the lexicographically smaller endpoint).  Any
 assignment of permutations to all edges can be brought into this form by
 relabeling fibers, which never changes the number of colorings.
@@ -39,9 +40,7 @@ from .graphs import (
     EdgeSubset,
     Graph,
     StarDecomposition,
-    ThetaSpec,
     _bits,
-    alternating_subset_sum,
     spanning_forest,
 )
 from .poly import M, IntPoly, forest_polynomial
@@ -145,20 +144,6 @@ def _centralizer(f: Perm) -> tuple[tuple[Perm, Perm], ...]:
     return tuple(out)
 
 
-def standard_tree(g: Graph) -> frozenset[int]:
-    """The spanning tree (forest) that twists are normalized against.
-
-    For a generalized Theta graph this is everything except the u-incident
-    edges of paths 2..k, so exactly those edges carry twists.  Other graphs
-    use the greedy tree in edge order: every edge outside the cotree.
-    """
-    if g.theta is not None:
-        k = g.theta.k
-        return frozenset(i for i in range(len(g.edges)) if not 1 <= i < k)
-    _, cotree = spanning_forest(g.n, g.edges)
-    return frozenset(range(len(g.edges))).difference(cotree)
-
-
 def _forest_walk(
     g: Graph, edge_ids: Iterable[int]
 ) -> list[list[tuple[int, int, int]]]:
@@ -192,31 +177,22 @@ def _forest_walk(
 
 @dataclass(frozen=True)
 class FullCover:
-    """An m-fold cover in tree-canonical form.
+    """An m-fold cover in tree-canonical form against `graph.standard_tree`.
 
     `twists` maps each cotree edge index to the permutation realized by its
-    matching, read from the lexicographically smaller endpoint.
+    matching, read from the lexicographically smaller endpoint; every tree
+    matching is the identity.
     """
 
     graph: Graph
     m: int
-    tree_edges: frozenset[int]
     twists: Mapping[int, Perm]
 
     def __post_init__(self):
         g = self.graph
         if self.m < 1:
             raise CoverMismatch("fold must be at least 1")
-        edge_ids = set(range(len(g.edges)))
-        if not set(self.tree_edges) <= edge_ids:
-            raise CoverMismatch("tree edge outside the graph")
-        roots, _ = spanning_forest(g.n, g.edges)
-        tree_roots, cycles = spanning_forest(
-            g.n, [g.edges[i] for i in self.tree_edges]
-        )
-        if cycles or len(set(tree_roots)) != len(set(roots)):
-            raise CoverMismatch("tree edges do not form a spanning forest")
-        if set(self.twists) != edge_ids - set(self.tree_edges):
+        if set(self.twists) != set(range(len(g.edges))) - g.standard_tree:
             raise CoverMismatch("twists must cover exactly the cotree edges")
         for p in self.twists.values():
             if not is_permutation(p, self.m):
@@ -238,7 +214,6 @@ class FullCover:
         return FullCover(
             self.graph,
             self.m,
-            self.tree_edges,
             {e: compose(tau, compose(p, inv)) for e, p in self.twists.items()},
         )
 
@@ -248,14 +223,13 @@ class FullCover:
         g: Graph,
         m: int,
         perms: Mapping[int, Perm],
-        tree: frozenset[int] | None = None,
     ) -> "FullCover":
         """Canonicalize an arbitrary edge -> permutation assignment.
 
-        Fibers are relabeled along the spanning tree so tree matchings
+        Fibers are relabeled along `g.standard_tree` so tree matchings
         become the identity; cotree twists pick up the conjugations.
         """
-        tree = standard_tree(g) if tree is None else tree
+        tree = g.standard_tree
         full = [perms.get(i, identity_perm(m)) for i in range(len(g.edges))]
         if any(None in full[i] for i in tree):
             raise CoverMismatch("tree matchings must be perfect to canonicalize")
@@ -267,7 +241,7 @@ class FullCover:
             if i in tree:
                 continue
             twists[i] = compose(invert_perm(rho[b]), compose(full[i], rho[a]))
-        return cls(g, m, tree, twists)
+        return cls(g, m, twists)
 
 
 def _transport(
@@ -285,22 +259,20 @@ def _transport(
 
 def identity_cover(g: Graph, m: int) -> FullCover:
     """The cover with every matching diagonal; counts proper m-colorings."""
-    tree = standard_tree(g)
     ident = identity_perm(m)
-    twists = {i: ident for i in range(len(g.edges)) if i not in tree}
-    return FullCover(g, m, tree, twists)
+    twists = {i: ident for i in range(len(g.edges)) if i not in g.standard_tree}
+    return FullCover(g, m, twists)
 
 
 def random_cover(g: Graph, m: int, rng) -> FullCover:
     """Uniformly random twist on each cotree edge."""
-    tree = standard_tree(g)
     twists = {}
     for i in range(len(g.edges)):
-        if i not in tree:
+        if i not in g.standard_tree:
             p = list(range(m))
             rng.shuffle(p)
             twists[i] = tuple(p)
-    return FullCover(g, m, tree, twists)
+    return FullCover(g, m, twists)
 
 
 class _ThetaPlan:
@@ -551,18 +523,16 @@ def count_colorings(g: Graph, cover: FullCover) -> int:
     return count_from_edge_perms(g, cover.m, cover.edge_perms())
 
 
-def subset_agreement_count(g: Graph, cover: FullCover, subset: EdgeSubset) -> int:
+def subset_agreement_count(cover: FullCover, subset: EdgeSubset) -> int:
     """Transversals whose choice is matched across every subset edge.
 
     Within a component of the subset graph the choice at one vertex forces
     all others; the count is the number of starting values consistent with
     every cycle, times m for each untouched component.
     """
-    if cover.graph != g:
-        raise CoverMismatch("cover belongs to a different graph")
     if not cover.is_full:
         raise CoverMismatch("agreement counts require a full cover")
-    m = cover.m
+    g, m = cover.graph, cover.m
     perms = cover.edge_perms()
     edge_ids = list(_bits(subset))
     roots, cotree = spanning_forest(g.n, [g.edges[i] for i in edge_ids])
@@ -579,13 +549,6 @@ def subset_agreement_count(g: Graph, cover: FullCover, subset: EdgeSubset) -> in
     for ok in allowed.values():
         total *= sum(ok)
     return total
-
-
-def cover_count_by_inclusion_exclusion(g: Graph, cover: FullCover) -> int:
-    """Cover coloring count via the alternating sum over edge subsets."""
-    return alternating_subset_sum(
-        g, lambda subset: subset_agreement_count(g, cover, subset)
-    )
 
 
 @dataclass(frozen=True)
@@ -605,19 +568,17 @@ class TwistProfile:
     mismatch_mass: int
 
 
-def twist_profile(spec: ThetaSpec, cover: FullCover) -> TwistProfile:
+def twist_profile(cover: FullCover) -> TwistProfile:
     """Read off the twist statistics from a tree-canonical cover."""
+    spec = cover.graph.theta
+    if spec is None:
+        raise AssumptionViolated("twist profiles need a generalized Theta graph")
     if any((l - spec.lengths[0]) % 2 == 0 for l in spec.lengths[1:]):
         raise AssumptionViolated(
             "profile requires the first path length to differ in parity from all others"
         )
     if not spec.sorted_for_analysis():
         raise AssumptionViolated("paths 2..k must be sorted with l_2 >= max(l_1, 2)")
-    g = cover.graph
-    if g.theta != spec:
-        raise CoverMismatch("cover is not over this theta graph")
-    if cover.tree_edges != standard_tree(g):
-        raise CoverMismatch("cover is not canonical for the standard theta tree")
     counts = []
     for i in range(2, spec.k + 1):
         sigma = cover.twists[i - 1]
@@ -749,7 +710,7 @@ def min_over_covers(
         raise OutOfRange("m must be positive")
     if symmetry not in ("none", "tree-canonical", "tree-canonical+conjugacy"):
         raise ValueError(f"unknown symmetry level {symmetry!r}")
-    tree = standard_tree(g)
+    tree = g.standard_tree
     free_edges = [e for e in range(len(g.edges)) if symmetry == "none" or e not in tree]
     orderly = symmetry == "tree-canonical+conjugacy"
     firsts = cycle_type_representatives(m) if orderly else []
@@ -772,7 +733,7 @@ def min_over_covers(
         partials = [_search_chunk(a) for a in args]
     best_value, best_assignment = min(partials, key=lambda part: part[0])
     perms = dict(zip(free_edges, best_assignment))
-    witness = FullCover.from_edge_perms(g, m, perms, tree=tree)
+    witness = FullCover.from_edge_perms(g, m, perms)
     return MinimizationResult(best_value, witness, candidates)
 
 
@@ -845,7 +806,7 @@ def cover_to_json(cover: FullCover) -> dict:
     g = cover.graph
     return {
         "m": cover.m,
-        "tree_edges": [list(g.edge_labels(i)) for i in sorted(cover.tree_edges)],
+        "tree_edges": [list(g.edge_labels(i)) for i in sorted(g.standard_tree)],
         "twists": [
             {
                 "edge": list(g.edge_labels(i)),

@@ -2,10 +2,10 @@
 
 Provides the generalized Theta construction Theta(l_1, ..., l_k) with its
 fixed vertex/edge naming, one union-find pass (`spanning_forest`) behind
-every forest, component and feedback-vertex query (a single feedback
-vertex, or a small greedy feedback vertex set), simple-cycle lengths
-of edge subsets, and the star + forest decomposition used by the
-feedback-vertex-one machinery.
+every forest, component, standard-tree and feedback-vertex query (a
+single feedback vertex, or a small greedy feedback vertex set),
+simple-cycle lengths of edge subsets, and the star + forest
+decomposition used by the feedback-vertex-one machinery.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .errors import BadEdge, GraphTooLarge, InvalidCenter, InvalidThetaSpec
+from .errors import BadEdge, InvalidCenter, InvalidThetaSpec
 
 # Edge subsets are plain int bitmasks over a graph's edge list.
 EdgeSubset = int
@@ -205,6 +205,18 @@ class Graph:
         """`feedback_vertex_set` of this graph, computed once."""
         return feedback_vertex_set(self)
 
+    @cached_property
+    def standard_tree(self) -> frozenset[int]:
+        """Edge indices of the spanning forest that cover twists are
+        normalized against: for a generalized Theta graph every edge but the
+        u-incident edges of paths 2..k, otherwise every edge outside the
+        `spanning_forest` cotree (the greedy forest in edge order)."""
+        if self.theta is not None:
+            k = self.theta.k
+            return frozenset(i for i in range(len(self.edges)) if not 1 <= i < k)
+        _, cotree = spanning_forest(self.n, self.edges)
+        return frozenset(range(len(self.edges))).difference(cotree)
+
     def is_forest(self) -> bool:
         return not spanning_forest(self.n, self.edges)[1]
 
@@ -323,17 +335,6 @@ def _bits(mask: int) -> Iterable[int]:
             yield i
         mask >>= 1
         i += 1
-
-
-def alternating_subset_sum(g: Graph, term: Callable[[EdgeSubset], int]) -> int:
-    """Sum of (-1)^|S| term(S) over every edge subset S (at most 20 edges)."""
-    if len(g.edges) > 20:
-        raise GraphTooLarge("more than 20 edges in the subset sum")
-    total = 0
-    for mask in range(1 << len(g.edges)):
-        sign = -1 if bin(mask).count("1") & 1 else 1
-        total += sign * term(mask)
-    return total
 
 
 def subset_cycle_lengths(g: Graph, subset: EdgeSubset) -> list[int]:

@@ -25,7 +25,6 @@ from .analysis import (
     theta_dp_formula,
 )
 from .chromatic import (
-    chromatic_by_inclusion_exclusion,
     chromatic_polynomial,
     precolored_count,
     precolored_polynomial,
@@ -37,14 +36,21 @@ from .chromatic import (
 )
 from .covers import (
     count_colorings,
-    cover_count_by_inclusion_exclusion,
     identity_cover,
     min_over_covers,
     PartitionSpec,
     partitions_of,
     random_cover,
+    subset_agreement_count,
 )
-from .graphs import Graph, StarDecomposition, ThetaSpec, build_generalized_theta
+from .errors import GraphTooLarge
+from .graphs import (
+    Graph,
+    StarDecomposition,
+    ThetaSpec,
+    build_generalized_theta,
+    component_count,
+)
 from .poly import IntPoly, eventual_compare
 
 SUBSET_AUDIT_COVERS_PER_FOLD = 5
@@ -226,13 +232,25 @@ def suite_formula_search(seed):
             yield "loss-argmax", f"{instance} case={formula.case}", True, best
 
 
+def subset_sum(g: Graph, term) -> int:
+    """Sum of (-1)^|S| term(S) over every edge subset S (at most 20 edges):
+    the inclusion-exclusion oracle of the `inclusion-exclusion` suite."""
+    if len(g.edges) > 20:
+        raise GraphTooLarge("more than 20 edges in the subset sum")
+    total = 0
+    for mask in range(1 << len(g.edges)):
+        sign = -1 if bin(mask).count("1") & 1 else 1
+        total += sign * term(mask)
+    return total
+
+
 @_suite("inclusion-exclusion")
 def suite_inclusion_exclusion(seed):
     """Subset-sum counts against direct evaluation, for colorings and covers."""
     for name, g in _graph_zoo().items():
         poly = chromatic_polynomial(g)
         for m in range(1, 5):
-            sum_ = chromatic_by_inclusion_exclusion(g, m)
+            sum_ = subset_sum(g, lambda s: m ** component_count(g, s))
             yield "ie-chromatic", f"{name} m={m}", poly(m), sum_
     rng = random.Random(seed)
     for lengths in ((2, 2, 3), (2, 3, 3)):
@@ -241,7 +259,7 @@ def suite_inclusion_exclusion(seed):
             cover = random_cover(g, 3, rng)
             instance = f"{ThetaSpec(lengths)} m=3 sample={i}"
             count = count_colorings(g, cover)
-            by_subsets = cover_count_by_inclusion_exclusion(g, cover)
+            by_subsets = subset_sum(g, lambda s: subset_agreement_count(cover, s))
             yield "ie-cover", instance, count, by_subsets
 
 
@@ -252,10 +270,10 @@ def suite_subset_audit(seed):
     g = build_generalized_theta(spec)
     rng = random.Random(seed)
     for m in (3, 4, 5):
-        rep = cover_subset_audit(spec, identity_cover(g, m), m)
+        rep = cover_subset_audit(identity_cover(g, m))
         yield "subset-audit", f"{spec} m={m} identity", True, rep.ok
         for i in range(SUBSET_AUDIT_COVERS_PER_FOLD):
-            rep = cover_subset_audit(spec, random_cover(g, m, rng), m)
+            rep = cover_subset_audit(random_cover(g, m, rng))
             yield "subset-audit", f"{spec} m={m} sample={i}", True, rep.ok
 
 
@@ -269,7 +287,7 @@ def suite_gap_bound(seed):
     produced = 0
     while produced < GAP_BOUND_SAMPLES:
         cover = random_cover(g, m, rng)
-        rep = cover_subset_audit(spec, cover, m, subsets=False)
+        rep = cover_subset_audit(cover, subsets=False)
         if not rep.gap_checked:  # canonical sample; the bound does not apply
             continue
         produced += 1

@@ -2,15 +2,17 @@
 
 Everything here enumerates: no closed forms, no transfer counting, no
 deletion-contraction.  Tests freeze expected values computed by these
-oracles or compare the fast paths against them directly.
+oracles or compare the fast paths against them directly.  The two subset
+sums run the package's one inclusion-exclusion oracle, `verify.subset_sum`.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from dpchroma.covers import FullCover
-from dpchroma.graphs import Graph
+from dpchroma.covers import FullCover, subset_agreement_count
+from dpchroma.graphs import Graph, component_count
 from dpchroma.poly import IntPoly
+from dpchroma.verify import subset_sum
 
 
 def proper_coloring_count(g: Graph, m: int) -> int:
@@ -35,6 +37,17 @@ def transversal_count(g: Graph, m: int, perms, allowed=None) -> int:
 
 def brute_force_cover_count(g: Graph, cover: FullCover) -> int:
     return transversal_count(g, cover.m, cover.edge_perms())
+
+
+def chromatic_by_subsets(g: Graph, m: int) -> int:
+    """P(g, m) as the alternating sum of m^(components) over edge subsets."""
+    return subset_sum(g, lambda s: m ** component_count(g, s))
+
+
+def cover_count_by_subsets(cover: FullCover) -> int:
+    """A full cover's coloring count as the alternating sum of its subset
+    agreement counts."""
+    return subset_sum(cover.graph, lambda s: subset_agreement_count(cover, s))
 
 
 def interpolated_chromatic(g: Graph) -> IntPoly:

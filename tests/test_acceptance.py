@@ -17,7 +17,6 @@ from dpchroma.analysis import (
     theta_dp_formula,
 )
 from dpchroma.chromatic import (
-    chromatic_by_inclusion_exclusion,
     chromatic_polynomial,
     precolored_count,
     precolored_polynomial,
@@ -26,11 +25,12 @@ from dpchroma.chromatic import (
 )
 from dpchroma.covers import (
     count_colorings,
-    cover_count_by_inclusion_exclusion,
     min_over_covers,
     random_cover,
 )
 from dpchroma.graphs import Graph, ThetaSpec, build_generalized_theta
+
+from oracles import chromatic_by_subsets, cover_count_by_subsets
 
 SEED = 20200801
 
@@ -101,7 +101,7 @@ def test_criterion_2_chromatic_cross_validation():
         assert g.edge_count <= 8
         poly = chromatic_polynomial(g)
         for m in range(1, 5):
-            if chromatic_by_inclusion_exclusion(g, m) != poly(m):
+            if chromatic_by_subsets(g, m) != poly(m):
                 failures.append((g.vertices, m))
     report(
         2,
@@ -157,13 +157,13 @@ def test_criterion_5_subset_machinery():
         g = build_generalized_theta(ThetaSpec(lengths))
         for i in range(50):
             cover = random_cover(g, 3, rng)
-            if cover_count_by_inclusion_exclusion(g, cover) != count_colorings(g, cover):
+            if cover_count_by_subsets(cover) != count_colorings(g, cover):
                 failures.append(("ie", lengths, i))
     spec = ThetaSpec((2, 3, 3))
     g = build_generalized_theta(spec)
     for m in (3, 4, 5):
         for i in range(20):
-            rep = cover_subset_audit(spec, random_cover(g, m, rng), m)
+            rep = cover_subset_audit(random_cover(g, m, rng))
             if rep.subsets_checked != 2**8 - 1:
                 failures.append(("sweep-size", m, i))
             if not rep.ok:
@@ -173,7 +173,7 @@ def test_criterion_5_subset_machinery():
     checked = 0
     while checked < 100:
         cover = random_cover(g, m, rng)
-        rep = cover_subset_audit(spec, cover, m, subsets=False)
+        rep = cover_subset_audit(cover, subsets=False)
         if not rep.gap_checked:
             continue
         checked += 1

@@ -24,7 +24,7 @@ from dpchroma.covers import (
     min_over_covers,
     partitions_of,
     random_cover,
-    standard_tree,
+    subset_agreement_count,
 )
 from dpchroma.errors import OutOfRange, OutOfScope
 from dpchroma.graphs import (
@@ -320,20 +320,17 @@ def test_shift_cover_count_identity_for_every_partition():
 def test_subset_audit_identity_and_twisted():
     spec = ThetaSpec((2, 3, 3))
     g = build_generalized_theta(spec)
-    rep = cover_subset_audit(spec, identity_cover(g, 3), 3)
+    rep = cover_subset_audit(identity_cover(g, 3))
     assert rep.ok and rep.first_twisted == 0
-    tree = standard_tree(g)
-    cover = FullCover(g, 3, tree, {1: (1, 2, 0), 2: (0, 1, 2)})
-    rep = cover_subset_audit(spec, cover, 3)
+    cover = FullCover(g, 3, {1: (1, 2, 0), 2: (0, 1, 2)})
+    rep = cover_subset_audit(cover)
     assert rep.ok and rep.first_twisted == 2
     assert rep.category_counts["exact-cycle"] == 2
     # the five-cycle through paths 1 and 2 loses every agreement:
     five = g.mask_of(
         [("u", "v_1_1"), ("v_1_1", "w"), ("u", "v_2_1"), ("v_2_1", "v_2_2"), ("v_2_2", "w")]
     )
-    from dpchroma.covers import subset_agreement_count
-
-    diff = subset_agreement_count(g, cover, five) - 3 ** component_count(g, five)
+    diff = subset_agreement_count(cover, five) - 3 ** component_count(g, five)
     assert diff == -3 * 3 ** (7 - 5)
 
 
@@ -343,7 +340,7 @@ def test_subset_audit_random_covers():
     rng = random.Random(20)
     for m in (3, 4):
         for _ in range(3):
-            rep = cover_subset_audit(spec, random_cover(g, m, rng), m)
+            rep = cover_subset_audit(random_cover(g, m, rng))
             assert rep.ok
 
 
@@ -353,9 +350,9 @@ def test_subset_audit_other_families():
         spec = ThetaSpec(lengths)
         g = build_generalized_theta(spec)
         for m in folds:
-            assert cover_subset_audit(spec, identity_cover(g, m), m).ok
+            assert cover_subset_audit(identity_cover(g, m)).ok
             for _ in range(5):
-                assert cover_subset_audit(spec, random_cover(g, m, rng), m).ok
+                assert cover_subset_audit(random_cover(g, m, rng)).ok
 
 
 def test_subset_audit_gap_bound_at_large_fold():
@@ -365,7 +362,7 @@ def test_subset_audit_gap_bound_at_large_fold():
     rng = random.Random(21)
     for _ in range(5):
         cover = random_cover(g, m, rng)
-        rep = cover_subset_audit(spec, cover, m, subsets=False)
+        rep = cover_subset_audit(cover, subsets=False)
         assert rep.gap_checked
         assert rep.ok
 

@@ -105,6 +105,38 @@ def test_dp_exact_rejects_non_positive_folds(capsys):
             assert (code, out, err) == (2, "", "dpchroma: m must be positive\n")
 
 
+def test_formula_routes_reject_a_graph_with_no_vertices(tmp_path, capsys):
+    path = tmp_path / "empty.graph"
+    path.write_text("n 0\n")
+    for argv in (("dp-formula", str(path)), ("compare", str(path), "--m", "3")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "dpchroma: graph has no vertices\n")
+    code, out, _ = run(capsys, "dp-exact", str(path), "--m", "3")
+    assert code == 0 and out.startswith(f"P_DP({path}, 3) = 1 ")
+
+
+def cycle_file(tmp_path, n: int) -> str:
+    path = tmp_path / f"c{n}.graph"
+    path.write_text(f"n {n}\n" + "".join(f"e c{i} c{(i + 1) % n}\n" for i in range(n)))
+    return str(path)
+
+
+def test_deletion_contraction_too_deep_for_the_stack_is_a_budget_error(tmp_path, capsys):
+    # `compare` lifts the vertex limit to the graph's size, so only the
+    # recursion depth stops deletion-contraction on a long cycle.
+    code, out, err = run(capsys, "compare", cycle_file(tmp_path, 1200), "--m", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("dpchroma: search budget exceeded: deletion-contraction")
+    assert err.count("\n") == 1 and "stack" in err
+
+
+def test_chrom_on_a_long_cycle_within_the_stack(tmp_path, capsys):
+    path = cycle_file(tmp_path, 400)
+    code, out, _ = run(capsys, "chrom", path, "--limit", "400", "--m", "3")
+    assert code == 0
+    assert out.splitlines()[-1] == f"P({path}, 3) = {2**400 + 2}"
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "poly")
     assert code == 0

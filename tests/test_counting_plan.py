@@ -23,7 +23,6 @@ from dpchroma.covers import (
     cycle_type_representatives,
     identity_perm,
     min_over_covers,
-    standard_tree,
 )
 from dpchroma.graphs import Graph, ThetaSpec, build_generalized_theta
 
@@ -50,11 +49,10 @@ GRID = [
 def reference_search(g, m, symmetry):
     """Every candidate in the search's enumeration order, each counted by a
     fresh `count_from_edge_perms` call; the first strict minimum wins."""
-    tree = standard_tree(g)
     if symmetry == "none":
         free = list(range(len(g.edges)))
     else:
-        free = sorted(set(range(len(g.edges))) - tree)
+        free = sorted(set(range(len(g.edges))) - g.standard_tree)
     options = list(permutations(range(m)))
     first = cycle_type_representatives(m) if symmetry == LEVELS[2] else options
     best = None
@@ -65,7 +63,7 @@ def reference_search(g, m, symmetry):
         value = count_from_edge_perms(g, m, perms)
         if best is None or value < best[0]:
             best = (value, assignment)
-    witness = FullCover.from_edge_perms(g, m, dict(zip(free, best[1])), tree=tree)
+    witness = FullCover.from_edge_perms(g, m, dict(zip(free, best[1])))
     return best[0], cover_to_json(witness)
 
 

@@ -7,7 +7,6 @@ import pytest
 from dpchroma.covers import (
     FullCover,
     count_colorings,
-    cover_count_by_inclusion_exclusion,
     cover_to_json,
     cycle_type,
     cycle_type_representatives,
@@ -18,21 +17,25 @@ from dpchroma.covers import (
     PartitionSpec,
     random_cover,
     shift_cover,
-    standard_tree,
     subset_agreement_count,
     twist_profile,
 )
 from dpchroma.chromatic import chromatic_polynomial
-from dpchroma.chromatic import subset_agreement_count as whitney_count
 from dpchroma.errors import (
     AssumptionViolated,
     CoverMismatch,
     FoldTooSmall,
     SearchBudgetExceeded,
 )
-from dpchroma.graphs import Graph, ThetaSpec, build_generalized_theta, star_forest_decomposition
+from dpchroma.graphs import (
+    Graph,
+    ThetaSpec,
+    build_generalized_theta,
+    component_count,
+    star_forest_decomposition,
+)
 
-from oracles import brute_force_cover_count
+from oracles import brute_force_cover_count, cover_count_by_subsets
 
 IDENT3 = (0, 1, 2)
 SWAP12 = (1, 0, 2)
@@ -45,18 +48,16 @@ def theta(*lengths):
 
 def theta_cover(g, m, twists_by_path):
     """Cover of a theta graph with the given twists on the u-edges of paths >= 2."""
-    tree = standard_tree(g)
     twists = {}
     for i in range(g.edge_count):
-        if i not in tree:
+        if i not in g.standard_tree:
             twists[i] = twists_by_path.get(i + 1, tuple(range(m)))
-    return FullCover(g, m, tree, twists)
+    return FullCover(g, m, twists)
 
 
 def test_standard_tree_leaves_u_edges_free():
     g = theta(2, 3, 3)
-    tree = standard_tree(g)
-    assert sorted(set(range(g.edge_count)) - tree) == [1, 2]
+    assert sorted(set(range(g.edge_count)) - g.standard_tree) == [1, 2]
 
 
 def test_identity_cover_counts():
@@ -124,27 +125,28 @@ def test_forest_covers_are_canonical():
 
 def test_partial_cover_counts():
     c4 = Graph(("a", "b", "c", "d"), ((0, 1), (1, 2), (2, 3), (0, 3)))
-    tree = standard_tree(c4)
-    (cotree_edge,) = set(range(4)) - tree
+    (cotree_edge,) = set(range(4)) - c4.standard_tree
     partial = (1, None, 0)  # one fiber vertex unmatched
-    cover = FullCover(c4, 3, tree, {cotree_edge: partial})
+    cover = FullCover(c4, 3, {cotree_edge: partial})
     assert not cover.is_full
     assert count_colorings(c4, cover) == brute_force_cover_count(c4, cover)
     g = theta(2, 2, 2)
-    cover = FullCover(g, 3, standard_tree(g), {1: (1, None, 0), 2: IDENT3})
+    cover = FullCover(g, 3, {1: (1, None, 0), 2: IDENT3})
     assert count_colorings(g, cover) == brute_force_cover_count(g, cover) == 26
 
 
 def test_cover_validation():
     g = theta(2, 2, 2)
-    tree = standard_tree(g)
     with pytest.raises(CoverMismatch):
-        FullCover(g, 3, tree, {})  # missing twists
+        FullCover(g, 3, {})  # missing twists
     with pytest.raises(CoverMismatch):
-        FullCover(g, 3, tree, {1: (0, 0, 2), 2: IDENT3})  # not injective
+        FullCover(g, 3, {1: (0, 0, 2), 2: IDENT3})  # not injective
+    # Edge 0 (u-v_1_1) lies on the standard tree, so it carries no twist.
+    assert g.standard_tree == frozenset({0, 3, 4, 5})
     with pytest.raises(CoverMismatch):
-        # u-v11, u-v21, v11-w, v21-w close a 4-cycle, so this is no tree
-        FullCover(g, 3, frozenset({0, 1, 3, 4}), {2: IDENT3, 5: IDENT3})
+        FullCover(g, 3, {0: IDENT3, 1: IDENT3, 2: IDENT3})  # extra tree twist
+    with pytest.raises(CoverMismatch):
+        FullCover(g, 3, {0: IDENT3, 2: IDENT3})  # tree twist for a cotree one
     other = theta(2, 2, 3)
     with pytest.raises(CoverMismatch):
         count_colorings(other, identity_cover(g, 3))
@@ -203,11 +205,10 @@ def test_min_over_covers_against_full_enumeration_oracle():
     # by brute force over all assignments
     for lengths, m in (((2, 2, 2), 2), ((2, 2, 2), 3), ((1, 2, 2), 3)):
         g = theta(*lengths)
-        tree = standard_tree(g)
-        cotree = sorted(set(range(g.edge_count)) - tree)
+        cotree = sorted(set(range(g.edge_count)) - g.standard_tree)
         best = None
         for twists in permutations_product(m, len(cotree)):
-            cover = FullCover(g, m, tree, dict(zip(cotree, twists)))
+            cover = FullCover(g, m, dict(zip(cotree, twists)))
             value = brute_force_cover_count(g, cover)
             best = value if best is None else min(best, value)
         assert min_over_covers(g, m).value == best
@@ -282,11 +283,11 @@ def test_subset_agreement_examples():
     five = g.mask_of(
         [("u", "v_1_1"), ("v_1_1", "w"), ("u", "v_2_1"), ("v_2_1", "v_2_2"), ("v_2_2", "w")]
     )
-    assert subset_agreement_count(g, theta_cover(g, 3, {2: CYCLE3}), five) == 0
-    assert subset_agreement_count(g, theta_cover(g, 3, {2: SWAP12}), five) == 9
+    assert subset_agreement_count(theta_cover(g, 3, {2: CYCLE3}), five) == 0
+    assert subset_agreement_count(theta_cover(g, 3, {2: SWAP12}), five) == 9
     ident = identity_cover(g, 3)
     for mask in range(0, 1 << g.edge_count, 7):
-        assert subset_agreement_count(g, ident, mask) == whitney_count(g, mask, 3)
+        assert subset_agreement_count(ident, mask) == 3 ** component_count(g, mask)
 
 
 def test_subset_agreement_bounded_by_whitney():
@@ -295,7 +296,7 @@ def test_subset_agreement_bounded_by_whitney():
     for _ in range(20):
         cover = random_cover(g, 3, rng)
         for mask in range(1 << g.edge_count):
-            assert subset_agreement_count(g, cover, mask) <= whitney_count(g, mask, 3)
+            assert subset_agreement_count(cover, mask) <= 3 ** component_count(g, mask)
 
 
 def test_cover_inclusion_exclusion_matches_counts():
@@ -304,25 +305,25 @@ def test_cover_inclusion_exclusion_matches_counts():
         g = theta(*lengths)
         for _ in range(10):
             cover = random_cover(g, 3, rng)
-            assert cover_count_by_inclusion_exclusion(g, cover) == count_colorings(g, cover)
+            assert cover_count_by_subsets(cover) == count_colorings(g, cover)
     tree = Graph(("a", "b", "c"), ((0, 1), (1, 2)))
     cover = identity_cover(tree, 3)
-    assert cover_count_by_inclusion_exclusion(tree, cover) == 3 * 4
+    assert cover_count_by_subsets(cover) == 3 * 4
 
 
 def test_twist_profile_examples():
     spec = ThetaSpec((2, 3, 3))
     g = build_generalized_theta(spec)
-    p = twist_profile(spec, theta_cover(g, 3, {2: SWAP12}))
+    p = twist_profile(theta_cover(g, 3, {2: SWAP12}))
     assert (p.mismatch_counts, p.first_twisted, p.equal_length_paths, p.mismatch_mass) == (
         (2, 0),
         2,
         2,
         2,
     )
-    p = twist_profile(spec, identity_cover(g, 3))
+    p = twist_profile(identity_cover(g, 3))
     assert (p.first_twisted, p.mismatch_mass) == (0, 0)
-    p = twist_profile(spec, theta_cover(g, 3, {2: CYCLE3, 3: SWAP12}))
+    p = twist_profile(theta_cover(g, 3, {2: CYCLE3, 3: SWAP12}))
     assert (p.mismatch_counts, p.first_twisted, p.equal_length_paths, p.mismatch_mass) == (
         (3, 2),
         2,
@@ -335,7 +336,13 @@ def test_twist_profile_requires_parity_assumption():
     spec = ThetaSpec((2, 2, 3))
     g = build_generalized_theta(spec)
     with pytest.raises(AssumptionViolated):
-        twist_profile(spec, identity_cover(g, 3))
+        twist_profile(identity_cover(g, 3))
+
+
+def test_twist_profile_requires_a_theta_graph():
+    triangle = Graph(("a", "b", "c"), ((0, 1), (0, 2), (1, 2)))
+    with pytest.raises(AssumptionViolated):
+        twist_profile(identity_cover(triangle, 3))
 
 
 def test_partitions_of_order_and_count():

@@ -126,7 +126,7 @@ def test_min_over_covers_rejects_non_positive_folds_before_searching(monkeypatch
     def no_work(*args):
         raise AssertionError("the search started")
 
-    monkeypatch.setattr(covers, "standard_tree", no_work)
+    monkeypatch.setattr(Graph, "standard_tree", property(no_work))
     monkeypatch.setattr(covers, "_search_chunk", no_work)
     theta = build_generalized_theta(ThetaSpec((2, 2, 2)))
     for g in (theta, Graph.from_text(BOWTIE.read_text())):

@@ -19,7 +19,6 @@ from dpchroma.chromatic import Precoloring, precolored_count
 from dpchroma.covers import (
     BRUTE_FORCE_LIMIT,
     count_from_edge_perms,
-    cover_count_by_inclusion_exclusion,
     identity_cover,
     identity_perm,
     worker_count,
@@ -33,7 +32,7 @@ from dpchroma.graphs import (
     find_feedback_vertex,
 )
 
-from oracles import brute_force_cover_count
+from oracles import brute_force_cover_count, cover_count_by_subsets
 
 BOWTIE = Path(__file__).parent / "golden" / "bowtie.txt"
 
@@ -179,7 +178,7 @@ def test_one_brute_force_limit():
 def test_cover_subset_sum_edge_limit():
     big = Graph(tuple(f"p{i}" for i in range(22)), tuple((i, i + 1) for i in range(21)))
     with pytest.raises(GraphTooLarge):
-        cover_count_by_inclusion_exclusion(big, identity_cover(big, 2))
+        cover_count_by_subsets(identity_cover(big, 2))
 
 
 def test_worker_count_precedence(monkeypatch):
