@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chromatic import (
-    DEFAULT_VERTEX_LIMIT,
     chromatic_polynomial,
     theta_chromatic,
     theta_closed_form,
@@ -308,9 +307,8 @@ def edge_deletion_gap(g: Graph, x: str, y: str, m: int) -> tuple[bool, int]:
     if m < 2:
         raise OutOfRange("the test is defined for m >= 2")
     e = g.edge_index(x, y)
-    limit = max(DEFAULT_VERTEX_LIMIT, g.n)
-    whole = chromatic_polynomial(g, limit=limit)(m)
-    deleted = chromatic_polynomial(g.without_edges([e]), limit=limit)(m)
+    whole = chromatic_polynomial(g)(m)
+    deleted = chromatic_polynomial(g.without_edges([e]))(m)
     margin = m * whole - (m - 1) * deleted
     return margin > 0, margin
 

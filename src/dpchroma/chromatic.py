@@ -1,134 +1,125 @@
 """Exact chromatic polynomials and coloring counts.
 
-Generic graphs go through deletion-contraction on their 2-cores, with
-the stripped trees as closed-form factors.  Generalized Theta graphs
-additionally get the classical closed form, which the rest of the
-package cross-checks against the generic route.
+Every chromatic polynomial, precolored or not, comes from one transfer
+over the vertices in Cuthill-McKee order (the transfer-matrix method of
+Biggs, Damerell and Sands, JCTB 1972; Salas and Sokal, J. Stat. Phys.
+2001).  Its states are the partitions of the active vertices by equal
+color, so its cost follows the width of that order, not the number of
+cycles.  Generalized Theta graphs additionally get the classical closed
+form, which the rest of the package cross-checks against the transfer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Mapping
 
 from .covers import count_from_edge_perms, identity_perm
-from .errors import BadPathIndex, GraphTooLarge, InexactDivision, SearchBudgetExceeded
-from .graphs import (
-    Graph,
-    ThetaSpec,
-    build_generalized_theta,
-    spanning_forest,
-)
-from .poly import M, IntPoly, constant, falling_factorial, forest_polynomial, prod
+from .errors import BadPathIndex, SearchBudgetExceeded
+from .graphs import Graph, ThetaSpec, build_generalized_theta
+from .poly import M, IntPoly, constant, forest_polynomial, prod
 
-DEFAULT_VERTEX_LIMIT = 16
-
-#: Distinct 2-cores one deletion-contraction call may expand (memo misses).
-CHROMATIC_NODE_LIMIT = 50_000
+#: Coefficient updates one transfer may make: each state update costs the
+#: length of its weight, so this bounds wide graphs and long ones alike.
+CHROMATIC_WORK_LIMIT = 20_000_000
 
 
-def chromatic_polynomial(g: Graph, limit: int = DEFAULT_VERTEX_LIMIT) -> IntPoly:
-    """Exact chromatic polynomial by deletion-contraction.
+def chromatic_polynomial(g: Graph) -> IntPoly:
+    """Exact chromatic polynomial by the color-pattern transfer.
 
-    Each node strips the vertices of degree <= 1 and looks the remaining
-    2-core up in a memo that lives for this call only; on a miss it
-    deletes and contracts the core's first cotree edge.  A forest strips
-    to nothing, so it is a leaf with closed form m^(trees) (m-1)^(edges).
-    More than `CHROMATIC_NODE_LIMIT` misses, or a recursion deeper than
-    Python's stack allows (a cycle of about 1,000 vertices), raise
-    `SearchBudgetExceeded`.
+    Raises `SearchBudgetExceeded` past `CHROMATIC_WORK_LIMIT` updates.
     """
-    if g.n > limit:
-        raise GraphTooLarge(f"{g.n} vertices exceeds limit {limit}")
-    return _chrom(g.n, list(g.edges))
+    return _transfer(g, {})
 
 
-def _chrom(n: int, edges: list[tuple[int, int]]) -> IntPoly:
-    """P(G, m) for G on vertices 0..n-1; parallel edges allowed, loops give 0."""
-    memo: dict[tuple[int, tuple[tuple[int, int], ...]], IntPoly] = {}
-    factors: dict[tuple[int, int], IntPoly] = {}
-    misses = 0
+def _cuthill_mckee(g: Graph) -> list[int]:
+    """Breadth-first order of each component from a least-degree vertex,
+    neighbors taken by degree; ties go to the lower index."""
+    adj = g.adjacency
+    by_degree = sorted(range(g.n), key=lambda v: len(adj[v]))
+    rank = {v: i for i, v in enumerate(by_degree)}
+    order: list[int] = []
+    seen = [False] * g.n
+    for root in by_degree:
+        if seen[root]:
+            continue
+        seen[root] = True
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            for u in sorted(adj[order[head]], key=rank.__getitem__):
+                if not seen[u]:
+                    seen[u] = True
+                    order.append(u)
+            head += 1
+    return order
 
-    def expand(n: int, edges: list[tuple[int, int]]) -> IntPoly:
-        nonlocal misses
-        isolated, pendant, k, core = _two_core(n, edges)
-        stripped = factors.get((isolated, pendant))
-        if stripped is None:
-            stripped = factors[isolated, pendant] = forest_polynomial(isolated, pendant)
-        if not k:
-            return stripped
-        key = (k, core)
-        poly = memo.get(key)
-        if poly is None:
-            misses += 1
-            if misses > CHROMATIC_NODE_LIMIT:
+
+def _transfer(g: Graph, named: Mapping[int, int]) -> IntPoly:
+    """Colorings of g that put each vertex v of `named` on fixed color
+    named[v], the s fixed colors numbered 0..s-1, as a polynomial in m: the
+    count at every m at which the fixed colors are colors.
+
+    A vertex is active from its entry until its last neighbor enters.  A
+    state gives each active vertex the label of its color block: labels
+    below s are the s fixed colors, and the others are numbered from s in
+    order of first appearance, so equal partitions are equal tuples.  Its
+    weight, a coefficient list, counts the colorings of the entered
+    vertices that induce it.  With b blocks (the s fixed ones included),
+    an entering vertex joins a block that holds none of its neighbors, or
+    takes one of the m - b new colors; a fixed vertex may only join its
+    own block.  Retired vertices are dropped and equal states merge.
+    """
+    s = len(set(named.values()))
+    adj = g.adjacency
+    order = _cuthill_mckee(g)
+    step = {v: i for i, v in enumerate(order)}
+    last = [max((step[u] for u in adj[v]), default=-1) for v in range(g.n)]
+    active: list[int] = []
+    states: dict[tuple[int, ...], list[int]] = {(): [1]}
+    work = 0
+    for i, v in enumerate(order):
+        near = [k for k, u in enumerate(active) if u in adj[v]]
+        keep = [k for k, u in enumerate(active) if last[u] > i]
+        stays = last[v] > i
+        active = [active[k] for k in keep] + [v] * stays
+        fixed = named.get(v)
+        merged: dict[tuple[int, ...], list[int]] = {}
+        for labels, w in states.items():
+            b = max(s, max(labels, default=-1) + 1)
+            taken = {labels[k] for k in near}
+            free: dict[int, int] = {}  # the kept free blocks, renumbered in order
+            kept = tuple(
+                a if a < s else free.setdefault(a, s + len(free))
+                for a in map(labels.__getitem__, keep)
+            )
+            fresh = s + len(free)
+            if fixed is not None:
+                moves = [] if fixed in taken else [(fixed, w)]
+            elif stays:
+                moves = [
+                    (c if c < s else free.get(c, fresh), w) for c in range(b) if c not in taken
+                ]
+                moves.append((fresh, [p - b * q for p, q in zip([0] + w, w + [0])]))
+            else:  # retiring on entry, v leaves one state for all m - |taken| colors
+                t = len(taken)
+                moves = [(fresh, [p - t * q for p, q in zip([0] + w, w + [0])])]
+            work += len(w) * len(moves)
+            if work > CHROMATIC_WORK_LIMIT:
                 raise SearchBudgetExceeded(
-                    f"{misses} deletion-contraction nodes exceed the limit of "
-                    f"{CHROMATIC_NODE_LIMIT}"
+                    f"the chromatic transfer passed CHROMATIC_WORK_LIMIT = "
+                    f"{CHROMATIC_WORK_LIMIT:,} coefficient updates at vertex "
+                    f"{i + 1} of {g.n} ({len(states):,} states)"
                 )
-            pivot = core[spanning_forest(k, core)[1][0]]
-            deleted = [e for e in core if e != pivot]
-            poly = expand(k, deleted) - expand(k - 1, _contract(k, deleted, pivot))
-            memo[key] = poly
-        return stripped * poly if isolated or pendant else poly
-
-    if any(a == b for a, b in edges):
-        return IntPoly()  # a loop admits no proper coloring
-    # The core has no parallel edges, so contracting its pivot makes no loop.
-    try:
-        return expand(n, edges)
-    except RecursionError:
-        raise SearchBudgetExceeded(
-            f"deletion-contraction on {n} vertices recursed past Python's stack limit"
-        ) from None
-
-
-def _two_core(
-    n: int, edges: list[tuple[int, int]]
-) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
-    """Strip vertices of degree <= 1 from a loopless graph until none is left.
-
-    Returns (isolated, pendant, k, core): how many vertices were stripped
-    at degree 0 and at degree 1, and the sorted, deduplicated edges of
-    the remaining 2-core renumbered to 0..k-1 in vertex order, so that
-    P(G) = m^isolated (m-1)^pendant P(core).
-    """
-    adj: list[set[int] | None] = [set() for _ in range(n)]
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    stack = [v for v in range(n) if len(adj[v]) <= 1]
-    isolated = pendant = 0
-    while stack:
-        v = stack.pop()
-        if adj[v]:
-            (u,) = adj[v]
-            adj[u].discard(v)
-            if len(adj[u]) == 1:
-                stack.append(u)
-            pendant += 1
-        else:
-            isolated += 1
-        adj[v] = None
-    label = {}
-    for v in range(n):
-        if adj[v]:
-            label[v] = len(label)
-    core = tuple(sorted((label[a], label[b]) for a in label for b in adj[a] if a < b))
-    return isolated, pendant, len(label), core
-
-
-def _contract(
-    n: int, edges: list[tuple[int, int]], merged: tuple[int, int]
-) -> list[tuple[int, int]]:
-    a, b = merged  # b is merged into a, indices above b shift down
-
-    def remap(x: int) -> int:
-        if x == b:
-            x = a
-        return x - 1 if x > b else x
-
-    return [(remap(p), remap(q)) for p, q in edges]
+            for c, x in moves:
+                key = kept + (c,) * stays
+                old = merged.get(key)
+                merged[key] = x if old is None else [
+                    p + q for p, q in zip_longest(old, x, fillvalue=0)
+                ]
+        states = merged
+    return IntPoly(states.get((), ()))
 
 
 def theta_closed_form(lengths: tuple[int, ...]) -> IntPoly:
@@ -275,15 +266,6 @@ def _check_precoloring(g: Graph, pc: Precoloring):
         raise ValueError("precoloring bound smaller than the vertex count")
 
 
-def _conflicts(g: Graph, pc: Precoloring) -> bool:
-    get = pc.assignment.get
-    for a, b in g.edges:
-        ca, cb = get(g.vertices[a]), get(g.vertices[b])
-        if ca is not None and ca == cb:
-            return True
-    return False
-
-
 def precolored_count(g: Graph, pc: Precoloring, m: int) -> int:
     """Number of proper m-colorings of g agreeing with the precoloring.
 
@@ -305,26 +287,10 @@ def precolored_count(g: Graph, pc: Precoloring, m: int) -> int:
 def precolored_polynomial(g: Graph, pc: Precoloring) -> IntPoly:
     """Polynomial p with p(m) = precolored_count(g, pc, m) for m >= bound.
 
-    Obtained by making the precolored vertices a clique, contracting the
-    like-colored ones, and dividing the resulting chromatic polynomial by
-    the falling factorial that fixes the clique's colors.  A conflicting
-    precoloring short-circuits to the zero polynomial.
+    The transfer of `chromatic_polynomial` with the distinct precolors as
+    fixed blocks, each precolored vertex forced into its own; a
+    conflicting precoloring leaves no state, so its polynomial is zero.
     """
     _check_precoloring(g, pc)
-    if _conflicts(g, pc):
-        return IntPoly()
     colors = sorted(set(pc.assignment.values()))
-    s = len(colors)
-    class_of = {g.index[v]: colors.index(c) for v, c in pc.assignment.items()}
-    n = s  # merged color classes first, then the free vertices in order
-    for v in range(g.n):
-        if v not in class_of:
-            class_of[v] = n
-            n += 1
-    edges = [(class_of[a], class_of[b]) for a, b in g.edges]
-    edges += [(i, j) for i in range(s) for j in range(i + 1, s)]  # the clique
-    try:
-        return _chrom(n, edges).exact_div(falling_factorial(s))
-    except InexactDivision as exc:  # pragma: no cover - clique guarantees division
-        raise InexactDivision(f"contracted graph lost its clique: {exc}") from exc
-
+    return _transfer(g, {g.index[v]: colors.index(c) for v, c in pc.assignment.items()})

@@ -22,7 +22,7 @@ from .analysis import (
 )
 from .chromatic import chromatic_polynomial, theta_chromatic
 from .covers import cover_to_json, min_over_covers, worker_count
-from .errors import DpchromaError, OutOfRange, SearchBudgetExceeded
+from .errors import DpchromaError, GraphTooLarge, OutOfRange, SearchBudgetExceeded
 from .graphs import Graph, ThetaSpec, build_generalized_theta
 from .poly import poly_to_json
 from .verify import SUITES, run_suites
@@ -65,8 +65,12 @@ def emit(payload: dict, fmt: str, text_lines: list[str]) -> None:
 
 
 def cmd_chrom(args) -> int:
+    if args.limit < 0:
+        raise OutOfRange(f"--limit must be non-negative, not {args.limit}")
     g = load_graph(args.source)
-    poly = chromatic_polynomial(g, limit=max(args.limit, 0))
+    if g.n > args.limit:
+        raise GraphTooLarge(f"{g.n} vertices exceeds limit {args.limit}")
+    poly = chromatic_polynomial(g)
     payload = {"command": "chrom", "source": args.source, "polynomial": poly_to_json(poly)}
     lines = [f"P({args.source}, m) = {poly}"]
     if args.m is not None:
@@ -187,11 +191,7 @@ def cmd_compare(args) -> int:
     g = load_graph(args.source)
     low, high = parse_m_range(args.m)
     spec = g.theta
-    chrom = (
-        theta_chromatic(spec)
-        if spec is not None
-        else chromatic_polynomial(g, limit=max(16, g.n))
-    )
+    chrom = theta_chromatic(spec) if spec is not None else chromatic_polynomial(g)
     route = None if args.exact else dp_formula_route(g)
     rows = []
     for m in range(low, high + 1):

@@ -185,11 +185,6 @@ def forest_polynomial(trees: int, edges: int) -> IntPoly:
     )
 
 
-def falling_factorial(count: int) -> IntPoly:
-    """m (m-1) ... (m-count+1)."""
-    return prod(M - i for i in range(count))
-
-
 def crossover_bound(p: IntPoly) -> int:
     """An explicit point beyond which p keeps the sign of its leading term.
 

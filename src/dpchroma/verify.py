@@ -150,11 +150,6 @@ def _theta(lengths) -> Graph:
     return build_generalized_theta(ThetaSpec(lengths))
 
 
-def _chromatic(g: Graph) -> IntPoly:
-    """Deletion-contraction with no vertex limit."""
-    return chromatic_polynomial(g, limit=g.n)
-
-
 def _graph_zoo() -> dict[str, Graph]:
     """Small named graphs, built afresh for each suite that uses them."""
     abcd = ("a", "b", "c", "d")
@@ -176,18 +171,18 @@ def _graph_zoo() -> dict[str, Graph]:
 
 @_suite("theta-identity")
 def suite_theta_identity(seed):
-    """Closed-form Theta chromatic polynomials against deletion-contraction."""
+    """Closed-form Theta chromatic polynomials against the generic transfer."""
     for lengths in _valid_length_tuples(4, 5):
         spec = ThetaSpec(lengths)
         g = build_generalized_theta(spec)
         closed = theta_chromatic(spec)
-        yield "theta-chromatic", spec, str(_chromatic(g)), str(closed)
+        yield "theta-chromatic", spec, str(chromatic_polynomial(g)), str(closed)
     for lengths in _valid_length_tuples(3, 4):
         spec = ThetaSpec(lengths)
         g = build_generalized_theta(spec)
         for j in range(1, spec.k + 1):
             closed = theta_edge_deleted_chromatic(spec, j)
-            generic = _chromatic(g.without_edges([j - 1]))
+            generic = chromatic_polynomial(g.without_edges([j - 1]))
             instance = f"{spec} minus path {j} u-edge"
             yield "theta-edge-deleted", instance, str(generic), str(closed)
 
@@ -204,7 +199,7 @@ def suite_edge_pair_forms(seed):
             polys.as_tuple(),
         ):
             instance = f"theta:{l1},{l2},{l3} {tag}"
-            yield "edge-pair-forms", instance, str(_chromatic(gg)), str(pp)
+            yield "edge-pair-forms", instance, str(chromatic_polynomial(gg)), str(pp)
 
 
 @_suite("term-differences")
@@ -298,8 +293,8 @@ def partition_weight_by_subsets(
     d: StarDecomposition, partition: PartitionSpec
 ) -> IntPoly:
     """`partition_weight` by inclusion-exclusion over the 2^(k-1) leaf
-    subsets, each term a precolored polynomial of the forest (clique
-    contraction plus deletion-contraction).  Kept as an oracle."""
+    subsets, each term a precolored polynomial of the forest (the
+    color-pattern transfer with fixed blocks).  Kept as an oracle."""
     if partition.vertex_set != frozenset(d.alphas):
         raise ValueError("partition must cover exactly the star's vertices")
     center, leaves = d.alphas[0], d.alphas[1:]
@@ -332,7 +327,7 @@ def suite_fvs1(seed):
             yield "fvs1-polynomial", f"{name} m={m}", want, result.dp_polynomial(m)
             witness = count_colorings(g, result.witness_cover(m))
             yield "fvs1-witness", f"{name} m={m}", want, witness
-        leading = list(_chromatic(g).coeffs[-3:])
+        leading = list(chromatic_polynomial(g).coeffs[-3:])
         top = list(result.dp_polynomial.coeffs[-3:])
         yield "fvs1-leading-terms", name, leading, top
 

@@ -309,7 +309,7 @@ def test_shift_cover_count_identity_for_every_partition():
         fv = find_feedback_vertex(g)
         center = fv if isinstance(fv, str) else "r"
         d = star_forest_decomposition(g, center)
-        forest_poly = chromatic_polynomial(d.forest, limit=max(16, g.n))
+        forest_poly = chromatic_polynomial(d.forest)
         for p in partitions_of(d.alphas):
             w = partition_weight(d, p)
             for m in range(len(p.parts), len(p.parts) + 3):
@@ -469,10 +469,10 @@ def test_fvs1_weights_take_no_deletion_contraction(monkeypatch):
     from dpchroma import analysis, chromatic
 
     def refuse(*args, **kwargs):
-        raise AssertionError("FVS-1 weights must not run deletion-contraction")
+        raise AssertionError("FVS-1 weights must not run the chromatic transfer")
 
     monkeypatch.setattr(chromatic, "precolored_polynomial", refuse)
-    monkeypatch.setattr(chromatic, "_chrom", refuse)
+    monkeypatch.setattr(chromatic, "_transfer", refuse)
     calls = []
     weight = analysis.partition_weight
 

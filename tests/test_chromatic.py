@@ -47,13 +47,6 @@ def test_small_graphs_against_interpolation():
         assert chromatic_polynomial(g) == interpolated_chromatic(g)
 
 
-def test_vertex_limit():
-    path = Graph(tuple(f"p{i}" for i in range(17)), tuple((i, i + 1) for i in range(16)))
-    with pytest.raises(GraphTooLarge):
-        chromatic_polynomial(path)
-    assert chromatic_polynomial(path, limit=17)(2) == 2
-
-
 def test_theta_closed_form_values():
     assert theta_chromatic(ThetaSpec((2, 2, 2)))(2) == 2  # the two K_{2,3} sides
     assert theta_chromatic(ThetaSpec((2, 2, 2)))(3) == 30
@@ -67,7 +60,7 @@ def test_theta_identity_against_deletion_contraction():
                 continue
             spec = ThetaSpec(lengths)
             g = build_generalized_theta(spec)
-            assert theta_chromatic(spec) == chromatic_polynomial(g, limit=max(16, g.n))
+            assert theta_chromatic(spec) == chromatic_polynomial(g)
 
 
 def test_theta_edge_deleted_examples():
@@ -87,9 +80,7 @@ def test_theta_edge_deleted_identity():
             g = build_generalized_theta(spec)
             for j in range(1, k + 1):
                 deleted = g.without_edges([j - 1])
-                assert theta_edge_deleted_chromatic(spec, j) == chromatic_polynomial(
-                    deleted, limit=max(16, g.n)
-                )
+                assert theta_edge_deleted_chromatic(spec, j) == chromatic_polynomial(deleted)
 
 
 def test_edge_pair_polynomials_pinned_values():
@@ -110,7 +101,7 @@ def test_edge_pair_polynomials_match_explicit_graphs():
                     (graphs.g, graphs.g0, graphs.g1, graphs.g2, graphs.gstar),
                     polys.as_tuple(),
                 ):
-                    assert pp == chromatic_polynomial(gg, limit=max(16, gg.n))
+                    assert pp == chromatic_polynomial(gg)
 
 
 def test_precolored_count_examples():

@@ -1,23 +1,25 @@
-"""Random-oracle tests for deletion-contraction on memoised 2-cores.
+"""Random-oracle tests for the color-pattern transfer behind every
+chromatic polynomial.
 
-`chromatic._chrom` strips vertices of degree <= 1, renumbers the 2-core
-that is left and expands each distinct core once per call.  The graphs
-here have what that reduction must get right: isolated vertices, pendant
-trees, several components, cycles sharing a vertex and cycles joined by
+`chromatic._transfer` walks the vertices in Cuthill-McKee order and
+keeps the partitions of the active vertices by color.  The graphs here
+have what that walk must get right: isolated vertices, pendant trees,
+several components, cycles sharing a vertex and cycles joined by
 bridges, with their vertices numbered in a shuffled order.
 """
 
+import json
 import random
 
-from dpchroma import chromatic
 from dpchroma.chromatic import (
-    CHROMATIC_NODE_LIMIT,
+    CHROMATIC_WORK_LIMIT,
     Precoloring,
     chromatic_polynomial,
     precolored_count,
     precolored_polynomial,
 )
 from dpchroma.cli import main
+from dpchroma.covers import count_colorings, identity_cover
 from dpchroma.graphs import Graph, ThetaSpec, build_generalized_theta, spanning_forest
 from dpchroma.poly import M, IntPoly
 from dpchroma.verify import _valid_length_tuples
@@ -108,14 +110,19 @@ def test_random_graphs_against_inclusion_exclusion():
 def test_random_precolorings_against_counts():
     rng = random.Random(770)
     conflicts = 0
-    for _ in range(60):
+    for trial in range(90):
         g = random_graph(rng, rng.randint(3, 6), 9)
         domain = [v for v in g.vertices if rng.random() < 0.5]
         bound = g.n + rng.randint(0, 1)
-        assignment = {v: rng.randint(1, min(bound, 3)) for v in domain}
+        if trial < 60:
+            assignment = {v: rng.randint(1, min(bound, 3)) for v in domain}
+        else:  # colors that are not 1..s, such as {2, 5}
+            palette = rng.sample(range(1, bound + 1), min(bound, 2))
+            assignment = {v: rng.choice(palette) for v in domain}
         pc = Precoloring(assignment, bound)
         poly = precolored_polynomial(g, pc)
-        if chromatic._conflicts(g, pc):
+        colors = [assignment.get(v) for v in g.vertices]
+        if any(colors[a] is not None and colors[a] == colors[b] for a, b in g.edges):
             conflicts += 1
             assert poly == IntPoly()
         for m in range(bound, bound + 3):
@@ -126,39 +133,58 @@ def test_random_precolorings_against_counts():
 def test_theta_identity_graphs_against_plain_recursion():
     for lengths in _valid_length_tuples(4, 5):
         g = build_generalized_theta(ThetaSpec(lengths))
-        poly = chromatic_polynomial(g, limit=g.n)
+        poly = chromatic_polynomial(g)
         assert poly == reference_chrom(g.n, list(g.edges)), lengths
     for lengths in _valid_length_tuples(3, 4):
         g = build_generalized_theta(ThetaSpec(lengths))
         for j in range(len(lengths)):
             gg = g.without_edges([j])
-            assert chromatic_polynomial(gg, limit=gg.n) == reference_chrom(
+            assert chromatic_polynomial(gg) == reference_chrom(
                 gg.n, list(gg.edges)
             ), (lengths, j)
 
 
-def test_each_two_core_is_expanded_once(monkeypatch):
-    calls = []
-
-    def counted(n, edges):
-        calls.append(n)
-        return spanning_forest(n, edges)
-
-    monkeypatch.setattr(chromatic, "spanning_forest", counted)
-    g = build_generalized_theta(ThetaSpec((5, 5, 5, 5)))
-    assert chromatic_polynomial(g, limit=g.n) == reference_chrom(g.n, list(g.edges))
-    # One pass per memo miss: 36 here, where the unmemoised recursion made
-    # one pass per node, 737 in all.
-    assert len(calls) <= 36
+def cycle(n: int) -> Graph:
+    return Graph(tuple(f"c{i:04d}" for i in range(n)), tuple((i, (i + 1) % n) for i in range(n)))
 
 
-def test_sparse_16_vertex_graph_exhausts_the_node_budget(tmp_path, capsys):
+def grid(rows: int, cols: int, by_rows: bool = True) -> Graph:
+    """The rows x cols grid, its vertices numbered row by row or column by column."""
+    number = (lambda r, c: r * cols + c) if by_rows else (lambda r, c: c * rows + r)
+    edges = [(number(r, c), number(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    edges += [(number(r, c), number(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return Graph(tuple(f"g{i:03d}" for i in range(rows * cols)), tuple(edges))
+
+
+def test_cycles_against_their_closed_form():
+    for n in (3, 4, 5, 12, 31, 200):
+        assert chromatic_polynomial(cycle(n)) == (M - 1) ** n + (-1) ** n * (M - 1), n
+
+
+def test_grid_polynomial_does_not_depend_on_the_labelling():
+    by_rows = chromatic_polynomial(grid(4, 30))
+    assert by_rows == chromatic_polynomial(grid(4, 30, by_rows=False))
+    assert by_rows(2) == 2  # a connected bipartite graph
+
+
+def test_sparse_16_vertex_graph_against_the_feedback_set_counter(tmp_path, capsys):
     rng = random.Random(16)
     pairs = [(a, b) for a in range(16) for b in range(a + 1, 16)]
     g = Graph(tuple(f"v{i:02d}" for i in range(16)), tuple(sorted(rng.sample(pairs, 60))))
     path = tmp_path / "sparse.txt"
     path.write_text(g.to_text())
-    assert main(["chrom", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "search budget exceeded" in err
-    assert f"limit of {CHROMATIC_NODE_LIMIT}" in err
+    assert main(["chrom", str(path), "--format", "json"]) == 0
+    coeffs = json.loads(capsys.readouterr().out)["polynomial"]["coefficients"]
+    poly = IntPoly(int(c) for c in coeffs)
+    for m in range(1, 6):
+        assert poly(m) == count_colorings(g, identity_cover(g, m)), m
+
+
+def test_wide_grid_is_refused_by_the_work_limit(tmp_path, capsys):
+    path = tmp_path / "grid10.txt"
+    path.write_text(grid(10, 10).to_text())
+    assert main(["chrom", str(path), "--limit", "100"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("dpchroma: search budget exceeded: ")
+    assert f"CHROMATIC_WORK_LIMIT = {CHROMATIC_WORK_LIMIT:,}" in err

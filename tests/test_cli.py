@@ -121,13 +121,24 @@ def cycle_file(tmp_path, n: int) -> str:
     return str(path)
 
 
-def test_deletion_contraction_too_deep_for_the_stack_is_a_budget_error(tmp_path, capsys):
-    # `compare` lifts the vertex limit to the graph's size, so only the
-    # recursion depth stops deletion-contraction on a long cycle.
-    code, out, err = run(capsys, "compare", cycle_file(tmp_path, 1200), "--m", "3")
+def test_compare_on_a_1200_vertex_cycle(tmp_path, capsys):
+    code, out, _ = run(capsys, "compare", cycle_file(tmp_path, 1200), "--m", "3")
+    assert code == 0
+    assert out.splitlines()[1].startswith(f"3,{2**1200 + 2},")
+
+
+def test_chrom_vertex_limit(tmp_path, capsys):
+    path = cycle_file(tmp_path, 17)
+    code, out, err = run(capsys, "chrom", path)
+    assert (code, out, err) == (2, "", "dpchroma: 17 vertices exceeds limit 16\n")
+    code, out, _ = run(capsys, "chrom", path, "--limit", "17", "--m", "2")
+    assert code == 0 and out.splitlines()[-1] == f"P({path}, 2) = 0"
+
+
+def test_chrom_rejects_a_negative_limit(capsys):
+    code, out, err = run(capsys, "chrom", "theta:2,2,2", "--limit", "-3")
     assert (code, out) == (2, "")
-    assert err.startswith("dpchroma: search budget exceeded: deletion-contraction")
-    assert err.count("\n") == 1 and "stack" in err
+    assert err == "dpchroma: --limit must be non-negative, not -3\n"
 
 
 def test_chrom_on_a_long_cycle_within_the_stack(tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpchroma.errors import InexactDivision
-from dpchroma.poly import IntPoly, M, eventual_compare, falling_factorial, forest_polynomial
+from dpchroma.poly import IntPoly, M, eventual_compare, forest_polynomial
 
 
 def test_normalization_and_degree():
@@ -21,7 +21,6 @@ def test_arithmetic_and_eval():
     assert p(3) == 6
     assert IntPoly()(12345) == 0
     assert (M - 1) ** 3 == M**3 - 3 * M**2 + 3 * M - 1
-    assert falling_factorial(3) == M * (M - 1) * (M - 2)
     assert str(M**2 - M) == "0 + -1*m + 1*m^2"
 
 
