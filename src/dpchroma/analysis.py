@@ -25,11 +25,10 @@ from .covers import (
     partitions_of,
     shift_cover,
     star_collision_weight,
-    subset_agreement_count,
+    subset_walk,
     twist_profile,
 )
 from .errors import (
-    GraphTooLarge,
     InexactDivision,
     OutOfRange,
     OutOfScope,
@@ -43,7 +42,6 @@ from .graphs import (
     component_count,
     find_feedback_vertex,
     star_forest_decomposition,
-    subset_cycle_lengths,
 )
 from .poly import M, IntPoly, eventual_compare, forest_polynomial
 
@@ -330,8 +328,10 @@ def classify_generalized(spec: ThetaSpec, max_m: int = 64) -> ParityClassificati
     If some path j >= 2 shares the parity of path 1, the DP color function
     eventually drops below the chromatic polynomial; the returned bound is
     the first fold where the edge-deletion test certifies the drop (found
-    by sweeping m <= max_m with the closed forms for both polynomials).
+    by sweeping 2 <= m <= max_m with the closed forms for both polynomials).
     """
+    if max_m < 2:
+        raise OutOfRange(f"max_m must be at least 2, not {max_m}")
     if not spec.sorted_for_analysis():
         raise OutOfScope("lengths must satisfy l2 <= ... <= lk and l2 >= max(l1, 2)")
     witness = None
@@ -517,18 +517,16 @@ def cover_subset_audit(cover: FullCover, subsets: bool = True) -> SubsetAuditRep
     failures: list[SubsetCheck] = []
     checked = 0
     if subsets:
-        if l > 20:
-            raise GraphTooLarge("more than 20 edges in the subset sweep")
+        components, agreements = subset_walk(cover)
         cycle_size = None if mu == 0 else spec.lengths[0] + spec.lengths[mu - 1]
         for mask in range(1, 1 << l):
             checked += 1
-            agree = subset_agreement_count(cover, mask)
-            c = component_count(g, mask)
-            diff = agree - m**c
+            c = components[mask]
+            diff = agreements[mask] - m**c
             checks: list[tuple[str, str, bool]] = [
                 ("range", f"-{m}^{c} <= diff <= 0", -(m**c) <= diff <= 0)
             ]
-            cycles = subset_cycle_lengths(g, mask)
+            cycles = g.subset_cycles[mask]
             p = bin(mask).count("1")
             if mu == 0 or not cycles or max(cycles) < cycle_size:
                 category = "short-cycle"

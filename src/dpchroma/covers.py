@@ -50,6 +50,7 @@ from .poly import M, IntPoly, forest_polynomial
 Perm = tuple[int | None, ...]
 
 BRUTE_FORCE_LIMIT = 4_000_000
+SUBSET_EDGE_LIMIT = 20
 
 
 def identity_perm(m: int) -> Perm:
@@ -549,6 +550,79 @@ def subset_agreement_count(cover: FullCover, subset: EdgeSubset) -> int:
     for ok in allowed.values():
         total *= sum(ok)
     return total
+
+
+def subset_walk(cover: FullCover) -> tuple[list[int], list[int]]:
+    """Component count and agreement count of every edge subset of a full
+    cover, as two lists indexed by mask (at most `SUBSET_EDGE_LIMIT` edges).
+
+    One depth-first walk decides each edge in turn, excluded then included,
+    over an undoable union-find: union by size and no path compression, so
+    a merge is undone by resetting one parent.  A non-root vertex keeps the
+    permutation carrying its parent's fiber to its own; a root keeps the
+    bitmask of colors its component can take there, and the agreement count
+    is the running product of those masks' sizes.  The walk visits
+    2^(|E|+1) - 1 nodes, where `component_count` and
+    `subset_agreement_count` (the per-subset routes, kept as its oracles)
+    each make a fresh forest pass per subset.
+    """
+    if not cover.is_full:
+        raise CoverMismatch("agreement counts require a full cover")
+    g, m = cover.graph, cover.m
+    if len(g.edges) > SUBSET_EDGE_LIMIT:
+        raise GraphTooLarge(f"more than {SUBSET_EDGE_LIMIT} edges in the subset walk")
+    perms, edges = cover.edge_perms(), g.edges
+    parent = list(range(g.n))
+    size = [1] * g.n
+    link: list[Perm] = [identity_perm(m)] * g.n
+    allowed = [(1 << m) - 1] * g.n
+    components = [0] * (1 << len(edges))
+    agreements = components[:]
+
+    def climb(v: int) -> tuple[int, Perm | None]:
+        """v's root and the permutation carrying its fiber to v's (None for
+        the identity)."""
+        rho = None
+        while parent[v] != v:
+            rho = link[v] if rho is None else compose(rho, link[v])
+            v = parent[v]
+        return v, rho
+
+    def rec(i: int, mask: int, roots: int, product: int):
+        if i == len(edges):
+            components[mask] = roots
+            agreements[mask] = product
+            return
+        rec(i + 1, mask, roots, product)
+        mask |= 1 << i
+        (ra, ta), (rb, tb) = climb(edges[i][0]), climb(edges[i][1])
+        step = perms[i] if ta is None else compose(perms[i], ta)
+        if ra == rb:  # the edge closes a cycle: keep the consistent colors
+            old = allowed[ra]
+            ok = sum(1 << j for j in range(m) if step[j] == (j if tb is None else tb[j]))
+            allowed[ra] = old & ok
+            if product:
+                product = product // old.bit_count() * allowed[ra].bit_count()
+            rec(i + 1, mask, roots, product)
+            allowed[ra] = old
+            return
+        # rb's fiber is `step` of ra's; hang the smaller tree below the other
+        carry = step if tb is None else compose(invert_perm(tb), step)
+        if size[ra] < size[rb]:
+            ra, rb, carry = rb, ra, invert_perm(carry)
+        old, hung = allowed[ra], allowed[rb]
+        allowed[ra] = sum(1 << j for j in range(m) if old >> j & 1 and hung >> carry[j] & 1)
+        if product:
+            product = product // (old.bit_count() * hung.bit_count()) * allowed[ra].bit_count()
+        parent[rb], link[rb] = ra, carry
+        size[ra] += size[rb]
+        rec(i + 1, mask, roots - 1, product)
+        parent[rb] = rb
+        size[ra] -= size[rb]
+        allowed[ra] = old
+
+    rec(0, 0, g.n, m**g.n)
+    return components, agreements
 
 
 @dataclass(frozen=True)

@@ -217,6 +217,14 @@ class Graph:
         _, cotree = spanning_forest(self.n, self.edges)
         return frozenset(range(len(self.edges))).difference(cotree)
 
+    @cached_property
+    def subset_cycles(self) -> tuple[list[int], ...]:
+        """`subset_cycle_lengths` of every edge subset, indexed by mask and
+        computed once per graph (the empty subset has no cycles)."""
+        return ([],) + tuple(
+            subset_cycle_lengths(self, mask) for mask in range(1, 1 << len(self.edges))
+        )
+
     def is_forest(self) -> bool:
         return not spanning_forest(self.n, self.edges)[1]
 

@@ -41,7 +41,8 @@ from .covers import (
     PartitionSpec,
     partitions_of,
     random_cover,
-    subset_agreement_count,
+    SUBSET_EDGE_LIMIT,
+    subset_walk,
 )
 from .errors import GraphTooLarge
 from .graphs import (
@@ -49,7 +50,6 @@ from .graphs import (
     StarDecomposition,
     ThetaSpec,
     build_generalized_theta,
-    component_count,
 )
 from .poly import IntPoly, eventual_compare
 
@@ -63,9 +63,9 @@ _FVS1_FOLDS = {"theta:2,2,2": (3, 4, 5, 6), "triangle": (3, 4, 5), "bowtie": (3,
 CHECK_KINDS = {
     kind: (kind.split("/")[0], rule)
     for kind, rule in {
-        "theta-chromatic": "closed form equals deletion-contraction",
-        "theta-edge-deleted": "edge-deleted closed form equals deletion-contraction",
-        "edge-pair-forms": "surgery closed form equals deletion-contraction",
+        "theta-chromatic": "closed form equals the color-pattern transfer",
+        "theta-edge-deleted": "edge-deleted closed form equals the color-pattern transfer",
+        "edge-pair-forms": "surgery closed form equals the color-pattern transfer",
         "term-differences": "both paths agree, signs and chains hold",
         "dp-formula-vs-search": "parity-case formula equals exhaustive minimum",
         "loss-bound": "five-term bound equals the minimum",
@@ -228,10 +228,11 @@ def suite_formula_search(seed):
 
 
 def subset_sum(g: Graph, term) -> int:
-    """Sum of (-1)^|S| term(S) over every edge subset S (at most 20 edges):
-    the inclusion-exclusion oracle of the `inclusion-exclusion` suite."""
-    if len(g.edges) > 20:
-        raise GraphTooLarge("more than 20 edges in the subset sum")
+    """Sum of (-1)^|S| term(S) over every edge subset S (at most
+    `SUBSET_EDGE_LIMIT` edges): the inclusion-exclusion oracle of the
+    `inclusion-exclusion` suite."""
+    if len(g.edges) > SUBSET_EDGE_LIMIT:
+        raise GraphTooLarge(f"more than {SUBSET_EDGE_LIMIT} edges in the subset sum")
     total = 0
     for mask in range(1 << len(g.edges)):
         sign = -1 if bin(mask).count("1") & 1 else 1
@@ -241,11 +242,13 @@ def subset_sum(g: Graph, term) -> int:
 
 @_suite("inclusion-exclusion")
 def suite_inclusion_exclusion(seed):
-    """Subset-sum counts against direct evaluation, for colorings and covers."""
+    """Subset-sum counts against direct evaluation, for colorings and covers.
+    The subset terms come from one `subset_walk` per graph and per cover."""
     for name, g in _graph_zoo().items():
         poly = chromatic_polynomial(g)
+        components, _ = subset_walk(identity_cover(g, 1))
         for m in range(1, 5):
-            sum_ = subset_sum(g, lambda s: m ** component_count(g, s))
+            sum_ = subset_sum(g, lambda s: m ** components[s])
             yield "ie-chromatic", f"{name} m={m}", poly(m), sum_
     rng = random.Random(seed)
     for lengths in ((2, 2, 3), (2, 3, 3)):
@@ -254,7 +257,8 @@ def suite_inclusion_exclusion(seed):
             cover = random_cover(g, 3, rng)
             instance = f"{ThetaSpec(lengths)} m=3 sample={i}"
             count = count_colorings(g, cover)
-            by_subsets = subset_sum(g, lambda s: subset_agreement_count(cover, s))
+            _, agreements = subset_walk(cover)
+            by_subsets = subset_sum(g, agreements.__getitem__)
             yield "ie-cover", instance, count, by_subsets
 
 

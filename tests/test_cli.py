@@ -180,3 +180,13 @@ def test_verify_json_is_deterministic(capsys):
     assert payload["failed"] == 0
     for check in payload["checks"][:3]:
         assert set(check) == {"name", "rule", "instance", "expected", "actual", "pass"}
+
+
+def test_scan_rejects_a_sweep_below_fold_two(capsys):
+    for spec in ("theta:2,2,3", "theta:2,3,3"):  # eventually-less, eventually-equal
+        for max_m in ("1", "-3"):
+            code, out, err = run(capsys, "scan", spec, "--max-m", max_m)
+            want = f"dpchroma: max_m must be at least 2, not {max_m}\n"
+            assert (code, out, err) == (2, "", want)
+    code, out, _ = run(capsys, "scan", "theta:2,2,4", "--max-m", "2", "--format", "json")
+    assert code == 0 and json.loads(out)["searched_to"] == 2
