@@ -1,9 +1,10 @@
 """Exact chromatic polynomials and coloring counts.
 
 Every chromatic polynomial, precolored or not, comes from one transfer
-over the vertices in Cuthill-McKee order (the transfer-matrix method of
-Biggs, Damerell and Sands, JCTB 1972; Salas and Sokal, J. Stat. Phys.
-2001).  Its states are the partitions of the active vertices by equal
+over the vertices in a frontier-greedy order (the transfer-matrix method
+of Biggs, Damerell and Sands, JCTB 1972; Salas and Sokal, J. Stat. Phys.
+2001): each next vertex is the one that leaves the fewest vertices
+active.  Its states are the partitions of the active vertices by equal
 color, so its cost follows the width of that order, not the number of
 cycles.  Generalized Theta graphs additionally get the classical closed
 form, which the rest of the package cross-checks against the transfer.
@@ -33,26 +34,31 @@ def chromatic_polynomial(g: Graph) -> IntPoly:
     return _transfer(g, {})
 
 
-def _cuthill_mckee(g: Graph) -> list[int]:
-    """Breadth-first order of each component from a least-degree vertex,
-    neighbors taken by degree; ties go to the lower index."""
+def _frontier_order(g: Graph) -> list[int]:
+    """Each component from a least-degree vertex, then always the frontier
+    vertex (unentered, with an entered neighbor) that leaves the fewest
+    vertices active once it enters: +1 if it has an unentered neighbor, -1
+    per entered neighbor it is the last to reach.  Ties go to the fewest
+    unentered neighbors, then to the lower index."""
     adj = g.adjacency
-    by_degree = sorted(range(g.n), key=lambda v: len(adj[v]))
-    rank = {v: i for i, v in enumerate(by_degree)}
+    left = [len(a) for a in adj]  # unentered neighbors
+    roots = iter(sorted(range(g.n), key=left.__getitem__))
+    entered = [False] * g.n
+    frontier: set[int] = set()
     order: list[int] = []
-    seen = [False] * g.n
-    for root in by_degree:
-        if seen[root]:
-            continue
-        seen[root] = True
-        head = len(order)
-        order.append(root)
-        while head < len(order):
-            for u in sorted(adj[order[head]], key=rank.__getitem__):
-                if not seen[u]:
-                    seen[u] = True
-                    order.append(u)
-            head += 1
+
+    def score(x: int) -> tuple[int, int, int]:
+        return (left[x] > 0) - sum(entered[u] and left[u] == 1 for u in adj[x]), left[x], x
+
+    for _ in range(g.n):
+        v = min(frontier, key=score) if frontier else next(r for r in roots if not entered[r])
+        entered[v] = True
+        order.append(v)
+        frontier.discard(v)
+        for u in adj[v]:
+            left[u] -= 1
+            if not entered[u]:
+                frontier.add(u)
     return order
 
 
@@ -73,7 +79,7 @@ def _transfer(g: Graph, named: Mapping[int, int]) -> IntPoly:
     """
     s = len(set(named.values()))
     adj = g.adjacency
-    order = _cuthill_mckee(g)
+    order = _frontier_order(g)
     step = {v: i for i, v in enumerate(order)}
     last = [max((step[u] for u in adj[v]), default=-1) for v in range(g.n)]
     active: list[int] = []

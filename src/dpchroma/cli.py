@@ -98,7 +98,13 @@ def cmd_theta_chrom(args) -> int:
     return 0
 
 
+def check_budget(budget: int) -> None:
+    if budget < 1:
+        raise OutOfRange(f"--budget must be positive, not {budget}")
+
+
 def cmd_dp_exact(args) -> int:
+    check_budget(args.budget)
     g = load_graph(args.source)
     result = min_over_covers(
         g,
@@ -188,6 +194,7 @@ def cmd_dp_formula(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    check_budget(args.budget)
     g = load_graph(args.source)
     low, high = parse_m_range(args.m)
     spec = g.theta

@@ -753,11 +753,17 @@ class MinimizationResult:
 
 
 def worker_count(flag: int | None = None) -> int:
-    """Worker processes for the search: DPCHROMA_WORKERS when set, else
-    the flag, else 1."""
+    """Worker processes for the search: DPCHROMA_WORKERS when set (at least
+    1), else the flag, else 1.  `OutOfRange` for a flag below 1 or a
+    variable that is not an integer."""
+    if flag is not None and flag < 1:
+        raise OutOfRange(f"--workers must be positive, not {flag}")
     env = os.environ.get("DPCHROMA_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise OutOfRange(f"DPCHROMA_WORKERS must be an integer, not {env!r}") from None
     return flag or 1
 
 

@@ -1,16 +1,20 @@
 """Random-oracle tests for the color-pattern transfer behind every
 chromatic polynomial.
 
-`chromatic._transfer` walks the vertices in Cuthill-McKee order and
-keeps the partitions of the active vertices by color.  The graphs here
-have what that walk must get right: isolated vertices, pendant trees,
-several components, cycles sharing a vertex and cycles joined by
-bridges, with their vertices numbered in a shuffled order.
+`chromatic._transfer` walks the vertices in a frontier-greedy order and
+keeps the partitions of the active vertices by color.  Each component
+starts at a least-degree vertex; each next vertex is the frontier vertex
+that leaves the fewest active vertices, then the one with the fewest
+unentered neighbors, then the lowest index.  The graphs here have what
+that walk must get right: isolated vertices, pendant trees, several
+components, cycles sharing a vertex and cycles joined by bridges, with
+their vertices numbered in a shuffled order.
 """
 
 import json
 import random
 
+from dpchroma import chromatic
 from dpchroma.chromatic import (
     CHROMATIC_WORK_LIMIT,
     Precoloring,
@@ -130,18 +134,60 @@ def test_random_precolorings_against_counts():
     assert conflicts >= 3
 
 
-def test_theta_identity_graphs_against_plain_recursion():
-    for lengths in _valid_length_tuples(4, 5):
-        g = build_generalized_theta(ThetaSpec(lengths))
-        poly = chromatic_polynomial(g)
-        assert poly == reference_chrom(g.n, list(g.edges)), lengths
+def theta_identity_graphs() -> list[Graph]:
+    """The 840 graphs of the theta-identity suite: Theta graphs and Theta
+    graphs less one edge at u."""
+    graphs = [build_generalized_theta(ThetaSpec(t)) for t in _valid_length_tuples(4, 5)]
     for lengths in _valid_length_tuples(3, 4):
         g = build_generalized_theta(ThetaSpec(lengths))
-        for j in range(len(lengths)):
-            gg = g.without_edges([j])
-            assert chromatic_polynomial(gg) == reference_chrom(
-                gg.n, list(gg.edges)
-            ), (lengths, j)
+        graphs += [g.without_edges([j]) for j in range(len(lengths))]
+    return graphs
+
+
+def test_theta_identity_graphs_against_plain_recursion():
+    for g in theta_identity_graphs():
+        assert chromatic_polynomial(g) == reference_chrom(g.n, list(g.edges)), g.edges
+
+
+def active_counts(g: Graph, order: list[int]) -> list[int]:
+    """Vertices active after each step of `order`: entered, with a neighbor
+    still to enter."""
+    step = {v: i for i, v in enumerate(order)}
+    last = [max((step[u] for u in g.adjacency[v]), default=-1) for v in range(g.n)]
+    return [sum(last[u] > i for u in order[: i + 1]) for i in range(g.n)]
+
+
+def test_order_keeps_theta_identity_graphs_narrow():
+    graphs = theta_identity_graphs()
+    assert len(graphs) == 840
+    for g in graphs:
+        order = chromatic._frontier_order(g)
+        assert sorted(order) == list(range(g.n))
+        assert max(active_counts(g, order)) <= 3, g.edges
+
+
+def relabeled(g: Graph, rng: random.Random) -> Graph:
+    """The same graph, names kept, its vertices renumbered at random."""
+    new = list(range(g.n))
+    rng.shuffle(new)
+    vertices = [""] * g.n
+    for v, name in enumerate(g.vertices):
+        vertices[new[v]] = name
+    edges = sorted((min(new[a], new[b]), max(new[a], new[b])) for a, b in g.edges)
+    return Graph(tuple(vertices), tuple(edges))
+
+
+def test_polynomials_do_not_depend_on_the_labelling():
+    rng = random.Random(1313)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(3, 10), 14)
+        assignment = {v: rng.randint(1, 3) for v in g.vertices if rng.random() < 0.4}
+        pc = Precoloring(assignment, g.n + 1)
+        poly, pre = chromatic_polynomial(g), precolored_polynomial(g, pc)
+        for _ in range(3):
+            h = relabeled(g, rng)
+            assert chromatic_polynomial(h) == poly, (g.edges, h.edges)
+            assert precolored_polynomial(h, pc) == pre, (g.edges, h.edges, assignment)
 
 
 def cycle(n: int) -> Graph:

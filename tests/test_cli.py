@@ -190,3 +190,35 @@ def test_scan_rejects_a_sweep_below_fold_two(capsys):
             assert (code, out, err) == (2, "", want)
     code, out, _ = run(capsys, "scan", "theta:2,2,4", "--max-m", "2", "--format", "json")
     assert code == 0 and json.loads(out)["searched_to"] == 2
+
+
+def test_search_budget_below_one_is_rejected(capsys):
+    for argv in (
+        ("dp-exact", "theta:2,2,2", "--m", "3"),
+        ("compare", "theta:2,2,2", "--m", "3", "--exact"),
+        ("compare", "theta:2,2,2", "--m", "3"),
+    ):
+        for budget in ("0", "-1", "-5"):
+            code, out, err = run(capsys, *argv, "--budget", budget)
+            want = f"dpchroma: --budget must be positive, not {budget}\n"
+            assert (code, out, err) == (2, "", want), argv
+    code, out, err = run(capsys, "dp-exact", "theta:2,2,2", "--m", "3", "--budget", "2")
+    assert (code, out) == (2, "")
+    assert err == "dpchroma: search budget exceeded: 18 covers exceed the budget of 2\n"
+    code, out, _ = run(capsys, "dp-exact", "theta:2,2,2", "--m", "3", "--budget", "18")
+    assert code == 0 and out.startswith("P_DP(theta:2,2,2, 3) = 18 ")
+
+
+def test_worker_count_errors_name_the_flag_or_the_variable(monkeypatch, capsys):
+    monkeypatch.delenv("DPCHROMA_WORKERS", raising=False)
+    for workers in ("0", "-3"):
+        argv = ("dp-exact", "theta:2,2,2", "--m", "3", "--workers", workers)
+        want = f"dpchroma: --workers must be positive, not {workers}\n"
+        assert run(capsys, *argv) == (2, "", want)
+    monkeypatch.setenv("DPCHROMA_WORKERS", "abc")
+    want = "dpchroma: DPCHROMA_WORKERS must be an integer, not 'abc'\n"
+    for argv in (
+        ("dp-exact", "theta:2,2,2", "--m", "3"),
+        ("compare", "theta:2,2,2", "--m", "3", "--exact"),
+    ):
+        assert run(capsys, *argv) == (2, "", want)

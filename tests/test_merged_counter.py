@@ -23,7 +23,7 @@ from dpchroma.covers import (
     identity_perm,
     worker_count,
 )
-from dpchroma.errors import GraphTooLarge
+from dpchroma.errors import GraphTooLarge, OutOfRange
 from dpchroma.graphs import (
     FeedbackVertex,
     Graph,
@@ -189,6 +189,17 @@ def test_worker_count_precedence(monkeypatch):
     monkeypatch.setenv("DPCHROMA_WORKERS", "2")
     assert worker_count(3) == 2
     assert worker_count() == 2
+    monkeypatch.setenv("DPCHROMA_WORKERS", "-4")  # the variable is clamped to 1
+    assert worker_count(3) == 1
+    monkeypatch.setenv("DPCHROMA_WORKERS", "")  # empty counts as unset
+    assert worker_count(3) == 3
+    for flag in (0, -3):
+        with pytest.raises(OutOfRange, match=f"--workers must be positive, not {flag}"):
+            worker_count(flag)
+    for env in ("abc", "1.5"):
+        monkeypatch.setenv("DPCHROMA_WORKERS", env)
+        with pytest.raises(OutOfRange, match="DPCHROMA_WORKERS must be an integer"):
+            worker_count()
 
 
 def test_compare_computes_the_fvs1_polynomial_once(monkeypatch, capsys):
