@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chromatic import (
+    _transfer,
     chromatic_polynomial,
     theta_chromatic,
     theta_closed_form,
@@ -24,7 +25,6 @@ from .covers import (
     count_colorings,
     partitions_of,
     shift_cover,
-    star_collision_weight,
     subset_walk,
     twist_profile,
 )
@@ -351,12 +351,18 @@ def classify_generalized(spec: ThetaSpec, max_m: int = 64) -> ParityClassificati
     return ParityClassification(spec, "eventually-less", witness, bound, max_m)
 
 
-def _leaf_grouping(d: StarDecomposition, partition: PartitionSpec) -> tuple[int, ...]:
-    """The leaves' parts, renumbered in order of first occurrence."""
-    first: dict[int, int] = {}
-    return tuple(
-        first.setdefault(partition.shift[v], len(first)) for v in d.alphas[1:]
-    )
+def _avoidance_count(d: StarDecomposition, grouping: PartitionSpec) -> IntPoly:
+    """Colorings of the forest in which each leaf avoids its part's color:
+    m for the isolated center times the avoidance count of every tree, one
+    color-pattern transfer with the parts as avoided fixed colors."""
+    f = d.forest
+    return _transfer(f, {}, {f.index[v]: grouping.shift[v] for v in d.alphas[1:]})
+
+
+def _forest_chromatic(d: StarDecomposition) -> IntPoly:
+    """P(forest), the center an isolated vertex of it."""
+    f = d.forest
+    return forest_polynomial(component_count(f, f.full_mask), len(f.edges))
 
 
 def partition_weight(d: StarDecomposition, partition: PartitionSpec) -> IntPoly:
@@ -364,12 +370,13 @@ def partition_weight(d: StarDecomposition, partition: PartitionSpec) -> IntPoly:
 
     Counts (as a polynomial) the proper colorings of the forest that give
     the center its partition color and at least one leaf its partition
-    color.  The count depends only on which leaves share a part, and is
-    one tree DP per tree of the forest (`covers.star_collision_weight`).
+    color: P(forest) less the colorings in which every leaf avoids its
+    part's color, over m.  The count depends only on which leaves share a
+    part.
     """
     if partition.vertex_set != frozenset(d.alphas):
         raise ValueError("partition must cover exactly the star's vertices")
-    return star_collision_weight(d, _leaf_grouping(d, partition))
+    return (_forest_chromatic(d) - _avoidance_count(d, partition)).exact_div(M)
 
 
 @dataclass(frozen=True)
@@ -392,9 +399,10 @@ class FeedbackPolynomialResult:
         return shift_cover(self.graph, self.decomposition, self.partition, m)
 
 
-#: Most partitions of the star that `fvs1_dp_polynomial` enumerates:
-#: Bell(10), so stars of up to 10 vertices.  Bell(11) = 678,570 partitions
-#: would take minutes and more than 1 GB.
+#: Most partitions of the star that `fvs1_dp_polynomial` accepts: Bell(10),
+#: so stars of up to 10 vertices.  A fan with 11 star vertices (Bell(11) =
+#: 678,570 partitions, 115,975 leaf groupings) takes 77 s and 260 MB on a
+#: 2-vCPU VM with Python 3.11.
 FVS1_PARTITION_LIMIT = 115_975
 
 
@@ -409,16 +417,28 @@ def _bell(k: int) -> int:
     return row[0]
 
 
+def _star_partitions(center: str, grouping: PartitionSpec) -> list[PartitionSpec]:
+    """The partitions of the star with this leaf grouping, center part
+    first: the center joins part c, or stands alone."""
+    parts = grouping.parts + (frozenset(),)
+    return [
+        PartitionSpec((parts[c] | {center},) + parts[:c] + parts[c + 1 : -1])
+        for c in range(len(parts))
+    ]
+
+
 def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
     """Polynomial form of the DP color function for feedback-vertex-one graphs.
 
-    Enumerates all partitions of the star's vertex set, takes the weight
-    that is eventually maximal (ties resolved to the earliest partition in
-    restricted-growth order; tied partitions give the same polynomial),
-    and subtracts m times it from the forest's chromatic polynomial.
-    A weight depends only on the leaf grouping, so a star with k vertices
-    needs Bell(k - 1) weights for its Bell(k) partitions, and the weights
-    are compared once per grouping.
+    A shift cover whose star partition groups the leaves as r counts
+    `_avoidance_count(r)`, the same for every place of the center.  The
+    polynomial is the eventually least of these over the Bell(k - 1) leaf
+    groupings of a star with k vertices (ties resolved to the earliest in
+    restricted-growth order, tied groupings give the same polynomial).
+    Since P(forest) = m * P(forest - center), it is P(forest) - m * weight,
+    with weight the `partition_weight` of the winning partition; two counts
+    differ by m times their weights' difference, so the winner, its ties
+    and every crossing bound are those of the weights.
     """
     if not g.n:
         raise OutOfScope("graph has no vertices")
@@ -435,35 +455,28 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
             f"{count} partitions of {len(d.alphas)} star vertices exceed "
             f"the limit of {FVS1_PARTITION_LIMIT}"
         )
-    candidates = partitions_of(d.alphas)
-    groupings = [_leaf_grouping(d, p) for p in candidates]
-    weights: dict[tuple[int, ...], IntPoly] = {}
-    for key, p in zip(groupings, candidates):
-        if key not in weights:
-            weights[key] = partition_weight(d, p)
-    keys = list(weights)
-    best = keys[0]
-    for key in keys[1:]:
-        relation, _ = eventual_compare(weights[key], weights[best])
-        if relation == "greater":
-            best = key
+    groupings = partitions_of(d.alphas[1:])
+    counts = [_avoidance_count(d, r) for r in groupings]
+    best = 0
+    for i in range(1, len(counts)):
+        relation, _ = eventual_compare(counts[i], counts[best])
+        if relation == "less":
+            best = i
     bounds = [g.n]
-    tied = set()
-    for key in keys:
-        relation, cross = eventual_compare(weights[best], weights[key])
-        if relation == "less":  # pragma: no cover - best is eventually maximal
+    maximizers = []
+    for r, c in zip(groupings, counts):
+        relation, cross = eventual_compare(c, counts[best])
+        if relation == "less":  # pragma: no cover - best is eventually least
             raise AssertionError("maximizer selection failed")
         if relation == "equal":
-            tied.add(key)
+            maximizers += _star_partitions(d.center, r)
         bounds.append(cross)
-    maximizers = tuple(p for key, p in zip(groupings, candidates) if key in tied)
-    forest = d.forest
-    trees = component_count(forest, forest.full_mask)
-    forest_poly = forest_polynomial(trees, len(forest.edges))
-    dp = forest_poly - M * weights[best]
-    partition = candidates[groupings.index(best)]
+    maximizers.sort(key=lambda p: [p.shift[v] for v in d.alphas])
+    dp = counts[best]
+    weight = (_forest_chromatic(d) - dp).exact_div(M)
+    partition = _star_partitions(d.center, groupings[best])[0]
     return FeedbackPolynomialResult(
-        g, d, partition, weights[best], dp, max(bounds), maximizers
+        g, d, partition, weight, dp, max(bounds), tuple(maximizers)
     )
 
 
@@ -594,5 +607,8 @@ def list_color_threshold(edge_count: int) -> tuple[float, int]:
     """
     if edge_count < 0:
         raise OutOfRange("edge count cannot be negative")
-    threshold = (edge_count - 1) / LIST_THRESHOLD_DENOMINATOR
+    try:
+        threshold = (edge_count - 1) / LIST_THRESHOLD_DENOMINATOR
+    except OverflowError:
+        raise OutOfRange("edge count too large for a floating-point threshold") from None
     return threshold, max(1, math.floor(threshold) + 1)

@@ -1,10 +1,11 @@
 """Exact chromatic polynomials and coloring counts.
 
-Every chromatic polynomial, precolored or not, comes from one transfer
-over the vertices in a frontier-greedy order (the transfer-matrix method
-of Biggs, Damerell and Sands, JCTB 1972; Salas and Sokal, J. Stat. Phys.
-2001): each next vertex is the one that leaves the fewest vertices
-active.  Its states are the partitions of the active vertices by equal
+Every chromatic polynomial, precolored or not, and every count behind
+the feedback-vertex-one weights (leaves that avoid a color) comes from
+one transfer over the vertices in a frontier-greedy order (the
+transfer-matrix method of Biggs, Damerell and Sands, JCTB 1972; Salas and
+Sokal, J. Stat. Phys. 2001): each next vertex is the one that leaves the
+fewest vertices active.  Its states are the partitions of the active vertices by equal
 color, so its cost follows the width of that order, not the number of
 cycles.  Generalized Theta graphs additionally get the classical closed
 form, which the rest of the package cross-checks against the transfer.
@@ -31,15 +32,16 @@ def chromatic_polynomial(g: Graph) -> IntPoly:
 
     Raises `SearchBudgetExceeded` past `CHROMATIC_WORK_LIMIT` updates.
     """
-    return _transfer(g, {})
+    return _transfer(g, {}, {})
 
 
 def _frontier_order(g: Graph) -> list[int]:
     """Each component from a least-degree vertex, then always the frontier
     vertex (unentered, with an entered neighbor) that leaves the fewest
     vertices active once it enters: +1 if it has an unentered neighbor, -1
-    per entered neighbor it is the last to reach.  Ties go to the fewest
-    unentered neighbors, then to the lower index."""
+    per entered neighbor it is the last to reach.  Ties go to the most
+    entered neighbors, then to the fewest unentered ones, then to the lower
+    index."""
     adj = g.adjacency
     left = [len(a) for a in adj]  # unentered neighbors
     roots = iter(sorted(range(g.n), key=left.__getitem__))
@@ -47,8 +49,9 @@ def _frontier_order(g: Graph) -> list[int]:
     frontier: set[int] = set()
     order: list[int] = []
 
-    def score(x: int) -> tuple[int, int, int]:
-        return (left[x] > 0) - sum(entered[u] and left[u] == 1 for u in adj[x]), left[x], x
+    def score(x: int) -> tuple[int, int, int, int]:
+        retired = sum(entered[u] and left[u] == 1 for u in adj[x])
+        return (left[x] > 0) - retired, left[x] - len(adj[x]), left[x], x
 
     for _ in range(g.n):
         v = min(frontier, key=score) if frontier else next(r for r in roots if not entered[r])
@@ -62,10 +65,11 @@ def _frontier_order(g: Graph) -> list[int]:
     return order
 
 
-def _transfer(g: Graph, named: Mapping[int, int]) -> IntPoly:
+def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> IntPoly:
     """Colorings of g that put each vertex v of `named` on fixed color
-    named[v], the s fixed colors numbered 0..s-1, as a polynomial in m: the
-    count at every m at which the fixed colors are colors.
+    named[v] and each vertex v of `avoid` on any color but avoid[v], the s
+    fixed colors numbered 0..s-1, as a polynomial in m: the count at every
+    m at which the fixed colors are colors.
 
     A vertex is active from its entry until its last neighbor enters.  A
     state gives each active vertex the label of its color block: labels
@@ -75,9 +79,10 @@ def _transfer(g: Graph, named: Mapping[int, int]) -> IntPoly:
     vertices that induce it.  With b blocks (the s fixed ones included),
     an entering vertex joins a block that holds none of its neighbors, or
     takes one of the m - b new colors; a fixed vertex may only join its
-    own block.  Retired vertices are dropped and equal states merge.
+    own block, and an avoiding vertex treats its avoided block as taken.
+    Retired vertices are dropped and equal states merge.
     """
-    s = len(set(named.values()))
+    s = 1 + max([*named.values(), *avoid.values()], default=-1)
     adj = g.adjacency
     order = _frontier_order(g)
     step = {v: i for i, v in enumerate(order)}
@@ -90,11 +95,13 @@ def _transfer(g: Graph, named: Mapping[int, int]) -> IntPoly:
         keep = [k for k, u in enumerate(active) if last[u] > i]
         stays = last[v] > i
         active = [active[k] for k in keep] + [v] * stays
-        fixed = named.get(v)
+        fixed, shun = named.get(v), avoid.get(v)
         merged: dict[tuple[int, ...], list[int]] = {}
         for labels, w in states.items():
             b = max(s, max(labels, default=-1) + 1)
             taken = {labels[k] for k in near}
+            if shun is not None:
+                taken.add(shun)
             free: dict[int, int] = {}  # the kept free blocks, renumbered in order
             kept = tuple(
                 a if a < s else free.setdefault(a, s + len(free))
@@ -299,4 +306,4 @@ def precolored_polynomial(g: Graph, pc: Precoloring) -> IntPoly:
     """
     _check_precoloring(g, pc)
     colors = sorted(set(pc.assignment.values()))
-    return _transfer(g, {g.index[v]: colors.index(c) for v, c in pc.assignment.items()})
+    return _transfer(g, {g.index[v]: colors.index(c) for v, c in pc.assignment.items()}, {})

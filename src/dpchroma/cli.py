@@ -46,11 +46,11 @@ def load_graph(source: str) -> Graph:
 
 def parse_m_range(text: str) -> tuple[int, int]:
     """Either a single fold `m` or an inclusive range `a..b`."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        low, high = int(lo), int(hi)
-    else:
-        low = high = int(text)
+    lo, dots, hi = text.partition("..")
+    try:
+        low, high = int(lo), int(hi if dots else lo)
+    except ValueError:
+        low = high = 0  # not a number: refused below
     if low < 1 or high < low:
         raise DpchromaError(f"bad fold range {text!r}")
     return low, high

@@ -17,6 +17,8 @@ feedback vertex set S, and `BRUTE_FORCE_LIMIT` caps its m^|S| rows.
 one per search chunk.  At its conjugacy level the search is orderly: it
 counts one cover per conjugacy orbit and finds the same first minimum as
 a count of every cover (see `_search_chunk`).
+Star partitions (`partitions_of`) and their shift covers live here too;
+their weights are color-pattern transfers (`analysis._avoidance_count`).
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .graphs import (
     _bits,
     spanning_forest,
 )
-from .poly import M, IntPoly, forest_polynomial
 
 # A twist is a tuple of images; None marks a fiber vertex with no cross edge,
 # which only occurs in non-full covers.
@@ -105,6 +106,15 @@ def _ascending_partitions(total: int, minimum: int = 1) -> Iterable[tuple[int, .
     for first in range(minimum, total + 1):
         for rest in _ascending_partitions(total - first, first):
             yield (first,) + rest
+
+
+def _partition_count(m: int) -> int:
+    """p(m), the number of cycle types of S_m, by the coin-change DP."""
+    ways = [1] + [0] * m
+    for part in range(1, m + 1):
+        for total in range(part, m + 1):
+            ways[total] += ways[total - part]
+    return ways[m]
 
 
 @cache
@@ -359,63 +369,6 @@ def _tree_dp_vector(
             a * (s - (0 if t is None else child[t])) for a, t in zip(up, rho)
         ]
     return sum(vecs.get(root, start[root]))
-
-
-def _tree_avoidance_polynomial(
-    walk: list[tuple[int, int, int]], avoid: Mapping[int, int]
-) -> IntPoly:
-    """Proper colorings of the tree given by its preorder walk in which each
-    vertex v in `avoid` takes any color but its group's color avoid[v].
-
-    The states are the s group colors met in this tree plus one generic
-    state, which stands for each of the other m - s colors; a child sends
-    its parent total - child[c], where total = sum(special) + (m - s) *
-    generic.  The polynomial equals the count for every m >= s.
-    """
-    special: dict[int, int] = {}
-    for v, _, _ in walk:
-        if v in avoid:
-            special.setdefault(avoid[v], len(special))
-    s = len(special)
-    free = M - s
-    vecs: dict[int, list[IntPoly]] = {}
-    for v, parent, _ in reversed(walk):
-        vec = vecs.pop(v) if v in vecs else [IntPoly([1])] * (s + 1)
-        if v in avoid:
-            vec[special[avoid[v]]] = IntPoly()
-        total = sum(vec[:s], free * vec[s])
-        if parent >= 0:
-            message = [total - c for c in vec]
-            up = vecs.get(parent)
-            if up is not None:
-                message = [a * b for a, b in zip(up, message)]
-            vecs[parent] = message
-    return total  # the root comes last
-
-
-def star_collision_weight(
-    d: StarDecomposition, grouping: Sequence[int]
-) -> IntPoly:
-    """Colorings of the forest that put the center on a fixed color and at
-    least one leaf on its group's color, as a polynomial in m.
-
-    grouping[i] is the group of leaf d.alphas[i + 1]; leaves in one group
-    share one color, distinct groups get distinct colors.  The center is
-    isolated in the forest, so this is P(forest - center) minus the
-    colorings of forest - center in which every leaf avoids its color,
-    one `_tree_avoidance_polynomial` per tree.
-    """
-    g = d.forest
-    center = g.index[d.center]
-    avoid = {g.index[v]: j for v, j in zip(d.alphas[1:], grouping)}
-    trees = 0
-    none = IntPoly([1])
-    for walk in _forest_walk(g, range(len(g.edges))):
-        if walk[0][0] != center:
-            trees += 1
-            none *= _tree_avoidance_polynomial(walk, avoid)
-    every = forest_polynomial(trees, g.n - 1 - trees)
-    return every - none
 
 
 class _FeedbackPlan:
@@ -679,7 +632,7 @@ class PartitionSpec:
     parts: tuple[frozenset[str], ...]
 
     def __post_init__(self):
-        if not self.parts or any(not p for p in self.parts):
+        if any(not p for p in self.parts):
             raise ValueError("parts must be nonempty")
         union: set[str] = set()
         for p in self.parts:
@@ -697,7 +650,8 @@ class PartitionSpec:
 
 
 def partitions_of(labels: Sequence[str]) -> list[PartitionSpec]:
-    """All partitions in restricted-growth-string order; labels[0] sits in part 0."""
+    """All partitions in restricted-growth-string order; labels[0] sits in
+    part 0, and no labels have one partition with no parts."""
     out: list[PartitionSpec] = []
     k = len(labels)
     rgs = [0] * k
@@ -793,14 +747,17 @@ def min_over_covers(
     tree = g.standard_tree
     free_edges = [e for e in range(len(g.edges)) if symmetry == "none" or e not in tree]
     orderly = symmetry == "tree-canonical+conjugacy"
-    firsts = cycle_type_representatives(m) if orderly else []
     fact, rest = factorial(m), len(free_edges) - 1
-    candidates = (len(firsts) or fact) * fact**rest if free_edges else 1
+    first = _partition_count(m) if orderly else fact
+    candidates = first * fact**rest if free_edges else 1
     if candidates > budget:
         raise SearchBudgetExceeded(
             f"{candidates} covers exceed the budget of {budget}"
         )
-    chunks = [(p,) for p in firsts or permutations(range(m))] if free_edges else [()]
+    chunks = [()]
+    if free_edges:
+        firsts = cycle_type_representatives(m) if orderly else permutations(range(m))
+        chunks = [(p,) for p in firsts]
     if workers is None:
         workers = worker_count()
     args = [(g, m, free_edges, chunk, orderly) for chunk in chunks]

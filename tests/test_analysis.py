@@ -1,5 +1,7 @@
+import json
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -466,29 +468,56 @@ def test_partitions_with_one_leaf_grouping_share_their_weight():
 
 
 def test_fvs1_weights_take_no_deletion_contraction(monkeypatch):
-    from dpchroma import analysis, chromatic
+    from dpchroma import analysis, chromatic, verify
 
     def refuse(*args, **kwargs):
-        raise AssertionError("FVS-1 weights must not run the chromatic transfer")
+        raise AssertionError("FVS-1 weights must not take the subset-sum oracle's route")
 
     monkeypatch.setattr(chromatic, "precolored_polynomial", refuse)
-    monkeypatch.setattr(chromatic, "_transfer", refuse)
+    monkeypatch.setattr(verify, "precolored_polynomial", refuse)
     calls = []
-    weight = analysis.partition_weight
+    transfer = analysis._transfer
 
-    def counted(d, p):
-        calls.append(p)
-        return weight(d, p)
+    def counted(g, named, avoid):
+        calls.append(avoid)
+        return transfer(g, named, avoid)
 
-    monkeypatch.setattr(analysis, "partition_weight", counted)
+    monkeypatch.setattr(analysis, "_transfer", counted)
     result = fvs1_dp_polynomial(fan(5))
     # golden values, computed by the subset sum over deletion-contraction
     assert result.dp_polynomial.coeffs == (0, -16, 48, -56, 32, -9, 1)
     assert result.weight.coeffs == (16, -47, 52, -26, 5)
     assert result.stable_from == 52
     assert len(result.maximizers) == 2
-    # one weight per grouping of the 5 leaves: Bell(5), not Bell(6) = 203
+    # one transfer per grouping of the 5 leaves: Bell(5), not Bell(6) = 203
     assert len(calls) == 52
+    assert len({tuple(sorted(avoid.items())) for avoid in calls}) == 52
+
+
+def test_fvs1_fields_match_their_pinned_values():
+    # 160 seeded graphs (a random forest on 2-8 vertices plus 0-5 star
+    # edges), every field recorded while the weights were a tree DP per
+    # tree selected over all Bell(k) star partitions, maximizers in order
+    pins = json.loads((Path(__file__).parent / "golden" / "fvs1_pins.json").read_text())
+    assert len(pins) >= 150
+
+    def parts(p):
+        return [sorted(part) for part in p.parts]
+
+    for pin in pins:
+        labels = tuple(f"x{i}" for i in range(pin["n"]))
+        r = fvs1_dp_polynomial(Graph(labels, tuple(map(tuple, pin["edges"]))))
+        got = {
+            "n": pin["n"],
+            "edges": pin["edges"],
+            "center": r.decomposition.center,
+            "partition": parts(r.partition),
+            "weight": [str(c) for c in r.weight.coeffs],
+            "polynomial": [str(c) for c in r.dp_polynomial.coeffs],
+            "stable_from": r.stable_from,
+            "maximizers": [parts(p) for p in r.maximizers],
+        }
+        assert got == pin, pin["edges"]
 
 
 def test_bell_numbers_and_partition_limit():
@@ -509,6 +538,7 @@ def test_dp_formula_refuses_stars_past_the_partition_limit(tmp_path, monkeypatch
         raise AssertionError("partitions enumerated past the limit")
 
     monkeypatch.setattr(analysis, "partitions_of", refuse)
+    monkeypatch.setattr(analysis, "_transfer", refuse)
     g = fan(10)  # 11 star vertices: Bell(11) = 678,570 partitions
     lines = [f"n {g.n}"] + [f"e {a} {b}" for a, b in map(g.edge_labels, range(len(g.edges)))]
     path = tmp_path / "fan10.txt"
@@ -557,5 +587,5 @@ def test_fvs1_compares_once_per_leaf_grouping(monkeypatch):
         assert result.weight == weights[best], g
         assert result.maximizers == tied, g
         assert result.stable_from == max([g.n] + [x for _, x in against_best]), g
-        groupings = {analysis._leaf_grouping(d, p) for p in partitions}
+        groupings = partitions_of(d.alphas[1:])
         assert len(calls) == 2 * len(groupings) - 1, g

@@ -4,8 +4,10 @@ chromatic polynomial.
 `chromatic._transfer` walks the vertices in a frontier-greedy order and
 keeps the partitions of the active vertices by color.  Each component
 starts at a least-degree vertex; each next vertex is the frontier vertex
-that leaves the fewest active vertices, then the one with the fewest
-unentered neighbors, then the lowest index.  The graphs here have what
+that leaves the fewest active vertices, then the one with the most
+entered neighbors, then the one with the fewest unentered neighbors,
+then the lowest index.  The transfer also takes colors a vertex must
+avoid, as the feedback-vertex-one weights need.  The graphs here have what
 that walk must get right: isolated vertices, pendant trees, several
 components, cycles sharing a vertex and cycles joined by bridges, with
 their vertices numbered in a shuffled order.
@@ -28,7 +30,7 @@ from dpchroma.graphs import Graph, ThetaSpec, build_generalized_theta, spanning_
 from dpchroma.poly import M, IntPoly
 from dpchroma.verify import _valid_length_tuples
 
-from oracles import chromatic_by_subsets
+from oracles import chromatic_by_subsets, transversal_count
 
 
 def reference_chrom(n, edges):
@@ -134,6 +136,21 @@ def test_random_precolorings_against_counts():
     assert conflicts >= 3
 
 
+def test_avoided_colors_against_enumeration():
+    rng = random.Random(4242)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        edges = tuple((rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.7)
+        g = Graph(tuple(f"t{i}" for i in range(n)), edges)
+        avoid = {v: rng.randrange(3) for v in range(n) if rng.random() < 0.6}
+        s = 1 + max(avoid.values(), default=-1)
+        poly = chromatic._transfer(g, {}, avoid)
+        for m in range(max(s, 1), s + 3):
+            allowed = [[int(c != avoid.get(v)) for c in range(m)] for v in range(n)]
+            want = transversal_count(g, m, [tuple(range(m))] * len(edges), allowed)
+            assert poly(m) == want, (edges, avoid, m)
+
+
 def theta_identity_graphs() -> list[Graph]:
     """The 840 graphs of the theta-identity suite: Theta graphs and Theta
     graphs less one edge at u."""
@@ -164,6 +181,13 @@ def test_order_keeps_theta_identity_graphs_narrow():
         order = chromatic._frontier_order(g)
         assert sorted(order) == list(range(g.n))
         assert max(active_counts(g, order)) <= 3, g.edges
+
+
+def test_order_keeps_the_sparse_16_vertex_graph_narrow():
+    # the seeded 16-vertex 60-edge graph below: width 10 when score ties
+    # went straight to the fewest unentered neighbors
+    g = sparse_16_vertex_graph()
+    assert max(active_counts(g, chromatic._frontier_order(g))) <= 9
 
 
 def relabeled(g: Graph, rng: random.Random) -> Graph:
@@ -213,10 +237,14 @@ def test_grid_polynomial_does_not_depend_on_the_labelling():
     assert by_rows(2) == 2  # a connected bipartite graph
 
 
-def test_sparse_16_vertex_graph_against_the_feedback_set_counter(tmp_path, capsys):
+def sparse_16_vertex_graph() -> Graph:
     rng = random.Random(16)
     pairs = [(a, b) for a in range(16) for b in range(a + 1, 16)]
-    g = Graph(tuple(f"v{i:02d}" for i in range(16)), tuple(sorted(rng.sample(pairs, 60))))
+    return Graph(tuple(f"v{i:02d}" for i in range(16)), tuple(sorted(rng.sample(pairs, 60))))
+
+
+def test_sparse_16_vertex_graph_against_the_feedback_set_counter(tmp_path, capsys):
+    g = sparse_16_vertex_graph()
     path = tmp_path / "sparse.txt"
     path.write_text(g.to_text())
     assert main(["chrom", str(path), "--format", "json"]) == 0

@@ -222,3 +222,20 @@ def test_worker_count_errors_name_the_flag_or_the_variable(monkeypatch, capsys):
         ("compare", "theta:2,2,2", "--m", "3", "--exact"),
     ):
         assert run(capsys, *argv) == (2, "", want)
+
+
+def test_threshold_past_the_float_range_is_one_line(capsys):
+    edges = str(10**400)
+    code, out, err = run(capsys, "threshold", "--edges", edges)
+    want = "dpchroma: edge count too large for a floating-point threshold\n"
+    assert (code, out, err) == (2, "", want)
+    code, out, _ = run(capsys, "threshold", "--edges", str(10**300), "--format", "json")
+    assert code == 0 and json.loads(out)["threshold"] == "1.13459265711e+300"
+
+
+def test_fold_range_that_is_not_a_number_is_one_line(capsys):
+    for text in ("3..x", "x", "3..", "..3", "3...5"):
+        code, out, err = run(capsys, "compare", "theta:2,2,2", "--m", text)
+        assert (code, out, err) == (2, "", f"dpchroma: bad fold range {text!r}\n"), text
+    code, out, _ = run(capsys, "compare", "theta:2,2,2", "--m", "3..4")
+    assert code == 0 and out.count("\n") == 3

@@ -259,6 +259,38 @@ def test_min_over_covers_budget():
         min_over_covers(g, 3, budget=10)
 
 
+def test_large_folds_are_refused_before_any_representative_is_built(monkeypatch):
+    import time
+    from pathlib import Path
+
+    from dpchroma import covers
+    from dpchroma.cli import load_graph
+
+    def refuse(m):
+        raise AssertionError(f"cycle-type representatives of S_{m} built")
+
+    monkeypatch.setattr(covers, "cycle_type_representatives", refuse)
+    g = theta(2, 2, 2)
+    for m in (100, 1000):
+        start = time.perf_counter()
+        with pytest.raises(SearchBudgetExceeded, match="covers exceed the budget of 10000000"):
+            min_over_covers(g, m)
+        assert time.perf_counter() - start < 5, m
+    # a tree has no free edge: one cover, counted with no representative
+    tree = load_graph(str(Path(__file__).parent / "golden" / "tree.txt"))
+    result = min_over_covers(tree, 70)
+    assert result.candidates == 1
+    assert result.value == 70 * 69**5
+
+
+def test_cycle_type_count_is_the_number_of_representatives():
+    from dpchroma.covers import _partition_count
+
+    for m in range(1, 11):
+        assert _partition_count(m) == len(cycle_type_representatives(m)), m
+    assert _partition_count(100) == 190_569_292
+
+
 def test_min_over_covers_worker_determinism():
     g = theta(2, 2, 3)
     serial = min_over_covers(g, 3, workers=1)
