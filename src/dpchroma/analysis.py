@@ -43,7 +43,7 @@ from .graphs import (
     find_feedback_vertex,
     star_forest_decomposition,
 )
-from .poly import M, IntPoly, eventual_compare, forest_polynomial
+from .poly import M, IntPoly, eventual_compare, forest_polynomial, power_m1, sign
 
 
 def _parity_case(l1: int, l2: int, l3: int) -> int:
@@ -88,29 +88,12 @@ def theta_dp_formula(l1: int, l2: int, l3: int) -> ThetaDpFormula:
     case = _parity_case(l1, l2, l3)
     if case == 1:
         return ThetaDpFormula((l1, l2, l3), 1, theta_closed_form((l1, l2, l3)), 1)
-
-    def a(e: int) -> IntPoly:  # (m - 1)^e
-        return forest_polynomial(0, e)
-
-    if case == 2:
-        bracket = (
-            a(total)
-            + a(l1)
-            - a(l2 + 1)
-            - a(l3)
-            + ((-1) ** (l3 + 1)) * (M - 2)
-        )
-        return ThetaDpFormula((l1, l2, l3), 2, bracket.exact_div(M), 2)
-    if case == 3:
-        bracket = (
-            a(total)
-            + a(l1)
-            - a(l3 + 1)
-            - a(l2)
-            + ((-1) ** (l2 + 1)) * (M - 2)
-        )
-        return ThetaDpFormula((l1, l2, l3), 3, bracket.exact_div(M), 2)
-    bracket = a(total) - a(l1) - a(l2) - a(l3) + 2 * (-1) ** total
+    a = power_m1
+    if case in (2, 3):  # l1 shares its parity with `same` only
+        same, other = (l2, l3) if case == 2 else (l3, l2)
+        bracket = a(total) + a(l1) - a(same + 1) - a(other) + sign(other + 1) * (M - 2)
+        return ThetaDpFormula((l1, l2, l3), case, bracket.exact_div(M), 2)
+    bracket = a(total) - a(l1) - a(l2) - a(l3) + 2 * sign(total)
     return ThetaDpFormula((l1, l2, l3), 4, bracket.exact_div(M), 3)
 
 
@@ -215,18 +198,14 @@ def loss_term_differences(l1: int, l2: int, l3: int, m: int) -> LossTermReport:
     t = terms.terms
     a = m - 1
     total = l1 + l2 + l3
-
-    def sgn(e: int) -> int:
-        return -1 if e & 1 else 1
-
     closed = {
-        (2, 3): sgn(l2 + l3) * a**l1 + sgn(l1 + l3 + 1) * a**l2,
-        (5, 4): sgn(l1 + l2) * a**l3 + sgn(total + 1),
-        (2, 1): sgn(l2 + l3) * a**l1 + sgn(l1 + l2) * a**l3 + sgn(total) * (m - 2),
-        (3, 1): sgn(l1 + l3) * a**l2 + sgn(l1 + l2) * a**l3 + sgn(total) * (m - 2),
-        (4, 1): sgn(l2 + l3) * a**l1 + sgn(l1 + l3) * a**l2 + sgn(total) * (m - 2),
-        (5, 2): sgn(l1 + l3) * a**l2 + sgn(total + 1),
-        (5, 3): sgn(l2 + l3) * a**l1 + sgn(total + 1),
+        (2, 3): sign(l2 + l3) * a**l1 + sign(l1 + l3 + 1) * a**l2,
+        (5, 4): sign(l1 + l2) * a**l3 + sign(total + 1),
+        (2, 1): sign(l2 + l3) * a**l1 + sign(l1 + l2) * a**l3 + sign(total) * (m - 2),
+        (3, 1): sign(l1 + l3) * a**l2 + sign(l1 + l2) * a**l3 + sign(total) * (m - 2),
+        (4, 1): sign(l2 + l3) * a**l1 + sign(l1 + l3) * a**l2 + sign(total) * (m - 2),
+        (5, 2): sign(l1 + l3) * a**l2 + sign(total + 1),
+        (5, 3): sign(l2 + l3) * a**l1 + sign(total + 1),
     }
     ge_when = {
         (2, 3): (l1 + l3) % 2 == 1,

@@ -20,7 +20,7 @@ from typing import Mapping
 from .covers import count_from_edge_perms, identity_perm
 from .errors import BadPathIndex, SearchBudgetExceeded
 from .graphs import Graph, ThetaSpec, build_generalized_theta
-from .poly import M, IntPoly, constant, forest_polynomial, prod
+from .poly import M, IntPoly, forest_polynomial, power_m1, prod, sign
 
 #: Coefficient updates one transfer may make: each state update costs the
 #: length of its weight, so this bounds wide graphs and long ones alike.
@@ -143,10 +143,8 @@ def theta_closed_form(lengths: tuple[int, ...]) -> IntPoly:
     """
     k = len(lengths)
     a = M - 1
-    first = prod(
-        forest_polynomial(0, l + 1) + constant((-1) ** (l + 1)) * a for l in lengths
-    )
-    second = prod(forest_polynomial(0, l) + constant((-1) ** l) * a for l in lengths)
+    first = prod(power_m1(l + 1) + sign(l + 1) * a for l in lengths)
+    second = prod(power_m1(l) + sign(l) * a for l in lengths)
     first = first.exact_div(forest_polynomial(k - 1, k - 1))
     second = second.exact_div(forest_polynomial(k - 1, 0))
     return first + second
@@ -167,7 +165,7 @@ def theta_edge_deleted_chromatic(spec: ThetaSpec, path: int) -> IntPoly:
     if not 1 <= path <= spec.k:
         raise BadPathIndex(f"path index {path} not in 1..{spec.k}")
     rest = spec.lengths[: path - 1] + spec.lengths[path:]
-    return theta_closed_form(rest) * forest_polynomial(0, spec.lengths[path - 1] - 1)
+    return theta_closed_form(rest) * power_m1(spec.lengths[path - 1] - 1)
 
 
 @dataclass(frozen=True)
@@ -224,31 +222,25 @@ def theta_edge_pair_polynomials(l1: int, l2: int, l3: int) -> EdgePairPolynomial
     if not 2 <= l1 <= l2 <= l3:
         raise ValueError("need 2 <= l1 <= l2 <= l3")
     total = l1 + l2 + l3
-
-    def a(e: int) -> IntPoly:  # (m - 1)^e
-        return forest_polynomial(0, e)
-
-    def sgn(e: int) -> IntPoly:
-        return constant((-1) ** e)
-
+    a = power_m1
     p_g = (
         a(total)
-        + sgn(total) * (M - 1) * (M - 2)
-        + sgn(l1 + l2) * a(l3 + 1)
-        + sgn(l1 + l3) * a(l2 + 1)
-        + sgn(l2 + l3) * a(l1 + 1)
+        + sign(total) * (M - 1) * (M - 2)
+        + sign(l1 + l2) * a(l3 + 1)
+        + sign(l1 + l3) * a(l2 + 1)
+        + sign(l2 + l3) * a(l1 + 1)
     ).exact_div(M)
     p_g0 = forest_polynomial(1, total - 2)
-    p_g1 = a(total - 1) + sgn(l2 + l3) * a(l1)
-    p_g2 = a(total - 1) + sgn(l1 + l3) * a(l2)
+    p_g1 = a(total - 1) + sign(l2 + l3) * a(l1)
+    p_g2 = a(total - 1) + sign(l1 + l3) * a(l2)
     p_gstar = (
         (M - 2)
         * (
             a(total - 1)
-            + sgn(l2 + l3) * a(l1)
-            + sgn(l1 + l3) * a(l2)
-            + sgn(l1 + l2 + 1) * a(l3 + 1)
-            + 2 * sgn(total) * (M - 1)
+            + sign(l2 + l3) * a(l1)
+            + sign(l1 + l3) * a(l2)
+            + sign(l1 + l2 + 1) * a(l3 + 1)
+            + 2 * sign(total) * (M - 1)
         )
     ).exact_div(M)
     return EdgePairPolynomials(p_g, p_g0, p_g1, p_g2, p_gstar)

@@ -3,7 +3,9 @@
 Commands: chrom, theta-chrom, dp-exact, dp-formula, compare, verify, scan,
 threshold.  Exit code 0 means success, 1 means a verification check
 failed, 2 means a usage or input error.  All counts in JSON output are
-decimal strings so consumers never face integer-width questions.
+decimal strings so consumers never face integer-width questions.  Each
+`cmd_*` computes and returns its JSON payload and its text lines (`verify`
+also its exit code); `main` prints one or the other, once.
 """
 
 from __future__ import annotations
@@ -56,46 +58,29 @@ def parse_m_range(text: str) -> tuple[int, int]:
     return low, high
 
 
-def emit(payload: dict, fmt: str, text_lines: list[str]) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+def _polynomial_output(args, key: str, name: str, poly):
+    """Payload and lines of `chrom` and `theta-chrom`."""
+    payload = {"command": args.command, key: name, "polynomial": poly_to_json(poly)}
+    lines = [f"P({name}, m) = {poly}"]
+    if args.m is not None:
+        value = poly(args.m)
+        payload.update(m=args.m, value=str(value))
+        lines.append(f"P({name}, {args.m}) = {value}")
+    return payload, lines
 
 
-def cmd_chrom(args) -> int:
+def cmd_chrom(args):
     if args.limit < 0:
         raise OutOfRange(f"--limit must be non-negative, not {args.limit}")
     g = load_graph(args.source)
     if g.n > args.limit:
         raise GraphTooLarge(f"{g.n} vertices exceeds limit {args.limit}")
-    poly = chromatic_polynomial(g)
-    payload = {"command": "chrom", "source": args.source, "polynomial": poly_to_json(poly)}
-    lines = [f"P({args.source}, m) = {poly}"]
-    if args.m is not None:
-        payload["m"] = args.m
-        payload["value"] = str(poly(args.m))
-        lines.append(f"P({args.source}, {args.m}) = {poly(args.m)}")
-    emit(payload, args.format, lines)
-    return 0
+    return _polynomial_output(args, "source", args.source, chromatic_polynomial(g))
 
 
-def cmd_theta_chrom(args) -> int:
+def cmd_theta_chrom(args):
     spec = ThetaSpec.parse(args.spec)
-    poly = theta_chromatic(spec)
-    payload = {
-        "command": "theta-chrom",
-        "spec": str(spec),
-        "polynomial": poly_to_json(poly),
-    }
-    lines = [f"P({spec}, m) = {poly}"]
-    if args.m is not None:
-        payload["m"] = args.m
-        payload["value"] = str(poly(args.m))
-        lines.append(f"P({spec}, {args.m}) = {poly(args.m)}")
-    emit(payload, args.format, lines)
-    return 0
+    return _polynomial_output(args, "spec", str(spec), theta_chromatic(spec))
 
 
 def check_budget(budget: int) -> None:
@@ -103,7 +88,7 @@ def check_budget(budget: int) -> None:
         raise OutOfRange(f"--budget must be positive, not {budget}")
 
 
-def cmd_dp_exact(args) -> int:
+def cmd_dp_exact(args):
     check_budget(args.budget)
     g = load_graph(args.source)
     result = min_over_covers(
@@ -127,8 +112,7 @@ def cmd_dp_exact(args) -> int:
         f"  [{result.candidates} covers examined]",
         json.dumps(cover_to_json(result.cover)),
     ]
-    emit(payload, args.format, lines)
-    return 0
+    return payload, lines
 
 
 def dp_formula_route(g: Graph) -> ThetaDpFormula | FeedbackPolynomialResult:
@@ -142,14 +126,14 @@ def dp_formula_route(g: Graph) -> ThetaDpFormula | FeedbackPolynomialResult:
 
 
 def _formula_value(route: ThetaDpFormula | FeedbackPolynomialResult, m: int):
-    """Value at m and the route label shown by `compare`."""
+    """Value at m and its route label, as `compare` and `dp-formula --m` show it."""
     if isinstance(route, ThetaDpFormula):
         return route.value_at(m), f"parity-case-{route.case}"
     note = "fvs1" if m >= route.stable_from else "fvs1(below-stabilization)"
     return route.dp_polynomial(m), note
 
 
-def cmd_dp_formula(args) -> int:
+def cmd_dp_formula(args):
     g = load_graph(args.source)
     if args.m is not None and args.m < 1:  # before the route, which can be slow
         raise OutOfRange("m must be positive")
@@ -184,16 +168,14 @@ def cmd_dp_formula(args) -> int:
             f" winning partition {[sorted(p) for p in route.partition.parts]}",
             f"P_DP({args.source}, m) = {route.dp_polynomial}   (m >= {route.stable_from})",
         ]
-    if args.m is not None:
-        value, _ = _formula_value(route, args.m)
-        payload["m"] = args.m
-        payload["value"] = str(value)
-        lines.append(f"P_DP({args.source}, {args.m}) = {value}")
-    emit(payload, args.format, lines)
-    return 0
+    if args.m is not None:  # the label says whether the value is proven at m
+        value, label = _formula_value(route, args.m)
+        payload.update(m=args.m, value=str(value), value_route=label)
+        lines.append(f"P_DP({args.source}, {args.m}) = {value}  [{label}]")
+    return payload, lines
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args):
     check_budget(args.budget)
     g = load_graph(args.source)
     low, high = parse_m_range(args.m)
@@ -217,49 +199,43 @@ def cmd_compare(args) -> int:
                 "route": note,
             }
         )
-    if args.format == "json":
-        print(json.dumps({"command": "compare", "source": args.source, "rows": rows}, indent=2))
-    elif args.format == "text":
-        for r in rows:
-            print(
-                f"m={r['m']}  P={r['P']}  P_DP={r['P_DP']}  gap={r['gap']}  [{r['route']}]"
-            )
+    if args.format == "text":
+        lines = [
+            f"m={r['m']}  P={r['P']}  P_DP={r['P_DP']}  gap={r['gap']}  [{r['route']}]"
+            for r in rows
+        ]
     else:
-        print("m,P,P_DP,equal,gap,route")
-        for r in rows:
-            print(
-                f"{r['m']},{r['P']},{r['P_DP']},{str(r['equal']).lower()},{r['gap']},{r['route']}"
-            )
-    return 0
+        lines = ["m,P,P_DP,equal,gap,route"] + [
+            f"{r['m']},{r['P']},{r['P_DP']},{str(r['equal']).lower()},{r['gap']},{r['route']}"
+            for r in rows
+        ]
+    return {"command": "compare", "source": args.source, "rows": rows}, lines
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     names = list(SUITES) if args.suite == "all" else [args.suite]
     checks = run_suites(names, seed=args.seed)
     failed = [c for c in checks if not c.passed]
-    if args.format == "json":
-        payload = {
-            "command": "verify",
-            "suites": names,
-            "seed": args.seed,
-            "total": len(checks),
-            "failed": len(failed),
-            "checks": [c.to_dict() for c in checks],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for c in checks:
-            status = "pass" if c.passed else "FAIL"
-            print(f"[{status}] {c.name}: {c.instance}")
-            if not c.passed:
-                print(f"        rule:     {c.rule}")
-                print(f"        expected: {c.expected}")
-                print(f"        actual:   {c.actual}")
-        print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
-    return CHECK_FAILED if failed else 0
+    payload = {
+        "command": "verify",
+        "suites": names,
+        "seed": args.seed,
+        "total": len(checks),
+        "failed": len(failed),
+        "checks": [c.to_dict() for c in checks],
+    }
+    lines = []
+    for c in checks:
+        lines.append(f"[{'pass' if c.passed else 'FAIL'}] {c.name}: {c.instance}")
+        if not c.passed:
+            lines.append(f"        rule:     {c.rule}")
+            lines.append(f"        expected: {c.expected}")
+            lines.append(f"        actual:   {c.actual}")
+    lines.append(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
+    return payload, lines, CHECK_FAILED if failed else 0
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args):
     spec = ThetaSpec.parse(args.spec)
     result = classify_generalized(spec, max_m=args.max_m)
     payload = {
@@ -282,11 +258,10 @@ def cmd_scan(args) -> int:
             f"{spec}: eventually-less via path {result.witness_path};"
             f" no certificate up to m = {result.searched_to}"
         ]
-    emit(payload, args.format, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_threshold(args) -> int:
+def cmd_threshold(args):
     threshold, least = list_color_threshold(args.edges)
     payload = {
         "command": "threshold",
@@ -294,12 +269,8 @@ def cmd_threshold(args) -> int:
         "threshold": f"{threshold:.12g}",
         "least_integer_above": least,
     }
-    emit(
-        payload,
-        args.format,
-        [f"edges={args.edges}: threshold {threshold:.12g}, least integer above {least}"],
-    )
-    return 0
+    line = f"edges={args.edges}: threshold {threshold:.12g}, least integer above {least}"
+    return payload, [line]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,16 +355,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        payload, lines, *status = args.func(args)
     except SearchBudgetExceeded as exc:
         print(f"dpchroma: search budget exceeded: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except DpchromaError as exc:
+    except (DpchromaError, ValueError) as exc:
         print(f"dpchroma: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ValueError as exc:
-        print(f"dpchroma: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines))
+    return status[0] if status else 0
 
 
 if __name__ == "__main__":

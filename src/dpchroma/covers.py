@@ -27,7 +27,7 @@ import os
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import permutations, product
-from math import factorial, prod
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -52,6 +52,8 @@ Perm = tuple[int | None, ...]
 
 BRUTE_FORCE_LIMIT = 4_000_000
 SUBSET_EDGE_LIMIT = 20
+# A budget refusal shows the cover count up to this many digits, a bound past it.
+_SHOWN_DIGITS = 30
 
 
 def identity_perm(m: int) -> Perm:
@@ -108,13 +110,30 @@ def _ascending_partitions(total: int, minimum: int = 1) -> Iterable[tuple[int, .
             yield (first,) + rest
 
 
-def _partition_count(m: int) -> int:
-    """p(m), the number of cycle types of S_m, by the coin-change DP."""
-    ways = [1] + [0] * m
-    for part in range(1, m + 1):
-        for total in range(part, m + 1):
-            ways[total] += ways[total - part]
-    return ways[m]
+def _partition_count(m: int, limit: int | None = None) -> int:
+    """p(m), the number of cycle types of S_m, by Euler's pentagonal
+    recurrence; `limit` once some p(j), j <= m, reaches it (p grows)."""
+    p = [1]
+    for n in range(1, m + 1):
+        total, k = 0, 1
+        while (pentagonal := k * (3 * k - 1) // 2) <= n:
+            tail = p[n - pentagonal - k] if pentagonal + k <= n else 0
+            total += (p[n - pentagonal] + tail) * (1 if k % 2 else -1)
+            k += 1
+        if limit is not None and total >= limit:
+            return limit
+        p.append(total)
+    return p[m]
+
+
+def _factorial(m: int, limit: int) -> int:
+    """m!, or `limit` once some j!, j <= m, reaches it."""
+    value = 1
+    for j in range(2, m + 1):
+        value *= j
+        if value >= limit:
+            return limit
+    return value
 
 
 @cache
@@ -747,13 +766,16 @@ def min_over_covers(
     tree = g.standard_tree
     free_edges = [e for e in range(len(g.edges)) if symmetry == "none" or e not in tree]
     orderly = symmetry == "tree-canonical+conjugacy"
-    fact, rest = factorial(m), len(free_edges) - 1
-    first = _partition_count(m) if orderly else fact
-    candidates = first * fact**rest if free_edges else 1
+    over = max(budget, 10**_SHOWN_DIGITS) + 1  # no count past this is built
+    candidates = 1
+    if free_edges:
+        fact = _factorial(m, over)
+        candidates = _partition_count(m, over) if orderly else fact
+        for _ in free_edges[1:]:
+            candidates = min(candidates * fact, over)
     if candidates > budget:
-        raise SearchBudgetExceeded(
-            f"{candidates} covers exceed the budget of {budget}"
-        )
+        shown = candidates if candidates < over else f"more than 10^{_SHOWN_DIGITS}"
+        raise SearchBudgetExceeded(f"{shown} covers exceed the budget of {budget}")
     chunks = [()]
     if free_edges:
         firsts = cycle_type_representatives(m) if orderly else permutations(range(m))

@@ -167,10 +167,6 @@ def _difference(a: tuple[int, ...], b: tuple[int, ...]) -> IntPoly:
 M = IntPoly([0, 1])
 
 
-def constant(c: int) -> IntPoly:
-    return IntPoly([c])
-
-
 def prod(polys: Iterable[IntPoly]) -> IntPoly:
     return reduce(lambda a, b: a * b, polys, IntPoly([1]))
 
@@ -183,6 +179,16 @@ def forest_polynomial(trees: int, edges: int) -> IntPoly:
     return IntPoly(
         [0] * trees + [(-1) ** (edges - j) * math.comb(edges, j) for j in range(edges + 1)]
     )
+
+
+def power_m1(e: int) -> IntPoly:
+    """(m - 1)^e, as the binomial expansion of `forest_polynomial`."""
+    return forest_polynomial(0, e)
+
+
+def sign(e: int) -> int:
+    """(-1)^e."""
+    return -1 if e & 1 else 1
 
 
 def crossover_bound(p: IntPoly) -> int:

@@ -74,8 +74,9 @@ CHECK_KINDS = {
         "ie-cover": "subset alternating sum equals the transfer count",
         "subset-audit": "deficit classification over all edge subsets",
         "gap-bound": "coloring deficit of a twisted cover is bounded below",
-        "fvs1-weight": "tree-DP weight equals the leaf-subset inclusion-exclusion",
-        "fvs1-polynomial": "partition-maximum polynomial equals exhaustive minimum",
+        "fvs1-weight": "color-pattern transfer weight equals the leaf-subset inclusion-exclusion",
+        "fvs1-polynomial":
+            "least transfer avoidance count over leaf groupings equals exhaustive minimum",
         "fvs1-witness": "shift cover attains the reported count",
         "fvs1-leading-terms":
             "three highest coefficients match the chromatic polynomial",
@@ -83,7 +84,7 @@ CHECK_KINDS = {
         "classify/equal": "all-different parities keep the DP function equal",
         "classify-equality": "eventually-equal instance matches the chromatic value",
         "classify-k4": "minimum never exceeds the chromatic value (gap reported)",
-        "precolor": "contracted-clique polynomial matches direct counts",
+        "precolor": "color-pattern transfer polynomial matches direct counts",
         "poly-division": "exact_div(p*q, q) == p",
         "poly-ordering": "ordering holds at the bound and 20 folds beyond",
     }.items()
@@ -316,7 +317,7 @@ def partition_weight_by_subsets(
 @_suite("fvs1")
 def suite_fvs1(seed):
     """Feedback-vertex-one polynomial against search and its witness cover,
-    and every partition's tree-DP weight against the subset sum."""
+    and every partition's transfer weight against the subset sum."""
     zoo = _graph_zoo()
     for name, folds in _FVS1_FOLDS.items():
         g = zoo[name]

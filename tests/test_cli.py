@@ -89,6 +89,29 @@ def test_usage_and_input_errors(capsys):
     assert code == 2
 
 
+def test_dp_formula_labels_the_value_at_a_fold(capsys):
+    # theta:2,2,2,2 has a one-vertex feedback set; its polynomial is proven from m = 21
+    for m, label in (("3", "fvs1(below-stabilization)"), ("21", "fvs1")):
+        code, out, _ = run(capsys, "dp-formula", "theta:2,2,2,2", "--m", m)
+        assert code == 0 and out.splitlines()[-1].endswith(f"  [{label}]")
+        code, out, _ = run(capsys, "dp-formula", "theta:2,2,2,2", "--m", m, "--format", "json")
+        assert code == 0 and json.loads(out)["value_route"] == label
+    code, out, _ = run(capsys, "dp-formula", "theta:2,2,3", "--m", "5", "--format", "json")
+    assert json.loads(out)["value_route"] == "parity-case-2"
+
+
+def test_large_folds_are_refused_in_one_line(capsys):
+    import time
+
+    for m in ("2000", "1000000"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "dp-exact", "theta:2,2,2", "--m", m)
+        assert time.perf_counter() - start < 5, m
+        assert (code, out) == (2, "")
+        assert err.startswith("dpchroma: search budget exceeded:")
+        assert err.count("\n") == 1 and "the budget of 10000000" in err
+
+
 def test_dp_formula_rejects_non_positive_folds_on_both_routes(capsys):
     bowtie = str(Path(__file__).parent / "golden" / "bowtie.txt")
     for source in ("theta:2,2,3", bowtie):  # parity case, feedback vertex one

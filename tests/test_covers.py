@@ -35,7 +35,7 @@ from dpchroma.graphs import (
     star_forest_decomposition,
 )
 
-from oracles import brute_force_cover_count, cover_count_by_subsets
+from oracles import brute_force_cover_count, cover_count_by_subsets, transversal_count
 
 IDENT3 = (0, 1, 2)
 SWAP12 = (1, 0, 2)
@@ -174,22 +174,7 @@ def test_gauge_canonicalization_preserves_counts():
         cover = FullCover.from_edge_perms(g, 3, perms)
         # relabeling fibers must not change the count; compare against a
         # direct enumeration of the unnormalized assignment
-        assert count_colorings(g, cover) == _count_raw(g, 3, perms)
-
-
-def _count_raw(g, m, perms):
-    from itertools import product
-
-    total = 0
-    for colors in product(range(m), repeat=g.n):
-        ok = True
-        for i, (a, b) in enumerate(g.edges):
-            if perms[i][colors[a]] == colors[b]:
-                ok = False
-                break
-        if ok:
-            total += 1
-    return total
+        assert count_colorings(g, cover) == transversal_count(g, 3, perms)
 
 
 def test_min_over_covers_small_cases():

@@ -8,8 +8,10 @@ regenerate the file with `PYTHONPATH=src python tests/test_golden.py`
 only when an output change is intended.
 """
 
+import builtins
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,9 +79,22 @@ CASES = {
 }
 
 
-def run_case(argv, capsys):
+def run_case(argv, capsys, monkeypatch):
+    """Exit code and output of one case.  Commands return their output and
+    `main` prints it, so a successful case writes stdout with one call."""
+    stdout_prints = []
+
+    def counting_print(*args, file=None, **kwargs):
+        if file is None or file is sys.stdout:
+            stdout_prints.append(args)
+        real_print(*args, file=file, **kwargs)
+
+    real_print = builtins.print
+    monkeypatch.setattr(builtins, "print", counting_print)
     code = main(list(argv))
     captured = capsys.readouterr()
+    if code == 0:
+        assert len(stdout_prints) == 1
     return {"code": code, "stdout": captured.out, "stderr": captured.err}
 
 
@@ -91,9 +106,9 @@ def golden_env(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output(name, golden_env, capsys):
+def test_golden_output(name, golden_env, capsys, monkeypatch):
     expected = json.loads(EXPECTED.read_text(encoding="utf-8"))[name]
-    assert run_case(CASES[name], capsys) == expected
+    assert run_case(CASES[name], capsys, monkeypatch) == expected
 
 
 def test_every_case_has_an_expected_output():

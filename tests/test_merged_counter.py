@@ -8,7 +8,6 @@ enumeration on random inputs, including conflicting precolorings.
 """
 
 import random
-from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -32,29 +31,18 @@ from dpchroma.graphs import (
     find_feedback_vertex,
 )
 
-from oracles import brute_force_cover_count, cover_count_by_subsets
+from oracles import brute_force_cover_count, cover_count_by_subsets, transversal_count
 
 BOWTIE = Path(__file__).parent / "golden" / "bowtie.txt"
 
 
 def precolored_by_enumeration(g: Graph, pc: Precoloring, m: int) -> int:
-    fixed = {g.index[v]: c - 1 for v, c in pc.assignment.items()}
-    return sum(
-        1
-        for colors in product(range(m), repeat=g.n)
-        if all(colors[v] == c for v, c in fixed.items())
-        and all(colors[a] != colors[b] for a, b in g.edges)
-    )
-
-
-def transversals_by_enumeration(g: Graph, m: int, perms, allowed) -> int:
-    total = 0
-    for colors in product(range(m), repeat=g.n):
-        if not all(allowed[v][c] for v, c in enumerate(colors)):
-            continue
-        if all(perms[i][colors[a]] != colors[b] for i, (a, b) in enumerate(g.edges)):
-            total += 1
-    return total
+    """Transversals of the identity cover, each precolored vertex allowed
+    its color alone (none when the color is above m)."""
+    allowed = [[1] * m for _ in g.vertices]
+    for v, c in pc.assignment.items():
+        allowed[g.index[v]] = [int(i == c - 1) for i in range(m)]
+    return transversal_count(g, m, [tuple(range(m))] * len(g.edges), allowed)
 
 
 def random_forest(rng: random.Random, n: int) -> Graph:
@@ -157,7 +145,7 @@ def test_allowed_vectors_on_every_route():
             m = rng.randint(1, 4)
             perms = [random_partial_perm(rng, m) for _ in g.edges]
             allowed = [[int(rng.random() < 0.7) for _ in range(m)] for _ in g.vertices]
-            want = transversals_by_enumeration(g, m, perms, allowed)
+            want = transversal_count(g, m, perms, allowed)
             assert count_from_edge_perms(g, m, perms, allowed) == want
 
 

@@ -5,7 +5,9 @@ all eleven at two seeds, so a rewrite of `verify.py` that changes any
 check, its order or a random draw fails here.  The digests were recorded
 before the suites were rewritten as row generators; those of
 theta-identity and edge-pair-forms were recorded again when their rules
-came to name the color-pattern transfer.
+came to name the color-pattern transfer, and those of fvs1 and precolor
+when the rules of their fvs1-weight, fvs1-polynomial and precolor checks
+did (the checks, their order and their values stayed the same).
 """
 
 import hashlib
@@ -39,13 +41,13 @@ DIGESTS = {
             "f3b8b31a913ca9fe9b9a6339ec91f2c25b7155a8f2bc2b35c128d302926c416a"
         ),
         "fvs1": (
-            "820cef298cd26db5a07b3ddeac08b81e2c472189a99ef4a54d8d76bad10240cd"
+            "66061fb638b5555d9ac11f34b60f2669555d3b256b50da18cd759f2590095143"
         ),
         "classify": (
             "f29927e0b7bcee08e735a8d3f95d45047a1670aebe589408bd1282fff3a2aaa2"
         ),
         "precolor": (
-            "7e7c3c25bf4fc91ec4c57d388a5ffb607f4d3aa73ed994394e5fad0593a42165"
+            "c9bae40a676648fdda95c00b59b8464186a24d596d66a03b0abe3c7e040c7c43"
         ),
         "poly": (
             "a633dfbf4d9d9c9714647a6d7c7abcb091ae7b8998b4805736b7e7f445eea6c1"
@@ -74,13 +76,13 @@ DIGESTS = {
             "392fb78b670ea6d9c1d08768d055e87ec24bdcc73f8439cadfc98ca512e5d430"
         ),
         "fvs1": (
-            "ce6b15690450082e34104e31e98339eb0b819f850a41b632d4130aeb94d1ce36"
+            "28b414b826bf6ec4cf1b32a5227fb33817239d99caad1b23f0e9d8673c5b3319"
         ),
         "classify": (
             "c2d13afdfad108e86028b19875bcf601feac68fa0a114591a801e7676719a3ec"
         ),
         "precolor": (
-            "0417173a67ef6573841c8f51d44126715a17460c5ef6e53675896963874b9f89"
+            "d8c3384d91e5e4370b4d6e64cd79cb39448a8a89d9e87b34e4a6ddbb5c83feee"
         ),
         "poly": (
             "3799c4f5ac9f4dfec4d791bb7f196b73c4d2cea888d10307e866d0effb50e15b"
