@@ -5,10 +5,12 @@ the feedback-vertex-one weights (leaves that avoid a color) comes from
 one transfer over the vertices in a frontier-greedy order (the
 transfer-matrix method of Biggs, Damerell and Sands, JCTB 1972; Salas and
 Sokal, J. Stat. Phys. 2001): each next vertex is the one that leaves the
-fewest vertices active.  Its states are the partitions of the active vertices by equal
-color, so its cost follows the width of that order, not the number of
-cycles.  Generalized Theta graphs additionally get the classical closed
-form, which the rest of the package cross-checks against the transfer.
+fewest vertices active.  The order and its per-step table are built once
+per graph and shared by every transfer on it.  Its states are the
+partitions of the active vertices by equal color, so its cost follows the
+width of that order, not the number of cycles.  Generalized Theta graphs
+additionally get the classical closed form, which the rest of the package
+cross-checks against the transfer.
 """
 
 from __future__ import annotations
@@ -54,7 +56,12 @@ def _frontier_order(g: Graph) -> list[int]:
         return (left[x] > 0) - retired, left[x] - len(adj[x]), left[x], x
 
     for _ in range(g.n):
-        v = min(frontier, key=score) if frontier else next(r for r in roots if not entered[r])
+        if len(frontier) > 1:
+            v = min(frontier, key=score)
+        elif frontier:  # one candidate: no score to compare
+            (v,) = frontier
+        else:
+            v = next(r for r in roots if not entered[r])
         entered[v] = True
         order.append(v)
         frontier.discard(v)
@@ -65,36 +72,49 @@ def _frontier_order(g: Graph) -> list[int]:
     return order
 
 
+def _transfer_steps(g: Graph) -> list[tuple[int, list[int], list[int], bool]]:
+    """The transfer's walk over g, which no coloring constraint changes:
+    per step of the `_frontier_order`, the entering vertex v, the
+    positions of its neighbors among the active vertices, the positions
+    of the active vertices that stay, and whether v stays.  A vertex is
+    active from its entry step until the step its last neighbor enters.
+    Built once per graph (`Graph.plan`)."""
+    adj = g.adjacency
+    order = _frontier_order(g)
+    step = {v: i for i, v in enumerate(order)}
+    last = [max((step[u] for u in adj[v]), default=-1) for v in range(g.n)]
+    active: list[int] = []
+    steps = []
+    for i, v in enumerate(order):
+        near = [k for k, u in enumerate(active) if u in adj[v]]
+        keep = [k for k, u in enumerate(active) if last[u] > i]
+        stays = last[v] > i
+        active = [active[k] for k in keep] + [v] * stays
+        steps.append((v, near, keep, stays))
+    return steps
+
+
 def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> IntPoly:
     """Colorings of g that put each vertex v of `named` on fixed color
     named[v] and each vertex v of `avoid` on any color but avoid[v], the s
     fixed colors numbered 0..s-1, as a polynomial in m: the count at every
     m at which the fixed colors are colors.
 
-    A vertex is active from its entry until its last neighbor enters.  A
-    state gives each active vertex the label of its color block: labels
-    below s are the s fixed colors, and the others are numbered from s in
-    order of first appearance, so equal partitions are equal tuples.  Its
-    weight, a coefficient list, counts the colorings of the entered
-    vertices that induce it.  With b blocks (the s fixed ones included),
-    an entering vertex joins a block that holds none of its neighbors, or
-    takes one of the m - b new colors; a fixed vertex may only join its
-    own block, and an avoiding vertex treats its avoided block as taken.
-    Retired vertices are dropped and equal states merge.
+    The walk is `_transfer_steps`.  A state gives each active vertex the
+    label of its color block: labels below s are the s fixed colors, and
+    the others are numbered from s in order of first appearance, so equal
+    partitions are equal tuples.  Its weight, a coefficient list, counts
+    the colorings of the entered vertices that induce it.  With b blocks
+    (the s fixed ones included), an entering vertex joins a block that
+    holds none of its neighbors, or takes one of the m - b new colors; a
+    fixed vertex may only join its own block, and an avoiding vertex treats
+    its avoided block as taken.  Retired vertices are dropped and equal
+    states merge.
     """
     s = 1 + max([*named.values(), *avoid.values()], default=-1)
-    adj = g.adjacency
-    order = _frontier_order(g)
-    step = {v: i for i, v in enumerate(order)}
-    last = [max((step[u] for u in adj[v]), default=-1) for v in range(g.n)]
-    active: list[int] = []
     states: dict[tuple[int, ...], list[int]] = {(): [1]}
     work = 0
-    for i, v in enumerate(order):
-        near = [k for k, u in enumerate(active) if u in adj[v]]
-        keep = [k for k, u in enumerate(active) if last[u] > i]
-        stays = last[v] > i
-        active = [active[k] for k in keep] + [v] * stays
+    for i, (v, near, keep, stays) in enumerate(g.plan(_transfer_steps)):
         fixed, shun = named.get(v), avoid.get(v)
         merged: dict[tuple[int, ...], list[int]] = {}
         for labels, w in states.items():

@@ -5,7 +5,9 @@ threshold.  Exit code 0 means success, 1 means a verification check
 failed, 2 means a usage or input error.  All counts in JSON output are
 decimal strings so consumers never face integer-width questions.  Each
 `cmd_*` computes and returns its JSON payload and its text lines (`verify`
-also its exit code); `main` prints one or the other, once.
+also its exit code); `main` prints one or the other, once.  A `main` call
+builds only the parser it needs, the named command's or the whole one, on
+first use, and later calls in the same process reuse it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .analysis import (
     FeedbackPolynomialResult,
@@ -273,30 +276,26 @@ def cmd_threshold(args):
     return payload, [line]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dpchroma",
-        description="Exact DP color functions and chromatic polynomials",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_format(p, default="text", choices=("text", "json")):
+    p.add_argument("--format", choices=choices, default=default)
 
-    def add_format(p, default="text", choices=("text", "json")):
-        p.add_argument("--format", choices=choices, default=default)
 
-    p = sub.add_parser("chrom", help="chromatic polynomial of a graph")
+def _chrom_arguments(p):
     p.add_argument("source", help="theta:l1,l2,... or a graph file")
     p.add_argument("--m", type=int, default=None, help="also evaluate at this fold")
     p.add_argument("--limit", type=int, default=16, help="vertex-count limit")
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=cmd_chrom)
 
-    p = sub.add_parser("theta-chrom", help="closed-form Theta chromatic polynomial")
+
+def _theta_chrom_arguments(p):
     p.add_argument("spec", help="theta:l1,l2,...")
     p.add_argument("--m", type=int, default=None)
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=cmd_theta_chrom)
 
-    p = sub.add_parser("dp-exact", help="exhaustive DP color function value")
+
+def _dp_exact_arguments(p):
     p.add_argument("source")
     p.add_argument("--m", type=int, required=True)
     p.add_argument(
@@ -306,52 +305,114 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--budget", type=int, default=10_000_000)
     p.add_argument("--workers", type=int, default=None)
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=cmd_dp_exact)
 
-    p = sub.add_parser("dp-formula", help="DP color function by formula")
+
+def _dp_formula_arguments(p):
     p.add_argument("source")
     p.add_argument("--m", type=int, default=None)
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=cmd_dp_formula)
 
-    p = sub.add_parser(
-        "compare",
-        help="P versus P_DP over a fold range",
-        description="The formula route needs a theta graph or a one-vertex "
-        "feedback set; pass --exact for anything else.",
-    )
+
+def _compare_arguments(p):
     p.add_argument("source")
     p.add_argument("--m", required=True, help="fold or range a..b")
     p.add_argument("--exact", action="store_true", help="use exhaustive search")
     p.add_argument("--budget", type=int, default=10_000_000)
-    add_format(p, default="csv", choices=("csv", "json", "text"))
+    _add_format(p, default="csv", choices=("csv", "json", "text"))
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("verify", help="run invariant suites")
+
+def _verify_arguments(p):
     p.add_argument("--suite", choices=["all", *SUITES], default="all")
     p.add_argument("--seed", type=int, default=20200801)
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("scan", help="parity classification with certificate sweep")
+
+def _scan_arguments(p):
     p.add_argument("spec")
     p.add_argument("--max-m", type=int, default=64)
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("threshold", help="list-color agreement threshold")
+
+def _threshold_arguments(p):
     p.add_argument("--edges", type=int, required=True)
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=cmd_threshold)
 
+
+# Each command's `add_parser` keywords and the function that adds its
+# arguments, in the order `dpchroma --help` lists them.
+COMMANDS = {
+    "chrom": ({"help": "chromatic polynomial of a graph"}, _chrom_arguments),
+    "theta-chrom": ({"help": "closed-form Theta chromatic polynomial"}, _theta_chrom_arguments),
+    "dp-exact": ({"help": "exhaustive DP color function value"}, _dp_exact_arguments),
+    "dp-formula": ({"help": "DP color function by formula"}, _dp_formula_arguments),
+    "compare": (
+        {
+            "help": "P versus P_DP over a fold range",
+            "description": "The formula route needs a theta graph or a one-vertex "
+            "feedback set; pass --exact for anything else.",
+        },
+        _compare_arguments,
+    ),
+    "verify": ({"help": "run invariant suites"}, _verify_arguments),
+    "scan": ({"help": "parity classification with certificate sweep"}, _scan_arguments),
+    "threshold": ({"help": "list-color agreement threshold"}, _threshold_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole parser: `dpchroma` with a subparser per command."""
+    parser = argparse.ArgumentParser(
+        prog="dpchroma",
+        description="Exact DP color functions and chromatic polynomials",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (keywords, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, **keywords))
     return parser
 
 
+def build_command_parser(name: str) -> argparse.ArgumentParser:
+    """Command `name`'s parser on its own: the same usage, help and errors
+    as its subparser in `build_parser()`, and it sets `command` too."""
+    keywords, add_arguments = COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"dpchroma {name}", description=keywords.get("description"))
+    add_arguments(parser)
+    parser.set_defaults(command=name)
+    return parser
+
+
+@cache
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Command `command`'s parser, or with None the whole parser; each is
+    built on first use (not at import) and reused for the rest of the
+    process."""
+    return build_parser() if command is None else build_command_parser(command)
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parses argv as the whole parser does.  When argv names a command and
+    that command's parser takes every argument, it alone reads them, so a
+    call builds one command's parser rather than all of them; anything else
+    (no command, an unknown one, `--help`, an argument the command does not
+    take) goes to the whole parser, which prints what it always printed."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in COMMANDS:
+        args, extras = _parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return _parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

@@ -8,15 +8,14 @@ fold [m] (oriented from the lexicographically smaller endpoint).  Any
 assignment of permutations to all edges can be brought into this form by
 relabeling fibers, which never changes the number of colorings.
 
-Every count goes through a counting plan, which holds what depends only
-on the graph and the fold.  `_ThetaPlan` counts full covers of a
-generalized Theta graph by a path transfer from the colors of its two end
-vertices; `_FeedbackPlan` counts everything else by conditioning on a
-feedback vertex set S, and `BRUTE_FORCE_LIMIT` caps its m^|S| rows.
-`count_from_edge_perms` builds a plan per call; `min_over_covers` builds
-one per search chunk.  At its conjugacy level the search is orderly: it
-counts one cover per conjugacy orbit and finds the same first minimum as
-a count of every cover (see `_search_chunk`).
+Every count goes through a counting plan, built once and kept on the
+graph (`Graph.plan`).  `_ThetaPlan`, one per graph and fold, counts full
+covers of a generalized Theta graph by a path transfer from the colors of
+its two end vertices; `_FeedbackPlan`, one per graph, counts everything
+else by conditioning on a feedback vertex set S, and `BRUTE_FORCE_LIMIT`
+caps the m^|S| rows of each count.  At its conjugacy level the search is
+orderly: it counts one cover per conjugacy orbit and finds the same first
+minimum as a count of every cover (see `_search_chunk`).
 Star partitions (`partitions_of`) and their shift covers live here too;
 their weights are color-pattern transfers (`analysis._avoidance_count`).
 """
@@ -400,14 +399,13 @@ class _FeedbackPlan:
     DP per tree of G - S; trees that touch no edge from S are counted once
     per count.  The plan stores the edges inside and out of S and the
     walks of G - S, each step with its orientation, so a count orients
-    each edge once, not once per row.
+    each edge once, not once per row.  None of it depends on the fold or
+    the start vectors, which each count takes.
     """
 
-    def __init__(self, g: Graph, m: int, start: Sequence[Sequence[int]]):
-        fvs = g.feedback_set
-        if m ** len(fvs) > BRUTE_FORCE_LIMIT:
-            raise GraphTooLarge(f"{m}^{len(fvs)} feedback-set colorings are too many")
-        slot = {v: i for i, v in enumerate(fvs)}
+    def __init__(self, g: Graph):
+        self.fvs = g.feedback_set
+        slot = {v: i for i, v in enumerate(self.fvs)}
         self.inner, self.outer, rest = [], [], []
         for e, (a, b) in enumerate(g.edges):
             if a in slot and b in slot:
@@ -428,12 +426,14 @@ class _FeedbackPlan:
                 self.touching.append(tree)
             elif walk[0][0] not in slot:
                 self.free.append(tree)
-        self.start = start
-        self.choices = [[c for c in range(m) if start[v][c]] for v in fvs]
         self.inverse = cache(invert_perm)
 
-    def count(self, perms: Sequence[Perm]) -> int:
-        inverse, start = self.inverse, self.start
+    def count(self, perms: Sequence[Perm], m: int, start: Sequence[Sequence[int]]) -> int:
+        """Transversals at fold m, start[v] the 0/1 vector of colors
+        allowed at v."""
+        if m ** len(self.fvs) > BRUTE_FORCE_LIMIT:
+            raise GraphTooLarge(f"{m}^{len(self.fvs)} feedback-set colorings are too many")
+        inverse = self.inverse
 
         def oriented(tree):
             root, steps = tree
@@ -453,7 +453,8 @@ class _FeedbackPlan:
         ]
         seeds = list(start)
         total = 0
-        for colors in product(*self.choices):
+        choices = [[c for c in range(m) if start[v][c]] for v in self.fvs]
+        for colors in product(*choices):
             if any(p[colors[a]] == colors[b] for a, b, p in inner):
                 continue
             for y in self.blocked:
@@ -484,9 +485,9 @@ def count_from_edge_perms(
     """
     if allowed is None:
         if g.theta is not None and all(None not in p for p in perms):
-            return _ThetaPlan(g, m).count(perms)
+            return g.plan(_ThetaPlan, m).count(perms)
         allowed = [[1] * m] * g.n
-    return _FeedbackPlan(g, m, allowed).count(perms)
+    return g.plan(_FeedbackPlan).count(perms, m, allowed)
 
 
 def count_colorings(g: Graph, cover: FullCover) -> int:
@@ -798,7 +799,7 @@ def min_over_covers(
 
 def _search_chunk(args) -> tuple[int, tuple[Perm, ...]]:
     """Minimum over all assignments extending a fixed prefix, each counted
-    through one counting plan built for the chunk.
+    through the graph's counting plan.
 
     When `orderly`, the search is orderly (McKay, J. Algorithms 1998): an
     edge skips a twist p when some tau commuting with every earlier twist
@@ -812,8 +813,10 @@ def _search_chunk(args) -> tuple[int, tuple[Perm, ...]]:
     counting every cover.
     """
     g, m, free_edges, prefix, orderly = args
-    theta = g.theta is not None
-    plan = _ThetaPlan(g, m) if theta else _FeedbackPlan(g, m, [[1] * m] * g.n)
+    if g.theta is not None:
+        plan, fold = g.plan(_ThetaPlan, m), ()
+    else:
+        plan, fold = g.plan(_FeedbackPlan), (m, [[1] * m] * g.n)
     ident = identity_perm(m)
     perms: list[Perm] = [ident] * len(g.edges)
     for e, p in zip(free_edges, prefix):
@@ -847,7 +850,7 @@ def _search_chunk(args) -> tuple[int, tuple[Perm, ...]]:
     def rec(i: int, group):
         nonlocal best
         if i == len(remaining):
-            value = plan.count(perms)
+            value = plan.count(perms, *fold)
             if best is None or value < best[0]:
                 best = (value, tuple(perms[e] for e in free_edges))
             return

@@ -3,7 +3,7 @@
 Provides the generalized Theta construction Theta(l_1, ..., l_k) with its
 fixed vertex/edge naming, one union-find pass (`spanning_forest`) behind
 every forest, component, standard-tree and feedback-vertex query (a
-single feedback vertex, or a small greedy feedback vertex set),
+single feedback vertex, or a small feedback vertex set),
 simple-cycle lengths of edge subsets, and the star + forest
 decomposition used by the feedback-vertex-one machinery.
 """
@@ -14,12 +14,20 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import BadEdge, InvalidCenter, InvalidThetaSpec
 
 # Edge subsets are plain int bitmasks over a graph's edge list.
 EdgeSubset = int
+
+#: `feedback_vertex_set` shrinks a greedy set of at most this many vertices
+#: to a minimum, while at most EXACT_FEEDBACK_SUBSETS vertex sets one
+#: smaller exist (each costs one union-find pass).
+EXACT_FEEDBACK_SIZE = 4
+EXACT_FEEDBACK_SUBSETS = 10_000
 
 
 @dataclass(frozen=True)
@@ -206,6 +214,25 @@ class Graph:
         return feedback_vertex_set(self)
 
     @cached_property
+    def _plans(self) -> dict:
+        return {}
+
+    def plan(self, build, *args):
+        """`build(self, *args)`, built once per graph and arguments: the
+        transfer's step table and the counting plans.  They are freed with
+        the graph and left out of its pickled state, so a worker process
+        builds its own."""
+        plans, key = self._plans, (build, *args)
+        if key not in plans:
+            plans[key] = build(self, *args)
+        return plans[key]
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_plans", None)
+        return state
+
+    @cached_property
     def standard_tree(self) -> frozenset[int]:
         """Edge indices of the spanning forest that cover twists are
         normalized against: for a generalized Theta graph every edge but the
@@ -389,8 +416,7 @@ def find_feedback_vertex(g: Graph) -> str | FeedbackVertex:
     if g.is_forest():
         return FeedbackVertex.NONE_NEEDED
     for label in sorted(g.vertices):
-        v = g.index[label]
-        if not spanning_forest(g.n, [e for e in g.edges if v not in e])[1]:
+        if _leaves_forest(g, (g.index[label],)):
             return label
     return FeedbackVertex.NOT_SIZE_ONE
 
@@ -401,7 +427,11 @@ def feedback_vertex_set(g: Graph) -> tuple[int, ...]:
     S is empty for a forest and the `find_feedback_vertex` pivot when one
     vertex suffices.  Otherwise S grows greedily: while G - S has a
     cycle, the endpoint of its first cotree edge with the higher degree
-    in G - S joins S (K4 gets two vertices, K5 three).
+    in G - S joins S (K4 gets two vertices, K5 three).  A greedy S of at
+    most `EXACT_FEEDBACK_SIZE` vertices then shrinks while some vertex set
+    one smaller, the first in `combinations` order, leaves a forest.  As
+    every superset of a feedback set is one, the S it stops at is a
+    minimum, unless more than `EXACT_FEEDBACK_SUBSETS` sets were to try.
     """
     pivot = find_feedback_vertex(g)
     if pivot is FeedbackVertex.NONE_NEEDED:
@@ -413,10 +443,26 @@ def feedback_vertex_set(g: Graph) -> tuple[int, ...]:
         rest = [e for e in g.edges if chosen.isdisjoint(e)]
         _, cotree = spanning_forest(g.n, rest)
         if not cotree:
-            return tuple(sorted(chosen))
+            break
         degree = Counter(v for e in rest for v in e)
         a, b = rest[cotree[0]]
         chosen.add(a if degree[a] >= degree[b] else b)
+    best = tuple(sorted(chosen))
+    while 2 < len(best) <= EXACT_FEEDBACK_SIZE:  # one vertex was ruled out above
+        if comb(g.n, len(best) - 1) > EXACT_FEEDBACK_SUBSETS:
+            break
+        subsets = combinations(range(g.n), len(best) - 1)
+        smaller = next((s for s in subsets if _leaves_forest(g, s)), None)
+        if smaller is None:
+            break
+        best = smaller
+    return best
+
+
+def _leaves_forest(g: Graph, removed: Iterable[int]) -> bool:
+    """Whether G minus the `removed` vertices is a forest."""
+    removed = set(removed)
+    return not spanning_forest(g.n, [e for e in g.edges if removed.isdisjoint(e)])[1]
 
 
 @dataclass(frozen=True)

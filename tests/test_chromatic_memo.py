@@ -190,6 +190,41 @@ def test_order_keeps_the_sparse_16_vertex_graph_narrow():
     assert max(active_counts(g, chromatic._frontier_order(g))) <= 9
 
 
+def scored_frontier_order(g: Graph) -> list[int]:
+    """`chromatic._frontier_order` as it was before a lone frontier vertex
+    was taken without scoring: `min` over the frontier at every step."""
+    adj = g.adjacency
+    left = [len(a) for a in adj]
+    roots = iter(sorted(range(g.n), key=left.__getitem__))
+    entered = [False] * g.n
+    frontier: set[int] = set()
+    order: list[int] = []
+
+    def score(x: int) -> tuple[int, int, int, int]:
+        retired = sum(entered[u] and left[u] == 1 for u in adj[x])
+        return (left[x] > 0) - retired, left[x] - len(adj[x]), left[x], x
+
+    for _ in range(g.n):
+        v = min(frontier, key=score) if frontier else next(r for r in roots if not entered[r])
+        entered[v] = True
+        order.append(v)
+        frontier.discard(v)
+        for u in adj[v]:
+            left[u] -= 1
+            if not entered[u]:
+                frontier.add(u)
+    return order
+
+
+def test_a_lone_frontier_vertex_is_taken_in_the_same_order():
+    rng = random.Random(2024)
+    graphs = theta_identity_graphs()
+    graphs += [random_graph(rng, rng.randint(1, 14), 24) for _ in range(300)]
+    graphs += [relabeled(g, rng) for g in graphs[-100:]]
+    for g in graphs:
+        assert chromatic._frontier_order(g) == scored_frontier_order(g), g.edges
+
+
 def relabeled(g: Graph, rng: random.Random) -> Graph:
     """The same graph, names kept, its vertices renumbered at random."""
     new = list(range(g.n))

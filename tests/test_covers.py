@@ -214,10 +214,10 @@ def test_transfer_count_matches_conditioning_dp_at_large_fold():
     for g in (theta(2, 3, 3), theta(2, 11, 12)):
         for m in (17, 47):
             transfer = _ThetaPlan(g, m)
-            conditioning = _FeedbackPlan(g, m, [[1] * m] * g.n)
+            conditioning = _FeedbackPlan(g)
             for _ in range(3):
                 perms = [tuple(rng.sample(range(m), m)) for _ in g.edges]
-                assert transfer.count(perms) == conditioning.count(perms)
+                assert transfer.count(perms) == conditioning.count(perms, m, [[1] * m] * g.n)
 
 
 def test_min_over_covers_symmetry_levels_agree():

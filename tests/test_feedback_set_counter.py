@@ -3,13 +3,14 @@
 `count_from_edge_perms` conditions on the colors of `Graph.feedback_set`,
 a vertex set S whose removal leaves a forest: empty for forests, the
 `find_feedback_vertex` pivot when one vertex suffices, otherwise grown
-greedily.  These tests check S itself, every count against plain
-enumeration for |S| from 0 to 3, the cost of S, and the fold limit on
-m^|S|.
+greedily and, while it has at most four vertices, shrunk to a minimum.
+These tests check S itself against a minimum found by trying every vertex
+subset, every count against plain enumeration for |S| from 0 to 3, the
+cost of S, and the fold limit on m^|S|.
 """
 
 import random
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,39 @@ def test_feedback_set_leaves_a_forest_and_keeps_the_pivot():
         ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (3, 4)),
     )
     assert wheel.feedback_set == (1, 3)
+
+
+def minimum_feedback_size(g: Graph) -> int:
+    """Size of a minimum feedback vertex set, trying every vertex subset."""
+    for size in range(g.n + 1):
+        for removed in combinations(range(g.n), size):
+            if not spanning_forest(g.n, [e for e in g.edges if not set(removed) & set(e)])[1]:
+                return size
+    raise AssertionError("removing every vertex leaves a forest")
+
+
+def test_feedback_set_is_a_minimum_up_to_the_exact_size(monkeypatch):
+    rng = random.Random(404)
+    samples = []
+    for _ in range(400):
+        n = rng.randint(4, 9)
+        density = rng.uniform(0.3, 0.9)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < density]
+        samples.append(Graph(tuple(f"r{i}" for i in range(n)), tuple(pairs)))
+    exact = greedy_above = 0
+    for g in samples:
+        fvs = g.feedback_set
+        rest = [e for e in g.edges if set(fvs).isdisjoint(e)]
+        assert not spanning_forest(g.n, rest)[1]
+        want = minimum_feedback_size(g)
+        if len(fvs) <= graphs.EXACT_FEEDBACK_SIZE:
+            assert len(fvs) == want, g.edges
+            exact += 1
+        with monkeypatch.context() as m:  # the greedy set alone
+            m.setattr(graphs, "EXACT_FEEDBACK_SIZE", 0)
+            greedy_above += len(feedback_vertex_set(g)) > want
+    assert exact >= 350
+    assert greedy_above >= 20  # graphs on which the greedy set alone is too large
 
 
 def test_counts_match_enumeration_for_every_feedback_set_size():

@@ -36,9 +36,9 @@ def plan_counts(monkeypatch):
     """Number of covers counted through either counting plan."""
     calls = [0]
     for plan in (covers._ThetaPlan, covers._FeedbackPlan):
-        def count(self, perms, original=plan.count):
+        def count(self, perms, *fold, original=plan.count):
             calls[0] += 1
-            return original(self, perms)
+            return original(self, perms, *fold)
 
         monkeypatch.setattr(plan, "count", count)
     return calls
