@@ -37,19 +37,27 @@ def chromatic_polynomial(g: Graph) -> IntPoly:
     return _transfer(g, {}, {})
 
 
-def _frontier_order(g: Graph) -> list[int]:
-    """Each component from a least-degree vertex, then always the frontier
-    vertex (unentered, with an entered neighbor) that leaves the fewest
-    vertices active once it enters: +1 if it has an unentered neighbor, -1
-    per entered neighbor it is the last to reach.  Ties go to the most
-    entered neighbors, then to the fewest unentered ones, then to the lower
-    index."""
+def _transfer_steps(g: Graph) -> list[tuple[int, list[int], list[int], bool]]:
+    """The transfer's walk over g, which no coloring constraint changes.
+
+    The order takes each component from a least-degree vertex, then always
+    the frontier vertex (unentered, with an entered neighbor) that leaves
+    the fewest vertices active once it enters: +1 if it has an unentered
+    neighbor, -1 per entered neighbor it is the last to reach.  Ties go to
+    the most entered neighbors, then to the fewest unentered ones, then to
+    the lower index.  A vertex is active from its entry until its last
+    neighbor enters, so once v enters, an active vertex stays exactly when
+    it still has an unentered neighbor.  Each step records v, the positions
+    of its neighbors among the active vertices, the positions of the active
+    vertices that stay, and whether v stays.  Built once per graph
+    (`Graph.plan`)."""
     adj = g.adjacency
     left = [len(a) for a in adj]  # unentered neighbors
     roots = iter(sorted(range(g.n), key=left.__getitem__))
     entered = [False] * g.n
     frontier: set[int] = set()
-    order: list[int] = []
+    active: list[int] = []
+    steps = []
 
     def score(x: int) -> tuple[int, int, int, int]:
         retired = sum(entered[u] and left[u] == 1 for u in adj[x])
@@ -63,32 +71,14 @@ def _frontier_order(g: Graph) -> list[int]:
         else:
             v = next(r for r in roots if not entered[r])
         entered[v] = True
-        order.append(v)
         frontier.discard(v)
         for u in adj[v]:
             left[u] -= 1
             if not entered[u]:
                 frontier.add(u)
-    return order
-
-
-def _transfer_steps(g: Graph) -> list[tuple[int, list[int], list[int], bool]]:
-    """The transfer's walk over g, which no coloring constraint changes:
-    per step of the `_frontier_order`, the entering vertex v, the
-    positions of its neighbors among the active vertices, the positions
-    of the active vertices that stay, and whether v stays.  A vertex is
-    active from its entry step until the step its last neighbor enters.
-    Built once per graph (`Graph.plan`)."""
-    adj = g.adjacency
-    order = _frontier_order(g)
-    step = {v: i for i, v in enumerate(order)}
-    last = [max((step[u] for u in adj[v]), default=-1) for v in range(g.n)]
-    active: list[int] = []
-    steps = []
-    for i, v in enumerate(order):
         near = [k for k, u in enumerate(active) if u in adj[v]]
-        keep = [k for k, u in enumerate(active) if last[u] > i]
-        stays = last[v] > i
+        keep = [k for k, u in enumerate(active) if left[u] > 0]
+        stays = left[v] > 0
         active = [active[k] for k in keep] + [v] * stays
         steps.append((v, near, keep, stays))
     return steps

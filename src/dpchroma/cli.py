@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dpchroma",
         description="Exact DP color functions and chromatic polynomials",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, (keywords, add_arguments) in COMMANDS.items():
         add_arguments(sub.add_parser(name, **keywords))
     return parser

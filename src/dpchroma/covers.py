@@ -432,7 +432,10 @@ class _FeedbackPlan:
         """Transversals at fold m, start[v] the 0/1 vector of colors
         allowed at v."""
         if m ** len(self.fvs) > BRUTE_FORCE_LIMIT:
-            raise GraphTooLarge(f"{m}^{len(self.fvs)} feedback-set colorings are too many")
+            raise GraphTooLarge(
+                f"{m}^{len(self.fvs)} feedback-set colorings exceed "
+                f"BRUTE_FORCE_LIMIT = {BRUTE_FORCE_LIMIT:,}"
+            )
         inverse = self.inverse
 
         def oriented(tree):
@@ -543,7 +546,7 @@ def subset_walk(cover: FullCover) -> tuple[list[int], list[int]]:
         raise CoverMismatch("agreement counts require a full cover")
     g, m = cover.graph, cover.m
     if len(g.edges) > SUBSET_EDGE_LIMIT:
-        raise GraphTooLarge(f"more than {SUBSET_EDGE_LIMIT} edges in the subset walk")
+        raise GraphTooLarge(f"{len(g.edges)} edges exceed SUBSET_EDGE_LIMIT = {SUBSET_EDGE_LIMIT}")
     perms, edges = cover.edge_perms(), g.edges
     parent = list(range(g.n))
     size = [1] * g.n

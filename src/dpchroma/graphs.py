@@ -23,10 +23,8 @@ from .errors import BadEdge, InvalidCenter, InvalidThetaSpec
 # Edge subsets are plain int bitmasks over a graph's edge list.
 EdgeSubset = int
 
-#: `feedback_vertex_set` shrinks a greedy set of at most this many vertices
-#: to a minimum, while at most EXACT_FEEDBACK_SUBSETS vertex sets one
-#: smaller exist (each costs one union-find pass).
-EXACT_FEEDBACK_SIZE = 4
+#: `feedback_vertex_set` shrinks a greedy set to a minimum while at most
+#: this many vertex sets one smaller exist (each costs one union-find pass).
 EXACT_FEEDBACK_SUBSETS = 10_000
 
 
@@ -190,10 +188,7 @@ class Graph:
         return Graph(self.vertices, kept)
 
     def with_edge(self, x: str, y: str) -> "Graph":
-        a, b = self.index[x], self.index[y]
-        if x > y:
-            a, b = b, a
-        return Graph(self.vertices, self.edges + ((a, b),))
+        return Graph(self.vertices, self.edges + ((self.index[x], self.index[y]),))
 
     def without_vertex(self, label: str) -> "Graph":
         drop = self.index[label]
@@ -295,13 +290,7 @@ class Graph:
                 seen[name] = len(labels)
                 labels.append(name)
             i += 1
-        edges = []
-        for x, y in pairs:
-            a, b = seen[x], seen[y]
-            if x > y:
-                a, b = b, a
-            edges.append((a, b))
-        return cls(tuple(labels), tuple(edges))
+        return cls(tuple(labels), tuple((seen[x], seen[y]) for x, y in pairs))
 
 
 def build_generalized_theta(spec: ThetaSpec) -> Graph:
@@ -427,11 +416,11 @@ def feedback_vertex_set(g: Graph) -> tuple[int, ...]:
     S is empty for a forest and the `find_feedback_vertex` pivot when one
     vertex suffices.  Otherwise S grows greedily: while G - S has a
     cycle, the endpoint of its first cotree edge with the higher degree
-    in G - S joins S (K4 gets two vertices, K5 three).  A greedy S of at
-    most `EXACT_FEEDBACK_SIZE` vertices then shrinks while some vertex set
-    one smaller, the first in `combinations` order, leaves a forest.  As
-    every superset of a feedback set is one, the S it stops at is a
-    minimum, unless more than `EXACT_FEEDBACK_SUBSETS` sets were to try.
+    in G - S joins S (K4 gets two vertices, K5 three).  The greedy S then
+    shrinks while some vertex set one smaller, the first in `combinations`
+    order, leaves a forest.  As every superset of a feedback set is one,
+    the S it stops at is a minimum, unless more than
+    `EXACT_FEEDBACK_SUBSETS` sets were to try.
     """
     pivot = find_feedback_vertex(g)
     if pivot is FeedbackVertex.NONE_NEEDED:
@@ -448,9 +437,8 @@ def feedback_vertex_set(g: Graph) -> tuple[int, ...]:
         a, b = rest[cotree[0]]
         chosen.add(a if degree[a] >= degree[b] else b)
     best = tuple(sorted(chosen))
-    while 2 < len(best) <= EXACT_FEEDBACK_SIZE:  # one vertex was ruled out above
-        if comb(g.n, len(best) - 1) > EXACT_FEEDBACK_SUBSETS:
-            break
+    # one vertex was ruled out above
+    while len(best) > 2 and comb(g.n, len(best) - 1) <= EXACT_FEEDBACK_SUBSETS:
         subsets = combinations(range(g.n), len(best) - 1)
         smaller = next((s for s in subsets if _leaves_forest(g, s)), None)
         if smaller is None:

@@ -233,7 +233,7 @@ def subset_sum(g: Graph, term) -> int:
     `SUBSET_EDGE_LIMIT` edges): the inclusion-exclusion oracle of the
     `inclusion-exclusion` suite."""
     if len(g.edges) > SUBSET_EDGE_LIMIT:
-        raise GraphTooLarge(f"more than {SUBSET_EDGE_LIMIT} edges in the subset sum")
+        raise GraphTooLarge(f"{len(g.edges)} edges exceed SUBSET_EDGE_LIMIT = {SUBSET_EDGE_LIMIT}")
     total = 0
     for mask in range(1 << len(g.edges)):
         sign = -1 if bin(mask).count("1") & 1 else 1

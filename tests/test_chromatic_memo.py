@@ -166,9 +166,14 @@ def test_theta_identity_graphs_against_plain_recursion():
         assert chromatic_polynomial(g) == reference_chrom(g.n, list(g.edges)), g.edges
 
 
-def active_counts(g: Graph, order: list[int]) -> list[int]:
-    """Vertices active after each step of `order`: entered, with a neighbor
-    still to enter."""
+def transfer_order(g: Graph) -> list[int]:
+    return [v for v, *_ in chromatic._transfer_steps(g)]
+
+
+def active_counts(g: Graph) -> list[int]:
+    """Vertices active after each step of the transfer's order: entered,
+    with a neighbor still to enter."""
+    order = transfer_order(g)
     step = {v: i for i, v in enumerate(order)}
     last = [max((step[u] for u in g.adjacency[v]), default=-1) for v in range(g.n)]
     return [sum(last[u] > i for u in order[: i + 1]) for i in range(g.n)]
@@ -178,21 +183,19 @@ def test_order_keeps_theta_identity_graphs_narrow():
     graphs = theta_identity_graphs()
     assert len(graphs) == 840
     for g in graphs:
-        order = chromatic._frontier_order(g)
-        assert sorted(order) == list(range(g.n))
-        assert max(active_counts(g, order)) <= 3, g.edges
+        assert sorted(transfer_order(g)) == list(range(g.n))
+        assert max(active_counts(g)) <= 3, g.edges
 
 
 def test_order_keeps_the_sparse_16_vertex_graph_narrow():
     # the seeded 16-vertex 60-edge graph below: width 10 when score ties
     # went straight to the fewest unentered neighbors
-    g = sparse_16_vertex_graph()
-    assert max(active_counts(g, chromatic._frontier_order(g))) <= 9
+    assert max(active_counts(sparse_16_vertex_graph())) <= 9
 
 
 def scored_frontier_order(g: Graph) -> list[int]:
-    """`chromatic._frontier_order` as it was before a lone frontier vertex
-    was taken without scoring: `min` over the frontier at every step."""
+    """The transfer's order as it was before a lone frontier vertex was
+    taken without scoring: `min` over the frontier at every step."""
     adj = g.adjacency
     left = [len(a) for a in adj]
     roots = iter(sorted(range(g.n), key=left.__getitem__))
@@ -222,7 +225,40 @@ def test_a_lone_frontier_vertex_is_taken_in_the_same_order():
     graphs += [random_graph(rng, rng.randint(1, 14), 24) for _ in range(300)]
     graphs += [relabeled(g, rng) for g in graphs[-100:]]
     for g in graphs:
-        assert chromatic._frontier_order(g) == scored_frontier_order(g), g.edges
+        assert transfer_order(g) == scored_frontier_order(g), g.edges
+
+
+def reference_transfer_steps(g: Graph) -> list[tuple[int, list[int], list[int], bool]]:
+    """The step table as a second pass over the order, as it was built
+    before the order's own walk recorded it: a vertex is active from its
+    entry step until the step its last neighbor enters.  (A lone frontier
+    vertex is its own `min`, so `scored_frontier_order` is that order.)"""
+    adj = g.adjacency
+    order = scored_frontier_order(g)
+    step = {v: i for i, v in enumerate(order)}
+    last = [max((step[u] for u in adj[v]), default=-1) for v in range(g.n)]
+    active: list[int] = []
+    steps = []
+    for i, v in enumerate(order):
+        near = [k for k, u in enumerate(active) if u in adj[v]]
+        keep = [k for k, u in enumerate(active) if last[u] > i]
+        stays = last[v] > i
+        active = [active[k] for k in keep] + [v] * stays
+        steps.append((v, near, keep, stays))
+    return steps
+
+
+def test_one_pass_step_table_matches_the_two_pass_reference():
+    rng = random.Random(1240)
+    graphs = theta_identity_graphs()
+    graphs += [random_graph(rng, rng.randint(1, 12), 24) for _ in range(200)]
+    for _ in range(200):  # dense draws, where many vertices stay active
+        n, p = rng.randint(1, 12), rng.uniform(0.2, 0.9)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        graphs.append(Graph(tuple(f"d{i}" for i in range(n)), tuple(pairs)))
+    assert len(graphs) == 1240
+    for g in graphs:
+        assert chromatic._transfer_steps(g) == reference_transfer_steps(g), g.edges
 
 
 def relabeled(g: Graph, rng: random.Random) -> Graph:

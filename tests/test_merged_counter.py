@@ -157,15 +157,15 @@ def test_one_brute_force_limit():
     over = next(m for m in range(2, 1000) if m**size > BRUTE_FORCE_LIMIT)
     assert (size, over) == (3, 159)
     perms = [identity_perm(over)] * len(g.edges)
-    with pytest.raises(GraphTooLarge):
+    with pytest.raises(GraphTooLarge, match="BRUTE_FORCE_LIMIT = 4,000,000"):
         count_from_edge_perms(g, over, perms)
-    with pytest.raises(GraphTooLarge):
+    with pytest.raises(GraphTooLarge, match="BRUTE_FORCE_LIMIT"):
         precolored_count(g, Precoloring({"k0": 1}, 5), over)
 
 
 def test_cover_subset_sum_edge_limit():
     big = Graph(tuple(f"p{i}" for i in range(22)), tuple((i, i + 1) for i in range(21)))
-    with pytest.raises(GraphTooLarge):
+    with pytest.raises(GraphTooLarge, match="21 edges exceed SUBSET_EDGE_LIMIT = 20"):
         cover_count_by_subsets(identity_cover(big, 2))
 
 

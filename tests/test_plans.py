@@ -117,13 +117,13 @@ def test_fvs1_computes_the_frontier_order_once(monkeypatch):
     from dpchroma.verify import partition_weight_by_subsets
 
     orders = []
-    original = chromatic._frontier_order
+    original = chromatic._transfer_steps
 
     def counting(g):
         orders.append(g)
         return original(g)
 
-    monkeypatch.setattr(chromatic, "_frontier_order", counting)
+    monkeypatch.setattr(chromatic, "_transfer_steps", counting)
     result = fvs1_dp_polynomial(fan(5))
     d = result.decomposition
     assert orders == [d.forest]

@@ -87,7 +87,7 @@ def test_walk_refuses_too_many_edges_before_walking(monkeypatch):
         raise AssertionError("the walk started")
 
     monkeypatch.setattr(FullCover, "edge_perms", no_walk)
-    with pytest.raises(GraphTooLarge):
+    with pytest.raises(GraphTooLarge, match="21 edges exceed SUBSET_EDGE_LIMIT = 20"):
         subset_walk(cover)
 
 
