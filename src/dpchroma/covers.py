@@ -13,9 +13,11 @@ graph (`Graph.plan`).  `_ThetaPlan`, one per graph and fold, counts full
 covers of a generalized Theta graph by a path transfer from the colors of
 its two end vertices; `_FeedbackPlan`, one per graph, counts everything
 else by conditioning on a feedback vertex set S, and `BRUTE_FORCE_LIMIT`
-caps the m^|S| rows of each count.  At its conjugacy level the search is
-orderly: it counts one cover per conjugacy orbit and finds the same first
-minimum as a count of every cover (see `_search_chunk`).
+caps the m^|S| rows of each count.  Both keep a table of rows per fold,
+which every count of the search reads.  At its conjugacy level the search
+is orderly: it counts one cover per conjugacy orbit and finds the same
+first minimum as a count of every cover (see `_search_chunk`); its orbit
+sweeps are cached per process by fold and group (`_orbit_sweep`).
 Star partitions (`partitions_of`) and their shift covers live here too;
 their weights are color-pattern transfers (`analysis._avoidance_count`).
 """
@@ -37,13 +39,7 @@ from .errors import (
     OutOfRange,
     SearchBudgetExceeded,
 )
-from .graphs import (
-    EdgeSubset,
-    Graph,
-    StarDecomposition,
-    _bits,
-    spanning_forest,
-)
+from .graphs import Graph, StarDecomposition, _bits
 
 # A twist is a tuple of images; None marks a fiber vertex with no cross edge,
 # which only occurs in non-full covers.
@@ -171,6 +167,26 @@ def _centralizer(f: Perm) -> tuple[tuple[Perm, Perm], ...]:
                     tau[x] = d[(k + turn) % len(c)]
             out.append((tuple(tau), invert_perm(tau)))
     return tuple(out)
+
+
+@cache
+def _orbit_sweep(m: int, group: tuple[tuple[Perm, Perm], ...]) -> tuple[tuple[Perm, tuple], ...]:
+    """The first twist of each orbit of `group` (tau, tau^-1 pairs)
+    conjugating S_m, in lex order, each with its stabiliser in `group`.
+    A sweep depends only on the fold and the group, so every search in a
+    process shares it, as it shares `_centralizer`."""
+    seen, kept = set(), []
+    for p in permutations(range(m)):
+        if p in seen:
+            continue
+        stabiliser = []
+        for tau, inv in group:
+            q = tuple([tau[p[j]] for j in inv])
+            seen.add(q)
+            if q == p:
+                stabiliser.append((tau, inv))
+        kept.append((p, tuple(stabiliser)))
+    return tuple(kept)
 
 
 def _forest_walk(
@@ -401,9 +417,18 @@ class _FeedbackPlan:
     walks of G - S, each step with its orientation, so a count orients
     each edge once, not once per row.  None of it depends on the fold or
     the start vectors, which each count takes.
+
+    A full cover with every color allowed (every count of the search)
+    takes a row table instead.  Relabeling the fibers of each tree of
+    G - S along its walk makes its edges the identity, so a row's value
+    depends only on the colors the edges from S block, read in that
+    frame.  The plan keeps one table per fold, keyed by that tuple of
+    blocked colors, and fills a missing row with the tree DPs, as
+    `_ThetaPlan` keeps its rows.
     """
 
     def __init__(self, g: Graph):
+        self.n = g.n
         self.fvs = g.feedback_set
         slot = {v: i for i, v in enumerate(self.fvs)}
         self.inner, self.outer, rest = [], [], []
@@ -415,6 +440,7 @@ class _FeedbackPlan:
                 self.outer.append((slot[s], y, e, s == a))
             else:
                 rest.append(e)
+        self.outer.sort(key=lambda edge: edge[0])  # row keys go slot by slot
         self.blocked = {y for _, y, _, _ in self.outer}
         self.touching, self.free = [], []
         for walk in _forest_walk(g, rest):
@@ -427,15 +453,21 @@ class _FeedbackPlan:
             elif walk[0][0] not in slot:
                 self.free.append(tree)
         self.inverse = cache(invert_perm)
+        self.tables: dict[int, dict[tuple[int, ...], int]] = {}
 
-    def count(self, perms: Sequence[Perm], m: int, start: Sequence[Sequence[int]]) -> int:
+    def count(
+        self, perms: Sequence[Perm], m: int, start: Sequence[Sequence[int]] | None = None
+    ) -> int:
         """Transversals at fold m, start[v] the 0/1 vector of colors
-        allowed at v."""
+        allowed at v.  Without `start` every color is allowed, every twist
+        must be a full permutation, and the count reads the row table."""
         if m ** len(self.fvs) > BRUTE_FORCE_LIMIT:
             raise GraphTooLarge(
                 f"{m}^{len(self.fvs)} feedback-set colorings exceed "
                 f"BRUTE_FORCE_LIMIT = {BRUTE_FORCE_LIMIT:,}"
             )
+        if start is None:
+            return self._table_count(perms, m)
         inverse = self.inverse
 
         def oriented(tree):
@@ -472,6 +504,63 @@ class _FeedbackPlan:
             total += row
         return total
 
+    def _table_count(self, perms: Sequence[Perm], m: int) -> int:
+        inverse, ident = self.inverse, identity_perm(m)
+        # frame[v] carries the fiber of v's root to v's; None is the identity
+        frame: dict[int, Perm | None] = {}
+        for root, steps in self.touching:
+            frame[root] = None
+            for v, parent, e, forward in reversed(steps):
+                p, up = perms[e], frame[parent]
+                if p == ident:
+                    frame[v] = up
+                    continue
+                p = p if forward else inverse(p)
+                frame[v] = p if up is None else compose(p, up)
+        # parts[i][c]: the colors that slot i's edges block when it takes c
+        blocks: list[list[Perm]] = [[] for _ in self.fvs]
+        for i, y, e, forward in self.outer:
+            p = perms[e] if forward else inverse(perms[e])
+            blocks[i].append(p if frame[y] is None else compose(inverse(frame[y]), p))
+        parts = [list(zip(*b)) if b else [()] * m for b in blocks]
+        if len(parts) == 1:
+            keys = parts[0]
+        else:
+            inner = [(a, b, perms[e]) for a, b, e in self.inner]
+            keys = []
+            for colors in product(range(m), repeat=len(parts)):
+                for a, b, p in inner:
+                    if p[colors[a]] == colors[b]:
+                        break
+                else:
+                    key = ()
+                    for part, c in zip(parts, colors):
+                        key += part[c]
+                    keys.append(key)
+        rows = self.tables.setdefault(m, {})
+        total = 0
+        for key in keys:
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = self._row(key, m)
+            total += row
+        return total * prod(m * (m - 1) ** len(steps) for _, steps in self.free)
+
+    def _row(self, key: tuple[int, ...], m: int) -> int:
+        """The touching trees' count when the edges from S block the colors
+        of `key`, with every tree edge the identity."""
+        ones = [1] * m
+        seeds = [ones] * self.n
+        for y in self.blocked:
+            seeds[y] = ones[:]
+        for (_, y, _, _), c in zip(self.outer, key):
+            seeds[y][c] = 0
+        ident = identity_perm(m)
+        row = 1
+        for root, steps in self.touching:
+            row *= _tree_dp_vector(root, [(v, parent, ident) for v, parent, _, _ in steps], seeds)
+        return row
+
 
 def count_from_edge_perms(
     g: Graph,
@@ -500,34 +589,6 @@ def count_colorings(g: Graph, cover: FullCover) -> int:
     return count_from_edge_perms(g, cover.m, cover.edge_perms())
 
 
-def subset_agreement_count(cover: FullCover, subset: EdgeSubset) -> int:
-    """Transversals whose choice is matched across every subset edge.
-
-    Within a component of the subset graph the choice at one vertex forces
-    all others; the count is the number of starting values consistent with
-    every cycle, times m for each untouched component.
-    """
-    if not cover.is_full:
-        raise CoverMismatch("agreement counts require a full cover")
-    g, m = cover.graph, cover.m
-    perms = cover.edge_perms()
-    edge_ids = list(_bits(subset))
-    roots, cotree = spanning_forest(g.n, [g.edges[i] for i in edge_ids])
-    closing = [edge_ids[i] for i in cotree]
-    rho = _transport(g, m, perms, set(edge_ids).difference(closing))
-    allowed = {r: [True] * m for r in roots}
-    for e in closing:
-        a, b = g.edges[e]
-        step, ra, rb, ok = perms[e], rho[a], rho[b], allowed[roots[a]]
-        for j in range(m):
-            if ok[j] and step[ra[j]] != rb[j]:
-                ok[j] = False
-    total = 1
-    for ok in allowed.values():
-        total *= sum(ok)
-    return total
-
-
 def subset_walk(cover: FullCover) -> tuple[list[int], list[int]]:
     """Component count and agreement count of every edge subset of a full
     cover, as two lists indexed by mask (at most `SUBSET_EDGE_LIMIT` edges).
@@ -538,9 +599,8 @@ def subset_walk(cover: FullCover) -> tuple[list[int], list[int]]:
     permutation carrying its parent's fiber to its own; a root keeps the
     bitmask of colors its component can take there, and the agreement count
     is the running product of those masks' sizes.  The walk visits
-    2^(|E|+1) - 1 nodes, where `component_count` and
-    `subset_agreement_count` (the per-subset routes, kept as its oracles)
-    each make a fresh forest pass per subset.
+    2^(|E|+1) - 1 nodes, where `component_count` and the test oracle
+    `subset_agreement_count` each make a fresh forest pass per subset.
     """
     if not cover.is_full:
         raise CoverMismatch("agreement counts require a full cover")
@@ -819,7 +879,7 @@ def _search_chunk(args) -> tuple[int, tuple[Perm, ...]]:
     if g.theta is not None:
         plan, fold = g.plan(_ThetaPlan, m), ()
     else:
-        plan, fold = g.plan(_FeedbackPlan), (m, [[1] * m] * g.n)
+        plan, fold = g.plan(_FeedbackPlan), (m,)
     ident = identity_perm(m)
     perms: list[Perm] = [ident] * len(g.edges)
     for e, p in zip(free_edges, prefix):
@@ -837,18 +897,7 @@ def _search_chunk(args) -> tuple[int, tuple[Perm, ...]]:
                 (p, _centralizer(p) if deeper and p != ident else None)
                 for p in cycle_type_representatives(m)
             ]
-        seen, kept = set(), []
-        for p in permutations(range(m)):
-            if p in seen:
-                continue
-            stabiliser = []
-            for tau, inv in group:
-                q = tuple([tau[p[j]] for j in inv])
-                seen.add(q)
-                if deeper and q == p:
-                    stabiliser.append((tau, inv))
-            kept.append((p, stabiliser))
-        return kept
+        return _orbit_sweep(m, group)
 
     def rec(i: int, group):
         nonlocal best

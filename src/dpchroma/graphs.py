@@ -420,7 +420,10 @@ def feedback_vertex_set(g: Graph) -> tuple[int, ...]:
     shrinks while some vertex set one smaller, the first in `combinations`
     order, leaves a forest.  As every superset of a feedback set is one,
     the S it stops at is a minimum, unless more than
-    `EXACT_FEEDBACK_SUBSETS` sets were to try.
+    `EXACT_FEEDBACK_SUBSETS` sets were to try.  A forest on n' vertices
+    has at most n' - 1 edges, so a set R that leaves more, |E| minus the
+    degrees of R plus the edges inside R, is passed over without a
+    union-find pass.
     """
     pivot = find_feedback_vertex(g)
     if pivot is FeedbackVertex.NONE_NEEDED:
@@ -437,10 +440,19 @@ def feedback_vertex_set(g: Graph) -> tuple[int, ...]:
         a, b = rest[cotree[0]]
         chosen.add(a if degree[a] >= degree[b] else b)
     best = tuple(sorted(chosen))
+    near = [set(x) for x in g.adjacency]
+
+    def few_enough_edges(removed: tuple[int, ...]) -> bool:
+        inside = sum(1 for a, b in combinations(removed, 2) if b in near[a])
+        left = len(g.edges) - sum(len(near[v]) for v in removed) + inside
+        return left < g.n - len(removed)
+
     # one vertex was ruled out above
     while len(best) > 2 and comb(g.n, len(best) - 1) <= EXACT_FEEDBACK_SUBSETS:
         subsets = combinations(range(g.n), len(best) - 1)
-        smaller = next((s for s in subsets if _leaves_forest(g, s)), None)
+        smaller = next(
+            (s for s in subsets if few_enough_edges(s) and _leaves_forest(g, s)), None
+        )
         if smaller is None:
             break
         best = smaller

@@ -3,14 +3,17 @@
 Everything here enumerates: no closed forms, no transfer counting, no
 deletion-contraction.  Tests freeze expected values computed by these
 oracles or compare the fast paths against them directly.  The two subset
-sums run the package's one inclusion-exclusion oracle, `verify.subset_sum`.
+sums run the package's one inclusion-exclusion oracle, `verify.subset_sum`;
+`subset_agreement_count` answers one subset of a cover from a fresh forest
+pass, the oracle of `covers.subset_walk`.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from dpchroma.covers import FullCover, subset_agreement_count
-from dpchroma.graphs import Graph, component_count
+from dpchroma.covers import FullCover, _transport
+from dpchroma.errors import CoverMismatch
+from dpchroma.graphs import EdgeSubset, Graph, _bits, component_count, spanning_forest
 from dpchroma.poly import IntPoly
 from dpchroma.verify import subset_sum
 
@@ -42,6 +45,34 @@ def brute_force_cover_count(g: Graph, cover: FullCover) -> int:
 def chromatic_by_subsets(g: Graph, m: int) -> int:
     """P(g, m) as the alternating sum of m^(components) over edge subsets."""
     return subset_sum(g, lambda s: m ** component_count(g, s))
+
+
+def subset_agreement_count(cover: FullCover, subset: EdgeSubset) -> int:
+    """Transversals whose choice is matched across every subset edge.
+
+    Within a component of the subset graph the choice at one vertex forces
+    all others; the count is the number of starting values consistent with
+    every cycle, times m for each untouched component.
+    """
+    if not cover.is_full:
+        raise CoverMismatch("agreement counts require a full cover")
+    g, m = cover.graph, cover.m
+    perms = cover.edge_perms()
+    edge_ids = list(_bits(subset))
+    roots, cotree = spanning_forest(g.n, [g.edges[i] for i in edge_ids])
+    closing = [edge_ids[i] for i in cotree]
+    rho = _transport(g, m, perms, set(edge_ids).difference(closing))
+    allowed = {r: [True] * m for r in roots}
+    for e in closing:
+        a, b = g.edges[e]
+        step, ra, rb, ok = perms[e], rho[a], rho[b], allowed[roots[a]]
+        for j in range(m):
+            if ok[j] and step[ra[j]] != rb[j]:
+                ok[j] = False
+    total = 1
+    for ok in allowed.values():
+        total *= sum(ok)
+    return total
 
 
 def cover_count_by_subsets(cover: FullCover) -> int:

@@ -26,7 +26,6 @@ from dpchroma.covers import (
     min_over_covers,
     partitions_of,
     random_cover,
-    subset_agreement_count,
 )
 from dpchroma.errors import OutOfRange, OutOfScope
 from dpchroma.graphs import (
@@ -37,6 +36,8 @@ from dpchroma.graphs import (
     star_forest_decomposition,
 )
 from dpchroma.poly import M
+
+from oracles import subset_agreement_count
 
 
 def theta(*lengths):

@@ -17,7 +17,6 @@ from dpchroma.covers import (
     PartitionSpec,
     random_cover,
     shift_cover,
-    subset_agreement_count,
     twist_profile,
 )
 from dpchroma.chromatic import chromatic_polynomial
@@ -35,7 +34,12 @@ from dpchroma.graphs import (
     star_forest_decomposition,
 )
 
-from oracles import brute_force_cover_count, cover_count_by_subsets, transversal_count
+from oracles import (
+    brute_force_cover_count,
+    cover_count_by_subsets,
+    subset_agreement_count,
+    transversal_count,
+)
 
 IDENT3 = (0, 1, 2)
 SWAP12 = (1, 0, 2)

@@ -3,14 +3,16 @@
 `count_from_edge_perms` conditions on the colors of `Graph.feedback_set`,
 a vertex set S whose removal leaves a forest: empty for forests, the
 `find_feedback_vertex` pivot when one vertex suffices, otherwise grown
-greedily and, while it has at most four vertices, shrunk to a minimum.
+greedily and shrunk to a minimum while `EXACT_FEEDBACK_SUBSETS` allows.
 These tests check S itself against a minimum found by trying every vertex
-subset, every count against plain enumeration for |S| from 0 to 3, the
-cost of S, and the fold limit on m^|S|.
+subset and against a shrink that tests every candidate set for a forest,
+every count against plain enumeration for |S| from 0 to 3, the cost of
+S, and the fold limit on m^|S|.
 """
 
 import random
 from itertools import combinations, product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -113,6 +115,51 @@ def test_feedback_set_is_a_minimum_up_to_the_exact_size(monkeypatch):
             m.setattr(graphs, "EXACT_FEEDBACK_SUBSETS", 0)
             greedy_above += len(feedback_vertex_set(g)) > want
     assert greedy_above >= 20  # graphs on which the greedy set alone is too large
+
+
+def shrink_by_forest_tests(g: Graph, monkeypatch) -> tuple[int, ...]:
+    """The greedy set shrunk by testing every candidate for a forest."""
+    with monkeypatch.context() as m:
+        m.setattr(graphs, "EXACT_FEEDBACK_SUBSETS", 0)
+        best = feedback_vertex_set(g)
+    while len(best) > 2 and comb(g.n, len(best) - 1) <= graphs.EXACT_FEEDBACK_SUBSETS:
+        subsets = combinations(range(g.n), len(best) - 1)
+        smaller = next((s for s in subsets if graphs._leaves_forest(g, s)), None)
+        if smaller is None:
+            break
+        best = smaller
+    return best
+
+
+def test_shrink_skips_sets_that_leave_too_many_edges(monkeypatch):
+    rng = random.Random(99)
+    dense = [(a, b) for a in range(14) for b in range(a + 1, 14) if rng.random() < 0.6]
+    samples = [Graph(tuple(f"q{i:02d}" for i in range(14)), tuple(dense))]
+    for _ in range(100):
+        n = rng.randint(5, 10)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.6]
+        samples.append(Graph(tuple(f"r{i}" for i in range(n)), tuple(pairs)))
+    original = graphs._leaves_forest
+    tried = {}
+    for g in samples:
+        want = shrink_by_forest_tests(g, monkeypatch)
+        tried[g] = []
+
+        def counting(g, removed):
+            tried[g].append(tuple(removed))
+            return original(g, removed)
+
+        with monkeypatch.context() as m:
+            m.setattr(graphs, "_leaves_forest", counting)
+            assert feedback_vertex_set(g) == want
+        for removed in tried[g][g.n :]:  # past the single-vertex tests
+            left = [e for e in g.edges if set(removed).isdisjoint(e)]
+            assert len(left) <= g.n - len(removed) - 1
+    # the dense graph has a 7-vertex minimum, and each of its 3,003
+    # six-vertex sets leaves too many edges to be tried
+    dense = samples[0]
+    assert len(dense.edges) == 60 and len(dense.feedback_set) == 7
+    assert not any(len(removed) == 6 for removed in tried[dense])
 
 
 def test_counts_match_enumeration_for_every_feedback_set_size():

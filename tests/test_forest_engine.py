@@ -21,7 +21,6 @@ from dpchroma.covers import (
     count_colorings,
     count_from_edge_perms,
     random_cover,
-    subset_agreement_count,
 )
 from dpchroma.errors import InvalidCenter
 from dpchroma.graphs import (
@@ -35,7 +34,7 @@ from dpchroma.graphs import (
     subset_cycle_lengths,
 )
 
-from oracles import chromatic_by_subsets
+from oracles import chromatic_by_subsets, subset_agreement_count
 
 
 def complete(n: int) -> Graph:

@@ -3,9 +3,10 @@
 At that level each free edge takes one twist per orbit of the
 permutations that commute with every earlier twist, so the search counts
 one cover per conjugacy orbit.  These tests check the centraliser it is
-built from, pin how many covers it counts, check that the two unpruned
-levels still count every cover, and check that a graph with at most one
-cotree edge never enumerates all m! permutations.
+built from and the cached orbit sweep, pin how many covers it counts,
+check that the two unpruned levels still count every cover, that searches
+at one fold share each sweep, and that a graph with at most one cotree
+edge never enumerates all m! permutations.
 """
 
 from itertools import permutations
@@ -15,7 +16,14 @@ import pytest
 
 from dpchroma import covers
 from dpchroma.analysis import fvs1_dp_polynomial
-from dpchroma.covers import _centralizer, compose, min_over_covers
+from dpchroma.covers import (
+    _centralizer,
+    _orbit_sweep,
+    compose,
+    cover_to_json,
+    cycle_type_representatives,
+    min_over_covers,
+)
 from dpchroma.errors import SearchBudgetExceeded
 from dpchroma.graphs import Graph, ThetaSpec, build_generalized_theta
 
@@ -57,22 +65,75 @@ def test_centralizer_is_every_commuting_permutation(m):
         assert all(compose(tau, inv) == tuple(range(m)) for tau, inv in pairs)
 
 
+def uncached_sweep(m, group):
+    """The first twist of each conjugation orbit of `group`, in lex order,
+    each with its stabiliser, from a fresh loop."""
+    seen, kept = set(), []
+    for p in permutations(range(m)):
+        if p in seen:
+            continue
+        orbit = {tuple(tau[p[j]] for j in inv) for tau, inv in group}
+        seen |= orbit
+        kept.append((p, [(tau, inv) for tau, inv in group if tuple(tau[p[j]] for j in inv) == p]))
+    return kept
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_cached_sweep_matches_an_uncached_sweep(m):
+    for rep in cycle_type_representatives(m):
+        group = _centralizer(rep)
+        swept = _orbit_sweep(m, group)
+        assert [(p, list(s)) for p, s in swept] == uncached_sweep(m, group)
+        assert _orbit_sweep(m, group) is swept
+    # the whole of S_m (the centraliser of the identity) has the
+    # cycle-type representatives as its first twists
+    swept = _orbit_sweep(m, _centralizer(tuple(range(m))))
+    assert tuple(p for p, _ in swept) == cycle_type_representatives(m)
+
+
+def test_searches_at_one_fold_sweep_each_group_once():
+    _orbit_sweep.cache_clear()
+    min_over_covers(BOWTIE, 5, workers=1)
+    first = _orbit_sweep.cache_info()
+    # one sweep per centraliser of a non-identity cycle type; (1,1,3) and
+    # (2,3) share theirs, C2 x C3
+    reps = cycle_type_representatives(5)[1:]
+    assert first.misses == len({_centralizer(p) for p in reps}) == len(reps) - 1
+    assert first.hits == 1
+    min_over_covers(theta(2, 2, 2), 5, workers=1)
+    second = _orbit_sweep.cache_info()
+    assert second.misses == first.misses
+    assert second.hits == first.hits + len(reps)
+
+
 @pytest.mark.parametrize(
-    "g, m, candidates, counted",
+    "g, m, candidates, counted, value, twists",
     [
-        (BOWTIE, 6, 11 * 720, 901),
-        (theta(2, 2, 2), 6, 11 * 720, 901),
-        (K4, 4, 5 * 24 * 24, 681),
+        (
+            BOWTIE, 6, 11 * 720, 901, 2400,
+            [("a", "b", [1, 2, 3, 4, 5, 6]), ("d", "e", [1, 2, 3, 4, 5, 6])],
+        ),
+        (
+            theta(2, 2, 2), 6, 11 * 720, 901, 2592,
+            [("u", "v_2_1", [2, 1, 4, 3, 6, 5]), ("u", "v_3_1", [3, 4, 5, 6, 1, 2])],
+        ),
+        (
+            K4, 4, 5 * 24 * 24, 681, 24,
+            [("b", "c", [1, 2, 3, 4]), ("b", "d", [1, 2, 3, 4]), ("c", "d", [1, 2, 3, 4])],
+        ),
     ],
     ids=["bowtie-6", "theta:2,2,2-6", "k4-4"],
 )
 def test_conjugacy_level_counts_one_cover_per_orbit(
-    plan_counts, g, m, candidates, counted
+    plan_counts, g, m, candidates, counted, value, twists
 ):
     result = min_over_covers(g, m, workers=1)
     # candidates still names the size of the level's cover space
     assert result.candidates == candidates
     assert plan_counts[0] == counted
+    assert result.value == value
+    got = [(*t["edge"], t["perm"]) for t in cover_to_json(result.cover)["twists"]]
+    assert got == twists
 
 
 @pytest.mark.parametrize(
@@ -86,8 +147,10 @@ def test_conjugacy_level_counts_one_cover_per_orbit(
     ],
 )
 def test_unpruned_levels_count_every_candidate(plan_counts, g, m, symmetry):
+    sweeps = _orbit_sweep.cache_info()
     result = min_over_covers(g, m, symmetry=symmetry, workers=1)
     assert plan_counts[0] == result.candidates
+    assert _orbit_sweep.cache_info() == sweeps  # no orbit sweep
 
 
 def test_no_free_edge_to_enumerate_builds_no_permutation_list(monkeypatch):

@@ -1,0 +1,88 @@
+"""The row table of the feedback-set counter.
+
+A full cover with every color allowed (every count of the search) is
+counted from one table per fold, keyed by the colors that the edges from
+the feedback set S block once each tree of G - S is relabeled to the
+identity.  These tests compare the table with the brute-force oracle and
+with the vector route (explicit all-ones start vectors) on seeded graphs
+with |S| = 1, 2 and 3, and check that a repeated blocked pattern runs no
+tree DP and that each fold has its own table.  What the search counts
+and returns through the table is pinned in `tests/test_orderly_search.py`.
+"""
+
+import random
+from pathlib import Path
+
+import pytest
+
+from dpchroma import covers
+from dpchroma.covers import _FeedbackPlan, random_cover
+from dpchroma.graphs import Graph
+
+from oracles import transversal_count
+
+GOLDEN = Path(__file__).parent / "golden"
+BOWTIE = Graph.from_text((GOLDEN / "bowtie.txt").read_text())
+
+
+def seeded_graphs(size: int, count: int = 3) -> list[Graph]:
+    """The first `count` seeded random graphs whose feedback set has `size`
+    vertices: 4-6 random vertices, then a path of 0-2 vertices apart from
+    them, a tree that touches no edge from the feedback set."""
+    rng = random.Random(18 + size)
+    found = []
+    while len(found) < count:
+        n = rng.randint(4, 6)
+        p = rng.choice((0.5, 0.7, 0.9))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        extra = rng.randint(0, 2)
+        pairs += [(v, v + 1) for v in range(n, n + extra - 1)]
+        labels = [f"x{i}" for i in range(n + extra)]
+        rng.shuffle(labels)
+        g = Graph(tuple(labels), tuple(pairs))
+        if len(g.feedback_set) == size:
+            found.append(g)
+    return found
+
+
+def random_perms(g: Graph, m: int, rng: random.Random) -> list[tuple[int, ...]]:
+    """A random permutation on every edge, tree edges included, so that a
+    count has to relabel the trees of G - S."""
+    return [tuple(rng.sample(range(m), m)) for _ in g.edges]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_table_matches_the_oracle_and_the_vector_route(size):
+    rng = random.Random(size)
+    graphs = seeded_graphs(size)
+    assert any(g.plan(_FeedbackPlan).free for g in graphs)
+    for g in graphs:
+        plan = g.plan(_FeedbackPlan)
+        for m in range(2, 6):
+            for perms in (random_cover(g, m, rng).edge_perms(), random_perms(g, m, rng)):
+                table = plan.count(perms, m)
+                assert table == plan.count(perms, m, [[1] * m] * g.n)
+                assert table == transversal_count(g, m, perms)
+
+
+def test_a_repeated_pattern_runs_no_tree_dp(monkeypatch):
+    g = seeded_graphs(2, 1)[0]
+    perms = random_cover(g, 4, random.Random(7)).edge_perms()
+    plan = g.plan(_FeedbackPlan)
+    want = plan.count(perms, 4)
+    assert plan.tables[4]
+
+    def no_dp(*args):
+        raise AssertionError("tree DP on a known pattern")
+
+    monkeypatch.setattr(covers, "_tree_dp_vector", no_dp)
+    assert plan.count(perms, 4) == want
+
+
+def test_each_fold_has_its_own_table():
+    plan = BOWTIE.plan(_FeedbackPlan)
+    ident = [tuple(range(3))] * len(BOWTIE.edges)
+    assert plan.count(ident, 3) == transversal_count(BOWTIE, 3, ident)
+    ident = [tuple(range(4))] * len(BOWTIE.edges)
+    assert plan.count(ident, 4) == transversal_count(BOWTIE, 4, ident)
+    assert sorted(plan.tables) == [3, 4]

@@ -2,8 +2,8 @@
 suites that read its tables.
 
 The walk gives the component count and the agreement count of every edge
-subset in one undoable union-find walk; `graphs.component_count` and
-`covers.subset_agreement_count` answer one subset each from a fresh
+subset in one undoable union-find walk; `graphs.component_count` and the
+oracle `subset_agreement_count` answer one subset each from a fresh
 forest pass.  Every mask is compared on seeded random graphs (isolated
 vertices, several components, forests) and on Theta graphs, K4 and the
 bowtie, at folds 1-4, with identity and random full covers.
@@ -21,11 +21,12 @@ from dpchroma.covers import (
     FullCover,
     identity_cover,
     random_cover,
-    subset_agreement_count,
     subset_walk,
 )
 from dpchroma.errors import CoverMismatch, GraphTooLarge
 from dpchroma.graphs import Graph, ThetaSpec, build_generalized_theta, component_count
+
+from oracles import subset_agreement_count
 
 ABCDE = ("a", "b", "c", "d", "e")
 NAMED = [
@@ -111,7 +112,7 @@ def test_subset_suites_take_no_per_subset_route(monkeypatch, capsys, suite):
     def per_subset(*args):
         raise AssertionError("per-subset route")
 
-    patch_everywhere(monkeypatch, "subset_agreement_count", per_subset)
+    # the per-subset agreement route lives only in the test oracles
     patch_everywhere(monkeypatch, "component_count", per_subset)
     assert main(["verify", "--suite", suite]) == 0
     assert "checks passed" in capsys.readouterr().out
