@@ -519,7 +519,7 @@ def cover_subset_audit(cover: FullCover, subsets: bool = True) -> SubsetAuditRep
                 ("range", f"-{m}^{c} <= diff <= 0", -(m**c) <= diff <= 0)
             ]
             cycles = g.subset_cycles[mask]
-            p = bin(mask).count("1")
+            p = mask.bit_count()
             if mu == 0 or not cycles or max(cycles) < cycle_size:
                 category = "short-cycle"
                 checks.append(("zero", "diff == 0", diff == 0))

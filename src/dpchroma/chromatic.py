@@ -10,12 +10,15 @@ per graph and shared by every transfer on it.  Its states are the
 partitions of the active vertices by equal color, so its cost follows the
 width of that order, not the number of cycles.  Generalized Theta graphs
 additionally get the classical closed form, which the rest of the package
-cross-checks against the transfer.
+cross-checks against the transfer.  That form and the edge-pair surgery
+forms are pure functions of the path lengths, so each is built once per
+argument and kept for the process (`functools.cache`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import zip_longest
 from typing import Mapping
 
@@ -148,9 +151,19 @@ def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> I
 def theta_closed_form(lengths: tuple[int, ...]) -> IntPoly:
     """Classical closed form for P(Theta(l_1,...,l_k), m); k = 1 is a path.
 
-    Every power of m and m - 1 is a `forest_polynomial` (a binomial
-    expansion), not a chain of products.
+    The form is two products over the paths, each divided exactly by a
+    polynomial that depends only on k, so every ordering of the lengths
+    gives the identical `IntPoly`: the body is cached per process, keyed
+    by the sorted lengths.
     """
+    return _theta_closed_form(tuple(sorted(lengths)))
+
+
+@cache
+def _theta_closed_form(lengths: tuple[int, ...]) -> IntPoly:
+    """The body of `theta_closed_form`, right for any ordering of the
+    lengths.  Every power of m and m - 1 is a `forest_polynomial` (a
+    binomial expansion), not a chain of products."""
     k = len(lengths)
     a = M - 1
     first = prod(power_m1(l + 1) + sign(l + 1) * a for l in lengths)
@@ -224,10 +237,13 @@ class EdgePairPolynomials:
         return (self.g, self.g0, self.g1, self.g2, self.gstar)
 
 
+@cache
 def theta_edge_pair_polynomials(l1: int, l2: int, l3: int) -> EdgePairPolynomials:
     """Closed forms for the surgery family of Theta(l1, l2, l3).
 
-    Every division written below is exact; a remainder raises.
+    Every division written below is exact; a remainder raises.  The forms
+    are frozen and immutable, so each triple is built once per process;
+    invalid arguments raise on every call, as a cache keeps no exception.
     """
     if not 2 <= l1 <= l2 <= l3:
         raise ValueError("need 2 <= l1 <= l2 <= l3")

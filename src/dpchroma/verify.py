@@ -236,7 +236,7 @@ def subset_sum(g: Graph, term) -> int:
         raise GraphTooLarge(f"{len(g.edges)} edges exceed SUBSET_EDGE_LIMIT = {SUBSET_EDGE_LIMIT}")
     total = 0
     for mask in range(1 << len(g.edges)):
-        sign = -1 if bin(mask).count("1") & 1 else 1
+        sign = -1 if mask.bit_count() & 1 else 1
         total += sign * term(mask)
     return total
 

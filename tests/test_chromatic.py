@@ -4,11 +4,13 @@ from itertools import product
 import pytest
 
 from dpchroma.chromatic import (
+    _theta_closed_form,
     chromatic_polynomial,
     precolored_count,
     precolored_polynomial,
     Precoloring,
     theta_chromatic,
+    theta_closed_form,
     theta_edge_deleted_chromatic,
     theta_edge_pair_graphs,
     theta_edge_pair_polynomials,
@@ -16,6 +18,7 @@ from dpchroma.chromatic import (
 from dpchroma.errors import BadPathIndex, GraphTooLarge
 from dpchroma.graphs import Graph, ThetaSpec, build_generalized_theta, component_count
 from dpchroma.poly import IntPoly, M
+from dpchroma.verify import SUITES, _valid_length_tuples
 
 from oracles import chromatic_by_subsets, interpolated_chromatic, proper_coloring_count
 
@@ -103,6 +106,28 @@ def test_edge_pair_polynomials_match_explicit_graphs():
                 ):
                     assert pp == chromatic_polynomial(gg)
 
+
+def test_theta_closed_form_cache_key_ignores_the_order_of_the_lengths():
+    # The cache is keyed by the sorted lengths; the body itself must give
+    # the same polynomial for every ordering, or that key would be wrong.
+    for lengths in _valid_length_tuples(4, 5):
+        assert theta_closed_form(lengths) == _theta_closed_form.__wrapped__(lengths)
+
+
+def test_closed_forms_are_built_once_per_argument():
+    _theta_closed_form.cache_clear()
+    theta_edge_pair_polynomials.cache_clear()
+    assert all(check.passed for check in SUITES["theta-identity"]())
+    assert all(check.passed for check in SUITES["term-differences"]())
+    # 840 closed forms over 103 length multisets; 350 rows over 35 triples.
+    assert _theta_closed_form.cache_info().misses == 103
+    assert theta_edge_pair_polynomials.cache_info().misses == 35
+
+
+def test_edge_pair_polynomials_reject_bad_triples_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            theta_edge_pair_polynomials(3, 2, 4)
 
 def test_precolored_count_examples():
     path = Graph(("u", "x", "w"), ((0, 1), (1, 2)))
