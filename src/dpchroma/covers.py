@@ -8,16 +8,16 @@ fold [m] (oriented from the lexicographically smaller endpoint).  Any
 assignment of permutations to all edges can be brought into this form by
 relabeling fibers, which never changes the number of colorings.
 
-Every count goes through a counting plan, built once and kept on the
-graph (`Graph.plan`).  `_ThetaPlan`, one per graph and fold, counts full
-covers of a generalized Theta graph by a path transfer from the colors of
-its two end vertices; `_FeedbackPlan`, one per graph, counts everything
-else by conditioning on a feedback vertex set S, and `BRUTE_FORCE_LIMIT`
-caps the m^|S| rows of each count.  Both keep a table of rows per fold,
-which every count of the search reads.  At its conjugacy level the search
-is orderly: it counts one cover per conjugacy orbit and finds the same
-first minimum as a count of every cover (see `_search_chunk`); its orbit
-sweeps are cached per process by fold and group (`_orbit_sweep`).
+Every count goes through one counting plan, `_FeedbackPlan`, built once
+and kept on the graph (`Graph.plan`).  It conditions on a feedback vertex
+set S, and `BRUTE_FORCE_LIMIT` caps the m^|S| rows of each count.  A full
+cover with every color allowed, Theta graph or not, reads the plan's row
+table, one per fold, keyed by the equality pattern of the colors that the
+edges from S block; every count of the search is one.  At its conjugacy
+level the search is orderly: it counts one cover per conjugacy orbit and
+finds the same first minimum as a count of every cover (see
+`_search_chunk`); its orbit sweeps are cached per process by fold and
+group (`_orbit_sweep`).
 Star partitions (`partitions_of`) and their shift covers live here too;
 their weights are color-pattern transfers (`analysis._avoidance_count`).
 """
@@ -320,71 +320,6 @@ def random_cover(g: Graph, m: int, rng) -> FullCover:
     return FullCover(g, m, twists)
 
 
-class _ThetaPlan:
-    """Counts full covers of a generalized Theta graph by the path transfer
-    from the colors of its end vertices u and w.
-
-    Each path is stored once as its (edge, forward) steps from u to w.  A
-    count composes the non-identity steps of each path into its composite
-    c_i and sums, over the colors a of u, the row of the pattern
-    (c_1[a], ..., c_k[a]).  A row depends on nothing else, so the plan
-    computes each pattern's row once: for end colors (a, b) a path of
-    length l contributes base_l + (-1)^l [c_i(a) == b], where base_l =
-    ((m-1)^l - (-1)^l)/m is the closed-form count of proper color walks
-    along the path.
-    """
-
-    def __init__(self, g: Graph, m: int):
-        u, w = g.index["u"], g.index["w"]
-        self.paths = []
-        for i, length in enumerate(g.theta.lengths, start=1):
-            walk = [u, *(g.index[f"v_{i}_{j}"] for j in range(1, length)), w]
-            steps = []
-            for x, y in zip(walk, walk[1:]):
-                e = g.pair_index[(min(x, y), max(x, y))]
-                steps.append((e, g.edges[e][0] == x))
-            self.paths.append(steps)
-        self.m = m
-        self.ident = identity_perm(m)
-        self.inverse = cache(invert_perm)
-        self.base = [((m - 1) ** l - (-1) ** l) // m for l in g.theta.lengths]
-        self.bonus = [(-1) ** l for l in g.theta.lengths]
-        self.all_off = prod(self.base)
-        self.rows: dict[tuple[int, ...], int] = {}
-
-    def count(self, perms: Sequence[Perm]) -> int:
-        ident = self.ident
-        composites = []
-        for steps in self.paths:
-            comp = ident
-            for e, forward in steps:
-                p = perms[e]
-                if p != ident:
-                    p = p if forward else self.inverse(p)
-                    comp = p if comp is ident else compose(p, comp)
-            composites.append(comp)
-        rows = self.rows
-        total = 0
-        for key in zip(*composites):
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = self._row(key)
-            total += row
-        return total
-
-    def _row(self, key: tuple[int, ...]) -> int:
-        hits: dict[int, list[int]] = {}
-        for i, b in enumerate(key):
-            hits.setdefault(b, []).append(i)
-        row = (self.m - len(hits)) * self.all_off
-        for paths in hits.values():
-            term = 1
-            for i, (base, bonus) in enumerate(zip(self.base, self.bonus)):
-                term *= base + bonus if i in paths else base
-            row += term
-        return row
-
-
 def _tree_dp_vector(
     root: int,
     steps: list[tuple[int, int, Perm]],
@@ -418,13 +353,18 @@ class _FeedbackPlan:
     each edge once, not once per row.  None of it depends on the fold or
     the start vectors, which each count takes.
 
-    A full cover with every color allowed (every count of the search)
-    takes a row table instead.  Relabeling the fibers of each tree of
-    G - S along its walk makes its edges the identity, so a row's value
-    depends only on the colors the edges from S block, read in that
-    frame.  The plan keeps one table per fold, keyed by that tuple of
-    blocked colors, and fills a missing row with the tree DPs, as
-    `_ThetaPlan` keeps its rows.
+    A full cover with every color allowed (every count of the search, of
+    any graph) takes a row table instead.  Relabeling the fibers of each
+    tree of G - S along its walk makes its edges the identity, so a row
+    counts proper colorings of the trees of G - S, each vertex avoiding
+    the colors that the edges from S block there, read in that frame.  A
+    permutation sigma of all m colors maps the colorings that avoid a key
+    one-to-one onto those that avoid sigma(key), so a row depends only on
+    which entries of its key are equal.  The plan keeps one table per
+    fold, with that fold's identity and the product over the free trees.
+    A key missing from the table is relabeled in order of first
+    occurrence, (2, 0, 2) to (0, 1, 0), and only that canonical key runs
+    the tree DPs, so a fold builds at most Bell(|edges from S|) rows.
     """
 
     def __init__(self, g: Graph):
@@ -452,8 +392,10 @@ class _FeedbackPlan:
                 self.touching.append(tree)
             elif walk[0][0] not in slot:
                 self.free.append(tree)
+        # the touching trees' steps, each parent before its children
+        self.descent = [step for _, steps in self.touching for step in reversed(steps)]
         self.inverse = cache(invert_perm)
-        self.tables: dict[int, dict[tuple[int, ...], int]] = {}
+        self.tables: dict[int, tuple[dict[tuple[int, ...], int], Perm, int]] = {}
 
     def count(
         self, perms: Sequence[Perm], m: int, start: Sequence[Sequence[int]] | None = None
@@ -505,27 +447,32 @@ class _FeedbackPlan:
         return total
 
     def _table_count(self, perms: Sequence[Perm], m: int) -> int:
-        inverse, ident = self.inverse, identity_perm(m)
+        fold = self.tables.get(m)
+        if fold is None:
+            free = prod(m * (m - 1) ** len(steps) for _, steps in self.free)
+            fold = self.tables[m] = ({}, identity_perm(m), free)
+        rows, ident, free = fold
+        inverse = self.inverse
         # frame[v] carries the fiber of v's root to v's; None is the identity
-        frame: dict[int, Perm | None] = {}
-        for root, steps in self.touching:
-            frame[root] = None
-            for v, parent, e, forward in reversed(steps):
-                p, up = perms[e], frame[parent]
-                if p == ident:
-                    frame[v] = up
-                    continue
+        frame: list[Perm | None] = [None] * self.n
+        for v, parent, e, forward in self.descent:
+            p = perms[e]
+            if p == ident:
+                frame[v] = frame[parent]
+            else:
                 p = p if forward else inverse(p)
+                up = frame[parent]
                 frame[v] = p if up is None else compose(p, up)
-        # parts[i][c]: the colors that slot i's edges block when it takes c
+        # blocks[i][j][c]: the color slot i's edge j blocks when i takes c
         blocks: list[list[Perm]] = [[] for _ in self.fvs]
         for i, y, e, forward in self.outer:
             p = perms[e] if forward else inverse(perms[e])
-            blocks[i].append(p if frame[y] is None else compose(inverse(frame[y]), p))
-        parts = [list(zip(*b)) if b else [()] * m for b in blocks]
-        if len(parts) == 1:
-            keys = parts[0]
+            up = frame[y]
+            blocks[i].append(p if up is None else compose(inverse(up), p))
+        if len(blocks) == 1:
+            keys = zip(*blocks[0])
         else:
+            parts = [list(zip(*b)) if b else [()] * m for b in blocks]
             inner = [(a, b, perms[e]) for a, b, e in self.inner]
             keys = []
             for colors in product(range(m), repeat=len(parts)):
@@ -537,14 +484,16 @@ class _FeedbackPlan:
                     for part, c in zip(parts, colors):
                         key += part[c]
                     keys.append(key)
-        rows = self.tables.setdefault(m, {})
         total = 0
         for key in keys:
             row = rows.get(key)
             if row is None:
-                row = rows[key] = self._row(key, m)
+                canon = _canonical(key)
+                if canon not in rows:
+                    rows[canon] = self._row(canon, m)
+                row = rows[key] = rows[canon]
             total += row
-        return total * prod(m * (m - 1) ** len(steps) for _, steps in self.free)
+        return total * free
 
     def _row(self, key: tuple[int, ...], m: int) -> int:
         """The touching trees' count when the edges from S block the colors
@@ -562,6 +511,12 @@ class _FeedbackPlan:
         return row
 
 
+def _canonical(key: tuple[int, ...]) -> tuple[int, ...]:
+    """`key` with its colors renamed 0, 1, ... in order of first occurrence."""
+    names: dict[int, int] = {}
+    return tuple(names.setdefault(c, len(names)) for c in key)
+
+
 def count_from_edge_perms(
     g: Graph,
     m: int,
@@ -571,15 +526,17 @@ def count_from_edge_perms(
     """Exact number of transversals avoiding every matched cross pair.
 
     `allowed`, when given, holds one 0/1 vector per vertex marking the
-    colors it may take; a precolored vertex has a one-hot vector.  Full
-    covers of Theta graphs take the path transfer; every other count
-    conditions on the graph's feedback vertex set.
+    colors it may take; a precolored vertex has a one-hot vector.  Every
+    count conditions on the graph's feedback vertex set: a full cover with
+    every color allowed reads the plan's row table, any other count runs
+    the tree DPs on start vectors.
     """
+    plan = g.plan(_FeedbackPlan)
     if allowed is None:
-        if g.theta is not None and all(None not in p for p in perms):
-            return g.plan(_ThetaPlan, m).count(perms)
+        if all(None not in p for p in perms):
+            return plan.count(perms, m)
         allowed = [[1] * m] * g.n
-    return g.plan(_FeedbackPlan).count(perms, m, allowed)
+    return plan.count(perms, m, allowed)
 
 
 def count_colorings(g: Graph, cover: FullCover) -> int:
@@ -876,10 +833,7 @@ def _search_chunk(args) -> tuple[int, tuple[Perm, ...]]:
     counting every cover.
     """
     g, m, free_edges, prefix, orderly = args
-    if g.theta is not None:
-        plan, fold = g.plan(_ThetaPlan, m), ()
-    else:
-        plan, fold = g.plan(_FeedbackPlan), (m,)
+    plan = g.plan(_FeedbackPlan)
     ident = identity_perm(m)
     perms: list[Perm] = [ident] * len(g.edges)
     for e, p in zip(free_edges, prefix):
@@ -902,7 +856,7 @@ def _search_chunk(args) -> tuple[int, tuple[Perm, ...]]:
     def rec(i: int, group):
         nonlocal best
         if i == len(remaining):
-            value = plan.count(perms, *fold)
+            value = plan.count(perms, m)
             if best is None or value < best[0]:
                 best = (value, tuple(perms[e] for e in free_edges))
             return

@@ -212,15 +212,14 @@ class Graph:
     def _plans(self) -> dict:
         return {}
 
-    def plan(self, build, *args):
-        """`build(self, *args)`, built once per graph and arguments: the
-        transfer's step table and the counting plans.  They are freed with
-        the graph and left out of its pickled state, so a worker process
-        builds its own."""
-        plans, key = self._plans, (build, *args)
-        if key not in plans:
-            plans[key] = build(self, *args)
-        return plans[key]
+    def plan(self, build):
+        """`build(self)`, built once per graph: the transfer's step table
+        and the counting plan.  They are freed with the graph and left out
+        of its pickled state, so a worker process builds its own."""
+        plans = self._plans
+        if build not in plans:
+            plans[build] = build(self)
+        return plans[build]
 
     def __getstate__(self):
         state = dict(self.__dict__)

@@ -1,17 +1,20 @@
 """Independent brute-force oracles for the test suite.
 
-Everything here enumerates: no closed forms, no transfer counting, no
-deletion-contraction.  Tests freeze expected values computed by these
-oracles or compare the fast paths against them directly.  The two subset
-sums run the package's one inclusion-exclusion oracle, `verify.subset_sum`;
-`subset_agreement_count` answers one subset of a cover from a fresh forest
-pass, the oracle of `covers.subset_walk`.
+Everything here enumerates but `theta_transfer_count`: no transfer
+counting, no deletion-contraction.  Tests freeze expected values computed
+by these oracles or compare the fast paths against them directly.  The two
+subset sums run the package's one inclusion-exclusion oracle,
+`verify.subset_sum`; `subset_agreement_count` answers one subset of a
+cover from a fresh forest pass, the oracle of `covers.subset_walk`;
+`theta_transfer_count` counts a full cover of a generalized Theta graph
+from the closed-form count of color walks along each path, at folds far
+past plain enumeration.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from dpchroma.covers import FullCover, _transport
+from dpchroma.covers import FullCover, _transport, compose, identity_perm, invert_perm
 from dpchroma.errors import CoverMismatch
 from dpchroma.graphs import EdgeSubset, Graph, _bits, component_count, spanning_forest
 from dpchroma.poly import IntPoly
@@ -35,6 +38,30 @@ def transversal_count(g: Graph, m: int, perms, allowed=None) -> int:
             continue
         if all(perms[i][colors[a]] != colors[b] for i, (a, b) in enumerate(g.edges)):
             total += 1
+    return total
+
+
+def theta_transfer_count(g: Graph, m: int, perms) -> int:
+    """Transversals of a full cover of a generalized Theta graph, a
+    permutation on every edge, by the path transfer from the colors (a, b)
+    of the end vertices u and w.  A path of length l whose composite twist
+    c carries u's fiber to w's contributes base_l + (-1)^l [c(a) = b], where
+    base_l = ((m-1)^l - (-1)^l)/m counts the proper color walks along it."""
+    u, w = g.index["u"], g.index["w"]
+    paths = []
+    for i, length in enumerate(g.theta.lengths, start=1):
+        walk = [u, *(g.index[f"v_{i}_{j}"] for j in range(1, length)), w]
+        c = identity_perm(m)
+        for x, y in zip(walk, walk[1:]):
+            e = g.pair_index[(min(x, y), max(x, y))]
+            c = compose(perms[e] if g.edges[e][0] == x else invert_perm(perms[e]), c)
+        paths.append((((m - 1) ** length - (-1) ** length) // m, (-1) ** length, c))
+    total = 0
+    for a, b in product(range(m), repeat=2):
+        term = 1
+        for base, bonus, c in paths:
+            term *= base + bonus if c[a] == b else base
+        total += term
     return total
 
 

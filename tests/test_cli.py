@@ -122,7 +122,7 @@ def test_dp_formula_rejects_non_positive_folds_on_both_routes(capsys):
 
 def test_dp_exact_rejects_non_positive_folds(capsys):
     bowtie = str(Path(__file__).parent / "golden" / "bowtie.txt")
-    for source in ("theta:2,2,2", bowtie):  # Theta transfer, feedback-set counter
+    for source in ("theta:2,2,2", bowtie):  # a Theta graph and a bowtie, one counting plan
         for m in ("0", "-1"):
             code, out, err = run(capsys, "dp-exact", source, "--m", m)
             assert (code, out, err) == (2, "", "dpchroma: m must be positive\n")

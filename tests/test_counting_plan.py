@@ -1,7 +1,8 @@
 """The counting plan behind `min_over_covers`.
 
-Each search chunk counts every candidate through one plan built for its
-graph (the Theta path transfer, or conditioning on the feedback set).
+Each search chunk counts every candidate through the one plan built for
+its graph, Theta graph or not: conditioning on the feedback set, with a
+row table per fold.
 These tests compare the search with a plain loop that calls
 `count_from_edge_perms` on every candidate (so the orderly conjugacy level,
 which counts one cover per orbit, must return the plain loop's first

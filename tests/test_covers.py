@@ -38,6 +38,7 @@ from oracles import (
     brute_force_cover_count,
     cover_count_by_subsets,
     subset_agreement_count,
+    theta_transfer_count,
     transversal_count,
 )
 
@@ -210,18 +211,19 @@ def permutations_product(m, count):
 
 
 def test_transfer_count_matches_conditioning_dp_at_large_fold():
-    from dpchroma.covers import _FeedbackPlan, _ThetaPlan
+    from dpchroma.covers import _FeedbackPlan
 
     rng = random.Random(19)
     # A permutation on every edge; paths of length 11 or more have edges
     # stored against the u-to-w direction ("v_2_10" sorts before "v_2_9").
     for g in (theta(2, 3, 3), theta(2, 11, 12)):
         for m in (17, 47):
-            transfer = _ThetaPlan(g, m)
-            conditioning = _FeedbackPlan(g)
+            plan = _FeedbackPlan(g)
             for _ in range(3):
                 perms = [tuple(rng.sample(range(m), m)) for _ in g.edges]
-                assert transfer.count(perms) == conditioning.count(perms, m, [[1] * m] * g.n)
+                want = theta_transfer_count(g, m, perms)
+                assert plan.count(perms, m) == want  # the row table
+                assert plan.count(perms, m, [[1] * m] * g.n) == want  # start vectors
 
 
 def test_min_over_covers_symmetry_levels_agree():

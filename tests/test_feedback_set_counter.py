@@ -1,4 +1,4 @@
-"""The one feedback-set counter behind every count but the Theta transfer.
+"""The one feedback-set counter behind every count, Theta graphs included.
 
 `count_from_edge_perms` conditions on the colors of `Graph.feedback_set`,
 a vertex set S whose removal leaves a forest: empty for forests, the

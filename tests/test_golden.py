@@ -9,6 +9,7 @@ only when an output change is intended.
 """
 
 import builtins
+import hashlib
 import json
 import os
 import sys
@@ -28,7 +29,7 @@ CASES = {
     # theta-chrom
     "theta-chrom-text": ["theta-chrom", "theta:2,3,3", "--m", "5"],
     "theta-chrom-json": ["theta-chrom", "theta:2,3,3,4", "--format", "json"],
-    # dp-exact: Theta transfer, feedback-vertex route, brute force
+    # dp-exact: a Theta graph, the bowtie (|S| = 1), K4 (|S| = 2)
     "dp-exact-theta-text": ["dp-exact", "theta:2,2,3", "--m", "3"],
     "dp-exact-theta-json": ["dp-exact", "theta:2,2,3", "--m", "3", "--format", "json"],
     "dp-exact-bowtie-text": ["dp-exact", "bowtie.txt", "--m", "4"],
@@ -113,6 +114,46 @@ def test_golden_output(name, golden_env, capsys, monkeypatch):
 
 def test_every_case_has_an_expected_output():
     assert sorted(json.loads(EXPECTED.read_text(encoding="utf-8"))) == sorted(CASES)
+
+
+# SHA-256 of the `dp-exact <spec> --m <m> --format json` stdout of every
+# Theta graph in the twist-search benchmark's grid (theta:a,b,c with
+# 2 <= a <= b <= c <= 4) at m = 3 and 4, recorded while full Theta covers
+# still had a counting plan of their own (a path transfer from the colors
+# of u and w).  The cases above hold only two of these outputs.
+THETA_GRID_DIGESTS = {
+    "theta:2,2,2 3": "262b4ff80bbf590ee60a18017eba1203ca7adc0db0deece5c960ece4f7215781",
+    "theta:2,2,2 4": "cac67fb28dbfbb1ffcc176145a07d5402b459067603e80f74526cd76d51b9cfb",
+    "theta:2,2,3 3": "f0fbec246cc8f3a5faf2c26b63775308317adc4a50dbc7516cb711809cc21d25",
+    "theta:2,2,3 4": "9ab466de6a3637f84d816a800063d9f4d239679a57b9b30784b9fed0dedc6850",
+    "theta:2,2,4 3": "fd866a50a7e40f6dffdc028603d47317e5e4129115ed7980686ca1a060615e8c",
+    "theta:2,2,4 4": "4006e92563551dbfda9483e4cadc3e5567270b3769914df2171c9d7f56cbad8c",
+    "theta:2,3,3 3": "ee83bf397198926ae097e67b85772d1b59c390683ce6016ca6a3f638f62253eb",
+    "theta:2,3,3 4": "3cd782fe87d2f861f9d386055c16bc47f44ab029f9a1851e1166fddcb843bfc0",
+    "theta:2,3,4 3": "7a58c0288f201aeedf3741be8373804afbe763fd169b32d147c47f97500b2f76",
+    "theta:2,3,4 4": "aa016ff576bf6abd2a3da38506490dd8f8454c356114cc868ac03865987cfdff",
+    "theta:2,4,4 3": "7ecd28e3afb2f2fa75b7eeed58f52ee14499f595d0c5487abcbcd0f0320eb20f",
+    "theta:2,4,4 4": "7d95cf003213a2339083c48dc92a5296b82db64ed42c895be9eca81e306fed0d",
+    "theta:3,3,3 3": "1d38729d7aae79973989e3609835ef60ed03681f240c7734159217da3e290259",
+    "theta:3,3,3 4": "b7dbf56f9430fe9f8ac8845a8ad490593c6a747fa8377e3a176481c8c2ddc7d0",
+    "theta:3,3,4 3": "6f09352b0eae06b97e08e87e35ff709e6a02e110d03251ea9e80c2b91c5aca55",
+    "theta:3,3,4 4": "fa3a29359d8f822a53ac9c538fc8ab8af65c1ac3d8f3a3b4334588882985963c",
+    "theta:3,4,4 3": "a49ed307d7f54959a784263fe73a9c592753c2c7a7189780f1629c0e424863f4",
+    "theta:3,4,4 4": "00ad0d2e85e708ec7bc78a2d0152094c500d22f2e3fd35f821b88cf58956898e",
+    "theta:4,4,4 3": "49865badac363d29d32401b9dfa27d8a085fd0518455d2dc8acebacc908e2a15",
+    "theta:4,4,4 4": "b6e6f5c0b0317ad9544a82a4a920ca09e2bc3e0758b17b1a6afbde69a65b71c3",
+}
+
+
+def test_theta_grid_dp_exact_output_is_pinned(golden_env, capsys):
+    grid = [(a, b, c) for a in range(2, 5) for b in range(a, 5) for c in range(b, 5)]
+    assert list(THETA_GRID_DIGESTS) == [f"theta:{a},{b},{c} {m}" for a, b, c in grid for m in (3, 4)]
+    for key, digest in THETA_GRID_DIGESTS.items():
+        spec, m = key.split()
+        assert main(["dp-exact", spec, "--m", m, "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, key
 
 
 if __name__ == "__main__":

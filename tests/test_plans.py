@@ -2,9 +2,10 @@
 
 `cli.main` builds the parser it needs, the named command's or the whole
 one, on first use and keeps it for the process.  A graph keeps its plans
-(`Graph.plan`): the colour-pattern transfer's step table, one
-`_FeedbackPlan` and one `_ThetaPlan` per fold.  The plans are left out of
-the graph's pickled state, so a process pool still receives the graph.
+(`Graph.plan`): the colour-pattern transfer's step table and one
+`_FeedbackPlan`, which keeps one row table per fold.  The plans are left
+out of the graph's pickled state, so a process pool still receives the
+graph.
 """
 
 import argparse
@@ -158,23 +159,24 @@ def test_verify_precolor_builds_one_feedback_plan_per_forest(monkeypatch):
     assert all(a is b for a, b in zip(built, forests))
 
 
-def test_theta_plans_are_kept_per_graph_and_fold(monkeypatch):
+def test_one_feedback_plan_per_theta_graph_and_one_table_per_fold(monkeypatch):
     built = []
-    init = covers._ThetaPlan.__init__
+    init = covers._FeedbackPlan.__init__
 
-    def building(self, g, m):
-        built.append((g, m))
-        init(self, g, m)
+    def building(self, g):
+        built.append(g)
+        init(self, g)
 
-    monkeypatch.setattr(covers._ThetaPlan, "__init__", building)
+    monkeypatch.setattr(covers._FeedbackPlan, "__init__", building)
     g = build_generalized_theta(ThetaSpec((2, 3, 3)))
     rng = random.Random(5)
     for m in (3, 4, 3):
         for _ in range(3):
             count_colorings(g, random_cover(g, m, rng))
-    assert [m for _, m in built] == [3, 4]
-    assert all(h is g for h, _ in built)
-    assert g.plan(covers._ThetaPlan, 3).rows  # one memo for the fold's counts
+    assert len(built) == 1 and built[0] is g
+    tables = g.plan(covers._FeedbackPlan).tables
+    assert sorted(tables) == [3, 4]
+    assert all(rows for rows, _, _ in tables.values())  # one memo per fold
 
 
 def test_a_counted_graph_pickles_and_the_pool_search_agrees(monkeypatch):

@@ -1,13 +1,15 @@
 """The row table of the feedback-set counter.
 
-A full cover with every color allowed (every count of the search) is
-counted from one table per fold, keyed by the colors that the edges from
-the feedback set S block once each tree of G - S is relabeled to the
-identity.  These tests compare the table with the brute-force oracle and
-with the vector route (explicit all-ones start vectors) on seeded graphs
-with |S| = 1, 2 and 3, and check that a repeated blocked pattern runs no
-tree DP and that each fold has its own table.  What the search counts
-and returns through the table is pinned in `tests/test_orderly_search.py`.
+A full cover with every color allowed (every count of the search, Theta
+graphs included) is counted from one table per fold, keyed by the colors
+that the edges from the feedback set S block once each tree of G - S is
+relabeled to the identity.  These tests compare the table with the
+brute-force oracle and with the vector route (explicit all-ones start
+vectors) on seeded graphs with |S| = 1, 2 and 3, check that a repeated
+blocked pattern runs no tree DP, that each fold has its own table, that a
+row depends only on the equality pattern of its key, and pin how many
+rows a search builds.  What the search counts and returns through the
+table is pinned in `tests/test_orderly_search.py`.
 """
 
 import random
@@ -16,13 +18,22 @@ from pathlib import Path
 import pytest
 
 from dpchroma import covers
-from dpchroma.covers import _FeedbackPlan, random_cover
-from dpchroma.graphs import Graph
+from dpchroma.covers import _canonical, _FeedbackPlan, min_over_covers, random_cover
+from dpchroma.graphs import Graph, ThetaSpec, build_generalized_theta
 
 from oracles import transversal_count
 
 GOLDEN = Path(__file__).parent / "golden"
 BOWTIE = Graph.from_text((GOLDEN / "bowtie.txt").read_text())
+
+
+def golden(name: str) -> Graph:
+    """A fresh graph, so its plan starts with empty tables."""
+    return Graph.from_text((GOLDEN / name).read_text())
+
+
+def theta(*lengths: int) -> Graph:
+    return build_generalized_theta(ThetaSpec(lengths))
 
 
 def seeded_graphs(size: int, count: int = 3) -> list[Graph]:
@@ -70,7 +81,7 @@ def test_a_repeated_pattern_runs_no_tree_dp(monkeypatch):
     perms = random_cover(g, 4, random.Random(7)).edge_perms()
     plan = g.plan(_FeedbackPlan)
     want = plan.count(perms, 4)
-    assert plan.tables[4]
+    assert plan.tables[4][0]
 
     def no_dp(*args):
         raise AssertionError("tree DP on a known pattern")
@@ -86,3 +97,42 @@ def test_each_fold_has_its_own_table():
     ident = [tuple(range(4))] * len(BOWTIE.edges)
     assert plan.count(ident, 4) == transversal_count(BOWTIE, 4, ident)
     assert sorted(plan.tables) == [3, 4]
+
+
+def test_a_row_depends_only_on_the_equality_pattern_of_its_key():
+    rng = random.Random(20)
+    for g in (golden("bowtie.txt"), golden("k4.txt"), theta(2, 2, 2, 2)):
+        plan = g.plan(_FeedbackPlan)
+        for m in (3, 4, 5):
+            for _ in range(20):
+                key = tuple(rng.randrange(m) for _ in plan.outer)
+                assert plan._row(key, m) == plan._row(_canonical(key), m), (g, key)
+    assert _canonical((2, 0, 2)) == (0, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "source, m, rows",
+    [
+        (lambda: theta(2, 2, 2), 6, 5),
+        (lambda: theta(2, 3, 4), 4, 5),
+        (lambda: theta(2, 2, 2, 2), 4, 15),
+        (lambda: golden("bowtie.txt"), 6, 5),
+        (lambda: golden("k4.txt"), 4, 15),
+        (lambda: golden("k4.txt"), 5, 15),
+    ],
+    ids=["theta:2,2,2-6", "theta:2,3,4-4", "theta:2,2,2,2-4", "bowtie-6", "k4-4", "k4-5"],
+)
+def test_a_search_builds_one_row_per_equality_pattern(monkeypatch, source, m, rows):
+    """At most Bell(|edges from S|) tree-DP rows per fold: 5 for three
+    edges, 15 for four."""
+    built = []
+    row = _FeedbackPlan._row
+
+    def counting(self, key, m):
+        built.append(key)
+        return row(self, key, m)
+
+    monkeypatch.setattr(_FeedbackPlan, "_row", counting)
+    min_over_covers(source(), m, workers=1)
+    assert len(built) == rows
+    assert all(key == _canonical(key) for key in built)
