@@ -132,12 +132,7 @@ def cover_loss_terms(l1: int, l2: int, l3: int, m: int) -> CoverLossTerms:
     """Evaluate the five loss terms exactly; every division must be exact."""
     if m < 3:
         raise OutOfRange("loss terms are defined for m >= 3")
-    polys = theta_edge_pair_polynomials(l1, l2, l3)
-    p = polys.g(m)
-    p0 = polys.g0(m)
-    p1 = polys.g1(m)
-    p2 = polys.g2(m)
-    pstar = polys.gstar(m)
+    p, p0, p1, p2, pstar = (f(m) for f in theta_edge_pair_polynomials(l1, l2, l3))
     t1 = p0 - p
     t2 = p0 - p2 + _exact(p, m - 1)
     t3 = p0 - p1 + _exact(p, m - 1)

@@ -10,9 +10,10 @@ per graph and shared by every transfer on it.  Its states are the
 partitions of the active vertices by equal color, so its cost follows the
 width of that order, not the number of cycles.  Generalized Theta graphs
 additionally get the classical closed form, which the rest of the package
-cross-checks against the transfer.  That form and the edge-pair surgery
-forms are pure functions of the path lengths, so each is built once per
-argument and kept for the process (`functools.cache`).
+cross-checks against the transfer; the edge-deleted forms and the
+edge-pair surgery family read it.  These forms are pure functions of the
+path lengths, so each is built once per argument and kept for the process
+(`functools.cache`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import zip_longest
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .covers import count_from_edge_perms, identity_perm
 from .errors import BadPathIndex, SearchBudgetExceeded
@@ -151,10 +152,12 @@ def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> I
 def theta_closed_form(lengths: tuple[int, ...]) -> IntPoly:
     """Classical closed form for P(Theta(l_1,...,l_k), m); k = 1 is a path.
 
-    The form is two products over the paths, each divided exactly by a
-    polynomial that depends only on k, so every ordering of the lengths
-    gives the identical `IntPoly`: the body is cached per process, keyed
-    by the sorted lengths.
+    Color the ends u and w first.  A path of length l has
+    b_l = ((m-1)^l - (-1)^l)/m proper color walks between two given
+    distinct colors and b_l + (-1)^l between equal ones, so
+    P = m(m-1) prod b_l + m prod (b_l + (-1)^l).  The form is a product
+    over the paths, so every ordering of the lengths gives the identical
+    `IntPoly`: the body is cached per process, keyed by the sorted lengths.
     """
     return _theta_closed_form(tuple(sorted(lengths)))
 
@@ -162,15 +165,12 @@ def theta_closed_form(lengths: tuple[int, ...]) -> IntPoly:
 @cache
 def _theta_closed_form(lengths: tuple[int, ...]) -> IntPoly:
     """The body of `theta_closed_form`, right for any ordering of the
-    lengths.  Every power of m and m - 1 is a `forest_polynomial` (a
-    binomial expansion), not a chain of products."""
-    k = len(lengths)
-    a = M - 1
-    first = prod(power_m1(l + 1) + sign(l + 1) * a for l in lengths)
-    second = prod(power_m1(l) + sign(l) * a for l in lengths)
-    first = first.exact_div(forest_polynomial(k - 1, k - 1))
-    second = second.exact_div(forest_polynomial(k - 1, 0))
-    return first + second
+    lengths.  Every power of m - 1 is a `forest_polynomial` (a binomial
+    expansion), not a chain of products, and each division by m is exact."""
+    walks = [(power_m1(l) - sign(l)).exact_div(M) for l in lengths]
+    differ = prod(walks)
+    same = prod(b + sign(l) for b, l in zip(walks, lengths))
+    return forest_polynomial(1, 1) * differ + M * same
 
 
 def theta_chromatic(spec: ThetaSpec) -> IntPoly:
@@ -178,12 +178,13 @@ def theta_chromatic(spec: ThetaSpec) -> IntPoly:
     return theta_closed_form(spec.lengths)
 
 
+@cache
 def theta_edge_deleted_chromatic(spec: ThetaSpec, path: int) -> IntPoly:
     """P(G - e, m) for e the u-incident edge of the given path (1-based).
 
     Deleting that edge leaves the Theta graph on the remaining paths with a
     pendant path of length l_path - 1 hanging from w, hence the product
-    with (m-1)^(l_path - 1).
+    with (m-1)^(l_path - 1).  Built once per argument, like the Theta form.
     """
     if not 1 <= path <= spec.k:
         raise BadPathIndex(f"path index {path} not in 1..{spec.k}")
@@ -191,30 +192,30 @@ def theta_edge_deleted_chromatic(spec: ThetaSpec, path: int) -> IntPoly:
     return theta_closed_form(rest) * power_m1(spec.lengths[path - 1] - 1)
 
 
-@dataclass(frozen=True)
-class EdgePairGraphs:
-    """The five graphs obtained by surgery on the two u-edges of paths 1, 2.
+class EdgePairFamily(NamedTuple):
+    """The five graphs of the surgery on the two u-edges of paths 1 and 2,
+    or their chromatic polynomials, in this order.
 
     With a1 = the u-neighbor on path 1 and a3 = the u-neighbor on path 2:
     g1 drops the edge u-a1, g2 drops u-a3, g0 drops both, gstar adds the
     chord a1-a3 to the full graph.
     """
 
-    g: Graph
-    g0: Graph
-    g1: Graph
-    g2: Graph
-    gstar: Graph
+    g: Graph | IntPoly
+    g0: Graph | IntPoly
+    g1: Graph | IntPoly
+    g2: Graph | IntPoly
+    gstar: Graph | IntPoly
 
 
-def theta_edge_pair_graphs(l1: int, l2: int, l3: int) -> EdgePairGraphs:
+def theta_edge_pair_graphs(l1: int, l2: int, l3: int) -> EdgePairFamily:
     """Build the surgery family for Theta(l1, l2, l3) with 2 <= l1 <= l2 <= l3."""
     if not 2 <= l1 <= l2 <= l3:
         raise ValueError("need 2 <= l1 <= l2 <= l3")
     g = build_generalized_theta(ThetaSpec((l1, l2, l3)))
     e1 = g.edge_index("u", "v_1_1")
     e2 = g.edge_index("u", "v_2_1")
-    return EdgePairGraphs(
+    return EdgePairFamily(
         g=g,
         g0=g.without_edges([e1, e2]),
         g1=g.without_edges([e1]),
@@ -223,53 +224,35 @@ def theta_edge_pair_graphs(l1: int, l2: int, l3: int) -> EdgePairGraphs:
     )
 
 
-@dataclass(frozen=True)
-class EdgePairPolynomials:
-    """Chromatic polynomials of the surgery family, in the same order."""
-
-    g: IntPoly
-    g0: IntPoly
-    g1: IntPoly
-    g2: IntPoly
-    gstar: IntPoly
-
-    def as_tuple(self) -> tuple[IntPoly, IntPoly, IntPoly, IntPoly, IntPoly]:
-        return (self.g, self.g0, self.g1, self.g2, self.gstar)
-
-
 @cache
-def theta_edge_pair_polynomials(l1: int, l2: int, l3: int) -> EdgePairPolynomials:
+def theta_edge_pair_polynomials(l1: int, l2: int, l3: int) -> EdgePairFamily:
     """Closed forms for the surgery family of Theta(l1, l2, l3).
 
-    Every division written below is exact; a remainder raises.  The forms
-    are frozen and immutable, so each triple is built once per process;
-    invalid arguments raise on every call, as a cache keeps no exception.
+    G is the Theta graph itself, G1 and G2 are its edge-deleted forms and
+    G0, a tree, is m(m-1)^(l1+l2+l3-2); only G*, which is not a Theta
+    graph, is written out here, and its division is exact (a remainder
+    raises).  Each triple is built once per process; invalid arguments
+    raise on every call, as a cache keeps no exception.
     """
     if not 2 <= l1 <= l2 <= l3:
         raise ValueError("need 2 <= l1 <= l2 <= l3")
+    spec = ThetaSpec((l1, l2, l3))
     total = l1 + l2 + l3
     a = power_m1
-    p_g = (
-        a(total)
-        + sign(total) * (M - 1) * (M - 2)
-        + sign(l1 + l2) * a(l3 + 1)
-        + sign(l1 + l3) * a(l2 + 1)
-        + sign(l2 + l3) * a(l1 + 1)
-    ).exact_div(M)
-    p_g0 = forest_polynomial(1, total - 2)
-    p_g1 = a(total - 1) + sign(l2 + l3) * a(l1)
-    p_g2 = a(total - 1) + sign(l1 + l3) * a(l2)
-    p_gstar = (
-        (M - 2)
-        * (
-            a(total - 1)
-            + sign(l2 + l3) * a(l1)
-            + sign(l1 + l3) * a(l2)
-            + sign(l1 + l2 + 1) * a(l3 + 1)
-            + 2 * sign(total) * (M - 1)
-        )
-    ).exact_div(M)
-    return EdgePairPolynomials(p_g, p_g0, p_g1, p_g2, p_gstar)
+    gstar = (M - 2) * (
+        a(total - 1)
+        + sign(l2 + l3) * a(l1)
+        + sign(l1 + l3) * a(l2)
+        + sign(l1 + l2 + 1) * a(l3 + 1)
+        + 2 * sign(total) * (M - 1)
+    )
+    return EdgePairFamily(
+        theta_chromatic(spec),
+        forest_polynomial(1, total - 2),
+        theta_edge_deleted_chromatic(spec, 1),
+        theta_edge_deleted_chromatic(spec, 2),
+        gstar.exact_div(M),
+    )
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .analysis import (
     theta_dp_formula,
 )
 from .chromatic import chromatic_polynomial, theta_chromatic
-from .covers import cover_to_json, min_over_covers, worker_count
+from .covers import SEARCH_BUDGET, cover_to_json, min_over_covers, worker_count
 from .errors import DpchromaError, GraphTooLarge, OutOfRange, SearchBudgetExceeded
 from .graphs import Graph, ThetaSpec, build_generalized_theta
 from .poly import poly_to_json
@@ -303,7 +303,7 @@ def _dp_exact_arguments(p):
         choices=("none", "tree-canonical", "tree-canonical+conjugacy"),
         default="tree-canonical+conjugacy",
     )
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=SEARCH_BUDGET)
     p.add_argument("--workers", type=int, default=None)
     _add_format(p)
     p.set_defaults(func=cmd_dp_exact)
@@ -320,7 +320,7 @@ def _compare_arguments(p):
     p.add_argument("source")
     p.add_argument("--m", required=True, help="fold or range a..b")
     p.add_argument("--exact", action="store_true", help="use exhaustive search")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=SEARCH_BUDGET)
     _add_format(p, default="csv", choices=("csv", "json", "text"))
     p.set_defaults(func=cmd_compare)
 

@@ -46,6 +46,11 @@ from .graphs import Graph, StarDecomposition, _bits
 Perm = tuple[int | None, ...]
 
 BRUTE_FORCE_LIMIT = 4_000_000
+#: A fold's row table stores raw keys only while it is smaller than this;
+#: canonical rows always are, so a one-off count need not keep its m^|S| keys.
+RAW_KEY_LIMIT = 65_536
+#: Default search budget of `min_over_covers` and of the CLI's `--budget`.
+SEARCH_BUDGET = 10_000_000
 SUBSET_EDGE_LIMIT = 20
 # A budget refusal shows the cover count up to this many digits, a bound past it.
 _SHOWN_DIGITS = 30
@@ -89,11 +94,6 @@ def _cycles(p: Perm) -> list[list[int]]:
         if cycle:
             cycles.append(cycle)
     return cycles
-
-
-def cycle_type(p: Perm) -> tuple[int, ...]:
-    """Ascending cycle lengths of a full permutation."""
-    return tuple(sorted(len(c) for c in _cycles(p)))
 
 
 def _ascending_partitions(total: int, minimum: int = 1) -> Iterable[tuple[int, ...]]:
@@ -364,7 +364,9 @@ class _FeedbackPlan:
     fold, with that fold's identity and the product over the free trees.
     A key missing from the table is relabeled in order of first
     occurrence, (2, 0, 2) to (0, 1, 0), and only that canonical key runs
-    the tree DPs, so a fold builds at most Bell(|edges from S|) rows.
+    the tree DPs, so a fold builds at most Bell(|edges from S|) rows.  The
+    raw key is stored beside it only while the table holds fewer than
+    `RAW_KEY_LIMIT` entries.
     """
 
     def __init__(self, g: Graph):
@@ -489,9 +491,11 @@ class _FeedbackPlan:
             row = rows.get(key)
             if row is None:
                 canon = _canonical(key)
-                if canon not in rows:
-                    rows[canon] = self._row(canon, m)
-                row = rows[key] = rows[canon]
+                row = rows.get(canon)
+                if row is None:
+                    row = rows[canon] = self._row(canon, m)
+                if len(rows) < RAW_KEY_LIMIT:
+                    rows[key] = row
             total += row
         return total * free
 
@@ -765,7 +769,7 @@ def min_over_covers(
     g: Graph,
     m: int,
     symmetry: str = "tree-canonical+conjugacy",
-    budget: int = 10_000_000,
+    budget: int = SEARCH_BUDGET,
     workers: int | None = None,
 ) -> MinimizationResult:
     """Exhaustive minimum of the coloring count over full m-fold covers.

@@ -190,19 +190,6 @@ class Graph:
     def with_edge(self, x: str, y: str) -> "Graph":
         return Graph(self.vertices, self.edges + ((self.index[x], self.index[y]),))
 
-    def without_vertex(self, label: str) -> "Graph":
-        drop = self.index[label]
-        remap = {}
-        kept_labels = []
-        for i, lab in enumerate(self.vertices):
-            if i != drop:
-                remap[i] = len(kept_labels)
-                kept_labels.append(lab)
-        kept_edges = tuple(
-            (remap[a], remap[b]) for a, b in self.edges if a != drop and b != drop
-        )
-        return Graph(tuple(kept_labels), kept_edges)
-
     @cached_property
     def feedback_set(self) -> tuple[int, ...]:
         """`feedback_vertex_set` of this graph, computed once."""

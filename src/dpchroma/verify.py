@@ -194,11 +194,7 @@ def suite_edge_pair_forms(seed):
     for l1, l2, l3 in _sorted_triples(2, 4):
         graphs = theta_edge_pair_graphs(l1, l2, l3)
         polys = theta_edge_pair_polynomials(l1, l2, l3)
-        for tag, gg, pp in zip(
-            ("g", "g0", "g1", "g2", "gstar"),
-            (graphs.g, graphs.g0, graphs.g1, graphs.g2, graphs.gstar),
-            polys.as_tuple(),
-        ):
+        for tag, gg, pp in zip(graphs._fields, graphs, polys):
             instance = f"theta:{l1},{l2},{l3} {tag}"
             yield "edge-pair-forms", instance, str(chromatic_polynomial(gg)), str(pp)
 

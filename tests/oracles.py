@@ -8,7 +8,8 @@ subset sums run the package's one inclusion-exclusion oracle,
 cover from a fresh forest pass, the oracle of `covers.subset_walk`;
 `theta_transfer_count` counts a full cover of a generalized Theta graph
 from the closed-form count of color walks along each path, at folds far
-past plain enumeration.
+past plain enumeration.  `cycle_type` and `without_vertex` are plain
+helpers that only the tests read.
 """
 
 from fractions import Fraction
@@ -63,6 +64,31 @@ def theta_transfer_count(g: Graph, m: int, perms) -> int:
             term *= base + bonus if c[a] == b else base
         total += term
     return total
+
+
+def cycle_type(p) -> tuple[int, ...]:
+    """Ascending cycle lengths of a full permutation, each cycle followed
+    from its least element."""
+    seen = set()
+    lengths = []
+    for start in range(len(p)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = p[i]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def without_vertex(g: Graph, label: str) -> Graph:
+    """g with the vertex `label` and its edges deleted, the other vertices
+    kept in order."""
+    kept = tuple(v for v in g.vertices if v != label)
+    index = {v: i for i, v in enumerate(kept)}
+    ends = [(g.vertices[a], g.vertices[b]) for a, b in g.edges]
+    return Graph(kept, tuple((index[x], index[y]) for x, y in ends if label not in (x, y)))
 
 
 def brute_force_cover_count(g: Graph, cover: FullCover) -> int:

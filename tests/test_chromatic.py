@@ -88,23 +88,32 @@ def test_theta_edge_deleted_identity():
 
 def test_edge_pair_polynomials_pinned_values():
     polys = theta_edge_pair_polynomials(2, 2, 2)
-    assert [p(3) for p in polys.as_tuple()] == [30, 48, 36, 36, 12]
+    assert [p(3) for p in polys] == [30, 48, 36, 36, 12]
     assert theta_edge_pair_polynomials(2, 2, 3).g(3) == 42
     for l1, l2, l3 in ((2, 2, 2), (2, 3, 4), (3, 3, 5)):
         assert theta_edge_pair_polynomials(l1, l2, l3).g0(1) == 0
 
 
 def test_edge_pair_polynomials_match_explicit_graphs():
-    for l1 in range(2, 5):
-        for l2 in range(l1, 5):
-            for l3 in range(l2, 5):
+    # G* is the one form written out for the family, so its grid is wider
+    # than the verify suite's.
+    for l1 in range(2, 7):
+        for l2 in range(l1, 7):
+            for l3 in range(l2, 7):
                 graphs = theta_edge_pair_graphs(l1, l2, l3)
                 polys = theta_edge_pair_polynomials(l1, l2, l3)
-                for gg, pp in zip(
-                    (graphs.g, graphs.g0, graphs.g1, graphs.g2, graphs.gstar),
-                    polys.as_tuple(),
-                ):
+                for gg, pp in zip(graphs, polys):
                     assert pp == chromatic_polynomial(gg)
+
+
+def test_edge_pair_family_reads_the_theta_closed_forms():
+    for l1, l2, l3 in ((2, 2, 2), (2, 3, 4), (3, 3, 5), (4, 6, 6)):
+        spec = ThetaSpec((l1, l2, l3))
+        polys = theta_edge_pair_polynomials(l1, l2, l3)
+        assert polys.g is theta_chromatic(spec)
+        assert polys.g1 is theta_edge_deleted_chromatic(spec, 1)
+        assert polys.g2 is theta_edge_deleted_chromatic(spec, 2)
+        assert polys.g0 == M * (M - 1) ** (l1 + l2 + l3 - 2)
 
 
 def test_theta_closed_form_cache_key_ignores_the_order_of_the_lengths():
@@ -116,11 +125,13 @@ def test_theta_closed_form_cache_key_ignores_the_order_of_the_lengths():
 
 def test_closed_forms_are_built_once_per_argument():
     _theta_closed_form.cache_clear()
+    theta_edge_deleted_chromatic.cache_clear()
     theta_edge_pair_polynomials.cache_clear()
     assert all(check.passed for check in SUITES["theta-identity"]())
     assert all(check.passed for check in SUITES["term-differences"]())
-    # 840 closed forms over 103 length multisets; 350 rows over 35 triples.
-    assert _theta_closed_form.cache_info().misses == 103
+    # 840 closed forms over 103 length multisets, and 20 more that only the
+    # 35 surgery families of the 350 term-difference rows read.
+    assert _theta_closed_form.cache_info().misses == 123
     assert theta_edge_pair_polynomials.cache_info().misses == 35
 
 

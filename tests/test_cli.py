@@ -1,9 +1,11 @@
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
-from dpchroma.cli import main
+from dpchroma.cli import build_command_parser, main
+from dpchroma.covers import SEARCH_BUDGET, min_over_covers
 
 
 def run(capsys, *argv):
@@ -230,6 +232,14 @@ def test_search_budget_below_one_is_rejected(capsys):
     assert err == "dpchroma: search budget exceeded: 18 covers exceed the budget of 2\n"
     code, out, _ = run(capsys, "dp-exact", "theta:2,2,2", "--m", "3", "--budget", "18")
     assert code == 0 and out.startswith("P_DP(theta:2,2,2, 3) = 18 ")
+
+
+def test_one_default_search_budget():
+    want = inspect.signature(min_over_covers).parameters["budget"].default
+    assert want == SEARCH_BUDGET == 10_000_000
+    for command, extra in (("dp-exact", ["--m", "3"]), ("compare", ["--m", "3"])):
+        args = build_command_parser(command).parse_args(["theta:2,2,2", *extra])
+        assert args.budget == SEARCH_BUDGET, command
 
 
 def test_worker_count_errors_name_the_flag_or_the_variable(monkeypatch, capsys):

@@ -8,7 +8,6 @@ from dpchroma.covers import (
     FullCover,
     count_colorings,
     cover_to_json,
-    cycle_type,
     cycle_type_representatives,
     identity_cover,
     invert_perm,
@@ -37,6 +36,7 @@ from dpchroma.graphs import (
 from oracles import (
     brute_force_cover_count,
     cover_count_by_subsets,
+    cycle_type,
     subset_agreement_count,
     theta_transfer_count,
     transversal_count,

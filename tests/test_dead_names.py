@@ -1,13 +1,22 @@
-"""Every module-level private name in `src/dpchroma` has a reader in `src/`.
+"""Every name defined or imported in `src/dpchroma` has a reader.
 
-A private helper (`_name`) that nothing in the package reads is dead code:
-tests alone do not keep it alive.  A name counts as read when a top-level
+A module-level name that nothing in the package reads is dead code: tests
+alone do not keep it alive.  A name counts as read when a top-level
 statement other than its own definition loads it, imports it or reads it
-as an attribute.
+as an attribute.  Three rules:
+
+- a private name (`_name`) needs a reader in `src/`;
+- a public name needs a reader in `src/`, unless the package exports it
+  (`dpchroma.__all__`) or it is a `verify` suite, which `@_suite`
+  registers by its decorator;
+- an import needs a load of the name it binds in its own module; the
+  package's `__init__.py` reads its imports by exporting them.
 """
 
 import ast
 from pathlib import Path
+
+import dpchroma
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dpchroma"
 
@@ -34,17 +43,56 @@ def _read(node):
     return names
 
 
-def test_every_private_module_name_is_read_in_src():
-    statements = []
+def _is_suite(node):
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_suite"
+        for d in getattr(node, "decorator_list", ())
+    )
+
+
+def _modules():
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        statements += [(path.name, node) for node in tree.body]
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _unread_definitions(public):
+    statements = [(module, node) for module, tree in _modules() for node in tree.body]
     reads = [_read(node) for _, node in statements]
     dead = []
     for i, (module, node) in enumerate(statements):
         for name in _defined(node):
-            if not name.startswith("_") or name.startswith("__"):
+            if name.startswith("__") or name.startswith("_") == public:
+                continue
+            if public and (name in dpchroma.__all__ or _is_suite(node)):
                 continue
             if not any(name in r for j, r in enumerate(reads) if j != i):
                 dead.append(f"{module}:{node.lineno} {name}")
-    assert dead == []
+    return dead
+
+
+def test_every_private_module_name_is_read_in_src():
+    assert _unread_definitions(public=False) == []
+
+
+def test_every_public_module_name_is_exported_or_read_in_src():
+    assert _unread_definitions(public=True) == []
+
+
+def test_every_import_is_read_by_its_module():
+    unread = []
+    for module, tree in _modules():
+        loads = {
+            sub.id for sub in ast.walk(tree)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        if module == "__init__.py":
+            loads.update(dpchroma.__all__)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in loads:
+                        unread.append(f"{module}:{node.lineno} {bound}")
+    assert unread == []

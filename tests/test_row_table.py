@@ -6,9 +6,9 @@ that the edges from the feedback set S block once each tree of G - S is
 relabeled to the identity.  These tests compare the table with the
 brute-force oracle and with the vector route (explicit all-ones start
 vectors) on seeded graphs with |S| = 1, 2 and 3, check that a repeated
-blocked pattern runs no tree DP, that each fold has its own table, that a
-row depends only on the equality pattern of its key, and pin how many
-rows a search builds.  What the search counts and returns through the
+blocked pattern runs no tree DP, that each fold has its own table, that
+raw keys stop at `RAW_KEY_LIMIT`, that a row depends only on the equality
+pattern of its key, and pin how many rows a search builds.  What the search counts and returns through the
 table is pinned in `tests/test_orderly_search.py`.
 """
 
@@ -97,6 +97,21 @@ def test_each_fold_has_its_own_table():
     ident = [tuple(range(4))] * len(BOWTIE.edges)
     assert plan.count(ident, 4) == transversal_count(BOWTIE, 4, ident)
     assert sorted(plan.tables) == [3, 4]
+
+
+def test_raw_keys_stop_at_the_limit(monkeypatch):
+    """Past `RAW_KEY_LIMIT` entries a fold's table stores only canonical
+    rows, and every count stays exact."""
+    monkeypatch.setattr(covers, "RAW_KEY_LIMIT", 8)
+    rng = random.Random(21)
+    for g in (golden("k4.txt"), *seeded_graphs(3, 2)):
+        plan = g.plan(_FeedbackPlan)
+        for m in (3, 4):
+            for perms in (random_cover(g, m, rng).edge_perms(), random_perms(g, m, rng)):
+                assert plan.count(perms, m) == transversal_count(g, m, perms)
+            rows = plan.tables[m][0]
+            canonical = sum(key == _canonical(key) for key in rows)
+            assert len(rows) - canonical <= 8 < len(rows), (g, m)
 
 
 def test_a_row_depends_only_on_the_equality_pattern_of_its_key():
