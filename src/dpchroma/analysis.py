@@ -39,7 +39,6 @@ from .graphs import (
     Graph,
     StarDecomposition,
     ThetaSpec,
-    component_count,
     find_feedback_vertex,
     star_forest_decomposition,
 )
@@ -334,9 +333,10 @@ def _avoidance_count(d: StarDecomposition, grouping: PartitionSpec) -> IntPoly:
 
 
 def _forest_chromatic(d: StarDecomposition) -> IntPoly:
-    """P(forest), the center an isolated vertex of it."""
+    """P(forest), the center an isolated vertex of it.  The decomposition
+    has refused a cycle, so the forest has n - |E| trees."""
     f = d.forest
-    return forest_polynomial(component_count(f, f.full_mask), len(f.edges))
+    return forest_polynomial(f.n - len(f.edges), len(f.edges))
 
 
 def partition_weight(d: StarDecomposition, partition: PartitionSpec) -> IntPoly:

@@ -8,16 +8,16 @@ fold [m] (oriented from the lexicographically smaller endpoint).  Any
 assignment of permutations to all edges can be brought into this form by
 relabeling fibers, which never changes the number of colorings.
 
-Every count goes through one counting plan, `_FeedbackPlan`, built once
-and kept on the graph (`Graph.plan`).  It conditions on a feedback vertex
-set S, and `BRUTE_FORCE_LIMIT` caps the m^|S| rows of each count.  A full
-cover with every color allowed, Theta graph or not, reads the plan's row
-table, one per fold, keyed by the equality pattern of the colors that the
-edges from S block; every count of the search is one.  At its conjugacy
-level the search is orderly: it counts one cover per conjugacy orbit and
-finds the same first minimum as a count of every cover (see
-`_search_chunk`); its orbit sweeps are cached per process by fold and
-group (`_orbit_sweep`).
+Covers are full (`CoverMismatch` otherwise): a partial matching extends
+to a perfect one, and each added cross edge can only remove colorings.
+Every count runs the one loop of `_FeedbackPlan`, kept on the graph
+(`Graph.plan`), which conditions on a feedback vertex set S
+(`BRUTE_FORCE_LIMIT` caps its m^|S| rows).  With every color allowed (every
+count of the search) a row is read from a table per fold; start vectors
+run the tree DPs on the same rows.  At its conjugacy level the search is
+orderly: it counts one cover per conjugacy orbit and finds the same first
+minimum as a count of every cover (see `_search_chunk`); its orbit sweeps
+are cached per process by fold and group (`_orbit_sweep`).
 Star partitions (`partitions_of`) and their shift covers live here too;
 their weights are color-pattern transfers (`analysis._avoidance_count`).
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import permutations, product
+from itertools import compress, permutations, product
 from math import prod
 from typing import Iterable, Mapping, Sequence
 
@@ -41,9 +41,8 @@ from .errors import (
 )
 from .graphs import Graph, StarDecomposition, _bits
 
-# A twist is a tuple of images; None marks a fiber vertex with no cross edge,
-# which only occurs in non-full covers.
-Perm = tuple[int | None, ...]
+# A twist is a tuple of images, a permutation of the fold.
+Perm = tuple[int, ...]
 
 BRUTE_FORCE_LIMIT = 4_000_000
 #: A fold's row table stores raw keys only while it is smaller than this;
@@ -61,25 +60,19 @@ def identity_perm(m: int) -> Perm:
 
 
 def invert_perm(p: Perm) -> Perm:
-    out: list[int | None] = [None] * len(p)
+    out = [0] * len(p)
     for i, v in enumerate(p):
-        if v is not None:
-            out[v] = i
+        out[v] = i
     return tuple(out)
 
 
 def compose(outer: Perm, inner: Perm) -> Perm:
-    """outer after inner; None propagates."""
-    return tuple(
-        None if v is None else outer[v] for v in inner
-    )
+    """outer after inner."""
+    return tuple([outer[v] for v in inner])
 
 
-def is_permutation(p: Sequence[int | None], m: int) -> bool:
-    if len(p) != m:
-        return False
-    seen = [v for v in p if v is not None]
-    return all(0 <= v < m for v in seen) and len(set(seen)) == len(seen)
+def is_permutation(p: Sequence[int], m: int) -> bool:
+    return len(p) == m and set(p).issuperset(range(m))
 
 
 def _cycles(p: Perm) -> list[list[int]]:
@@ -239,13 +232,8 @@ class FullCover:
             raise CoverMismatch("fold must be at least 1")
         if set(self.twists) != set(range(len(g.edges))) - g.standard_tree:
             raise CoverMismatch("twists must cover exactly the cotree edges")
-        for p in self.twists.values():
-            if not is_permutation(p, self.m):
-                raise CoverMismatch("twist is not an injection on the fold")
-
-    @cached_property
-    def is_full(self) -> bool:
-        return all(None not in p for p in self.twists.values())
+        if not all(is_permutation(p, self.m) for p in self.twists.values()):
+            raise CoverMismatch("twist is not a permutation of the fold")
 
     def edge_perms(self) -> list[Perm]:
         ident = identity_perm(self.m)
@@ -274,10 +262,10 @@ class FullCover:
         Fibers are relabeled along `g.standard_tree` so tree matchings
         become the identity; cotree twists pick up the conjugations.
         """
+        if not all(is_permutation(p, m) for p in perms.values()):
+            raise CoverMismatch("twist is not a permutation of the fold")
         tree = g.standard_tree
         full = [perms.get(i, identity_perm(m)) for i in range(len(g.edges))]
-        if any(None in full[i] for i in tree):
-            raise CoverMismatch("tree matchings must be perfect to canonicalize")
         # Relabeling each fiber by rho^-1 makes every tree matching the
         # identity; a cotree twist becomes rho[b]^-1 o sigma o rho[a].
         rho = _transport(g, m, full, tree)
@@ -320,53 +308,47 @@ def random_cover(g: Graph, m: int, rng) -> FullCover:
     return FullCover(g, m, twists)
 
 
-def _tree_dp_vector(
-    root: int,
-    steps: list[tuple[int, int, Perm]],
-    start: Sequence[Sequence[int]],
-) -> int:
-    """Count colorings of a tree.  `steps` holds each non-root vertex as
-    (v, parent, rho), children before their parents, with rho carrying the
-    parent's fiber to v's; start[v] is the 0/1 vector of colors allowed
-    at v."""
+def _tree_dp_vector(root: int, steps: list[tuple[int, int]], start: Sequence[Sequence[int]]) -> int:
+    """Count colorings of a tree whose every edge is the identity matching.
+    `steps` holds each non-root vertex as (v, parent), children before
+    their parents; start[v] is the 0/1 vector of colors allowed at v."""
     vecs: dict[int, Sequence[int]] = {}
-    for v, parent, rho in steps:
+    for v, parent in steps:
         child = vecs.pop(v, start[v])
         s = sum(child)
         up = vecs.get(parent, start[parent])
-        vecs[parent] = [
-            a * (s - (0 if t is None else child[t])) for a, t in zip(up, rho)
-        ]
+        vecs[parent] = [a * (s - b) for a, b in zip(up, child)]
     return sum(vecs.get(root, start[root]))
 
 
 class _FeedbackPlan:
     """Counts transversals by conditioning on the colors of the feedback set.
 
-    G - S is a forest for S = `g.feedback_set`.  A row colors S from its
-    allowed colors and is rejected when an edge inside S matches those
-    colors.  Each edge from S blocks one color at its other endpoint,
-    folded into that endpoint's start vector, and the row counts one tree
-    DP per tree of G - S; trees that touch no edge from S are counted once
-    per count.  The plan stores the edges inside and out of S and the
-    walks of G - S, each step with its orientation, so a count orients
-    each edge once, not once per row.  None of it depends on the fold or
-    the start vectors, which each count takes.
+    G - S is a forest for S = `g.feedback_set`.  Every count runs one loop.
+    It relabels the fibers of each tree of G - S along its walk so that
+    every tree edge is the identity: frame[v] carries the fiber of v's
+    root to v's.  A row colors S from its allowed colors and is rejected
+    when an edge inside S matches those colors.  Each edge from S blocks
+    one color at its other endpoint, read in that endpoint's frame; these
+    colors are the row's key, and `_row` counts the colorings of the trees
+    that touch an edge from S avoiding them.  Free trees, which touch no
+    edge from S, are counted once per count.  The plan stores the edges
+    inside and out of S, the trees as (v, parent) steps and the descent
+    with each step's edge; none of it depends on the fold or the start
+    vectors, which each count takes.
 
-    A full cover with every color allowed (every count of the search, of
-    any graph) takes a row table instead.  Relabeling the fibers of each
-    tree of G - S along its walk makes its edges the identity, so a row
-    counts proper colorings of the trees of G - S, each vertex avoiding
-    the colors that the edges from S block there, read in that frame.  A
-    permutation sigma of all m colors maps the colorings that avoid a key
-    one-to-one onto those that avoid sigma(key), so a row depends only on
-    which entries of its key are equal.  The plan keeps one table per
-    fold, with that fold's identity and the product over the free trees.
-    A key missing from the table is relabeled in order of first
-    occurrence, (2, 0, 2) to (0, 1, 0), and only that canonical key runs
-    the tree DPs, so a fold builds at most Bell(|edges from S|) rows.  The
-    raw key is stored beside it only while the table holds fewer than
-    `RAW_KEY_LIMIT` entries.
+    With start vectors, start[v] is read in v's frame and every row and
+    free tree runs the tree DP.  With every color allowed (every count of
+    the search) a row is read from a table instead.  A permutation sigma
+    of all m colors maps the colorings that avoid a key one-to-one onto
+    those that avoid sigma(key), so a row depends only on which entries of
+    its key are equal.  The plan keeps one table per fold, with that
+    fold's identity and the product over the free trees.  A key missing
+    from the table is relabeled in order of first occurrence, (2, 0, 2) to
+    (0, 1, 0), and only that canonical key runs the tree DPs, so a fold
+    builds at most Bell(|edges from S|) rows.  The raw key is stored
+    beside it only while the table holds fewer than `RAW_KEY_LIMIT`
+    entries.
     """
 
     def __init__(self, g: Graph):
@@ -384,18 +366,16 @@ class _FeedbackPlan:
                 rest.append(e)
         self.outer.sort(key=lambda edge: edge[0])  # row keys go slot by slot
         self.blocked = {y for _, y, _, _ in self.outer}
-        self.touching, self.free = [], []
+        # trees as (root, steps), children first; `descent` has every tree's
+        # steps with their edges, each parent first
+        self.touching, self.free, self.descent = [], [], []
         for walk in _forest_walk(g, rest):
-            tree = (walk[0][0], [
-                (v, parent, e, g.edges[e][0] == parent)
-                for v, parent, e in reversed(walk[1:])
-            ])
-            if any(v in self.blocked for v, _, _ in walk):
-                self.touching.append(tree)
-            elif walk[0][0] not in slot:
-                self.free.append(tree)
-        # the touching trees' steps, each parent before its children
-        self.descent = [step for _, steps in self.touching for step in reversed(steps)]
+            root = walk[0][0]
+            if root in slot:  # a vertex of S, alone in G - S
+                continue
+            trees = self.touching if any(v in self.blocked for v, _, _ in walk) else self.free
+            trees.append((root, [(v, parent) for v, parent, _ in reversed(walk[1:])]))
+            self.descent += [(v, parent, e, g.edges[e][0] == parent) for v, parent, e in walk[1:]]
         self.inverse = cache(invert_perm)
         self.tables: dict[int, tuple[dict[tuple[int, ...], int], Perm, int]] = {}
 
@@ -403,57 +383,20 @@ class _FeedbackPlan:
         self, perms: Sequence[Perm], m: int, start: Sequence[Sequence[int]] | None = None
     ) -> int:
         """Transversals at fold m, start[v] the 0/1 vector of colors
-        allowed at v.  Without `start` every color is allowed, every twist
-        must be a full permutation, and the count reads the row table."""
+        allowed at v (every color without `start`, read from the table)."""
         if m ** len(self.fvs) > BRUTE_FORCE_LIMIT:
             raise GraphTooLarge(
                 f"{m}^{len(self.fvs)} feedback-set colorings exceed "
                 f"BRUTE_FORCE_LIMIT = {BRUTE_FORCE_LIMIT:,}"
             )
         if start is None:
-            return self._table_count(perms, m)
-        inverse = self.inverse
-
-        def oriented(tree):
-            root, steps = tree
-            return root, [
-                (v, parent, perms[e] if forward else inverse(perms[e]))
-                for v, parent, e, forward in steps
-            ]
-
-        free_product = 1
-        for tree in self.free:
-            free_product *= _tree_dp_vector(*oriented(tree), start)
-        touching = [oriented(tree) for tree in self.touching]
-        inner = [(a, b, perms[e]) for a, b, e in self.inner]
-        outer = [
-            (i, y, perms[e] if forward else inverse(perms[e]))
-            for i, y, e, forward in self.outer
-        ]
-        seeds = list(start)
-        total = 0
-        choices = [[c for c in range(m) if start[v][c]] for v in self.fvs]
-        for colors in product(*choices):
-            if any(p[colors[a]] == colors[b] for a, b, p in inner):
-                continue
-            for y in self.blocked:
-                seeds[y] = list(start[y])
-            for i, y, rho in outer:
-                c = rho[colors[i]]
-                if c is not None:
-                    seeds[y][c] = 0
-            row = free_product
-            for root, steps in touching:
-                row *= _tree_dp_vector(root, steps, seeds)
-            total += row
-        return total
-
-    def _table_count(self, perms: Sequence[Perm], m: int) -> int:
-        fold = self.tables.get(m)
-        if fold is None:
-            free = prod(m * (m - 1) ** len(steps) for _, steps in self.free)
-            fold = self.tables[m] = ({}, identity_perm(m), free)
-        rows, ident, free = fold
+            fold = self.tables.get(m)
+            if fold is None:
+                free = prod(m * (m - 1) ** len(steps) for _, steps in self.free)
+                fold = self.tables[m] = ({}, identity_perm(m), free)
+            rows, ident, free = fold
+        else:
+            ident = identity_perm(m)
         inverse = self.inverse
         # frame[v] carries the fiber of v's root to v's; None is the identity
         frame: list[Perm | None] = [None] * self.n
@@ -471,13 +414,20 @@ class _FeedbackPlan:
             p = perms[e] if forward else inverse(perms[e])
             up = frame[y]
             blocks[i].append(p if up is None else compose(inverse(up), p))
-        if len(blocks) == 1:
+        if not blocks:  # a forest: one row, nothing blocked
+            keys = [()]
+        elif len(blocks) == 1:
             keys = zip(*blocks[0])
+            if start is not None:
+                keys = compress(keys, start[self.fvs[0]])
         else:
             parts = [list(zip(*b)) if b else [()] * m for b in blocks]
             inner = [(a, b, perms[e]) for a, b, e in self.inner]
             keys = []
-            for colors in product(range(m), repeat=len(parts)):
+            choices = [range(m)] * len(blocks)
+            if start is not None:
+                choices = [compress(range(m), start[s]) for s in self.fvs]
+            for colors in product(*choices):
                 for a, b, p in inner:
                     if p[colors[a]] == colors[b]:
                         break
@@ -486,6 +436,14 @@ class _FeedbackPlan:
                     for part, c in zip(parts, colors):
                         key += part[c]
                     keys.append(key)
+        if start is not None:
+            seeds = start
+            if any(frame):  # some tree edge is twisted
+                seeds = [s if f is None else [s[c] for c in f] for s, f in zip(start, frame)]
+            total = sum(self._row(key, seeds) for key in keys)
+            for root, steps in self.free:
+                total *= _tree_dp_vector(root, steps, seeds)
+            return total
         total = 0
         for key in keys:
             row = rows.get(key)
@@ -493,25 +451,23 @@ class _FeedbackPlan:
                 canon = _canonical(key)
                 row = rows.get(canon)
                 if row is None:
-                    row = rows[canon] = self._row(canon, m)
+                    row = rows[canon] = self._row(canon, [[1] * m] * self.n)
                 if len(rows) < RAW_KEY_LIMIT:
                     rows[key] = row
             total += row
         return total * free
 
-    def _row(self, key: tuple[int, ...], m: int) -> int:
-        """The touching trees' count when the edges from S block the colors
-        of `key`, with every tree edge the identity."""
-        ones = [1] * m
-        seeds = [ones] * self.n
+    def _row(self, key: tuple[int, ...], seeds: Sequence[Sequence[int]]) -> int:
+        """The touching trees' count when the edges from S block the colors of
+        `key`, seeds[v] the 0/1 vector of colors allowed at v in its frame."""
+        seeds = list(seeds)
         for y in self.blocked:
-            seeds[y] = ones[:]
+            seeds[y] = list(seeds[y])
         for (_, y, _, _), c in zip(self.outer, key):
             seeds[y][c] = 0
-        ident = identity_perm(m)
         row = 1
         for root, steps in self.touching:
-            row *= _tree_dp_vector(root, [(v, parent, ident) for v, parent, _, _ in steps], seeds)
+            row *= _tree_dp_vector(root, steps, seeds)
         return row
 
 
@@ -529,18 +485,15 @@ def count_from_edge_perms(
 ) -> int:
     """Exact number of transversals avoiding every matched cross pair.
 
-    `allowed`, when given, holds one 0/1 vector per vertex marking the
-    colors it may take; a precolored vertex has a one-hot vector.  Every
-    count conditions on the graph's feedback vertex set: a full cover with
-    every color allowed reads the plan's row table, any other count runs
-    the tree DPs on start vectors.
+    `perms` holds one permutation of range(m) per edge, or the count is
+    refused with `CoverMismatch`.  `allowed`, when given, holds one 0/1
+    vector per vertex marking the colors it may take; a precolored vertex
+    has a one-hot vector.  Every count runs the graph's feedback-set plan.
     """
-    plan = g.plan(_FeedbackPlan)
-    if allowed is None:
-        if all(None not in p for p in perms):
-            return plan.count(perms, m)
-        allowed = [[1] * m] * g.n
-    return plan.count(perms, m, allowed)
+    ident = identity_perm(m)
+    if len(perms) != len(g.edges) or not all(p == ident or is_permutation(p, m) for p in perms):
+        raise CoverMismatch(f"every edge needs a permutation of the {m} colors")
+    return g.plan(_FeedbackPlan).count(perms, m, allowed)
 
 
 def count_colorings(g: Graph, cover: FullCover) -> int:
@@ -563,8 +516,6 @@ def subset_walk(cover: FullCover) -> tuple[list[int], list[int]]:
     2^(|E|+1) - 1 nodes, where `component_count` and the test oracle
     `subset_agreement_count` each make a fresh forest pass per subset.
     """
-    if not cover.is_full:
-        raise CoverMismatch("agreement counts require a full cover")
     g, m = cover.graph, cover.m
     if len(g.edges) > SUBSET_EDGE_LIMIT:
         raise GraphTooLarge(f"{len(g.edges)} edges exceed SUBSET_EDGE_LIMIT = {SUBSET_EDGE_LIMIT}")
@@ -882,7 +833,7 @@ def cover_to_json(cover: FullCover) -> dict:
         "twists": [
             {
                 "edge": list(g.edge_labels(i)),
-                "perm": [None if v is None else v + 1 for v in cover.twists[i]],
+                "perm": [v + 1 for v in cover.twists[i]],
             }
             for i in sorted(cover.twists)
         ],

@@ -34,7 +34,8 @@ class BadEdge(DpchromaError, ValueError):
 
 
 class CoverMismatch(DpchromaError, ValueError):
-    """Cover does not belong to the graph it is used with."""
+    """Cover does not belong to the graph it is used with, or a twist is
+    not a permutation of the fold."""
 
 
 class FoldTooSmall(DpchromaError, ValueError):

@@ -16,7 +16,6 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from dpchroma.covers import FullCover, _transport, compose, identity_perm, invert_perm
-from dpchroma.errors import CoverMismatch
 from dpchroma.graphs import EdgeSubset, Graph, _bits, component_count, spanning_forest
 from dpchroma.poly import IntPoly
 from dpchroma.verify import subset_sum
@@ -107,8 +106,6 @@ def subset_agreement_count(cover: FullCover, subset: EdgeSubset) -> int:
     all others; the count is the number of starting values consistent with
     every cycle, times m for each untouched component.
     """
-    if not cover.is_full:
-        raise CoverMismatch("agreement counts require a full cover")
     g, m = cover.graph, cover.m
     perms = cover.edge_perms()
     edge_ids = list(_bits(subset))

@@ -128,16 +128,22 @@ def test_forest_covers_are_canonical():
         assert count_colorings(forest, cover) == m**2 * (m - 1) ** 3
 
 
-def test_partial_cover_counts():
+def test_partial_covers_are_refused():
+    """Every cover is full: a matching with an unmatched fiber vertex is
+    refused, on a cotree edge and, through `from_edge_perms`, on a tree
+    edge."""
     c4 = Graph(("a", "b", "c", "d"), ((0, 1), (1, 2), (2, 3), (0, 3)))
     (cotree_edge,) = set(range(4)) - c4.standard_tree
     partial = (1, None, 0)  # one fiber vertex unmatched
-    cover = FullCover(c4, 3, {cotree_edge: partial})
-    assert not cover.is_full
-    assert count_colorings(c4, cover) == brute_force_cover_count(c4, cover)
+    with pytest.raises(CoverMismatch):
+        FullCover(c4, 3, {cotree_edge: partial})
     g = theta(2, 2, 2)
-    cover = FullCover(g, 3, {1: (1, None, 0), 2: IDENT3})
-    assert count_colorings(g, cover) == brute_force_cover_count(g, cover) == 26
+    with pytest.raises(CoverMismatch):
+        FullCover(g, 3, {1: (1, None, 0), 2: IDENT3})
+    with pytest.raises(CoverMismatch):
+        FullCover.from_edge_perms(g, 3, {0: (1, None, 0)})
+    with pytest.raises(CoverMismatch):
+        FullCover.from_edge_perms(g, 3, {0: (0, 0, 1)})
 
 
 def test_cover_validation():

@@ -11,7 +11,7 @@ S, and the fold limit on m^|S|.
 """
 
 import random
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -53,10 +53,8 @@ def zoo(seed: int) -> list[Graph]:
     return graphs_
 
 
-def random_perm(rng: random.Random, m: int, partial: bool):
-    images = list(range(m))
-    rng.shuffle(images)
-    return tuple(None if partial and rng.random() < 0.3 else x for x in images)
+def random_perm(rng: random.Random, m: int):
+    return tuple(rng.sample(range(m), m))
 
 
 def test_feedback_set_leaves_a_forest_and_keeps_the_pivot():
@@ -167,9 +165,9 @@ def test_counts_match_enumeration_for_every_feedback_set_size():
     sizes = set()
     for g in zoo(29):
         sizes.add(len(g.feedback_set))
-        for partial, with_allowed in product((False, True), repeat=2):
+        for with_allowed in (False, True) * 2:
             m = rng.randint(1, 3 if g.n > 5 else 4)
-            perms = [random_perm(rng, m, partial) for _ in g.edges]
+            perms = [random_perm(rng, m) for _ in g.edges]
             allowed = None
             if with_allowed:
                 allowed = [[int(rng.random() < 0.7) for _ in range(m)] for _ in g.vertices]

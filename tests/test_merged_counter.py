@@ -9,7 +9,6 @@ enumeration on random inputs, including conflicting precolorings.
 
 import random
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -22,7 +21,7 @@ from dpchroma.covers import (
     identity_perm,
     worker_count,
 )
-from dpchroma.errors import GraphTooLarge, OutOfRange
+from dpchroma.errors import CoverMismatch, GraphTooLarge, OutOfRange
 from dpchroma.graphs import (
     FeedbackVertex,
     Graph,
@@ -31,7 +30,7 @@ from dpchroma.graphs import (
     find_feedback_vertex,
 )
 
-from oracles import brute_force_cover_count, cover_count_by_subsets, transversal_count
+from oracles import cover_count_by_subsets, transversal_count
 
 BOWTIE = Path(__file__).parent / "golden" / "bowtie.txt"
 
@@ -71,10 +70,8 @@ def random_precoloring(rng: random.Random, g: Graph, m: int) -> Precoloring:
     return Precoloring({v: rng.randint(1, min(m + 1, bound)) for v in domain}, bound)
 
 
-def random_partial_perm(rng: random.Random, m: int):
-    images = list(range(m))
-    rng.shuffle(images)
-    return tuple(None if rng.random() < 0.3 else x for x in images)
+def random_perm(rng: random.Random, m: int):
+    return tuple(rng.sample(range(m), m))
 
 
 def test_precolored_count_matches_enumeration_on_random_forests():
@@ -125,14 +122,33 @@ def test_conflicting_precolorings_count_zero():
         assert precolored_count(g, pc, 4) == 0
 
 
-def test_non_full_covers_on_forests_match_brute_force():
+def test_non_full_covers_on_forests_are_refused():
+    """A matching that leaves a fiber vertex unmatched is refused: P_DP is
+    a minimum over full covers, so the counter takes full covers alone."""
     rng = random.Random(606)
-    for _ in range(40):
-        g = random_forest(rng, rng.randint(1, 6))
+    forests = [random_forest(rng, rng.randint(2, 6)) for _ in range(40)]
+    forests = [g for g in forests if g.edges]
+    assert len(forests) >= 30
+    for g in forests:
         m = rng.randint(1, 4)
-        perms = [random_partial_perm(rng, m) for _ in g.edges]
-        oracle = brute_force_cover_count(g, SimpleNamespace(m=m, edge_perms=lambda: perms))
-        assert count_from_edge_perms(g, m, perms) == oracle
+        perms = [random_perm(rng, m) for _ in g.edges]
+        e, j = rng.randrange(len(g.edges)), rng.randrange(m)
+        perms[e] = perms[e][:j] + (None,) + perms[e][j + 1 :]
+        with pytest.raises(CoverMismatch):
+            count_from_edge_perms(g, m, perms)
+
+
+def test_counts_refuse_twists_that_are_not_permutations_of_the_fold():
+    g = build_generalized_theta(ThetaSpec((2, 2, 2)))
+    ident = [identity_perm(4)] * len(g.edges)
+    assert count_from_edge_perms(g, 4, ident) == 204
+    for m, twist in ((4, (0, 1, 2)), (3, (0, 0, 1)), (3, (0, 1, None)), (3, (0, 1, 3))):
+        with pytest.raises(CoverMismatch):
+            count_from_edge_perms(g, m, [twist] * len(g.edges))
+        with pytest.raises(CoverMismatch):
+            count_from_edge_perms(g, m, [twist] * len(g.edges), [[1] * m] * g.n)
+    with pytest.raises(CoverMismatch):
+        count_from_edge_perms(g, 3, [identity_perm(3)] * (len(g.edges) - 1))
 
 
 def test_allowed_vectors_on_every_route():
@@ -143,7 +159,7 @@ def test_allowed_vectors_on_every_route():
     for g in graphs:
         for _ in range(4):
             m = rng.randint(1, 4)
-            perms = [random_partial_perm(rng, m) for _ in g.edges]
+            perms = [random_perm(rng, m) for _ in g.edges]
             allowed = [[int(rng.random() < 0.7) for _ in range(m)] for _ in g.vertices]
             want = transversal_count(g, m, perms, allowed)
             assert count_from_edge_perms(g, m, perms, allowed) == want

@@ -3,13 +3,14 @@
 A full cover with every color allowed (every count of the search, Theta
 graphs included) is counted from one table per fold, keyed by the colors
 that the edges from the feedback set S block once each tree of G - S is
-relabeled to the identity.  These tests compare the table with the
-brute-force oracle and with the vector route (explicit all-ones start
-vectors) on seeded graphs with |S| = 1, 2 and 3, check that a repeated
-blocked pattern runs no tree DP, that each fold has its own table, that
-raw keys stop at `RAW_KEY_LIMIT`, that a row depends only on the equality
-pattern of its key, and pin how many rows a search builds.  What the search counts and returns through the
-table is pinned in `tests/test_orderly_search.py`.
+relabeled to the identity.  These tests compare the table, and the same
+loop given explicit all-ones start vectors (which runs the tree DPs),
+with the brute-force oracle on seeded graphs with |S| = 1, 2 and 3,
+check that a repeated blocked pattern runs no tree DP, that each fold
+has its own table, that raw keys stop at `RAW_KEY_LIMIT`, that a row
+depends only on the equality pattern of its key, and pin how many rows a
+search builds.  What the search counts and returns through the table is
+pinned in `tests/test_orderly_search.py`.
 """
 
 import random
@@ -71,9 +72,9 @@ def test_table_matches_the_oracle_and_the_vector_route(size):
         plan = g.plan(_FeedbackPlan)
         for m in range(2, 6):
             for perms in (random_cover(g, m, rng).edge_perms(), random_perms(g, m, rng)):
-                table = plan.count(perms, m)
-                assert table == plan.count(perms, m, [[1] * m] * g.n)
-                assert table == transversal_count(g, m, perms)
+                want = transversal_count(g, m, perms)
+                assert plan.count(perms, m) == want
+                assert plan.count(perms, m, [[1] * m] * g.n) == want
 
 
 def test_a_repeated_pattern_runs_no_tree_dp(monkeypatch):
@@ -119,9 +120,10 @@ def test_a_row_depends_only_on_the_equality_pattern_of_its_key():
     for g in (golden("bowtie.txt"), golden("k4.txt"), theta(2, 2, 2, 2)):
         plan = g.plan(_FeedbackPlan)
         for m in (3, 4, 5):
+            ones = [[1] * m] * g.n
             for _ in range(20):
                 key = tuple(rng.randrange(m) for _ in plan.outer)
-                assert plan._row(key, m) == plan._row(_canonical(key), m), (g, key)
+                assert plan._row(key, ones) == plan._row(_canonical(key), ones), (g, key)
     assert _canonical((2, 0, 2)) == (0, 1, 0)
 
 
@@ -143,9 +145,9 @@ def test_a_search_builds_one_row_per_equality_pattern(monkeypatch, source, m, ro
     built = []
     row = _FeedbackPlan._row
 
-    def counting(self, key, m):
+    def counting(self, key, seeds):
         built.append(key)
-        return row(self, key, m)
+        return row(self, key, seeds)
 
     monkeypatch.setattr(_FeedbackPlan, "_row", counting)
     min_over_covers(source(), m, workers=1)

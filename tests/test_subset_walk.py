@@ -93,10 +93,10 @@ def test_walk_refuses_too_many_edges_before_walking(monkeypatch):
 
 
 def test_walk_refuses_non_full_covers():
+    """A non-full cover never reaches the walk: `FullCover` refuses it."""
     g = NAMED[0]
-    cover = FullCover(g, 2, {1: (1, None), 2: (0, 1)})
     with pytest.raises(CoverMismatch):
-        subset_walk(cover)
+        subset_walk(FullCover(g, 2, {1: (1, None), 2: (0, 1)}))
 
 
 def patch_everywhere(monkeypatch, attr: str, replacement):
