@@ -42,7 +42,7 @@ from .graphs import (
     find_feedback_vertex,
     star_forest_decomposition,
 )
-from .poly import M, IntPoly, eventual_compare, forest_polynomial, power_m1, sign
+from .poly import M, IntPoly, crossover_bound, eventual_compare, forest_polynomial, power_m1, sign
 
 
 def _parity_case(l1: int, l2: int, l3: int) -> int:
@@ -269,18 +269,25 @@ def loss_term_differences(l1: int, l2: int, l3: int, m: int) -> LossTermReport:
     )
 
 
+def _deletion_margin(whole: IntPoly, deleted: IntPoly) -> IntPoly:
+    """The edge-deletion margin m P(G, m) - (m-1) P(G-e, m), from P(G) and
+    P(G-e): where it is positive, deleting e certifies a DP coloring
+    deficit, P_DP(G, m) < P(G, m) (Kaul and Mudrock, arXiv:1904.07697)."""
+    return M * whole - (M - 1) * deleted
+
+
 def edge_deletion_gap(g: Graph, x: str, y: str, m: int) -> tuple[bool, int]:
     """Whether deleting the edge xy certifies a DP coloring deficit at m.
 
-    Returns (holds, margin) with margin = m P(G, m) - (m-1) P(G-xy, m),
-    computed in cleared-denominator integers; holds means margin > 0.
+    Returns (holds, margin) with margin the `_deletion_margin` of xy at m;
+    holds means margin > 0.
     """
     if m < 2:
         raise OutOfRange("the test is defined for m >= 2")
     e = g.edge_index(x, y)
-    whole = chromatic_polynomial(g)(m)
-    deleted = chromatic_polynomial(g.without_edges([e]))(m)
-    margin = m * whole - (m - 1) * deleted
+    whole = chromatic_polynomial(g)
+    deleted = chromatic_polynomial(g.without_edges([e]))
+    margin = _deletion_margin(whole, deleted)(m)
     return margin > 0, margin
 
 
@@ -292,19 +299,24 @@ class ParityClassification:
     kind: str  # "eventually-equal" | "eventually-less"
     witness_path: int | None
     empirical_bound: int | None
-    searched_to: int
 
 
-def classify_generalized(spec: ThetaSpec, max_m: int = 64) -> ParityClassification:
+def classify_generalized(spec: ThetaSpec) -> ParityClassification:
     """Parity classification of a generalized Theta graph.
 
     If some path j >= 2 shares the parity of path 1, the DP color function
-    eventually drops below the chromatic polynomial; the returned bound is
-    the first fold where the edge-deletion test certifies the drop (found
-    by sweeping 2 <= m <= max_m with the closed forms for both polynomials).
+    eventually drops below the chromatic polynomial.  The first such j is
+    the witness, and the bound is the first fold m >= 2 at which the
+    `_deletion_margin` of path j's u-edge is positive.  It exists: with
+    s_i = (-1)^(l_i) and b_i = ((m-1)^(l_i) - s_i)/m, the Theta closed form
+    and P(G - e) = P(Theta without path j) (m-1)^(l_j - 1) give the margin
+    m(m-1) s_j (prod_{i != j} (b_i + s_i) - prod_{i != j} b_i).  As b_i
+    leads with m^(l_i - 1), the difference leads with the terms that trade
+    one shortest b_i for s_i.  Path 1 is a shortest path other than j, and
+    only it may have length 1, so these are the paths i != j of length l_1,
+    each with s_i = s_1 = s_j: the leading coefficient counts them, and the
+    margin is positive from its `crossover_bound` on.
     """
-    if max_m < 2:
-        raise OutOfRange(f"max_m must be at least 2, not {max_m}")
     if not spec.sorted_for_analysis():
         raise OutOfScope("lengths must satisfy l2 <= ... <= lk and l2 >= max(l1, 2)")
     witness = None
@@ -313,15 +325,12 @@ def classify_generalized(spec: ThetaSpec, max_m: int = 64) -> ParityClassificati
             witness = j
             break
     if witness is None:
-        return ParityClassification(spec, "eventually-equal", None, None, max_m)
-    whole = theta_chromatic(spec)
-    deleted = theta_edge_deleted_chromatic(spec, witness)
-    bound = None
-    for m in range(2, max_m + 1):
-        if m * whole(m) - (m - 1) * deleted(m) > 0:
-            bound = m
-            break
-    return ParityClassification(spec, "eventually-less", witness, bound, max_m)
+        return ParityClassification(spec, "eventually-equal", None, None)
+    margin = _deletion_margin(
+        theta_chromatic(spec), theta_edge_deleted_chromatic(spec, witness)
+    )
+    bound = next(m for m in range(2, crossover_bound(margin) + 1) if margin(m) > 0)
+    return ParityClassification(spec, "eventually-less", witness, bound)
 
 
 def _avoidance_count(d: StarDecomposition, grouping: PartitionSpec) -> IntPoly:
@@ -373,22 +382,11 @@ class FeedbackPolynomialResult:
         return shift_cover(self.graph, self.decomposition, self.partition, m)
 
 
-#: Most partitions of the star that `fvs1_dp_polynomial` accepts: Bell(10),
-#: so stars of up to 10 vertices.  A fan with 11 star vertices (Bell(11) =
-#: 678,570 partitions, 115,975 leaf groupings) takes 77 s and 260 MB on a
-#: 2-vCPU VM with Python 3.11.
-FVS1_PARTITION_LIMIT = 115_975
-
-
-def _bell(k: int) -> int:
-    """Number of set partitions of k items, by the Bell triangle."""
-    row = [1]
-    for _ in range(k):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]
+#: Most star vertices that `fvs1_dp_polynomial` accepts.  A star with k
+#: vertices has Bell(k - 1) leaf groupings, each one transfer: a fan with
+#: 11 star vertices (Bell(10) = 115,975 groupings) took 77 s and 260 MB on
+#: a 2-vCPU VM with Python 3.11.
+FVS1_STAR_LIMIT = 10
 
 
 def _star_partitions(center: str, grouping: PartitionSpec) -> list[PartitionSpec]:
@@ -407,8 +405,9 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
     A shift cover whose star partition groups the leaves as r counts
     `_avoidance_count(r)`, the same for every place of the center.  The
     polynomial is the eventually least of these over the Bell(k - 1) leaf
-    groupings of a star with k vertices (ties resolved to the earliest in
-    restricted-growth order, tied groupings give the same polynomial).
+    groupings of a star with k <= `FVS1_STAR_LIMIT` vertices (ties resolved
+    to the earliest in restricted-growth order; tied groupings have the
+    same polynomial).
     Since P(forest) = m * P(forest - center), it is P(forest) - m * weight,
     with weight the `partition_weight` of the winning partition; two counts
     differ by m times their weights' difference, so the winner, its ties
@@ -423,34 +422,27 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
         with_degree = sorted(v for v in g.vertices if g.adjacency[g.index[v]])
         pivot = with_degree[0] if with_degree else sorted(g.vertices)[0]
     d = star_forest_decomposition(g, pivot)
-    count = _bell(len(d.alphas))
-    if count > FVS1_PARTITION_LIMIT:
+    if len(d.alphas) > FVS1_STAR_LIMIT:
         raise SearchBudgetExceeded(
-            f"{count} partitions of {len(d.alphas)} star vertices exceed "
-            f"the limit of {FVS1_PARTITION_LIMIT}"
+            f"{len(d.alphas)} star vertices exceed FVS1_STAR_LIMIT = {FVS1_STAR_LIMIT}"
         )
     groupings = partitions_of(d.alphas[1:])
     counts = [_avoidance_count(d, r) for r in groupings]
     best = 0
     for i in range(1, len(counts)):
-        relation, _ = eventual_compare(counts[i], counts[best])
-        if relation == "less":
+        if eventual_compare(counts[i], counts[best])[0] == "less":
             best = i
-    bounds = [g.n]
+    dp = counts[best]
     maximizers = []
     for r, c in zip(groupings, counts):
-        relation, cross = eventual_compare(c, counts[best])
-        if relation == "less":  # pragma: no cover - best is eventually least
-            raise AssertionError("maximizer selection failed")
-        if relation == "equal":
+        if c == dp:
             maximizers += _star_partitions(d.center, r)
-        bounds.append(cross)
     maximizers.sort(key=lambda p: [p.shift[v] for v in d.alphas])
-    dp = counts[best]
+    stable_from = max([g.n] + [crossover_bound(c - dp) for c in counts])
     weight = (_forest_chromatic(d) - dp).exact_div(M)
     partition = _star_partitions(d.center, groupings[best])[0]
     return FeedbackPolynomialResult(
-        g, d, partition, weight, dp, max(bounds), tuple(maximizers)
+        g, d, partition, weight, dp, stable_from, tuple(maximizers)
     )
 
 

@@ -54,7 +54,9 @@ def _transfer_steps(g: Graph) -> list[tuple[int, list[int], list[int], bool]]:
     it still has an unentered neighbor.  Each step records v, the positions
     of its neighbors among the active vertices, the positions of the active
     vertices that stay, and whether v stays.  Built once per graph
-    (`Graph.plan`)."""
+    (`Graph.plan`).  Each step's scan of the frontier counts against
+    `CHROMATIC_WORK_LIMIT`: a chromatic transfer's own work is at least
+    that count, so the order refuses no graph its transfer would answer."""
     adj = g.adjacency
     left = [len(a) for a in adj]  # unentered neighbors
     roots = iter(sorted(range(g.n), key=left.__getitem__))
@@ -62,12 +64,19 @@ def _transfer_steps(g: Graph) -> list[tuple[int, list[int], list[int], bool]]:
     frontier: set[int] = set()
     active: list[int] = []
     steps = []
+    scans = 0
 
     def score(x: int) -> tuple[int, int, int, int]:
         retired = sum(entered[u] and left[u] == 1 for u in adj[x])
         return (left[x] > 0) - retired, left[x] - len(adj[x]), left[x], x
 
-    for _ in range(g.n):
+    for i in range(g.n):
+        scans += len(frontier)
+        if scans > CHROMATIC_WORK_LIMIT:
+            raise SearchBudgetExceeded(
+                f"the transfer's vertex order passed CHROMATIC_WORK_LIMIT = "
+                f"{CHROMATIC_WORK_LIMIT:,} frontier scans at vertex {i + 1} of {g.n}"
+            )
         if len(frontier) > 1:
             v = min(frontier, key=score)
         elif frontier:  # one candidate: no score to compare

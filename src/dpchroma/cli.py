@@ -101,6 +101,7 @@ def cmd_dp_exact(args):
         budget=args.budget,
         workers=worker_count(args.workers),
     )
+    witness = cover_to_json(result.cover)
     payload = {
         "command": "dp-exact",
         "source": args.source,
@@ -108,12 +109,12 @@ def cmd_dp_exact(args):
         "symmetry": args.symmetry,
         "candidates": result.candidates,
         "minimum": str(result.value),
-        "witness": cover_to_json(result.cover),
+        "witness": witness,
     }
     lines = [
         f"P_DP({args.source}, {args.m}) = {result.value}"
         f"  [{result.candidates} covers examined]",
-        json.dumps(cover_to_json(result.cover)),
+        json.dumps(witness),
     ]
     return payload, lines
 
@@ -240,26 +241,20 @@ def cmd_verify(args):
 
 def cmd_scan(args):
     spec = ThetaSpec.parse(args.spec)
-    result = classify_generalized(spec, max_m=args.max_m)
+    result = classify_generalized(spec)
     payload = {
         "command": "scan",
         "spec": str(spec),
         "kind": result.kind,
         "witness_path": result.witness_path,
         "empirical_bound": result.empirical_bound,
-        "searched_to": result.searched_to,
     }
     if result.kind == "eventually-equal":
         lines = [f"{spec}: eventually-equal (parities of path 1 and paths 2..k all differ)"]
-    elif result.empirical_bound is not None:
-        lines = [
-            f"{spec}: eventually-less via path {result.witness_path};"
-            f" deficit certified from m = {result.empirical_bound}"
-        ]
     else:
         lines = [
             f"{spec}: eventually-less via path {result.witness_path};"
-            f" no certificate up to m = {result.searched_to}"
+            f" deficit certified from m = {result.empirical_bound}"
         ]
     return payload, lines
 
@@ -334,7 +329,6 @@ def _verify_arguments(p):
 
 def _scan_arguments(p):
     p.add_argument("spec")
-    p.add_argument("--max-m", type=int, default=64)
     _add_format(p)
     p.set_defaults(func=cmd_scan)
 
@@ -361,7 +355,7 @@ COMMANDS = {
         _compare_arguments,
     ),
     "verify": ({"help": "run invariant suites"}, _verify_arguments),
-    "scan": ({"help": "parity classification with certificate sweep"}, _scan_arguments),
+    "scan": ({"help": "parity classification with certificate fold"}, _scan_arguments),
     "threshold": ({"help": "list-color agreement threshold"}, _threshold_arguments),
 }
 

@@ -414,9 +414,7 @@ class _FeedbackPlan:
             p = perms[e] if forward else inverse(perms[e])
             up = frame[y]
             blocks[i].append(p if up is None else compose(inverse(up), p))
-        if not blocks:  # a forest: one row, nothing blocked
-            keys = [()]
-        elif len(blocks) == 1:
+        if len(blocks) == 1:
             keys = zip(*blocks[0])
             if start is not None:
                 keys = compress(keys, start[self.fvs[0]])

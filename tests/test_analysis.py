@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
@@ -17,7 +17,11 @@ from dpchroma.analysis import (
     partition_weight,
     theta_dp_formula,
 )
-from dpchroma.chromatic import chromatic_polynomial, theta_chromatic
+from dpchroma.chromatic import (
+    chromatic_polynomial,
+    theta_chromatic,
+    theta_edge_deleted_chromatic,
+)
 from dpchroma.covers import (
     FullCover,
     PartitionSpec,
@@ -27,7 +31,7 @@ from dpchroma.covers import (
     partitions_of,
     random_cover,
 )
-from dpchroma.errors import OutOfRange, OutOfScope
+from dpchroma.errors import OutOfRange, OutOfScope, SearchBudgetExceeded
 from dpchroma.graphs import (
     Graph,
     ThetaSpec,
@@ -35,7 +39,7 @@ from dpchroma.graphs import (
     component_count,
     star_forest_decomposition,
 )
-from dpchroma.poly import M
+from dpchroma.poly import M, power_m1, prod, sign
 
 from oracles import subset_agreement_count
 
@@ -179,6 +183,58 @@ def test_classify_equal_instances_match_search():
     assert classify_generalized(spec4).kind == "eventually-equal"
     found = min_over_covers(g4, 3).value
     assert found <= theta_chromatic(spec4)(3)
+
+
+def sorted_specs(max_paths, max_length):
+    """Every spec that `classify_generalized` takes with 2..max_paths paths
+    of length at most max_length: l1 >= 1, then l2 <= ... <= lk from
+    max(l1, 2)."""
+    specs = []
+    for k in range(2, max_paths + 1):
+        for l1 in range(1, max_length + 1):
+            for rest in combinations_with_replacement(range(max(l1, 2), max_length + 1), k - 1):
+                specs.append(ThetaSpec((l1,) + rest))
+    return specs
+
+
+def test_certificate_fold_equals_an_upward_sweep():
+    specs = sorted_specs(4, 8)
+    assert len(specs) == 441
+    less = 0
+    for spec in specs:
+        res = classify_generalized(spec)
+        if res.kind == "eventually-equal":
+            assert res.empirical_bound is None, spec
+            continue
+        less += 1
+        whole = theta_chromatic(spec)
+        deleted = theta_edge_deleted_chromatic(spec, res.witness_path)
+        sweep = next(m for m in range(2, 1000) if m * whole(m) - (m - 1) * deleted(m) > 0)
+        assert res.empirical_bound == sweep, spec
+    assert less == 345
+
+
+def test_deletion_margin_identity_and_its_leading_coefficient():
+    # m P(G) - (m-1) P(G - e) for the u-edge of path j equals
+    # m(m-1) s_j (prod_{i != j} (b_i + s_i) - prod_{i != j} b_i); for the
+    # witness path it leads with the number of paths i != j of length l_1
+    from dpchroma.analysis import _deletion_margin
+
+    for spec in sorted_specs(5, 6):
+        lengths = spec.lengths
+        walks = [(power_m1(l) - sign(l)).exact_div(M) for l in lengths]
+        witness = classify_generalized(spec).witness_path
+        for j in range(1, spec.k + 1):
+            margin = _deletion_margin(
+                theta_chromatic(spec), theta_edge_deleted_chromatic(spec, j)
+            )
+            others = [i for i in range(spec.k) if i != j - 1]
+            same = prod(walks[i] + sign(lengths[i]) for i in others)
+            differ = prod(walks[i] for i in others)
+            assert margin == M * (M - 1) * sign(lengths[j - 1]) * (same - differ), (spec, j)
+            if j == witness:
+                shortest = sum(lengths[i] == lengths[0] for i in others)
+                assert margin.coeffs[-1] == shortest > 0, spec
 
 
 def test_partition_weight_examples():
@@ -521,12 +577,24 @@ def test_fvs1_fields_match_their_pinned_values():
         assert got == pin, pin["edges"]
 
 
-def test_bell_numbers_and_partition_limit():
-    from dpchroma.analysis import FVS1_PARTITION_LIMIT, _bell
+def test_star_limit_refuses_the_stars_the_partition_count_refused(monkeypatch):
+    # Bell(k) > Bell(10) = 115,975 exactly when k > 10 star vertices
+    from dpchroma import analysis
 
-    assert [_bell(k) for k in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
-    assert FVS1_PARTITION_LIMIT == _bell(10)
-    assert len(partitions_of(list("abcdef"))) == _bell(6)
+    bell = [len(partitions_of(list("abcdefg")[:k])) for k in range(8)]
+    assert bell == [1, 1, 2, 5, 15, 52, 203, 877]
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args, **kwargs):
+        raise Admitted
+
+    monkeypatch.setattr(analysis, "partitions_of", admitted)
+    with pytest.raises(Admitted):
+        fvs1_dp_polynomial(fan(analysis.FVS1_STAR_LIMIT - 1))
+    with pytest.raises(SearchBudgetExceeded, match="11 star vertices exceed FVS1_STAR_LIMIT = 10"):
+        fvs1_dp_polynomial(fan(analysis.FVS1_STAR_LIMIT))
 
 
 def test_dp_formula_refuses_stars_past_the_partition_limit(tmp_path, monkeypatch, capsys):
@@ -540,25 +608,28 @@ def test_dp_formula_refuses_stars_past_the_partition_limit(tmp_path, monkeypatch
 
     monkeypatch.setattr(analysis, "partitions_of", refuse)
     monkeypatch.setattr(analysis, "_transfer", refuse)
-    g = fan(10)  # 11 star vertices: Bell(11) = 678,570 partitions
-    lines = [f"n {g.n}"] + [f"e {a} {b}" for a, b in map(g.edge_labels, range(len(g.edges)))]
-    path = tmp_path / "fan10.txt"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    start = time.perf_counter()
-    code = main(["dp-formula", str(path)])
-    elapsed = time.perf_counter() - start
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "search budget exceeded" in err
-    assert "678570 partitions" in err and "115975" in err
-    assert elapsed < 5
+    leaves = tuple(f"l{i:04d}" for i in range(4000))
+    star = Graph(("a",) + leaves, tuple((0, i) for i in range(1, 4001)))
+    # 11 star vertices (Bell(10) = 115,975 leaf groupings), and 4,001, whose
+    # Bell number alone has more digits than Python prints by default
+    for g, k, seconds in ((fan(10), 11, 5), (star, 4001, 1)):
+        path = tmp_path / f"star{k}.txt"
+        path.write_text(g.to_text(), encoding="utf-8")
+        start = time.perf_counter()
+        code = main(["dp-formula", str(path)])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2
+        want = f"{k} star vertices exceed FVS1_STAR_LIMIT = 10"
+        assert err == f"dpchroma: search budget exceeded: {want}\n"
+        assert elapsed < seconds, k
 
 
 def test_fvs1_compares_once_per_leaf_grouping(monkeypatch):
     # the selection over Bell(k - 1) groupings must give what a selection
     # over all Bell(k) partitions gives: the first partition with the
     # eventually maximal weight, every partition tied with it, and the
-    # largest crossing fold
+    # largest crossing fold, with one comparison per grouping after the first
     from dpchroma import analysis
     from dpchroma.poly import eventual_compare
 
@@ -589,4 +660,4 @@ def test_fvs1_compares_once_per_leaf_grouping(monkeypatch):
         assert result.maximizers == tied, g
         assert result.stable_from == max([g.n] + [x for _, x in against_best]), g
         groupings = partitions_of(d.alphas[1:])
-        assert len(calls) == 2 * len(groupings) - 1, g
+        assert len(calls) == len(groupings) - 1, g

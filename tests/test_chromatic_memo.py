@@ -16,6 +16,8 @@ their vertices numbered in a shuffled order.
 import json
 import random
 
+import pytest
+
 from dpchroma import chromatic
 from dpchroma.chromatic import (
     CHROMATIC_WORK_LIMIT,
@@ -26,6 +28,7 @@ from dpchroma.chromatic import (
 )
 from dpchroma.cli import main
 from dpchroma.covers import count_colorings, identity_cover
+from dpchroma.errors import SearchBudgetExceeded
 from dpchroma.graphs import Graph, ThetaSpec, build_generalized_theta, spanning_forest
 from dpchroma.poly import M, IntPoly
 from dpchroma.verify import _valid_length_tuples
@@ -259,6 +262,41 @@ def test_one_pass_step_table_matches_the_two_pass_reference():
     assert len(graphs) == 1240
     for g in graphs:
         assert chromatic._transfer_steps(g) == reference_transfer_steps(g), g.edges
+
+
+def frontier_scans(g: Graph) -> int:
+    """The frontier vertices the transfer's order scans, summed over its
+    steps: before each step, the unentered vertices with an entered
+    neighbor."""
+    entered: set[int] = set()
+    total = 0
+    for v in transfer_order(g):
+        total += len({u for x in entered for u in g.adjacency[x]} - entered)
+        entered.add(v)
+    return total
+
+
+def test_the_transfer_works_at_least_as_hard_as_its_order_scans(monkeypatch):
+    # the order charges its frontier scans to CHROMATIC_WORK_LIMIT, so it
+    # must refuse no graph whose chromatic transfer stays within the limit
+    rng = random.Random(4040)
+    graphs = [random_graph(rng, rng.randint(2, 14), 24) for _ in range(150)]
+    star = Graph(tuple(f"s{i:03d}" for i in range(301)), tuple((0, i) for i in range(1, 301)))
+    graphs += [grid(6, 6), star, cycle(300)]
+    counts = [frontier_scans(g) for g in graphs]
+    assert counts[-3:] == [179, 44_851, 597]
+    for g in graphs:
+        g.plan(chromatic._transfer_steps)  # the order the transfers read, built once
+    for g, scans in zip(graphs, counts):
+        if not scans:
+            continue
+        monkeypatch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", scans)
+        chromatic._transfer_steps(g)
+        monkeypatch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", scans - 1)
+        with pytest.raises(SearchBudgetExceeded, match="CHROMATIC_WORK_LIMIT = .* frontier scans"):
+            chromatic._transfer_steps(g)
+        with pytest.raises(SearchBudgetExceeded, match="coefficient updates"):
+            chromatic_polynomial(g)
 
 
 def relabeled(g: Graph, rng: random.Random) -> Graph:

@@ -207,14 +207,20 @@ def test_verify_json_is_deterministic(capsys):
         assert set(check) == {"name", "rule", "instance", "expected", "actual", "pass"}
 
 
-def test_scan_rejects_a_sweep_below_fold_two(capsys):
-    for spec in ("theta:2,2,3", "theta:2,3,3"):  # eventually-less, eventually-equal
-        for max_m in ("1", "-3"):
-            code, out, err = run(capsys, "scan", spec, "--max-m", max_m)
-            want = f"dpchroma: max_m must be at least 2, not {max_m}\n"
-            assert (code, out, err) == (2, "", want)
-    code, out, _ = run(capsys, "scan", "theta:2,2,4", "--max-m", "2", "--format", "json")
-    assert code == 0 and json.loads(out)["searched_to"] == 2
+def test_scan_takes_no_fold_cap(capsys):
+    # the certificate fold is computed, so there is no sweep to cap
+    code, out, err = run(capsys, "scan", "theta:2,2,3", "--max-m", "64")
+    assert (code, out) == (2, "")
+    assert err.endswith("dpchroma: error: unrecognized arguments: --max-m 64\n")
+    code, out, _ = run(capsys, "scan", "theta:2,2,4", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "scan",
+        "spec": "theta:2,2,4",
+        "kind": "eventually-less",
+        "witness_path": 2,
+        "empirical_bound": 2,
+    }
 
 
 def test_search_budget_below_one_is_rejected(capsys):

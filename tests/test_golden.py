@@ -61,7 +61,7 @@ CASES = {
     # scan
     "scan-text": ["scan", "theta:2,2,3"],
     "scan-json": ["scan", "theta:2,3,3", "--format", "json"],
-    "scan-uncertified-text": ["scan", "theta:2,2,4", "--max-m", "2"],
+    "scan-fold-two-text": ["scan", "theta:2,2,4"],
     # threshold
     "threshold-text": ["threshold", "--edges", "8"],
     "threshold-json": ["threshold", "--edges", "3", "--format", "json"],

@@ -101,7 +101,7 @@ def test_parse_args_reads_argv_as_the_whole_parser_does(monkeypatch, capsys):
         ["compare", "--help"],
         ["verify", "--suite", "no-such-suite"],
         ["verify", "--suite", "poly", "--seed", "7"],
-        ["scan", "theta:2,2,2", "--max-m", "5"],
+        ["scan", "theta:2,2,2", "--format", "json"],
         ["threshold", "--edges", "4"],
         ["chrom", "theta:2,2,2", "--limit", "9"],
         ["theta-chrom", "theta:2,2,2", "--m", "4"],
