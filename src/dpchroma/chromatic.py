@@ -293,8 +293,9 @@ def precolored_count(g: Graph, pc: Precoloring, m: int) -> int:
     """Number of proper m-colorings of g agreeing with the precoloring.
 
     A proper coloring is a transversal of the identity cover, so this is
-    the cover counter with a one-hot start vector at each precolored
-    vertex.
+    the cover counter with a one-hot vector at each precolored vertex: the
+    precolored vertices join the feedback set as the slots of the graph's
+    counting plan, and the count reads its row table.
     """
     if m < 1:
         raise ValueError("m must be positive")

@@ -2,18 +2,21 @@
 
 Commands: chrom, theta-chrom, dp-exact, dp-formula, compare, verify, scan,
 threshold.  Exit code 0 means success, 1 means a verification check
-failed, 2 means a usage or input error.  All counts in JSON output are
-decimal strings so consumers never face integer-width questions.  Each
-`cmd_*` computes and returns its JSON payload and its text lines (`verify`
-also its exit code); `main` prints one or the other, once.  A `main` call
-builds only the parser it needs, the named command's or the whole one, on
-first use, and later calls in the same process reuse it.
+failed, 2 means a usage or input error, and 141 (128 + SIGPIPE) means the
+reader closed stdout before the output was written, with nothing on
+stderr.  All counts in JSON output are decimal strings so consumers never
+face integer-width questions.  Each `cmd_*` computes and returns its JSON
+payload and its text lines (`verify` also its exit code); `main` prints
+one or the other, once.  A `main` call builds only the parser it needs,
+the named command's or the whole one, on first use, and later calls in
+the same process reuse it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -411,13 +414,17 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         payload, lines, *status = args.func(args)
+        print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines))
+        sys.stdout.flush()
     except SearchBudgetExceeded as exc:
         print(f"dpchroma: search budget exceeded: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (DpchromaError, ValueError) as exc:
         print(f"dpchroma: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines))
+    except BrokenPipeError:  # the interpreter's last flush must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     return status[0] if status else 0
 
 

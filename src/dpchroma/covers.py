@@ -11,10 +11,10 @@ relabeling fibers, which never changes the number of colorings.
 Covers are full (`CoverMismatch` otherwise): a partial matching extends
 to a perfect one, and each added cross edge can only remove colorings.
 Every count runs the one loop of `_FeedbackPlan`, kept on the graph
-(`Graph.plan`), which conditions on a feedback vertex set S
-(`BRUTE_FORCE_LIMIT` caps its m^|S| rows).  With every color allowed (every
-count of the search) a row is read from a table per fold; start vectors
-run the tree DPs on the same rows.  At its conjugacy level the search is
+(`Graph.plan`), which conditions on a feedback vertex set S and on every
+vertex whose colors are restricted (`BRUTE_FORCE_LIMIT` caps its rows).
+Every vertex left may take every color, so each row is read from a table
+per fold.  At its conjugacy level the search is
 orderly: it counts one cover per conjugacy orbit and finds the same first
 minimum as a count of every cover (see `_search_chunk`); its orbit sweeps
 are cached per process by fold and group (`_orbit_sweep`).
@@ -241,15 +241,6 @@ class FullCover:
             self.twists.get(i, ident) for i in range(len(self.graph.edges))
         ]
 
-    def conjugated(self, tau: Perm) -> "FullCover":
-        """Relabel every fiber by tau; counts are invariant under this."""
-        inv = invert_perm(tau)
-        return FullCover(
-            self.graph,
-            self.m,
-            {e: compose(tau, compose(p, inv)) for e, p in self.twists.items()},
-        )
-
     @classmethod
     def from_edge_perms(
         cls,
@@ -308,53 +299,51 @@ def random_cover(g: Graph, m: int, rng) -> FullCover:
     return FullCover(g, m, twists)
 
 
-def _tree_dp_vector(root: int, steps: list[tuple[int, int]], start: Sequence[Sequence[int]]) -> int:
+def _tree_dp_vector(root: int, steps: list[tuple[int, int]], seeds: Sequence[Sequence[int]]) -> int:
     """Count colorings of a tree whose every edge is the identity matching.
     `steps` holds each non-root vertex as (v, parent), children before
-    their parents; start[v] is the 0/1 vector of colors allowed at v."""
+    their parents; seeds[v] is the 0/1 vector of colors allowed at v."""
     vecs: dict[int, Sequence[int]] = {}
     for v, parent in steps:
-        child = vecs.pop(v, start[v])
+        child = vecs.pop(v, seeds[v])
         s = sum(child)
-        up = vecs.get(parent, start[parent])
+        up = vecs.get(parent, seeds[parent])
         vecs[parent] = [a * (s - b) for a, b in zip(up, child)]
-    return sum(vecs.get(root, start[root]))
+    return sum(vecs.get(root, seeds[root]))
 
 
 class _FeedbackPlan:
-    """Counts transversals by conditioning on the colors of the feedback set.
+    """Counts transversals by conditioning on the colors of its slots: the
+    feedback set S = `g.feedback_set`, then the vertices of `restricted`
+    outside it.  Every vertex outside the slots may take every color.
 
-    G - S is a forest for S = `g.feedback_set`.  Every count runs one loop.
-    It relabels the fibers of each tree of G - S along its walk so that
-    every tree edge is the identity: frame[v] carries the fiber of v's
-    root to v's.  A row colors S from its allowed colors and is rejected
-    when an edge inside S matches those colors.  Each edge from S blocks
-    one color at its other endpoint, read in that endpoint's frame; these
-    colors are the row's key, and `_row` counts the colorings of the trees
-    that touch an edge from S avoiding them.  Free trees, which touch no
-    edge from S, are counted once per count.  The plan stores the edges
-    inside and out of S, the trees as (v, parent) steps and the descent
-    with each step's edge; none of it depends on the fold or the start
-    vectors, which each count takes.
+    Every count runs one loop.  It relabels the fibers of each tree of the
+    forest left along its walk so that every tree edge is the identity:
+    frame[v] carries the fiber of v's root to v's.  A row colors the slots
+    from their allowed colors and is rejected when an edge inside the slots
+    matches those colors.  Each edge from a slot blocks one color at its
+    other endpoint, read in that endpoint's frame; these colors are the
+    row's key, and `_row` counts the colorings of the trees that touch an
+    edge from a slot avoiding them.  Free trees, which touch none, give
+    m (m-1)^(|tree| - 1) each.  The plan stores the edges inside and out of
+    the slots, the trees as (v, parent) steps and the descent with each
+    step's edge; none of it depends on the fold or the allowed colors.
 
-    With start vectors, start[v] is read in v's frame and every row and
-    free tree runs the tree DP.  With every color allowed (every count of
-    the search) a row is read from a table instead.  A permutation sigma
-    of all m colors maps the colorings that avoid a key one-to-one onto
-    those that avoid sigma(key), so a row depends only on which entries of
-    its key are equal.  The plan keeps one table per fold, with that
-    fold's identity and the product over the free trees.  A key missing
-    from the table is relabeled in order of first occurrence, (2, 0, 2) to
-    (0, 1, 0), and only that canonical key runs the tree DPs, so a fold
-    builds at most Bell(|edges from S|) rows.  The raw key is stored
-    beside it only while the table holds fewer than `RAW_KEY_LIMIT`
-    entries.
+    A permutation sigma of all m colors maps the colorings that avoid a key
+    one-to-one onto those that avoid sigma(key), so a row depends only on
+    which entries of its key are equal.  The plan keeps one table per fold,
+    with that fold's identity and the product over the free trees.  A key
+    missing from the table is relabeled in order of first occurrence,
+    (2, 0, 2) to (0, 1, 0), and only that canonical key runs the tree DPs,
+    so a fold builds at most Bell(|edges from the slots|) rows.  The raw key
+    is stored beside it only while the table holds fewer than
+    `RAW_KEY_LIMIT` entries.
     """
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, restricted: Iterable[int] = ()):
         self.n = g.n
-        self.fvs = g.feedback_set
-        slot = {v: i for i, v in enumerate(self.fvs)}
+        self.slots = g.feedback_set + tuple(v for v in restricted if v not in g.feedback_set)
+        slot = {v: i for i, v in enumerate(self.slots)}
         self.inner, self.outer, rest = [], [], []
         for e, (a, b) in enumerate(g.edges):
             if a in slot and b in slot:
@@ -365,38 +354,36 @@ class _FeedbackPlan:
             else:
                 rest.append(e)
         self.outer.sort(key=lambda edge: edge[0])  # row keys go slot by slot
-        self.blocked = {y for _, y, _, _ in self.outer}
+        blocked = {y for _, y, _, _ in self.outer}
         # trees as (root, steps), children first; `descent` has every tree's
         # steps with their edges, each parent first
         self.touching, self.free, self.descent = [], [], []
         for walk in _forest_walk(g, rest):
             root = walk[0][0]
-            if root in slot:  # a vertex of S, alone in G - S
+            if root in slot:  # a slot vertex, alone in the forest
                 continue
-            trees = self.touching if any(v in self.blocked for v, _, _ in walk) else self.free
+            trees = self.touching if any(v in blocked for v, _, _ in walk) else self.free
             trees.append((root, [(v, parent) for v, parent, _ in reversed(walk[1:])]))
             self.descent += [(v, parent, e, g.edges[e][0] == parent) for v, parent, e in walk[1:]]
         self.inverse = cache(invert_perm)
         self.tables: dict[int, tuple[dict[tuple[int, ...], int], Perm, int]] = {}
 
     def count(
-        self, perms: Sequence[Perm], m: int, start: Sequence[Sequence[int]] | None = None
+        self, perms: Sequence[Perm], m: int, allowed: Sequence[Sequence[int]] | None = None
     ) -> int:
-        """Transversals at fold m, start[v] the 0/1 vector of colors
-        allowed at v (every color without `start`, read from the table)."""
-        if m ** len(self.fvs) > BRUTE_FORCE_LIMIT:
+        """Transversals at fold m, allowed[i] the 0/1 vector of colors slot
+        i may take (every color without `allowed`)."""
+        size = m ** len(self.slots) if allowed is None else prod(map(sum, allowed))
+        if size > BRUTE_FORCE_LIMIT:
+            shown = f"{m}^{len(self.slots)}" if allowed is None else f"{size:,}"
             raise GraphTooLarge(
-                f"{m}^{len(self.fvs)} feedback-set colorings exceed "
-                f"BRUTE_FORCE_LIMIT = {BRUTE_FORCE_LIMIT:,}"
+                f"{shown} feedback-set colorings exceed BRUTE_FORCE_LIMIT = {BRUTE_FORCE_LIMIT:,}"
             )
-        if start is None:
-            fold = self.tables.get(m)
-            if fold is None:
-                free = prod(m * (m - 1) ** len(steps) for _, steps in self.free)
-                fold = self.tables[m] = ({}, identity_perm(m), free)
-            rows, ident, free = fold
-        else:
-            ident = identity_perm(m)
+        fold = self.tables.get(m)
+        if fold is None:
+            free = prod(m * (m - 1) ** len(steps) for _, steps in self.free)
+            fold = self.tables[m] = ({}, identity_perm(m), free)
+        rows, ident, free = fold
         inverse = self.inverse
         # frame[v] carries the fiber of v's root to v's; None is the identity
         frame: list[Perm | None] = [None] * self.n
@@ -409,22 +396,21 @@ class _FeedbackPlan:
                 up = frame[parent]
                 frame[v] = p if up is None else compose(p, up)
         # blocks[i][j][c]: the color slot i's edge j blocks when i takes c
-        blocks: list[list[Perm]] = [[] for _ in self.fvs]
+        blocks: list[list[Perm]] = [[] for _ in self.slots]
         for i, y, e, forward in self.outer:
             p = perms[e] if forward else inverse(perms[e])
             up = frame[y]
             blocks[i].append(p if up is None else compose(inverse(up), p))
-        if len(blocks) == 1:
+        if allowed is None and len(blocks) == 1:  # S is one vertex, on every cycle
             keys = zip(*blocks[0])
-            if start is not None:
-                keys = compress(keys, start[self.fvs[0]])
         else:
+            # a slot with no edge out of the slots blocks nothing: m empty keys
             parts = [list(zip(*b)) if b else [()] * m for b in blocks]
             inner = [(a, b, perms[e]) for a, b, e in self.inner]
             keys = []
             choices = [range(m)] * len(blocks)
-            if start is not None:
-                choices = [compress(range(m), start[s]) for s in self.fvs]
+            if allowed is not None:
+                choices = [compress(range(m), a) for a in allowed]
             for colors in product(*choices):
                 for a, b, p in inner:
                     if p[colors[a]] == colors[b]:
@@ -434,14 +420,6 @@ class _FeedbackPlan:
                     for part, c in zip(parts, colors):
                         key += part[c]
                     keys.append(key)
-        if start is not None:
-            seeds = start
-            if any(frame):  # some tree edge is twisted
-                seeds = [s if f is None else [s[c] for c in f] for s, f in zip(start, frame)]
-            total = sum(self._row(key, seeds) for key in keys)
-            for root, steps in self.free:
-                total *= _tree_dp_vector(root, steps, seeds)
-            return total
         total = 0
         for key in keys:
             row = rows.get(key)
@@ -449,18 +427,16 @@ class _FeedbackPlan:
                 canon = _canonical(key)
                 row = rows.get(canon)
                 if row is None:
-                    row = rows[canon] = self._row(canon, [[1] * m] * self.n)
+                    row = rows[canon] = self._row(canon, m)
                 if len(rows) < RAW_KEY_LIMIT:
                     rows[key] = row
             total += row
         return total * free
 
-    def _row(self, key: tuple[int, ...], seeds: Sequence[Sequence[int]]) -> int:
-        """The touching trees' count when the edges from S block the colors of
-        `key`, seeds[v] the 0/1 vector of colors allowed at v in its frame."""
-        seeds = list(seeds)
-        for y in self.blocked:
-            seeds[y] = list(seeds[y])
+    def _row(self, key: tuple[int, ...], m: int) -> int:
+        """The touching trees' count at fold m when the edges from the slots
+        block the colors of `key`."""
+        seeds = [[1] * m for _ in range(self.n)]
         for (_, y, _, _), c in zip(self.outer, key):
             seeds[y][c] = 0
         row = 1
@@ -483,15 +459,30 @@ def count_from_edge_perms(
 ) -> int:
     """Exact number of transversals avoiding every matched cross pair.
 
-    `perms` holds one permutation of range(m) per edge, or the count is
-    refused with `CoverMismatch`.  `allowed`, when given, holds one 0/1
-    vector per vertex marking the colors it may take; a precolored vertex
-    has a one-hot vector.  Every count runs the graph's feedback-set plan.
+    `perms` holds one permutation of range(m) per edge, and `allowed`, when
+    given, one 0/1 vector of length m per vertex marking the colors it may
+    take (a precolored vertex has a one-hot vector); anything else is
+    refused with `CoverMismatch`.  A vertex that may not take every color
+    joins the slots of the graph's counting plan for that set of vertices,
+    so every count reads the plan's row table; `BRUTE_FORCE_LIMIT` caps the
+    product of the slots' allowed-color counts.
     """
     ident = identity_perm(m)
     if len(perms) != len(g.edges) or not all(p == ident or is_permutation(p, m) for p in perms):
         raise CoverMismatch(f"every edge needs a permutation of the {m} colors")
-    return g.plan(_FeedbackPlan).count(perms, m, allowed)
+    if allowed is not None and len(allowed) != g.n:
+        raise CoverMismatch(f"{len(allowed)} allowed-color vectors for {g.n} vertices")
+    restricted = []
+    for v, a in enumerate(allowed or ()):
+        ones = a.count(1)
+        if len(a) != m or ones + a.count(0) != m:
+            raise CoverMismatch(f"every vertex needs a 0/1 vector of the {m} colors")
+        if ones < m:
+            restricted.append(v)
+    if not restricted:
+        return g.plan(_FeedbackPlan).count(perms, m)
+    plan = g.plan(_FeedbackPlan, tuple(restricted))
+    return plan.count(perms, m, [allowed[v] for v in plan.slots])
 
 
 def count_colorings(g: Graph, cover: FullCover) -> int:

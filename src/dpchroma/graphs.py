@@ -133,10 +133,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @property
-    def full_mask(self) -> EdgeSubset:
-        return (1 << len(self.edges)) - 1
-
     @cached_property
     def index(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.vertices)}
@@ -176,12 +172,6 @@ class Graph:
         a, b = self.edges[i]
         return self.vertices[a], self.vertices[b]
 
-    def mask_of(self, pairs: Iterable[tuple[str, str]]) -> EdgeSubset:
-        mask = 0
-        for x, y in pairs:
-            mask |= 1 << self.edge_index(x, y)
-        return mask
-
     def without_edges(self, indices: Iterable[int]) -> "Graph":
         drop = set(indices)
         kept = tuple(e for i, e in enumerate(self.edges) if i not in drop)
@@ -199,14 +189,15 @@ class Graph:
     def _plans(self) -> dict:
         return {}
 
-    def plan(self, build):
-        """`build(self)`, built once per graph: the transfer's step table
-        and the counting plan.  They are freed with the graph and left out
-        of its pickled state, so a worker process builds its own."""
-        plans = self._plans
-        if build not in plans:
-            plans[build] = build(self)
-        return plans[build]
+    def plan(self, build, *args):
+        """`build(self, *args)`, built once per graph and arguments: the
+        transfer's step table and the counting plans.  They are freed with
+        the graph and left out of its pickled state, so a worker process
+        builds its own."""
+        key, plans = (build, args), self._plans
+        if key not in plans:
+            plans[key] = build(self, *args)
+        return plans[key]
 
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -235,13 +226,6 @@ class Graph:
 
     def is_forest(self) -> bool:
         return not spanning_forest(self.n, self.edges)[1]
-
-    def to_text(self) -> str:
-        lines = [f"n {self.n}"]
-        for i in range(len(self.edges)):
-            x, y = self.edge_labels(i)
-            lines.append(f"e {x} {y}")
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Graph":

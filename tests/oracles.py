@@ -8,8 +8,9 @@ subset sums run the package's one inclusion-exclusion oracle,
 cover from a fresh forest pass, the oracle of `covers.subset_walk`;
 `theta_transfer_count` counts a full cover of a generalized Theta graph
 from the closed-form count of color walks along each path, at folds far
-past plain enumeration.  `cycle_type` and `without_vertex` are plain
-helpers that only the tests read.
+past plain enumeration.  `cycle_type`, `without_vertex`, `mask_of`,
+`full_mask`, `to_text` and `conjugated` are plain helpers that only the
+tests read.
 """
 
 from fractions import Fraction
@@ -88,6 +89,34 @@ def without_vertex(g: Graph, label: str) -> Graph:
     index = {v: i for i, v in enumerate(kept)}
     ends = [(g.vertices[a], g.vertices[b]) for a, b in g.edges]
     return Graph(kept, tuple((index[x], index[y]) for x, y in ends if label not in (x, y)))
+
+
+def mask_of(g: Graph, pairs) -> EdgeSubset:
+    """The edge subset of the labelled edges `pairs`."""
+    mask = 0
+    for x, y in pairs:
+        mask |= 1 << g.edge_index(x, y)
+    return mask
+
+
+def full_mask(g: Graph) -> EdgeSubset:
+    return (1 << len(g.edges)) - 1
+
+
+def to_text(g: Graph) -> str:
+    """g in the graph-file format that `Graph.from_text` reads."""
+    lines = [f"n {g.n}"]
+    for i in range(len(g.edges)):
+        x, y = g.edge_labels(i)
+        lines.append(f"e {x} {y}")
+    return "\n".join(lines) + "\n"
+
+
+def conjugated(cover: FullCover, tau) -> FullCover:
+    """`cover` with every fiber relabeled by tau; counts are invariant."""
+    inv = invert_perm(tau)
+    twists = {e: compose(tau, compose(p, inv)) for e, p in cover.twists.items()}
+    return FullCover(cover.graph, cover.m, twists)
 
 
 def brute_force_cover_count(g: Graph, cover: FullCover) -> int:

@@ -41,7 +41,7 @@ from dpchroma.graphs import (
 )
 from dpchroma.poly import M, power_m1, prod, sign
 
-from oracles import subset_agreement_count
+from oracles import mask_of, subset_agreement_count, to_text
 
 
 def theta(*lengths):
@@ -386,7 +386,8 @@ def test_subset_audit_identity_and_twisted():
     assert rep.ok and rep.first_twisted == 2
     assert rep.category_counts["exact-cycle"] == 2
     # the five-cycle through paths 1 and 2 loses every agreement:
-    five = g.mask_of(
+    five = mask_of(
+        g,
         [("u", "v_1_1"), ("v_1_1", "w"), ("u", "v_2_1"), ("v_2_1", "v_2_2"), ("v_2_2", "w")]
     )
     diff = subset_agreement_count(cover, five) - 3 ** component_count(g, five)
@@ -614,7 +615,7 @@ def test_dp_formula_refuses_stars_past_the_partition_limit(tmp_path, monkeypatch
     # Bell number alone has more digits than Python prints by default
     for g, k, seconds in ((fan(10), 11, 5), (star, 4001, 1)):
         path = tmp_path / f"star{k}.txt"
-        path.write_text(g.to_text(), encoding="utf-8")
+        path.write_text(to_text(g), encoding="utf-8")
         start = time.perf_counter()
         code = main(["dp-formula", str(path)])
         elapsed = time.perf_counter() - start

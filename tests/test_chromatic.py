@@ -20,7 +20,7 @@ from dpchroma.graphs import Graph, ThetaSpec, build_generalized_theta, component
 from dpchroma.poly import IntPoly, M
 from dpchroma.verify import SUITES, _valid_length_tuples
 
-from oracles import chromatic_by_subsets, interpolated_chromatic, proper_coloring_count
+from oracles import chromatic_by_subsets, interpolated_chromatic, mask_of, proper_coloring_count
 
 
 def theta(*lengths):
@@ -189,11 +189,13 @@ def test_subset_agreement_counts():
     g = theta(2, 2, 2)
     assert 3 ** component_count(g, 0) == 243
     g2 = theta(2, 3, 3)
-    five = g2.mask_of(
+    five = mask_of(
+        g2,
         [("u", "v_1_1"), ("v_1_1", "w"), ("u", "v_2_1"), ("v_2_1", "v_2_2"), ("v_2_2", "w")]
     )
     assert 3 ** component_count(g2, five) == 27
-    tree = g2.mask_of(
+    tree = mask_of(
+        g2,
         [
             ("u", "v_1_1"),
             ("v_1_1", "w"),

@@ -33,7 +33,7 @@ from dpchroma.graphs import Graph, ThetaSpec, build_generalized_theta, spanning_
 from dpchroma.poly import M, IntPoly
 from dpchroma.verify import _valid_length_tuples
 
-from oracles import chromatic_by_subsets, transversal_count
+from oracles import chromatic_by_subsets, to_text, transversal_count
 
 
 def reference_chrom(n, edges):
@@ -355,7 +355,7 @@ def sparse_16_vertex_graph() -> Graph:
 def test_sparse_16_vertex_graph_against_the_feedback_set_counter(tmp_path, capsys):
     g = sparse_16_vertex_graph()
     path = tmp_path / "sparse.txt"
-    path.write_text(g.to_text())
+    path.write_text(to_text(g))
     assert main(["chrom", str(path), "--format", "json"]) == 0
     coeffs = json.loads(capsys.readouterr().out)["polynomial"]["coefficients"]
     poly = IntPoly(int(c) for c in coeffs)
@@ -365,7 +365,7 @@ def test_sparse_16_vertex_graph_against_the_feedback_set_counter(tmp_path, capsy
 
 def test_wide_grid_is_refused_by_the_work_limit(tmp_path, capsys):
     path = tmp_path / "grid10.txt"
-    path.write_text(grid(10, 10).to_text())
+    path.write_text(to_text(grid(10, 10)))
     assert main(["chrom", str(path), "--limit", "100"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1

@@ -1,5 +1,8 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -278,3 +281,19 @@ def test_fold_range_that_is_not_a_number_is_one_line(capsys):
         assert (code, out, err) == (2, "", f"dpchroma: bad fold range {text!r}\n"), text
     code, out, _ = run(capsys, "compare", "theta:2,2,2", "--m", "3..4")
     assert code == 0 and out.count("\n") == 3
+
+
+def test_a_closed_pipe_is_not_a_failed_check():
+    """A reader that takes one line and closes the pipe (`| head -1`) ends
+    the run with 141, 128 + SIGPIPE, and nothing on stderr.  The output,
+    about 330 kB, is larger than a pipe's buffer, so the writer is still
+    writing when the reader leaves."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "dpchroma", "verify", "--suite", "theta-identity", "--format", "json"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")

@@ -35,8 +35,10 @@ from dpchroma.graphs import (
 
 from oracles import (
     brute_force_cover_count,
+    conjugated,
     cover_count_by_subsets,
     cycle_type,
+    mask_of,
     subset_agreement_count,
     theta_transfer_count,
     transversal_count,
@@ -170,7 +172,7 @@ def test_conjugation_invariance():
     for _ in range(100):
         cover = random_cover(g, 3, rng)
         tau = perms3[rng.randrange(len(perms3))]
-        assert count_colorings(g, cover) == count_colorings(g, cover.conjugated(tau))
+        assert count_colorings(g, cover) == count_colorings(g, conjugated(cover, tau))
 
 
 def test_gauge_canonicalization_preserves_counts():
@@ -228,8 +230,7 @@ def test_transfer_count_matches_conditioning_dp_at_large_fold():
             for _ in range(3):
                 perms = [tuple(rng.sample(range(m), m)) for _ in g.edges]
                 want = theta_transfer_count(g, m, perms)
-                assert plan.count(perms, m) == want  # the row table
-                assert plan.count(perms, m, [[1] * m] * g.n) == want  # start vectors
+                assert plan.count(perms, m) == want
 
 
 def test_min_over_covers_symmetry_levels_agree():
@@ -309,7 +310,8 @@ def test_cycle_type_representatives_are_lex_least():
 
 def test_subset_agreement_examples():
     g = theta(2, 3, 3)
-    five = g.mask_of(
+    five = mask_of(
+        g,
         [("u", "v_1_1"), ("v_1_1", "w"), ("u", "v_2_1"), ("v_2_1", "v_2_2"), ("v_2_2", "w")]
     )
     assert subset_agreement_count(theta_cover(g, 3, {2: CYCLE3}), five) == 0

@@ -3,17 +3,21 @@
 A module-level name that nothing in the package reads is dead code: tests
 alone do not keep it alive.  A name counts as read when a top-level
 statement other than its own definition loads it, imports it or reads it
-as an attribute.  Three rules:
+as an attribute.  Four rules:
 
 - a private name (`_name`) needs a reader in `src/`;
 - a public name needs a reader in `src/`, unless the package exports it
   (`dpchroma.__all__`) or it is a `verify` suite, which `@_suite`
   registers by its decorator;
 - an import needs a load of the name it binds in its own module; the
-  package's `__init__.py` reads its imports by exporting them.
+  package's `__init__.py` reads its imports by exporting them;
+- a method or property of a class (not a dunder) needs a reader in `src/`
+  outside its own body: one that only the tests call belongs in
+  `tests/oracles.py`.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import dpchroma
@@ -95,4 +99,31 @@ def test_every_import_is_read_by_its_module():
                     bound = alias.asname or alias.name.split(".")[0]
                     if bound not in loads:
                         unread.append(f"{module}:{node.lineno} {bound}")
+    assert unread == []
+
+
+def _read_counts(node):
+    """How often each name is loaded or read as an attribute inside `node`."""
+    counts = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            counts[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            counts[sub.attr] += 1
+    return counts
+
+
+def test_every_method_is_read_in_src():
+    modules = list(_modules())
+    reads = sum((_read_counts(tree) for _, tree in modules), Counter())
+    unread = [
+        f"{module}:{node.lineno} {cls.name}.{node.name}"
+        for module, tree in modules
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("__")
+        and reads[node.name] == _read_counts(node)[node.name]
+    ]
     assert unread == []

@@ -34,7 +34,7 @@ from dpchroma.graphs import (
     subset_cycle_lengths,
 )
 
-from oracles import chromatic_by_subsets, subset_agreement_count, without_vertex
+from oracles import chromatic_by_subsets, full_mask, subset_agreement_count, to_text, without_vertex
 
 
 def complete(n: int) -> Graph:
@@ -91,7 +91,7 @@ def test_spanning_forest_splits_edges_into_tree_and_cotree():
 
 def test_is_forest_matches_cycle_enumeration():
     for g in random_graphs(3, 150):
-        assert g.is_forest() == (subset_cycle_lengths(g, g.full_mask) == [])
+        assert g.is_forest() == (subset_cycle_lengths(g, full_mask(g)) == [])
 
 
 def test_find_feedback_vertex_matches_vertex_deletion():
@@ -126,7 +126,7 @@ def test_subset_agreement_count_matches_enumeration():
     for g in random_graphs(6, 40, max_n=6):
         m = rng.randint(1, 3)
         cover = random_cover(g, m, rng)
-        subsets = {0, g.full_mask} | {rng.randrange(1 << len(g.edges)) for _ in range(6)}
+        subsets = {0, full_mask(g)} | {rng.randrange(1 << len(g.edges)) for _ in range(6)}
         for subset in subsets:
             assert subset_agreement_count(cover, subset) == agreement_by_enumeration(
                 g, cover, subset
@@ -157,7 +157,7 @@ def test_forest_and_feedback_vertex_tests_enumerate_no_cycles(
     with pytest.raises(InvalidCenter):
         star_forest_decomposition(theta, "v_1_1")
     path = tmp_path / "k12.txt"
-    path.write_text(k12.to_text())
+    path.write_text(to_text(k12))
     code = main(["dp-formula", str(path)])
     err = capsys.readouterr().err
     assert code == 2 and "no feedback vertex set of size one" in err

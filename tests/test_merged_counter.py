@@ -13,9 +13,11 @@ from pathlib import Path
 import pytest
 
 import dpchroma.cli as cli
+from dpchroma import covers
 from dpchroma.chromatic import Precoloring, precolored_count
 from dpchroma.covers import (
     BRUTE_FORCE_LIMIT,
+    _canonical,
     count_from_edge_perms,
     identity_cover,
     identity_perm,
@@ -111,6 +113,55 @@ def test_precolored_count_brute_force_route_on_k4():
     for pc in cases:
         for m in (3, 4, 5):
             assert precolored_count(g, pc, m) == precolored_by_enumeration(g, pc, m)
+
+
+def test_precolored_vertices_isolated_or_in_the_feedback_set():
+    """A precolored vertex joins the plan's slots: an isolated one has no
+    edge out of them and still takes its one color, and one already in S
+    keeps its slot."""
+    lone = Graph(("a", "b", "c", "z"), ((0, 1), (1, 2)))
+    k4 = complete(4)
+    assert k4.feedback_set
+    inside = k4.vertices[k4.feedback_set[0]]
+    rng = random.Random(808)
+    for g, pcs in (
+        (lone, [{"z": 2}, {"z": 1, "a": 1}, {"z": 3, "b": 3}]),
+        (k4, [{inside: 1}, {inside: 2, "k3": 1}, {inside: 1, "k3": 1}]),
+    ):
+        for assignment in pcs:
+            pc = Precoloring(assignment, 4)
+            for m in (3, 4, 5):
+                assert precolored_count(g, pc, m) == precolored_by_enumeration(g, pc, m), (g, pc, m)
+                perms = [random_perm(rng, m) for _ in g.edges]
+                allowed = [[1] * m for _ in g.vertices]
+                for v, c in assignment.items():
+                    allowed[g.index[v]] = [int(i == c - 1) for i in range(m)]
+                want = transversal_count(g, m, perms, allowed)
+                assert count_from_edge_perms(g, m, perms, allowed) == want
+
+
+def test_precolored_k5_at_a_large_fold_reads_the_row_table():
+    """K5 with k0 precolored conditions on S and k0: 60^3 rows of four
+    blocked colors each, built as at most Bell(4) = 15 canonical rows."""
+    g = complete(5)
+    assert precolored_count(g, Precoloring({"k0": 1}, 5), 60) == 10_923_024 == 59 * 58 * 57 * 56
+    (plan,) = [p for key, p in g._plans.items() if key[0] is covers._FeedbackPlan]
+    assert set(plan.slots) == set(range(5)) - {4} and len(plan.outer) == 4
+    rows = plan.tables[60][0]
+    assert 0 < sum(key == _canonical(key) for key in rows) <= 15
+
+
+def test_malformed_allowed_vectors_are_refused():
+    """One 0/1 vector of length m per vertex, or `CoverMismatch`: a longer
+    vector, an entry other than 0 and 1, or too few vectors were counted
+    (18 and 24 on the triangle at m = 3, whose count is 6) or failed with
+    `IndexError`."""
+    g = complete(3)
+    perms = [identity_perm(3)] * 3
+    assert count_from_edge_perms(g, 3, perms, [[1, 1, 1]] * 3) == 6
+    for allowed in ([[1] * 4] * 3, [[2, 2, 2]] * 3, [[1] * 3] * 2, [[1] * 3] * 4, [], [[1, 0]] * 3):
+        with pytest.raises(CoverMismatch):
+            count_from_edge_perms(g, 3, perms, allowed)
 
 
 def test_conflicting_precolorings_count_zero():

@@ -45,9 +45,9 @@ def plan_counts(monkeypatch):
     calls = [0]
     original = covers._FeedbackPlan.count
 
-    def count(self, perms, m, start=None):
+    def count(self, perms, m, allowed=None):
         calls[0] += 1
-        return original(self, perms, m, start)
+        return original(self, perms, m, allowed)
 
     monkeypatch.setattr(covers._FeedbackPlan, "count", count)
     return calls

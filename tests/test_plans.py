@@ -3,9 +3,9 @@
 `cli.main` builds the parser it needs, the named command's or the whole
 one, on first use and keeps it for the process.  A graph keeps its plans
 (`Graph.plan`): the colour-pattern transfer's step table and one
-`_FeedbackPlan`, which keeps one row table per fold.  The plans are left
-out of the graph's pickled state, so a process pool still receives the
-graph.
+`_FeedbackPlan` per set of restricted vertices, which keeps one row table
+per fold.  The plans are left out of the graph's pickled state, so a
+process pool still receives the graph.
 """
 
 import argparse
@@ -137,26 +137,40 @@ def test_fvs1_computes_the_frontier_order_once(monkeypatch):
 
 
 def test_verify_precolor_builds_one_feedback_plan_per_forest(monkeypatch):
-    counted, built = [], []
+    """Each forest's precolored vertices are the slots of its one plan,
+    built through `Graph.plan(_FeedbackPlan, restricted)` and read at every
+    fold.  At fold 1 a precolored vertex may take every color, so that
+    count reads the plan with no slots."""
+    counted, built = {}, []
     count, init = verify.precolored_count, covers._FeedbackPlan.__init__
 
     def counting(g, pc, m):
-        counted.append(g)
+        counted.setdefault(id(g), (g, pc, []))[2].append(m)
         return count(g, pc, m)
 
-    def building(self, g):
+    def building(self, g, restricted=()):
         built.append(g)
-        init(self, g)
+        init(self, g, restricted)
 
     monkeypatch.setattr(verify, "precolored_count", counting)
     monkeypatch.setattr(covers._FeedbackPlan, "__init__", building)
     checks = verify.run_suites(["precolor"], seed=20200801)
     assert checks and all(c.passed for c in checks)
-    forests = list({id(g): g for g in counted}.values())
-    assert len(forests) == len(checks) == verify.PRECOLOR_SAMPLES
-    assert len(counted) == 6 * len(forests)
-    assert len(built) == len(forests)
-    assert all(a is b for a, b in zip(built, forests))
+    assert len(counted) == len(checks) == verify.PRECOLOR_SAMPLES
+    keys = 0
+    for g, pc, folds in counted.values():
+        assert len(folds) == 6 and g.feedback_set == ()
+        restricted = tuple(sorted(g.index[v] for v in pc.assignment))
+        args = (restricted,) if restricted else ()
+        want = [(covers._FeedbackPlan, ())] if 1 in folds and restricted else []
+        want.append((covers._FeedbackPlan, args))
+        assert [key for key in g._plans if key[0] is covers._FeedbackPlan] == want
+        plan = g.plan(covers._FeedbackPlan, *args)
+        assert plan.slots == restricted
+        assert sorted(plan.tables) == [m for m in folds if m > 1 or not restricted]
+        keys += len(want)
+    assert keys == len(built) == len(counted) + 1  # one forest is counted at fold 1
+    assert list(dict.fromkeys(map(id, built))) == list(counted)
 
 
 def test_one_feedback_plan_per_theta_graph_and_one_table_per_fold(monkeypatch):

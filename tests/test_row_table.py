@@ -1,15 +1,15 @@
 """The row table of the feedback-set counter.
 
-A full cover with every color allowed (every count of the search, Theta
-graphs included) is counted from one table per fold, keyed by the colors
-that the edges from the feedback set S block once each tree of G - S is
-relabeled to the identity.  These tests compare the table, and the same
-loop given explicit all-ones start vectors (which runs the tree DPs),
-with the brute-force oracle on seeded graphs with |S| = 1, 2 and 3,
-check that a repeated blocked pattern runs no tree DP, that each fold
-has its own table, that raw keys stop at `RAW_KEY_LIMIT`, that a row
-depends only on the equality pattern of its key, and pin how many rows a
-search builds.  What the search counts and returns through the table is
+Every count is read from one table per fold, keyed by the colors that
+the edges from the plan's slots block once each tree of the forest left
+is relabeled to the identity.  The slots are the feedback set S and,
+with allowed-color vectors, every vertex whose colors are restricted.
+These tests compare the table, with every color allowed and with random
+allowed vectors, with the brute-force oracle on seeded graphs with
+|S| = 1, 2 and 3, check that a repeated blocked pattern runs no tree DP,
+that each fold has its own table, that raw keys stop at `RAW_KEY_LIMIT`,
+that a row depends only on the equality pattern of its key, and pin how
+many rows a search builds.  What the search counts and returns through the table is
 pinned in `tests/test_orderly_search.py`.
 """
 
@@ -19,7 +19,13 @@ from pathlib import Path
 import pytest
 
 from dpchroma import covers
-from dpchroma.covers import _canonical, _FeedbackPlan, min_over_covers, random_cover
+from dpchroma.covers import (
+    _canonical,
+    _FeedbackPlan,
+    count_from_edge_perms,
+    min_over_covers,
+    random_cover,
+)
 from dpchroma.graphs import Graph, ThetaSpec, build_generalized_theta
 
 from oracles import transversal_count
@@ -65,6 +71,9 @@ def random_perms(g: Graph, m: int, rng: random.Random) -> list[tuple[int, ...]]:
 
 @pytest.mark.parametrize("size", [1, 2, 3])
 def test_table_matches_the_oracle_and_the_vector_route(size):
+    """The vector route: each vertex outside S allowed one color or every
+    color, those of S a random set, so restricted vertices sit in trees
+    whose edges are twisted."""
     rng = random.Random(size)
     graphs = seeded_graphs(size)
     assert any(g.plan(_FeedbackPlan).free for g in graphs)
@@ -72,9 +81,16 @@ def test_table_matches_the_oracle_and_the_vector_route(size):
         plan = g.plan(_FeedbackPlan)
         for m in range(2, 6):
             for perms in (random_cover(g, m, rng).edge_perms(), random_perms(g, m, rng)):
-                want = transversal_count(g, m, perms)
-                assert plan.count(perms, m) == want
-                assert plan.count(perms, m, [[1] * m] * g.n) == want
+                assert plan.count(perms, m) == transversal_count(g, m, perms)
+                allowed = [[1] * m for _ in range(g.n)]
+                for v in range(g.n):
+                    if v in g.feedback_set:
+                        allowed[v] = [int(rng.random() < 0.7) for _ in range(m)]
+                    elif rng.random() < 0.3:
+                        color = rng.randrange(m)
+                        allowed[v] = [int(c == color) for c in range(m)]
+                want = transversal_count(g, m, perms, allowed)
+                assert count_from_edge_perms(g, m, perms, allowed) == want
 
 
 def test_a_repeated_pattern_runs_no_tree_dp(monkeypatch):
@@ -120,10 +136,9 @@ def test_a_row_depends_only_on_the_equality_pattern_of_its_key():
     for g in (golden("bowtie.txt"), golden("k4.txt"), theta(2, 2, 2, 2)):
         plan = g.plan(_FeedbackPlan)
         for m in (3, 4, 5):
-            ones = [[1] * m] * g.n
             for _ in range(20):
                 key = tuple(rng.randrange(m) for _ in plan.outer)
-                assert plan._row(key, ones) == plan._row(_canonical(key), ones), (g, key)
+                assert plan._row(key, m) == plan._row(_canonical(key), m), (g, key)
     assert _canonical((2, 0, 2)) == (0, 1, 0)
 
 
@@ -145,9 +160,9 @@ def test_a_search_builds_one_row_per_equality_pattern(monkeypatch, source, m, ro
     built = []
     row = _FeedbackPlan._row
 
-    def counting(self, key, seeds):
+    def counting(self, key, m):
         built.append(key)
-        return row(self, key, seeds)
+        return row(self, key, m)
 
     monkeypatch.setattr(_FeedbackPlan, "_row", counting)
     min_over_covers(source(), m, workers=1)
