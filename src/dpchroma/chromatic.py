@@ -56,7 +56,10 @@ def _transfer_steps(g: Graph) -> list[tuple[int, list[int], list[int], bool]]:
     vertices that stay, and whether v stays.  Built once per graph
     (`Graph.plan`).  Each step's scan of the frontier counts against
     `CHROMATIC_WORK_LIMIT`: a chromatic transfer's own work is at least
-    that count, so the order refuses no graph its transfer would answer."""
+    that count, so the order refuses no graph `chromatic_polynomial` would
+    answer.  Precolored and FVS-1 transfers share the order and its cap
+    but can make fewer updates than it scans: a star with 7,000 precolored
+    leaves is refused by its order, where its transfer would answer."""
     adj = g.adjacency
     left = [len(a) for a in adj]  # unentered neighbors
     roots = iter(sorted(range(g.n), key=left.__getitem__))
@@ -293,7 +296,7 @@ def precolored_count(g: Graph, pc: Precoloring, m: int) -> int:
     """Number of proper m-colorings of g agreeing with the precoloring.
 
     A proper coloring is a transversal of the identity cover, so this is
-    the cover counter with a one-hot vector at each precolored vertex: the
+    the cover counter with each precolored vertex fixed to its color: the
     precolored vertices join the feedback set as the slots of the graph's
     counting plan, and the count reads its row table.
     """
@@ -302,10 +305,8 @@ def precolored_count(g: Graph, pc: Precoloring, m: int) -> int:
     _check_precoloring(g, pc)
     if any(c > m for c in pc.assignment.values()):
         return 0
-    allowed = [[1] * m] * g.n
-    for v, c in pc.assignment.items():
-        allowed[g.index[v]] = [int(i == c - 1) for i in range(m)]
-    return count_from_edge_perms(g, m, [identity_perm(m)] * len(g.edges), allowed)
+    fixed = {g.index[v]: c - 1 for v, c in pc.assignment.items()}
+    return count_from_edge_perms(g, m, [identity_perm(m)] * len(g.edges), fixed)
 
 
 def precolored_polynomial(g: Graph, pc: Precoloring) -> IntPoly:

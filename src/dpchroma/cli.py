@@ -81,12 +81,20 @@ def cmd_chrom(args):
     g = load_graph(args.source)
     if g.n > args.limit:
         raise GraphTooLarge(f"{g.n} vertices exceeds limit {args.limit}")
+    check_fold(args.m)
     return _polynomial_output(args, "source", args.source, chromatic_polynomial(g))
 
 
 def cmd_theta_chrom(args):
     spec = ThetaSpec.parse(args.spec)
+    check_fold(args.m)
     return _polynomial_output(args, "spec", str(spec), theta_chromatic(spec))
+
+
+def check_fold(m: int | None) -> None:
+    """Refuse a fold below 1 before any polynomial or route is built."""
+    if m is not None and m < 1:
+        raise OutOfRange("m must be positive")
 
 
 def check_budget(budget: int) -> None:
@@ -142,8 +150,7 @@ def _formula_value(route: ThetaDpFormula | FeedbackPolynomialResult, m: int):
 
 def cmd_dp_formula(args):
     g = load_graph(args.source)
-    if args.m is not None and args.m < 1:  # before the route, which can be slow
-        raise OutOfRange("m must be positive")
+    check_fold(args.m)  # before the route, which can be slow
     route = dp_formula_route(g)
     if isinstance(route, ThetaDpFormula):
         payload = {

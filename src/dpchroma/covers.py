@@ -12,12 +12,13 @@ Covers are full (`CoverMismatch` otherwise): a partial matching extends
 to a perfect one, and each added cross edge can only remove colorings.
 Every count runs the one loop of `_FeedbackPlan`, kept on the graph
 (`Graph.plan`), which conditions on a feedback vertex set S and on every
-vertex whose colors are restricted (`BRUTE_FORCE_LIMIT` caps its rows).
-Every vertex left may take every color, so each row is read from a table
-per fold.  At its conjugacy level the search is
-orderly: it counts one cover per conjugacy orbit and finds the same first
-minimum as a count of every cover (see `_search_chunk`); its orbit sweeps
-are cached per process by fold and group (`_orbit_sweep`).
+vertex with a fixed color (`BRUTE_FORCE_LIMIT` caps the colorings of the
+slots left unfixed).  Every vertex left may take every color, so each row
+is the forest's count read from a table per fold.  At its conjugacy level
+the search is orderly: it counts one cover per conjugacy orbit and finds
+the same first minimum as a count of every cover (see `_search_chunk`);
+its orbit sweeps are cached per process by fold and group
+(`_orbit_sweep`).
 Star partitions (`partitions_of`) and their shift covers live here too;
 their weights are color-pattern transfers (`analysis._avoidance_count`).
 """
@@ -27,8 +28,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import compress, permutations, product
-from math import prod
+from itertools import permutations, product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -251,8 +251,11 @@ class FullCover:
         """Canonicalize an arbitrary edge -> permutation assignment.
 
         Fibers are relabeled along `g.standard_tree` so tree matchings
-        become the identity; cotree twists pick up the conjugations.
+        become the identity; cotree twists pick up the conjugations.  A
+        twist keyed by anything but an edge index of g is refused.
         """
+        if not set(perms) <= set(range(len(g.edges))):
+            raise CoverMismatch("twists must be keyed by edge indices of the graph")
         if not all(is_permutation(p, m) for p in perms.values()):
             raise CoverMismatch("twist is not a permutation of the fold")
         tree = g.standard_tree
@@ -319,25 +322,23 @@ class _FeedbackPlan:
 
     Every count runs one loop.  It relabels the fibers of each tree of the
     forest left along its walk so that every tree edge is the identity:
-    frame[v] carries the fiber of v's root to v's.  A row colors the slots
-    from their allowed colors and is rejected when an edge inside the slots
-    matches those colors.  Each edge from a slot blocks one color at its
-    other endpoint, read in that endpoint's frame; these colors are the
-    row's key, and `_row` counts the colorings of the trees that touch an
-    edge from a slot avoiding them.  Free trees, which touch none, give
-    m (m-1)^(|tree| - 1) each.  The plan stores the edges inside and out of
-    the slots, the trees as (v, parent) steps and the descent with each
-    step's edge; none of it depends on the fold or the allowed colors.
+    frame[v] carries the fiber of v's root to v's.  A row colors the slots,
+    a fixed slot with its one color, and is rejected when an edge inside
+    the slots matches those colors.  Each edge from a slot blocks one color
+    at its other endpoint, read in that endpoint's frame; these colors are
+    the row's key, and `_row` counts the colorings of the forest avoiding
+    them.  The plan stores the edges inside and out of the slots, the trees
+    as (v, parent) steps and the descent with each step's edge; none of it
+    depends on the fold or the fixed colors.
 
     A permutation sigma of all m colors maps the colorings that avoid a key
     one-to-one onto those that avoid sigma(key), so a row depends only on
     which entries of its key are equal.  The plan keeps one table per fold,
-    with that fold's identity and the product over the free trees.  A key
-    missing from the table is relabeled in order of first occurrence,
-    (2, 0, 2) to (0, 1, 0), and only that canonical key runs the tree DPs,
-    so a fold builds at most Bell(|edges from the slots|) rows.  The raw key
-    is stored beside it only while the table holds fewer than
-    `RAW_KEY_LIMIT` entries.
+    with that fold's identity.  A key missing from the table is relabeled
+    in order of first occurrence, (2, 0, 2) to (0, 1, 0), and only that
+    canonical key runs the tree DPs, so a fold builds at most
+    Bell(|edges from the slots|) rows.  The raw key is stored beside it
+    only while the table holds fewer than `RAW_KEY_LIMIT` entries.
     """
 
     def __init__(self, g: Graph, restricted: Iterable[int] = ()):
@@ -354,36 +355,32 @@ class _FeedbackPlan:
             else:
                 rest.append(e)
         self.outer.sort(key=lambda edge: edge[0])  # row keys go slot by slot
-        blocked = {y for _, y, _, _ in self.outer}
         # trees as (root, steps), children first; `descent` has every tree's
         # steps with their edges, each parent first
-        self.touching, self.free, self.descent = [], [], []
+        self.trees, self.descent = [], []
         for walk in _forest_walk(g, rest):
             root = walk[0][0]
             if root in slot:  # a slot vertex, alone in the forest
                 continue
-            trees = self.touching if any(v in blocked for v, _, _ in walk) else self.free
-            trees.append((root, [(v, parent) for v, parent, _ in reversed(walk[1:])]))
+            self.trees.append((root, [(v, parent) for v, parent, _ in reversed(walk[1:])]))
             self.descent += [(v, parent, e, g.edges[e][0] == parent) for v, parent, e in walk[1:]]
         self.inverse = cache(invert_perm)
-        self.tables: dict[int, tuple[dict[tuple[int, ...], int], Perm, int]] = {}
+        self.tables: dict[int, tuple[dict[tuple[int, ...], int], Perm]] = {}
 
     def count(
-        self, perms: Sequence[Perm], m: int, allowed: Sequence[Sequence[int]] | None = None
+        self, perms: Sequence[Perm], m: int, fixed: Sequence[int | None] | None = None
     ) -> int:
-        """Transversals at fold m, allowed[i] the 0/1 vector of colors slot
-        i may take (every color without `allowed`)."""
-        size = m ** len(self.slots) if allowed is None else prod(map(sum, allowed))
-        if size > BRUTE_FORCE_LIMIT:
-            shown = f"{m}^{len(self.slots)}" if allowed is None else f"{size:,}"
+        """Transversals at fold m, fixed[i] the one color of slot i or None
+        for every color (every slot takes every color without `fixed`)."""
+        unfixed = len(self.slots) if fixed is None else fixed.count(None)
+        if m**unfixed > BRUTE_FORCE_LIMIT:
             raise GraphTooLarge(
-                f"{shown} feedback-set colorings exceed BRUTE_FORCE_LIMIT = {BRUTE_FORCE_LIMIT:,}"
+                f"{m}^{unfixed} feedback-set colorings exceed BRUTE_FORCE_LIMIT = {BRUTE_FORCE_LIMIT:,}"
             )
         fold = self.tables.get(m)
         if fold is None:
-            free = prod(m * (m - 1) ** len(steps) for _, steps in self.free)
-            fold = self.tables[m] = ({}, identity_perm(m), free)
-        rows, ident, free = fold
+            fold = self.tables[m] = ({}, identity_perm(m))
+        rows, ident = fold
         inverse = self.inverse
         # frame[v] carries the fiber of v's root to v's; None is the identity
         frame: list[Perm | None] = [None] * self.n
@@ -401,7 +398,7 @@ class _FeedbackPlan:
             p = perms[e] if forward else inverse(perms[e])
             up = frame[y]
             blocks[i].append(p if up is None else compose(inverse(up), p))
-        if allowed is None and len(blocks) == 1:  # S is one vertex, on every cycle
+        if fixed is None and len(blocks) == 1:  # S is one vertex, on every cycle
             keys = zip(*blocks[0])
         else:
             # a slot with no edge out of the slots blocks nothing: m empty keys
@@ -409,8 +406,8 @@ class _FeedbackPlan:
             inner = [(a, b, perms[e]) for a, b, e in self.inner]
             keys = []
             choices = [range(m)] * len(blocks)
-            if allowed is not None:
-                choices = [compress(range(m), a) for a in allowed]
+            if fixed is not None:
+                choices = [range(m) if c is None else (c,) for c in fixed]
             for colors in product(*choices):
                 for a, b, p in inner:
                     if p[colors[a]] == colors[b]:
@@ -431,16 +428,16 @@ class _FeedbackPlan:
                 if len(rows) < RAW_KEY_LIMIT:
                     rows[key] = row
             total += row
-        return total * free
+        return total
 
     def _row(self, key: tuple[int, ...], m: int) -> int:
-        """The touching trees' count at fold m when the edges from the slots
-        block the colors of `key`."""
+        """The forest's count at fold m when the edges from the slots block
+        the colors of `key`."""
         seeds = [[1] * m for _ in range(self.n)]
         for (_, y, _, _), c in zip(self.outer, key):
             seeds[y][c] = 0
         row = 1
-        for root, steps in self.touching:
+        for root, steps in self.trees:
             row *= _tree_dp_vector(root, steps, seeds)
         return row
 
@@ -455,34 +452,26 @@ def count_from_edge_perms(
     g: Graph,
     m: int,
     perms: Sequence[Perm],
-    allowed: Sequence[Sequence[int]] | None = None,
+    fixed: Mapping[int, int] | None = None,
 ) -> int:
     """Exact number of transversals avoiding every matched cross pair.
 
-    `perms` holds one permutation of range(m) per edge, and `allowed`, when
-    given, one 0/1 vector of length m per vertex marking the colors it may
-    take (a precolored vertex has a one-hot vector); anything else is
-    refused with `CoverMismatch`.  A vertex that may not take every color
-    joins the slots of the graph's counting plan for that set of vertices,
-    so every count reads the plan's row table; `BRUTE_FORCE_LIMIT` caps the
-    product of the slots' allowed-color counts.
+    `perms` holds one permutation of range(m) per edge, and `fixed`, when
+    given, maps a vertex index to the one color in range(m) it must take (a
+    precolored vertex); anything else is refused with `CoverMismatch`.  The
+    fixed vertices join the slots of the graph's counting plan for that set
+    of vertices, so every count reads the plan's row table;
+    `BRUTE_FORCE_LIMIT` caps m^(slots left unfixed).
     """
     ident = identity_perm(m)
     if len(perms) != len(g.edges) or not all(p == ident or is_permutation(p, m) for p in perms):
         raise CoverMismatch(f"every edge needs a permutation of the {m} colors")
-    if allowed is not None and len(allowed) != g.n:
-        raise CoverMismatch(f"{len(allowed)} allowed-color vectors for {g.n} vertices")
-    restricted = []
-    for v, a in enumerate(allowed or ()):
-        ones = a.count(1)
-        if len(a) != m or ones + a.count(0) != m:
-            raise CoverMismatch(f"every vertex needs a 0/1 vector of the {m} colors")
-        if ones < m:
-            restricted.append(v)
-    if not restricted:
+    if not fixed:
         return g.plan(_FeedbackPlan).count(perms, m)
-    plan = g.plan(_FeedbackPlan, tuple(restricted))
-    return plan.count(perms, m, [allowed[v] for v in plan.slots])
+    if not all(v in range(g.n) and c in range(m) for v, c in fixed.items()):
+        raise CoverMismatch(f"a fixed color needs a vertex of the graph and a color of the {m}")
+    plan = g.plan(_FeedbackPlan, tuple(sorted(fixed)))
+    return plan.count(perms, m, [fixed.get(v) for v in plan.slots])
 
 
 def count_colorings(g: Graph, cover: FullCover) -> int:

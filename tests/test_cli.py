@@ -133,6 +133,20 @@ def test_dp_exact_rejects_non_positive_folds(capsys):
             assert (code, out, err) == (2, "", "dpchroma: m must be positive\n")
 
 
+def test_chrom_and_theta_chrom_reject_non_positive_folds(capsys, monkeypatch):
+    """Refused before the polynomial is built, as `dp-formula` refuses:
+    `chrom theta:2,2,2 --m -3` printed a value of -1308 and exited 0."""
+    def no_polynomial(*args):
+        raise AssertionError("the polynomial was built for a refused fold")
+
+    monkeypatch.setattr("dpchroma.cli.chromatic_polynomial", no_polynomial)
+    monkeypatch.setattr("dpchroma.cli.theta_chromatic", no_polynomial)
+    for command in ("chrom", "theta-chrom"):
+        for m in ("0", "-3"):
+            code, out, err = run(capsys, command, "theta:2,2,2", "--m", m)
+            assert (code, out, err) == (2, "", "dpchroma: m must be positive\n")
+
+
 def test_formula_routes_reject_a_graph_with_no_vertices(tmp_path, capsys):
     path = tmp_path / "empty.graph"
     path.write_text("n 0\n")

@@ -165,14 +165,15 @@ def test_counts_match_enumeration_for_every_feedback_set_size():
     sizes = set()
     for g in zoo(29):
         sizes.add(len(g.feedback_set))
-        for with_allowed in (False, True) * 2:
+        for with_fixed in (False, True) * 2:
             m = rng.randint(1, 3 if g.n > 5 else 4)
             perms = [random_perm(rng, m) for _ in g.edges]
-            allowed = None
-            if with_allowed:
-                allowed = [[int(rng.random() < 0.7) for _ in range(m)] for _ in g.vertices]
+            fixed = {}
+            if with_fixed:
+                fixed = {v: rng.randrange(m) for v in range(g.n) if rng.random() < 0.3}
+            allowed = [[int(c == fixed.get(v, c)) for c in range(m)] for v in range(g.n)]
             want = transversal_count(g, m, perms, allowed)
-            assert count_from_edge_perms(g, m, perms, allowed) == want
+            assert count_from_edge_perms(g, m, perms, fixed) == want
     assert {0, 1, 2, 3} <= sizes
 
 

@@ -1,10 +1,11 @@
 """Random-oracle tests for the one transversal counter.
 
-`count_from_edge_perms` counts transversals of a cover, optionally with a
-0/1 vector of allowed colors per vertex; `precolored_count` is that
-counter on the identity cover with one-hot vectors.  Forests, one-vertex
-feedback sets and larger ones (K4) are checked here against plain
-enumeration on random inputs, including conflicting precolorings.
+`count_from_edge_perms` counts transversals of a cover, optionally with
+one fixed color on some vertices; `precolored_count` is that counter on
+the identity cover with each precolored vertex fixed.  Forests,
+one-vertex feedback sets and larger ones (K4) are checked here against
+plain enumeration on random inputs, with one-hot vectors at the fixed
+vertices, including conflicting precolorings.
 """
 
 import random
@@ -19,6 +20,8 @@ from dpchroma.covers import (
     BRUTE_FORCE_LIMIT,
     _canonical,
     count_from_edge_perms,
+    FullCover,
+    count_colorings,
     identity_cover,
     identity_perm,
     worker_count,
@@ -37,13 +40,17 @@ from oracles import cover_count_by_subsets, transversal_count
 BOWTIE = Path(__file__).parent / "golden" / "bowtie.txt"
 
 
+def one_hot(g: Graph, m: int, fixed) -> list[list[int]]:
+    """The oracle's allowed-color vectors for fixed colors (vertex index to
+    a color below m, or a color above it, which no vertex may take)."""
+    return [[int(c == fixed.get(v, c)) for c in range(m)] for v in range(g.n)]
+
+
 def precolored_by_enumeration(g: Graph, pc: Precoloring, m: int) -> int:
     """Transversals of the identity cover, each precolored vertex allowed
     its color alone (none when the color is above m)."""
-    allowed = [[1] * m for _ in g.vertices]
-    for v, c in pc.assignment.items():
-        allowed[g.index[v]] = [int(i == c - 1) for i in range(m)]
-    return transversal_count(g, m, [tuple(range(m))] * len(g.edges), allowed)
+    fixed = {g.index[v]: c - 1 for v, c in pc.assignment.items()}
+    return transversal_count(g, m, [tuple(range(m))] * len(g.edges), one_hot(g, m, fixed))
 
 
 def random_forest(rng: random.Random, n: int) -> Graph:
@@ -133,11 +140,9 @@ def test_precolored_vertices_isolated_or_in_the_feedback_set():
             for m in (3, 4, 5):
                 assert precolored_count(g, pc, m) == precolored_by_enumeration(g, pc, m), (g, pc, m)
                 perms = [random_perm(rng, m) for _ in g.edges]
-                allowed = [[1] * m for _ in g.vertices]
-                for v, c in assignment.items():
-                    allowed[g.index[v]] = [int(i == c - 1) for i in range(m)]
-                want = transversal_count(g, m, perms, allowed)
-                assert count_from_edge_perms(g, m, perms, allowed) == want
+                fixed = {g.index[v]: c - 1 for v, c in assignment.items()}
+                want = transversal_count(g, m, perms, one_hot(g, m, fixed))
+                assert count_from_edge_perms(g, m, perms, fixed) == want
 
 
 def test_precolored_k5_at_a_large_fold_reads_the_row_table():
@@ -151,17 +156,16 @@ def test_precolored_k5_at_a_large_fold_reads_the_row_table():
     assert 0 < sum(key == _canonical(key) for key in rows) <= 15
 
 
-def test_malformed_allowed_vectors_are_refused():
-    """One 0/1 vector of length m per vertex, or `CoverMismatch`: a longer
-    vector, an entry other than 0 and 1, or too few vectors were counted
-    (18 and 24 on the triangle at m = 3, whose count is 6) or failed with
-    `IndexError`."""
+def test_malformed_fixed_colors_are_refused():
+    """A fixed color needs a vertex index of the graph and a color below
+    m, or `CoverMismatch`."""
     g = complete(3)
     perms = [identity_perm(3)] * 3
-    assert count_from_edge_perms(g, 3, perms, [[1, 1, 1]] * 3) == 6
-    for allowed in ([[1] * 4] * 3, [[2, 2, 2]] * 3, [[1] * 3] * 2, [[1] * 3] * 4, [], [[1, 0]] * 3):
+    assert count_from_edge_perms(g, 3, perms, {}) == 6
+    assert count_from_edge_perms(g, 3, perms, {0: 2, 2: 0}) == 1
+    for fixed in ({-1: 0}, {3: 0}, {0: -1}, {0: 3}, {"a": 0}, {0: 1, 1: None}):
         with pytest.raises(CoverMismatch):
-            count_from_edge_perms(g, 3, perms, allowed)
+            count_from_edge_perms(g, 3, perms, fixed)
 
 
 def test_conflicting_precolorings_count_zero():
@@ -197,12 +201,24 @@ def test_counts_refuse_twists_that_are_not_permutations_of_the_fold():
         with pytest.raises(CoverMismatch):
             count_from_edge_perms(g, m, [twist] * len(g.edges))
         with pytest.raises(CoverMismatch):
-            count_from_edge_perms(g, m, [twist] * len(g.edges), [[1] * m] * g.n)
+            count_from_edge_perms(g, m, [twist] * len(g.edges), {0: 0})
     with pytest.raises(CoverMismatch):
         count_from_edge_perms(g, 3, [identity_perm(3)] * (len(g.edges) - 1))
 
 
-def test_allowed_vectors_on_every_route():
+def test_covers_refuse_twists_keyed_by_anything_but_an_edge():
+    """A twist on no edge of g was dropped, and the triangle's identity
+    cover, which counts 6, came back."""
+    g = complete(3)
+    shift = (1, 2, 0)
+    twisted = FullCover.from_edge_perms(g, 3, {0: shift})
+    assert count_colorings(g, twisted) == transversal_count(g, 3, twisted.edge_perms()) == 9
+    for key in (99, 3, -1, "e"):
+        with pytest.raises(CoverMismatch):
+            FullCover.from_edge_perms(g, 3, {key: shift})
+
+
+def test_fixed_colors_on_every_route():
     rng = random.Random(707)
     graphs = [complete(4), build_generalized_theta(ThetaSpec((2, 2, 2)))]
     graphs += [random_forest(rng, 5) for _ in range(3)]
@@ -211,9 +227,9 @@ def test_allowed_vectors_on_every_route():
         for _ in range(4):
             m = rng.randint(1, 4)
             perms = [random_perm(rng, m) for _ in g.edges]
-            allowed = [[int(rng.random() < 0.7) for _ in range(m)] for _ in g.vertices]
-            want = transversal_count(g, m, perms, allowed)
-            assert count_from_edge_perms(g, m, perms, allowed) == want
+            fixed = {v: rng.randrange(m) for v in range(g.n) if rng.random() < 0.4}
+            want = transversal_count(g, m, perms, one_hot(g, m, fixed))
+            assert count_from_edge_perms(g, m, perms, fixed) == want
 
 
 def test_one_brute_force_limit():
@@ -224,9 +240,11 @@ def test_one_brute_force_limit():
     over = next(m for m in range(2, 1000) if m**size > BRUTE_FORCE_LIMIT)
     assert (size, over) == (3, 159)
     perms = [identity_perm(over)] * len(g.edges)
-    with pytest.raises(GraphTooLarge, match="BRUTE_FORCE_LIMIT = 4,000,000"):
+    with pytest.raises(GraphTooLarge, match="^159\\^3 feedback-set colorings exceed BRUTE_FORCE_LIMIT = 4,000,000$"):
         count_from_edge_perms(g, over, perms)
-    with pytest.raises(GraphTooLarge, match="BRUTE_FORCE_LIMIT"):
+    # k0 joins the three slots of S fixed, so the cap reads the three left
+    assert g.index["k0"] not in g.feedback_set
+    with pytest.raises(GraphTooLarge, match="^159\\^3 feedback-set colorings exceed BRUTE_FORCE_LIMIT"):
         precolored_count(g, Precoloring({"k0": 1}, 5), over)
 
 

@@ -45,9 +45,9 @@ def plan_counts(monkeypatch):
     calls = [0]
     original = covers._FeedbackPlan.count
 
-    def count(self, perms, m, allowed=None):
+    def count(self, perms, m, fixed=None):
         calls[0] += 1
-        return original(self, perms, m, allowed)
+        return original(self, perms, m, fixed)
 
     monkeypatch.setattr(covers._FeedbackPlan, "count", count)
     return calls

@@ -2,15 +2,16 @@
 
 Every count is read from one table per fold, keyed by the colors that
 the edges from the plan's slots block once each tree of the forest left
-is relabeled to the identity.  The slots are the feedback set S and,
-with allowed-color vectors, every vertex whose colors are restricted.
-These tests compare the table, with every color allowed and with random
-allowed vectors, with the brute-force oracle on seeded graphs with
-|S| = 1, 2 and 3, check that a repeated blocked pattern runs no tree DP,
-that each fold has its own table, that raw keys stop at `RAW_KEY_LIMIT`,
-that a row depends only on the equality pattern of its key, and pin how
-many rows a search builds.  What the search counts and returns through the table is
-pinned in `tests/test_orderly_search.py`.
+is relabeled to the identity.  The slots are the feedback set S and
+every vertex with a fixed color.  These tests compare the table, with
+every color allowed and with random fixed colors, with the brute-force
+oracle on seeded graphs with |S| = 1, 2 and 3, some with a tree
+component, whose count sits in every row; check that a repeated blocked
+pattern runs no tree DP, that each fold has its own table, that raw
+keys stop at `RAW_KEY_LIMIT`, that a row depends only on the equality
+pattern of its key, and pin how many rows a search builds.  What the
+search counts and returns through the table is pinned in
+`tests/test_orderly_search.py`.
 """
 
 import random
@@ -71,26 +72,27 @@ def random_perms(g: Graph, m: int, rng: random.Random) -> list[tuple[int, ...]]:
 
 @pytest.mark.parametrize("size", [1, 2, 3])
 def test_table_matches_the_oracle_and_the_vector_route(size):
-    """The vector route: each vertex outside S allowed one color or every
-    color, those of S a random set, so restricted vertices sit in trees
-    whose edges are twisted."""
+    """The vector route: each vertex fixed to one color or free, those of S
+    half the time, the others 30% of it, so fixed vertices sit in trees
+    whose edges are twisted; the oracle reads one-hot vectors.  Some graph
+    has a tree component, a tree of G - S that no edge from S touches."""
     rng = random.Random(size)
     graphs = seeded_graphs(size)
-    assert any(g.plan(_FeedbackPlan).free for g in graphs)
-    for g in graphs:
-        plan = g.plan(_FeedbackPlan)
+    plans = [g.plan(_FeedbackPlan) for g in graphs]
+    assert any(
+        {y for _, y, _, _ in plan.outer}.isdisjoint([root, *(v for v, _ in steps)])
+        for plan in plans
+        for root, steps in plan.trees
+    )
+    for g, plan in zip(graphs, plans):
         for m in range(2, 6):
             for perms in (random_cover(g, m, rng).edge_perms(), random_perms(g, m, rng)):
                 assert plan.count(perms, m) == transversal_count(g, m, perms)
-                allowed = [[1] * m for _ in range(g.n)]
-                for v in range(g.n):
-                    if v in g.feedback_set:
-                        allowed[v] = [int(rng.random() < 0.7) for _ in range(m)]
-                    elif rng.random() < 0.3:
-                        color = rng.randrange(m)
-                        allowed[v] = [int(c == color) for c in range(m)]
+                chance = [0.5 if v in g.feedback_set else 0.3 for v in range(g.n)]
+                fixed = {v: rng.randrange(m) for v in range(g.n) if rng.random() < chance[v]}
+                allowed = [[int(c == fixed.get(v, c)) for c in range(m)] for v in range(g.n)]
                 want = transversal_count(g, m, perms, allowed)
-                assert count_from_edge_perms(g, m, perms, allowed) == want
+                assert count_from_edge_perms(g, m, perms, fixed) == want
 
 
 def test_a_repeated_pattern_runs_no_tree_dp(monkeypatch):
