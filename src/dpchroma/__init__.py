@@ -34,6 +34,7 @@ from .covers import (
     TwistProfile,
     count_colorings,
     cover_to_json,
+    dp_lower_bound,
     identity_cover,
     min_over_covers,
     partitions_of,

@@ -18,7 +18,10 @@ is the forest's count read from a table per fold.  At its conjugacy level
 the search is orderly: it counts one cover per conjugacy orbit and finds
 the same first minimum as a count of every cover (see `_search_chunk`);
 its orbit sweeps are cached per process by fold and group
-(`_orbit_sweep`).
+(`_orbit_sweep`).  There it also stops at its first count equal to a
+proven lower bound (`dp_lower_bound`, the least row times a bound on the
+feedback set's own DP color function), which is exact with one feedback
+vertex.
 Star partitions (`partitions_of`) and their shift covers live here too;
 their weights are color-pattern transfers (`analysis._avoidance_count`).
 """
@@ -29,7 +32,7 @@ import os
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import permutations, product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     AssumptionViolated,
@@ -39,7 +42,7 @@ from .errors import (
     OutOfRange,
     SearchBudgetExceeded,
 )
-from .graphs import Graph, StarDecomposition, _bits
+from .graphs import Graph, StarDecomposition, _bits, spanning_forest
 
 # A twist is a tuple of images, a permutation of the fold.
 Perm = tuple[int, ...]
@@ -377,10 +380,7 @@ class _FeedbackPlan:
             raise GraphTooLarge(
                 f"{m}^{unfixed} feedback-set colorings exceed BRUTE_FORCE_LIMIT = {BRUTE_FORCE_LIMIT:,}"
             )
-        fold = self.tables.get(m)
-        if fold is None:
-            fold = self.tables[m] = ({}, identity_perm(m))
-        rows, ident = fold
+        rows, ident = self._fold(m)
         inverse = self.inverse
         # frame[v] carries the fiber of v's root to v's; None is the identity
         frame: list[Perm | None] = [None] * self.n
@@ -430,6 +430,26 @@ class _FeedbackPlan:
             total += row
         return total
 
+    def _fold(self, m: int) -> tuple[dict[tuple[int, ...], int], Perm]:
+        """Fold m's row table and identity, made on first use."""
+        fold = self.tables.get(m)
+        if fold is None:
+            fold = self.tables[m] = ({}, identity_perm(m))
+        return fold
+
+    def least_row(self, m: int) -> int:
+        """The least row at fold m over every canonical key with at most m
+        classes, each read through the fold's row table."""
+        rows = self._fold(m)[0]
+        least = None
+        for key in _growth_strings(len(self.outer), m):
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = self._row(key, m)
+            if least is None or row < least:
+                least = row
+        return least
+
     def _row(self, key: tuple[int, ...], m: int) -> int:
         """The forest's count at fold m when the edges from the slots block
         the colors of `key`."""
@@ -446,6 +466,33 @@ def _canonical(key: tuple[int, ...]) -> tuple[int, ...]:
     """`key` with its colors renamed 0, 1, ... in order of first occurrence."""
     names: dict[int, int] = {}
     return tuple(names.setdefault(c, len(names)) for c in key)
+
+
+def _growth_strings(k: int, most: int) -> Iterator[tuple[int, ...]]:
+    """Every restricted-growth string of length k with at most `most`
+    classes, in lex order: each entry names its class, and a class first
+    appears one above the largest so far (k items partitioned, item 0 in
+    class 0).  These are the canonical keys of `_canonical`."""
+    rgs = [0] * k
+
+    def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
+        if i == k:
+            yield tuple(rgs)
+            return
+        for value in range(min(used + 1, most)):
+            rgs[i] = value
+            yield from rec(i + 1, max(used, value + 1))
+
+    return rec(1 if k else 0, 1 if k else 0)
+
+
+def _growth_string_count(k: int, most: int) -> int:
+    """len(_growth_strings(k, most)): the Stirling numbers S(k, j) summed
+    over j <= most, row by row from S(i + 1, j) = j S(i, j) + S(i, j - 1)."""
+    row = [1]
+    for _ in range(k):
+        row = [j * a + b for j, (a, b) in enumerate(zip(row + [0], [0] + row))][: most + 1]
+    return sum(row)
 
 
 def count_from_edge_perms(
@@ -679,6 +726,44 @@ class MinimizationResult:
     candidates: int
 
 
+def dp_lower_bound(g: Graph, m: int) -> int:
+    """A lower bound L(G, m) <= P_DP(G, m), exact when the feedback set S =
+    `g.feedback_set` is one vertex:
+
+      L(G, m) = P_DP(G[S], m) * min over canonical keys k of R(k, m),
+
+    where R(k, m) is a row of the graph's counting plan, the count of the
+    forest G - S when the edges from S block the colors of k, and k runs
+    over the keys with at most m classes (`_FeedbackPlan.least_row`).
+
+    Proof of L <= P_DP: in any full cover, relabel the fibers so that each
+    tree of G - S is the identity, as `_FeedbackPlan.count` does.  The
+    cover's count is then a sum over its colorings of G[S], and each term
+    is the row of that coloring's key, at least the least row.  The cover
+    restricts to a cover of G[S], so there are at least P_DP(G[S], m)
+    terms.  Any lower bound on P_DP(G[S], m) keeps the inequality: when
+    the edges inside S form a forest it is its chromatic polynomial
+    m^(components) (m - 1)^(edges), m for one vertex; otherwise L(G[S], m),
+    recursively (removing all but two vertices of G[S] leaves a forest, so
+    its feedback set is at least two smaller and the recursion ends).
+
+    Proof of L = P_DP when S = {c}: every edge from c blocks one color of
+    its other endpoint, so a key is a grouping of c's edges by the color
+    they block.  Conditioning on c's color a, a full cover counts
+    sum_a R(k_a, m) >= m * min R.  The cover whose forest edges are the
+    identity and whose edges from c in the j-th class of a least key shift
+    colors by j (mod m) blocks that key, relabeled, at every color of c,
+    so it counts m * min R exactly.
+    """
+    plan = g.plan(_FeedbackPlan)
+    least = plan.least_row(m)
+    size, inner = len(g.feedback_set), [(a, b) for a, b, _ in plan.inner]
+    if not spanning_forest(size, inner)[1]:
+        return least * m ** (size - len(inner)) * (m - 1) ** len(inner)
+    core = Graph(tuple(g.vertices[v] for v in g.feedback_set), tuple(inner))
+    return least * dp_lower_bound(core, m)
+
+
 def worker_count(flag: int | None = None) -> int:
     """Worker processes for the search: DPCHROMA_WORKERS when set (at least
     1), else the flag, else 1.  `OutOfRange` for a flag below 1 or a
@@ -711,7 +796,9 @@ def min_over_covers(
                                   search counts one cover per orbit.
     The first two count every cover and are the oracles of the third.  All
     return the same minimum; the witness is the first attaining cover in
-    enumeration order (see `_search_chunk`).
+    enumeration order (see `_search_chunk`).  The third stops at its first
+    count equal to `dp_lower_bound`, unless the bound's canonical keys
+    outnumber its covers.
     """
     if m < 1:
         raise OutOfRange("m must be positive")
@@ -734,16 +821,23 @@ def min_over_covers(
     if free_edges:
         firsts = cycle_type_representatives(m) if orderly else permutations(range(m))
         chunks = [(p,) for p in firsts]
+    stop = None
+    if orderly and _growth_string_count(len(g.plan(_FeedbackPlan).outer), m) <= candidates:
+        stop = dp_lower_bound(g, m)
     if workers is None:
         workers = worker_count()
-    args = [(g, m, free_edges, chunk, orderly) for chunk in chunks]
+    args = [(g, m, free_edges, chunk, orderly, stop) for chunk in chunks]
     if workers > 1 and len(chunks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             partials = list(pool.map(_search_chunk, args))
     else:
-        partials = [_search_chunk(a) for a in args]
+        partials = []
+        for a in args:
+            partials.append(_search_chunk(a))
+            if partials[-1][0] == stop:
+                break
     best_value, best_assignment = min(partials, key=lambda part: part[0])
     perms = dict(zip(free_edges, best_assignment))
     witness = FullCover.from_edge_perms(g, m, perms)
@@ -764,8 +858,12 @@ def _search_chunk(args) -> tuple[int, tuple[Perm, ...]]:
     skipped cover has an equal count earlier in enumeration order.  The
     first minimum is never skipped: value and witness are those of
     counting every cover.
+
+    No count falls below `stop` when one is given (`dp_lower_bound`), so
+    the first count equal to it is the chunk's first minimum, and the
+    search ends there.
     """
-    g, m, free_edges, prefix, orderly = args
+    g, m, free_edges, prefix, orderly, stop = args
     plan = g.plan(_FeedbackPlan)
     ident = identity_perm(m)
     perms: list[Perm] = [ident] * len(g.edges)
@@ -786,16 +884,19 @@ def _search_chunk(args) -> tuple[int, tuple[Perm, ...]]:
             ]
         return _orbit_sweep(m, group)
 
-    def rec(i: int, group):
+    def rec(i: int, group) -> bool:
+        """Search the edges from i on; True once a count reaches `stop`."""
         nonlocal best
         if i == len(remaining):
             value = plan.count(perms, m)
             if best is None or value < best[0]:
                 best = (value, tuple(perms[e] for e in free_edges))
-            return
+            return value == stop
         for p, subgroup in options(group, i + 1 < len(remaining)):
             perms[remaining[i]] = p
-            rec(i + 1, subgroup)
+            if rec(i + 1, subgroup):
+                return True
+        return False
 
     first = prefix[0] if orderly and remaining else ident
     rec(0, None if first == ident else _centralizer(first))

@@ -3,10 +3,11 @@
 At that level each free edge takes one twist per orbit of the
 permutations that commute with every earlier twist, so the search counts
 one cover per conjugacy orbit.  These tests check the centraliser it is
-built from and the cached orbit sweep, pin how many covers it counts,
-check that the two unpruned levels still count every cover, that searches
-at one fold share each sweep, and that a graph with at most one cotree
-edge never enumerates all m! permutations.
+built from and the cached orbit sweep, pin how many covers it counts with
+and without the stop at `dp_lower_bound`, check that the two unpruned
+levels still count every cover, that searches at one fold share each
+sweep, and that a graph with at most one cotree edge never enumerates all
+m! permutations.
 """
 
 from itertools import permutations
@@ -33,6 +34,8 @@ TREE = Graph.from_text((GOLDEN / "tree.txt").read_text())
 K4 = Graph.from_text((GOLDEN / "k4.txt").read_text())
 C5 = Graph(tuple("abcde"), ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
 TRIANGLE = Graph(tuple("abc"), ((0, 1), (1, 2), (0, 2)))
+K33 = Graph(tuple("abcxyz"), tuple((a, b) for a in range(3) for b in range(3, 6)))
+PRISM = Graph(tuple("abcxyz"), ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)))
 
 
 def theta(*lengths):
@@ -93,48 +96,72 @@ def test_cached_sweep_matches_an_uncached_sweep(m):
 
 
 def test_searches_at_one_fold_sweep_each_group_once():
+    """K_{3,3} and the prism at m = 4 have a loose lower bound (192 < 280
+    and 160 < 232), so both search every orbit and reach the same groups."""
     _orbit_sweep.cache_clear()
-    min_over_covers(BOWTIE, 5, workers=1)
+    min_over_covers(K33, 4, workers=1)
     first = _orbit_sweep.cache_info()
-    # one sweep per centraliser of a non-identity cycle type; (1,1,3) and
-    # (2,3) share theirs, C2 x C3
-    reps = cycle_type_representatives(5)[1:]
-    assert first.misses == len({_centralizer(p) for p in reps}) == len(reps) - 1
-    assert first.hits == 1
-    min_over_covers(theta(2, 2, 2), 5, workers=1)
+    # the centralisers of the four non-identity cycle types of 4, and six
+    # stabilisers inside them, each swept once over 726 sweeps
+    reps = cycle_type_representatives(4)[1:]
+    assert len({_centralizer(p) for p in reps}) == len(reps) == 4
+    assert (first.misses, first.hits) == (10, 716)
+    min_over_covers(PRISM, 4, workers=1)
     second = _orbit_sweep.cache_info()
     assert second.misses == first.misses
-    assert second.hits == first.hits + len(reps)
+    assert second.hits == first.hits + first.misses + first.hits
 
 
-@pytest.mark.parametrize(
-    "g, m, candidates, counted, value, twists",
-    [
-        (
-            BOWTIE, 6, 11 * 720, 901, 2400,
-            [("a", "b", [1, 2, 3, 4, 5, 6]), ("d", "e", [1, 2, 3, 4, 5, 6])],
-        ),
-        (
-            theta(2, 2, 2), 6, 11 * 720, 901, 2592,
-            [("u", "v_2_1", [2, 1, 4, 3, 6, 5]), ("u", "v_3_1", [3, 4, 5, 6, 1, 2])],
-        ),
-        (
-            K4, 4, 5 * 24 * 24, 681, 24,
-            [("b", "c", [1, 2, 3, 4]), ("b", "d", [1, 2, 3, 4]), ("c", "d", [1, 2, 3, 4])],
-        ),
-    ],
-    ids=["bowtie-6", "theta:2,2,2-6", "k4-4"],
-)
-def test_conjugacy_level_counts_one_cover_per_orbit(
-    plan_counts, g, m, candidates, counted, value, twists
-):
+# (graph, fold, candidates, covers counted with and without the stop at the
+# lower bound, value, witness twists)
+SEARCHES = {
+    "bowtie-6": (
+        BOWTIE, 6, 11 * 720, 1, 901, 2400,
+        [("a", "b", [1, 2, 3, 4, 5, 6]), ("d", "e", [1, 2, 3, 4, 5, 6])],
+    ),
+    "theta:2,2,2-6": (
+        theta(2, 2, 2), 6, 11 * 720, 594, 901, 2592,
+        [("u", "v_2_1", [2, 1, 4, 3, 6, 5]), ("u", "v_3_1", [3, 4, 5, 6, 1, 2])],
+    ),
+    "k4-4": (
+        K4, 4, 5 * 24 * 24, 1, 681, 24,
+        [("b", "c", [1, 2, 3, 4]), ("b", "d", [1, 2, 3, 4]), ("c", "d", [1, 2, 3, 4])],
+    ),
+    # loose bounds, L < P_DP: the stop never fires
+    "k33-3": (
+        K33, 3, 3 * 6**3, 251, 251, 14,
+        [("b", "y", [1, 3, 2]), ("b", "z", [2, 1, 3]), ("c", "y", [2, 3, 1]), ("c", "z", [3, 2, 1])],
+    ),
+    "prism-3": (
+        PRISM, 3, 3 * 6**3, 251, 251, 6,
+        [("a", "c", [1, 2, 3]), ("x", "z", [1, 2, 3]), ("b", "y", [2, 3, 1]), ("c", "z", [3, 1, 2])],
+    ),
+}
+
+
+def check_search(plan_counts, name, stopped):
+    g, m, candidates, counted, unstopped, value, twists = SEARCHES[name]
     result = min_over_covers(g, m, workers=1)
     # candidates still names the size of the level's cover space
     assert result.candidates == candidates
-    assert plan_counts[0] == counted
+    assert plan_counts[0] == (counted if stopped else unstopped)
     assert result.value == value
     got = [(*t["edge"], t["perm"]) for t in cover_to_json(result.cover)["twists"]]
     assert got == twists
+
+
+@pytest.mark.parametrize("name", SEARCHES)
+def test_conjugacy_level_counts_one_cover_per_orbit(plan_counts, name):
+    """The search ends at its first count equal to `dp_lower_bound`."""
+    check_search(plan_counts, name, stopped=True)
+
+
+@pytest.mark.parametrize("name", SEARCHES)
+def test_without_the_stop_every_orbit_is_counted(monkeypatch, plan_counts, name):
+    """With the bound out of reach the search counts one cover per orbit,
+    and finds the same value and witness."""
+    monkeypatch.setattr(covers, "dp_lower_bound", lambda g, m: -1)
+    check_search(plan_counts, name, stopped=False)
 
 
 @pytest.mark.parametrize(
