@@ -22,8 +22,8 @@ from .chromatic import (
 from .covers import (
     FullCover,
     PartitionSpec,
+    _growth_strings,
     count_colorings,
-    partitions_of,
     shift_cover,
     subset_walk,
     twist_profile,
@@ -333,12 +333,12 @@ def classify_generalized(spec: ThetaSpec) -> ParityClassification:
     return ParityClassification(spec, "eventually-less", witness, bound)
 
 
-def _avoidance_count(d: StarDecomposition, grouping: PartitionSpec) -> IntPoly:
-    """Colorings of the forest in which each leaf avoids its part's color:
-    m for the isolated center times the avoidance count of every tree, one
-    color-pattern transfer with the parts as avoided fixed colors."""
+def _avoidance_count(d: StarDecomposition, grouping: tuple[int, ...]) -> IntPoly:
+    """Colorings of the forest in which leaf d.alphas[i + 1] avoids color
+    grouping[i]: m for the isolated center times the avoidance count of
+    every tree, one color-pattern transfer with avoided fixed colors."""
     f = d.forest
-    return _transfer(f, {}, {f.index[v]: grouping.shift[v] for v in d.alphas[1:]})
+    return _transfer(f, {}, {f.index[v]: r for v, r in zip(d.alphas[1:], grouping)})
 
 
 def _forest_chromatic(d: StarDecomposition) -> IntPoly:
@@ -359,7 +359,8 @@ def partition_weight(d: StarDecomposition, partition: PartitionSpec) -> IntPoly:
     """
     if partition.vertex_set != frozenset(d.alphas):
         raise ValueError("partition must cover exactly the star's vertices")
-    return (_forest_chromatic(d) - _avoidance_count(d, partition)).exact_div(M)
+    grouping = tuple(partition.shift[v] for v in d.alphas[1:])
+    return (_forest_chromatic(d) - _avoidance_count(d, grouping)).exact_div(M)
 
 
 @dataclass(frozen=True)
@@ -384,19 +385,9 @@ class FeedbackPolynomialResult:
 
 #: Most star vertices that `fvs1_dp_polynomial` accepts.  A star with k
 #: vertices has Bell(k - 1) leaf groupings, each one transfer: a fan with
-#: 11 star vertices (Bell(10) = 115,975 groupings) took 77 s and 260 MB on
+#: 11 star vertices (Bell(10) = 115,975 groupings) took 58 s and 92 MB on
 #: a 2-vCPU VM with Python 3.11.
 FVS1_STAR_LIMIT = 10
-
-
-def _star_partitions(center: str, grouping: PartitionSpec) -> list[PartitionSpec]:
-    """The partitions of the star with this leaf grouping, center part
-    first: the center joins part c, or stands alone."""
-    parts = grouping.parts + (frozenset(),)
-    return [
-        PartitionSpec((parts[c] | {center},) + parts[:c] + parts[c + 1 : -1])
-        for c in range(len(parts))
-    ]
 
 
 def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
@@ -405,9 +396,12 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
     A shift cover whose star partition groups the leaves as r counts
     `_avoidance_count(r)`, the same for every place of the center.  The
     polynomial is the eventually least of these over the Bell(k - 1) leaf
-    groupings of a star with k <= `FVS1_STAR_LIMIT` vertices (ties resolved
-    to the earliest in restricted-growth order; tied groupings have the
-    same polynomial).
+    groupings of a star with k <= `FVS1_STAR_LIMIT` vertices, kept as
+    restricted-growth strings (`_growth_strings`; ties resolved to the
+    earliest; tied groupings have the same polynomial).  Only the answer's
+    star partitions are built: a tied grouping r has one star string per
+    place j of the center, which joins class j (or stands alone, j = r's
+    class count) in part 0, the classes below j moved up one.
     Since P(forest) = m * P(forest - center), it is P(forest) - m * weight,
     with weight the `partition_weight` of the winning partition; two counts
     differ by m times their weights' difference, so the winner, its ties
@@ -426,23 +420,26 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
         raise SearchBudgetExceeded(
             f"{len(d.alphas)} star vertices exceed FVS1_STAR_LIMIT = {FVS1_STAR_LIMIT}"
         )
-    groupings = partitions_of(d.alphas[1:])
+    k = len(d.alphas) - 1
+    groupings = list(_growth_strings(k, k))
     counts = [_avoidance_count(d, r) for r in groupings]
     best = 0
     for i in range(1, len(counts)):
         if eventual_compare(counts[i], counts[best])[0] == "less":
             best = i
     dp = counts[best]
-    maximizers = []
-    for r, c in zip(groupings, counts):
-        if c == dp:
-            maximizers += _star_partitions(d.center, r)
-    maximizers.sort(key=lambda p: [p.shift[v] for v in d.alphas])
+    stars = sorted(
+        (0,) + tuple(0 if x == j else x + (x < j) for x in r)
+        for r, c in zip(groupings, counts)
+        if c == dp
+        for j in range(max(r, default=-1) + 2)
+    )
+    maximizers = tuple(PartitionSpec.of_string(d.alphas, s) for s in stars)
     stable_from = max([g.n] + [crossover_bound(c - dp) for c in counts])
     weight = (_forest_chromatic(d) - dp).exact_div(M)
-    partition = _star_partitions(d.center, groupings[best])[0]
+    partition = PartitionSpec.of_string(d.alphas, (0,) + groupings[best])
     return FeedbackPolynomialResult(
-        g, d, partition, weight, dp, stable_from, tuple(maximizers)
+        g, d, partition, weight, dp, stable_from, maximizers
     )
 
 

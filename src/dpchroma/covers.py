@@ -22,8 +22,9 @@ its orbit sweeps are cached per process by fold and group
 proven lower bound (`dp_lower_bound`, the least row times a bound on the
 feedback set's own DP color function), which is exact with one feedback
 vertex.
-Star partitions (`partitions_of`) and their shift covers live here too;
-their weights are color-pattern transfers (`analysis._avoidance_count`).
+Set partitions have one enumerator, `_growth_strings` (row keys, FVS-1 leaf
+groupings, and star partitions in `partitions_of`); shift covers of star
+partitions live here too, weighed by `analysis._avoidance_count`.
 """
 
 from __future__ import annotations
@@ -472,7 +473,8 @@ def _growth_strings(k: int, most: int) -> Iterator[tuple[int, ...]]:
     """Every restricted-growth string of length k with at most `most`
     classes, in lex order: each entry names its class, and a class first
     appears one above the largest so far (k items partitioned, item 0 in
-    class 0).  These are the canonical keys of `_canonical`."""
+    class 0): the canonical keys of `_canonical`, and the package's one
+    set-partition enumerator."""
     rgs = [0] * k
 
     def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
@@ -660,6 +662,14 @@ class PartitionSpec:
                 raise ValueError("parts must be disjoint")
             union |= p
 
+    @classmethod
+    def of_string(cls, labels: Sequence[str], string: tuple[int, ...]) -> PartitionSpec:
+        """The partition that puts labels[i] in part string[i]."""
+        parts: list[list[str]] = [[] for _ in range(max(string, default=-1) + 1)]
+        for label, r in zip(labels, string):
+            parts[r].append(label)
+        return cls(tuple(frozenset(p) for p in parts))
+
     @cached_property
     def shift(self) -> dict[str, int]:
         return {v: r for r, part in enumerate(self.parts) for v in part}
@@ -670,25 +680,10 @@ class PartitionSpec:
 
 
 def partitions_of(labels: Sequence[str]) -> list[PartitionSpec]:
-    """All partitions in restricted-growth-string order; labels[0] sits in
-    part 0, and no labels have one partition with no parts."""
-    out: list[PartitionSpec] = []
+    """All partitions in restricted-growth-string order (`_growth_strings`);
+    labels[0] sits in part 0, and no labels have one partition with no parts."""
     k = len(labels)
-    rgs = [0] * k
-
-    def rec(i: int, used: int):
-        if i == k:
-            parts: list[set[str]] = [set() for _ in range(used)]
-            for j, r in enumerate(rgs):
-                parts[r].add(labels[j])
-            out.append(PartitionSpec(tuple(frozenset(p) for p in parts)))
-            return
-        for value in range(used + 1):
-            rgs[i] = value
-            rec(i + 1, max(used, value + 1))
-
-    rec(1 if k else 0, 1 if k else 0)
-    return out
+    return [PartitionSpec.of_string(labels, s) for s in _growth_strings(k, k)]
 
 
 def shift_cover(

@@ -578,6 +578,29 @@ def test_fvs1_fields_match_their_pinned_values():
         assert got == pin, pin["edges"]
 
 
+def test_fvs1_builds_partition_specs_only_for_its_answer(monkeypatch):
+    # the leaf groupings stay growth strings: `partition` and each of
+    # `maximizers` are the only PartitionSpecs built
+    built = []
+    post_init = PartitionSpec.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PartitionSpec, "__post_init__", counted)
+    pins = json.loads((Path(__file__).parent / "golden" / "fvs1_pins.json").read_text())
+    # fan(5) has 6 star vertices
+    graphs = [fan(5)] + [
+        Graph(tuple(f"x{i}" for i in range(pin["n"])), tuple(map(tuple, pin["edges"])))
+        for pin in pins
+    ]
+    for g in graphs:
+        built.clear()
+        result = fvs1_dp_polynomial(g)
+        assert len(built) == len(result.maximizers) + 1, g.edges
+
+
 def test_star_limit_refuses_the_stars_the_partition_count_refused(monkeypatch):
     # Bell(k) > Bell(10) = 115,975 exactly when k > 10 star vertices
     from dpchroma import analysis
@@ -591,7 +614,7 @@ def test_star_limit_refuses_the_stars_the_partition_count_refused(monkeypatch):
     def admitted(*args, **kwargs):
         raise Admitted
 
-    monkeypatch.setattr(analysis, "partitions_of", admitted)
+    monkeypatch.setattr(analysis, "_growth_strings", admitted)
     with pytest.raises(Admitted):
         fvs1_dp_polynomial(fan(analysis.FVS1_STAR_LIMIT - 1))
     with pytest.raises(SearchBudgetExceeded, match="11 star vertices exceed FVS1_STAR_LIMIT = 10"):
@@ -607,7 +630,7 @@ def test_dp_formula_refuses_stars_past_the_partition_limit(tmp_path, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("partitions enumerated past the limit")
 
-    monkeypatch.setattr(analysis, "partitions_of", refuse)
+    monkeypatch.setattr(analysis, "_growth_strings", refuse)
     monkeypatch.setattr(analysis, "_transfer", refuse)
     leaves = tuple(f"l{i:04d}" for i in range(4000))
     star = Graph(("a",) + leaves, tuple((0, i) for i in range(1, 4001)))

@@ -1,11 +1,12 @@
 import json
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from dpchroma.covers import (
     FullCover,
+    _canonical,
     count_colorings,
     cover_to_json,
     cycle_type_representatives,
@@ -383,6 +384,20 @@ def test_partitions_of_order_and_count():
     assert parts[-1].parts == (frozenset({"a"}), frozenset({"b"}), frozenset({"c"}))
     assert all("a" in p.parts[0] for p in parts)
     assert len(partitions_of(tuple("abcd"))) == 15
+    # every k = 0..7 against the canonical forms of all k^k colour strings
+    for k in range(8):
+        labels = tuple("abcdefg"[:k])
+        strings = sorted({_canonical(t) for t in product(range(k), repeat=k)})
+        want = [
+            PartitionSpec(
+                tuple(
+                    frozenset(x for x, r in zip(labels, s) if r == c)
+                    for c in range(len(set(s)))
+                )
+            )
+            for s in strings
+        ]
+        assert partitions_of(labels) == want, k
 
 
 def test_shift_cover_examples():
