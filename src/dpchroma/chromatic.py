@@ -8,7 +8,10 @@ Sokal, J. Stat. Phys. 2001): each next vertex is the one that leaves the
 fewest vertices active.  The order and its per-step table are built once
 per graph and shared by every transfer on it.  Its states are the
 partitions of the active vertices by equal color, so its cost follows the
-width of that order, not the number of cycles.  Generalized Theta graphs
+width of that order, not the number of cycles.  What a state becomes at a
+step depends on a few small tuples and not on the graph, so those moves
+are worked out once per process, in a bounded table that every transfer
+reads (`_moves`).  Generalized Theta graphs
 additionally get the classical closed form, which the rest of the package
 cross-checks against the transfer; the edge-deleted forms and the
 edge-pair surgery family read it.  These forms are pure functions of the
@@ -19,7 +22,7 @@ path lengths, so each is built once per argument and kept for the process
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import zip_longest
 from typing import Mapping, NamedTuple
 
@@ -41,7 +44,9 @@ def chromatic_polynomial(g: Graph) -> IntPoly:
     return _transfer(g, {}, {})
 
 
-def _transfer_steps(g: Graph) -> list[tuple[int, list[int], list[int], bool]]:
+def _transfer_steps(
+    g: Graph,
+) -> list[tuple[int, tuple[int, ...], tuple[int, ...], bool]]:
     """The transfer's walk over g, which no coloring constraint changes.
 
     The order takes each component from a least-degree vertex, then always
@@ -49,19 +54,25 @@ def _transfer_steps(g: Graph) -> list[tuple[int, list[int], list[int], bool]]:
     the fewest vertices active once it enters: +1 if it has an unentered
     neighbor, -1 per entered neighbor it is the last to reach.  Ties go to
     the most entered neighbors, then to the fewest unentered ones, then to
-    the lower index.  A vertex is active from its entry until its last
-    neighbor enters, so once v enters, an active vertex stays exactly when
-    it still has an unentered neighbor.  Each step records v, the positions
-    of its neighbors among the active vertices, the positions of the active
-    vertices that stay, and whether v stays.  Built once per graph
-    (`Graph.plan`).  Each step's scan of the frontier counts against
-    `CHROMATIC_WORK_LIMIT`: a chromatic transfer's own work is at least
-    that count, so the order refuses no graph `chromatic_polynomial` would
-    answer.  Precolored and FVS-1 transfers share the order and its cap
-    but can make fewer updates than it scans: a star with 7,000 precolored
-    leaves is refused by its order, where its transfer would answer."""
+    the lower index.  That last term is kept as the walk goes:
+    `retired[x]` counts the entered neighbors whose one unentered neighbor
+    is x, and it rises when a vertex enters with one unentered neighbor or
+    an entered vertex falls to one, so a score costs O(1).  A vertex is
+    active from its entry until its last neighbor enters, so once v
+    enters, an active vertex stays exactly when it still has an unentered
+    neighbor.  Each step records v, the positions of its neighbors among
+    the active vertices, the positions of the active vertices that stay,
+    both as tuples, so that they key `_moves`, and whether v stays.  Built
+    once per graph (`Graph.plan`).  Each step's scan of the frontier
+    counts against `CHROMATIC_WORK_LIMIT`: a chromatic transfer's own work
+    is at least that count, so the order refuses no graph
+    `chromatic_polynomial` would answer.  Precolored and FVS-1 transfers
+    share the order and its cap but can make fewer updates than it scans:
+    a star with 7,000 precolored leaves is refused by its order, where its
+    transfer would answer."""
     adj = g.adjacency
     left = [len(a) for a in adj]  # unentered neighbors
+    retired = [0] * g.n
     roots = iter(sorted(range(g.n), key=left.__getitem__))
     entered = [False] * g.n
     frontier: set[int] = set()
@@ -70,8 +81,10 @@ def _transfer_steps(g: Graph) -> list[tuple[int, list[int], list[int], bool]]:
     scans = 0
 
     def score(x: int) -> tuple[int, int, int, int]:
-        retired = sum(entered[u] and left[u] == 1 for u in adj[x])
-        return (left[x] > 0) - retired, left[x] - len(adj[x]), left[x], x
+        return (left[x] > 0) - retired[x], left[x] - len(adj[x]), left[x], x
+
+    def retire(u: int):  # u has one unentered neighbor left
+        retired[next(x for x in adj[u] if not entered[x])] += 1
 
     for i in range(g.n):
         scans += len(frontier)
@@ -92,8 +105,12 @@ def _transfer_steps(g: Graph) -> list[tuple[int, list[int], list[int], bool]]:
             left[u] -= 1
             if not entered[u]:
                 frontier.add(u)
-        near = [k for k, u in enumerate(active) if u in adj[v]]
-        keep = [k for k, u in enumerate(active) if left[u] > 0]
+            elif left[u] == 1:
+                retire(u)
+        if left[v] == 1:
+            retire(v)
+        near = tuple(k for k, u in enumerate(active) if u in adj[v])
+        keep = tuple(k for k, u in enumerate(active) if left[u] > 0)
         stays = left[v] > 0
         active = [active[k] for k in keep] + [v] * stays
         steps.append((v, near, keep, stays))
@@ -107,15 +124,10 @@ def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> I
     m at which the fixed colors are colors.
 
     The walk is `_transfer_steps`.  A state gives each active vertex the
-    label of its color block: labels below s are the s fixed colors, and
-    the others are numbered from s in order of first appearance, so equal
-    partitions are equal tuples.  Its weight, a coefficient list, counts
-    the colorings of the entered vertices that induce it.  With b blocks
-    (the s fixed ones included), an entering vertex joins a block that
-    holds none of its neighbors, or takes one of the m - b new colors; a
-    fixed vertex may only join its own block, and an avoiding vertex treats
-    its avoided block as taken.  Retired vertices are dropped and equal
-    states merge.
+    label of its color block, and its weight, a coefficient list, counts
+    the colorings of the entered vertices that induce it.  Each state's
+    moves at a step come from `_moves`; a move either passes the weight on
+    or multiplies it by m - b.  Equal states merge.
     """
     s = 1 + max([*named.values(), *avoid.values()], default=-1)
     states: dict[tuple[int, ...], list[int]] = {(): [1]}
@@ -124,26 +136,7 @@ def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> I
         fixed, shun = named.get(v), avoid.get(v)
         merged: dict[tuple[int, ...], list[int]] = {}
         for labels, w in states.items():
-            b = max(s, max(labels, default=-1) + 1)
-            taken = {labels[k] for k in near}
-            if shun is not None:
-                taken.add(shun)
-            free: dict[int, int] = {}  # the kept free blocks, renumbered in order
-            kept = tuple(
-                a if a < s else free.setdefault(a, s + len(free))
-                for a in map(labels.__getitem__, keep)
-            )
-            fresh = s + len(free)
-            if fixed is not None:
-                moves = [] if fixed in taken else [(fixed, w)]
-            elif stays:
-                moves = [
-                    (c if c < s else free.get(c, fresh), w) for c in range(b) if c not in taken
-                ]
-                moves.append((fresh, [p - b * q for p, q in zip([0] + w, w + [0])]))
-            else:  # retiring on entry, v leaves one state for all m - |taken| colors
-                t = len(taken)
-                moves = [(fresh, [p - t * q for p, q in zip([0] + w, w + [0])])]
+            moves = _moves(labels, near, keep, stays, fixed, shun, s)
             work += len(w) * len(moves)
             if work > CHROMATIC_WORK_LIMIT:
                 raise SearchBudgetExceeded(
@@ -151,14 +144,66 @@ def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> I
                     f"{CHROMATIC_WORK_LIMIT:,} coefficient updates at vertex "
                     f"{i + 1} of {g.n} ({len(states):,} states)"
                 )
-            for c, x in moves:
-                key = kept + (c,) * stays
+            for key, b in moves:
+                x = w if b is None else [p - b * q for p, q in zip([0] + w, w + [0])]
                 old = merged.get(key)
                 merged[key] = x if old is None else [
                     p + q for p, q in zip_longest(old, x, fillvalue=0)
                 ]
         states = merged
     return IntPoly(states.get((), ()))
+
+
+#: Entries `_moves` keeps, least recently used out first.  Narrow graphs
+#: meet few distinct moves and meet them again and again: `verify --suite
+#: all` 359 over 22,180 lookups, a fan with 10 star vertices 560 over
+#: 800,918.  A wide graph meets many that rarely recur: the 8x8 grid
+#: 33,272 over 57,467, which kept whole cost 18 MB of peak memory (29 ->
+#: 52 MB for `chrom`) for no gain in time.  At this bound that grid keeps
+#: its time and peaks at 33 MB; at 1,024 it peaked at 32 MB with a fifth
+#: of the hits (3,601 against 19,236).
+_MOVE_TABLE_SIZE = 4096
+
+
+@lru_cache(maxsize=_MOVE_TABLE_SIZE)
+def _moves(
+    labels: tuple[int, ...],
+    near: tuple[int, ...],
+    keep: tuple[int, ...],
+    stays: bool,
+    fixed: int | None,
+    shun: int | None,
+    s: int,
+) -> tuple[tuple[tuple[int, ...], int | None], ...]:
+    """The moves of one state as a vertex v enters: pairs (key, b), the
+    key the state becomes and b None when its weight passes on unchanged,
+    or the weight times m - b.
+
+    Labels below s are the s fixed colors, and the others are numbered
+    from s in order of first appearance, so equal partitions are equal
+    tuples.  With b blocks (the s fixed ones included), v joins a block
+    that holds none of its neighbors (the active vertices at `near`), or
+    takes one of the m - b new colors; v fixed to a color may only join
+    its own block, and v that avoids a color treats that block as taken.
+    The key keeps the labels at `keep`, their free blocks renumbered, and
+    v's own block when v `stays`.  A pure function of its arguments, so
+    it is kept in a process-wide table (`_MOVE_TABLE_SIZE`)."""
+    b = max(s, max(labels, default=-1) + 1)
+    taken = {labels[k] for k in near}
+    if shun is not None:
+        taken.add(shun)
+    free: dict[int, int] = {}  # the kept free blocks, renumbered in order
+    kept = tuple(
+        a if a < s else free.setdefault(a, s + len(free)) for a in map(labels.__getitem__, keep)
+    )
+    fresh = s + len(free)
+    if fixed is not None:
+        return () if fixed in taken else ((kept + (fixed,) * stays, None),)
+    if not stays:  # retiring on entry, v leaves one state for all m - |taken| colors
+        return ((kept, len(taken)),)
+    # a free block v may join holds a vertex that is not v's neighbor, so stays
+    joins = tuple((kept + (c if c < s else free[c],), None) for c in range(b) if c not in taken)
+    return joins + ((kept + (fresh,), b),)
 
 
 def theta_closed_form(lengths: tuple[int, ...]) -> IntPoly:

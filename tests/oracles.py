@@ -1,8 +1,11 @@
 """Independent brute-force oracles for the test suite.
 
-Everything here enumerates but `theta_transfer_count`: no transfer
-counting, no deletion-contraction.  Tests freeze expected values computed
-by these oracles or compare the fast paths against them directly.  The two
+Everything here enumerates but `theta_transfer_count` and
+`reference_transfer`: no deletion-contraction.  Tests freeze expected
+values computed by these oracles or compare the fast paths against them
+directly.  `reference_transfer` is the colour-pattern transfer as it was
+before its moves were tabled, each state's moves worked out afresh on the
+same walk, the reference of `chromatic._transfer` and its refusals.  The two
 subset sums run the package's one inclusion-exclusion oracle,
 `verify.subset_sum`; `subset_agreement_count` answers one subset of a
 cover from a fresh forest pass, the oracle of `covers.subset_walk`;
@@ -14,9 +17,11 @@ tests read.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, zip_longest
 
+from dpchroma import chromatic
 from dpchroma.covers import FullCover, _transport, compose, identity_perm, invert_perm
+from dpchroma.errors import SearchBudgetExceeded
 from dpchroma.graphs import EdgeSubset, Graph, _bits, component_count, spanning_forest
 from dpchroma.poly import IntPoly
 from dpchroma.verify import subset_sum
@@ -64,6 +69,54 @@ def theta_transfer_count(g: Graph, m: int, perms) -> int:
             term *= base + bonus if c[a] == b else base
         total += term
     return total
+
+
+def reference_transfer(g: Graph, named, avoid) -> IntPoly:
+    """`chromatic._transfer` with each state's moves worked out at every
+    step, its meter charging the same updates and its refusal reading
+    `chromatic.CHROMATIC_WORK_LIMIT` when called, as a test may patch it."""
+    s = 1 + max([*named.values(), *avoid.values()], default=-1)
+    states: dict[tuple[int, ...], list[int]] = {(): [1]}
+    work = 0
+    for i, (v, near, keep, stays) in enumerate(g.plan(chromatic._transfer_steps)):
+        fixed, shun = named.get(v), avoid.get(v)
+        merged: dict[tuple[int, ...], list[int]] = {}
+        for labels, w in states.items():
+            b = max(s, max(labels, default=-1) + 1)
+            taken = {labels[k] for k in near}
+            if shun is not None:
+                taken.add(shun)
+            free: dict[int, int] = {}  # the kept free blocks, renumbered in order
+            kept = tuple(
+                a if a < s else free.setdefault(a, s + len(free))
+                for a in map(labels.__getitem__, keep)
+            )
+            fresh = s + len(free)
+            if fixed is not None:
+                moves = [] if fixed in taken else [(fixed, w)]
+            elif stays:
+                moves = [
+                    (c if c < s else free.get(c, fresh), w) for c in range(b) if c not in taken
+                ]
+                moves.append((fresh, [p - b * q for p, q in zip([0] + w, w + [0])]))
+            else:  # retiring on entry, v leaves one state for all m - |taken| colors
+                t = len(taken)
+                moves = [(fresh, [p - t * q for p, q in zip([0] + w, w + [0])])]
+            work += len(w) * len(moves)
+            if work > chromatic.CHROMATIC_WORK_LIMIT:
+                raise SearchBudgetExceeded(
+                    f"the chromatic transfer passed CHROMATIC_WORK_LIMIT = "
+                    f"{chromatic.CHROMATIC_WORK_LIMIT:,} coefficient updates at vertex "
+                    f"{i + 1} of {g.n} ({len(states):,} states)"
+                )
+            for c, x in moves:
+                key = kept + (c,) * stays
+                old = merged.get(key)
+                merged[key] = x if old is None else [
+                    p + q for p, q in zip_longest(old, x, fillvalue=0)
+                ]
+        states = merged
+    return IntPoly(states.get((), ()))
 
 
 def cycle_type(p) -> tuple[int, ...]:

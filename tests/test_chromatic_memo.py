@@ -25,6 +25,7 @@ from dpchroma.chromatic import (
     chromatic_polynomial,
     precolored_count,
     precolored_polynomial,
+    theta_closed_form,
 )
 from dpchroma.cli import main
 from dpchroma.covers import count_colorings, identity_cover
@@ -33,7 +34,7 @@ from dpchroma.graphs import Graph, ThetaSpec, build_generalized_theta, spanning_
 from dpchroma.poly import M, IntPoly
 from dpchroma.verify import _valid_length_tuples
 
-from oracles import chromatic_by_subsets, to_text, transversal_count
+from oracles import chromatic_by_subsets, reference_transfer, to_text, transversal_count
 
 
 def reference_chrom(n, edges):
@@ -169,6 +170,87 @@ def test_theta_identity_graphs_against_plain_recursion():
         assert chromatic_polynomial(g) == reference_chrom(g.n, list(g.edges)), g.edges
 
 
+class WorkMeter:
+    """Stands in for CHROMATIC_WORK_LIMIT: refuses nothing and keeps the
+    largest count compared with it, a transfer's whole work."""
+
+    def __init__(self):
+        self.need = 0
+
+    def __lt__(self, work: int) -> bool:  # `work > limit` lands here
+        self.need = max(self.need, work)
+        return False
+
+
+def transfer_outcome(transfer, g: Graph, named, avoid) -> IntPoly | str:
+    try:
+        return transfer(g, named, avoid)
+    except SearchBudgetExceeded as exc:
+        return str(exc)
+
+
+def transfer_cases() -> list[tuple[Graph, dict, dict]]:
+    """The 840 theta-identity graphs, and 200 seeded random graphs with
+    random fixed and avoided colors, a vertex sometimes given both."""
+    rng = random.Random(2828)
+    cases = [(g, {}, {}) for g in theta_identity_graphs()]
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 10), 14)
+        s = rng.randint(1, 3)
+        named = {v: rng.randrange(s) for v in range(g.n) if rng.random() < 0.25}
+        avoid = {v: rng.randrange(s) for v in range(g.n) if rng.random() < 0.4}
+        cases.append((g, named, avoid))
+    return cases
+
+
+@pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+def test_tabled_moves_match_the_reference_transfer(monkeypatch, cold):
+    # cold clears the move table before every transfer; warm lets it fill
+    # across all 1,040 of them, as one process does
+    rng = random.Random(1040)
+    refusals = 0
+
+    def tabled(g, named, avoid):
+        if cold:
+            chromatic._moves.cache_clear()
+        return chromatic._transfer(g, named, avoid)
+
+    for g, named, avoid in transfer_cases():
+        monkeypatch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", CHROMATIC_WORK_LIMIT)
+        g.plan(chromatic._transfer_steps)  # so the order's scans meet no meter
+        meter = WorkMeter()
+        monkeypatch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", meter)
+        want = reference_transfer(g, named, avoid)
+        limits = [CHROMATIC_WORK_LIMIT, meter.need]
+        if meter.need:
+            limits.append(rng.randrange(meter.need))
+        for limit in limits:
+            monkeypatch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", limit)
+            got = transfer_outcome(tabled, g, named, avoid)
+            assert got == transfer_outcome(reference_transfer, g, named, avoid), (
+                g.edges, named, avoid, limit,
+            )
+            if limit < meter.need:
+                refusals += 1
+                assert "coefficient updates at vertex" in got
+            else:
+                assert got == want
+    assert refusals >= 1000
+
+
+def test_the_move_table_stays_bounded():
+    # the 7x7 grid meets 6,478 distinct moves, more than the table keeps
+    # (the 6x6 grid meets 1,353); every answer after it is still right
+    chromatic._moves.cache_clear()
+    assert chromatic_polynomial(grid(7, 7))(2) == 2
+    info = chromatic._moves.cache_info()
+    assert info.maxsize == chromatic._MOVE_TABLE_SIZE
+    assert info.misses > info.maxsize >= info.currsize
+    spec = ThetaSpec((2, 3, 4))
+    assert chromatic_polynomial(build_generalized_theta(spec)) == theta_closed_form(spec.lengths)
+    assert chromatic_polynomial(grid(4, 5)) == chromatic_polynomial(grid(4, 5, by_rows=False))
+
+
 def transfer_order(g: Graph) -> list[int]:
     return [v for v, *_ in chromatic._transfer_steps(g)]
 
@@ -222,16 +304,43 @@ def scored_frontier_order(g: Graph) -> list[int]:
     return order
 
 
+def star(leaves: int) -> Graph:
+    edges = tuple((0, i) for i in range(1, leaves + 1))
+    return Graph(tuple(f"s{i:03d}" for i in range(leaves + 1)), edges)
+
+
+def broom(handle: int, leaves: int) -> Graph:
+    """A path of `handle` edges, `leaves` leaves on its last vertex."""
+    edges = [(i, i + 1) for i in range(handle)]
+    edges += [(handle, handle + 1 + i) for i in range(leaves)]
+    return Graph(tuple(f"b{i:03d}" for i in range(handle + leaves + 1)), tuple(edges))
+
+
+def path(n: int) -> Graph:
+    return Graph(tuple(f"p{i:03d}" for i in range(n)), tuple((i, i + 1) for i in range(n - 1)))
+
+
+def with_isolated(g: Graph, extra: int) -> Graph:
+    return Graph(g.vertices + tuple(f"z{i:03d}" for i in range(extra)), g.edges)
+
+
 def test_a_lone_frontier_vertex_is_taken_in_the_same_order():
+    # the order keeps each vertex's retired count as it goes; stars,
+    # brooms and paths enter many vertices with exactly one unentered
+    # neighbor, the steps that count rises on
     rng = random.Random(2024)
     graphs = theta_identity_graphs()
     graphs += [random_graph(rng, rng.randint(1, 14), 24) for _ in range(300)]
     graphs += [relabeled(g, rng) for g in graphs[-100:]]
+    shapes = [star(k) for k in (1, 2, 5, 30)] + [path(n) for n in (1, 2, 3, 17)]
+    shapes += [broom(h, k) for h in (1, 2, 6) for k in (1, 3, 12)]
+    shapes += [with_isolated(g, 3) for g in shapes[::3]] + [with_isolated(path(0), 4)]
+    graphs += shapes + [relabeled(g, rng) for g in shapes for _ in range(3)]
     for g in graphs:
         assert transfer_order(g) == scored_frontier_order(g), g.edges
 
 
-def reference_transfer_steps(g: Graph) -> list[tuple[int, list[int], list[int], bool]]:
+def reference_transfer_steps(g: Graph) -> list[tuple[int, tuple[int, ...], tuple[int, ...], bool]]:
     """The step table as a second pass over the order, as it was built
     before the order's own walk recorded it: a vertex is active from its
     entry step until the step its last neighbor enters.  (A lone frontier
@@ -243,8 +352,8 @@ def reference_transfer_steps(g: Graph) -> list[tuple[int, list[int], list[int], 
     active: list[int] = []
     steps = []
     for i, v in enumerate(order):
-        near = [k for k, u in enumerate(active) if u in adj[v]]
-        keep = [k for k, u in enumerate(active) if last[u] > i]
+        near = tuple(k for k, u in enumerate(active) if u in adj[v])
+        keep = tuple(k for k, u in enumerate(active) if last[u] > i)
         stays = last[v] > i
         active = [active[k] for k in keep] + [v] * stays
         steps.append((v, near, keep, stays))
