@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from heapq import heappop, heappush
 from itertools import zip_longest
 from typing import Mapping, NamedTuple
 
@@ -57,54 +58,45 @@ def _transfer_steps(
     the lower index.  That last term is kept as the walk goes:
     `retired[x]` counts the entered neighbors whose one unentered neighbor
     is x, and it rises when a vertex enters with one unentered neighbor or
-    an entered vertex falls to one, so a score costs O(1).  A vertex is
+    an entered vertex falls to one, so a score costs O(1).  The frontier
+    is a binary heap of score tuples: x's tuple is pushed each time its
+    score changes, and an entry is stale once x has entered or its tuple
+    is no longer `score(x)`.  A score only falls and ends in the vertex
+    index, so the least entry that is not stale is the frontier's `min`,
+    and the walk costs O((n + |E|) log n): it needs no budget of its own,
+    and `CHROMATIC_WORK_LIMIT` meters the transfer alone.  A vertex is
     active from its entry until its last neighbor enters, so once v
     enters, an active vertex stays exactly when it still has an unentered
     neighbor.  Each step records v, the positions of its neighbors among
     the active vertices, the positions of the active vertices that stay,
     both as tuples, so that they key `_moves`, and whether v stays.  Built
-    once per graph (`Graph.plan`).  Each step's scan of the frontier
-    counts against `CHROMATIC_WORK_LIMIT`: a chromatic transfer's own work
-    is at least that count, so the order refuses no graph
-    `chromatic_polynomial` would answer.  Precolored and FVS-1 transfers
-    share the order and its cap but can make fewer updates than it scans:
-    a star with 7,000 precolored leaves is refused by its order, where its
-    transfer would answer."""
+    once per graph (`Graph.plan`)."""
     adj = g.adjacency
     left = [len(a) for a in adj]  # unentered neighbors
     retired = [0] * g.n
     roots = iter(sorted(range(g.n), key=left.__getitem__))
     entered = [False] * g.n
-    frontier: set[int] = set()
+    heap: list[tuple[int, int, int, int]] = []
     active: list[int] = []
     steps = []
-    scans = 0
 
     def score(x: int) -> tuple[int, int, int, int]:
         return (left[x] > 0) - retired[x], left[x] - len(adj[x]), left[x], x
 
     def retire(u: int):  # u has one unentered neighbor left
-        retired[next(x for x in adj[u] if not entered[x])] += 1
+        x = next(x for x in adj[u] if not entered[x])
+        retired[x] += 1
+        heappush(heap, score(x))
 
-    for i in range(g.n):
-        scans += len(frontier)
-        if scans > CHROMATIC_WORK_LIMIT:
-            raise SearchBudgetExceeded(
-                f"the transfer's vertex order passed CHROMATIC_WORK_LIMIT = "
-                f"{CHROMATIC_WORK_LIMIT:,} frontier scans at vertex {i + 1} of {g.n}"
-            )
-        if len(frontier) > 1:
-            v = min(frontier, key=score)
-        elif frontier:  # one candidate: no score to compare
-            (v,) = frontier
-        else:
-            v = next(r for r in roots if not entered[r])
+    for _ in range(g.n):
+        while heap and (entered[heap[0][3]] or heap[0] != score(heap[0][3])):
+            heappop(heap)
+        v = heappop(heap)[3] if heap else next(r for r in roots if not entered[r])
         entered[v] = True
-        frontier.discard(v)
         for u in adj[v]:
             left[u] -= 1
             if not entered[u]:
-                frontier.add(u)
+                heappush(heap, score(u))
             elif left[u] == 1:
                 retire(u)
         if left[v] == 1:

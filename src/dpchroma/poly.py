@@ -16,8 +16,6 @@ from .errors import InexactDivision
 
 Ordering = Literal["less", "equal", "greater"]
 
-NEG_INF = -math.inf
-
 
 class IntPoly:
     """Immutable polynomial over the integers."""
@@ -32,11 +30,6 @@ class IntPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
-
-    @property
-    def degree(self) -> int | float:
-        """Degree, with -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
     def is_zero(self) -> bool:
         return not self.coeffs

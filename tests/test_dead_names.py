@@ -11,8 +11,8 @@ as an attribute.  Four rules:
   registers by its decorator;
 - an import needs a load of the name it binds in its own module; the
   package's `__init__.py` reads its imports by exporting them;
-- a method or property of a class (not a dunder) needs a reader in `src/`
-  outside its own body: one that only the tests call belongs in
+- a method or property of a class (not a dunder) needs an attribute read
+  in `src/` outside its own body: one that only the tests call belongs in
   `tests/oracles.py`.
 """
 
@@ -102,20 +102,16 @@ def test_every_import_is_read_by_its_module():
     assert unread == []
 
 
-def _read_counts(node):
-    """How often each name is loaded or read as an attribute inside `node`."""
-    counts = Counter()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            counts[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
-            counts[sub.attr] += 1
-    return counts
+def _attribute_reads(node):
+    """How often each name is read as an attribute inside `node`: a method
+    is reached only through its object, so a bare load of the same name (a
+    local variable, say) does not read it."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
 
 
 def test_every_method_is_read_in_src():
     modules = list(_modules())
-    reads = sum((_read_counts(tree) for _, tree in modules), Counter())
+    reads = sum((_attribute_reads(tree) for _, tree in modules), Counter())
     unread = [
         f"{module}:{node.lineno} {cls.name}.{node.name}"
         for module, tree in modules
@@ -124,6 +120,6 @@ def test_every_method_is_read_in_src():
         for node in cls.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not node.name.startswith("__")
-        and reads[node.name] == _read_counts(node)[node.name]
+        and reads[node.name] == _attribute_reads(node)[node.name]
     ]
     assert unread == []
