@@ -30,7 +30,7 @@ from .analysis import (
 )
 from .chromatic import chromatic_polynomial, theta_chromatic
 from .covers import SEARCH_BUDGET, cover_to_json, min_over_covers, worker_count
-from .errors import DpchromaError, GraphTooLarge, OutOfRange, SearchBudgetExceeded
+from .errors import DpchromaError, OutOfRange, SearchBudgetExceeded
 from .graphs import Graph, ThetaSpec, build_generalized_theta
 from .poly import poly_to_json
 from .verify import SUITES, run_suites
@@ -76,11 +76,7 @@ def _polynomial_output(args, key: str, name: str, poly):
 
 
 def cmd_chrom(args):
-    if args.limit < 0:
-        raise OutOfRange(f"--limit must be non-negative, not {args.limit}")
     g = load_graph(args.source)
-    if g.n > args.limit:
-        raise GraphTooLarge(f"{g.n} vertices exceeds limit {args.limit}")
     check_fold(args.m)
     return _polynomial_output(args, "source", args.source, chromatic_polynomial(g))
 
@@ -288,7 +284,6 @@ def _add_format(p, default="text", choices=("text", "json")):
 def _chrom_arguments(p):
     p.add_argument("source", help="theta:l1,l2,... or a graph file")
     p.add_argument("--m", type=int, default=None, help="also evaluate at this fold")
-    p.add_argument("--limit", type=int, default=16, help="vertex-count limit")
     _add_format(p)
     p.set_defaults(func=cmd_chrom)
 

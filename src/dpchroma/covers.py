@@ -30,6 +30,7 @@ partitions live here too, weighed by `analysis._avoidance_count`.
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import permutations, product
@@ -791,9 +792,10 @@ def min_over_covers(
                                   search counts one cover per orbit.
     The first two count every cover and are the oracles of the third.  All
     return the same minimum; the witness is the first attaining cover in
-    enumeration order (see `_search_chunk`).  The third stops at its first
-    count equal to `dp_lower_bound`, unless the bound's canonical keys
-    outnumber its covers.
+    enumeration order (see `_search_chunk`).  At any worker count the third
+    stops at its first count equal to `dp_lower_bound`, unless the bound's
+    canonical keys outnumber its covers: chunk results are read in order,
+    and a pool is left after the chunk that reaches the bound.
     """
     if m < 1:
         raise OutOfRange("m must be positive")
@@ -819,19 +821,19 @@ def min_over_covers(
     stop = None
     if orderly and _growth_string_count(len(g.plan(_FeedbackPlan).outer), m) <= candidates:
         stop = dp_lower_bound(g, m)
-    if workers is None:
-        workers = worker_count()
+    workers = min(worker_count() if workers is None else workers, len(chunks))
     args = [(g, m, free_edges, chunk, orderly, stop) for chunk in chunks]
-    if workers > 1 and len(chunks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    pool, results = nullcontext(), map(_search_chunk, args)
+    if workers > 1:
+        from multiprocessing import Pool
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            partials = list(pool.map(_search_chunk, args))
-    else:
-        partials = []
-        for a in args:
-            partials.append(_search_chunk(a))
-            if partials[-1][0] == stop:
+        pool = Pool(workers)
+        results = pool.imap(_search_chunk, args)
+    partials = []
+    with pool:  # leaving a pool terminates the chunks it still runs
+        for part in results:
+            partials.append(part)
+            if part[0] == stop:
                 break
     best_value, best_assignment = min(partials, key=lambda part: part[0])
     perms = dict(zip(free_edges, best_assignment))

@@ -8,7 +8,6 @@ formula bug rather than a data condition.
 
 from __future__ import annotations
 
-import math
 from functools import reduce
 from typing import Iterable, Literal
 
@@ -167,11 +166,13 @@ def prod(polys: Iterable[IntPoly]) -> IntPoly:
 def forest_polynomial(trees: int, edges: int) -> IntPoly:
     """m^trees (m-1)^edges, the chromatic polynomial of a forest.
 
-    Built from the binomial expansion of (m-1)^edges, with no products.
+    Built from the binomial expansion of (m-1)^edges, each coefficient from the last.
     """
-    return IntPoly(
-        [0] * trees + [(-1) ** (edges - j) * math.comb(edges, j) for j in range(edges + 1)]
-    )
+    coeffs, c = [0] * trees, sign(edges)
+    for j in range(edges + 1):
+        coeffs.append(c)
+        c = -c * (edges - j) // (j + 1)
+    return IntPoly(coeffs)
 
 
 def power_m1(e: int) -> IntPoly:

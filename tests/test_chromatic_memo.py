@@ -455,7 +455,7 @@ def test_sparse_16_vertex_graph_against_the_feedback_set_counter(tmp_path, capsy
 def test_wide_grid_is_refused_by_the_work_limit(tmp_path, capsys):
     path = tmp_path / "grid10.txt"
     path.write_text(to_text(grid(10, 10)))
-    assert main(["chrom", str(path), "--limit", "100"]) == 2
+    assert main(["chrom", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("dpchroma: search budget exceeded: ")

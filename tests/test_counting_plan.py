@@ -6,11 +6,12 @@ row table per fold.
 These tests compare the search with a plain loop that calls
 `count_from_edge_perms` on every candidate (so the orderly conjugacy level,
 which counts one cover per orbit, must return the plain loop's first
-minimum), pin new grid values, and check
-that the process pool never asks for more workers than there are chunks.
+minimum), pin new grid values, and check that the process pool never
+asks for more workers than there are chunks and is left at the first chunk
+that reaches the proven lower bound.
 """
 
-import concurrent.futures
+import multiprocessing
 from itertools import permutations, product
 from pathlib import Path
 
@@ -112,26 +113,53 @@ def test_bowtie_at_fold_6_equals_the_fvs1_polynomial():
     assert result.value == 2400 == fvs1_dp_polynomial(BOWTIE).dp_polynomial(6)
 
 
-def test_pool_is_capped_at_the_number_of_chunks(monkeypatch):
-    requested = []
+def fake_pool(monkeypatch) -> list:
+    """Replace `multiprocessing.Pool` with an in-process pool whose `imap`
+    is lazy; each pool made is appended to the returned list, with the
+    workers it was asked for, the prefix of every chunk it evaluated and
+    whether its `with` block was left."""
+    pools = []
 
     class SerialPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
+        def __init__(self, processes):
+            self.processes, self.evaluated, self.left = processes, [], False
+            pools.append(self)
 
         def __enter__(self):
             return self
 
         def __exit__(self, *exc):
+            self.left = True
             return False
 
-        def map(self, fn, args):
-            return map(fn, args)
+        def imap(self, fn, args):
+            for a in args:
+                self.evaluated.append(a[3])
+                yield fn(a)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    return pools
+
+
+def test_pool_is_capped_at_the_number_of_chunks(monkeypatch):
+    pools = fake_pool(monkeypatch)
     g = theta(2, 2, 2)
     result = min_over_covers(g, 3, workers=5000)
-    assert requested == [3]  # one chunk per cycle type of a 3-permutation
+    # one chunk per cycle type of a 3-permutation
+    assert [pool.processes for pool in pools] == [3]
     serial = min_over_covers(g, 3, workers=1)
     assert result.value == serial.value
+    assert cover_to_json(result.cover) == cover_to_json(serial.cover)
+
+
+def test_a_pool_is_left_at_the_first_chunk_that_reaches_the_bound(monkeypatch):
+    """K4 at m = 5 meets `dp_lower_bound` in its first chunk, so the pool's
+    ordered map is read no further and the chunks after it never run."""
+    pools = fake_pool(monkeypatch)
+    result = min_over_covers(K4, 5, workers=2)
+    [pool] = pools
+    assert pool.evaluated == [(cycle_type_representatives(5)[0],)]
+    assert pool.left
+    serial = min_over_covers(K4, 5, workers=1)
+    assert result.value == serial.value == 120
     assert cover_to_json(result.cover) == cover_to_json(serial.cover)

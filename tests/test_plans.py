@@ -103,7 +103,7 @@ def test_parse_args_reads_argv_as_the_whole_parser_does(monkeypatch, capsys):
         ["verify", "--suite", "poly", "--seed", "7"],
         ["scan", "theta:2,2,2", "--format", "json"],
         ["threshold", "--edges", "4"],
-        ["chrom", "theta:2,2,2", "--limit", "9"],
+        ["chrom", "theta:2,2,2", "--m", "9"],
         ["theta-chrom", "theta:2,2,2", "--m", "4"],
         ["--help"],
         ["no-such-command"],

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -103,3 +104,7 @@ def test_forest_polynomial_is_the_product():
     for trees in range(4):
         for edges in range(7):
             assert forest_polynomial(trees, edges) == M**trees * (M - 1) ** edges
+    # a wide star: the binomials, built as a running product, against math.comb
+    edges = 4_001
+    want = [(-1) ** (edges - j) * math.comb(edges, j) for j in range(edges + 1)]
+    assert forest_polynomial(1, edges).coeffs == (0, *want)
