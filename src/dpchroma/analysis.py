@@ -42,7 +42,7 @@ from .graphs import (
     find_feedback_vertex,
     star_forest_decomposition,
 )
-from .poly import M, IntPoly, crossover_bound, eventual_compare, forest_polynomial, power_m1, sign
+from .poly import M, IntPoly, crossover_bound, forest_polynomial, power_m1, sign
 
 
 def _parity_case(l1: int, l2: int, l3: int) -> int:
@@ -402,6 +402,11 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
     star partitions are built: a tied grouping r has one star string per
     place j of the center, which joins class j (or stands alone, j = r's
     class count) in part 0, the classes below j moved up one.
+    Every count is monic of degree n(forest): it is P(forest), which is,
+    less the colorings in which some leaf takes its color, of degree at
+    most n(forest) - 1.  So two counts differ first at their highest
+    unequal coefficient, and the eventually least count is the least by
+    coefficients read from the top, `min` keeping the earliest of ties.
     Since P(forest) = m * P(forest - center), it is P(forest) - m * weight,
     with weight the `partition_weight` of the winning partition; two counts
     differ by m times their weights' difference, so the winner, its ties
@@ -423,10 +428,7 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
     k = len(d.alphas) - 1
     groupings = list(_growth_strings(k, k))
     counts = [_avoidance_count(d, r) for r in groupings]
-    best = 0
-    for i in range(1, len(counts)):
-        if eventual_compare(counts[i], counts[best])[0] == "less":
-            best = i
+    best = min(range(len(counts)), key=lambda i: counts[i].coeffs[::-1])
     dp = counts[best]
     stars = sorted(
         (0,) + tuple(0 if x == j else x + (x < j) for x in r)

@@ -11,29 +11,33 @@ partitions of the active vertices by equal color, so its cost follows the
 width of that order, not the number of cycles.  What a state becomes at a
 step depends on a few small tuples and not on the graph, so those moves
 are worked out once per process, in a bounded table that every transfer
-reads (`_moves`).  Generalized Theta graphs
-additionally get the classical closed form, which the rest of the package
-cross-checks against the transfer; the edge-deleted forms and the
-edge-pair surgery family read it.  These forms are pure functions of the
-path lengths, so each is built once per argument and kept for the process
-(`functools.cache`).
+reads (`_moves`).  A state's weight, a polynomial in m, is held as one
+integer, its value at m = 2^B (Kronecker substitution), with B proven
+from the step table to hold every coefficient, so each move is a shift
+and a small product and each merge one addition (`_transfer`).
+Generalized Theta graphs additionally get the classical closed form,
+which the rest of the package cross-checks against the transfer; the
+edge-deleted forms and the edge-pair surgery family read it.  These forms
+are pure functions of the path lengths, so each is built once per
+argument and kept for the process (`functools.cache`).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from heapq import heappop, heappush
-from itertools import zip_longest
 from typing import Mapping, NamedTuple
 
 from .covers import count_from_edge_perms, identity_perm
 from .errors import BadPathIndex, SearchBudgetExceeded
 from .graphs import Graph, ThetaSpec, build_generalized_theta
-from .poly import M, IntPoly, forest_polynomial, power_m1, prod, sign
+from .poly import M, IntPoly, forest_polynomial, pack, power_m1, prod, sign, unpack
 
 #: Coefficient updates one transfer may make: each state update costs the
-#: length of its weight, so this bounds wide graphs and long ones alike.
+#: coefficient count of its weight, so this bounds wide graphs and long
+#: ones alike.
 CHROMATIC_WORK_LIMIT = 20_000_000
 
 
@@ -116,20 +120,53 @@ def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> I
     m at which the fixed colors are colors.
 
     The walk is `_transfer_steps`.  A state gives each active vertex the
-    label of its color block, and its weight, a coefficient list, counts
-    the colorings of the entered vertices that induce it.  Each state's
-    moves at a step come from `_moves`; a move either passes the weight on
-    or multiplies it by m - b.  Equal states merge.
+    label of its color block, and its weight counts the colorings of the
+    entered vertices that induce it.  Each state's moves at a step come
+    from `_moves`; a move either passes the weight on or multiplies it by
+    m - b.  Equal states merge.
+
+    A weight is one int, its polynomial at m = 2^B, B = 8 * `width`
+    (Kronecker substitution): m - b times w is (w << B) - b * w, a merge
+    is one addition, and `unpack` reads the answer back.  B rests on a
+    bound proven from the step table.  Read each m - b as m + b: the
+    coefficients so read bound a weight's own in absolute value, and
+    their sum over all states grows at a step by at most what one state's
+    moves multiply it by.  That is 1 for a fixed v (one move, passed on);
+    1 + |near|, plus 1 if v avoids a color, for v that retires on entry
+    (one move, m - |taken|); and 2(s + a) + 1, less 1 if v has an active
+    neighbor, for v that stays (a join per block its neighbors leave
+    free, and m - b with b <= s + a, for a active vertices before the
+    step).  So every coefficient of every weight after a step is at most
+    P, the product of the factors so far.  While P < 2^(B - 2), a weight
+    with d + 1 coefficients, the leading one positive (it counts
+    colorings), lies in [2^(Bd - 1), 2^(B(d + 1) - 1)), so
+    `w.bit_length() // B + 1` is its coefficient count, which
+    `CHROMATIC_WORK_LIMIT` meters.  When P outgrows B, every weight is
+    repacked a quarter wider than P needs, so that a long walk (a path, a
+    broom) is not priced at its last step's width from its first.  The
+    width starts at one digit of CPython's int
+    (`sys.int_info.sizeof_digit` bytes), which small transfers such as
+    the FVS-1 weights do not outgrow.
     """
     s = 1 + max([*named.values(), *avoid.values()], default=-1)
-    states: dict[tuple[int, ...], list[int]] = {(): [1]}
+    width, bound, active = sys.int_info.sizeof_digit, 1, 0
+    states: dict[tuple[int, ...], int] = {(): 1}
     work = 0
     for i, (v, near, keep, stays) in enumerate(g.plan(_transfer_steps)):
+        if v not in named:
+            bound *= 2 * (s + active) + (not near) if stays else 1 + len(near) + (v in avoid)
+        active = len(keep) + stays
+        need = bound.bit_length() + 2
+        if need > 8 * width:
+            wider = (need + need // 4) // 8 + 1
+            states = {key: pack(unpack(w, width), wider) for key, w in states.items()}
+            width = wider
+        bits = 8 * width
         fixed, shun = named.get(v), avoid.get(v)
-        merged: dict[tuple[int, ...], list[int]] = {}
+        merged: dict[tuple[int, ...], int] = {}
         for labels, w in states.items():
             moves = _moves(labels, near, keep, stays, fixed, shun, s)
-            work += len(w) * len(moves)
+            work += (w.bit_length() // bits + 1) * len(moves)
             if work > CHROMATIC_WORK_LIMIT:
                 raise SearchBudgetExceeded(
                     f"the chromatic transfer passed CHROMATIC_WORK_LIMIT = "
@@ -137,13 +174,11 @@ def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> I
                     f"{i + 1} of {g.n} ({len(states):,} states)"
                 )
             for key, b in moves:
-                x = w if b is None else [p - b * q for p, q in zip([0] + w, w + [0])]
+                x = w if b is None else (w << bits) - b * w
                 old = merged.get(key)
-                merged[key] = x if old is None else [
-                    p + q for p, q in zip_longest(old, x, fillvalue=0)
-                ]
+                merged[key] = x if old is None else old + x
         states = merged
-    return IntPoly(states.get((), ()))
+    return unpack(states.get((), 0), width)
 
 
 #: Entries `_moves` keeps, least recently used out first.  Narrow graphs

@@ -148,11 +148,45 @@ def _difference(a: tuple[int, ...], b: tuple[int, ...]) -> IntPoly:
     out = list(a) + [0] * (len(b) - len(a))
     for i, c in enumerate(b):
         out[i] -= c
-    while out and out[-1] == 0:
-        out.pop()
+    return _normalized(out)
+
+
+def _normalized(coeffs: list[int]) -> IntPoly:
+    """The IntPoly of a list of ints, its trailing zeros dropped, with no
+    pass to convert them."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
     p = object.__new__(IntPoly)
-    object.__setattr__(p, "coeffs", tuple(out))
+    object.__setattr__(p, "coeffs", tuple(coeffs))
     return p
+
+
+def pack(p: IntPoly, width: int) -> int:
+    """p(2^(8 * width)), for p with every coefficient in [-2^(8 * width - 1),
+    2^(8 * width - 1)): moved up by half that range, the coefficients are
+    the `width`-byte digits of one little-endian number."""
+    half = 1 << (8 * width - 1)
+    data = b"".join((c + half).to_bytes(width, "little") for c in p.coeffs)
+    return int.from_bytes(data, "little") - _halves(len(p.coeffs), width)
+
+
+def unpack(value: int, width: int) -> IntPoly:
+    """The polynomial p with `pack(p, width) == value`: the signed digits
+    of value in base 2^B, B = 8 * width, read as `pack` writes them, in
+    time linear in its size.  A top digit at index d leaves |value| above
+    2^(Bd) / 3, as the digits below it sum to less than two thirds of
+    that, so d is at most value.bit_length() // B + 1."""
+    count = abs(value).bit_length() // (8 * width) + 2
+    data = (value + _halves(count, width)).to_bytes(count * width, "little")
+    half = 1 << (8 * width - 1)
+    return _normalized(
+        [int.from_bytes(data[k : k + width], "little") - half for k in range(0, len(data), width)]
+    )
+
+
+def _halves(count: int, width: int) -> int:
+    """2^(8 * width - 1) in each of `count` digits of `width` bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
 #: The variable m itself.

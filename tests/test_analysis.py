@@ -653,17 +653,19 @@ def test_fvs1_compares_once_per_leaf_grouping(monkeypatch):
     # the selection over Bell(k - 1) groupings must give what a selection
     # over all Bell(k) partitions gives: the first partition with the
     # eventually maximal weight, every partition tied with it, and the
-    # largest crossing fold, with one comparison per grouping after the first
+    # largest crossing fold, with one avoidance count per grouping, each
+    # compared by its coefficients alone
     from dpchroma import analysis
     from dpchroma.poly import eventual_compare
 
     calls = []
 
-    def counted(p, q):
-        calls.append((p, q))
-        return eventual_compare(p, q)
+    def counted(d, grouping):
+        calls.append(grouping)
+        return avoidance_count(d, grouping)
 
-    monkeypatch.setattr(analysis, "eventual_compare", counted)
+    avoidance_count = analysis._avoidance_count
+    monkeypatch.setattr(analysis, "_avoidance_count", counted)
     graphs = [fan(4), fan(5), theta(2, 2, 2), theta(2, 3, 3), theta(2, 2, 3, 3)]
     graphs += [g for g, _ in fvs1_instances()]
     for g in graphs:
@@ -684,4 +686,21 @@ def test_fvs1_compares_once_per_leaf_grouping(monkeypatch):
         assert result.maximizers == tied, g
         assert result.stable_from == max([g.n] + [x for _, x in against_best]), g
         groupings = partitions_of(d.alphas[1:])
-        assert len(calls) == len(groupings) - 1, g
+        # the selection's counts come first, then the test's own weights
+        assert len(calls) == len(groupings) + len(partitions), g
+        assert len(set(calls[: len(groupings)])) == len(groupings), g
+
+
+def test_every_avoidance_count_is_monic_of_the_forest_degree():
+    # the premise of the FVS-1 selection, which orders the counts by their
+    # coefficients read from the top
+    from dpchroma import analysis
+
+    graphs = [fan(4), fan(5), theta(2, 2, 2), theta(2, 3, 3), theta(2, 2, 3, 3)]
+    decompositions = [fvs1_dp_polynomial(g).decomposition for g in graphs]
+    decompositions += [star_forest_decomposition(g, c) for g, c in fvs1_instances()]
+    for d in decompositions:
+        k = len(d.alphas) - 1
+        for grouping in analysis._growth_strings(k, k):
+            coeffs = analysis._avoidance_count(d, grouping).coeffs
+            assert len(coeffs) == d.forest.n + 1 and coeffs[-1] == 1, (d.alphas, grouping)

@@ -251,6 +251,66 @@ def test_the_move_table_stays_bounded():
     assert chromatic_polynomial(grid(4, 5)) == chromatic_polynomial(grid(4, 5, by_rows=False))
 
 
+def test_packed_weights_match_the_list_transfer_on_grids():
+    # weights as integers at m = 2^B against the coefficient-list oracle;
+    # the 7x7 grid's walk outgrows its first width several times
+    for k in (6, 7):
+        g = grid(k, k)
+        assert chromatic._transfer(g, {}, {}) == reference_transfer(g, {}, {}), k
+
+
+def test_packed_weights_match_the_list_transfer_on_fan_groupings():
+    # a seeded sample of the 21,147 avoidance counts behind dp-formula on
+    # the fan with 10 star vertices (hub c, leaves l0-l8 on a path)
+    from dpchroma.analysis import _growth_strings
+    from dpchroma.graphs import star_forest_decomposition
+
+    names = ("c",) + tuple(f"l{i}" for i in range(9))
+    edges = tuple((0, i) for i in range(1, 10)) + tuple((i, i + 1) for i in range(1, 9))
+    d = star_forest_decomposition(Graph(names, edges), "c")
+    f = d.forest
+    groupings = random.Random(2147).sample(list(_growth_strings(9, 9)), 300)
+    for grouping in groupings:
+        avoid = {f.index[v]: r for v, r in zip(d.alphas[1:], grouping)}
+        assert chromatic._transfer(f, {}, avoid) == reference_transfer(f, {}, avoid), grouping
+
+
+def necklace(rng: random.Random, beads: int) -> Graph:
+    """Cycles of length 3-5 in a row, each sharing a vertex with the last
+    or joined to it by a bridge, with pendant vertices here and there."""
+    edges, n, last = [], 1, 0
+    for _ in range(beads):
+        if rng.random() < 0.5:
+            edges.append((last, n))
+            last, n = n, n + 1
+        ring = [last] + list(range(n, n + rng.randint(2, 4)))
+        n += len(ring) - 1
+        edges += [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
+        if rng.random() < 0.5:
+            edges.append((rng.choice(ring), n))
+            n += 1
+        last = ring[-1]
+    return Graph(tuple(f"x{i}" for i in range(n)), tuple(sorted((min(e), max(e)) for e in edges)))
+
+
+def test_packed_weights_match_the_list_transfer_past_64_bits():
+    # long seeded graphs with fixed and avoided colors, whose coefficients
+    # need more than a machine word and whose walks repack many times
+    rng = random.Random(6464)
+    for _ in range(20):
+        g = necklace(rng, 25)
+        s = rng.randint(1, 3)
+        named: dict[int, int] = {}
+        for v in rng.sample(range(g.n), 6):
+            c = rng.randrange(s)
+            if all(named.get(u) != c for u in g.adjacency[v]):
+                named[v] = c
+        avoid = {v: rng.randrange(s) for v in range(g.n) if v not in named and rng.random() < 0.2}
+        want = reference_transfer(g, named, avoid)
+        assert max(map(abs, want.coeffs)) >= 2**64, (g.edges, named, avoid)
+        assert chromatic._transfer(g, named, avoid) == want, (g.edges, named, avoid)
+
+
 def transfer_order(g: Graph) -> list[int]:
     return [v for v, *_ in chromatic._transfer_steps(g)]
 

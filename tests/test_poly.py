@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpchroma.errors import InexactDivision
-from dpchroma.poly import IntPoly, M, eventual_compare, forest_polynomial
+from dpchroma.poly import IntPoly, M, eventual_compare, forest_polynomial, pack, unpack
 
 
 def test_normalization_and_degree():
@@ -108,3 +108,36 @@ def test_forest_polynomial_is_the_product():
     edges = 4_001
     want = [(-1) ** (edges - j) * math.comb(edges, j) for j in range(edges + 1)]
     assert forest_polynomial(1, edges).coeffs == (0, *want)
+
+
+def test_unpack_reads_signed_digits():
+    # width 1: base 2^8, digits in [-128, 128)
+    assert unpack(0, 1) == IntPoly()
+    assert unpack(-5, 1) == IntPoly([-5])
+    assert unpack(3 * 256 - 7, 1) == IntPoly([-7, 3])
+    assert unpack(-(2**16) + 5, 1) == IntPoly([5, 0, -1])
+    # a low digit of -1 borrows from the top one: 2^16 - 1 is m^2 - 1
+    assert unpack(2**16 - 1, 1) == IntPoly([-1, 0, 1])
+    assert unpack(2**8 - 128, 1) == IntPoly([-128, 1])
+    assert unpack(127, 1) == IntPoly([127])
+
+
+@given(
+    st.lists(st.integers(min_value=-(2**23), max_value=2**23 - 1), max_size=12),
+    st.integers(min_value=3, max_value=5),
+)
+@settings(max_examples=200)
+def test_pack_and_unpack_are_inverse(coeffs, width):
+    p = IntPoly(coeffs)
+    value = pack(p, width)
+    assert value == p(2 ** (8 * width))
+    assert unpack(value, width) == p
+
+
+def test_pack_and_unpack_at_extreme_digits():
+    rng = random.Random(64)
+    for width in (1, 2, 9):
+        half = 2 ** (8 * width - 1)
+        for _ in range(200):
+            p = IntPoly(rng.choice([-half, half - 1, -1, 0, 1]) for _ in range(rng.randint(0, 40)))
+            assert unpack(pack(p, width), width) == p, (width, p)
