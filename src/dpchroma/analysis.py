@@ -437,7 +437,10 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
         for j in range(max(r, default=-1) + 2)
     )
     maximizers = tuple(PartitionSpec.of_string(d.alphas, s) for s in stars)
-    stable_from = max([g.n] + [crossover_bound(c - dp) for c in counts])
+    # crossover_bound(c - dp) of every count, read off the paired
+    # coefficients: the counts are monic of one degree, so their lists align
+    gap = max(abs(a - b) for c in counts for a, b in zip(c.coeffs, dp.coeffs))
+    stable_from = max(g.n, 1 + gap)
     weight = (_forest_chromatic(d) - dp).exact_div(M)
     partition = PartitionSpec.of_string(d.alphas, (0,) + groupings[best])
     return FeedbackPolynomialResult(

@@ -174,7 +174,7 @@ def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> I
                     f"{i + 1} of {g.n} ({len(states):,} states)"
                 )
             for key, b in moves:
-                x = w if b is None else (w << bits) - b * w
+                x = w if b is None else (w << bits) - (w if b == 1 else b * w)
                 old = merged.get(key)
                 merged[key] = x if old is None else old + x
         states = merged

@@ -22,6 +22,10 @@ its orbit sweeps are cached per process by fold and group
 proven lower bound (`dp_lower_bound`, the least row times a bound on the
 feedback set's own DP color function), which is exact with one feedback
 vertex.
+The subset walk behind inclusion-exclusion (`subset_walk`) reads the
+component count of every edge subset from one cover-free table per graph,
+and composes a cover's permutations only where a cycle can close: a
+forest subset agrees on m^c colorings whatever the twists.
 Set partitions have one enumerator, `_growth_strings` (row keys, FVS-1 leaf
 groupings, and star partitions in `partitions_of`); shift covers of star
 partitions live here too, weighed by `analysis._avoidance_count`.
@@ -531,29 +535,86 @@ def count_colorings(g: Graph, cover: FullCover) -> int:
     return count_from_edge_perms(g, cover.m, cover.edge_perms())
 
 
+def _subset_components(g: Graph) -> list[int]:
+    """Component count of every edge subset of g, indexed by mask: the
+    cover-free pass of `subset_walk`, built once per graph (`Graph.plan`).
+
+    The same include/exclude walk over an undoable union-find, with no
+    permutations; the last edge of each branch is decided in place.
+    """
+    edges, last = g.edges, len(g.edges) - 1
+    parent = list(range(g.n))
+    size = [1] * g.n
+    components = [g.n] * (1 << len(edges))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    def rec(i: int, mask: int, roots: int):
+        ra, rb = root(edges[i][0]), root(edges[i][1])
+        if i == last:
+            components[mask] = roots
+            components[mask | 1 << i] = roots - (ra != rb)
+            return
+        rec(i + 1, mask, roots)
+        if ra == rb:
+            rec(i + 1, mask | 1 << i, roots)
+            return
+        if size[ra] < size[rb]:
+            ra, rb = rb, ra
+        parent[rb] = ra
+        size[ra] += size[rb]
+        rec(i + 1, mask | 1 << i, roots - 1)
+        parent[rb] = rb
+        size[ra] -= size[rb]
+
+    if edges:
+        rec(0, 0, g.n)
+    return components
+
+
 def subset_walk(cover: FullCover) -> tuple[list[int], list[int]]:
     """Component count and agreement count of every edge subset of a full
-    cover, as two lists indexed by mask (at most `SUBSET_EDGE_LIMIT` edges).
+    cover, as two fresh lists indexed by mask (at most `SUBSET_EDGE_LIMIT`
+    edges).
 
-    One depth-first walk decides each edge in turn, excluded then included,
-    over an undoable union-find: union by size and no path compression, so
-    a merge is undone by resetting one parent.  A non-root vertex keeps the
-    permutation carrying its parent's fiber to its own; a root keeps the
-    bitmask of colors its component can take there, and the agreement count
-    is the running product of those masks' sizes.  The walk visits
-    2^(|E|+1) - 1 nodes, where `component_count` and the test oracle
-    `subset_agreement_count` each make a fresh forest pass per subset.
+    A forest A needs no permutations: each of its c(A) components takes
+    any color at one vertex, which fixes the rest along the tree, so it
+    agrees on m^c(A) colorings whatever the twists.  The components come
+    from `_subset_components`, once per graph, and every agreement starts
+    as m^c(A).  Only subsets holding a cycle see the cover: one
+    depth-first walk decides each edge in turn, excluded then included,
+    over an undoable union-find (union by size and no path compression,
+    so a merge is undone by resetting one parent).  A non-root vertex
+    keeps the permutation carrying its parent's fiber to its own; a root
+    keeps the bitmask of colors its component can take there, and the
+    agreement count is the running product of those masks' sizes.  The
+    walk enters a node only if its subtree holds a subset with a cycle,
+    that is when its largest subset T (the edges included so far and
+    every later edge) is not a forest, c(T) + |T| > n; including an edge
+    keeps T, so only the excluding child is tested, and once a cycle has
+    closed on the path every subset below is cyclic and none is.
+    `component_count` and the test oracle `subset_agreement_count` each
+    make a fresh forest pass per subset.
     """
     g, m = cover.graph, cover.m
     if len(g.edges) > SUBSET_EDGE_LIMIT:
         raise GraphTooLarge(f"{len(g.edges)} edges exceed SUBSET_EDGE_LIMIT = {SUBSET_EDGE_LIMIT}")
-    perms, edges = cover.edge_perms(), g.edges
-    parent = list(range(g.n))
-    size = [1] * g.n
-    link: list[Perm] = [identity_perm(m)] * g.n
-    allowed = [(1 << m) - 1] * g.n
-    components = [0] * (1 << len(edges))
-    agreements = components[:]
+    table = g.plan(_subset_components)
+    powers = [m**c for c in range(g.n + 1)]
+    components, agreements = table[:], list(map(powers.__getitem__, table))
+    n, edges, full = g.n, g.edges, len(table) - 1
+    if table[full] + len(edges) == n:  # a forest: no subset has a cycle
+        return components, agreements
+    perms = cover.edge_perms()
+    parent = list(range(n))
+    size = [1] * n
+    link: list[Perm] = [identity_perm(m)] * n
+    allowed = [(1 << m) - 1] * n
+    # spare[i]: the edges after edge i
+    spare = [full >> (i + 1) << (i + 1) for i in range(len(edges))]
 
     def climb(v: int) -> tuple[int, Perm | None]:
         """v's root and the permutation carrying its fiber to v's (None for
@@ -564,12 +625,13 @@ def subset_walk(cover: FullCover) -> tuple[list[int], list[int]]:
             v = parent[v]
         return v, rho
 
-    def rec(i: int, mask: int, roots: int, product: int):
+    def rec(i: int, mask: int, product: int, cyclic: bool):
         if i == len(edges):
-            components[mask] = roots
             agreements[mask] = product
             return
-        rec(i + 1, mask, roots, product)
+        below = mask | spare[i]  # the excluding child's T
+        if cyclic or table[below] + below.bit_count() > n:
+            rec(i + 1, mask, product, cyclic)
         mask |= 1 << i
         (ra, ta), (rb, tb) = climb(edges[i][0]), climb(edges[i][1])
         step = perms[i] if ta is None else compose(perms[i], ta)
@@ -579,7 +641,7 @@ def subset_walk(cover: FullCover) -> tuple[list[int], list[int]]:
             allowed[ra] = old & ok
             if product:
                 product = product // old.bit_count() * allowed[ra].bit_count()
-            rec(i + 1, mask, roots, product)
+            rec(i + 1, mask, product, True)
             allowed[ra] = old
             return
         # rb's fiber is `step` of ra's; hang the smaller tree below the other
@@ -592,12 +654,12 @@ def subset_walk(cover: FullCover) -> tuple[list[int], list[int]]:
             product = product // (old.bit_count() * hung.bit_count()) * allowed[ra].bit_count()
         parent[rb], link[rb] = ra, carry
         size[ra] += size[rb]
-        rec(i + 1, mask, roots - 1, product)
+        rec(i + 1, mask, product, cyclic)
         parent[rb] = rb
         size[ra] -= size[rb]
         allowed[ra] = old
 
-    rec(0, 0, g.n, m**g.n)
+    rec(0, 0, m**n, False)
     return components, agreements
 
 

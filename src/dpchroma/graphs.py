@@ -190,7 +190,8 @@ class Graph:
 
     def plan(self, build, *args):
         """`build(self, *args)`, built once per graph and arguments: the
-        transfer's step table and the counting plans.  They are freed with
+        transfer's step table, the counting plans and the subset component
+        table.  They are freed with
         the graph and left out of its pickled state, so a worker process
         builds its own."""
         key, plans = (build, args), self._plans

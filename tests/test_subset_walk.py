@@ -2,11 +2,15 @@
 suites that read its tables.
 
 The walk gives the component count and the agreement count of every edge
-subset in one undoable union-find walk; `graphs.component_count` and the
-oracle `subset_agreement_count` answer one subset each from a fresh
-forest pass.  Every mask is compared on seeded random graphs (isolated
-vertices, several components, forests) and on Theta graphs, K4 and the
-bowtie, at folds 1-4, with identity and random full covers.
+subset: the component counts from one cover-free pass per graph, and the
+agreements of the subsets holding a cycle from one undoable union-find walk
+per cover (a forest agrees on m^c colorings whatever the twists);
+`graphs.component_count` and the oracle `subset_agreement_count` answer one
+subset each from a fresh forest pass.  Every mask is compared on seeded
+random graphs (isolated vertices, several components, forests) and on Theta
+graphs, K4 and the bowtie, at folds 1-4, with identity and random full
+covers.  A forest at the edge limit is walked with no permutation composed,
+and the subset audit builds its graph's component table once.
 """
 
 import random
@@ -14,6 +18,7 @@ import sys
 
 import pytest
 
+import dpchroma.covers as covers
 import dpchroma.graphs as graphs
 from dpchroma.cli import main
 from dpchroma.covers import (
@@ -92,6 +97,23 @@ def test_walk_refuses_too_many_edges_before_walking(monkeypatch):
         subset_walk(cover)
 
 
+def test_forest_at_the_limit_composes_no_permutation(monkeypatch):
+    path = Graph(
+        tuple(f"p{i:02d}" for i in range(21)), tuple((i, i + 1) for i in range(20))
+    )
+    assert len(path.edges) == SUBSET_EDGE_LIMIT
+    cover = random_cover(path, 3, random.Random(5))
+
+    def no_perms(*args):
+        raise AssertionError("a permutation was composed")
+
+    patch_everywhere(monkeypatch, "compose", no_perms)
+    patch_everywhere(monkeypatch, "invert_perm", no_perms)
+    components, agreements = subset_walk(cover)
+    assert components == [21 - mask.bit_count() for mask in range(1 << 20)]
+    assert agreements == [3**c for c in components]
+
+
 def test_walk_refuses_non_full_covers():
     """A non-full cover never reaches the walk: `FullCover` refuses it."""
     g = NAMED[0]
@@ -132,3 +154,24 @@ def test_subset_audit_enumerates_cycles_once_per_subset(monkeypatch, capsys):
     # The 18 audited covers of theta:2,3,3 share one graph and its 255
     # nonempty subsets.
     assert sorted(calls) == list(range(1, 256))
+
+
+def test_subset_audit_builds_the_component_table_once(monkeypatch, capsys):
+    tables, walks = [], []
+    build, walk = covers._subset_components, covers.subset_walk
+
+    def counting_build(g):
+        tables.append(g)
+        return build(g)
+
+    def counting_walk(cover):
+        walks.append(cover)
+        return walk(cover)
+
+    monkeypatch.setattr(covers, "_subset_components", counting_build)
+    patch_everywhere(monkeypatch, "subset_walk", counting_walk)
+    assert main(["verify", "--suite", "subset-audit"]) == 0
+    capsys.readouterr()
+    # The 18 audited covers of theta:2,3,3 share one graph and one table.
+    assert len(walks) == 18
+    assert len(tables) == 1 and tables[0] is walks[0].graph
