@@ -21,7 +21,10 @@ its orbit sweeps are cached per process by fold and group
 (`_orbit_sweep`).  There it also stops at its first count equal to a
 proven lower bound (`dp_lower_bound`, the least row times a bound on the
 feedback set's own DP color function), which is exact with one feedback
-vertex.
+vertex.  With one, a cover counts the bound exactly when every row key is
+a least key, so the search skips every twist prefix whose fixed key
+columns no least key extends (`_FeedbackPlan.least_key_table`) and counts
+one cover.
 The subset walk behind inclusion-exclusion (`subset_walk`) reads the
 component count of every edge subset from one cover-free table per graph,
 and composes a cover's permutations only where a cycle can close: a
@@ -387,23 +390,7 @@ class _FeedbackPlan:
                 f"{m}^{unfixed} feedback-set colorings exceed BRUTE_FORCE_LIMIT = {BRUTE_FORCE_LIMIT:,}"
             )
         rows, ident = self._fold(m)
-        inverse = self.inverse
-        # frame[v] carries the fiber of v's root to v's; None is the identity
-        frame: list[Perm | None] = [None] * self.n
-        for v, parent, e, forward in self.descent:
-            p = perms[e]
-            if p == ident:
-                frame[v] = frame[parent]
-            else:
-                p = p if forward else inverse(p)
-                up = frame[parent]
-                frame[v] = p if up is None else compose(p, up)
-        # blocks[i][j][c]: the color slot i's edge j blocks when i takes c
-        blocks: list[list[Perm]] = [[] for _ in self.slots]
-        for i, y, e, forward in self.outer:
-            p = perms[e] if forward else inverse(perms[e])
-            up = frame[y]
-            blocks[i].append(p if up is None else compose(inverse(up), p))
+        blocks = self.blocks(perms, ident)
         if fixed is None and len(blocks) == 1:  # S is one vertex, on every cycle
             keys = zip(*blocks[0])
         else:
@@ -435,6 +422,57 @@ class _FeedbackPlan:
                     rows[key] = row
             total += row
         return total
+
+    def blocks(self, perms: Sequence[Perm], ident: Perm) -> list[list[Perm]]:
+        """blocks[i][j][c]: the color slot i's edge j blocks when i takes c,
+        read in the frame of the edge's other endpoint; column j of the row
+        keys.  `ident` is the fold's identity."""
+        inverse = self.inverse
+        # frame[v] carries the fiber of v's root to v's; None is the identity
+        frame: list[Perm | None] = [None] * self.n
+        for v, parent, e, forward in self.descent:
+            p = perms[e]
+            if p == ident:
+                frame[v] = frame[parent]
+            else:
+                p = p if forward else inverse(p)
+                up = frame[parent]
+                frame[v] = p if up is None else compose(p, up)
+        blocks: list[list[Perm]] = [[] for _ in self.slots]
+        for i, y, e, forward in self.outer:
+            p = perms[e] if forward else inverse(perms[e])
+            up = frame[y]
+            blocks[i].append(p if up is None else compose(inverse(up), p))
+        return blocks
+
+    def least_key_table(self, m: int, free_edges: Sequence[int]) -> tuple:
+        """Per depth d, the number of free edges placed, the columns of the
+        row keys fixed once d edges are placed, with the set of canonical
+        restrictions to them of the least keys at fold m (`least_row`), or
+        None where depth d fixes no new column.
+
+        Column j is the color blocked at outer edge j's endpoint y in y's
+        frame: it depends on the twist of edge j and on those of the free
+        edges on the descent from y's root down to y, so it is fixed at the
+        depth of the last of them.  A column fixed before the first free
+        edge is listed at depth 1, where a search chunk's prefix ends."""
+        least = self.least_row(m)
+        rows = self._fold(m)[0]  # least_row stored every canonical row
+        best = [key for key in _growth_strings(len(self.outer), m) if rows[key] == least]
+        place = {e: d for d, e in enumerate(free_edges, start=1)}
+        up = {v: (parent, e) for v, parent, e, _ in self.descent}
+        depths = []
+        for _, y, e, _ in self.outer:
+            d = max(1, place.get(e, 0))
+            while y in up:
+                y, f = up[y]
+                d = max(d, place.get(f, 0))
+            depths.append(d)
+        table: list = [None] * (len(free_edges) + 1)
+        for d in sorted(set(depths)):
+            columns = tuple(j for j, dj in enumerate(depths) if dj <= d)
+            table[d] = (columns, frozenset(_canonical(tuple(key[j] for j in columns)) for key in best))
+        return tuple(table)
 
     def _fold(self, m: int) -> tuple[dict[tuple[int, ...], int], Perm]:
         """Fold m's row table and identity, made on first use."""
@@ -880,11 +918,14 @@ def min_over_covers(
     if free_edges:
         firsts = cycle_type_representatives(m) if orderly else permutations(range(m))
         chunks = [(p,) for p in firsts]
-    stop = None
-    if orderly and _growth_string_count(len(g.plan(_FeedbackPlan).outer), m) <= candidates:
+    plan = g.plan(_FeedbackPlan)
+    stop = prune = None
+    if orderly and _growth_string_count(len(plan.outer), m) <= candidates:
         stop = dp_lower_bound(g, m)
+        if free_edges and len(plan.slots) == 1 and stop == m * plan.least_row(m):
+            prune = plan.least_key_table(m, free_edges)
     workers = min(worker_count() if workers is None else workers, len(chunks))
-    args = [(g, m, free_edges, chunk, orderly, stop) for chunk in chunks]
+    args = [(g, m, free_edges, chunk, orderly, stop, prune) for chunk in chunks]
     pool, results = nullcontext(), map(_search_chunk, args)
     if workers > 1:
         from multiprocessing import Pool
@@ -895,17 +936,22 @@ def min_over_covers(
     with pool:  # leaving a pool terminates the chunks it still runs
         for part in results:
             partials.append(part)
-            if part[0] == stop:
+            if part is not None and part[0] == stop:
                 break
-    best_value, best_assignment = min(partials, key=lambda part: part[0])
+    if prune is not None and (partials[-1] is None or partials[-1][0] != stop):
+        raise AssumptionViolated(
+            f"no cover at fold {m} counts dp_lower_bound = {stop}, exact with one feedback vertex"
+        )
+    # a chunk whose prefix no least key extends counted nothing (None)
+    best_value, best_assignment = min(filter(None, partials), key=lambda part: part[0])
     perms = dict(zip(free_edges, best_assignment))
     witness = FullCover.from_edge_perms(g, m, perms)
     return MinimizationResult(best_value, witness, candidates)
 
 
-def _search_chunk(args) -> tuple[int, tuple[Perm, ...]]:
+def _search_chunk(args) -> tuple[int, tuple[Perm, ...]] | None:
     """Minimum over all assignments extending a fixed prefix, each counted
-    through the graph's counting plan.
+    through the graph's counting plan; None when `prune` skips the prefix.
 
     When `orderly`, the search is orderly (McKay, J. Algorithms 1998): an
     edge skips a twist p when some tau commuting with every earlier twist
@@ -921,26 +967,48 @@ def _search_chunk(args) -> tuple[int, tuple[Perm, ...]]:
     No count falls below `stop` when one is given (`dp_lower_bound`), so
     the first count equal to it is the chunk's first minimum, and the
     search ends there.
+
+    `prune` (`_FeedbackPlan.least_key_table`) is given when S is one vertex
+    c and `stop` = m * least row.  A cover then counts sum_a R(key_a) over
+    the colors a of c, each term at least the least row, so it counts
+    `stop` exactly when every key_a is a least key.  Once d free edges are
+    placed, the columns of the keys fixed at depth d no longer change, so
+    a twist after which some key_a restricted to them, canonically
+    relabeled, is no least key's restriction has no cover below it that
+    counts `stop`: the search skips it, and the chunk's prefix the same
+    way before any group is built.  The first cover counting `stop` is
+    never skipped, so value and witness are again those of counting every
+    cover.
     """
-    g, m, free_edges, prefix, orderly, stop = args
+    g, m, free_edges, prefix, orderly, stop, prune = args
     plan = g.plan(_FeedbackPlan)
     ident = identity_perm(m)
     perms: list[Perm] = [ident] * len(g.edges)
     for e, p in zip(free_edges, prefix):
         perms[e] = p
     remaining = free_edges[len(prefix) :]
+    # levels[i]: the test once i edges past the prefix are placed, or None
+    levels = prune[len(prefix) :] if prune else [None] * (len(remaining) + 1)
     best: tuple[int, tuple[Perm, ...]] | None = None
 
-    def options(group, deeper: bool):
+    def extends(level) -> bool:
+        """Whether every key's fixed columns are a least key's."""
+        columns, restrictions = level
+        blocks = plan.blocks(perms, ident)[0]
+        keys = zip(*[blocks[j] for j in columns])
+        return all(_canonical(key) in restrictions for key in keys)
+
+    if levels[0] is not None and not extends(levels[0]):
+        return None
+
+    def options(group):
         """Each twist the next edge takes, with the H of the edge after;
-        None stands for all of S_m."""
+        None stands for all of S_m, where the H of a twist p is its
+        centraliser, built by `rec` only for a twist it keeps."""
         if not orderly:
             return [(p, None) for p in permutations(range(m))]
         if group is None:
-            return [
-                (p, _centralizer(p) if deeper and p != ident else None)
-                for p in cycle_type_representatives(m)
-            ]
+            return [(p, None) for p in cycle_type_representatives(m)]
         return _orbit_sweep(m, group)
 
     def rec(i: int, group) -> bool:
@@ -951,8 +1019,13 @@ def _search_chunk(args) -> tuple[int, tuple[Perm, ...]]:
             if best is None or value < best[0]:
                 best = (value, tuple(perms[e] for e in free_edges))
             return value == stop
-        for p, subgroup in options(group, i + 1 < len(remaining)):
+        level, deeper = levels[i + 1], i + 1 < len(remaining)
+        for p, subgroup in options(group):
             perms[remaining[i]] = p
+            if level is not None and not extends(level):
+                continue
+            if orderly and group is None and deeper and p != ident:
+                subgroup = _centralizer(p)
             if rec(i + 1, subgroup):
                 return True
         return False

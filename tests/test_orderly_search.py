@@ -120,7 +120,7 @@ SEARCHES = {
         [("a", "b", [1, 2, 3, 4, 5, 6]), ("d", "e", [1, 2, 3, 4, 5, 6])],
     ),
     "theta:2,2,2-6": (
-        theta(2, 2, 2), 6, 11 * 720, 594, 901, 2592,
+        theta(2, 2, 2), 6, 11 * 720, 1, 901, 2592,
         [("u", "v_2_1", [2, 1, 4, 3, 6, 5]), ("u", "v_3_1", [3, 4, 5, 6, 1, 2])],
     ),
     "k4-4": (
