@@ -6,7 +6,8 @@ stored in tree-canonical form: matchings on the graph's `standard_tree`
 are the identity and each cotree edge carries one permutation of the
 fold [m] (oriented from the lexicographically smaller endpoint).  Any
 assignment of permutations to all edges can be brought into this form by
-relabeling fibers, which never changes the number of colorings.
+relabeling fibers down a forest (`_frames`), which never changes the
+number of colorings.
 
 Covers are full (`CoverMismatch` otherwise): a partial matching extends
 to a perfect one, and each added cross edge can only remove colorings.
@@ -22,9 +23,9 @@ its orbit sweeps are cached per process by fold and group
 proven lower bound (`dp_lower_bound`, the least row times a bound on the
 feedback set's own DP color function), which is exact with one feedback
 vertex.  With one, a cover counts the bound exactly when every row key is
-a least key, so the search skips every twist prefix whose fixed key
-columns no least key extends (`_FeedbackPlan.least_key_table`) and counts
-one cover.
+a least key (`_FeedbackPlan.least_keys`, one walk of the keys per fold),
+so the search skips every twist prefix whose fixed key columns no least
+key extends (`_FeedbackPlan.least_key_table`) and counts one cover.
 The subset walk behind inclusion-exclusion (`subset_walk`) reads the
 component count of every edge subset from one cover-free table per graph,
 and composes a cover's permutations only where a cycle can close: a
@@ -270,30 +271,38 @@ class FullCover:
             raise CoverMismatch("twists must be keyed by edge indices of the graph")
         if not all(is_permutation(p, m) for p in perms.values()):
             raise CoverMismatch("twist is not a permutation of the fold")
-        tree = g.standard_tree
-        full = [perms.get(i, identity_perm(m)) for i in range(len(g.edges))]
-        # Relabeling each fiber by rho^-1 makes every tree matching the
-        # identity; a cotree twist becomes rho[b]^-1 o sigma o rho[a].
-        rho = _transport(g, m, full, tree)
+        tree, ident = g.standard_tree, identity_perm(m)
+        full = [tuple(perms.get(i, ident)) for i in range(len(g.edges))]
+        # Relabeling each fiber by its frame's inverse makes every tree matching
+        # the identity; a cotree twist becomes frame[b]^-1 o sigma o frame[a].
+        frame = _frames(g.n, _descent(g, _forest_walk(g, tree)), full, ident)
         twists = {}
         for i, (a, b) in enumerate(g.edges):
-            if i in tree:
-                continue
-            twists[i] = compose(invert_perm(rho[b]), compose(full[i], rho[a]))
+            if i not in tree:
+                p = full[i] if frame[a] is None else compose(full[i], frame[a])
+                twists[i] = p if frame[b] is None else compose(invert_perm(frame[b]), p)
         return cls(g, m, twists)
 
 
-def _transport(
-    g: Graph, m: int, perms: Sequence[Perm], edge_ids: Iterable[int]
-) -> list[Perm]:
-    """Per vertex, the permutation carrying the fiber of its tree's root to
-    its own fiber along the forest spanned by `edge_ids`."""
-    rho = [identity_perm(m)] * g.n
-    for walk in _forest_walk(g, edge_ids):
-        for y, x, e in walk[1:]:
-            step = perms[e] if g.edges[e][0] == x else invert_perm(perms[e])
-            rho[y] = compose(step, rho[x])
-    return rho
+def _descent(g: Graph, walks: Iterable[list]) -> list[tuple[int, int, int, bool]]:
+    """Every non-root step (v, parent, edge index, forward) of `_forest_walk`'s
+    walks, each parent first; forward when the edge is stored from the parent."""
+    return [(v, parent, e, g.edges[e][0] == parent) for walk in walks for v, parent, e in walk[1:]]
+
+
+def _frames(n: int, descent: list, perms: Sequence[Perm], ident: Perm, inverse=invert_perm) -> list:
+    """frame[v] carries the fiber of v's root to v's own down `_descent`; None
+    is the identity, so identity matchings compose nothing."""
+    frame: list[Perm | None] = [None] * n
+    for v, parent, e, forward in descent:
+        p = perms[e]
+        if p == ident:
+            frame[v] = frame[parent]
+        else:
+            p = p if forward else inverse(p)
+            up = frame[parent]
+            frame[v] = p if up is None else compose(p, up)
+    return frame
 
 
 def identity_cover(g: Graph, m: int) -> FullCover:
@@ -340,8 +349,8 @@ class _FeedbackPlan:
     at its other endpoint, read in that endpoint's frame; these colors are
     the row's key, and `_row` counts the colorings of the forest avoiding
     them.  The plan stores the edges inside and out of the slots, the trees
-    as (v, parent) steps and the descent with each step's edge; none of it
-    depends on the fold or the fixed colors.
+    as (v, parent) steps and their `_descent`; none of it depends on the
+    fold or the fixed colors.
 
     A permutation sigma of all m colors maps the colorings that avoid a key
     one-to-one onto those that avoid sigma(key), so a row depends only on
@@ -367,17 +376,14 @@ class _FeedbackPlan:
             else:
                 rest.append(e)
         self.outer.sort(key=lambda edge: edge[0])  # row keys go slot by slot
-        # trees as (root, steps), children first; `descent` has every tree's
-        # steps with their edges, each parent first
-        self.trees, self.descent = [], []
-        for walk in _forest_walk(g, rest):
-            root = walk[0][0]
-            if root in slot:  # a slot vertex, alone in the forest
-                continue
-            self.trees.append((root, [(v, parent) for v, parent, _ in reversed(walk[1:])]))
-            self.descent += [(v, parent, e, g.edges[e][0] == parent) for v, parent, e in walk[1:]]
+        # trees as (root, steps), children first, and their `_descent`; a
+        # slot vertex is alone in the forest
+        walks = [walk for walk in _forest_walk(g, rest) if walk[0][0] not in slot]
+        self.trees = [(w[0][0], [(v, parent) for v, parent, _ in reversed(w[1:])]) for w in walks]
+        self.descent = _descent(g, walks)
         self.inverse = cache(invert_perm)
         self.tables: dict[int, tuple[dict[tuple[int, ...], int], Perm]] = {}
+        self.least: dict[int, tuple[int, list[tuple[int, ...]]]] = {}  # per fold, `least_keys`
 
     def count(
         self, perms: Sequence[Perm], m: int, fixed: Sequence[int | None] | None = None
@@ -428,16 +434,7 @@ class _FeedbackPlan:
         read in the frame of the edge's other endpoint; column j of the row
         keys.  `ident` is the fold's identity."""
         inverse = self.inverse
-        # frame[v] carries the fiber of v's root to v's; None is the identity
-        frame: list[Perm | None] = [None] * self.n
-        for v, parent, e, forward in self.descent:
-            p = perms[e]
-            if p == ident:
-                frame[v] = frame[parent]
-            else:
-                p = p if forward else inverse(p)
-                up = frame[parent]
-                frame[v] = p if up is None else compose(p, up)
+        frame = _frames(self.n, self.descent, perms, ident, inverse)
         blocks: list[list[Perm]] = [[] for _ in self.slots]
         for i, y, e, forward in self.outer:
             p = perms[e] if forward else inverse(perms[e])
@@ -448,26 +445,19 @@ class _FeedbackPlan:
     def least_key_table(self, m: int, free_edges: Sequence[int]) -> tuple:
         """Per depth d, the number of free edges placed, the columns of the
         row keys fixed once d edges are placed, with the set of canonical
-        restrictions to them of the least keys at fold m (`least_row`), or
+        restrictions to them of the least keys at fold m (`least_keys`), or
         None where depth d fixes no new column.
 
         Column j is the color blocked at outer edge j's endpoint y in y's
         frame: it depends on the twist of edge j and on those of the free
         edges on the descent from y's root down to y, so it is fixed at the
-        depth of the last of them.  A column fixed before the first free
-        edge is listed at depth 1, where a search chunk's prefix ends."""
-        least = self.least_row(m)
-        rows = self._fold(m)[0]  # least_row stored every canonical row
-        best = [key for key in _growth_strings(len(self.outer), m) if rows[key] == least]
-        place = {e: d for d, e in enumerate(free_edges, start=1)}
-        up = {v: (parent, e) for v, parent, e, _ in self.descent}
-        depths = []
-        for _, y, e, _ in self.outer:
-            d = max(1, place.get(e, 0))
-            while y in up:
-                y, f = up[y]
-                d = max(d, place.get(f, 0))
-            depths.append(d)
+        depth of the last of them, carried down the descent.  A column fixed
+        before the first free edge is at depth 1, where a chunk's prefix ends."""
+        best, place = self.least_keys(m)[1], {e: d for d, e in enumerate(free_edges, start=1)}
+        fixed = [1] * self.n  # the depth that fixes each frame
+        for v, parent, e, _ in self.descent:
+            fixed[v] = max(fixed[parent], place.get(e, 0))
+        depths = [max(fixed[y], place.get(e, 0)) for _, y, e, _ in self.outer]
         table: list = [None] * (len(free_edges) + 1)
         for d in sorted(set(depths)):
             columns = tuple(j for j, dj in enumerate(depths) if dj <= d)
@@ -481,18 +471,22 @@ class _FeedbackPlan:
             fold = self.tables[m] = ({}, identity_perm(m))
         return fold
 
-    def least_row(self, m: int) -> int:
+    def least_keys(self, m: int) -> tuple[int, list[tuple[int, ...]]]:
         """The least row at fold m over every canonical key with at most m
-        classes, each read through the fold's row table."""
-        rows = self._fold(m)[0]
-        least = None
-        for key in _growth_strings(len(self.outer), m):
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = self._row(key, m)
-            if least is None or row < least:
-                least = row
-        return least
+        classes, and the keys whose row it is: one walk of the keys per
+        fold, each read through the fold's row table, kept beside it."""
+        if m not in self.least:
+            rows, least, keys = self._fold(m)[0], None, []
+            for key in _growth_strings(len(self.outer), m):
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = self._row(key, m)
+                if least is None or row < least:
+                    least, keys = row, [key]
+                elif row == least:
+                    keys.append(key)
+            self.least[m] = (least, keys)
+        return self.least[m]
 
     def _row(self, key: tuple[int, ...], m: int) -> int:
         """The forest's count at fold m when the edges from the slots block
@@ -528,7 +522,8 @@ def _growth_strings(k: int, most: int) -> Iterator[tuple[int, ...]]:
             rgs[i] = value
             yield from rec(i + 1, max(used, value + 1))
 
-    return rec(1 if k else 0, 1 if k else 0)
+    start = 1 if k and most > 0 else 0  # item 0 is in class 0, if any class is allowed
+    return rec(start, start)
 
 
 def _growth_string_count(k: int, most: int) -> int:
@@ -830,7 +825,7 @@ def dp_lower_bound(g: Graph, m: int) -> int:
 
     where R(k, m) is a row of the graph's counting plan, the count of the
     forest G - S when the edges from S block the colors of k, and k runs
-    over the keys with at most m classes (`_FeedbackPlan.least_row`).
+    over the keys with at most m classes (`_FeedbackPlan.least_keys`).
 
     Proof of L <= P_DP: in any full cover, relabel the fibers so that each
     tree of G - S is the identity, as `_FeedbackPlan.count` does.  The
@@ -851,8 +846,10 @@ def dp_lower_bound(g: Graph, m: int) -> int:
     colors by j (mod m) blocks that key, relabeled, at every color of c,
     so it counts m * min R exactly.
     """
+    if m < 1:
+        raise OutOfRange("m must be positive")
     plan = g.plan(_FeedbackPlan)
-    least = plan.least_row(m)
+    least = plan.least_keys(m)[0]
     size, inner = len(g.feedback_set), [(a, b) for a, b, _ in plan.inner]
     if not spanning_forest(size, inner)[1]:
         return least * m ** (size - len(inner)) * (m - 1) ** len(inner)
@@ -922,7 +919,7 @@ def min_over_covers(
     stop = prune = None
     if orderly and _growth_string_count(len(plan.outer), m) <= candidates:
         stop = dp_lower_bound(g, m)
-        if free_edges and len(plan.slots) == 1 and stop == m * plan.least_row(m):
+        if free_edges and len(plan.slots) == 1 and stop == m * plan.least_keys(m)[0]:
             prune = plan.least_key_table(m, free_edges)
     workers = min(worker_count() if workers is None else workers, len(chunks))
     args = [(g, m, free_edges, chunk, orderly, stop, prune) for chunk in chunks]

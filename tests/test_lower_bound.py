@@ -58,10 +58,10 @@ def graphs_with_a_cycle(n: int) -> list[Graph]:
 
 
 def test_the_bound_reads_every_canonical_key_and_counts_them():
-    """The keys `least_row` reads are the canonical keys with at most m
+    """The keys `least_keys` reads are the canonical keys with at most m
     classes, and the cost guard counts them without listing them."""
     for k in range(6):
-        for m in range(1, 7):
+        for m in range(0, 7):
             keys = sorted({_canonical(key) for key in product(range(m), repeat=k)})
             assert list(_growth_strings(k, m)) == keys
             assert _growth_string_count(k, m) == len(keys)
