@@ -341,16 +341,17 @@ class _FeedbackPlan:
     feedback set S = `g.feedback_set`, then the vertices of `restricted`
     outside it.  Every vertex outside the slots may take every color.
 
-    Every count runs one loop.  It relabels the fibers of each tree of the
-    forest left along its walk so that every tree edge is the identity:
-    frame[v] carries the fiber of v's root to v's.  A row colors the slots,
-    a fixed slot with its one color, and is rejected when an edge inside
-    the slots matches those colors.  Each edge from a slot blocks one color
-    at its other endpoint, read in that endpoint's frame; these colors are
-    the row's key, and `_row` counts the colorings of the forest avoiding
-    them.  The plan stores the edges inside and out of the slots, the trees
-    as (v, parent) steps and their `_descent`; none of it depends on the
-    fold or the fixed colors.
+    Every count runs one loop over the slot colorings, and one slot is its
+    one-factor case.  It relabels the fibers of each tree of the forest
+    left along its walk so that every tree edge is the identity: frame[v]
+    carries the fiber of v's root to v's.  A row colors the slots, a fixed
+    slot with its one color, and is rejected when an edge inside the slots
+    matches those colors.  Each edge from a slot blocks one color at its
+    other endpoint, read in that endpoint's frame; these colors are the
+    row's key, read as soon as it is made, and `_row` counts the colorings
+    of the forest avoiding them.  The plan stores the edges inside and out
+    of the slots, the trees as (v, parent) steps and their `_descent`; none
+    of it depends on the fold or the fixed colors.
 
     A permutation sigma of all m colors maps the colorings that avoid a key
     one-to-one onto those that avoid sigma(key), so a row depends only on
@@ -389,44 +390,38 @@ class _FeedbackPlan:
         self, perms: Sequence[Perm], m: int, fixed: Sequence[int | None] | None = None
     ) -> int:
         """Transversals at fold m, fixed[i] the one color of slot i or None
-        for every color (every slot takes every color without `fixed`)."""
-        unfixed = len(self.slots) if fixed is None else fixed.count(None)
+        for every color (all None without `fixed`): one loop over the slot
+        colorings, one slot its one-factor case, each key read as made."""
+        fixed = [None] * len(self.slots) if fixed is None else fixed
+        unfixed = fixed.count(None)
         if m**unfixed > BRUTE_FORCE_LIMIT:
             raise GraphTooLarge(
                 f"{m}^{unfixed} feedback-set colorings exceed BRUTE_FORCE_LIMIT = {BRUTE_FORCE_LIMIT:,}"
             )
         rows, ident = self._fold(m)
-        blocks = self.blocks(perms, ident)
-        if fixed is None and len(blocks) == 1:  # S is one vertex, on every cycle
-            keys = zip(*blocks[0])
-        else:
-            # a slot with no edge out of the slots blocks nothing: m empty keys
-            parts = [list(zip(*b)) if b else [()] * m for b in blocks]
-            inner = [(a, b, perms[e]) for a, b, e in self.inner]
-            keys = []
-            choices = [range(m)] * len(blocks)
-            if fixed is not None:
-                choices = [range(m) if c is None else (c,) for c in fixed]
-            for colors in product(*choices):
-                for a, b, p in inner:
-                    if p[colors[a]] == colors[b]:
-                        break
-                else:
-                    key = ()
-                    for part, c in zip(parts, colors):
-                        key += part[c]
-                    keys.append(key)
+        # a slot with no edge out of the slots blocks nothing: m empty keys
+        parts = [list(zip(*b)) if b else [()] * m for b in self.blocks(perms, ident)]
+        # each slot's choices as (color, key part) pairs
+        choices = [list(enumerate(part)) if c is None else [(c, part[c])] for part, c in zip(parts, fixed)]
+        inner = [(a, b, perms[e]) for a, b, e in self.inner]
         total = 0
-        for key in keys:
-            row = rows.get(key)
-            if row is None:
-                canon = _canonical(key)
-                row = rows.get(canon)
+        for coloring in product(*choices):
+            for a, b, p in inner:
+                if p[coloring[a][0]] == coloring[b][0]:
+                    break
+            else:
+                key = ()
+                for _, part in coloring:
+                    key += part
+                row = rows.get(key)
                 if row is None:
-                    row = rows[canon] = self._row(canon, m)
-                if len(rows) < RAW_KEY_LIMIT:
-                    rows[key] = row
-            total += row
+                    canon = _canonical(key)
+                    row = rows.get(canon)
+                    if row is None:
+                        row = rows[canon] = self._row(canon, m)
+                    if len(rows) < RAW_KEY_LIMIT:
+                        rows[key] = row
+                total += row
         return total
 
     def blocks(self, perms: Sequence[Perm], ident: Perm) -> list[list[Perm]]:
@@ -503,7 +498,7 @@ class _FeedbackPlan:
 def _canonical(key: tuple[int, ...]) -> tuple[int, ...]:
     """`key` with its colors renamed 0, 1, ... in order of first occurrence."""
     names: dict[int, int] = {}
-    return tuple(names.setdefault(c, len(names)) for c in key)
+    return tuple([names.setdefault(c, len(names)) for c in key])
 
 
 def _growth_strings(k: int, most: int) -> Iterator[tuple[int, ...]]:
