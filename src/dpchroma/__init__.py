@@ -8,6 +8,7 @@ from .analysis import (
     SubsetAuditReport,
     ThetaDpFormula,
     classify_generalized,
+    cover_gap,
     cover_loss_terms,
     cover_subset_audit,
     edge_deletion_gap,

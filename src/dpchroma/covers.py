@@ -447,7 +447,8 @@ class _FeedbackPlan:
         frame: it depends on the twist of edge j and on those of the free
         edges on the descent from y's root down to y, so it is fixed at the
         depth of the last of them, carried down the descent.  A column fixed
-        before the first free edge is at depth 1, where a chunk's prefix ends."""
+        before the first free edge is at depth 1, tested with that edge's
+        twist, the chunk's own."""
         best, place = self.least_keys(m)[1], {e: d for d, e in enumerate(free_edges, start=1)}
         fixed = [1] * self.n  # the depth that fixes each frame
         for v, parent, e, _ in self.descent:
@@ -506,19 +507,25 @@ def _growth_strings(k: int, most: int) -> Iterator[tuple[int, ...]]:
     classes, in lex order: each entry names its class, and a class first
     appears one above the largest so far (k items partitioned, item 0 in
     class 0): the canonical keys of `_canonical`, and the package's one
-    set-partition enumerator."""
-    rgs = [0] * k
-
-    def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
-        if i == k:
-            yield tuple(rgs)
+    set-partition enumerator.  The next string raises the last entry that
+    may rise, past no class before it and below `most`, and zeroes every
+    entry after it; no frame is made per entry, so k may be any length."""
+    if k == 0:
+        yield ()
+        return
+    if most < 1:
+        return
+    rgs, used = [0] * k, [1] * k  # used[i]: the classes of rgs[: i + 1]
+    while True:
+        yield tuple(rgs)
+        i = k - 1
+        while i and rgs[i] in (most - 1, used[i - 1]):
+            i -= 1
+        if not i:
             return
-        for value in range(min(used + 1, most)):
-            rgs[i] = value
-            yield from rec(i + 1, max(used, value + 1))
-
-    start = 1 if k and most > 0 else 0  # item 0 is in class 0, if any class is allowed
-    return rec(start, start)
+        rgs[i] += 1
+        used[i:] = [max(used[i - 1], rgs[i] + 1)] * (k - i)
+        rgs[i + 1 :] = [0] * (k - i - 1)
 
 
 def _growth_string_count(k: int, most: int) -> int:
@@ -893,8 +900,9 @@ def min_over_covers(
         raise OutOfRange("m must be positive")
     if symmetry not in ("none", "tree-canonical", "tree-canonical+conjugacy"):
         raise ValueError(f"unknown symmetry level {symmetry!r}")
+    # S_1 has one permutation, so at fold 1 no edge is free
     tree = g.standard_tree
-    free_edges = [e for e in range(len(g.edges)) if symmetry == "none" or e not in tree]
+    free_edges = [e for e in range(len(g.edges)) if m > 1 and (symmetry == "none" or e not in tree)]
     orderly = symmetry == "tree-canonical+conjugacy"
     over = max(budget, 10**_SHOWN_DIGITS) + 1  # no count past this is built
     candidates = 1
@@ -906,10 +914,7 @@ def min_over_covers(
     if candidates > budget:
         shown = candidates if candidates < over else f"more than 10^{_SHOWN_DIGITS}"
         raise SearchBudgetExceeded(f"{shown} covers exceed the budget of {budget}")
-    chunks = [()]
-    if free_edges:
-        firsts = cycle_type_representatives(m) if orderly else permutations(range(m))
-        chunks = [(p,) for p in firsts]
+    chunks = [p for p, _ in _choices(m, orderly, None)] if free_edges else [None]
     plan = g.plan(_FeedbackPlan)
     stop = prune = None
     if orderly and _growth_string_count(len(plan.outer), m) <= candidates:
@@ -934,26 +939,38 @@ def min_over_covers(
         raise AssumptionViolated(
             f"no cover at fold {m} counts dp_lower_bound = {stop}, exact with one feedback vertex"
         )
-    # a chunk whose prefix no least key extends counted nothing (None)
+    # a chunk whose every assignment `prune` skips counted nothing (None)
     best_value, best_assignment = min(filter(None, partials), key=lambda part: part[0])
     perms = dict(zip(free_edges, best_assignment))
     witness = FullCover.from_edge_perms(g, m, perms)
     return MinimizationResult(best_value, witness, candidates)
 
 
+def _choices(m: int, orderly: bool, group) -> Sequence[tuple[Perm, tuple | None]]:
+    """Each twist a free edge takes, with the group H of the edge after:
+    all of S_m below the conjugacy level, else one twist per orbit of
+    `group`.  None stands for all of S_m, whose orbits are the cycle types;
+    the H of a twist p there is its centraliser, built by the search only
+    for a twist it keeps."""
+    if orderly and group is not None:
+        return _orbit_sweep(m, group)
+    return [(p, None) for p in (cycle_type_representatives(m) if orderly else permutations(range(m)))]
+
+
 def _search_chunk(args) -> tuple[int, tuple[Perm, ...]] | None:
-    """Minimum over all assignments extending a fixed prefix, each counted
-    through the graph's counting plan; None when `prune` skips the prefix.
+    """Minimum over all assignments whose first free edge takes the
+    chunk's twist `first` (None without free edges), each counted through
+    the graph's counting plan; None when `prune` skips every assignment.
 
     When `orderly`, the search is orderly (McKay, J. Algorithms 1998): an
     edge skips a twist p when some tau commuting with every earlier twist
     gives tau p tau^-1 <lex p.  A lex sweep keeps the first twist of each
     such orbit, and its stabiliser is the group at the next edge; while
-    that group is S_m the kept twists are `cycle_type_representatives(m)`.
-    Relabeling every fiber by tau keeps the tree edges and the earlier
-    twists and conjugates the rest without changing the count, so a
-    skipped cover has an equal count earlier in enumeration order.  The
-    first minimum is never skipped: value and witness are those of
+    that group is S_m the kept twists are `cycle_type_representatives(m)`
+    (`_choices`).  Relabeling every fiber by tau keeps the tree edges and
+    the earlier twists and conjugates the rest without changing the count,
+    so a skipped cover has an equal count earlier in enumeration order.
+    The first minimum is never skipped: value and witness are those of
     counting every cover.
 
     No count falls below `stop` when one is given (`dp_lower_bound`), so
@@ -967,20 +984,14 @@ def _search_chunk(args) -> tuple[int, tuple[Perm, ...]] | None:
     placed, the columns of the keys fixed at depth d no longer change, so
     a twist after which some key_a restricted to them, canonically
     relabeled, is no least key's restriction has no cover below it that
-    counts `stop`: the search skips it, and the chunk's prefix the same
-    way before any group is built.  The first cover counting `stop` is
-    never skipped, so value and witness are again those of counting every
-    cover.
+    counts `stop`: the search skips it before it builds any group.  The
+    first cover counting `stop` is never skipped, so value and witness are
+    again those of counting every cover.
     """
-    g, m, free_edges, prefix, orderly, stop, prune = args
+    g, m, free_edges, first, orderly, stop, prune = args
     plan = g.plan(_FeedbackPlan)
     ident = identity_perm(m)
     perms: list[Perm] = [ident] * len(g.edges)
-    for e, p in zip(free_edges, prefix):
-        perms[e] = p
-    remaining = free_edges[len(prefix) :]
-    # levels[i]: the test once i edges past the prefix are placed, or None
-    levels = prune[len(prefix) :] if prune else [None] * (len(remaining) + 1)
     best: tuple[int, tuple[Perm, ...]] | None = None
 
     def extends(level) -> bool:
@@ -990,40 +1001,27 @@ def _search_chunk(args) -> tuple[int, tuple[Perm, ...]] | None:
         keys = zip(*[blocks[j] for j in columns])
         return all(_canonical(key) in restrictions for key in keys)
 
-    if levels[0] is not None and not extends(levels[0]):
-        return None
-
-    def options(group):
-        """Each twist the next edge takes, with the H of the edge after;
-        None stands for all of S_m, where the H of a twist p is its
-        centraliser, built by `rec` only for a twist it keeps."""
-        if not orderly:
-            return [(p, None) for p in permutations(range(m))]
-        if group is None:
-            return [(p, None) for p in cycle_type_representatives(m)]
-        return _orbit_sweep(m, group)
-
-    def rec(i: int, group) -> bool:
-        """Search the edges from i on; True once a count reaches `stop`."""
+    def rec(i: int, choices) -> bool:
+        """Search the edges from i on, edge i taking `choices`; True once a
+        count reaches `stop`."""
         nonlocal best
-        if i == len(remaining):
+        if i == len(free_edges):
             value = plan.count(perms, m)
             if best is None or value < best[0]:
                 best = (value, tuple(perms[e] for e in free_edges))
             return value == stop
-        level, deeper = levels[i + 1], i + 1 < len(remaining)
-        for p, subgroup in options(group):
-            perms[remaining[i]] = p
+        level, deeper = prune and prune[i + 1], i + 1 < len(free_edges)
+        for p, group in choices:
+            perms[free_edges[i]] = p
             if level is not None and not extends(level):
                 continue
             if orderly and group is None and deeper and p != ident:
-                subgroup = _centralizer(p)
-            if rec(i + 1, subgroup):
+                group = _centralizer(p)
+            if rec(i + 1, _choices(m, orderly, group) if deeper else ()):
                 return True
         return False
 
-    first = prefix[0] if orderly and remaining else ident
-    rec(0, None if first == ident else _centralizer(first))
+    rec(0, [(first, None)])
     return best
 
 

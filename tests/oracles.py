@@ -269,3 +269,21 @@ def simple_cycles_by_enumeration(g: Graph, mask: int) -> list[int]:
                     seen_edge_sets.add(edge_set)
             lengths.extend([size] * len(seen_edge_sets))
     return sorted(lengths)
+
+
+def growth_strings_by_recursion(k: int, most: int):
+    """Restricted-growth strings of length k with at most `most` classes,
+    in lex order, one generator frame per entry: the reference for
+    `covers._growth_strings`."""
+    rgs = [0] * k
+
+    def rec(i: int, used: int):
+        if i == k:
+            yield tuple(rgs)
+            return
+        for value in range(min(used + 1, most)):
+            rgs[i] = value
+            yield from rec(i + 1, max(used, value + 1))
+
+    start = 1 if k and most > 0 else 0  # item 0 is in class 0, if any class is allowed
+    return rec(start, start)

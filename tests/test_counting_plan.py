@@ -116,7 +116,7 @@ def test_bowtie_at_fold_6_equals_the_fvs1_polynomial():
 def fake_pool(monkeypatch) -> list:
     """Replace `multiprocessing.Pool` with an in-process pool whose `imap`
     is lazy; each pool made is appended to the returned list, with the
-    workers it was asked for, the prefix of every chunk it evaluated and
+    workers it was asked for, the first twist of every chunk it evaluated and
     whether its `with` block was left."""
     pools = []
 
@@ -158,7 +158,7 @@ def test_a_pool_is_left_at_the_first_chunk_that_reaches_the_bound(monkeypatch):
     pools = fake_pool(monkeypatch)
     result = min_over_covers(K4, 5, workers=2)
     [pool] = pools
-    assert pool.evaluated == [(cycle_type_representatives(5)[0],)]
+    assert pool.evaluated == [cycle_type_representatives(5)[0]]
     assert pool.left
     serial = min_over_covers(K4, 5, workers=1)
     assert result.value == serial.value == 120
