@@ -481,16 +481,19 @@ class SubsetAuditReport:
 def cover_subset_audit(cover: FullCover) -> SubsetAuditReport:
     """Audit one cover of a generalized Theta graph against the
     subset-deficit classification, every nonempty edge subset once
-    (`subset_walk`)."""
+    (`subset_walk`).  A subset with |A| + c(A) > n (the walk's component
+    table) holds as cycles the pairs of u--w paths it holds whole
+    (`ThetaSpec.path_masks`), as only u and w have degree above 2; the
+    profile sorts the lengths, so its last two whole paths are its longest."""
     profile = twist_profile(cover)
-    g, m = cover.graph, cover.m
-    spec = g.theta
+    m, spec = cover.m, cover.graph.theta
     l = spec.edge_count
     n = spec.vertex_count
     mu = profile.first_twisted
     counts: dict[str, int] = {}
     failures: list[SubsetCheck] = []
     components, agreements = subset_walk(cover)
+    paths = spec.path_masks
     cycle_size = None if mu == 0 else spec.lengths[0] + spec.lengths[mu - 1]
     for mask in range(1, 1 << l):
         c = components[mask]
@@ -498,19 +501,16 @@ def cover_subset_audit(cover: FullCover) -> SubsetAuditReport:
         checks: list[tuple[str, str, bool]] = [
             ("range", f"-{m}^{c} <= diff <= 0", -(m**c) <= diff <= 0)
         ]
-        cycles = g.subset_cycles[mask]
         p = mask.bit_count()
-        if mu == 0 or not cycles or max(cycles) < cycle_size:
+        whole = [] if mu == 0 or p + c == n else [
+            i for i, path in enumerate(paths, 1) if mask & path == path
+        ]
+        if len(whole) < 2 or sum(spec.lengths[i - 1] for i in whole[-2:]) < cycle_size:
             category = "short-cycle"
             checks.append(("zero", "diff == 0", diff == 0))
         elif p == cycle_size:
             category = "exact-cycle"
-            twisted = [
-                j
-                for j in range(2, spec.k + 1)
-                if mask >> (j - 1) & 1
-            ]
-            j = twisted[0]
+            j = next(i for i in whole if i > 1)
             want = -profile.mismatch_counts[j - 2] * m ** (n - cycle_size)
             checks.append(("exact", f"diff == {want}", diff == want))
         elif p == cycle_size + 1:
@@ -518,7 +518,7 @@ def cover_subset_audit(cover: FullCover) -> SubsetAuditReport:
             checks.append(
                 ("components", f"{n - cycle_size} components", c == n - cycle_size)
             )
-            checks.append(("one-cycle", "exactly one cycle", len(cycles) == 1))
+            checks.append(("one-cycle", "exactly one cycle", len(whole) == 2))
             floor = -2 * profile.mismatch_mass * m ** (n - cycle_size - 1)
             checks.append(("floor", f"diff >= {floor}", diff >= floor))
         elif p % 2 == 0:

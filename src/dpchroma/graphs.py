@@ -59,6 +59,14 @@ class ThetaSpec:
     def vertex_count(self) -> int:
         return self.edge_count + 2 - self.k
 
+    @property
+    def path_masks(self) -> tuple[int, ...]:
+        """Edge mask of each u--w path in `build_generalized_theta`'s order:
+        path i is its u-edge i - 1, then its other edges, path-major after
+        the k u-edges."""
+        ends = [self.k + sum(self.lengths[:i]) - i for i in range(self.k + 1)]
+        return tuple(1 << i | (1 << ends[i + 1]) - (1 << ends[i]) for i in range(self.k))
+
     def sorted_for_analysis(self) -> bool:
         """True when l_2 <= ... <= l_k and l_2 >= max(l_1, 2).
 
@@ -215,14 +223,6 @@ class Graph:
             return frozenset(i for i in range(len(self.edges)) if not 1 <= i < k)
         _, cotree = spanning_forest(self.n, self.edges)
         return frozenset(range(len(self.edges))).difference(cotree)
-
-    @cached_property
-    def subset_cycles(self) -> tuple[list[int], ...]:
-        """`subset_cycle_lengths` of every edge subset, indexed by mask and
-        computed once per graph (the empty subset has no cycles)."""
-        return ([],) + tuple(
-            subset_cycle_lengths(self, mask) for mask in range(1, 1 << len(self.edges))
-        )
 
     def is_forest(self) -> bool:
         return not spanning_forest(self.n, self.edges)[1]

@@ -115,6 +115,36 @@ def test_cycles_match_enumeration_oracle():
         assert subset_cycle_lengths(g, mask) == simple_cycles_by_enumeration(g, mask)
 
 
+def test_path_masks_give_every_subsets_cycles():
+    """On Theta(l_1, ..., l_k) the cycles of an edge subset are the pairs
+    of u--w paths it holds whole: 219 length tuples of k = 2..4 paths of
+    length at most 6 and at most 10 edges, 124,192 subsets, against the
+    cycle enumerator."""
+    tuples = [x for x in all_valid_length_tuples(4, 6) if sum(x) <= 10]
+    assert len(tuples) == 219
+    for lengths in tuples:
+        g = theta(*lengths)
+        masks = ThetaSpec(lengths).path_masks
+        union = 0
+        for path in masks:
+            assert not union & path
+            union |= path
+        assert union == full_mask(g) and len(masks) == len(lengths)
+        for path, length in zip(masks, lengths):
+            # walk from u along the path's edges: each step has one way on
+            edges = {g.edges[i] for i in range(g.edge_count) if path >> i & 1}
+            at = g.index["u"]
+            for _ in range(length):
+                (step,) = [e for e in edges if at in e]
+                edges.remove(step)
+                at = step[0] + step[1] - at
+            assert not edges and at == g.index["w"]
+        for mask in range(1 << g.edge_count):
+            whole = [x for path, x in zip(masks, lengths) if mask & path == path]
+            pairs = sorted(a + b for i, a in enumerate(whole) for b in whole[i + 1:])
+            assert subset_cycle_lengths(g, mask) == pairs
+
+
 def test_rank_inequality_over_subsets():
     for lengths in ((2, 2, 2), (2, 3, 3)):
         g = theta(*lengths)
