@@ -4,12 +4,12 @@ Commands: chrom, theta-chrom, dp-exact, dp-formula, compare, verify, scan,
 threshold.  Exit code 0 means success, 1 means a verification check
 failed, 2 means a usage or input error, and 141 (128 + SIGPIPE) means the
 reader closed stdout before the output was written, with nothing on
-stderr.  All counts in JSON output are decimal strings so consumers never
-face integer-width questions.  Each `cmd_*` computes and returns its JSON
-payload and its text lines (`verify` also its exit code); `main` prints
-one or the other, once.  A `main` call builds only the parser it needs,
-the named command's or the whole one, on first use, and later calls in
-the same process reuse it.
+stderr.  All counts in JSON output are decimal strings, of any length, so
+consumers never face integer-width questions.  Each `cmd_*` computes and
+returns its JSON payload and its text lines (`verify` also its exit code);
+`main` prints one or the other, once.  A `main` call builds only the
+parser it needs, the named command's or the whole one, on first use, and
+later calls in the same process reuse it.
 """
 
 from __future__ import annotations
@@ -410,23 +410,30 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # counts of any size print; one argv argument bounds a parsed int to 128 KiB
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
-    try:
         payload, lines, *status = args.func(args)
         print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines))
         sys.stdout.flush()
+    except SystemExit as exc:
+        return USAGE_ERROR if exc.code not in (0, None) else 0
     except SearchBudgetExceeded as exc:
         print(f"dpchroma: search budget exceeded: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (DpchromaError, ValueError) as exc:
         print(f"dpchroma: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except MemoryError:
+        print("dpchroma: out of memory: the input is too large", file=sys.stderr)
+        return USAGE_ERROR
     except BrokenPipeError:  # the interpreter's last flush must not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE
+    finally:
+        sys.set_int_max_str_digits(digits)
     return status[0] if status else 0
 
 

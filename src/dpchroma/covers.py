@@ -42,6 +42,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import permutations, product
+from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -195,35 +196,33 @@ def _orbit_sweep(m: int, group: tuple[tuple[Perm, Perm], ...]) -> tuple[tuple[Pe
     return tuple(kept)
 
 
-def _forest_walk(
-    g: Graph, edge_ids: Iterable[int]
-) -> list[list[tuple[int, int, int]]]:
-    """Preorder (vertex, parent, edge index) of each tree of the forest
-    spanned by `edge_ids`, rooted at its least vertex; a root has parent
-    and edge -1.  Reversed, a walk visits every child before its parent.
-    """
+def _forest(g: Graph, edge_ids: Iterable[int]) -> tuple[list[int], list[tuple[int, int, int, bool]]]:
+    """The roots of the forest spanned by `edge_ids`, each tree's least
+    vertex, and its descent: every non-root step (v, parent, edge index,
+    forward), each parent first and each tree one slice in root order;
+    forward when the edge is stored from the parent.  Reversed, the descent
+    visits every child before its parent."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for e in edge_ids:
         a, b = g.edges[e]
         adj[a].append((b, e))
         adj[b].append((a, e))
     seen = [False] * g.n
-    walks = []
+    roots, descent = [], []
     for root in range(g.n):
         if seen[root]:
             continue
         seen[root] = True
-        walk = []
-        stack = [(root, -1, -1)]
+        roots.append(root)
+        stack = [root]
         while stack:
-            x, parent, e = stack.pop()
-            walk.append((x, parent, e))
-            for y, f in adj[x]:
+            x = stack.pop()
+            for y, e in adj[x]:
                 if not seen[y]:
                     seen[y] = True
-                    stack.append((y, x, f))
-        walks.append(walk)
-    return walks
+                    descent.append((y, x, e, g.edges[e][0] == x))
+                    stack.append(y)
+    return roots, descent
 
 
 @dataclass(frozen=True)
@@ -275,7 +274,7 @@ class FullCover:
         full = [tuple(perms.get(i, ident)) for i in range(len(g.edges))]
         # Relabeling each fiber by its frame's inverse makes every tree matching
         # the identity; a cotree twist becomes frame[b]^-1 o sigma o frame[a].
-        frame = _frames(g.n, _descent(g, _forest_walk(g, tree)), full, ident)
+        frame = _frames(g.n, _forest(g, tree)[1], full, ident)
         twists = {}
         for i, (a, b) in enumerate(g.edges):
             if i not in tree:
@@ -284,15 +283,9 @@ class FullCover:
         return cls(g, m, twists)
 
 
-def _descent(g: Graph, walks: Iterable[list]) -> list[tuple[int, int, int, bool]]:
-    """Every non-root step (v, parent, edge index, forward) of `_forest_walk`'s
-    walks, each parent first; forward when the edge is stored from the parent."""
-    return [(v, parent, e, g.edges[e][0] == parent) for walk in walks for v, parent, e in walk[1:]]
-
-
 def _frames(n: int, descent: list, perms: Sequence[Perm], ident: Perm, inverse=invert_perm) -> list:
-    """frame[v] carries the fiber of v's root to v's own down `_descent`; None
-    is the identity, so identity matchings compose nothing."""
+    """frame[v] carries the fiber of v's root to v's own down a `_forest`
+    descent; None is the identity, so identity matchings compose nothing."""
     frame: list[Perm | None] = [None] * n
     for v, parent, e, forward in descent:
         p = perms[e]
@@ -323,17 +316,16 @@ def random_cover(g: Graph, m: int, rng) -> FullCover:
     return FullCover(g, m, twists)
 
 
-def _tree_dp_vector(root: int, steps: list[tuple[int, int]], seeds: Sequence[Sequence[int]]) -> int:
-    """Count colorings of a tree whose every edge is the identity matching.
-    `steps` holds each non-root vertex as (v, parent), children before
-    their parents; seeds[v] is the 0/1 vector of colors allowed at v."""
-    vecs: dict[int, Sequence[int]] = {}
-    for v, parent in steps:
-        child = vecs.pop(v, seeds[v])
+def _forest_count(roots: Iterable[int], descent: list, seeds: Sequence[Sequence[int]]) -> int:
+    """Count colorings of a forest whose every edge is the identity matching:
+    one pass up a `_forest` descent, then the product over the roots;
+    seeds[v] is the 0/1 vector of colors allowed at v."""
+    vecs = list(seeds)
+    for v, parent, _, _ in reversed(descent):
+        child = vecs[v]
         s = sum(child)
-        up = vecs.get(parent, seeds[parent])
-        vecs[parent] = [a * (s - b) for a, b in zip(up, child)]
-    return sum(vecs.get(root, seeds[root]))
+        vecs[parent] = [a * (s - b) for a, b in zip(vecs[parent], child)]
+    return prod(sum(vecs[root]) for root in roots)
 
 
 class _FeedbackPlan:
@@ -343,22 +335,22 @@ class _FeedbackPlan:
 
     Every count runs one loop over the slot colorings, and one slot is its
     one-factor case.  It relabels the fibers of each tree of the forest
-    left along its walk so that every tree edge is the identity: frame[v]
+    left down its descent so that every tree edge is the identity: frame[v]
     carries the fiber of v's root to v's.  A row colors the slots, a fixed
     slot with its one color, and is rejected when an edge inside the slots
     matches those colors.  Each edge from a slot blocks one color at its
     other endpoint, read in that endpoint's frame; these colors are the
     row's key, read as soon as it is made, and `_row` counts the colorings
     of the forest avoiding them.  The plan stores the edges inside and out
-    of the slots, the trees as (v, parent) steps and their `_descent`; none
-    of it depends on the fold or the fixed colors.
+    of the slots and the forest as its roots and one `_forest` descent, each
+    tree a slice of it; none of it depends on the fold or the fixed colors.
 
     A permutation sigma of all m colors maps the colorings that avoid a key
     one-to-one onto those that avoid sigma(key), so a row depends only on
-    which entries of its key are equal.  The plan keeps one table per fold,
-    with that fold's identity.  A key missing from the table is relabeled
-    in order of first occurrence, (2, 0, 2) to (0, 1, 0), and only that
-    canonical key runs the tree DPs, so a fold builds at most
+    which entries of its key are equal.  The plan keeps one row table per
+    fold.  A key missing from the table is relabeled in order of first
+    occurrence, (2, 0, 2) to (0, 1, 0), and only that canonical key runs
+    the forest's DP, so a fold builds at most
     Bell(|edges from the slots|) rows.  The raw key is stored beside it
     only while the table holds fewer than `RAW_KEY_LIMIT` entries.
     """
@@ -377,13 +369,10 @@ class _FeedbackPlan:
             else:
                 rest.append(e)
         self.outer.sort(key=lambda edge: edge[0])  # row keys go slot by slot
-        # trees as (root, steps), children first, and their `_descent`; a
-        # slot vertex is alone in the forest
-        walks = [walk for walk in _forest_walk(g, rest) if walk[0][0] not in slot]
-        self.trees = [(w[0][0], [(v, parent) for v, parent, _ in reversed(w[1:])]) for w in walks]
-        self.descent = _descent(g, walks)
+        roots, self.descent = _forest(g, rest)
+        self.roots = [root for root in roots if root not in slot]  # a slot is alone
         self.inverse = cache(invert_perm)
-        self.tables: dict[int, tuple[dict[tuple[int, ...], int], Perm]] = {}
+        self.tables: dict[int, dict[tuple[int, ...], int]] = {}  # per fold, its rows
         self.least: dict[int, tuple[int, list[tuple[int, ...]]]] = {}  # per fold, `least_keys`
 
     def count(
@@ -398,9 +387,9 @@ class _FeedbackPlan:
             raise GraphTooLarge(
                 f"{m}^{unfixed} feedback-set colorings exceed BRUTE_FORCE_LIMIT = {BRUTE_FORCE_LIMIT:,}"
             )
-        rows, ident = self._fold(m)
+        rows = self.tables.setdefault(m, {})
         # a slot with no edge out of the slots blocks nothing: m empty keys
-        parts = [list(zip(*b)) if b else [()] * m for b in self.blocks(perms, ident)]
+        parts = [list(zip(*b)) if b else [()] * m for b in self.blocks(perms, identity_perm(m))]
         # each slot's choices as (color, key part) pairs
         choices = [list(enumerate(part)) if c is None else [(c, part[c])] for part, c in zip(parts, fixed)]
         inner = [(a, b, perms[e]) for a, b, e in self.inner]
@@ -460,19 +449,12 @@ class _FeedbackPlan:
             table[d] = (columns, frozenset(_canonical(tuple(key[j] for j in columns)) for key in best))
         return tuple(table)
 
-    def _fold(self, m: int) -> tuple[dict[tuple[int, ...], int], Perm]:
-        """Fold m's row table and identity, made on first use."""
-        fold = self.tables.get(m)
-        if fold is None:
-            fold = self.tables[m] = ({}, identity_perm(m))
-        return fold
-
     def least_keys(self, m: int) -> tuple[int, list[tuple[int, ...]]]:
         """The least row at fold m over every canonical key with at most m
         classes, and the keys whose row it is: one walk of the keys per
         fold, each read through the fold's row table, kept beside it."""
         if m not in self.least:
-            rows, least, keys = self._fold(m)[0], None, []
+            rows, least, keys = self.tables.setdefault(m, {}), None, []
             for key in _growth_strings(len(self.outer), m):
                 row = rows.get(key)
                 if row is None:
@@ -490,10 +472,7 @@ class _FeedbackPlan:
         seeds = [[1] * m for _ in range(self.n)]
         for (_, y, _, _), c in zip(self.outer, key):
             seeds[y][c] = 0
-        row = 1
-        for root, steps in self.trees:
-            row *= _tree_dp_vector(root, steps, seeds)
-        return row
+        return _forest_count(self.roots, self.descent, seeds)
 
 
 def _canonical(key: tuple[int, ...]) -> tuple[int, ...]:

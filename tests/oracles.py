@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product, zip_longest
 
 from dpchroma import chromatic
-from dpchroma.covers import FullCover, _descent, _forest_walk, _frames, compose, identity_perm, invert_perm
+from dpchroma.covers import FullCover, _forest, _frames, compose, identity_perm, invert_perm
 from dpchroma.errors import SearchBudgetExceeded
 from dpchroma.graphs import EdgeSubset, Graph, _bits, component_count, spanning_forest
 from dpchroma.poly import IntPoly
@@ -194,7 +194,7 @@ def subset_agreement_count(cover: FullCover, subset: EdgeSubset) -> int:
     roots, cotree = spanning_forest(g.n, [g.edges[i] for i in edge_ids])
     closing = [edge_ids[i] for i in cotree]
     forest, ident = set(edge_ids).difference(closing), identity_perm(m)
-    frame = _frames(g.n, _descent(g, _forest_walk(g, forest)), perms, ident)
+    frame = _frames(g.n, _forest(g, forest)[1], perms, ident)
     rho = [ident if f is None else f for f in frame]
     allowed = {r: [True] * m for r in roots}
     for e in closing:

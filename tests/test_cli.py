@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from dpchroma import cli
 from dpchroma.cli import build_command_parser, main
 from dpchroma.covers import SEARCH_BUDGET, min_over_covers
 
@@ -307,3 +308,32 @@ def test_a_closed_pipe_is_not_a_failed_check():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+def test_counts_past_the_digit_limit_print(tmp_path, capsys):
+    """A count of 4,517 digits prints, past the interpreter's default limit
+    of 4,300 on int-to-str conversion, and `main` leaves the process's
+    limit as it found it."""
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "theta-chrom", "theta:2,2,15000", "--m", "3", "--format", "json")
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    value = json.loads(out)["value"]
+    path = cycle_file(tmp_path, 15000)
+    code, out, _ = run(capsys, "dp-exact", path, "--m", "3", "--format", "json")
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    minimum = json.loads(out)["minimum"]
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(value) == 6 * 2**15000 + 6
+        assert int(minimum) == 2**15000 - 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_running_out_of_memory_is_one_line(monkeypatch, capsys):
+    def exhausted(g):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "chromatic_polynomial", exhausted)
+    code, out, err = run(capsys, "chrom", "theta:2,2,2")
+    assert (code, out, err) == (2, "", "dpchroma: out of memory: the input is too large\n")

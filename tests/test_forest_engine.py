@@ -2,10 +2,11 @@
 
 `graphs.spanning_forest` (one union-find pass) answers every forest,
 component, spanning-tree, cycle-edge and feedback-vertex question, and
-`covers._forest_walk` (one tree walk) carries the fiber transport and the
-tree DP.  Each question is checked here against an independent route on
-seeded random graphs with several components: cycle enumeration, vertex
-deletion, inclusion-exclusion and plain enumeration.
+`covers._forest` (one walk: the forest's roots and one parent-first
+descent) carries the fiber transport and the forest DP.  Each question
+is checked here against an independent route on seeded random graphs
+with several components: cycle enumeration, vertex deletion,
+inclusion-exclusion and plain enumeration.
 """
 
 import random

@@ -3,7 +3,7 @@
 The least row and the keys that reach it are found by one walk of the
 canonical keys per fold (`_FeedbackPlan.least_keys`), which the bound, the
 search's pruning gate and the least-key table all read.  Fibres are
-relabelled along a forest by one descent (`covers._descent`) and one frame
+relabelled along a forest by one descent (`covers._forest`) and one frame
 helper (`covers._frames`), whose identity step composes nothing, so a
 witness whose tree twists are identities canonicalises without a
 composition.  The least-key table carries each column's fixing depth down

@@ -152,7 +152,7 @@ def test_precolored_k5_at_a_large_fold_reads_the_row_table():
     assert precolored_count(g, Precoloring({"k0": 1}, 5), 60) == 10_923_024 == 59 * 58 * 57 * 56
     (plan,) = [p for key, p in g._plans.items() if key[0] is covers._FeedbackPlan]
     assert set(plan.slots) == set(range(5)) - {4} and len(plan.outer) == 4
-    rows = plan.tables[60][0]
+    rows = plan.tables[60]
     assert 0 < sum(key == _canonical(key) for key in rows) <= 15
 
 

@@ -187,7 +187,7 @@ def test_one_feedback_plan_per_theta_graph_and_one_table_per_fold(monkeypatch):
     assert len(built) == 1 and built[0] is g
     tables = g.plan(covers._FeedbackPlan).tables
     assert sorted(tables) == [3, 4]
-    assert all(rows for rows, _ in tables.values())  # one memo per fold
+    assert all(tables.values())  # one memo per fold
 
 
 def test_a_counted_graph_pickles_and_the_pool_search_agrees(monkeypatch):

@@ -6,7 +6,8 @@ is relabeled to the identity.  The slots are the feedback set S and
 every vertex with a fixed color.  These tests compare the table, with
 every color allowed and with random fixed colors, with the brute-force
 oracle on seeded graphs with |S| = 1, 2 and 3, some with a tree
-component, whose count sits in every row; check that a repeated blocked
+component, whose count sits in every row; check that each tree of the
+forest is one slice of the plan's descent, that a repeated blocked
 pattern runs no tree DP, that each fold has its own table, that raw
 keys stop at `RAW_KEY_LIMIT`, that a row depends only on the equality
 pattern of its key, and pin how many rows a search builds.  What the
@@ -15,6 +16,7 @@ search counts and returns through the table is pinned in
 """
 
 import random
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -64,6 +66,14 @@ def seeded_graphs(size: int, count: int = 3) -> list[Graph]:
     return found
 
 
+def tree_of(plan: _FeedbackPlan) -> dict[int, int]:
+    """The root of the tree of G - S that holds each vertex outside S."""
+    root = {r: r for r in plan.roots}
+    for v, parent, _, _ in plan.descent:
+        root[v] = root[parent]
+    return root
+
+
 def random_perms(g: Graph, m: int, rng: random.Random) -> list[tuple[int, ...]]:
     """A random permutation on every edge, tree edges included, so that a
     count has to relabel the trees of G - S."""
@@ -79,11 +89,7 @@ def test_table_matches_the_oracle_and_the_vector_route(size):
     rng = random.Random(size)
     graphs = seeded_graphs(size)
     plans = [g.plan(_FeedbackPlan) for g in graphs]
-    assert any(
-        {y for _, y, _, _ in plan.outer}.isdisjoint([root, *(v for v, _ in steps)])
-        for plan in plans
-        for root, steps in plan.trees
-    )
+    assert any(set(plan.roots) - {tree_of(plan)[y] for _, y, _, _ in plan.outer} for plan in plans)
     for g, plan in zip(graphs, plans):
         for m in range(2, 6):
             for perms in (random_cover(g, m, rng).edge_perms(), random_perms(g, m, rng)):
@@ -100,13 +106,54 @@ def test_a_repeated_pattern_runs_no_tree_dp(monkeypatch):
     perms = random_cover(g, 4, random.Random(7)).edge_perms()
     plan = g.plan(_FeedbackPlan)
     want = plan.count(perms, 4)
-    assert plan.tables[4][0]
+    assert plan.tables[4]
 
     def no_dp(*args):
-        raise AssertionError("tree DP on a known pattern")
+        raise AssertionError("forest DP on a known pattern")
 
-    monkeypatch.setattr(covers, "_tree_dp_vector", no_dp)
+    monkeypatch.setattr(covers, "_forest_count", no_dp)
     assert plan.count(perms, 4) == want
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_each_tree_is_one_slice_of_the_descent(size):
+    """Each tree of the forest left by the slots is one slice of the plan's
+    descent, rooted at its least vertex, the slices in the order of
+    `plan.roots`; a slot, alone in the walk, roots no tree.  The forest's
+    count over the whole descent is the product of its counts over the
+    slices and the oracle's count of that forest."""
+    rng = random.Random(30 + size)
+    plans = [
+        (g, g.plan(_FeedbackPlan, *restricted))
+        for g in seeded_graphs(size)
+        for restricted in ((), ((0,),), ((0, g.n - 1),))
+    ]
+    assert any(len(plan.roots) > 1 for _, plan in plans)
+    assert any(set(plan.roots) - {tree_of(plan)[y] for _, y, _, _ in plan.outer} for _, plan in plans)
+    for g, plan in plans:
+        root = tree_of(plan)
+        assert sorted(root) == sorted(set(range(g.n)) - set(plan.slots))
+        slices, start = [], 0
+        for r in plan.roots:
+            stop = start + sum(root[v] == r for v, _, _, _ in plan.descent)
+            steps = plan.descent[start:stop]
+            assert all(root[v] == r < v for v, _, _, _ in steps)
+            slices.append(([r], steps))
+            start = stop
+        assert start == len(plan.descent)
+        keep = sorted(root)
+        where = {v: i for i, v in enumerate(keep)}
+        forest = Graph(
+            tuple(g.vertices[v] for v in keep),
+            tuple((where[a], where[b]) for a, b in g.edges if a in where and b in where),
+        )
+        for m in (2, 3):
+            seeds = [[int(rng.random() < 0.8) for _ in range(m)] for _ in range(g.n)]
+            whole = covers._forest_count(plan.roots, plan.descent, seeds)
+            parts = [covers._forest_count(r, steps, seeds) for r, steps in slices]
+            assert whole == prod(parts)
+            ident = [tuple(range(m))] * len(forest.edges)
+            assert whole == transversal_count(forest, m, ident, [seeds[v] for v in keep])
 
 
 def test_each_fold_has_its_own_table():
@@ -128,7 +175,7 @@ def test_raw_keys_stop_at_the_limit(monkeypatch):
         for m in (3, 4):
             for perms in (random_cover(g, m, rng).edge_perms(), random_perms(g, m, rng)):
                 assert plan.count(perms, m) == transversal_count(g, m, perms)
-            rows = plan.tables[m][0]
+            rows = plan.tables[m]
             canonical = sum(key == _canonical(key) for key in rows)
             assert len(rows) - canonical <= 8 < len(rows), (g, m)
 
