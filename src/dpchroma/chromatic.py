@@ -11,10 +11,13 @@ partitions of the active vertices by equal color, so its cost follows the
 width of that order, not the number of cycles.  What a state becomes at a
 step depends on a few small tuples and not on the graph, so those moves
 are worked out once per process, in a bounded table that every transfer
-reads (`_moves`).  A state's weight, a polynomial in m, is held as one
-integer, its value at m = 2^B (Kronecker substitution), with B proven
-from the step table to hold every coefficient, so each move is a shift
-and a small product and each merge one addition (`_transfer`).
+reads (`_moves`).  A whole transfer depends only on the walk's shape and
+on the pattern of fixed and avoided colors along it, so each distinct one
+runs once per process, in a second bounded table (`_transfers`).  A
+state's weight, a polynomial in m, is held as one integer, its value at
+m = 2^B (Kronecker substitution), with B proven from the step table to
+hold every coefficient, so each move is a shift and a small product and
+each merge one addition.
 Generalized Theta graphs additionally get the classical closed form,
 which the rest of the package cross-checks against the transfer; the
 edge-deleted forms and the edge-pair surgery family read it.  These forms
@@ -49,10 +52,16 @@ def chromatic_polynomial(g: Graph) -> IntPoly:
     return _transfer(g, {}, {})
 
 
-def _transfer_steps(
-    g: Graph,
-) -> list[tuple[int, tuple[int, ...], tuple[int, ...], bool]]:
-    """The transfer's walk over g, which no coloring constraint changes.
+#: A walk's shape: per step, the positions of the entering vertex's
+#: neighbors among the active vertices, the positions of the active
+#: vertices that stay, and whether the entering vertex stays.
+Shape = tuple[tuple[tuple[int, ...], tuple[int, ...], bool], ...]
+
+
+def _walk(g: Graph) -> tuple[Shape, list[int]]:
+    """The transfer's walk over g, which no coloring constraint changes:
+    its shape and the step at which each vertex enters, all that a
+    transfer reads of g.  Built once per graph (`Graph.plan`).
 
     The order takes each component from a least-degree vertex, then always
     the frontier vertex (unentered, with an entered neighbor) that leaves
@@ -64,53 +73,55 @@ def _transfer_steps(
     is x, and it rises when a vertex enters with one unentered neighbor or
     an entered vertex falls to one, so a score costs O(1).  The frontier
     is a binary heap of score tuples: x's tuple is pushed each time its
-    score changes, and an entry is stale once x has entered or its tuple
-    is no longer `score(x)`.  A score only falls and ends in the vertex
-    index, so the least entry that is not stale is the frontier's `min`,
-    and the walk costs O((n + |E|) log n): it needs no budget of its own,
-    and `CHROMATIC_WORK_LIMIT` meters the transfer alone.  A vertex is
-    active from its entry until its last neighbor enters, so once v
-    enters, an active vertex stays exactly when it still has an unentered
-    neighbor.  Each step records v, the positions of its neighbors among
-    the active vertices, the positions of the active vertices that stay,
-    both as tuples, so that they key `_moves`, and whether v stays.  Built
-    once per graph (`Graph.plan`)."""
+    score changes and kept as x's live tuple, and an entry is stale once
+    x has entered or it is not x's live tuple.  A score only falls and
+    ends in the vertex index, so the least entry that is not stale is the
+    frontier's `min`, and the walk costs O((n + |E|) log n): it needs no
+    budget of its own, and `CHROMATIC_WORK_LIMIT` meters the transfer
+    alone.  A vertex is active from its entry until its last neighbor
+    enters, so once v enters, an active vertex stays exactly when it still
+    has an unentered neighbor.  Each step records the positions of v's
+    neighbors among the active vertices (marked by step in `seen`) and
+    those of the active vertices that stay, both as tuples, so that they
+    key `_moves`, and whether v stays."""
     adj = g.adjacency
     left = [len(a) for a in adj]  # unentered neighbors
     retired = [0] * g.n
     roots = iter(sorted(range(g.n), key=left.__getitem__))
     entered = [False] * g.n
+    live: list[tuple[int, int, int, int] | None] = [None] * g.n  # x's last pushed tuple
+    seen = [-1] * g.n  # seen[u] == i: u is a neighbor of the vertex entering at step i
+    entry = [0] * g.n
     heap: list[tuple[int, int, int, int]] = []
     active: list[int] = []
-    steps = []
-
-    def score(x: int) -> tuple[int, int, int, int]:
-        return (left[x] > 0) - retired[x], left[x] - len(adj[x]), left[x], x
-
-    def retire(u: int):  # u has one unentered neighbor left
-        x = next(x for x in adj[u] if not entered[x])
-        retired[x] += 1
-        heappush(heap, score(x))
-
-    for _ in range(g.n):
-        while heap and (entered[heap[0][3]] or heap[0] != score(heap[0][3])):
+    shape = []
+    for i in range(g.n):
+        while heap and (entered[heap[0][3]] or heap[0] is not live[heap[0][3]]):
             heappop(heap)
         v = heappop(heap)[3] if heap else next(r for r in roots if not entered[r])
         entered[v] = True
+        entry[v] = i
+        if left[v] == 1:  # v retires its one unentered neighbor, pushed below
+            retired[next(x for x in adj[v] if not entered[x])] += 1
         for u in adj[v]:
+            seen[u] = i
             left[u] -= 1
-            if not entered[u]:
-                heappush(heap, score(u))
-            elif left[u] == 1:
-                retire(u)
-        if left[v] == 1:
-            retire(v)
-        near = tuple(k for k, u in enumerate(active) if u in adj[v])
-        keep = tuple(k for k, u in enumerate(active) if left[u] > 0)
+            x = u
+            if entered[u]:
+                if left[u] != 1:
+                    continue
+                for x in adj[u]:  # u retires its one unentered neighbor x
+                    if not entered[x]:
+                        break
+                retired[x] += 1
+            t = live[x] = (left[x] > 0) - retired[x], left[x] - len(adj[x]), left[x], x
+            heappush(heap, t)
+        near = tuple([k for k, u in enumerate(active) if seen[u] == i])
+        keep = tuple([k for k, u in enumerate(active) if left[u]])
         stays = left[v] > 0
         active = [active[k] for k in keep] + [v] * stays
-        steps.append((v, near, keep, stays))
-    return steps
+        shape.append((near, keep, stays))
+    return tuple(shape), entry
 
 
 def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> IntPoly:
@@ -119,11 +130,72 @@ def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> I
     fixed colors numbered 0..s-1, as a polynomial in m: the count at every
     m at which the fixed colors are colors.
 
-    The walk is `_transfer_steps`.  A state gives each active vertex the
-    label of its color block, and its weight counts the colorings of the
-    entered vertices that induce it.  Each state's moves at a step come
-    from `_moves`; a move either passes the weight on or multiplies it by
-    m - b.  Equal states merge.
+    The count is `_transfers` of the walk's shape (`_walk`), s and the
+    color pattern: for each vertex that `named` or `avoid` holds, in walk
+    order, its step and its two colors, the colors renamed 0, 1, ... in
+    order of first use.  Equal graphs, or graphs whose walks have the same
+    shape, and precolorings that differ by a renaming of colors share one
+    transfer.  A table entry keeps the work its transfer metered; when
+    that exceeds `CHROMATIC_WORK_LIMIT` the transfer runs again, so a call
+    is refused as a fresh run is, with the same message.
+    """
+    shape, entry = g.plan(_walk)
+    s = 1 + max([*named.values(), *avoid.values()], default=-1)
+    rename: dict[int, int] = {}  # the fixed colors in order of first use
+
+    def renamed(c: int | None) -> int | None:
+        return None if c is None else rename.setdefault(c, len(rename))
+
+    pattern = tuple(
+        (i, renamed(named.get(v)), renamed(avoid.get(v)))
+        for i, v in sorted((entry[v], v) for v in {*named, *avoid})
+    )
+    poly, work = _transfers(shape, s, pattern)
+    if work > CHROMATIC_WORK_LIMIT:  # refused, as a fresh run is
+        _transfers.__wrapped__(shape, s, pattern)
+    return poly
+
+
+#: Entries `_transfers` keeps, least recently used out first.  An entry
+#: holds its key, the walk's shape among it.  `verify --suite all` makes
+#: 1,998 transfers over 667 keys; kept whole, its table ends at 935 KiB
+#: (tracemalloc), about 4% of the 24.5 MB at which perfbench's verify-all
+#: peaks.  At this bound the run still makes one transfer per key and ends
+#: at 664 KiB, and `theta-identity` alone makes 324 for its 840 rows; at
+#: 256 entries the run makes 691, and `theta-identity` 333.
+_TRANSFER_TABLE_SIZE = 512
+
+
+@lru_cache(maxsize=_TRANSFER_TABLE_SIZE)
+def _transfers(
+    shape: Shape,
+    s: int,
+    pattern: tuple[tuple[int, int | None, int | None], ...],
+) -> tuple[IntPoly, int]:
+    """The transfer behind `_transfer`, on a walk of the given shape with
+    s fixed colors and (step, fixed, avoided) color pattern: its
+    polynomial and the coefficient updates it metered.
+
+    A state gives each active vertex the label of its color block, and its
+    weight counts the colorings of the entered vertices that induce it.
+    Each state's moves at a step come from `_moves`; a move either passes
+    the weight on or multiplies it by m - b.  Equal states merge.
+
+    The table is sound: two calls whose graphs have walks of one shape,
+    and whose fixed and avoided colors agree step by step up to a
+    permutation p of the s fixed colors, do the same arithmetic step for
+    step.  The transfer reads a graph only through its walk's shape (n is
+    its length) and a vertex only through its fixed and avoided colors.
+    `_moves` reads a label below s only through whether it is in `taken`
+    or is `fixed`, and renumbers the free blocks among themselves, so
+    under p the moves of a state are p's images of its moves, with the
+    same factors.  By induction over the steps the states of one call are
+    p's images of the other's with the same weights: the same widths, the
+    same meter reading after every step (the meter sums over the states,
+    so their order does not count, and a refusal names only the step and
+    the state count), and the same weight on the empty state at the end,
+    which p fixes.  The one renaming to first-use order therefore keys
+    every precoloring by its class.
 
     A weight is one int, its polynomial at m = 2^B, B = 8 * `width`
     (Kronecker substitution): m - b times w is (w << B) - b * w, a merge
@@ -148,13 +220,14 @@ def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> I
     (`sys.int_info.sizeof_digit` bytes), which small transfers such as
     the FVS-1 weights do not outgrow.
     """
-    s = 1 + max([*named.values(), *avoid.values()], default=-1)
+    colors = {i: (fixed, shun) for i, fixed, shun in pattern}
     width, bound, active = sys.int_info.sizeof_digit, 1, 0
     states: dict[tuple[int, ...], int] = {(): 1}
     work = 0
-    for i, (v, near, keep, stays) in enumerate(g.plan(_transfer_steps)):
-        if v not in named:
-            bound *= 2 * (s + active) + (not near) if stays else 1 + len(near) + (v in avoid)
+    for i, (near, keep, stays) in enumerate(shape):
+        fixed, shun = colors.get(i, (None, None))
+        if fixed is None:
+            bound *= 2 * (s + active) + (not near) if stays else 1 + len(near) + (shun is not None)
         active = len(keep) + stays
         need = bound.bit_length() + 2
         if need > 8 * width:
@@ -162,7 +235,6 @@ def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> I
             states = {key: pack(unpack(w, width), wider) for key, w in states.items()}
             width = wider
         bits = 8 * width
-        fixed, shun = named.get(v), avoid.get(v)
         merged: dict[tuple[int, ...], int] = {}
         for labels, w in states.items():
             moves = _moves(labels, near, keep, stays, fixed, shun, s)
@@ -171,14 +243,14 @@ def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> I
                 raise SearchBudgetExceeded(
                     f"the chromatic transfer passed CHROMATIC_WORK_LIMIT = "
                     f"{CHROMATIC_WORK_LIMIT:,} coefficient updates at vertex "
-                    f"{i + 1} of {g.n} ({len(states):,} states)"
+                    f"{i + 1} of {len(shape)} ({len(states):,} states)"
                 )
             for key, b in moves:
                 x = w if b is None else (w << bits) - (w if b == 1 else b * w)
                 old = merged.get(key)
                 merged[key] = x if old is None else old + x
         states = merged
-    return unpack(states.get((), 0), width)
+    return unpack(states.get((), 0), width), work
 
 
 #: Entries `_moves` keeps, least recently used out first.  Narrow graphs

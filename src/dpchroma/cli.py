@@ -30,7 +30,7 @@ from .analysis import (
 )
 from .chromatic import chromatic_polynomial, theta_chromatic
 from .covers import SEARCH_BUDGET, cover_to_json, min_over_covers, worker_count
-from .errors import DpchromaError, OutOfRange, SearchBudgetExceeded
+from .errors import DpchromaError, GraphTooLarge, OutOfRange, SearchBudgetExceeded
 from .graphs import Graph, ThetaSpec, build_generalized_theta
 from .poly import poly_to_json
 from .verify import SUITES, run_suites
@@ -48,6 +48,8 @@ def load_graph(source: str) -> Graph:
             return Graph.from_text(handle.read())
     except OSError as exc:
         raise DpchromaError(f"cannot read graph file {source!r}: {exc}") from exc
+    except GraphTooLarge as exc:  # well formed, but refused by its size
+        raise GraphTooLarge(f"graph file {source!r} is too large: {exc}") from exc
     except ValueError as exc:
         raise DpchromaError(f"malformed graph file {source!r}: {exc}") from exc
 
@@ -67,7 +69,7 @@ def parse_m_range(text: str) -> tuple[int, int]:
 def _polynomial_output(args, key: str, name: str, poly):
     """Payload and lines of `chrom` and `theta-chrom`."""
     payload = {"command": args.command, key: name, "polynomial": poly_to_json(poly)}
-    lines = [f"P({name}, m) = {poly}"]
+    lines = [f"P({name}, m) = {payload['polynomial']['text']}"]
     if args.m is not None:
         value = poly(args.m)
         payload.update(m=args.m, value=str(value))
@@ -159,7 +161,7 @@ def cmd_dp_formula(args):
         }
         lines = [
             f"case {route.case} (valid for m >= {route.valid_from}):",
-            f"P_DP({args.source}, m) = {route.polynomial}",
+            f"P_DP({args.source}, m) = {payload['polynomial']['text']}",
         ]
     else:
         payload = {
@@ -176,7 +178,7 @@ def cmd_dp_formula(args):
         lines = [
             f"feedback vertex {route.decomposition.center!r};"
             f" winning partition {[sorted(p) for p in route.partition.parts]}",
-            f"P_DP({args.source}, m) = {route.dp_polynomial}   (m >= {route.stable_from})",
+            f"P_DP({args.source}, m) = {payload['polynomial']['text']}   (m >= {route.stable_from})",
         ]
     if args.m is not None:  # the label says whether the value is proven at m
         value, label = _formula_value(route, args.m)
@@ -428,6 +430,9 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     except MemoryError:
         print("dpchroma: out of memory: the input is too large", file=sys.stderr)
+        return USAGE_ERROR
+    except RecursionError:  # not CHECK_FAILED, which only a failed check returns
+        print("dpchroma: recursion too deep: the input is too large", file=sys.stderr)
         return USAGE_ERROR
     except BrokenPipeError:  # the interpreter's last flush must not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -17,7 +17,7 @@ from functools import cached_property
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BadEdge, InvalidCenter, InvalidThetaSpec
+from .errors import BadEdge, GraphTooLarge, InvalidCenter, InvalidThetaSpec
 
 # Edge subsets are plain int bitmasks over a graph's edge list.
 EdgeSubset = int
@@ -25,6 +25,15 @@ EdgeSubset = int
 #: `feedback_vertex_set` shrinks a greedy set to a minimum while at most
 #: this many vertex sets one smaller exist (each costs one union-find pass).
 EXACT_FEEDBACK_SUBSETS = 10_000
+
+#: Vertices a graph file may declare on its `n` line.  The graphs answered
+#: at the largest sizes are cycles under `dp-exact`, whose count at m = 3
+#: has about n bits: C_n took 0.5 s and 73 MB at n = 15,000, 1.4 s and
+#: 218 MB at 30,000, and 9.1 s and 2.0 GB at 100,000 (one process each),
+#: memory growing about as n^2.  So the limit keeps an answer near a
+#: quarter of a GB and still reads the 20,002-vertex broom, which the
+#: transfer's meter refuses.
+GRAPH_VERTEX_LIMIT = 30_000
 
 
 @dataclass(frozen=True)
@@ -240,6 +249,10 @@ class Graph:
             parts = line.split()
             if parts[0] == "n" and len(parts) == 2:
                 count = int(parts[1])
+                if count > GRAPH_VERTEX_LIMIT:  # before any isolated label is made
+                    raise GraphTooLarge(
+                        f"{count:,} vertices exceed GRAPH_VERTEX_LIMIT = {GRAPH_VERTEX_LIMIT:,}"
+                    )
             elif parts[0] == "e" and len(parts) == 3:
                 for lab in parts[1:]:
                     if lab not in seen:

@@ -123,17 +123,7 @@ class IntPoly:
         return IntPoly(quot)
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*m")
-            else:
-                parts.append(f"{c}*m^{i}")
-        return " + ".join(parts)
+        return _text([str(c) for c in self.coeffs])
 
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)})"
@@ -245,5 +235,14 @@ def eventual_compare(p: IntPoly, q: IntPoly) -> tuple[Ordering, int]:
 
 
 def poly_to_json(p: IntPoly) -> dict:
-    """Coefficient-array form; coefficients as decimal strings."""
-    return {"coefficients": [str(c) for c in p.coeffs], "text": str(p)}
+    """Coefficient-array form; coefficients as decimal strings.  `text` is
+    `str(p)`, built from the same strings: a long coefficient's decimal
+    conversion, quadratic in its length, runs once."""
+    digits = [str(c) for c in p.coeffs]
+    return {"coefficients": digits, "text": _text(digits)}
+
+
+def _text(digits: list[str]) -> str:
+    """A polynomial's text form from its coefficients' decimal strings."""
+    terms = (d if i == 0 else f"{d}*m" if i == 1 else f"{d}*m^{i}" for i, d in enumerate(digits))
+    return " + ".join(terms) or "0"

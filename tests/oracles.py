@@ -71,6 +71,14 @@ def theta_transfer_count(g: Graph, m: int, perms) -> int:
     return total
 
 
+def walk_steps(g: Graph) -> list[tuple[int, tuple[int, ...], tuple[int, ...], bool]]:
+    """The transfer's walk as one (v, near, keep, stays) per step: its
+    shape with the vertex that enters at each step."""
+    shape, entry = g.plan(chromatic._walk)
+    order = sorted(range(g.n), key=entry.__getitem__)
+    return [(v, *step) for v, step in zip(order, shape)]
+
+
 def reference_transfer(g: Graph, named, avoid) -> IntPoly:
     """`chromatic._transfer` with each state's moves worked out at every
     step, its meter charging the same updates and its refusal reading
@@ -78,7 +86,7 @@ def reference_transfer(g: Graph, named, avoid) -> IntPoly:
     s = 1 + max([*named.values(), *avoid.values()], default=-1)
     states: dict[tuple[int, ...], list[int]] = {(): [1]}
     work = 0
-    for i, (v, near, keep, stays) in enumerate(g.plan(chromatic._transfer_steps)):
+    for i, (v, near, keep, stays) in enumerate(walk_steps(g)):
         fixed, shun = named.get(v), avoid.get(v)
         merged: dict[tuple[int, ...], list[int]] = {}
         for labels, w in states.items():

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from dpchroma import chromatic
 from dpchroma.chromatic import (
     _theta_closed_form,
     chromatic_polynomial,
@@ -133,6 +134,14 @@ def test_closed_forms_are_built_once_per_argument():
     # 35 surgery families of the 350 term-difference rows read.
     assert _theta_closed_form.cache_info().misses == 123
     assert theta_edge_pair_polynomials.cache_info().misses == 35
+
+
+def test_theta_identity_runs_one_transfer_per_walk_and_pattern():
+    # its 840 rows, each planning its own walk, meet 324 distinct walks
+    chromatic._transfers.cache_clear()
+    assert all(check.passed for check in SUITES["theta-identity"]())
+    info = chromatic._transfers.cache_info()
+    assert (info.hits + info.misses, info.misses) == (840, 324)
 
 
 def test_edge_pair_polynomials_reject_bad_triples_on_every_call():

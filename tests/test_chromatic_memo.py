@@ -34,7 +34,7 @@ from dpchroma.graphs import Graph, ThetaSpec, build_generalized_theta, spanning_
 from dpchroma.poly import M, IntPoly
 from dpchroma.verify import _valid_length_tuples
 
-from oracles import chromatic_by_subsets, reference_transfer, to_text, transversal_count
+from oracles import chromatic_by_subsets, reference_transfer, to_text, transversal_count, walk_steps
 
 
 def reference_chrom(n, edges):
@@ -205,19 +205,20 @@ def transfer_cases() -> list[tuple[Graph, dict, dict]]:
 
 @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
 def test_tabled_moves_match_the_reference_transfer(monkeypatch, cold):
-    # cold clears the move table before every transfer; warm lets it fill
-    # across all 1,040 of them, as one process does
+    # cold clears the move and transfer tables before every transfer; warm
+    # lets them fill across all 1,040 of them, as one process does
     rng = random.Random(1040)
     refusals = 0
 
     def tabled(g, named, avoid):
         if cold:
             chromatic._moves.cache_clear()
+            chromatic._transfers.cache_clear()
         return chromatic._transfer(g, named, avoid)
 
     for g, named, avoid in transfer_cases():
         monkeypatch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", CHROMATIC_WORK_LIMIT)
-        g.plan(chromatic._transfer_steps)  # so the order's scans meet no meter
+        g.plan(chromatic._walk)  # so the order's scans meet no meter
         meter = WorkMeter()
         monkeypatch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", meter)
         want = reference_transfer(g, named, avoid)
@@ -242,6 +243,7 @@ def test_the_move_table_stays_bounded():
     # the 7x7 grid meets 6,478 distinct moves, more than the table keeps
     # (the 6x6 grid meets 1,353); every answer after it is still right
     chromatic._moves.cache_clear()
+    chromatic._transfers.cache_clear()
     assert chromatic_polynomial(grid(7, 7))(2) == 2
     info = chromatic._moves.cache_info()
     assert info.maxsize == chromatic._MOVE_TABLE_SIZE
@@ -249,6 +251,99 @@ def test_the_move_table_stays_bounded():
     spec = ThetaSpec((2, 3, 4))
     assert chromatic_polynomial(build_generalized_theta(spec)) == theta_closed_form(spec.lengths)
     assert chromatic_polynomial(grid(4, 5)) == chromatic_polynomial(grid(4, 5, by_rows=False))
+
+
+def table_hits() -> int:
+    return chromatic._transfers.cache_info().hits
+
+
+def test_tabled_transfers_match_the_reference_transfer():
+    # each case with the transfer table cleared (a miss), then again (a
+    # hit), each answer the reference's
+    for g, named, avoid in transfer_cases():
+        want = reference_transfer(g, named, avoid)
+        chromatic._transfers.cache_clear()
+        assert chromatic._transfer(g, named, avoid) == want, (g.edges, named, avoid)
+        assert table_hits() == 0
+        assert chromatic._transfer(g, named, avoid) == want, (g.edges, named, avoid)
+        assert table_hits() == 1
+
+
+def test_renamed_colors_share_a_transfer_and_other_patterns_do_not():
+    rng = random.Random(3131)
+    renamed = 0
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(2, 9), 12)
+        named = {v: rng.randrange(4) for v in range(g.n) if rng.random() < 0.3}
+        avoid = {v: rng.randrange(4) for v in range(g.n) if rng.random() < 0.3}
+        # the colors used, numbered 0..s-1 as the callers number them, so
+        # that every permutation of them keeps s
+        used = sorted({*named.values(), *avoid.values()})
+        if not used:
+            continue
+        named = {v: used.index(c) for v, c in named.items()}
+        avoid = {v: used.index(c) for v, c in avoid.items()}
+        chromatic._transfers.cache_clear()
+        chromatic._transfer(g, named, avoid)
+        p = list(range(len(used)))
+        rng.shuffle(p)
+        renamed += p != sorted(p)
+        named2 = {v: p[c] for v, c in named.items()}
+        avoid2 = {v: p[c] for v, c in avoid.items()}
+        assert chromatic._transfer(g, named2, avoid2) == reference_transfer(g, named2, avoid2)
+        assert table_hits() == 1, (g.edges, named, avoid, p)
+        # one more avoided color, on a vertex that avoided none, is another pattern
+        v = next((v for v in range(g.n) if v not in avoid), None)
+        if v is not None:
+            avoid3 = {**avoid, v: 0}
+            assert chromatic._transfer(g, named, avoid3) == reference_transfer(g, named, avoid3)
+            assert table_hits() == 1, (g.edges, named, avoid3)
+    assert renamed >= 30
+
+
+def test_renamed_precolorings_share_a_transfer():
+    # precolored_polynomial numbers the precolors by size, so colors 1, 2, 3
+    # and 3, 1, 2 on a, b and d give two fixed-color maps, equal up to a
+    # renaming; 1, 2, 2 is another pattern
+    path = Graph(("a", "b", "c", "d"), ((0, 1), (1, 2), (2, 3)))
+    chromatic._transfers.cache_clear()
+    first = precolored_polynomial(path, Precoloring({"a": 1, "b": 2, "d": 3}, 4))
+    assert first == precolored_polynomial(path, Precoloring({"a": 3, "b": 1, "d": 2}, 4))
+    assert table_hits() == 1
+    assert first != precolored_polynomial(path, Precoloring({"a": 1, "b": 2, "d": 2}, 4))
+    assert table_hits() == 1
+
+
+def test_a_hit_past_a_lowered_limit_is_refused_as_a_fresh_run(monkeypatch):
+    for g in (grid(4, 4), necklace(random.Random(7), 6)):
+        named = {0: 0}
+        chromatic._transfers.cache_clear()
+        poly = chromatic._transfer(g, named, {})
+        meter = WorkMeter()
+        monkeypatch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", meter)
+        reference_transfer(g, named, {})
+        for limit in (meter.need - 1, meter.need // 2, 1):
+            monkeypatch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", limit)
+            got = transfer_outcome(chromatic._transfer, g, named, {})
+            assert got == transfer_outcome(reference_transfer, g, named, {}), limit
+            assert "coefficient updates at vertex" in got
+        monkeypatch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", meter.need)
+        assert chromatic._transfer(g, named, {}) == poly
+        assert table_hits() == 4
+
+
+def test_the_transfer_table_stays_bounded():
+    # more distinct patterns than the table keeps: every answer is still
+    # the reference's, and the table never holds more than its bound
+    g = path(12)
+    chromatic._transfers.cache_clear()
+    size = chromatic._TRANSFER_TABLE_SIZE
+    for k in range(size + 40):
+        avoid = {v: 0 for v in range(12) if k >> v & 1}
+        assert chromatic._transfer(g, {}, avoid) == reference_transfer(g, {}, avoid), k
+        info = chromatic._transfers.cache_info()
+        assert info.currsize <= info.maxsize == size
+    assert chromatic._transfers.cache_info().misses == size + 40
 
 
 def test_packed_weights_match_the_list_transfer_on_grids():
@@ -312,7 +407,7 @@ def test_packed_weights_match_the_list_transfer_past_64_bits():
 
 
 def transfer_order(g: Graph) -> list[int]:
-    return [v for v, *_ in chromatic._transfer_steps(g)]
+    return [v for v, *_ in walk_steps(g)]
 
 
 def active_counts(g: Graph) -> list[int]:
@@ -431,7 +526,7 @@ def test_one_pass_step_table_matches_the_two_pass_reference():
         graphs.append(Graph(tuple(f"d{i}" for i in range(n)), tuple(pairs)))
     assert len(graphs) == 1240
     for g in graphs:
-        assert chromatic._transfer_steps(g) == reference_transfer_steps(g), g.edges
+        assert walk_steps(g) == reference_transfer_steps(g), g.edges
 
 
 def test_a_star_of_7000_precolored_leaves_answers():
@@ -445,7 +540,7 @@ def test_a_star_of_7000_precolored_leaves_answers():
 def test_the_walk_spends_none_of_the_transfer_budget(monkeypatch):
     # a 20,000-leaf broom: the leaves sit on the frontier together
     monkeypatch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", 1)
-    assert len(chromatic._transfer_steps(broom(1, 20_000))) == 20_002
+    assert len(chromatic._walk(broom(1, 20_000))[0]) == 20_002
 
 
 def relabeled(g: Graph, rng: random.Random) -> Graph:

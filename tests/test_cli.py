@@ -10,6 +10,7 @@ import pytest
 from dpchroma import cli
 from dpchroma.cli import build_command_parser, main
 from dpchroma.covers import SEARCH_BUDGET, min_over_covers
+from dpchroma.graphs import GRAPH_VERTEX_LIMIT
 
 
 def run(capsys, *argv):
@@ -171,7 +172,7 @@ def test_compare_on_a_1200_vertex_cycle(tmp_path, capsys):
 
 
 def test_chrom_vertex_limit(tmp_path, capsys):
-    # the transfer's work meter bounds every chrom, so there is no vertex cap
+    # the transfer's work meter bounds every chrom, so chrom takes no --limit
     path = cycle_file(tmp_path, 17)
     code, out, _ = run(capsys, "chrom", path, "--m", "2")
     assert code == 0 and out.splitlines()[-1] == f"P({path}, 2) = 0"
@@ -337,3 +338,23 @@ def test_running_out_of_memory_is_one_line(monkeypatch, capsys):
     monkeypatch.setattr(cli, "chromatic_polynomial", exhausted)
     code, out, err = run(capsys, "chrom", "theta:2,2,2")
     assert (code, out, err) == (2, "", "dpchroma: out of memory: the input is too large\n")
+
+
+def test_too_deep_a_recursion_is_one_line(monkeypatch, capsys):
+    # a traceback would exit 1, the code of a failed verify check
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "min_over_covers", too_deep)
+    code, out, err = run(capsys, "dp-exact", "theta:2,2,2", "--m", "2")
+    assert (code, out, err) == (2, "", "dpchroma: recursion too deep: the input is too large\n")
+
+
+def test_an_unbounded_vertex_count_is_one_line(tmp_path, capsys):
+    # refused before the file's isolated labels are made, not by memory
+    path = tmp_path / "huge.graph"
+    path.write_text("n 1000000000000\ne a b\n")
+    code, out, err = run(capsys, "chrom", str(path))
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith(f"dpchroma: graph file {str(path)!r} is too large: ")
+    assert err.endswith(f"1,000,000,000,000 vertices exceed GRAPH_VERTEX_LIMIT = {GRAPH_VERTEX_LIMIT:,}\n")

@@ -1,7 +1,8 @@
 import pytest
 
-from dpchroma.errors import BadEdge, InvalidCenter, InvalidThetaSpec
+from dpchroma.errors import BadEdge, GraphTooLarge, InvalidCenter, InvalidThetaSpec
 from dpchroma.graphs import (
+    GRAPH_VERTEX_LIMIT,
     FeedbackVertex,
     Graph,
     ThetaSpec,
@@ -221,6 +222,13 @@ def test_text_isolated_vertices_and_errors():
         Graph.from_text("n 1\ne a b\n")  # count below labels used
     with pytest.raises(ValueError):
         Graph.from_text("n 2\nedge a b\n")
+
+
+def test_a_graph_text_declares_at_most_the_vertex_limit():
+    assert Graph.from_text(f"n {GRAPH_VERTEX_LIMIT}\ne a b\n").n == GRAPH_VERTEX_LIMIT
+    for count in (GRAPH_VERTEX_LIMIT + 1, 10**12):
+        with pytest.raises(GraphTooLarge, match=f"^{count:,} vertices exceed GRAPH_VERTEX_LIMIT = "):
+            Graph.from_text(f"e a b\nn {count}\n")
 
 
 def test_graph_validation():

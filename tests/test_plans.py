@@ -118,13 +118,13 @@ def test_fvs1_computes_the_frontier_order_once(monkeypatch):
     from dpchroma.verify import partition_weight_by_subsets
 
     orders = []
-    original = chromatic._transfer_steps
+    original = chromatic._walk
 
     def counting(g):
         orders.append(g)
         return original(g)
 
-    monkeypatch.setattr(chromatic, "_transfer_steps", counting)
+    monkeypatch.setattr(chromatic, "_walk", counting)
     result = fvs1_dp_polynomial(fan(5))
     d = result.decomposition
     assert orders == [d.forest]

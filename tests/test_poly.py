@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpchroma.errors import InexactDivision
-from dpchroma.poly import IntPoly, M, eventual_compare, forest_polynomial, pack, unpack
+from dpchroma.poly import IntPoly, M, eventual_compare, forest_polynomial, pack, poly_to_json, unpack
 
 
 def test_normalization_and_degree():
@@ -141,3 +141,11 @@ def test_pack_and_unpack_at_extreme_digits():
         for _ in range(200):
             p = IntPoly(rng.choice([-half, half - 1, -1, 0, 1]) for _ in range(rng.randint(0, 40)))
             assert unpack(pack(p, width), width) == p, (width, p)
+
+
+def test_json_text_is_the_polynomial_text():
+    # poly_to_json builds its text from its own decimal strings
+    for coeffs in ([], [7], [0, 1], [2, -3, 0, 1], [-(10**40), 0, 5]):
+        p = IntPoly(coeffs)
+        payload = poly_to_json(p)
+        assert payload == {"coefficients": [str(c) for c in p.coeffs], "text": str(p)}
