@@ -60,8 +60,8 @@ Shape = tuple[tuple[tuple[int, ...], tuple[int, ...], bool], ...]
 
 def _walk(g: Graph) -> tuple[Shape, list[int]]:
     """The transfer's walk over g, which no coloring constraint changes:
-    its shape and the step at which each vertex enters, all that a
-    transfer reads of g.  Built once per graph (`Graph.plan`).
+    its shape and the vertex that enters at each step, all that a transfer
+    reads of g.  Built once per graph (`Graph.plan`).
 
     The order takes each component from a least-degree vertex, then always
     the frontier vertex (unentered, with an entered neighbor) that leaves
@@ -91,16 +91,15 @@ def _walk(g: Graph) -> tuple[Shape, list[int]]:
     entered = [False] * g.n
     live: list[tuple[int, int, int, int] | None] = [None] * g.n  # x's last pushed tuple
     seen = [-1] * g.n  # seen[u] == i: u is a neighbor of the vertex entering at step i
-    entry = [0] * g.n
     heap: list[tuple[int, int, int, int]] = []
     active: list[int] = []
-    shape = []
+    order, shape = [], []
     for i in range(g.n):
         while heap and (entered[heap[0][3]] or heap[0] is not live[heap[0][3]]):
             heappop(heap)
         v = heappop(heap)[3] if heap else next(r for r in roots if not entered[r])
         entered[v] = True
-        entry[v] = i
+        order.append(v)
         if left[v] == 1:  # v retires its one unentered neighbor, pushed below
             retired[next(x for x in adj[v] if not entered[x])] += 1
         for u in adj[v]:
@@ -121,7 +120,7 @@ def _walk(g: Graph) -> tuple[Shape, list[int]]:
         stays = left[v] > 0
         active = [active[k] for k in keep] + [v] * stays
         shape.append((near, keep, stays))
-    return tuple(shape), entry
+    return tuple(shape), order
 
 
 def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> IntPoly:
@@ -139,20 +138,23 @@ def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> I
     that exceeds `CHROMATIC_WORK_LIMIT` the transfer runs again, so a call
     is refused as a fresh run is, with the same message.
     """
-    shape, entry = g.plan(_walk)
+    shape, order = g.plan(_walk)
     s = 1 + max([*named.values(), *avoid.values()], default=-1)
     rename: dict[int, int] = {}  # the fixed colors in order of first use
-
-    def renamed(c: int | None) -> int | None:
-        return None if c is None else rename.setdefault(c, len(rename))
-
-    pattern = tuple(
-        (i, renamed(named.get(v)), renamed(avoid.get(v)))
-        for i, v in sorted((entry[v], v) for v in {*named, *avoid})
-    )
-    poly, work = _transfers(shape, s, pattern)
+    pattern = []
+    for i, v in enumerate(order):
+        fixed, shun = named.get(v), avoid.get(v)
+        if fixed is None and shun is None:
+            continue
+        if fixed is not None:
+            fixed = rename.setdefault(fixed, len(rename))
+        if shun is not None:
+            shun = rename.setdefault(shun, len(rename))
+        pattern.append((i, fixed, shun))
+    key = shape, s, tuple(pattern)
+    poly, work = _transfers(*key)
     if work > CHROMATIC_WORK_LIMIT:  # refused, as a fresh run is
-        _transfers.__wrapped__(shape, s, pattern)
+        _transfers.__wrapped__(*key)
     return poly
 
 

@@ -74,8 +74,7 @@ def theta_transfer_count(g: Graph, m: int, perms) -> int:
 def walk_steps(g: Graph) -> list[tuple[int, tuple[int, ...], tuple[int, ...], bool]]:
     """The transfer's walk as one (v, near, keep, stays) per step: its
     shape with the vertex that enters at each step."""
-    shape, entry = g.plan(chromatic._walk)
-    order = sorted(range(g.n), key=entry.__getitem__)
+    shape, order = g.plan(chromatic._walk)
     return [(v, *step) for v, step in zip(order, shape)]
 
 
