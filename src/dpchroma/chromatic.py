@@ -85,7 +85,8 @@ def _walk(g: Graph) -> tuple[Shape, list[int]]:
     those of the active vertices that stay, both as tuples, so that they
     key `_moves`, and whether v stays."""
     adj = g.adjacency
-    left = [len(a) for a in adj]  # unentered neighbors
+    degree = [len(a) for a in adj]
+    left = degree.copy()  # unentered neighbors
     retired = [0] * g.n
     roots = iter(sorted(range(g.n), key=left.__getitem__))
     entered = [False] * g.n
@@ -100,26 +101,35 @@ def _walk(g: Graph) -> tuple[Shape, list[int]]:
         v = heappop(heap)[3] if heap else next(r for r in roots if not entered[r])
         entered[v] = True
         order.append(v)
-        if left[v] == 1:  # v retires its one unentered neighbor, pushed below
-            retired[next(x for x in adj[v] if not entered[x])] += 1
+        lone = left[v] == 1  # v retires its one unentered neighbor
         for u in adj[v]:
             seen[u] = i
             left[u] -= 1
             x = u
-            if entered[u]:
-                if left[u] != 1:
-                    continue
-                for x in adj[u]:  # u retires its one unentered neighbor x
+            if not entered[u]:
+                retired[u] += lone
+            elif left[u] == 1:  # u retires its one unentered neighbor x
+                for x in adj[u]:
                     if not entered[x]:
                         break
                 retired[x] += 1
-            t = live[x] = (left[x] > 0) - retired[x], left[x] - len(adj[x]), left[x], x
+            else:
+                continue
+            t = live[x] = (left[x] > 0) - retired[x], left[x] - degree[x], left[x], x
             heappush(heap, t)
-        near = tuple([k for k, u in enumerate(active) if seen[u] == i])
-        keep = tuple([k for k, u in enumerate(active) if left[u]])
+        # plain loops: a comprehension costs a frame of its own before 3.12
+        near, keep, kept = [], [], []
+        for k, u in enumerate(active):
+            if seen[u] == i:
+                near.append(k)
+            if left[u]:
+                keep.append(k)
+                kept.append(u)
         stays = left[v] > 0
-        active = [active[k] for k in keep] + [v] * stays
-        shape.append((near, keep, stays))
+        if stays:
+            kept.append(v)
+        active = kept
+        shape.append((tuple(near), tuple(keep), stays))
     return tuple(shape), order
 
 
@@ -142,7 +152,7 @@ def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> I
     s = 1 + max([*named.values(), *avoid.values()], default=-1)
     rename: dict[int, int] = {}  # the fixed colors in order of first use
     pattern = []
-    for i, v in enumerate(order):
+    for i, v in enumerate(order) if named or avoid else ():  # no pass for no colors
         fixed, shun = named.get(v), avoid.get(v)
         if fixed is None and shun is None:
             continue

@@ -123,7 +123,7 @@ class IntPoly:
         return IntPoly(quot)
 
     def __str__(self) -> str:
-        return _text([str(c) for c in self.coeffs])
+        return _text(list(map(str, self.coeffs)))
 
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)})"
@@ -238,11 +238,13 @@ def poly_to_json(p: IntPoly) -> dict:
     """Coefficient-array form; coefficients as decimal strings.  `text` is
     `str(p)`, built from the same strings: a long coefficient's decimal
     conversion, quadratic in its length, runs once."""
-    digits = [str(c) for c in p.coeffs]
+    digits = list(map(str, p.coeffs))
     return {"coefficients": digits, "text": _text(digits)}
 
 
 def _text(digits: list[str]) -> str:
     """A polynomial's text form from its coefficients' decimal strings."""
-    terms = (d if i == 0 else f"{d}*m" if i == 1 else f"{d}*m^{i}" for i, d in enumerate(digits))
+    terms = []
+    for i, d in enumerate(digits):
+        terms.append(d if i == 0 else f"{d}*m" if i == 1 else f"{d}*m^{i}")
     return " + ".join(terms) or "0"
