@@ -149,7 +149,7 @@ def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> I
     is refused as a fresh run is, with the same message.
     """
     shape, order = g.plan(_walk)
-    s = 1 + max([*named.values(), *avoid.values()], default=-1)
+    s = 0  # 1 + the largest color named or avoided
     rename: dict[int, int] = {}  # the fixed colors in order of first use
     pattern = []
     for i, v in enumerate(order) if named or avoid else ():  # no pass for no colors
@@ -157,8 +157,12 @@ def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> I
         if fixed is None and shun is None:
             continue
         if fixed is not None:
+            if fixed >= s:
+                s = fixed + 1
             fixed = rename.setdefault(fixed, len(rename))
         if shun is not None:
+            if shun >= s:
+                s = shun + 1
             shun = rename.setdefault(shun, len(rename))
         pattern.append((i, fixed, shun))
     key = shape, s, tuple(pattern)
