@@ -337,12 +337,18 @@ def theta_closed_form(lengths: tuple[int, ...]) -> IntPoly:
 @cache
 def _theta_closed_form(lengths: tuple[int, ...]) -> IntPoly:
     """The body of `theta_closed_form`, right for any ordering of the
-    lengths.  Every power of m - 1 is a `forest_polynomial` (a binomial
-    expansion), not a chain of products, and each division by m is exact."""
-    walks = [(power_m1(l) - sign(l)).exact_div(M) for l in lengths]
-    differ = prod(walks)
-    same = prod(b + sign(l) for b, l in zip(walks, lengths))
+    lengths: products of the `_path_walks` pairs."""
+    differ, same = (prod(x) for x in zip(*map(_path_walks, lengths)))
     return forest_polynomial(1, 1) * differ + M * same
+
+
+@cache
+def _path_walks(length: int) -> tuple[IntPoly, IntPoly]:
+    """(b_l, b_l + (-1)^l) of `theta_closed_form` for l = length.  The power
+    of m - 1 is a `forest_polynomial` (a binomial expansion), not a chain of
+    products, and the division by m is exact."""
+    walks = (power_m1(length) - sign(length)).exact_div(M)
+    return walks, walks + sign(length)
 
 
 def theta_chromatic(spec: ThetaSpec) -> IntPoly:

@@ -322,7 +322,7 @@ def _forest_count(roots: Iterable[int], descent: list, seeds: Sequence[Sequence[
     seeds[v] is the 0/1 vector of colors allowed at v."""
     vecs = list(seeds)
     for v, parent, _, _ in reversed(descent):
-        child = vecs[v]
+        child, vecs[v] = vecs[v], None  # dropped once read: linear memory on a long path
         s = sum(child)
         vecs[parent] = [a * (s - b) for a, b in zip(vecs[parent], child)]
     return prod(sum(vecs[root]) for root in roots)

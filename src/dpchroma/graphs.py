@@ -28,11 +28,11 @@ EXACT_FEEDBACK_SUBSETS = 10_000
 
 #: Vertices a graph file may declare on its `n` line.  The graphs answered
 #: at the largest sizes are cycles under `dp-exact`, whose count at m = 3
-#: has about n bits: C_n took 0.5 s and 73 MB at n = 15,000, 1.4 s and
-#: 218 MB at 30,000, and 9.1 s and 2.0 GB at 100,000 (one process each),
-#: memory growing about as n^2.  So the limit keeps an answer near a
-#: quarter of a GB and still reads the 20,002-vertex broom, which the
-#: transfer's meter refuses.
+#: has about n bits, so its forest pass takes time about n^2 and memory
+#: about n: C_n took 0.3-0.4 s and 29 MB at n = 15,000, 0.6-1.1 s and
+#: 41 MB at 30,000, and 4.2-7.0 s and 97 MB at 100,000 (one process each).
+#: So the limit keeps such an answer near a second and still reads the
+#: 20,002-vertex broom, which the transfer's meter refuses.
 GRAPH_VERTEX_LIMIT = 30_000
 
 
@@ -125,19 +125,18 @@ class Graph:
         seen = set(self.vertices)
         if len(seen) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
-        pairs = set()
-        oriented = []
+        n, pairs, oriented = len(self.vertices), set(), []
         for a, b in self.edges:
             if a == b:
                 raise ValueError("loops are not allowed")
-            if not (0 <= a < len(self.vertices) and 0 <= b < len(self.vertices)):
+            if not (0 <= a < n and 0 <= b < n):
                 raise ValueError("edge endpoint out of range")
-            key = frozenset((a, b))
-            if key in pairs:
-                raise ValueError("parallel edges are not allowed")
-            pairs.add(key)
             if self.vertices[a] > self.vertices[b]:
                 a, b = b, a
+            # labels are distinct, so the oriented pair names the edge
+            if (a, b) in pairs:
+                raise ValueError("parallel edges are not allowed")
+            pairs.add((a, b))
             oriented.append((a, b))
         object.__setattr__(self, "edges", tuple(oriented))
 
@@ -284,19 +283,14 @@ def build_generalized_theta(spec: ThetaSpec) -> Graph:
     u--w for a length-1 path), then the remaining edges path-major in
     position order.
     """
-    labels = ["u", "w"]
+    labels, u_edges, path_edges = ["u", "w"], [], []
     for i, length in enumerate(spec.lengths, start=1):
+        first = len(labels)
         labels.extend(f"v_{i}_{j}" for j in range(1, length))
-    index = {lab: pos for pos, lab in enumerate(labels)}
-
-    edges = []
-    for i, length in enumerate(spec.lengths, start=1):
-        edges.append((index["u"], index["w" if length == 1 else f"v_{i}_1"]))
-    for i, length in enumerate(spec.lengths, start=1):
-        for j in range(1, length):
-            nxt = "w" if j == length - 1 else f"v_{i}_{j + 1}"
-            edges.append((index[f"v_{i}_{j}"], index[nxt]))
-    return Graph(tuple(labels), tuple(edges), theta=spec)
+        path = [*range(first, len(labels)), 1]  # path i after u, ending at w
+        u_edges.append((0, path[0]))
+        path_edges.extend(zip(path, path[1:]))
+    return Graph(tuple(labels), tuple(u_edges + path_edges), theta=spec)
 
 
 def spanning_forest(

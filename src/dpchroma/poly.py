@@ -17,9 +17,10 @@ Ordering = Literal["less", "equal", "greater"]
 
 
 class IntPoly:
-    """Immutable polynomial over the integers."""
+    """Immutable polynomial over the integers.  Its text is built at the
+    first `str` and kept in the second slot."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_str")
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = [int(c) for c in coeffs]
@@ -122,8 +123,17 @@ class IntPoly:
             raise InexactDivision("nonzero remainder")
         return IntPoly(quot)
 
+    def __reduce__(self):
+        """Pickle the coefficients alone: restoring the slots would go
+        through `__setattr__`, which refuses, and the text is rebuilt."""
+        return IntPoly, (self.coeffs,)
+
     def __str__(self) -> str:
-        return _text(list(map(str, self.coeffs)))
+        try:
+            return self._str
+        except AttributeError:
+            object.__setattr__(self, "_str", _text(list(map(str, self.coeffs))))
+            return self._str
 
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)})"

@@ -13,7 +13,9 @@ cover from a fresh forest pass, the oracle of `covers.subset_walk`;
 from the closed-form count of color walks along each path, at folds far
 past plain enumeration.  `cycle_type`, `without_vertex`, `mask_of`,
 `full_mask`, `to_text` and `conjugated` are plain helpers that only the
-tests read.
+tests read.  `theta_by_labels` builds a generalized Theta graph by looking
+up each edge's ends by their string labels, the reference of
+`graphs.build_generalized_theta`.
 """
 
 from fractions import Fraction
@@ -22,7 +24,7 @@ from itertools import combinations, permutations, product, zip_longest
 from dpchroma import chromatic
 from dpchroma.covers import FullCover, _forest, _frames, compose, identity_perm, invert_perm
 from dpchroma.errors import SearchBudgetExceeded
-from dpchroma.graphs import EdgeSubset, Graph, _bits, component_count, spanning_forest
+from dpchroma.graphs import EdgeSubset, Graph, ThetaSpec, _bits, component_count, spanning_forest
 from dpchroma.poly import IntPoly
 from dpchroma.verify import subset_sum
 
@@ -149,6 +151,25 @@ def without_vertex(g: Graph, label: str) -> Graph:
     index = {v: i for i, v in enumerate(kept)}
     ends = [(g.vertices[a], g.vertices[b]) for a, b in g.edges]
     return Graph(kept, tuple((index[x], index[y]) for x, y in ends if label not in (x, y)))
+
+
+def theta_by_labels(spec: ThetaSpec) -> Graph:
+    """Theta(l_1, ..., l_k) with the vertices u, w, then v_i_j for path i
+    and position j, and the edges first the u-incident edge of each path,
+    then the rest path-major, each end found by its label."""
+    labels = ["u", "w"]
+    for i, length in enumerate(spec.lengths, start=1):
+        labels.extend(f"v_{i}_{j}" for j in range(1, length))
+    index = {lab: pos for pos, lab in enumerate(labels)}
+
+    edges = []
+    for i, length in enumerate(spec.lengths, start=1):
+        edges.append((index["u"], index["w" if length == 1 else f"v_{i}_1"]))
+    for i, length in enumerate(spec.lengths, start=1):
+        for j in range(1, length):
+            nxt = "w" if j == length - 1 else f"v_{i}_{j + 1}"
+            edges.append((index[f"v_{i}_{j}"], index[nxt]))
+    return Graph(tuple(labels), tuple(edges), theta=spec)
 
 
 def mask_of(g: Graph, pairs) -> EdgeSubset:

@@ -10,6 +10,7 @@ inclusion-exclusion and plain enumeration.
 """
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -19,8 +20,10 @@ from dpchroma.chromatic import chromatic_polynomial
 from dpchroma.cli import main
 from dpchroma.covers import (
     FullCover,
+    _FeedbackPlan,
     count_colorings,
     count_from_edge_perms,
+    identity_perm,
     random_cover,
 )
 from dpchroma.errors import InvalidCenter
@@ -162,3 +165,19 @@ def test_forest_and_feedback_vertex_tests_enumerate_no_cycles(
     code = main(["dp-formula", str(path)])
     err = capsys.readouterr().err
     assert code == 2 and "no feedback vertex set of size one" in err
+
+
+def test_forest_count_keeps_no_read_vector():
+    # a cycle at m = 3 conditions on one vertex and counts the path left,
+    # whose vectors grow to n bits.  Each is dropped once its parent has
+    # read it, so the traced peak stays under 1 MiB; it was 14 MiB when
+    # every vector stayed to the end of the pass.
+    n = 8000
+    g = Graph(tuple(f"c{i:04d}" for i in range(n)), tuple((i, (i + 1) % n) for i in range(n)))
+    g.plan(_FeedbackPlan)  # built outside the trace
+    tracemalloc.start()
+    got = count_from_edge_perms(g, 3, [identity_perm(3)] * n)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert got == 2**n + 2
+    assert peak < 3 * 2**20, peak

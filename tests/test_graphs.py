@@ -13,7 +13,14 @@ from dpchroma.graphs import (
     subset_cycle_lengths,
 )
 
-from oracles import full_mask, mask_of, simple_cycles_by_enumeration, to_text, without_vertex
+from oracles import (
+    full_mask,
+    mask_of,
+    simple_cycles_by_enumeration,
+    theta_by_labels,
+    to_text,
+    without_vertex,
+)
 
 
 def theta(*lengths):
@@ -65,6 +72,21 @@ def test_counts_forced_by_definition_full_range():
         g = build_generalized_theta(spec)
         assert g.n == spec.vertex_count
         assert g.edge_count == spec.edge_count
+
+
+def test_theta_builder_matches_the_label_reference():
+    # every spec of at most 5 paths of length at most 6, in every order
+    specs = [ThetaSpec(lengths) for lengths in all_valid_length_tuples(5, 6)]
+    assert len(specs) == 7_610
+    for spec in specs:
+        g, ref = build_generalized_theta(spec), theta_by_labels(spec)
+        assert (g.vertices, g.edges, g.theta) == (ref.vertices, ref.edges, spec), spec
+        walks = [
+            ["u", *(f"v_{i}_{j}" for j in range(1, length)), "w"]
+            for i, length in enumerate(spec.lengths, start=1)
+        ]
+        masks = tuple(mask_of(ref, zip(walk, walk[1:])) for walk in walks)
+        assert spec.path_masks == masks, spec
 
 
 def test_component_count_examples():
@@ -241,3 +263,28 @@ def test_graph_validation():
     # every edge is oriented once, from the smaller label, in __post_init__
     path = Graph(("c", "b", "a"), ((0, 1),))
     assert path.with_edge("b", "a") == path.with_edge("a", "b")
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        (("a", "b", "a"), ((0, 1),), "duplicate vertex labels"),
+        (("a", "a"), ((0, 0),), "duplicate vertex labels"),  # labels before edges
+        (("a", "b"), ((1, 1),), "loops are not allowed"),
+        (("a", "b"), ((5, 5),), "loops are not allowed"),  # a loop before its range
+        (("a", "b"), ((0, 2),), "edge endpoint out of range"),
+        (("a", "b"), ((-1, 0),), "edge endpoint out of range"),
+        (("a", "b", "c"), ((0, 1), (0, 1)), "parallel edges are not allowed"),
+        (("a", "b", "c"), ((0, 1), (1, 0)), "parallel edges are not allowed"),
+        # labels ordered against their indices: the edge is stored as (1, 0)
+        (("c", "b", "a"), ((1, 0), (0, 1)), "parallel edges are not allowed"),
+        (("c", "b", "a"), ((0, 1), (0, 1)), "parallel edges are not allowed"),
+        # several defects: the first defective edge decides
+        (("a", "b", "c"), ((0, 1), (1, 0), (2, 2), (0, 5)), "parallel edges are not allowed"),
+        (("a", "b", "c"), ((0, 1), (2, 2), (1, 0), (0, 5)), "loops are not allowed"),
+        (("a", "b", "c"), ((0, 1), (0, 5), (2, 2), (1, 0)), "edge endpoint out of range"),
+    ],
+)
+def test_graph_refuses_each_defect_with_its_message(vertices, edges, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Graph(vertices, edges)

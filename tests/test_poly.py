@@ -1,12 +1,24 @@
 import math
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpchroma.chromatic import theta_closed_form
 from dpchroma.errors import InexactDivision
-from dpchroma.poly import IntPoly, M, eventual_compare, forest_polynomial, pack, poly_to_json, unpack
+from dpchroma.poly import (
+    IntPoly,
+    M,
+    _normalized,
+    _text,
+    eventual_compare,
+    forest_polynomial,
+    pack,
+    poly_to_json,
+    unpack,
+)
 
 
 def test_normalization_and_degree():
@@ -149,3 +161,47 @@ def test_json_text_is_the_polynomial_text():
         p = IntPoly(coeffs)
         payload = poly_to_json(p)
         assert payload == {"coefficients": [str(c) for c in p.coeffs], "text": str(p)}
+
+
+def _from_every_construction():
+    a, b = IntPoly([2, -3, 0, 1]), IntPoly([-(10**40), 0, 5])
+    return [
+        IntPoly(),
+        IntPoly([7, 0, 0]),
+        a,
+        b,
+        _normalized([0, 4, -1, 0, 0]),
+        _normalized([0, 0]),
+        unpack(pack(a, 2), 2),
+        unpack(0, 1),
+        a + b,
+        a - b,
+        b - b,
+        -b,
+        a * b,
+        a**3,
+        (a * b).exact_div(b),
+        theta_closed_form((2, 3, 4)),
+        theta_closed_form((4, 3, 2)),
+        theta_closed_form((1, 5)),
+    ]
+
+
+def test_text_is_kept_and_matches_the_coefficients():
+    # str builds the text at its first call and returns it after
+    for p in _from_every_construction():
+        want = _text(list(map(str, p.coeffs)))
+        assert str(p) == want, p
+        assert str(p) == want, p
+
+
+def test_polynomials_stay_immutable_and_pickle():
+    # the search's process pool pickles across workers
+    for p in _from_every_construction():
+        for _ in range(2):  # before and after its text is kept
+            with pytest.raises(AttributeError):
+                p.coeffs = (1,)
+            q = pickle.loads(pickle.dumps(p))
+            assert q == p and q.coeffs == p.coeffs and str(q) == str(p), p
+        with pytest.raises(AttributeError):
+            p._str = "0"
