@@ -8,8 +8,8 @@ backing the counting machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chromatic import (
     _transfer,
@@ -58,8 +58,7 @@ def _parity_case(l1: int, l2: int, l3: int) -> int:
     return 4
 
 
-@dataclass(frozen=True)
-class ThetaDpFormula:
+class ThetaDpFormula(NamedTuple):
     """Closed form for the DP color function of Theta(l1, l2, l3).
 
     The polynomial is exact for every m >= valid_from; below that the graph
@@ -107,8 +106,7 @@ def _exact(n: int, d: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class CoverLossTerms:
+class CoverLossTerms(NamedTuple):
     """The five candidate coloring-loss terms at a given fold m.
 
     Each term counts, for one family of twisted covers, the colorings of
@@ -141,8 +139,7 @@ def cover_loss_terms(l1: int, l2: int, l3: int, m: int) -> CoverLossTerms:
     return CoverLossTerms((l1, l2, l3), m, terms, p0 - max(terms))
 
 
-@dataclass(frozen=True)
-class TermDifference:
+class TermDifference(NamedTuple):
     """One pairwise difference, computed both ways, with its predicted sign."""
 
     pair: tuple[int, int]  # 1-based indices (i, j) for terms[i] - terms[j]
@@ -153,8 +150,7 @@ class TermDifference:
     sign_ok: bool
 
 
-@dataclass(frozen=True)
-class ChainCheck:
+class ChainCheck(NamedTuple):
     """A numeric milestone from one of the spelled-out inequality chains."""
 
     pair: tuple[int, int]
@@ -165,8 +161,7 @@ class ChainCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
-class LossTermReport:
+class LossTermReport(NamedTuple):
     lengths: tuple[int, int, int]
     m: int
     terms: CoverLossTerms
@@ -291,8 +286,7 @@ def edge_deletion_gap(g: Graph, x: str, y: str, m: int) -> tuple[bool, int]:
     return margin > 0, margin
 
 
-@dataclass(frozen=True)
-class ParityClassification:
+class ParityClassification(NamedTuple):
     """Eventual relation of the DP color function to the chromatic polynomial."""
 
     spec: ThetaSpec
@@ -363,8 +357,7 @@ def partition_weight(d: StarDecomposition, partition: PartitionSpec) -> IntPoly:
     return (_forest_chromatic(d) - _avoidance_count(d, grouping)).exact_div(M)
 
 
-@dataclass(frozen=True)
-class FeedbackPolynomialResult:
+class FeedbackPolynomialResult(NamedTuple):
     """Eventual DP color function of a graph with a one-vertex feedback set.
 
     dp_polynomial = P(forest, m) - m * weight, exact for m >= stable_from;
@@ -448,16 +441,14 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
     )
 
 
-@dataclass(frozen=True)
-class SubsetCheck:
+class SubsetCheck(NamedTuple):
     subset: int
     category: str
     expected: str
     difference: int
 
 
-@dataclass(frozen=True)
-class SubsetAuditReport:
+class SubsetAuditReport(NamedTuple):
     """Exhaustive classification of agreement deficits over edge subsets.
 
     Every nonempty edge subset is placed in one bucket -- short-cycle (the

@@ -28,7 +28,6 @@ argument and kept for the process (`functools.cache`).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from heapq import heappop, heappush
 from typing import Mapping, NamedTuple
@@ -433,21 +432,26 @@ def theta_edge_pair_polynomials(l1: int, l2: int, l3: int) -> EdgePairFamily:
     )
 
 
-@dataclass(frozen=True)
-class Precoloring:
+class _PrecoloringFields(NamedTuple):
+    assignment: Mapping[str, int]
+    bound: int
+
+
+class Precoloring(_PrecoloringFields):
     """Fixed colors on a subset of vertices.
 
     Colors are 1-based and bounded by `bound`, which must be at least the
     number of vertices of the graph the precoloring is applied to.
     """
 
-    assignment: Mapping[str, int]
-    bound: int
+    def __new__(cls, assignment: Mapping[str, int], bound: int):
+        for v, c in assignment.items():
+            if not 1 <= c <= bound:
+                raise ValueError(f"color {c} for {v!r} outside 1..{bound}")
+        return super().__new__(cls, assignment, bound)
 
-    def __post_init__(self):
-        for v, c in self.assignment.items():
-            if not 1 <= c <= self.bound:
-                raise ValueError(f"color {c} for {v!r} outside 1..{self.bound}")
+    def __setattr__(self, name, value):
+        raise AttributeError("Precoloring is immutable")
 
 
 def _check_precoloring(g: Graph, pc: Precoloring):

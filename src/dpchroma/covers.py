@@ -14,8 +14,9 @@ to a perfect one, and each added cross edge can only remove colorings.
 Every count runs the one loop of `_FeedbackPlan`, kept on the graph
 (`Graph.plan`), which conditions on a feedback vertex set S and on every
 vertex with a fixed color (`BRUTE_FORCE_LIMIT` caps the colorings of the
-slots left unfixed).  Every vertex left may take every color, so each row
-is the forest's count read from a table per fold.  At its conjugacy level
+slots left unfixed, and the n * m entries of one row).  Every vertex left
+may take every color, so each row is the forest's count read from a
+table per fold.  At its conjugacy level
 the search is orderly: it counts one cover per conjugacy orbit and finds
 the same first minimum as a count of every cover (see `_search_chunk`);
 its orbit sweeps are cached per process by fold and group
@@ -39,11 +40,10 @@ from __future__ import annotations
 
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import permutations, product
 from math import prod
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AssumptionViolated,
@@ -225,8 +225,13 @@ def _forest(g: Graph, edge_ids: Iterable[int]) -> tuple[list[int], list[tuple[in
     return roots, descent
 
 
-@dataclass(frozen=True)
-class FullCover:
+class _FullCoverFields(NamedTuple):
+    graph: Graph
+    m: int
+    twists: Mapping[int, Perm]
+
+
+class FullCover(_FullCoverFields):
     """An m-fold cover in tree-canonical form against `graph.standard_tree`.
 
     `twists` maps each cotree edge index to the permutation realized by its
@@ -234,18 +239,17 @@ class FullCover:
     matching is the identity.
     """
 
-    graph: Graph
-    m: int
-    twists: Mapping[int, Perm]
-
-    def __post_init__(self):
-        g = self.graph
-        if self.m < 1:
+    def __new__(cls, graph: Graph, m: int, twists: Mapping[int, Perm]):
+        if m < 1:
             raise CoverMismatch("fold must be at least 1")
-        if set(self.twists) != set(range(len(g.edges))) - g.standard_tree:
+        if set(twists) != set(range(len(graph.edges))) - graph.standard_tree:
             raise CoverMismatch("twists must cover exactly the cotree edges")
-        if not all(is_permutation(p, self.m) for p in self.twists.values()):
+        if not all(is_permutation(p, m) for p in twists.values()):
             raise CoverMismatch("twist is not a permutation of the fold")
+        return super().__new__(cls, graph, m, twists)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FullCover is immutable")
 
     def edge_perms(self) -> list[Perm]:
         ident = identity_perm(self.m)
@@ -468,7 +472,13 @@ class _FeedbackPlan:
 
     def _row(self, key: tuple[int, ...], m: int) -> int:
         """The forest's count at fold m when the edges from the slots block
-        the colors of `key`."""
+        the colors of `key`.  `BRUTE_FORCE_LIMIT` caps its n * m entries,
+        checked before any is made: a forest has no feedback-set colorings
+        to cap, so nothing else bounds its fold."""
+        if self.n * m > BRUTE_FORCE_LIMIT:
+            raise GraphTooLarge(
+                f"{self.n} vertices x {m} colors in one forest row exceed BRUTE_FORCE_LIMIT = {BRUTE_FORCE_LIMIT:,}"
+            )
         seeds = [[1] * m for _ in range(self.n)]
         for (_, y, _, _), c in zip(self.outer, key):
             seeds[y][c] = 0
@@ -529,7 +539,7 @@ def count_from_edge_perms(
     precolored vertex); anything else is refused with `CoverMismatch`.  The
     fixed vertices join the slots of the graph's counting plan for that set
     of vertices, so every count reads the plan's row table;
-    `BRUTE_FORCE_LIMIT` caps m^(slots left unfixed).
+    `BRUTE_FORCE_LIMIT` caps m^(slots left unfixed) and a row's n * m entries.
     """
     ident = identity_perm(m)
     if len(perms) != len(g.edges) or not all(p == ident or is_permutation(p, m) for p in perms):
@@ -677,8 +687,7 @@ def subset_walk(cover: FullCover) -> tuple[list[int], list[int]]:
     return components, agreements
 
 
-@dataclass(frozen=True)
-class TwistProfile:
+class TwistProfile(NamedTuple):
     """Per-path twist statistics of a cover of a generalized Theta graph.
 
     mismatch_counts[i] is the number of cross edges on the u-edge of path
@@ -724,20 +733,25 @@ def twist_profile(cover: FullCover) -> TwistProfile:
     return TwistProfile(tuple(counts), mu, ties, mass)
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
-    """Ordered partition of a star's vertices; part index = fiber shift."""
-
+class _PartitionSpecFields(NamedTuple):
     parts: tuple[frozenset[str], ...]
 
-    def __post_init__(self):
-        if any(not p for p in self.parts):
+
+class PartitionSpec(_PartitionSpecFields):
+    """Ordered partition of a star's vertices; part index = fiber shift."""
+
+    def __new__(cls, parts: tuple[frozenset[str], ...]):
+        if any(not p for p in parts):
             raise ValueError("parts must be nonempty")
         union: set[str] = set()
-        for p in self.parts:
+        for p in parts:
             if union & p:
                 raise ValueError("parts must be disjoint")
             union |= p
+        return super().__new__(cls, parts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PartitionSpec is immutable")
 
     @classmethod
     def of_string(cls, labels: Sequence[str], string: tuple[int, ...]) -> PartitionSpec:
@@ -791,8 +805,7 @@ def shift_cover(
     return FullCover.from_edge_perms(g, m, perms)
 
 
-@dataclass(frozen=True)
-class MinimizationResult:
+class MinimizationResult(NamedTuple):
     value: int
     cover: FullCover
     candidates: int

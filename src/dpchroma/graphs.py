@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BadEdge, GraphTooLarge, InvalidCenter, InvalidThetaSpec
 
@@ -36,8 +35,11 @@ EXACT_FEEDBACK_SUBSETS = 10_000
 GRAPH_VERTEX_LIMIT = 30_000
 
 
-@dataclass(frozen=True)
-class ThetaSpec:
+class _ThetaSpecFields(NamedTuple):
+    lengths: tuple[int, ...]
+
+
+class ThetaSpec(_ThetaSpecFields):
     """Path lengths (l_1, ..., l_k) of a generalized Theta graph.
 
     Two end vertices u and w are joined by k internally disjoint paths of
@@ -45,16 +47,18 @@ class ThetaSpec:
     be joined by parallel edges.
     """
 
-    lengths: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(int(x) for x in self.lengths))
-        if len(self.lengths) < 2:
+    def __new__(cls, lengths: Iterable[int]):
+        lengths = tuple(int(x) for x in lengths)
+        if len(lengths) < 2:
             raise InvalidThetaSpec("need at least two paths")
-        if any(x < 1 for x in self.lengths):
+        if any(x < 1 for x in lengths):
             raise InvalidThetaSpec("path lengths must be positive")
-        if sum(1 for x in self.lengths if x == 1) > 1:
+        if sum(1 for x in lengths if x == 1) > 1:
             raise InvalidThetaSpec("two paths of length 1 would be parallel edges")
+        return super().__new__(cls, lengths)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ThetaSpec is immutable")
 
     @property
     def k(self) -> int:
@@ -107,8 +111,13 @@ class FeedbackVertex(enum.Enum):
     NOT_SIZE_ONE = "not-size-one"
 
 
-@dataclass(frozen=True)
-class Graph:
+class _GraphFields(NamedTuple):
+    vertices: tuple[str, ...]
+    edges: tuple[tuple[int, int], ...]
+    theta: ThetaSpec | None
+
+
+class Graph(_GraphFields):
     """Immutable simple graph.
 
     `vertices` fixes the label order; `edges` are index pairs into it, each
@@ -116,29 +125,33 @@ class Graph:
     significant: bitmask subsets and cover twists refer to it.
     """
 
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[int, int], ...]
-    theta: ThetaSpec | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        seen = set(self.vertices)
-        if len(seen) != len(self.vertices):
+    def __new__(
+        cls,
+        vertices: Iterable[str],
+        edges: Iterable[tuple[int, int]],
+        theta: ThetaSpec | None = None,
+    ):
+        vertices = tuple(vertices)
+        seen = set(vertices)
+        if len(seen) != len(vertices):
             raise ValueError("duplicate vertex labels")
-        n, pairs, oriented = len(self.vertices), set(), []
-        for a, b in self.edges:
+        n, pairs, oriented = len(vertices), set(), []
+        for a, b in edges:
             if a == b:
                 raise ValueError("loops are not allowed")
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError("edge endpoint out of range")
-            if self.vertices[a] > self.vertices[b]:
+            if vertices[a] > vertices[b]:
                 a, b = b, a
             # labels are distinct, so the oriented pair names the edge
             if (a, b) in pairs:
                 raise ValueError("parallel edges are not allowed")
             pairs.add((a, b))
             oriented.append((a, b))
-        object.__setattr__(self, "edges", tuple(oriented))
+        return super().__new__(cls, vertices, tuple(oriented), theta)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Graph is immutable")
 
     @property
     def n(self) -> int:
@@ -466,8 +479,14 @@ def _leaves_forest(g: Graph, removed: Iterable[int]) -> bool:
     return not spanning_forest(g.n, [e for e in g.edges if removed.isdisjoint(e)])[1]
 
 
-@dataclass(frozen=True)
-class StarDecomposition:
+class _StarDecompositionFields(NamedTuple):
+    graph: Graph
+    center: str
+    star_edges: EdgeSubset
+    forest: Graph
+
+
+class StarDecomposition(_StarDecompositionFields):
     """A star K_{1,k-1} at `center` whose removal leaves a forest.
 
     `alphas` lists the star's vertices: the center first, then its
@@ -475,10 +494,8 @@ class StarDecomposition:
     (same vertex set, so the center survives as an isolated vertex).
     """
 
-    graph: Graph
-    center: str
-    star_edges: EdgeSubset
-    forest: Graph
+    def __setattr__(self, name, value):
+        raise AttributeError("StarDecomposition is immutable")
 
     @cached_property
     def alphas(self) -> tuple[str, ...]:

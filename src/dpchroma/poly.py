@@ -51,12 +51,12 @@ class IntPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPoly(out)
+        return _normalized(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly(-c for c in self.coeffs)
+        return _normalized([-c for c in self.coeffs])
 
     def __sub__(self, other: "IntPoly | int") -> "IntPoly":
         return _difference(self.coeffs, _lift(other).coeffs)
@@ -73,7 +73,7 @@ class IntPoly:
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return IntPoly(out)
+        return _normalized(out)
 
     __rmul__ = __mul__
 
@@ -121,7 +121,7 @@ class IntPoly:
                     rem[pos + j] -= c * d
         if any(rem):
             raise InexactDivision("nonzero remainder")
-        return IntPoly(quot)
+        return _normalized(quot)
 
     def __reduce__(self):
         """Pickle the coefficients alone: restoring the slots would go

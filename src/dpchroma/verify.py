@@ -10,10 +10,10 @@ argument.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache, wraps
 from itertools import combinations, combinations_with_replacement, product
 from operator import mul
+from typing import NamedTuple
 
 from .analysis import (
     CASE_TO_TERM,
@@ -93,8 +93,7 @@ CHECK_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     rule: str
     instance: str

@@ -260,7 +260,7 @@ def test_graph_validation():
         Graph(("a", "b"), ((0, 0),))
     with pytest.raises(ValueError):
         Graph(("a", "b"), ((0, 1), (1, 0)))
-    # every edge is oriented once, from the smaller label, in __post_init__
+    # every edge is oriented once, from the smaller label, in __new__
     path = Graph(("c", "b", "a"), ((0, 1),))
     assert path.with_edge("b", "a") == path.with_edge("a", "b")
 

@@ -9,6 +9,7 @@ vertices, including conflicting precolorings.
 """
 
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from dpchroma.covers import (
     count_colorings,
     identity_cover,
     identity_perm,
+    min_over_covers,
     worker_count,
 )
 from dpchroma.errors import CoverMismatch, GraphTooLarge, OutOfRange
@@ -38,6 +40,7 @@ from dpchroma.graphs import (
 from oracles import cover_count_by_subsets, transversal_count
 
 BOWTIE = Path(__file__).parent / "golden" / "bowtie.txt"
+TREE = Path(__file__).parent / "golden" / "tree.txt"
 
 
 def one_hot(g: Graph, m: int, fixed) -> list[list[int]]:
@@ -246,6 +249,25 @@ def test_one_brute_force_limit():
     assert g.index["k0"] not in g.feedback_set
     with pytest.raises(GraphTooLarge, match="^159\\^3 feedback-set colorings exceed BRUTE_FORCE_LIMIT"):
         precolored_count(g, Precoloring({"k0": 1}, 5), over)
+
+
+def test_one_forest_row_is_capped_before_it_is_built(capsys):
+    # A forest has no feedback-set colorings to cap, so the limit caps the
+    # n * m entries of one row: the six vertices of tree.txt answer at
+    # m = 666,666 and are refused from 666,667 on, with no entry made.
+    g = Graph.from_text(TREE.read_text())
+    over = BRUTE_FORCE_LIMIT // g.n + 1
+    assert (g.n, over) == (6, 666_667)
+    message = "6 vertices x 666667 colors in one forest row exceed BRUTE_FORCE_LIMIT = 4,000,000"
+    g.plan(covers._FeedbackPlan)  # built outside the trace
+    tracemalloc.start()
+    with pytest.raises(GraphTooLarge, match=f"^{message}$"):
+        min_over_covers(g, over)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2**20, peak  # a row of 6 lists of 666,667 entries is 32 MB
+    assert cli.main(["dp-exact", str(TREE), "--m", str(over)]) == 2
+    assert capsys.readouterr() == ("", f"dpchroma: {message}\n")
 
 
 def test_cover_subset_sum_edge_limit():
