@@ -29,7 +29,8 @@ from .analysis import (
     theta_dp_formula,
 )
 from .chromatic import chromatic_polynomial, theta_chromatic
-from .covers import SEARCH_BUDGET, cover_to_json, min_over_covers, worker_count
+from .covers import BRUTE_FORCE_LIMIT, SEARCH_BUDGET, _growth_string_count, cover_to_json
+from .covers import dp_lower_bound, min_over_covers
 from .errors import DpchromaError, GraphTooLarge, OutOfRange, SearchBudgetExceeded
 from .graphs import Graph, ThetaSpec, build_generalized_theta
 from .poly import poly_to_json
@@ -103,12 +104,14 @@ def check_budget(budget: int) -> None:
 def cmd_dp_exact(args):
     check_budget(args.budget)
     g = load_graph(args.source)
+    if args.workers < 1:
+        raise OutOfRange(f"--workers must be positive, not {args.workers}")
     result = min_over_covers(
         g,
         args.m,
         symmetry=args.symmetry,
         budget=args.budget,
-        workers=worker_count(args.workers),
+        workers=args.workers,
     )
     witness = cover_to_json(result.cover)
     payload = {
@@ -139,11 +142,19 @@ def dp_formula_route(g: Graph) -> ThetaDpFormula | FeedbackPolynomialResult:
 
 
 def _formula_value(route: ThetaDpFormula | FeedbackPolynomialResult, m: int):
-    """Value at m and its route label, as `compare` and `dp-formula --m` show it."""
+    """Value at m and its route label, as `compare` and `dp-formula --m` show it.
+    Below `stable_from` an FVS-1 value is `dp_lower_bound`, exact with one
+    feedback vertex or none, while its key walk builds at most
+    `BRUTE_FORCE_LIMIT` row entries; past that, the polynomial's, unproven."""
     if isinstance(route, ThetaDpFormula):
         return route.value_at(m), f"parity-case-{route.case}"
-    note = "fvs1" if m >= route.stable_from else "fvs1(below-stabilization)"
-    return route.dp_polynomial(m), note
+    if m >= route.stable_from:
+        return route.dp_polynomial(m), "fvs1"
+    g = route.graph
+    k = sum(len(g.adjacency[v]) for v in g.feedback_set)  # no edge inside the set
+    if _growth_string_count(k, m) * g.n * m <= BRUTE_FORCE_LIMIT:
+        return dp_lower_bound(g, m), "fvs1-least-row"
+    return route.dp_polynomial(m), "fvs1(below-stabilization)"
 
 
 def cmd_dp_formula(args):
@@ -306,7 +317,7 @@ def _dp_exact_arguments(p):
         default="tree-canonical+conjugacy",
     )
     p.add_argument("--budget", type=int, default=SEARCH_BUDGET)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     _add_format(p)
     p.set_defaults(func=cmd_dp_exact)
 

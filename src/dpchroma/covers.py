@@ -38,7 +38,6 @@ partitions live here too, weighed by `analysis._avoidance_count`.
 
 from __future__ import annotations
 
-import os
 from contextlib import nullcontext
 from functools import cache, cached_property
 from itertools import permutations, product
@@ -851,27 +850,12 @@ def dp_lower_bound(g: Graph, m: int) -> int:
     return least * dp_lower_bound(core, m)
 
 
-def worker_count(flag: int | None = None) -> int:
-    """Worker processes for the search: DPCHROMA_WORKERS when set (at least
-    1), else the flag, else 1.  `OutOfRange` for a flag below 1 or a
-    variable that is not an integer."""
-    if flag is not None and flag < 1:
-        raise OutOfRange(f"--workers must be positive, not {flag}")
-    env = os.environ.get("DPCHROMA_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise OutOfRange(f"DPCHROMA_WORKERS must be an integer, not {env!r}") from None
-    return flag or 1
-
-
 def min_over_covers(
     g: Graph,
     m: int,
     symmetry: str = "tree-canonical+conjugacy",
     budget: int = SEARCH_BUDGET,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> MinimizationResult:
     """Exhaustive minimum of the coloring count over full m-fold covers.
 
@@ -883,10 +867,12 @@ def min_over_covers(
                                   search counts one cover per orbit.
     The first two count every cover and are the oracles of the third.  All
     return the same minimum; the witness is the first attaining cover in
-    enumeration order (see `_search_chunk`).  At any worker count the third
-    stops at its first count equal to `dp_lower_bound`, unless the bound's
-    canonical keys outnumber its covers: chunk results are read in order,
-    and a pool is left after the chunk that reaches the bound.
+    enumeration order (see `_search_chunk`).  With `workers` above 1, the
+    chunks (one per first twist) run in a pool of that many processes.  At
+    any worker count the third stops at its first count equal to
+    `dp_lower_bound`, unless the bound's canonical keys outnumber its
+    covers: chunk results are read in order, and a pool is left after the
+    chunk that reaches the bound.
     """
     if m < 1:
         raise OutOfRange("m must be positive")
@@ -913,7 +899,7 @@ def min_over_covers(
         stop = dp_lower_bound(g, m)
         if free_edges and len(plan.slots) == 1 and stop == m * plan.least_keys(m)[0]:
             prune = plan.least_key_table(m, free_edges)
-    workers = min(worker_count() if workers is None else workers, len(chunks))
+    workers = min(workers, len(chunks))
     args = [(g, m, free_edges, chunk, orderly, stop, prune) for chunk in chunks]
     pool, results = nullcontext(), map(_search_chunk, args)
     if workers > 1:

@@ -1,5 +1,6 @@
 import inspect
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from dpchroma import cli
 from dpchroma.cli import build_command_parser, main
 from dpchroma.covers import SEARCH_BUDGET, min_over_covers
-from dpchroma.graphs import GRAPH_VERTEX_LIMIT
+from dpchroma.graphs import GRAPH_VERTEX_LIMIT, Graph
 
 
 def run(capsys, *argv):
@@ -97,10 +98,11 @@ def test_usage_and_input_errors(capsys):
 
 
 def test_dp_formula_labels_the_value_at_a_fold(capsys):
-    # theta:2,2,2,2 has a one-vertex feedback set; its polynomial is proven from m = 21
-    for m, label in (("3", "fvs1(below-stabilization)"), ("21", "fvs1")):
+    # theta:2,2,2,2 has a one-vertex feedback set; its polynomial is proven
+    # from m = 21, and below that the least row gives the value (24 at m = 3)
+    for m, value, label in (("3", "24", "fvs1-least-row"), ("21", "58047717", "fvs1")):
         code, out, _ = run(capsys, "dp-formula", "theta:2,2,2,2", "--m", m)
-        assert code == 0 and out.splitlines()[-1].endswith(f"  [{label}]")
+        assert code == 0 and out.splitlines()[-1] == f"P_DP(theta:2,2,2,2, {m}) = {value}  [{label}]"
         code, out, _ = run(capsys, "dp-formula", "theta:2,2,2,2", "--m", m, "--format", "json")
         assert code == 0 and json.loads(out)["value_route"] == label
     code, out, _ = run(capsys, "dp-formula", "theta:2,2,3", "--m", "5", "--format", "json")
@@ -263,19 +265,33 @@ def test_one_default_search_budget():
         assert args.budget == SEARCH_BUDGET, command
 
 
-def test_worker_count_errors_name_the_flag_or_the_variable(monkeypatch, capsys):
-    monkeypatch.delenv("DPCHROMA_WORKERS", raising=False)
+def test_worker_count_errors_name_the_flag(capsys):
     for workers in ("0", "-3"):
         argv = ("dp-exact", "theta:2,2,2", "--m", "3", "--workers", workers)
         want = f"dpchroma: --workers must be positive, not {workers}\n"
         assert run(capsys, *argv) == (2, "", want)
-    monkeypatch.setenv("DPCHROMA_WORKERS", "abc")
-    want = "dpchroma: DPCHROMA_WORKERS must be an integer, not 'abc'\n"
-    for argv in (
-        ("dp-exact", "theta:2,2,2", "--m", "3"),
-        ("compare", "theta:2,2,2", "--m", "3", "--exact"),
-    ):
-        assert run(capsys, *argv) == (2, "", want)
+
+
+def test_the_environment_sets_no_worker_count(monkeypatch, capsys):
+    # only `--workers` and `workers=` start a process pool
+    searches = (
+        ("dp-exact", "theta:2,2,2", "--m", "4", "--format", "json"),
+        ("compare", "theta:2,2,2", "--m", "3..4", "--exact"),
+    )
+    g = Graph.from_text((Path(__file__).parent / "golden" / "bowtie.txt").read_text())
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.delenv("DPCHROMA_WORKERS", raising=False)
+    printed = [run(capsys, *argv) for argv in searches]
+    assert [code for code, _, _ in printed] == [0, 0]
+    found = min_over_covers(g, 4)
+    for value in ("abc", "4"):
+        monkeypatch.setenv("DPCHROMA_WORKERS", value)
+        assert [run(capsys, *argv) for argv in searches] == printed, value
+        assert min_over_covers(g, 4) == found, value
 
 
 def test_threshold_past_the_float_range_is_one_line(capsys):

@@ -176,8 +176,10 @@ def test_forest_count_keeps_no_read_vector():
     g = Graph(tuple(f"c{i:04d}" for i in range(n)), tuple((i, (i + 1) % n) for i in range(n)))
     g.plan(_FeedbackPlan)  # built outside the trace
     tracemalloc.start()
-    got = count_from_edge_perms(g, 3, [identity_perm(3)] * n)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    try:
+        got = count_from_edge_perms(g, 3, [identity_perm(3)] * n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:  # a trace left running slows every later test
+        tracemalloc.stop()
     assert got == 2**n + 2
     assert peak < 3 * 2**20, peak

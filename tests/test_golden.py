@@ -102,7 +102,6 @@ def run_case(argv, capsys, monkeypatch):
 @pytest.fixture
 def golden_env(monkeypatch):
     monkeypatch.chdir(GOLDEN_DIR)
-    monkeypatch.delenv("DPCHROMA_WORKERS", raising=False)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to this width
 
 
@@ -161,7 +160,6 @@ if __name__ == "__main__":
     import io
 
     os.chdir(GOLDEN_DIR)
-    os.environ.pop("DPCHROMA_WORKERS", None)
     os.environ["COLUMNS"] = "80"
     results = {}
     for name, argv in sorted(CASES.items()):

@@ -47,7 +47,6 @@ def test_main_builds_each_parser_once_per_process(monkeypatch, capsys):
     cli._parser.cache_clear()
     inits.clear()
     monkeypatch.chdir(GOLDEN_DIR)
-    monkeypatch.delenv("DPCHROMA_WORKERS", raising=False)
     monkeypatch.setenv("COLUMNS", "80")
     name = "dp-formula-fvs1-json"
     expected = json.loads(EXPECTED.read_text(encoding="utf-8"))[name]
@@ -190,8 +189,7 @@ def test_one_feedback_plan_per_theta_graph_and_one_table_per_fold(monkeypatch):
     assert all(tables.values())  # one memo per fold
 
 
-def test_a_counted_graph_pickles_and_the_pool_search_agrees(monkeypatch):
-    monkeypatch.delenv("DPCHROMA_WORKERS", raising=False)
+def test_a_counted_graph_pickles_and_the_pool_search_agrees():
     g = Graph.from_text((GOLDEN_DIR / "bowtie.txt").read_text())
     count_from_edge_perms(g, 4, [identity_perm(4)] * len(g.edges))
     chromatic.chromatic_polynomial(g)

@@ -157,8 +157,7 @@ def test_no_chunk_at_the_bound_is_refused(monkeypatch):
 
 
 @pytest.mark.parametrize("source", [str(GOLDEN / "bowtie.txt"), "theta:2,2,2"])
-def test_a_process_pool_prints_what_one_worker_does(monkeypatch, capsys, source):
-    monkeypatch.delenv("DPCHROMA_WORKERS", raising=False)
+def test_a_process_pool_prints_what_one_worker_does(capsys, source):
     printed = []
     for workers in ("1", "2"):
         assert main(["dp-exact", source, "--m", "6", "--format", "json", "--workers", workers]) == 0

@@ -111,6 +111,14 @@ def test_every_value_type_is_listed():
     assert len(EXAMPLES) == 18
 
 
+def _holds_a_set(value) -> bool:
+    """Whether repr(value) shows a set: two equal sets, one of them
+    rebuilt by pickling, can list their members in different orders."""
+    if isinstance(value, (set, frozenset)):
+        return True
+    return isinstance(value, tuple) and any(map(_holds_a_set, value))
+
+
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
 def test_value_types_are_immutable_values(name):
     obj = EXAMPLES[name]()
@@ -130,7 +138,10 @@ def test_value_types_are_immutable_values(name):
     else:
         assert hash(again) == hash(obj) == hash(other)
     copy = pickle.loads(pickle.dumps(obj))
-    assert type(copy) is type(obj) and copy == obj and repr(copy) == repr(obj)
+    assert type(copy) is type(obj) and copy == obj
+    for field, theirs, ours in zip(obj._fields, copy, obj):
+        if not _holds_a_set(ours):  # a set lists its members in table order
+            assert repr(theirs) == repr(ours), field
     assert "_plans" not in getattr(copy, "__dict__", {})
 
 
