@@ -364,7 +364,6 @@ class FeedbackPolynomialResult(NamedTuple):
     `witness_cover(m)` builds the shift cover attaining it.
     """
 
-    graph: Graph
     decomposition: StarDecomposition
     partition: PartitionSpec
     weight: IntPoly
@@ -373,7 +372,7 @@ class FeedbackPolynomialResult(NamedTuple):
     maximizers: tuple[PartitionSpec, ...]
 
     def witness_cover(self, m: int) -> FullCover:
-        return shift_cover(self.graph, self.decomposition, self.partition, m)
+        return shift_cover(self.decomposition.graph, self.decomposition, self.partition, m)
 
 
 #: Most star vertices that `fvs1_dp_polynomial` accepts.  A star with k
@@ -436,9 +435,7 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
     stable_from = max(g.n, 1 + gap)
     weight = (_forest_chromatic(d) - dp).exact_div(M)
     partition = PartitionSpec.of_string(d.alphas, (0,) + groupings[best])
-    return FeedbackPolynomialResult(
-        g, d, partition, weight, dp, stable_from, maximizers
-    )
+    return FeedbackPolynomialResult(d, partition, weight, dp, stable_from, maximizers)
 
 
 class SubsetCheck(NamedTuple):

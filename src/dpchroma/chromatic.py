@@ -444,14 +444,13 @@ class Precoloring(_PrecoloringFields):
     number of vertices of the graph the precoloring is applied to.
     """
 
+    __slots__ = ()
+
     def __new__(cls, assignment: Mapping[str, int], bound: int):
         for v, c in assignment.items():
             if not 1 <= c <= bound:
                 raise ValueError(f"color {c} for {v!r} outside 1..{bound}")
         return super().__new__(cls, assignment, bound)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Precoloring is immutable")
 
 
 def _check_precoloring(g: Graph, pc: Precoloring):

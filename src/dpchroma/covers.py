@@ -238,6 +238,8 @@ class FullCover(_FullCoverFields):
     matching is the identity.
     """
 
+    __slots__ = ()
+
     def __new__(cls, graph: Graph, m: int, twists: Mapping[int, Perm]):
         if m < 1:
             raise CoverMismatch("fold must be at least 1")
@@ -246,9 +248,6 @@ class FullCover(_FullCoverFields):
         if not all(is_permutation(p, m) for p in twists.values()):
             raise CoverMismatch("twist is not a permutation of the fold")
         return super().__new__(cls, graph, m, twists)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FullCover is immutable")
 
     def edge_perms(self) -> list[Perm]:
         ident = identity_perm(self.m)
@@ -848,6 +847,16 @@ def dp_lower_bound(g: Graph, m: int) -> int:
         return least * m ** (size - len(inner)) * (m - 1) ** len(inner)
     core = Graph(tuple(g.vertices[v] for v in g.feedback_set), tuple(inner))
     return least * dp_lower_bound(core, m)
+
+
+def least_row_entries(g: Graph, m: int) -> int:
+    """Row entries that the key walk of `dp_lower_bound(g, m)` builds from
+    an empty row table: the Stirling numbers S(k, j) summed over j <= m,
+    for the k edges from the feedback set to the forest, one row of
+    n * m entries per canonical key."""
+    slots = set(g.feedback_set)
+    k = sum((a in slots) != (b in slots) for a, b in g.edges)
+    return _growth_string_count(k, m) * g.n * m
 
 
 def min_over_covers(

@@ -47,6 +47,8 @@ class ThetaSpec(_ThetaSpecFields):
     be joined by parallel edges.
     """
 
+    __slots__ = ()
+
     def __new__(cls, lengths: Iterable[int]):
         lengths = tuple(int(x) for x in lengths)
         if len(lengths) < 2:
@@ -56,9 +58,6 @@ class ThetaSpec(_ThetaSpecFields):
         if sum(1 for x in lengths if x == 1) > 1:
             raise InvalidThetaSpec("two paths of length 1 would be parallel edges")
         return super().__new__(cls, lengths)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ThetaSpec is immutable")
 
     @property
     def k(self) -> int:
@@ -479,14 +478,7 @@ def _leaves_forest(g: Graph, removed: Iterable[int]) -> bool:
     return not spanning_forest(g.n, [e for e in g.edges if removed.isdisjoint(e)])[1]
 
 
-class _StarDecompositionFields(NamedTuple):
-    graph: Graph
-    center: str
-    star_edges: EdgeSubset
-    forest: Graph
-
-
-class StarDecomposition(_StarDecompositionFields):
+class StarDecomposition(NamedTuple):
     """A star K_{1,k-1} at `center` whose removal leaves a forest.
 
     `alphas` lists the star's vertices: the center first, then its
@@ -494,15 +486,11 @@ class StarDecomposition(_StarDecompositionFields):
     (same vertex set, so the center survives as an isolated vertex).
     """
 
-    def __setattr__(self, name, value):
-        raise AttributeError("StarDecomposition is immutable")
-
-    @cached_property
-    def alphas(self) -> tuple[str, ...]:
-        c = self.graph.index[self.center]
-        return (self.center,) + tuple(
-            sorted(self.graph.vertices[x] for x in self.graph.adjacency[c])
-        )
+    graph: Graph
+    center: str
+    star_edges: EdgeSubset
+    forest: Graph
+    alphas: tuple[str, ...]
 
 
 def star_forest_decomposition(g: Graph, center: str) -> StarDecomposition:
@@ -514,4 +502,5 @@ def star_forest_decomposition(g: Graph, center: str) -> StarDecomposition:
     forest = g.without_edges(_bits(mask))
     if not forest.is_forest():
         raise InvalidCenter(f"removing the star at {center!r} leaves a cycle")
-    return StarDecomposition(g, center, mask, forest)
+    alphas = (center,) + tuple(sorted(g.vertices[x] for x in g.adjacency[c]))
+    return StarDecomposition(g, center, mask, forest, alphas)

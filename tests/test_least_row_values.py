@@ -4,9 +4,10 @@ Below its `stable_from`, the eventual FVS-1 polynomial can miss P_DP
 (theta:2,3,3,3 at m = 3 reads 210, not 207).  There the CLI prints
 `dp_lower_bound`, exact with a feedback set of at most one vertex,
 labelled "fvs1-least-row", while its key walk builds at most
-`BRUTE_FORCE_LIMIT` row entries; past that, the polynomial's value
-keeps its "fvs1(below-stabilization)" label.  Each value is checked
-against the exhaustive search.
+`BRUTE_FORCE_LIMIT` row entries, and a `compare` range at most that many
+over all its folds; past that, the polynomial's value keeps its
+"fvs1(below-stabilization)" label.  Each value is checked against the
+exhaustive search, or against `dp_lower_bound` one fold at a time.
 """
 
 import json
@@ -14,10 +15,17 @@ import random
 
 import pytest
 
-from dpchroma import cli
+from dpchroma import cli, covers
 from dpchroma.analysis import FeedbackPolynomialResult
+from dpchroma.chromatic import chromatic_polynomial
 from dpchroma.cli import dp_formula_route, main
-from dpchroma.covers import BRUTE_FORCE_LIMIT, _growth_string_count, min_over_covers
+from dpchroma.covers import (
+    BRUTE_FORCE_LIMIT,
+    _growth_string_count,
+    dp_lower_bound,
+    least_row_entries,
+    min_over_covers,
+)
 from dpchroma.graphs import Graph
 from dpchroma.verify import _graph_zoo
 
@@ -35,6 +43,13 @@ def alt_hub(paths: int, length: int) -> Graph:
         edges += [(first + i, first + i + 1) for i in range(length - 1)]
         edges += [(0, first + i) for i in range(0, length, 2)]
     return Graph(tuple(labels), tuple(edges))
+
+
+def hub20() -> Graph:
+    """A hub joined to vertices 1, 6, 11 and 20 of a 20-vertex path."""
+    labels = ("h",) + tuple(f"p{i}" for i in range(1, 21))
+    edges = tuple((i, i + 1) for i in range(1, 20)) + tuple((0, i) for i in (1, 6, 11, 20))
+    return Graph(labels, edges)
 
 
 def _cases() -> dict[str, tuple[Graph | str, range]]:
@@ -100,3 +115,45 @@ def test_a_fold_past_the_walk_cap_keeps_the_polynomial_and_its_label(tmp_path, m
     assert payload["stable_from"] == 52_816
     assert payload["value"] == str(sum(c * 100**i for i, c in enumerate(coefficients)))
     assert payload["value_route"] == "fvs1(below-stabilization)"
+
+
+def test_a_lone_fold_may_spend_the_whole_walk_cap(tmp_path, capsys):
+    # alt-hub 2x7 at m = 64 builds 3,974,400 row entries, the most a fold
+    # of it may, and dp-formula and a one-fold compare both walk them
+    g = alt_hub(2, 7)
+    assert least_row_entries(g, 64) == _growth_string_count(8, 64) * 15 * 64 == 3_974_400
+    path = tmp_path / "alt-hub.txt"
+    path.write_text(to_text(g), encoding="utf-8")
+    payload = _dp_formula(str(path), 64, capsys)
+    assert payload["value_route"] == "fvs1-least-row"
+    assert main(["compare", str(path), "--m", "64", "--format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert (row["P_DP"], row["route"]) == (payload["value"], "fvs1-least-row")
+
+
+def test_a_compare_range_spends_one_walk_cap_in_all(tmp_path, monkeypatch, capsys):
+    # each fold of hub20 up to 12,698 fits the one-fold cap, so a walk per
+    # fold would build about 10^8 row entries over 1..800
+    g = hub20()
+    assert least_row_entries(g, 800) <= BRUTE_FORCE_LIMIT
+    path = tmp_path / "hub20.txt"
+    path.write_text(to_text(g), encoding="utf-8")
+    built, row = [], covers._FeedbackPlan._row
+
+    def counting(self, key, m):
+        built.append(self.n * m)
+        return row(self, key, m)
+
+    monkeypatch.setattr(covers._FeedbackPlan, "_row", counting)
+    assert main(["compare", str(path), "--m", "1..800", "--format", "json"]) == 0
+    monkeypatch.undo()
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert 0 < sum(built) <= BRUTE_FORCE_LIMIT
+    walked = sum(r["route"] == "fvs1-least-row" for r in rows)
+    past = ["fvs1(below-stabilization)"] * (800 - walked)
+    assert [r["route"] for r in rows] == ["fvs1-least-row"] * walked + past
+    assert 100 < walked < 800
+    chrom = chromatic_polynomial(g)
+    for m in sorted({*range(1, 801, 25), walked, walked + 1, 800}):
+        want = str(chrom(m)), str(dp_lower_bound(hub20(), m))  # a fresh graph, one fold
+        assert (rows[m - 1]["P"], rows[m - 1]["P_DP"]) == want, m
