@@ -370,6 +370,17 @@ class FeedbackPolynomialResult(NamedTuple):
     dp_polynomial: IntPoly
     stable_from: int
     maximizers: tuple[PartitionSpec, ...]
+    counts: tuple[tuple[int, IntPoly], ...]  # (fewest classes, count) per distinct grouping count
+
+    def value_at(self, m: int) -> int:
+        """P_DP(G, m): below `stable_from`, the least count of a grouping with
+        at most m classes (proof: `covers.dp_lower_bound`; a count of s
+        classes is a transfer exact at every m >= s)."""
+        if m < 1:
+            raise OutOfRange("m must be positive")
+        if m >= self.stable_from:
+            return self.dp_polynomial(m)
+        return min(c(m) for s, c in self.counts if s <= m)
 
     def witness_cover(self, m: int) -> FullCover:
         return shift_cover(self.decomposition.graph, self.decomposition, self.partition, m)
@@ -435,7 +446,11 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
     stable_from = max(g.n, 1 + gap)
     weight = (_forest_chromatic(d) - dp).exact_div(M)
     partition = PartitionSpec.of_string(d.alphas, (0,) + groupings[best])
-    return FeedbackPolynomialResult(d, partition, weight, dp, stable_from, maximizers)
+    classes: dict[IntPoly, int] = {}
+    for r, c in zip(groupings, counts):
+        classes[c] = min(classes.get(c, k + 1), max(r, default=-1) + 1)
+    distinct = tuple((s, c) for c, s in classes.items())
+    return FeedbackPolynomialResult(d, partition, weight, dp, stable_from, maximizers, distinct)
 
 
 class SubsetCheck(NamedTuple):

@@ -29,8 +29,7 @@ from .analysis import (
     theta_dp_formula,
 )
 from .chromatic import chromatic_polynomial, theta_chromatic
-from .covers import BRUTE_FORCE_LIMIT, SEARCH_BUDGET, cover_to_json
-from .covers import dp_lower_bound, least_row_entries, min_over_covers
+from .covers import SEARCH_BUDGET, cover_to_json, min_over_covers
 from .errors import DpchromaError, GraphTooLarge, OutOfRange, SearchBudgetExceeded
 from .graphs import Graph, ThetaSpec, build_generalized_theta
 from .poly import poly_to_json
@@ -141,22 +140,11 @@ def dp_formula_route(g: Graph) -> ThetaDpFormula | FeedbackPolynomialResult:
     return fvs1_dp_polynomial(g)
 
 
-def _formula_value(route: ThetaDpFormula | FeedbackPolynomialResult, m: int, left: int = BRUTE_FORCE_LIMIT):
-    """Value at m, its route label and the row entries spent on it, as
-    `compare` and `dp-formula --m` show it.  Below `stable_from` an FVS-1
-    value is `dp_lower_bound`, exact with one feedback vertex or none, while
-    its key walk builds at most `left` row entries (`compare` passes what
-    its range has left of `BRUTE_FORCE_LIMIT`); past that, the polynomial's,
-    unproven."""
+def _formula_value(route: ThetaDpFormula | FeedbackPolynomialResult, m: int) -> tuple[int, str]:
+    """The route's value at m and its label, as `compare` and `dp-formula --m` show it."""
     if isinstance(route, ThetaDpFormula):
-        return route.value_at(m), f"parity-case-{route.case}", 0
-    if m >= route.stable_from:
-        return route.dp_polynomial(m), "fvs1", 0
-    g = route.decomposition.graph
-    entries = least_row_entries(g, m)
-    if entries <= left:
-        return dp_lower_bound(g, m), "fvs1-least-row", entries
-    return route.dp_polynomial(m), "fvs1(below-stabilization)", 0
+        return route.value_at(m), f"parity-case-{route.case}"
+    return route.value_at(m), "fvs1" if m >= route.stable_from else "fvs1-least-row"
 
 
 def cmd_dp_formula(args):
@@ -194,7 +182,7 @@ def cmd_dp_formula(args):
             f"P_DP({args.source}, m) = {payload['polynomial']['text']}   (m >= {route.stable_from})",
         ]
     if args.m is not None:  # the label says whether the value is proven at m
-        value, label, _ = _formula_value(route, args.m)
+        value, label = _formula_value(route, args.m)
         payload.update(m=args.m, value=str(value), value_route=label)
         lines.append(f"P_DP({args.source}, {args.m}) = {value}  [{label}]")
     return payload, lines
@@ -207,14 +195,13 @@ def cmd_compare(args):
     spec = g.theta
     chrom = theta_chromatic(spec) if spec is not None else chromatic_polynomial(g)
     route = None if args.exact else dp_formula_route(g)
-    rows, left = [], BRUTE_FORCE_LIMIT  # the row entries the range's key walks may build
+    rows = []
     for m in range(low, high + 1):
         p = chrom(m)
         if route is None:
             dp, note = min_over_covers(g, m, budget=args.budget).value, "search"
         else:
-            dp, note, spent = _formula_value(route, m, left)
-            left -= spent
+            dp, note = _formula_value(route, m)
         rows.append(
             {
                 "m": m,

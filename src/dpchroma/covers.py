@@ -849,16 +849,6 @@ def dp_lower_bound(g: Graph, m: int) -> int:
     return least * dp_lower_bound(core, m)
 
 
-def least_row_entries(g: Graph, m: int) -> int:
-    """Row entries that the key walk of `dp_lower_bound(g, m)` builds from
-    an empty row table: the Stirling numbers S(k, j) summed over j <= m,
-    for the k edges from the feedback set to the forest, one row of
-    n * m entries per canonical key."""
-    slots = set(g.feedback_set)
-    k = sum((a in slots) != (b in slots) for a, b in g.edges)
-    return _growth_string_count(k, m) * g.n * m
-
-
 def min_over_covers(
     g: Graph,
     m: int,

@@ -2,11 +2,9 @@
 
 Below its `stable_from`, the eventual FVS-1 polynomial can miss P_DP
 (theta:2,3,3,3 at m = 3 reads 210, not 207).  There the CLI prints
-`dp_lower_bound`, exact with a feedback set of at most one vertex,
-labelled "fvs1-least-row", while its key walk builds at most
-`BRUTE_FORCE_LIMIT` row entries, and a `compare` range at most that many
-over all its folds; past that, the polynomial's value keeps its
-"fvs1(below-stabilization)" label.  Each value is checked against the
+`FeedbackPolynomialResult.value_at`, the least count over the leaf
+groupings with at most m classes, labelled "fvs1-least-row": no key walk
+runs, so no fold is capped.  Each value is checked against the
 exhaustive search, or against `dp_lower_bound` one fold at a time.
 """
 
@@ -16,16 +14,11 @@ import random
 import pytest
 
 from dpchroma import cli, covers
-from dpchroma.analysis import FeedbackPolynomialResult
+from dpchroma.analysis import FeedbackPolynomialResult, fvs1_dp_polynomial
 from dpchroma.chromatic import chromatic_polynomial
 from dpchroma.cli import dp_formula_route, main
-from dpchroma.covers import (
-    BRUTE_FORCE_LIMIT,
-    _growth_string_count,
-    dp_lower_bound,
-    least_row_entries,
-    min_over_covers,
-)
+from dpchroma.covers import dp_lower_bound, min_over_covers
+from dpchroma.errors import OutOfRange
 from dpchroma.graphs import Graph
 from dpchroma.verify import _graph_zoo
 
@@ -98,62 +91,65 @@ def test_compare_and_dp_formula_print_the_search_minimum(name, tmp_path, capsys)
     assert [(row["P_DP"], row["route"]) for row in rows] == list(zip(want, labels))
 
 
-def test_a_fold_past_the_walk_cap_keeps_the_polynomial_and_its_label(tmp_path, monkeypatch, capsys):
-    # alt-hub 2x7 has 15 vertices and 8 edges from its hub, so the walk of
-    # its keys fits up to m = 64; at m = 100 it would build
-    # Bell(8) * 15 * 100 = 6,210,000 row entries
-    assert _growth_string_count(8, 64) * 15 * 64 <= BRUTE_FORCE_LIMIT < _growth_string_count(8, 65) * 15 * 65
+def _no_walk(monkeypatch):
+    def refuse(self, m):
+        raise AssertionError("a key walk ran")
+
+    monkeypatch.setattr(covers._FeedbackPlan, "least_keys", refuse)
+
+
+@pytest.mark.parametrize("m", [64, 100])
+def test_dp_formula_reads_the_least_count_without_a_key_walk(m, tmp_path, monkeypatch, capsys):
+    # alt-hub 2x7 has 15 vertices and 8 edges from its hub: Bell(8) = 4,140
+    # groupings, and a key walk at m = 100 would build 6,210,000 row entries
     path = tmp_path / "alt-hub.txt"
     path.write_text(to_text(alt_hub(2, 7)), encoding="utf-8")
-
-    def no_walk(g, m):
-        raise AssertionError("the key walk ran past its cap")
-
-    monkeypatch.setattr(cli, "dp_lower_bound", no_walk)
-    payload = _dp_formula(str(path), 100, capsys)
-    coefficients = [int(c) for c in payload["polynomial"]["coefficients"]]
+    _no_walk(monkeypatch)
+    payload = _dp_formula(str(path), m, capsys)
+    monkeypatch.undo()
     assert payload["stable_from"] == 52_816
-    assert payload["value"] == str(sum(c * 100**i for i, c in enumerate(coefficients)))
-    assert payload["value_route"] == "fvs1(below-stabilization)"
-
-
-def test_a_lone_fold_may_spend_the_whole_walk_cap(tmp_path, capsys):
-    # alt-hub 2x7 at m = 64 builds 3,974,400 row entries, the most a fold
-    # of it may, and dp-formula and a one-fold compare both walk them
-    g = alt_hub(2, 7)
-    assert least_row_entries(g, 64) == _growth_string_count(8, 64) * 15 * 64 == 3_974_400
-    path = tmp_path / "alt-hub.txt"
-    path.write_text(to_text(g), encoding="utf-8")
-    payload = _dp_formula(str(path), 64, capsys)
     assert payload["value_route"] == "fvs1-least-row"
-    assert main(["compare", str(path), "--m", "64", "--format", "json"]) == 0
-    (row,) = json.loads(capsys.readouterr().out)["rows"]
-    assert (row["P_DP"], row["route"]) == (payload["value"], "fvs1-least-row")
+    assert payload["value"] == str(dp_lower_bound(alt_hub(2, 7), m))  # a fresh graph
 
 
-def test_a_compare_range_spends_one_walk_cap_in_all(tmp_path, monkeypatch, capsys):
-    # each fold of hub20 up to 12,698 fits the one-fold cap, so a walk per
-    # fold would build about 10^8 row entries over 1..800
+def test_a_compare_range_reads_the_least_count_without_a_key_walk(tmp_path, monkeypatch, capsys):
+    # hub20's stable_from is 26,146, so every fold of 1..800 is below it
     g = hub20()
-    assert least_row_entries(g, 800) <= BRUTE_FORCE_LIMIT
     path = tmp_path / "hub20.txt"
     path.write_text(to_text(g), encoding="utf-8")
-    built, row = [], covers._FeedbackPlan._row
-
-    def counting(self, key, m):
-        built.append(self.n * m)
-        return row(self, key, m)
-
-    monkeypatch.setattr(covers._FeedbackPlan, "_row", counting)
+    _no_walk(monkeypatch)
     assert main(["compare", str(path), "--m", "1..800", "--format", "json"]) == 0
     monkeypatch.undo()
     rows = json.loads(capsys.readouterr().out)["rows"]
-    assert 0 < sum(built) <= BRUTE_FORCE_LIMIT
-    walked = sum(r["route"] == "fvs1-least-row" for r in rows)
-    past = ["fvs1(below-stabilization)"] * (800 - walked)
-    assert [r["route"] for r in rows] == ["fvs1-least-row"] * walked + past
-    assert 100 < walked < 800
+    assert [r["route"] for r in rows] == ["fvs1-least-row"] * 800
     chrom = chromatic_polynomial(g)
-    for m in sorted({*range(1, 801, 25), walked, walked + 1, 800}):
+    for m in sorted({*range(1, 801, 25), 158, 159, 800}):
         want = str(chrom(m)), str(dp_lower_bound(hub20(), m))  # a fresh graph, one fold
         assert (rows[m - 1]["P"], rows[m - 1]["P_DP"]) == want, m
+
+
+def _fvs1_graphs() -> dict[str, Graph]:
+    """The zoo's graphs with a feedback set of at most one vertex, and 40
+    seeded `random_fvs1` graphs."""
+    graphs = {name: g for name, g in _graph_zoo().items() if len(g.feedback_set) <= 1}
+    rng = random.Random(45)
+    graphs.update({f"random-fvs1-{i}": random_fvs1(rng, rng.randint(4, 7)) for i in range(40)})
+    return graphs
+
+
+FVS1_GRAPHS = _fvs1_graphs()
+
+
+@pytest.mark.parametrize("name", sorted(FVS1_GRAPHS))
+def test_value_at_is_the_least_row_bound_at_every_fold(name):
+    g = FVS1_GRAPHS[name]
+    result = fvs1_dp_polynomial(g)
+    polys = [c for _, c in result.counts]
+    assert len(set(polys)) == len(polys)
+    assert result.counts[0][0] <= 1
+    assert [result.value_at(m) for m in range(1, 13)] == [dp_lower_bound(g, m) for m in range(1, 13)]
+    for m in range(result.stable_from, result.stable_from + 4):
+        least = min(c(m) for s, c in result.counts if s <= m)
+        assert result.value_at(m) == least == result.dp_polynomial(m)
+    with pytest.raises(OutOfRange):
+        result.value_at(0)
