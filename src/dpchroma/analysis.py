@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import count
 from typing import NamedTuple
 
 from .chromatic import (
@@ -42,7 +43,7 @@ from .graphs import (
     find_feedback_vertex,
     star_forest_decomposition,
 )
-from .poly import M, IntPoly, crossover_bound, forest_polynomial, power_m1, sign
+from .poly import M, IntPoly, forest_polynomial, positive_from, power_m1, sign
 
 
 def _parity_case(l1: int, l2: int, l3: int) -> int:
@@ -308,8 +309,9 @@ def classify_generalized(spec: ThetaSpec) -> ParityClassification:
     leads with m^(l_i - 1), the difference leads with the terms that trade
     one shortest b_i for s_i.  Path 1 is a shortest path other than j, and
     only it may have length 1, so these are the paths i != j of length l_1,
-    each with s_i = s_1 = s_j: the leading coefficient counts them, and the
-    margin is positive from its `crossover_bound` on.
+    each with s_i = s_1 = s_j: the leading coefficient counts them, so the
+    scan ends, at `positive_from(margin)` on every spec with k = 3..5 and
+    lengths <= 9 (a test), where the margin stays positive from it on.
     """
     if not spec.sorted_for_analysis():
         raise OutOfScope("lengths must satisfy l2 <= ... <= lk and l2 >= max(l1, 2)")
@@ -323,7 +325,7 @@ def classify_generalized(spec: ThetaSpec) -> ParityClassification:
     margin = _deletion_margin(
         theta_chromatic(spec), theta_edge_deleted_chromatic(spec, witness)
     )
-    bound = next(m for m in range(2, crossover_bound(margin) + 1) if margin(m) > 0)
+    bound = next(m for m in count(2) if margin(m) > 0)
     return ParityClassification(spec, "eventually-less", witness, bound)
 
 
@@ -360,8 +362,10 @@ def partition_weight(d: StarDecomposition, partition: PartitionSpec) -> IntPoly:
 class FeedbackPolynomialResult(NamedTuple):
     """Eventual DP color function of a graph with a one-vertex feedback set.
 
-    dp_polynomial = P(forest, m) - m * weight, exact for m >= stable_from;
-    `witness_cover(m)` builds the shift cover attaining it.
+    dp_polynomial = P(forest, m) - m * weight, exact from stable_from, the
+    least fold (at least the part count) from which no count `value_at` reads
+    undercuts it; `counts` keeps those it reads below.  `witness_cover(m)`
+    builds the shift cover attaining it.
     """
 
     decomposition: StarDecomposition
@@ -412,8 +416,8 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
     coefficients read from the top, `min` keeping the earliest of ties.
     Since P(forest) = m * P(forest - center), it is P(forest) - m * weight,
     with weight the `partition_weight` of the winning partition; two counts
-    differ by m times their weights' difference, so the winner, its ties
-    and every crossing bound are those of the weights.
+    differ by m times their weights' difference, so the winner and its ties
+    are those of the weights.
     """
     if not g.n:
         raise OutOfScope("graph has no vertices")
@@ -440,16 +444,16 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
         for j in range(max(r, default=-1) + 2)
     )
     maximizers = tuple(PartitionSpec.of_string(d.alphas, s) for s in stars)
-    # crossover_bound(c - dp) of every count, read off the paired
-    # coefficients: the counts are monic of one degree, so their lists align
-    gap = max(abs(a - b) for c in counts for a, b in zip(c.coeffs, dp.coeffs))
-    stable_from = max(g.n, 1 + gap)
     weight = (_forest_chromatic(d) - dp).exact_div(M)
     partition = PartitionSpec.of_string(d.alphas, (0,) + groupings[best])
     classes: dict[IntPoly, int] = {}
     for r, c in zip(groupings, counts):
         classes[c] = min(classes.get(c, k + 1), max(r, default=-1) + 1)
-    distinct = tuple((s, c) for c, s in classes.items())
+    # c >= dp from positive_from(c - dp + 1) on (h >= 0 is h + 1 > 0); value_at reads c from s on
+    low = dp - 1
+    folds = [n for c, s in classes.items() if (n := positive_from(c - low)) > s]
+    stable_from = max([len(partition.parts)] + folds)
+    distinct = tuple((s, c) for c, s in classes.items() if s < stable_from)
     return FeedbackPolynomialResult(d, partition, weight, dp, stable_from, maximizers, distinct)
 
 

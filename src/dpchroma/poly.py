@@ -219,29 +219,44 @@ def sign(e: int) -> int:
     return -1 if e & 1 else 1
 
 
-def crossover_bound(p: IntPoly) -> int:
-    """An explicit point beyond which p keeps the sign of its leading term.
+def positive_from(p: IntPoly) -> int:
+    """The least N >= 1 with p(m) > 0 at every integer m >= N; p must have a
+    positive leading coefficient.  If the Taylor shift p(c + x) has no
+    negative coefficient, p > 0 beyond c, and so beyond any c' > c, whose
+    shift is that one's at (c' - c) + x.  Doubling finds such a c, and exact
+    evaluation below it finds N (Collins and Akritas, SYMSAC 1976)."""
+    if not p.coeffs or p.coeffs[-1] <= 0:
+        raise ValueError("the leading coefficient must be positive")
+    c = 1
+    while not _shift_nonnegative(p.coeffs, c):
+        c *= 2
+    return next((m + 1 for m in range(c, 0, -1) if p(m) <= 0), 1)
 
-    Uses 1 + max |c_i|, a coarse Cauchy-style root bound (integer leading
-    coefficients have absolute value >= 1).  Never smaller than 1.
-    """
-    if p.is_zero():
-        return 1
-    return 1 + max(abs(c) for c in p.coeffs)
+
+def _shift_nonnegative(coeffs: tuple[int, ...], c: int) -> bool:
+    """Whether p(c + x) has no negative coefficient, by Horner's Taylor
+    shift, whose pass i leaves the coefficient of x^i final."""
+    a = list(coeffs)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += c * a[j + 1]
+        if a[i] < 0:
+            return False
+    return True
 
 
 def eventual_compare(p: IntPoly, q: IntPoly) -> tuple[Ordering, int]:
-    """Ordering of p and q for all sufficiently large m, with a bound.
+    """Ordering of p and q for all sufficiently large m, with its fold.
 
-    Returns ("less"|"equal"|"greater", N) where the ordering holds for
-    every m >= N.  The ordering is decided by the leading coefficient of
-    p - q, the bound by `crossover_bound`.
+    Returns ("less"|"equal"|"greater", N) with N the least fold from which
+    the ordering holds at every m >= N: the leading coefficient of p - q
+    decides the ordering, `positive_from` the fold.
     """
     diff = p - q
     if diff.is_zero():
         return "equal", 1
     relation: Ordering = "greater" if diff.coeffs[-1] > 0 else "less"
-    return relation, crossover_bound(diff)
+    return relation, positive_from(diff if relation == "greater" else -diff)
 
 
 def poly_to_json(p: IntPoly) -> dict:

@@ -40,7 +40,7 @@ from dpchroma.graphs import (
     component_count,
     star_forest_decomposition,
 )
-from dpchroma.poly import M, power_m1, prod, sign
+from dpchroma.poly import M, positive_from, power_m1, prod, sign
 
 from oracles import mask_of, subset_agreement_count, to_text
 
@@ -213,6 +213,21 @@ def test_certificate_fold_equals_an_upward_sweep():
         sweep = next(m for m in range(2, 1000) if m * whole(m) - (m - 1) * deleted(m) > 0)
         assert res.empirical_bound == sweep, spec
     assert less == 345
+
+
+def test_certificate_fold_is_the_proven_fold():
+    # `scan` prints "certified from m = N" for the first positive fold N of
+    # the witness edge's margin; the margin stays positive from N on
+    specs = [spec for spec in sorted_specs(5, 9) if spec.k >= 3]
+    less = 0
+    for spec in specs:
+        res = classify_generalized(spec)
+        if res.kind == "eventually-less":
+            less += 1
+            whole = theta_chromatic(spec)
+            deleted = theta_edge_deleted_chromatic(spec, res.witness_path)
+            assert res.empirical_bound == positive_from(M * whole - (M - 1) * deleted), spec
+    assert less == 1506
 
 
 def test_deletion_margin_identity_and_its_leading_coefficient():
@@ -546,7 +561,7 @@ def test_fvs1_weights_take_no_deletion_contraction(monkeypatch):
     # golden values, computed by the subset sum over deletion-contraction
     assert result.dp_polynomial.coeffs == (0, -16, 48, -56, 32, -9, 1)
     assert result.weight.coeffs == (16, -47, 52, -26, 5)
-    assert result.stable_from == 52
+    assert result.stable_from == 1
     assert len(result.maximizers) == 2
     # one transfer per grouping of the 5 leaves: Bell(5), not Bell(6) = 203
     assert len(calls) == 52
@@ -654,8 +669,9 @@ def test_fvs1_compares_once_per_leaf_grouping(monkeypatch):
     # the selection over Bell(k - 1) groupings must give what a selection
     # over all Bell(k) partitions gives: the first partition with the
     # eventually maximal weight, every partition tied with it, and the
-    # largest crossing fold, with one avoidance count per grouping, each
-    # compared by its coefficients alone
+    # largest fold below which a partition's weight exceeds the winner's
+    # where its leaves' classes are read, with one avoidance count per
+    # grouping, each compared by its coefficients alone
     from dpchroma import analysis
     from dpchroma.poly import eventual_compare
 
@@ -685,7 +701,16 @@ def test_fvs1_compares_once_per_leaf_grouping(monkeypatch):
         assert result.partition == partitions[best], g
         assert result.weight == weights[best], g
         assert result.maximizers == tied, g
-        assert result.stable_from == max([g.n] + [x for _, x in against_best]), g
+        # the weights take integer values, so weights[best] >= w from the
+        # fold at which weights[best] + 1 > w for good; below the number of
+        # parts holding a leaf no grouping of w's count is read
+        folds = [len(result.partition.parts)]
+        for p, w in zip(partitions, weights):
+            relation, fold = eventual_compare(weights[best] + 1, w)
+            assert relation == "greater", g
+            if fold > sum(1 for part in p.parts if part != {d.center}):
+                folds.append(fold)
+        assert result.stable_from == max(folds), g
         groupings = partitions_of(d.alphas[1:])
         # the selection's counts come first, then the test's own weights
         assert len(calls) == len(groupings) + len(partitions), g

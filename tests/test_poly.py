@@ -17,6 +17,8 @@ from dpchroma.poly import (
     forest_polynomial,
     pack,
     poly_to_json,
+    positive_from,
+    prod,
     unpack,
 )
 
@@ -58,9 +60,45 @@ def test_division_round_trip(a, b):
 
 
 def test_eventual_compare_examples():
-    assert eventual_compare(M**2, M**2 - 3) == ("greater", 4)
+    assert eventual_compare(M**2, M**2 - 3) == ("greater", 1)
     assert eventual_compare(M**2, M**2) == ("equal", 1)
-    assert eventual_compare(M**3 - 10 * M**2, M**3) == ("less", 11)
+    assert eventual_compare(M**3 - 10 * M**2, M**3) == ("less", 1)
+    assert eventual_compare(M**2, 5 * M) == ("greater", 6)
+
+
+def test_positive_from_examples():
+    assert positive_from(IntPoly([7])) == 1
+    assert positive_from(M**2 - 5 * M) == 6  # zero at 5
+    assert positive_from((M - 5) ** 2) == 6  # touches zero at 5 only
+    assert positive_from((M - 3) ** 2 + 1) == 1  # no real root
+    assert positive_from((M - 1000) * (M - 1001)) == 1002  # positive below 1000
+
+
+def _root_bound(p: IntPoly) -> float:
+    """A bound on the absolute value of every root of p: the lesser of
+    Cauchy's 1 + max |c_i| (the leading coefficient is at least 1) and
+    Fujiwara's 2 max |c_i / c_d|^(1 / (d - i))."""
+    *rest, lead = p.coeffs
+    cauchy = 1 + max(map(abs, rest), default=0)
+    fujiwara = 2 * max((abs(c / lead) ** (1 / (len(rest) - i)) for i, c in enumerate(rest)), default=0)
+    return min(cauchy, fujiwara)
+
+
+def test_positive_from_matches_exhaustive_evaluation():
+    # beyond every root p keeps the sign of its leading term, so evaluation
+    # up to a root bound decides the fold
+    rng = random.Random(26)
+    for _ in range(2000):
+        degree = rng.randint(0, 8)
+        if rng.random() < 0.5:
+            p = IntPoly([rng.randint(-60, 60) for _ in range(degree)] + [rng.randint(1, 4)])
+        else:  # integer roots, some repeated, where p reaches 0 exactly
+            shift = rng.randint(-2, 2) if degree else 0
+            p = rng.randint(1, 3) * prod(M - rng.randint(-4, 30) for _ in range(degree)) + shift
+        n = positive_from(p)
+        assert n >= 1, p
+        assert all(p(m) > 0 for m in range(n, int(_root_bound(p)) + 2)), p
+        assert n == 1 or p(n - 1) <= 0, p
 
 
 small_coeffs = st.lists(st.integers(min_value=-50, max_value=50), max_size=6)
@@ -72,7 +110,8 @@ def test_eventual_compare_sign_holds_beyond_bound(a, b):
     p, q = IntPoly(a), IntPoly(b)
     relation, bound = eventual_compare(p, q)
     assert bound >= 1
-    for m in range(bound, bound + 21):
+    cauchy = 1 + max(map(abs, (p - q).coeffs), default=0)
+    for m in range(bound, max(bound, cauchy) + 21):
         d = p(m) - q(m)
         if relation == "equal":
             assert d == 0
@@ -80,6 +119,9 @@ def test_eventual_compare_sign_holds_beyond_bound(a, b):
             assert d > 0
         else:
             assert d < 0
+    if bound > 1:  # the fold is the least one
+        d = p(bound - 1) - q(bound - 1)
+        assert d <= 0 if relation == "greater" else d >= 0
 
 
 def test_big_coefficients_stay_exact():

@@ -26,7 +26,7 @@ from dpchroma.graphs import (
     star_forest_decomposition,
     subset_cycle_lengths,
 )
-from dpchroma.poly import IntPoly, crossover_bound
+from dpchroma.poly import IntPoly, positive_from
 
 TRIANGLE = Graph(tuple("abc"), ((0, 1), (1, 2), (0, 2)))
 THETA = build_generalized_theta(ThetaSpec((2, 2, 2)))
@@ -114,6 +114,16 @@ REFUSALS = {
     # poly
     "assigning to a polynomial": (_set_coeffs, AttributeError, "IntPoly is immutable"),
     "negative exponent": (lambda: IntPoly([0, 1]) ** -1, ValueError, "negative exponent"),
+    "fold of the zero polynomial": (
+        lambda: positive_from(IntPoly()),
+        ValueError,
+        "the leading coefficient must be positive",
+    ),
+    "fold of a negative-leading polynomial": (
+        lambda: positive_from(IntPoly([5, 1, -1])),
+        ValueError,
+        "the leading coefficient must be positive",
+    ),
     "divisor of higher degree": (
         lambda: IntPoly([1, 1]).exact_div(IntPoly([0, 0, 1])),
         InexactDivision,
@@ -141,7 +151,6 @@ def test_polynomial_truth_and_text():
     assert str(IntPoly()) == "0"
     assert str(IntPoly([2, -3, 0, 1])) == "2 + -3*m + 0*m^2 + 1*m^3"
     assert repr(IntPoly([2, -3, 0, 1])) == "IntPoly([2, -3, 0, 1])"
-    assert crossover_bound(IntPoly()) == 1
 
 
 def test_a_failed_verify_check_prints_its_rule_expected_and_actual(monkeypatch, capsys):
