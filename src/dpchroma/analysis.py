@@ -353,9 +353,10 @@ def partition_weight(d: StarDecomposition, partition: PartitionSpec) -> IntPoly:
     part's color, over m.  The count depends only on which leaves share a
     part.
     """
-    if partition.vertex_set != frozenset(d.alphas):
+    shift = partition.shift
+    if shift.keys() != set(d.alphas):
         raise ValueError("partition must cover exactly the star's vertices")
-    grouping = tuple(partition.shift[v] for v in d.alphas[1:])
+    grouping = tuple(shift[v] for v in d.alphas[1:])
     return (_forest_chromatic(d) - _avoidance_count(d, grouping)).exact_div(M)
 
 
@@ -364,8 +365,9 @@ class FeedbackPolynomialResult(NamedTuple):
 
     dp_polynomial = P(forest, m) - m * weight, exact from stable_from, the
     least fold (at least the part count) from which no count `value_at` reads
-    undercuts it; `counts` keeps those it reads below.  `witness_cover(m)`
-    builds the shift cover attaining it.
+    undercuts it; `counts` keeps those it reads below, each with the first
+    grouping that has its fewest classes.  `witness_cover(m)` builds a shift
+    cover that counts `value_at(m)`.
     """
 
     decomposition: StarDecomposition
@@ -374,7 +376,7 @@ class FeedbackPolynomialResult(NamedTuple):
     dp_polynomial: IntPoly
     stable_from: int
     maximizers: tuple[PartitionSpec, ...]
-    counts: tuple[tuple[int, IntPoly], ...]  # (fewest classes, count) per distinct grouping count
+    counts: tuple[tuple[int, IntPoly, tuple[int, ...]], ...]  # (fewest classes, count, first grouping with them) per distinct grouping count
 
     def value_at(self, m: int) -> int:
         """P_DP(G, m): below `stable_from`, the least count of a grouping with
@@ -384,10 +386,20 @@ class FeedbackPolynomialResult(NamedTuple):
             raise OutOfRange("m must be positive")
         if m >= self.stable_from:
             return self.dp_polynomial(m)
-        return min(c(m) for s, c in self.counts if s <= m)
+        return min(c(m) for s, c, _ in self.counts if s <= m)
 
     def witness_cover(self, m: int) -> FullCover:
-        return shift_cover(self.decomposition.graph, self.decomposition, self.partition, m)
+        """A shift cover that counts `value_at(m)`: that of `partition` from
+        `stable_from` on; below it, that of the first count `value_at` takes,
+        the center joining class 0 of its grouping (star string
+        (0,) + grouping, s <= m parts)."""
+        d = self.decomposition
+        partition = self.partition
+        if m < self.stable_from:
+            value = self.value_at(m)
+            r = next(r for s, c, r in self.counts if s <= m and c(m) == value)
+            partition = PartitionSpec.of_string(d.alphas, (0,) + r)
+        return shift_cover(d.graph, d, partition, m)
 
 
 #: Most star vertices that `fvs1_dp_polynomial` accepts.  A star with k
@@ -403,17 +415,20 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
     A shift cover whose star partition groups the leaves as r counts
     `_avoidance_count(r)`, the same for every place of the center.  The
     polynomial is the eventually least of these over the Bell(k - 1) leaf
-    groupings of a star with k <= `FVS1_STAR_LIMIT` vertices, kept as
-    restricted-growth strings (`_growth_strings`; ties resolved to the
-    earliest; tied groupings have the same polynomial).  Only the answer's
-    star partitions are built: a tied grouping r has one star string per
-    place j of the center, which joins class j (or stands alone, j = r's
-    class count) in part 0, the classes below j moved up one.
+    groupings of a star with k <= `FVS1_STAR_LIMIT` vertices, restricted-
+    growth strings (`_growth_strings`) streamed into one table from each
+    distinct count to its groupings in enumeration order; the winner, its
+    ties, every count's fewest classes and the fold are read from it.
+    Only the answer's star partitions are built: a tied grouping r has one
+    star string per place j of the center, which joins class j (or stands
+    alone, j = r's class count) in part 0, the classes below j moved up
+    one.  The least of them, `partition`, is j = 0 of the earliest tied
+    grouping: any j > 0 turns the first leaf's class 0 into 1.
     Every count is monic of degree n(forest): it is P(forest), which is,
     less the colorings in which some leaf takes its color, of degree at
     most n(forest) - 1.  So two counts differ first at their highest
     unequal coefficient, and the eventually least count is the least by
-    coefficients read from the top, `min` keeping the earliest of ties.
+    coefficients read from the top.
     Since P(forest) = m * P(forest - center), it is P(forest) - m * weight,
     with weight the `partition_weight` of the winning partition; two counts
     differ by m times their weights' difference, so the winner and its ties
@@ -433,27 +448,32 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
             f"{len(d.alphas)} star vertices exceed FVS1_STAR_LIMIT = {FVS1_STAR_LIMIT}"
         )
     k = len(d.alphas) - 1
-    groupings = list(_growth_strings(k, k))
-    counts = [_avoidance_count(d, r) for r in groupings]
-    best = min(range(len(counts)), key=lambda i: counts[i].coeffs[::-1])
-    dp = counts[best]
+    groupings: dict[IntPoly, list[tuple[int, ...]]] = {}
+    for r in _growth_strings(k, k):
+        groupings.setdefault(_avoidance_count(d, r), []).append(r)
+    dp = min(groupings, key=lambda c: c.coeffs[::-1])
     stars = sorted(
         (0,) + tuple(0 if x == j else x + (x < j) for x in r)
-        for r, c in zip(groupings, counts)
-        if c == dp
+        for r in groupings[dp]
         for j in range(max(r, default=-1) + 2)
     )
     maximizers = tuple(PartitionSpec.of_string(d.alphas, s) for s in stars)
+    partition = maximizers[0]
     weight = (_forest_chromatic(d) - dp).exact_div(M)
-    partition = PartitionSpec.of_string(d.alphas, (0,) + groupings[best])
-    classes: dict[IntPoly, int] = {}
-    for r, c in zip(groupings, counts):
-        classes[c] = min(classes.get(c, k + 1), max(r, default=-1) + 1)
-    # c >= dp from positive_from(c - dp + 1) on (h >= 0 is h + 1 > 0); value_at reads c from s on
-    low = dp - 1
-    folds = [n for c, s in classes.items() if (n := positive_from(c - low)) > s]
-    stable_from = max([len(partition.parts)] + folds)
-    distinct = tuple((s, c) for c, s in classes.items() if s < stable_from)
+    # c >= dp from positive_from(c - dp + 1) on (h >= 0 is h + 1 > 0); value_at
+    # reads c from s on, and a fold up to the part count moves nothing, so the
+    # search starts at t; the winner's own difference is the constant 1
+    low, parts = dp - 1, len(partition.parts)
+    counts, folds = [], [parts]
+    for c, rs in groupings.items():
+        r = min(rs, key=lambda q: max(q, default=-1))
+        s = max(r, default=-1) + 1
+        counts.append((s, c, r))
+        t = max(s, parts)
+        if c is not dp and (n := positive_from(c - low, t)) > t:
+            folds.append(n)
+    stable_from = max(folds)
+    distinct = tuple(row for row in counts if row[0] < stable_from)
     return FeedbackPolynomialResult(d, partition, weight, dp, stable_from, maximizers, distinct)
 
 

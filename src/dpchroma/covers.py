@@ -39,7 +39,7 @@ partitions live here too, weighed by `analysis._avoidance_count`.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from functools import cache, cached_property
+from functools import cache
 from itertools import permutations, product
 from math import prod
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -738,6 +738,8 @@ class _PartitionSpecFields(NamedTuple):
 class PartitionSpec(_PartitionSpecFields):
     """Ordered partition of a star's vertices; part index = fiber shift."""
 
+    __slots__ = ()
+
     def __new__(cls, parts: tuple[frozenset[str], ...]):
         if any(not p for p in parts):
             raise ValueError("parts must be nonempty")
@@ -748,9 +750,6 @@ class PartitionSpec(_PartitionSpecFields):
             union |= p
         return super().__new__(cls, parts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PartitionSpec is immutable")
-
     @classmethod
     def of_string(cls, labels: Sequence[str], string: tuple[int, ...]) -> PartitionSpec:
         """The partition that puts labels[i] in part string[i]."""
@@ -759,13 +758,9 @@ class PartitionSpec(_PartitionSpecFields):
             parts[r].append(label)
         return cls(tuple(frozenset(p) for p in parts))
 
-    @cached_property
+    @property
     def shift(self) -> dict[str, int]:
         return {v: r for r, part in enumerate(self.parts) for v in part}
-
-    @property
-    def vertex_set(self) -> frozenset[str]:
-        return frozenset(self.shift)
 
 
 def partitions_of(labels: Sequence[str]) -> list[PartitionSpec]:
@@ -786,7 +781,8 @@ def shift_cover(
     """
     if decomposition.graph != g:
         raise CoverMismatch("decomposition belongs to a different graph")
-    if partition.vertex_set != frozenset(decomposition.alphas):
+    shift = partition.shift
+    if shift.keys() != set(decomposition.alphas):
         raise ValueError("partition must cover exactly the star's vertices")
     if decomposition.center not in partition.parts[0]:
         raise ValueError("the center must sit in part 0")
@@ -797,9 +793,9 @@ def shift_cover(
     for e in _bits(decomposition.star_edges):
         a, b = g.edges[e]
         leaf = g.vertices[b if a == center else a]
-        r = partition.shift[leaf]
-        shift = tuple((j + r) % m for j in range(m))
-        perms[e] = shift if a == center else invert_perm(shift)
+        r = shift[leaf]
+        perm = tuple((j + r) % m for j in range(m))
+        perms[e] = perm if a == center else invert_perm(perm)
     return FullCover.from_edge_perms(g, m, perms)
 
 

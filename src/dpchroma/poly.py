@@ -219,18 +219,19 @@ def sign(e: int) -> int:
     return -1 if e & 1 else 1
 
 
-def positive_from(p: IntPoly) -> int:
-    """The least N >= 1 with p(m) > 0 at every integer m >= N; p must have a
-    positive leading coefficient.  If the Taylor shift p(c + x) has no
-    negative coefficient, p > 0 beyond c, and so beyond any c' > c, whose
-    shift is that one's at (c' - c) + x.  Doubling finds such a c, and exact
-    evaluation below it finds N (Collins and Akritas, SYMSAC 1976)."""
+def positive_from(p: IntPoly, start: int = 1) -> int:
+    """The least N >= start with p(m) > 0 at every integer m >= N, for a
+    start >= 1; p must have a positive leading coefficient.  If the Taylor
+    shift p(c + x) has no negative coefficient, p > 0 beyond c, and so
+    beyond any c' > c, whose shift is that one's at (c' - c) + x.  Doubling
+    from start finds such a c, and exact evaluation from c down to start
+    finds N (Collins and Akritas, SYMSAC 1976)."""
     if not p.coeffs or p.coeffs[-1] <= 0:
         raise ValueError("the leading coefficient must be positive")
-    c = 1
+    c = start
     while not _shift_nonnegative(p.coeffs, c):
         c *= 2
-    return next((m + 1 for m in range(c, 0, -1) if p(m) <= 0), 1)
+    return next((m + 1 for m in range(c, start - 1, -1) if p(m) <= 0), start)
 
 
 def _shift_nonnegative(coeffs: tuple[int, ...], c: int) -> bool:

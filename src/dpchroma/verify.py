@@ -58,7 +58,7 @@ from .poly import IntPoly, eventual_compare
 SUBSET_AUDIT_COVERS_PER_FOLD = 5
 GAP_BOUND_SAMPLES = 10
 PRECOLOR_SAMPLES = 100
-_FVS1_FOLDS = {"theta:2,2,2": (3, 4, 5, 6), "triangle": (3, 4, 5), "bowtie": (3, 4, 5)}
+_FVS1_FOLDS = {"theta:2,2,2": range(1, 7), "triangle": range(1, 6), "bowtie": range(1, 6)}
 
 # Check kind -> (name, rule).  The name is the kind up to any "/", so the
 # two parity rules of `classify` share one name.
@@ -78,7 +78,8 @@ CHECK_KINDS = {
         "gap-bound": "coloring deficit of a twisted cover is bounded below",
         "fvs1-weight": "color-pattern transfer weight equals the leaf-subset inclusion-exclusion",
         "fvs1-polynomial":
-            "least transfer avoidance count over leaf groupings equals exhaustive minimum",
+            "least transfer avoidance count over leaf groupings with at most m classes"
+            " equals exhaustive minimum",
         "fvs1-witness": "shift cover attains the reported count",
         "fvs1-leading-terms":
             "three highest coefficients match the chromatic polynomial",
@@ -304,15 +305,16 @@ def partition_weight_by_subsets(
     """`partition_weight` by inclusion-exclusion over the 2^(k-1) leaf
     subsets, each term a precolored polynomial of the forest (the
     color-pattern transfer with fixed blocks).  Kept as an oracle."""
-    if partition.vertex_set != frozenset(d.alphas):
+    shift = partition.shift
+    if shift.keys() != set(d.alphas):
         raise ValueError("partition must cover exactly the star's vertices")
     center, leaves = d.alphas[0], d.alphas[1:]
     bound = max(d.forest.n, len(partition.parts))
     total = IntPoly()
     for size in range(1, len(leaves) + 1):
         for chosen in combinations(leaves, size):
-            assignment = {center: partition.shift[center] + 1}
-            assignment.update({v: partition.shift[v] + 1 for v in chosen})
+            assignment = {center: shift[center] + 1}
+            assignment.update({v: shift[v] + 1 for v in chosen})
             term = precolored_polynomial(d.forest, Precoloring(assignment, bound))
             total = total + term if size % 2 else total - term
     return total
@@ -333,7 +335,7 @@ def suite_fvs1(seed):
             yield "fvs1-weight", f"{name} {parts}", oracle, str(partition_weight(d, p))
         for m in folds:
             want = min_over_covers(g, m).value
-            yield "fvs1-polynomial", f"{name} m={m}", want, result.dp_polynomial(m)
+            yield "fvs1-polynomial", f"{name} m={m}", want, result.value_at(m)
             witness = count_colorings(g, result.witness_cover(m))
             yield "fvs1-witness", f"{name} m={m}", want, witness
         leading = list(chromatic_polynomial(g).coeffs[-3:])

@@ -595,8 +595,8 @@ def test_fvs1_fields_match_their_pinned_values():
 
 
 def test_fvs1_builds_partition_specs_only_for_its_answer(monkeypatch):
-    # the leaf groupings stay growth strings: `partition` and each of
-    # `maximizers` are the only PartitionSpecs built
+    # the leaf groupings stay growth strings: `maximizers` are the only
+    # PartitionSpecs built, `partition` among them
     built = []
     new = PartitionSpec.__new__
 
@@ -614,7 +614,7 @@ def test_fvs1_builds_partition_specs_only_for_its_answer(monkeypatch):
     for g in graphs:
         built.clear()
         result = fvs1_dp_polynomial(g)
-        assert len(built) == len(result.maximizers) + 1, g.edges
+        assert len(built) == len(result.maximizers), g.edges
 
 
 def test_star_limit_refuses_the_stars_the_partition_count_refused(monkeypatch):

@@ -156,18 +156,21 @@ FVS1_GRAPHS = _fvs1_graphs()
 def test_value_at_is_the_least_row_bound_at_every_fold(name):
     g = FVS1_GRAPHS[name]
     result = fvs1_dp_polynomial(g)
-    polys = [c for _, c in result.counts]
+    polys = [c for _, c, _ in result.counts]
     assert len(set(polys)) == len(polys)
     # `counts` keeps what `value_at` reads below stable_from, the grouping
-    # of every leaf in one class among them
-    assert all(s < result.stable_from for s, _ in result.counts)
+    # of every leaf in one class among them, each with a grouping of its
+    # fewest classes that has its count
+    assert all(s < result.stable_from for s, _, _ in result.counts)
+    for s, c, r in result.counts:
+        assert max(r, default=-1) + 1 == s and _avoidance_count(result.decomposition, r) == c
     assert result.stable_from == 1 or result.counts[0][0] <= 1
     assert result.stable_from <= 12
     bounds = [dp_lower_bound(g, m) for m in range(1, 13)]
     assert [result.value_at(m) for m in range(1, 13)] == bounds
     folds = range(result.stable_from, 13)
     assert [result.dp_polynomial(m) for m in folds] == bounds[result.stable_from - 1 :]
-    assert all(c(m) >= result.dp_polynomial(m) for _, c in result.counts for m in folds)
+    assert all(c(m) >= result.dp_polynomial(m) for _, c, _ in result.counts for m in folds)
     with pytest.raises(OutOfRange):
         result.value_at(0)
 
@@ -214,3 +217,17 @@ def test_value_at_is_the_least_count_up_to_the_cauchy_ceiling(group):
         if top > len(result.partition.parts):
             assert result.value_at(top - 1) < dp(top - 1), name
         assert count_colorings(g, result.witness_cover(top)) == dp(top), name
+
+
+@pytest.mark.parametrize("group", sorted(VALUE_GROUPS))
+def test_the_witness_cover_counts_the_value_at_every_fold(group):
+    # below stable_from the witness is the shift cover of the least count's
+    # grouping, the center in its class 0, so it has no more parts than m;
+    # `partition` is the least star string among `maximizers`
+    for name, g in VALUE_GROUPS[group]().items():
+        result = fvs1_dp_polynomial(g)
+        assert result.partition == result.maximizers[0], name
+        for m in range(1, 7):
+            assert count_colorings(g, result.witness_cover(m)) == result.value_at(m), (name, m)
+        with pytest.raises(OutOfRange):
+            result.witness_cover(0)

@@ -99,6 +99,9 @@ def test_positive_from_matches_exhaustive_evaluation():
         assert n >= 1, p
         assert all(p(m) > 0 for m in range(n, int(_root_bound(p)) + 2)), p
         assert n == 1 or p(n - 1) <= 0, p
+        # from a start fold: the least N >= start past which p stays positive
+        start = rng.randint(1, 40)
+        assert positive_from(p, start) == max(n, start), (p, start)
 
 
 small_coeffs = st.lists(st.integers(min_value=-50, max_value=50), max_size=6)

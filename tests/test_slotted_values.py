@@ -1,9 +1,9 @@
 """Value types take their immutability from the tuple.
 
-`ThetaSpec`, `FullCover` and `Precoloring` check their fields in `__new__`
-and declare empty `__slots__`, so an instance carries no `__dict__` and
-the tuple refuses every assignment.  `Graph` and `PartitionSpec` cache
-properties, which need a `__dict__`, so they keep a `__setattr__` that
+`ThetaSpec`, `FullCover`, `Precoloring` and `PartitionSpec` check their
+fields in `__new__` and declare empty `__slots__`, so an instance carries
+no `__dict__` and the tuple refuses every assignment.  `Graph` caches
+properties, which need a `__dict__`, so it keeps a `__setattr__` that
 refuses.  A star decomposition's `alphas` is a field that its builder
 fills, and an FVS-1 result reads its graph from its decomposition.
 """
@@ -17,7 +17,7 @@ import pytest
 from dpchroma import analysis, chromatic, covers, graphs, verify
 from dpchroma.analysis import FeedbackPolynomialResult, fvs1_dp_polynomial
 from dpchroma.chromatic import Precoloring
-from dpchroma.covers import random_cover
+from dpchroma.covers import PartitionSpec, random_cover
 from dpchroma.errors import InvalidCenter
 from dpchroma.graphs import (
     Graph,
@@ -32,6 +32,7 @@ SLOTTED = {
     "ThetaSpec": lambda: ThetaSpec((2, 3, 4)),
     "FullCover": lambda: random_cover(build_generalized_theta(ThetaSpec((2, 3, 4))), 3, random.Random(1)),
     "Precoloring": lambda: Precoloring({"p0": 1, "p2": 2}, 4),
+    "PartitionSpec": lambda: PartitionSpec((frozenset({"a", "c"}), frozenset({"b"}))),
 }
 
 
@@ -57,7 +58,7 @@ def test_only_types_with_cached_properties_refuse_assignment_by_hand():
         if isinstance(value, type) and issubclass(value, tuple) and hasattr(value, "_fields")
         and value.__module__ == module.__name__ and "__setattr__" in vars(value)
     }
-    assert refusing == {"Graph", "PartitionSpec"}
+    assert refusing == {"Graph"}
     assert not hasattr(graphs, "_StarDecompositionFields")
     assert StarDecomposition.__bases__ == (tuple,)
     assert "graph" not in FeedbackPolynomialResult._fields

@@ -7,7 +7,11 @@ before the suites were rewritten as row generators; those of
 theta-identity and edge-pair-forms were recorded again when their rules
 came to name the color-pattern transfer, and those of fvs1 and precolor
 when the rules of their fvs1-weight, fvs1-polynomial and precolor checks
-did (the checks, their order and their values stayed the same).
+did (the checks, their order and their values stayed the same).  Those
+of fvs1 were recorded again when its fvs1-polynomial rows came to check
+the exact value `value_at(m)` in place of the eventual polynomial, under
+a rule that says so, and the suite gained folds 1 and 2 on each graph,
+where the polynomial and P_DP can differ.
 """
 
 import hashlib
@@ -41,7 +45,7 @@ DIGESTS = {
             "f3b8b31a913ca9fe9b9a6339ec91f2c25b7155a8f2bc2b35c128d302926c416a"
         ),
         "fvs1": (
-            "66061fb638b5555d9ac11f34b60f2669555d3b256b50da18cd759f2590095143"
+            "ae8760bbd385fbf95a69105cca437d4f130c01ae737f6f283bc7c099787cad12"
         ),
         "classify": (
             "f29927e0b7bcee08e735a8d3f95d45047a1670aebe589408bd1282fff3a2aaa2"
@@ -76,7 +80,7 @@ DIGESTS = {
             "392fb78b670ea6d9c1d08768d055e87ec24bdcc73f8439cadfc98ca512e5d430"
         ),
         "fvs1": (
-            "28b414b826bf6ec4cf1b32a5227fb33817239d99caad1b23f0e9d8673c5b3319"
+            "3a2ffa4e33490573c928676081ca66c48dd97e262c44fbe7fd4238a595dc7322"
         ),
         "classify": (
             "c2d13afdfad108e86028b19875bcf601feac68fa0a114591a801e7676719a3ec"
