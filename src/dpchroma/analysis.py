@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import count
 from typing import NamedTuple
 
+from . import chromatic
 from .chromatic import (
     _transfer,
     chromatic_polynomial,
@@ -408,6 +409,13 @@ class FeedbackPolynomialResult(NamedTuple):
 #: a 2-vCPU VM with Python 3.11.
 FVS1_STAR_LIMIT = 10
 
+#: Coefficient updates that the transfers of all of one graph's leaf
+#: groupings may meter together (`chromatic.transfer_work`), checked after
+#: each grouping.  The largest admitted sums are alt-hub 3x5's 4.0e7 and the
+#: fan with 10 star vertices' 1.5e7; a 10-star hub over a path of 100
+#: vertices sums 2.8e9 (about 100 s) and is refused here within seconds.
+FVS1_WORK_LIMIT = 100_000_000
+
 
 def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
     """Polynomial form of the DP color function for feedback-vertex-one graphs.
@@ -416,9 +424,10 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
     `_avoidance_count(r)`, the same for every place of the center.  The
     polynomial is the eventually least of these over the Bell(k - 1) leaf
     groupings of a star with k <= `FVS1_STAR_LIMIT` vertices, restricted-
-    growth strings (`_growth_strings`) streamed into one table from each
-    distinct count to its groupings in enumeration order; the winner, its
-    ties, every count's fewest classes and the fold are read from it.
+    growth strings (`_growth_strings`) streamed once: the least count so
+    far with the groupings tied at it, and per distinct count, in order of
+    first occurrence, its fewest classes and the first grouping with them.
+    Their transfers together may meter `FVS1_WORK_LIMIT` updates.
     Only the answer's star partitions are built: a tied grouping r has one
     star string per place j of the center, which joins class j (or stands
     alone, j = r's class count) in part 0, the classes below j moved up
@@ -448,13 +457,29 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
             f"{len(d.alphas)} star vertices exceed FVS1_STAR_LIMIT = {FVS1_STAR_LIMIT}"
         )
     k = len(d.alphas) - 1
-    groupings: dict[IntPoly, list[tuple[int, ...]]] = {}
-    for r in _growth_strings(k, k):
-        groupings.setdefault(_avoidance_count(d, r), []).append(r)
-    dp = min(groupings, key=lambda c: c.coeffs[::-1])
+    firsts: dict[IntPoly, list] = {}  # count -> [fewest classes, first grouping with them]
+    dp = winner = ties = None  # the least count so far, its entry and its groupings
+    limit = chromatic.transfer_work + FVS1_WORK_LIMIT
+    for i, r in enumerate(_growth_strings(k, k), 1):
+        c = _avoidance_count(d, r)
+        s = max(r, default=-1) + 1
+        first = firsts.get(c)
+        if first is None:
+            first = firsts[c] = [s, r]
+            if winner is None or c.coeffs[::-1] < dp.coeffs[::-1]:
+                dp, winner, ties = c, first, []
+        elif s < first[0]:
+            first[:] = s, r
+        if first is winner:
+            ties.append(r)
+        if chromatic.transfer_work > limit:
+            raise SearchBudgetExceeded(
+                f"the FVS-1 route passed FVS1_WORK_LIMIT = {FVS1_WORK_LIMIT:,}"
+                f" coefficient updates at leaf grouping {i:,}"
+            )
     stars = sorted(
         (0,) + tuple(0 if x == j else x + (x < j) for x in r)
-        for r in groupings[dp]
+        for r in ties
         for j in range(max(r, default=-1) + 2)
     )
     maximizers = tuple(PartitionSpec.of_string(d.alphas, s) for s in stars)
@@ -465,9 +490,7 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
     # search starts at t; the winner's own difference is the constant 1
     low, parts = dp - 1, len(partition.parts)
     counts, folds = [], [parts]
-    for c, rs in groupings.items():
-        r = min(rs, key=lambda q: max(q, default=-1))
-        s = max(r, default=-1) + 1
+    for c, (s, r) in firsts.items():
         counts.append((s, c, r))
         t = max(s, parts)
         if c is not dp and (n := positive_from(c - low, t)) > t:

@@ -145,8 +145,10 @@ def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> I
     shape, and precolorings that differ by a renaming of colors share one
     transfer.  A table entry keeps the work its transfer metered; when
     that exceeds `CHROMATIC_WORK_LIMIT` the transfer runs again, so a call
-    is refused as a fresh run is, with the same message.
+    is refused as a fresh run is, with the same message.  Otherwise the
+    work is added to `transfer_work`.
     """
+    global transfer_work
     shape, order = g.plan(_walk)
     s = 0  # 1 + the largest color named or avoided
     rename: dict[int, int] = {}  # the fixed colors in order of first use
@@ -168,7 +170,14 @@ def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> I
     poly, work = _transfers(*key)
     if work > CHROMATIC_WORK_LIMIT:  # refused, as a fresh run is
         _transfers.__wrapped__(*key)
+    transfer_work += work
     return poly
+
+
+#: Coefficient updates metered by every `_transfer` this process has
+#: made, a table hit counting its entry's reading: what a caller that
+#: makes many transfers reads before and after to budget their sum.
+transfer_work = 0
 
 
 #: Entries `_transfers` keeps, least recently used out first.  An entry

@@ -9,7 +9,12 @@ consumers never face integer-width questions.  Each `cmd_*` computes and
 returns its JSON payload and its text lines (`verify` also its exit code);
 `main` prints one or the other, once.  A `main` call builds only the
 parser it needs, the named command's or the whole one, on first use, and
-later calls in the same process reuse it.
+later calls in the same process reuse it.  The verify layer loads only
+where it is read: for `verify` and for the whole parser (`--help`, a
+missing or an unknown command), whose `--suite` choices name its suites.
+The formula and search modules load with this one, since every other
+command runs them, and importing them later would only move their
+compile into the first command's time.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .covers import SEARCH_BUDGET, cover_to_json, min_over_covers
 from .errors import DpchromaError, GraphTooLarge, OutOfRange, SearchBudgetExceeded
 from .graphs import Graph, ThetaSpec, build_generalized_theta
 from .poly import poly_to_json
-from .verify import SUITES, run_suites
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -226,6 +230,8 @@ def cmd_compare(args):
 
 
 def cmd_verify(args):
+    from .verify import SUITES, run_suites
+
     names = list(SUITES) if args.suite == "all" else [args.suite]
     checks = run_suites(names, seed=args.seed)
     failed = [c for c in checks if not c.passed]
@@ -329,6 +335,8 @@ def _compare_arguments(p):
 
 
 def _verify_arguments(p):
+    from .verify import SUITES
+
     p.add_argument("--suite", choices=["all", *SUITES], default="all")
     p.add_argument("--seed", type=int, default=20200801)
     _add_format(p)

@@ -665,6 +665,49 @@ def test_dp_formula_refuses_stars_past_the_partition_limit(tmp_path, monkeypatch
         assert elapsed < seconds, k
 
 
+def hub_over_path(length, spokes=9):
+    """The hub h joined to `spokes` evenly spaced vertices of the path
+    p0 - ... - p<length - 1>, ends included."""
+    labels = ("h",) + tuple(f"p{i}" for i in range(length))
+    edges = [(i, i + 1) for i in range(1, length)]
+    edges += [(0, 1 + round(j * (length - 1) / (spokes - 1))) for j in range(spokes)]
+    return Graph(labels, tuple(edges))
+
+
+def test_dp_formula_refuses_a_star_over_a_long_path_by_its_summed_work(tmp_path, capsys):
+    # 10 star vertices, 21,147 leaf groupings whose transfers sum to about
+    # 3e9 updates at 100 path vertices; at 200 the limit is passed soonest.
+    # The second run reads every transfer from the table, counts each
+    # entry's reading and is refused at the same grouping.
+    import time
+
+    from dpchroma.cli import main
+
+    path = tmp_path / "hub200.txt"
+    path.write_text(to_text(hub_over_path(200)), encoding="utf-8")
+    errors = []
+    for _ in range(2):
+        start = time.perf_counter()
+        assert main(["dp-formula", str(path)]) == 2
+        assert time.perf_counter() - start < 30
+        errors.append(capsys.readouterr().err)
+    head = "dpchroma: search budget exceeded: the FVS-1 route passed FVS1_WORK_LIMIT = 100,000,000"
+    assert errors[0] == errors[1] and errors[0].startswith(head), errors
+    assert errors[0].count("\n") == 1 and " coefficient updates at leaf grouping " in errors[0]
+
+
+def test_the_largest_admitted_stars_answer_under_the_work_limit():
+    from dpchroma import analysis, chromatic
+
+    from test_least_row_values import alt_hub
+
+    for g in (fan(9), alt_hub(3, 5)):  # 10 star vertices each
+        before = chromatic.transfer_work
+        fvs1_dp_polynomial(g)
+        work = chromatic.transfer_work - before
+        assert analysis.FVS1_WORK_LIMIT // 10 < work < analysis.FVS1_WORK_LIMIT, work
+
+
 def test_fvs1_compares_once_per_leaf_grouping(monkeypatch):
     # the selection over Bell(k - 1) groupings must give what a selection
     # over all Bell(k) partitions gives: the first partition with the

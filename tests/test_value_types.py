@@ -51,6 +51,42 @@ def test_importing_the_cli_generates_no_class_code():
     assert out.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_leaves_the_verify_layer_out():
+    # only `verify` and the whole parser load it, and `verify` then answers
+    code = (
+        "import contextlib, io, json, sys, dpchroma.cli\n"
+        "print('dpchroma.verify' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = dpchroma.cli.main(['verify', '--suite', 'poly', '--format', 'json'])\n"
+        "print(code, json.loads(out.getvalue())['suites'], 'dpchroma.verify' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["False", "0 ['poly'] True"]
+
+
+def test_the_verify_suite_choices_are_all_then_every_suite(monkeypatch, capsys):
+    from dpchroma import cli
+
+    (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    (suite,) = [a for a in commands.choices["verify"]._actions if a.dest == "suite"]
+    assert suite.choices == ["all", *verify.SUITES]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to this width
+    assert cli.main(["verify", "--suite", "nope"]) == 2
+    names = ["all", *verify.SUITES]
+    # the usage lines in full; the error line's quoting of the choices
+    # differs between Python versions
+    *usage, error = capsys.readouterr().err.splitlines()
+    assert usage == [
+        "usage: dpchroma verify [-h]",
+        f"                       [--suite {{{','.join(names)}}}]",
+        "                       [--seed SEED] [--format {text,json}]",
+    ]
+    head, _, choices = error.partition(" (choose from ")
+    assert head == "dpchroma verify: error: argument --suite: invalid choice: 'nope'"
+    assert choices.rstrip(")").replace("'", "").split(", ") == names
+
+
 def _theta():
     return build_generalized_theta(ThetaSpec((2, 3, 4)))
 
@@ -157,6 +193,10 @@ def test_reprs_read_as_the_dataclass_reprs_did():
 
 def test_cached_properties_stay_per_instance():
     a, b = PartitionSpec((frozenset({"x"}),)), PartitionSpec((frozenset({"x"}),))
-    assert a == b and a.shift == b.shift and a.shift is not b.shift
+    assert a == b and a.shift == b.shift
+    # each read is the caller's own: clearing one changes no later read
+    want = dict(a.shift)
+    a.shift.clear()
+    assert a.shift == want and b.shift == want
     g, h = _theta(), _theta()
     assert g.index is g.index and g.index is not h.index
