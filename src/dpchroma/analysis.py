@@ -367,8 +367,10 @@ class FeedbackPolynomialResult(NamedTuple):
     dp_polynomial = P(forest, m) - m * weight, exact from stable_from, the
     least fold (at least the part count) from which no count `value_at` reads
     undercuts it; `counts` keeps those it reads below, each with the first
-    grouping that has its fewest classes.  `witness_cover(m)` builds a shift
-    cover that counts `value_at(m)`.
+    grouping that has its fewest classes.  `ties` holds the leaf groupings
+    tied at the least count in enumeration order; one of s classes gives
+    s + 1 tied star partitions, the center joining a class or alone.
+    `witness_cover(m)` builds a shift cover that counts `value_at(m)`.
     """
 
     decomposition: StarDecomposition
@@ -376,7 +378,7 @@ class FeedbackPolynomialResult(NamedTuple):
     weight: IntPoly
     dp_polynomial: IntPoly
     stable_from: int
-    maximizers: tuple[PartitionSpec, ...]
+    ties: tuple[tuple[int, ...], ...]
     counts: tuple[tuple[int, IntPoly, tuple[int, ...]], ...]  # (fewest classes, count, first grouping with them) per distinct grouping count
 
     def value_at(self, m: int) -> int:
@@ -428,7 +430,7 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
     far with the groupings tied at it, and per distinct count, in order of
     first occurrence, its fewest classes and the first grouping with them.
     Their transfers together may meter `FVS1_WORK_LIMIT` updates.
-    Only the answer's star partitions are built: a tied grouping r has one
+    Only `partition` becomes a `PartitionSpec`: a tied grouping r has one
     star string per place j of the center, which joins class j (or stands
     alone, j = r's class count) in part 0, the classes below j moved up
     one.  The least of them, `partition`, is j = 0 of the earliest tied
@@ -477,13 +479,7 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
                 f"the FVS-1 route passed FVS1_WORK_LIMIT = {FVS1_WORK_LIMIT:,}"
                 f" coefficient updates at leaf grouping {i:,}"
             )
-    stars = sorted(
-        (0,) + tuple(0 if x == j else x + (x < j) for x in r)
-        for r in ties
-        for j in range(max(r, default=-1) + 2)
-    )
-    maximizers = tuple(PartitionSpec.of_string(d.alphas, s) for s in stars)
-    partition = maximizers[0]
+    partition = PartitionSpec.of_string(d.alphas, (0,) + ties[0])
     weight = (_forest_chromatic(d) - dp).exact_div(M)
     # c >= dp from positive_from(c - dp + 1) on (h >= 0 is h + 1 > 0); value_at
     # reads c from s on, and a fold up to the part count moves nothing, so the
@@ -497,7 +493,7 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
             folds.append(n)
     stable_from = max(folds)
     distinct = tuple(row for row in counts if row[0] < stable_from)
-    return FeedbackPolynomialResult(d, partition, weight, dp, stable_from, maximizers, distinct)
+    return FeedbackPolynomialResult(d, partition, weight, dp, stable_from, tuple(ties), distinct)
 
 
 class SubsetCheck(NamedTuple):

@@ -38,6 +38,7 @@ partitions live here too, weighed by `analysis._avoidance_count`.
 
 from __future__ import annotations
 
+import os
 from contextlib import nullcontext
 from functools import cache
 from itertools import permutations, product
@@ -863,11 +864,11 @@ def min_over_covers(
     The first two count every cover and are the oracles of the third.  All
     return the same minimum; the witness is the first attaining cover in
     enumeration order (see `_search_chunk`).  With `workers` above 1, the
-    chunks (one per first twist) run in a pool of that many processes.  At
-    any worker count the third stops at its first count equal to
-    `dp_lower_bound`, unless the bound's canonical keys outnumber its
-    covers: chunk results are read in order, and a pool is left after the
-    chunk that reaches the bound.
+    chunks (one per first twist) run in a pool of that many processes, at
+    most one per chunk and per CPU.  At any worker count the third stops at
+    its first count equal to `dp_lower_bound`, unless the bound's canonical
+    keys outnumber its covers: chunk results are read in order, and a pool
+    is left after the chunk that reaches the bound.
     """
     if m < 1:
         raise OutOfRange("m must be positive")
@@ -892,9 +893,10 @@ def min_over_covers(
     stop = prune = None
     if orderly and _growth_string_count(len(plan.outer), m) <= candidates:
         stop = dp_lower_bound(g, m)
+        # false only when tests replace dp_lower_bound to turn pruning off
         if free_edges and len(plan.slots) == 1 and stop == m * plan.least_keys(m)[0]:
             prune = plan.least_key_table(m, free_edges)
-    workers = min(workers, len(chunks))
+    workers = min(workers, len(chunks), os.cpu_count() or 1) if workers > 1 else workers
     args = [(g, m, free_edges, chunk, orderly, stop, prune) for chunk in chunks]
     pool, results = nullcontext(), map(_search_chunk, args)
     if workers > 1:

@@ -13,7 +13,9 @@ cover from a fresh forest pass, the oracle of `covers.subset_walk`;
 from the closed-form count of color walks along each path, at folds far
 past plain enumeration.  `cycle_type`, `without_vertex`, `mask_of`,
 `full_mask`, `to_text` and `conjugated` are plain helpers that only the
-tests read.  `theta_by_labels` builds a generalized Theta graph by looking
+tests read.  `star_partitions` expands an FVS-1 result's tied leaf
+groupings into its tied star partitions by filtering every partition of
+the star.  `theta_by_labels` builds a generalized Theta graph by looking
 up each edge's ends by their string labels, the reference of
 `graphs.build_generalized_theta`.
 """
@@ -22,7 +24,15 @@ from fractions import Fraction
 from itertools import combinations, permutations, product, zip_longest
 
 from dpchroma import chromatic
-from dpchroma.covers import FullCover, _forest, _frames, compose, identity_perm, invert_perm
+from dpchroma.covers import (
+    FullCover,
+    _forest,
+    _frames,
+    compose,
+    identity_perm,
+    invert_perm,
+    partitions_of,
+)
 from dpchroma.errors import SearchBudgetExceeded
 from dpchroma.graphs import EdgeSubset, Graph, ThetaSpec, _bits, component_count, spanning_forest
 from dpchroma.poly import IntPoly
@@ -315,3 +325,18 @@ def growth_strings_by_recursion(k: int, most: int):
 
     start = 1 if k and most > 0 else 0  # item 0 is in class 0, if any class is allowed
     return rec(start, start)
+
+
+def star_partitions(result) -> tuple:
+    """The star partitions tied at an FVS-1 result's least count, in star
+    string order: every partition of the star (`partitions_of`) whose
+    leaves, classes renumbered in order of first use, form a grouping in
+    `result.ties`."""
+    alphas = result.decomposition.alphas
+    ties = set(result.ties)
+
+    def grouping(p) -> tuple[int, ...]:
+        shift, first = p.shift, {}
+        return tuple(first.setdefault(shift[v], len(first)) for v in alphas[1:])
+
+    return tuple(p for p in partitions_of(alphas) if grouping(p) in ties)

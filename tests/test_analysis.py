@@ -42,7 +42,7 @@ from dpchroma.graphs import (
 )
 from dpchroma.poly import M, positive_from, power_m1, prod, sign
 
-from oracles import mask_of, subset_agreement_count, to_text
+from oracles import mask_of, star_partitions, subset_agreement_count, to_text
 
 
 def theta(*lengths):
@@ -350,8 +350,8 @@ def test_fvs1_tie_partitions_share_their_polynomial():
     g = theta(2, 2, 2)
     d = star_forest_decomposition(g, "u")
     result = fvs1_dp_polynomial(g)
-    assert len(result.maximizers) >= 1
-    for p in result.maximizers:
+    assert len(star_partitions(result)) >= 1
+    for p in star_partitions(result):
         assert partition_weight(d, p) == result.weight
 
 
@@ -562,7 +562,7 @@ def test_fvs1_weights_take_no_deletion_contraction(monkeypatch):
     assert result.dp_polynomial.coeffs == (0, -16, 48, -56, 32, -9, 1)
     assert result.weight.coeffs == (16, -47, 52, -26, 5)
     assert result.stable_from == 1
-    assert len(result.maximizers) == 2
+    assert len(star_partitions(result)) == 2
     # one transfer per grouping of the 5 leaves: Bell(5), not Bell(6) = 203
     assert len(calls) == 52
     assert len({tuple(sorted(avoid.items())) for avoid in calls}) == 52
@@ -589,14 +589,26 @@ def test_fvs1_fields_match_their_pinned_values():
             "weight": [str(c) for c in r.weight.coeffs],
             "polynomial": [str(c) for c in r.dp_polynomial.coeffs],
             "stable_from": r.stable_from,
-            "maximizers": [parts(p) for p in r.maximizers],
+            "maximizers": [parts(p) for p in star_partitions(r)],
         }
         assert got == pin, pin["edges"]
 
 
+def test_a_tied_grouping_of_s_classes_gives_s_plus_one_star_partitions():
+    # the rule by which `dp-formula` counts its `maximizers` from `ties`:
+    # the center joins one of the s classes or stands alone
+    pins = json.loads((Path(__file__).parent / "golden" / "fvs1_pins.json").read_text())
+    for pin in pins:
+        labels = tuple(f"x{i}" for i in range(pin["n"]))
+        r = fvs1_dp_polynomial(Graph(labels, tuple(map(tuple, pin["edges"]))))
+        assert len(star_partitions(r)) == sum(max(t, default=-1) + 2 for t in r.ties), pin
+        assert list(r.ties) == sorted(set(r.ties)), pin  # enumeration order, no repeats
+
+
 def test_fvs1_builds_partition_specs_only_for_its_answer(monkeypatch):
-    # the leaf groupings stay growth strings: `maximizers` are the only
-    # PartitionSpecs built, `partition` among them
+    # the leaf groupings and their ties stay growth strings: `partition` is
+    # the one PartitionSpec built, even for the star K_{1,9}, whose
+    # Bell(10) = 115,975 star partitions all tie
     built = []
     new = PartitionSpec.__new__
 
@@ -606,15 +618,16 @@ def test_fvs1_builds_partition_specs_only_for_its_answer(monkeypatch):
 
     monkeypatch.setattr(PartitionSpec, "__new__", counted)
     pins = json.loads((Path(__file__).parent / "golden" / "fvs1_pins.json").read_text())
-    # fan(5) has 6 star vertices
-    graphs = [fan(5)] + [
+    # fan(5) has 6 star vertices, K_{1,9} has 10
+    star = Graph(("c",) + tuple(f"x{i}" for i in range(9)), tuple((0, i) for i in range(1, 10)))
+    graphs = [fan(5), star] + [
         Graph(tuple(f"x{i}" for i in range(pin["n"])), tuple(map(tuple, pin["edges"])))
         for pin in pins
     ]
     for g in graphs:
         built.clear()
         result = fvs1_dp_polynomial(g)
-        assert len(built) == len(result.maximizers), g.edges
+        assert built == [result.partition], g.edges
 
 
 def test_star_limit_refuses_the_stars_the_partition_count_refused(monkeypatch):
@@ -743,7 +756,7 @@ def test_fvs1_compares_once_per_leaf_grouping(monkeypatch):
         tied = tuple(p for p, (relation, _) in pairs if relation == "equal")
         assert result.partition == partitions[best], g
         assert result.weight == weights[best], g
-        assert result.maximizers == tied, g
+        assert star_partitions(result) == tied, g
         # the weights take integer values, so weights[best] >= w from the
         # fold at which weights[best] + 1 > w for good; below the number of
         # parts holding a leaf no grouping of w's count is read

@@ -12,6 +12,7 @@ from dpchroma import cli
 from dpchroma.cli import build_command_parser, main
 from dpchroma.covers import SEARCH_BUDGET, min_over_covers
 from dpchroma.graphs import GRAPH_VERTEX_LIMIT, Graph
+from dpchroma.poly import M
 
 
 def run(capsys, *argv):
@@ -374,3 +375,26 @@ def test_an_unbounded_vertex_count_is_one_line(tmp_path, capsys):
     assert (code, out, err.count("\n")) == (2, "", 1)
     assert err.startswith(f"dpchroma: graph file {str(path)!r} is too large: ")
     assert err.endswith(f"1,000,000,000,000 vertices exceed GRAPH_VERTEX_LIMIT = {GRAPH_VERTEX_LIMIT:,}\n")
+
+
+def test_dp_formula_on_a_star_whose_groupings_all_tie(tmp_path, monkeypatch, capsys):
+    # every grouping of K_{1,9}'s leaves ties: Bell(9) = 21,147 groupings
+    # are kept, and the Bell(10) = 115,975 star partitions are only counted
+    path = tmp_path / "k19.graph"
+    path.write_text("n 10\n" + "".join(f"e c x{i}\n" for i in range(9)))
+    routes = []
+
+    def recorded(g):
+        routes.append(route(g))
+        return routes[-1]
+
+    route = cli.dp_formula_route
+    monkeypatch.setattr(cli, "dp_formula_route", recorded)
+    code, out, _ = run(capsys, "dp-formula", str(path), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["maximizers"] == 115_975
+    assert len(routes[0].ties) == 21_147
+    assert payload["partition"] == [["c"] + [f"x{i}" for i in range(9)]]
+    want = [str(c) for c in (M * (M - 1) ** 9).coeffs]
+    assert payload["polynomial"]["coefficients"] == want

@@ -7,11 +7,12 @@ These tests compare the search with a plain loop that calls
 `count_from_edge_perms` on every candidate (so the orderly conjugacy level,
 which counts one cover per orbit, must return the plain loop's first
 minimum), pin new grid values, and check that the process pool never
-asks for more workers than there are chunks and is left at the first chunk
-that reaches the proven lower bound.
+asks for more workers than there are chunks or CPUs and is left at the
+first chunk that reaches the proven lower bound.
 """
 
 import multiprocessing
+import os
 from itertools import permutations, product
 from pathlib import Path
 
@@ -143,6 +144,7 @@ def fake_pool(monkeypatch) -> list:
 
 def test_pool_is_capped_at_the_number_of_chunks(monkeypatch):
     pools = fake_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)  # more CPUs than chunks
     g = theta(2, 2, 2)
     result = min_over_covers(g, 3, workers=5000)
     # one chunk per cycle type of a 3-permutation
@@ -150,6 +152,21 @@ def test_pool_is_capped_at_the_number_of_chunks(monkeypatch):
     serial = min_over_covers(g, 3, workers=1)
     assert result.value == serial.value
     assert cover_to_json(result.cover) == cover_to_json(serial.cover)
+
+
+def test_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # a triangle at m = 6 has 6! = 720 tree-canonical chunks, far more than
+    # the CPUs; an unknown CPU count runs in process, with no pool
+    pools = fake_pool(monkeypatch)
+    triangle = Graph(tuple("abc"), ((0, 1), (1, 2), (0, 2)))
+    serial = min_over_covers(triangle, 6, symmetry="tree-canonical", workers=1)
+    for cpus, processes in ((3, [3]), (None, [])):
+        pools.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        result = min_over_covers(triangle, 6, symmetry="tree-canonical", workers=10**6)
+        assert [pool.processes for pool in pools] == processes
+        assert result.value == serial.value == 120
+        assert cover_to_json(result.cover) == cover_to_json(serial.cover)
 
 
 def test_a_pool_is_left_at_the_first_chunk_that_reaches_the_bound(monkeypatch):

@@ -25,7 +25,7 @@ from dpchroma.errors import OutOfRange
 from dpchroma.graphs import Graph
 from dpchroma.verify import _graph_zoo
 
-from oracles import to_text
+from oracles import star_partitions, to_text
 from test_merged_counter import random_fvs1
 
 
@@ -223,10 +223,10 @@ def test_value_at_is_the_least_count_up_to_the_cauchy_ceiling(group):
 def test_the_witness_cover_counts_the_value_at_every_fold(group):
     # below stable_from the witness is the shift cover of the least count's
     # grouping, the center in its class 0, so it has no more parts than m;
-    # `partition` is the least star string among `maximizers`
+    # `partition` is the least of the tied star partitions
     for name, g in VALUE_GROUPS[group]().items():
         result = fvs1_dp_polynomial(g)
-        assert result.partition == result.maximizers[0], name
+        assert result.partition == star_partitions(result)[0], name
         for m in range(1, 7):
             assert count_colorings(g, result.witness_cover(m)) == result.value_at(m), (name, m)
         with pytest.raises(OutOfRange):
