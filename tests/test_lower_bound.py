@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from dpchroma import covers
 from dpchroma.covers import (
     _canonical,
     _growth_string_count,
@@ -26,6 +25,8 @@ from dpchroma.covers import (
 )
 from dpchroma.errors import SearchBudgetExceeded
 from dpchroma.graphs import Graph, ThetaSpec, build_generalized_theta
+
+from oracles import unpruned
 
 GOLDEN = Path(__file__).parent / "golden"
 BOWTIE = Graph.from_text((GOLDEN / "bowtie.txt").read_text())
@@ -69,9 +70,10 @@ def test_the_bound_reads_every_canonical_key_and_counts_them():
 
 @pytest.fixture
 def unstopped(monkeypatch):
-    """The search with its stop out of reach (the bound -1), so that it
-    checks `dp_lower_bound` rather than relies on it."""
-    monkeypatch.setattr(covers, "dp_lower_bound", lambda g, m: -1)
+    """The search with its stop out of reach and no pruning
+    (`oracles.unpruned`), so that it checks `dp_lower_bound` rather than
+    relies on it."""
+    unpruned(monkeypatch)
 
 
 def test_the_bound_is_below_the_search_and_exact_with_one_feedback_vertex(unstopped):
@@ -129,7 +131,7 @@ def outcome(g: Graph, m: int, workers: int = 1) -> tuple:
 def test_the_stopped_search_returns_what_the_full_search_does(monkeypatch, g, m):
     """The twist-search graphs of the benchmark, K_{3,3} and the prism."""
     stopped = outcome(g, m)
-    monkeypatch.setattr(covers, "dp_lower_bound", lambda g, m: -1)
+    unpruned(monkeypatch)
     assert outcome(g, m) == stopped
 
 

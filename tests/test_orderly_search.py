@@ -28,6 +28,8 @@ from dpchroma.covers import (
 from dpchroma.errors import SearchBudgetExceeded
 from dpchroma.graphs import Graph, ThetaSpec, build_generalized_theta
 
+from oracles import unpruned
+
 GOLDEN = Path(__file__).parent / "golden"
 BOWTIE = Graph.from_text((GOLDEN / "bowtie.txt").read_text())
 TREE = Graph.from_text((GOLDEN / "tree.txt").read_text())
@@ -160,7 +162,7 @@ def test_conjugacy_level_counts_one_cover_per_orbit(plan_counts, name):
 def test_without_the_stop_every_orbit_is_counted(monkeypatch, plan_counts, name):
     """With the bound out of reach the search counts one cover per orbit,
     and finds the same value and witness."""
-    monkeypatch.setattr(covers, "dp_lower_bound", lambda g, m: -1)
+    unpruned(monkeypatch)
     check_search(plan_counts, name, stopped=False)
 
 

@@ -4,11 +4,11 @@ With one feedback vertex c, a cover counts `dp_lower_bound` exactly when
 every row key (one per color of c) is a least key, and each column of the
 keys is fixed once the free edges it depends on are placed; the search
 skips every twist after which some key's fixed columns are no least
-key's.  These tests compare the pruned search with the same search after
-`dp_lower_bound` is patched to -1, which turns off the stop and the
-pruning with it: value, witness and candidate count must be equal on the
-Theta grid, the FVS-1 graphs of the verify zoo and seeded random FVS-1
-graphs whose cotree edges leave the hub.  A pruned search counts one
+key's.  These tests compare the pruned search with the same search with
+the stop and the pruning turned off (`oracles.unpruned`): value, witness
+and candidate count must be equal on the Theta grid, the FVS-1 graphs of
+the verify zoo and seeded random FVS-1 graphs whose cotree edges leave
+the hub.  A pruned search counts one
 cover; a real process pool prints what one worker does; and a search that
 no chunk ends at the bound refuses to answer.
 """
@@ -25,6 +25,8 @@ from dpchroma.covers import cover_to_json, min_over_covers
 from dpchroma.errors import AssumptionViolated
 from dpchroma.graphs import Graph, ThetaSpec, build_generalized_theta
 from dpchroma.verify import _graph_zoo
+
+from oracles import unpruned
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -59,7 +61,7 @@ def check_against_unpruned(monkeypatch, g: Graph, m: int) -> bool:
     unpruned search."""
     found, calls, pruned = counted(monkeypatch, g, m)
     with monkeypatch.context() as patch:
-        patch.setattr(covers, "dp_lower_bound", lambda g, m: -1)
+        unpruned(patch)
         assert outcome(g, m) == found
     # a pruned search counts the first cover that passes every test, and
     # that cover counts the bound
