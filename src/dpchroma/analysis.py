@@ -7,6 +7,7 @@ backing the counting machinery.
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 from itertools import count
@@ -607,8 +608,10 @@ LIST_THRESHOLD_DENOMINATOR = math.log(1 + math.sqrt(2))
 def list_color_threshold(edge_count: int) -> tuple[float, int]:
     """Fold beyond which the list color function matches the chromatic one.
 
-    Returns the real threshold (edges - 1) / ln(1 + sqrt 2) and the least
-    integer strictly above it, clamped to at least 1.
+    Returns the real threshold (edges - 1) / ln(1 + sqrt 2) as a float and
+    the least integer strictly above it, clamped to at least 1.  The
+    integer is exact at every edge count, which the float's floor is not
+    past about 2^53 edges.
     """
     if edge_count < 0:
         raise OutOfRange("edge count cannot be negative")
@@ -616,4 +619,26 @@ def list_color_threshold(edge_count: int) -> tuple[float, int]:
         threshold = (edge_count - 1) / LIST_THRESHOLD_DENOMINATOR
     except OverflowError:
         raise OutOfRange("edge count too large for a floating-point threshold") from None
-    return threshold, max(1, math.floor(threshold) + 1)
+    return threshold, 1 if edge_count <= 1 else _floor_over_log_silver(edge_count - 1) + 1
+
+
+def _floor_over_log_silver(numerator: int) -> int:
+    """floor(numerator / ln(1 + sqrt 2)), exactly, for numerator >= 1.
+
+    At precision p each decimal step (square root, sum, logarithm,
+    quotient) is correctly rounded, so the computed quotient q is within a
+    relative 10^(2 - p) of the true one, and q(1 -+ 10^(3 - p)) brackets
+    it.  Once both ends floor alike, so does the true quotient; otherwise
+    the precision doubles.  This ends: 1 + sqrt 2 is algebraic and not 1,
+    so its logarithm is transcendental (Lindemann-Weierstrass) and the
+    quotient is never an integer."""
+    precision = len(str(numerator)) + 20
+    while True:
+        with decimal.localcontext() as context:
+            context.prec = precision
+            q = decimal.Decimal(numerator) / (1 + decimal.Decimal(2).sqrt()).ln()
+            slack = q.scaleb(3 - precision)
+            low, high = int(q - slack), int(q + slack)
+        if low == high:
+            return low
+        precision *= 2

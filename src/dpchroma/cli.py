@@ -12,9 +12,13 @@ that cost more than a format string (`dp-exact`'s witness, `verify`'s
 checks, `compare`'s rows) come as a generator, which `main` reads only for
 text output.  A `main` call builds only the parser it needs, the named
 command's or the whole one, on first use, and later calls in the same
-process reuse it.  The verify layer loads only where it is read: for
-`verify` and for the whole parser (`--help`, a missing or an unknown
-command), whose `--suite` choices name its suites.
+process reuse it.  A plain argv (each option spelled in full, once, with
+a value that converts and is allowed) is read straight from a table of
+the command parser's own actions, with no argparse parse; any other argv
+goes to argparse, which alone prints help, usage and errors.  The verify
+layer loads only where it is read: for `verify` and for the whole parser
+(`--help`, a missing or an unknown command), whose `--suite` choices name
+its suites.
 The formula and search modules load with this one, since every other
 command runs them, and importing them later would only move their
 compile into the first command's time.
@@ -27,7 +31,9 @@ import json
 import os
 import sys
 from functools import cache
+from itertools import takewhile
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .analysis import (
     FeedbackPolynomialResult,
@@ -453,26 +459,104 @@ def build_command_parser(name: str) -> argparse.ArgumentParser:
     return parser
 
 
+def _is_plain(action: argparse.Action) -> bool:
+    """A store action taking one value: argparse sets its dest to the value
+    through its type, and checks it against its choices."""
+    return type(action) is argparse._StoreAction and action.nargs is None
+
+
+class _Reader(NamedTuple):
+    """A parser and a table of its own actions that reads a plain argv
+    without it: each plain option string's action, the plain positionals
+    in order, the required actions, and the namespace argparse starts from
+    (each action's default, then the parser's `set_defaults`).  argparse
+    converts a string default through the action's type; no command has a
+    typed string default, which the plain-argv tests check."""
+
+    parser: argparse.ArgumentParser
+    options: dict[str, argparse.Action]
+    positionals: tuple[argparse.Action, ...]
+    required: tuple[argparse.Action, ...]
+    defaults: dict[str, object]
+
+    @classmethod
+    def of(cls, parser: argparse.ArgumentParser) -> "_Reader":
+        actions = parser._actions
+        defaults: dict[str, object] = {}
+        for action in actions:
+            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                defaults.setdefault(action.dest, action.default)
+        for dest, value in parser._defaults.items():
+            defaults.setdefault(dest, value)
+        return cls(
+            parser,
+            {s: a for a in actions if _is_plain(a) for s in a.option_strings},
+            tuple(takewhile(_is_plain, (a for a in actions if not a.option_strings))),
+            tuple(a for a in actions if a.required),
+            defaults,
+        )
+
+    def read_plain(self, argv: list[str]) -> argparse.Namespace | None:
+        """The namespace the parser returns for argv when argv is plain,
+        otherwise None.  Plain: each token is an exact option string of
+        a plain action, given once and followed by a value that does not
+        start with '-', or the next plain positional; each value converts
+        with its action's type into its choices; every required action is
+        given.  Every other argv (help, `--`, `--opt=value`, an
+        abbreviation, an error) is the parser's to read."""
+        values = dict(self.defaults)
+        given = set()
+        positionals = iter(self.positionals)
+        tokens = iter(argv)
+        for token in tokens:
+            if token.startswith("-"):
+                action, value = self.options.get(token), next(tokens, "-")  # none left: argparse's
+                if action is None or action in given or value.startswith("-"):
+                    return None
+            else:
+                action, value = next(positionals, None), token
+                if action is None:
+                    return None
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except (TypeError, ValueError, argparse.ArgumentTypeError):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            given.add(action)
+            values[action.dest] = value
+        if any(action not in given for action in self.required):
+            return None
+        return argparse.Namespace(**values)
+
+
 @cache
-def _parser(command: str | None = None) -> argparse.ArgumentParser:
-    """Command `command`'s parser, or with None the whole parser; each is
-    built on first use (not at import) and reused for the rest of the
-    process."""
-    return build_parser() if command is None else build_command_parser(command)
+def _parser(command: str | None = None) -> _Reader:
+    """Command `command`'s parser, or with None the whole parser, with its
+    plain-argv table; each is built on first use (not at import) and
+    reused for the rest of the process, so one `cache_clear` drops both."""
+    return _Reader.of(build_parser() if command is None else build_command_parser(command))
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """Parses argv as the whole parser does.  When argv names a command and
-    that command's parser takes every argument, it alone reads them, so a
-    call builds one command's parser rather than all of them; anything else
-    (no command, an unknown one, `--help`, an argument the command does not
-    take) goes to the whole parser, which prints what it always printed."""
+    """Parses argv as the whole parser does.  When argv names a command,
+    that command's table reads a plain argv (see `_Reader.read_plain`)
+    with no argparse parse at all, and otherwise the command's parser
+    reads it if it takes every argument, so a call builds one command's
+    parser rather than all of them; anything else (no command, an unknown
+    one, `--help`, an argument the command does not take) goes to the
+    whole parser, which prints what it always printed."""
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in COMMANDS:
-        args, extras = _parser(argv[0]).parse_known_args(argv[1:])
+        reader = _parser(argv[0])
+        args = reader.read_plain(argv[1:])
+        if args is not None:
+            return args
+        args, extras = reader.parser.parse_known_args(argv[1:])
         if not extras:
             return args
-    return _parser().parse_args(argv)
+    return _parser().parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

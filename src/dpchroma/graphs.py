@@ -259,6 +259,8 @@ class Graph(_GraphFields):
                 continue
             parts = line.split()
             if parts[0] == "n" and len(parts) == 2:
+                if count is not None:
+                    raise ValueError(f"second 'n <count>' line {raw!r}")
                 count = int(parts[1])
                 if count > GRAPH_VERTEX_LIMIT:  # before any isolated label is made
                     raise GraphTooLarge(

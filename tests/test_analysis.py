@@ -1,3 +1,4 @@
+import decimal
 import json
 import random
 from itertools import combinations_with_replacement, product
@@ -452,6 +453,19 @@ def test_list_color_threshold():
     assert threshold < 0 and least == 1
     with pytest.raises(OutOfRange):
         list_color_threshold(-1)
+
+
+def test_list_color_threshold_is_exact_past_the_float_range():
+    """The least integer above (edges - 1) / ln(1 + sqrt 2) against a
+    decimal reference with 60 digits after the point."""
+    for edges in (8, 10**16, 10**20, 2**60, 10**300):
+        with decimal.localcontext() as context:
+            context.prec = len(str(edges)) + 60
+            reference = int(decimal.Decimal(edges - 1) / (1 + decimal.Decimal(2).sqrt()).ln()) + 1
+        assert list_color_threshold(edges)[1] == reference, edges
+    assert list_color_threshold(10**16)[1] == 11345926571065109
+    assert list_color_threshold(10**20)[1] == 113459265710651098405
+    assert list_color_threshold(2**60)[1] == 1308096273347119054
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,15 @@ def test_an_unbounded_vertex_count_is_one_line(tmp_path, capsys):
     assert err.endswith(f"1,000,000,000,000 vertices exceed GRAPH_VERTEX_LIMIT = {GRAPH_VERTEX_LIMIT:,}\n")
 
 
+def test_a_second_vertex_count_line_is_refused(tmp_path, capsys):
+    # with the last count line winning, this file would read as 3 vertices
+    path = tmp_path / "two-counts.graph"
+    path.write_text("n 2\nn 3\ne a b\n")
+    code, out, err = run(capsys, "chrom", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"dpchroma: malformed graph file {str(path)!r}: second 'n <count>' line 'n 3'\n"
+
+
 def test_dp_formula_on_a_star_whose_groupings_all_tie(tmp_path, monkeypatch, capsys):
     # every grouping of K_{1,9}'s leaves ties: Bell(9) = 21,147 groupings
     # are kept, and the Bell(10) = 115,975 star partitions are only counted

@@ -109,8 +109,92 @@ def test_parse_args_reads_argv_as_the_whole_parser_does(monkeypatch, capsys):
         [],
         ["--", "dp-formula", "theta:2,2,2"],
     ]
-    for argv in cases:
+    plain = 0
+    for argv in [*cases, *_random_argvs(random.Random(51), 3000)]:
         assert _parsed(cli.parse_args, argv, capsys) == _parsed(whole.parse_args, argv, capsys), argv
+        if argv and argv[0] in cli.COMMANDS:
+            plain += cli._parser(argv[0]).read_plain(argv[1:]) is not None
+    assert plain > 100  # the table's own path is drawn, not only argparse's
+
+
+def _random_argvs(rng, count):
+    """Seeded argvs for every command: each command's option strings with
+    good and bad values, other spellings of them (`--opt=v`, a prefix),
+    repeats, `--`, `-h` and extra tokens, some left plain on purpose."""
+    bad = ["-3", "3.5", "", "bogus", "0", "--m"]
+    positional = ["theta:2,2,2", "bowtie.txt", "", "-3", "a b"]
+    for _ in range(count):
+        name = rng.choice(list(cli.COMMANDS))
+        parser = cli.build_command_parser(name)
+        tokens = []
+        for action in parser._actions:
+            if action.option_strings and action.nargs is None:
+                good = list(action.choices or (["3", "7"] if action.type is int else ["3..4", "2"]))
+                if action.required or rng.random() < 0.4:
+                    tokens.append([rng.choice(action.option_strings), rng.choice(good)])
+            elif not action.option_strings:
+                tokens.append([rng.choice(positional[:2])])
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):  # spoil it
+            strings = rng.choice([a.option_strings for a in parser._actions if a.option_strings])
+            option = rng.choice(strings)
+            value = rng.choice(bad + positional)
+            tokens.append(
+                rng.choice(
+                    [
+                        [option, value],
+                        [f"{option}={rng.choice(bad + ['json', '3'])}"],
+                        [option[: rng.randint(1, len(option) - 1)], "3"],
+                        [option],
+                        ["--"],
+                        ["-h"],
+                        [rng.choice(positional)],
+                        tokens[0] if tokens else ["--help"],  # a repeat
+                    ]
+                )
+            )
+        rng.shuffle(tokens)
+        yield [name, *(token for group in tokens for token in group)]
+
+
+def test_a_warm_plain_argv_runs_no_argparse_parse(monkeypatch, capsys):
+    """Once a command's parser is built, a plain argv is read from its
+    table alone; every other spelling still goes through argparse."""
+    calls = []
+    original = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return original(self, *args, **kwargs)
+
+    plain = ["dp-exact", "theta:2,2,3", "--m", "3", "--format", "json"]
+    expected = vars(cli.build_parser().parse_args(plain))
+    cli._parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert vars(cli.parse_args(plain)) == expected  # cold: builds the parser, parses nothing
+    assert vars(cli.parse_args(plain)) == expected
+    assert cli.parse_args(["verify"]).suite == "all"
+    assert calls == []
+    fallbacks = [
+        ["dp-exact", "theta:2,2,3", "--m=3"],
+        ["dp-exact", "theta:2,2,3", "--m", "3", "--form", "json"],
+        ["dp-exact", "theta:2,2,3", "--m", "3", "--m", "4"],
+        ["dp-exact", "theta:2,2,3", "--m", "-3"],
+        ["dp-exact", "--m", "3", "--", "theta:2,2,3"],
+        ["compare", "theta:2,2,3", "--m", "3..4", "--exact"],
+        ["dp-exact", "theta:2,2,3", "--m", "3.5"],
+        ["dp-exact", "theta:2,2,3", "--m", "3", "--symmetry", "bogus"],
+        ["dp-exact", "theta:2,2,3"],
+        ["dp-exact", "theta:2,2,3", "--m", "3", "extra"],
+        ["dp-exact", "-h"],
+    ]
+    for argv in fallbacks:
+        calls.clear()
+        try:
+            cli.parse_args(argv)
+        except SystemExit:
+            pass
+        assert calls, argv
+    capsys.readouterr()
 
 
 def test_fvs1_computes_the_frontier_order_once(monkeypatch):
