@@ -10,15 +10,15 @@ returns its JSON payload and its text lines (`verify` also its exit code);
 `main` prints one or the other, once, JSON through `json_text`.  Lines
 that cost more than a format string (`dp-exact`'s witness, `verify`'s
 checks, `compare`'s rows) come as a generator, which `main` reads only for
-text output.  A `main` call builds only the parser it needs, the named
-command's or the whole one, on first use, and later calls in the same
-process reuse it.  A plain argv (each option spelled in full, once, with
-a value that converts and is allowed) is read straight from a table of
-the command parser's own actions, with no argparse parse; any other argv
-goes to argparse, which alone prints help, usage and errors.  The verify
-layer loads only where it is read: for `verify` and for the whole parser
-(`--help`, a missing or an unknown command), whose `--suite` choices name
-its suites.
+text output.  `COMMANDS` describes each command once, and an argv takes
+one of two paths: a plain argv (each option spelled in full, once, with a
+value that converts and is allowed) is read from its command's entry with
+no argparse parser at all; any other argv goes to the whole parser, built
+from the same table on first use and reused for the rest of the process,
+which alone prints help, usage and errors.  The verify layer loads only
+where it is read: for `verify` and for the whole parser (`--help`, a
+missing or an unknown command, another spelling), whose `--suite` choices
+name its suites.
 The formula and search modules load with this one, since every other
 command runs them, and importing them later would only move their
 compile into the first command's time.
@@ -31,9 +31,7 @@ import json
 import os
 import sys
 from functools import cache
-from itertools import takewhile
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
 
 from .analysis import (
     FeedbackPolynomialResult,
@@ -163,9 +161,9 @@ def check_budget(budget: int) -> None:
 
 def cmd_dp_exact(args):
     check_budget(args.budget)
-    g = load_graph(args.source)
-    if args.workers < 1:
+    if args.workers < 1:  # before the graph, which can be slow to build
         raise OutOfRange(f"--workers must be positive, not {args.workers}")
+    g = load_graph(args.source)
     result = min_over_covers(
         g,
         args.m,
@@ -347,94 +345,90 @@ def cmd_threshold(args):
     return payload, [line]
 
 
-def _add_format(p, default="text", choices=("text", "json")):
-    p.add_argument("--format", choices=choices, default=default)
+def _format(default="text", choices=("text", "json")):
+    return "--format", {"choices": choices, "default": default}
 
 
-def _chrom_arguments(p):
-    p.add_argument("source", help="theta:l1,l2,... or a graph file")
-    p.add_argument("--m", type=int, default=None, help="also evaluate at this fold")
-    _add_format(p)
-    p.set_defaults(func=cmd_chrom)
-
-
-def _theta_chrom_arguments(p):
-    p.add_argument("spec", help="theta:l1,l2,...")
-    p.add_argument("--m", type=int, default=None)
-    _add_format(p)
-    p.set_defaults(func=cmd_theta_chrom)
-
-
-def _dp_exact_arguments(p):
-    p.add_argument("source")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument(
-        "--symmetry",
-        choices=("none", "tree-canonical", "tree-canonical+conjugacy"),
-        default="tree-canonical+conjugacy",
-    )
-    p.add_argument("--budget", type=int, default=SEARCH_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
-    _add_format(p)
-    p.set_defaults(func=cmd_dp_exact)
-
-
-def _dp_formula_arguments(p):
-    p.add_argument("source")
-    p.add_argument("--m", type=int, default=None)
-    _add_format(p)
-    p.set_defaults(func=cmd_dp_formula)
-
-
-def _compare_arguments(p):
-    p.add_argument("source")
-    p.add_argument("--m", required=True, help="fold or range a..b")
-    p.add_argument("--exact", action="store_true", help="use exhaustive search")
-    p.add_argument("--budget", type=int, default=SEARCH_BUDGET)
-    _add_format(p, default="csv", choices=("csv", "json", "text"))
-    p.set_defaults(func=cmd_compare)
-
-
-def _verify_arguments(p):
+def _verify_arguments():
     from .verify import SUITES
 
-    p.add_argument("--suite", choices=["all", *SUITES], default="all")
-    p.add_argument("--seed", type=int, default=20200801)
-    _add_format(p)
-    p.set_defaults(func=cmd_verify)
+    return (
+        ("--suite", {"choices": ["all", *SUITES], "default": "all"}),
+        ("--seed", {"type": int, "default": 20200801}),
+        _format(),
+    )
 
 
-def _scan_arguments(p):
-    p.add_argument("spec")
-    _add_format(p)
-    p.set_defaults(func=cmd_scan)
-
-
-def _threshold_arguments(p):
-    p.add_argument("--edges", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_threshold)
-
-
-# Each command's `add_parser` keywords and the function that adds its
-# arguments, in the order `dpchroma --help` lists them.
+# Each command's `add_parser` keywords, its function, and its arguments
+# as (flag, keywords) pairs for `add_argument`, in the order `dpchroma
+# --help` lists the commands; verify's come from a function, so the verify
+# layer loads only where they are read.
 COMMANDS = {
-    "chrom": ({"help": "chromatic polynomial of a graph"}, _chrom_arguments),
-    "theta-chrom": ({"help": "closed-form Theta chromatic polynomial"}, _theta_chrom_arguments),
-    "dp-exact": ({"help": "exhaustive DP color function value"}, _dp_exact_arguments),
-    "dp-formula": ({"help": "DP color function by formula"}, _dp_formula_arguments),
+    "chrom": (
+        {"help": "chromatic polynomial of a graph"},
+        cmd_chrom,
+        (
+            ("source", {"help": "theta:l1,l2,... or a graph file"}),
+            ("--m", {"type": int, "default": None, "help": "also evaluate at this fold"}),
+            _format(),
+        ),
+    ),
+    "theta-chrom": (
+        {"help": "closed-form Theta chromatic polynomial"},
+        cmd_theta_chrom,
+        (("spec", {"help": "theta:l1,l2,..."}), ("--m", {"type": int, "default": None}), _format()),
+    ),
+    "dp-exact": (
+        {"help": "exhaustive DP color function value"},
+        cmd_dp_exact,
+        (
+            ("source", {}),
+            ("--m", {"type": int, "required": True}),
+            (
+                "--symmetry",
+                {
+                    "choices": ("none", "tree-canonical", "tree-canonical+conjugacy"),
+                    "default": "tree-canonical+conjugacy",
+                },
+            ),
+            ("--budget", {"type": int, "default": SEARCH_BUDGET}),
+            ("--workers", {"type": int, "default": 1}),
+            _format(),
+        ),
+    ),
+    "dp-formula": (
+        {"help": "DP color function by formula"},
+        cmd_dp_formula,
+        (("source", {}), ("--m", {"type": int, "default": None}), _format()),
+    ),
     "compare": (
         {
             "help": "P versus P_DP over a fold range",
             "description": "The formula route needs a theta graph or a one-vertex "
             "feedback set; pass --exact for anything else.",
         },
-        _compare_arguments,
+        cmd_compare,
+        (
+            ("source", {}),
+            ("--m", {"required": True, "help": "fold or range a..b"}),
+            ("--exact", {"action": "store_true", "help": "use exhaustive search"}),
+            ("--budget", {"type": int, "default": SEARCH_BUDGET}),
+            _format(default="csv", choices=("csv", "json", "text")),
+        ),
     ),
-    "verify": ({"help": "run invariant suites"}, _verify_arguments),
-    "scan": ({"help": "parity classification with certificate fold"}, _scan_arguments),
-    "threshold": ({"help": "list-color agreement threshold"}, _threshold_arguments),
+    "verify": ({"help": "run invariant suites"}, cmd_verify, _verify_arguments),
+    "scan": ({"help": "parity classification with certificate fold"}, cmd_scan, (("spec", {}), _format())),
+    "threshold": (
+        {"help": "list-color agreement threshold"},
+        cmd_threshold,
+        (("--edges", {"type": int, "required": True}), _format()),
+    ),
 }
+
+
+def _arguments(command: str):
+    arguments = COMMANDS[command][2]
+    return arguments() if callable(arguments) else arguments
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,119 +438,81 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact DP color functions and chromatic polynomials",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (keywords, add_arguments) in COMMANDS.items():
-        add_arguments(sub.add_parser(name, **keywords))
+    for name, (keywords, func, _) in COMMANDS.items():
+        command = sub.add_parser(name, **keywords)
+        for flag, options in _arguments(name):
+            command.add_argument(flag, **options)
+        command.set_defaults(func=func)
     return parser
-
-
-def build_command_parser(name: str) -> argparse.ArgumentParser:
-    """Command `name`'s parser on its own: the same usage, help and errors
-    as its subparser in `build_parser()`, and it sets `command` too."""
-    keywords, add_arguments = COMMANDS[name]
-    parser = argparse.ArgumentParser(prog=f"dpchroma {name}", description=keywords.get("description"))
-    add_arguments(parser)
-    parser.set_defaults(command=name)
-    return parser
-
-
-def _is_plain(action: argparse.Action) -> bool:
-    """A store action taking one value: argparse sets its dest to the value
-    through its type, and checks it against its choices."""
-    return type(action) is argparse._StoreAction and action.nargs is None
-
-
-class _Reader(NamedTuple):
-    """A parser and a table of its own actions that reads a plain argv
-    without it: each plain option string's action, the plain positionals
-    in order, the required actions, and the namespace argparse starts from
-    (each action's default, then the parser's `set_defaults`).  argparse
-    converts a string default through the action's type; no command has a
-    typed string default, which the plain-argv tests check."""
-
-    parser: argparse.ArgumentParser
-    options: dict[str, argparse.Action]
-    positionals: tuple[argparse.Action, ...]
-    required: tuple[argparse.Action, ...]
-    defaults: dict[str, object]
-
-    @classmethod
-    def of(cls, parser: argparse.ArgumentParser) -> "_Reader":
-        actions = parser._actions
-        defaults: dict[str, object] = {}
-        for action in actions:
-            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-                defaults.setdefault(action.dest, action.default)
-        for dest, value in parser._defaults.items():
-            defaults.setdefault(dest, value)
-        return cls(
-            parser,
-            {s: a for a in actions if _is_plain(a) for s in a.option_strings},
-            tuple(takewhile(_is_plain, (a for a in actions if not a.option_strings))),
-            tuple(a for a in actions if a.required),
-            defaults,
-        )
-
-    def read_plain(self, argv: list[str]) -> argparse.Namespace | None:
-        """The namespace the parser returns for argv when argv is plain,
-        otherwise None.  Plain: each token is an exact option string of
-        a plain action, given once and followed by a value that does not
-        start with '-', or the next plain positional; each value converts
-        with its action's type into its choices; every required action is
-        given.  Every other argv (help, `--`, `--opt=value`, an
-        abbreviation, an error) is the parser's to read."""
-        values = dict(self.defaults)
-        given = set()
-        positionals = iter(self.positionals)
-        tokens = iter(argv)
-        for token in tokens:
-            if token.startswith("-"):
-                action, value = self.options.get(token), next(tokens, "-")  # none left: argparse's
-                if action is None or action in given or value.startswith("-"):
-                    return None
-            else:
-                action, value = next(positionals, None), token
-                if action is None:
-                    return None
-            if action.type is not None:
-                try:
-                    value = action.type(value)
-                except (TypeError, ValueError, argparse.ArgumentTypeError):
-                    return None
-            if action.choices is not None and value not in action.choices:
-                return None
-            given.add(action)
-            values[action.dest] = value
-        if any(action not in given for action in self.required):
-            return None
-        return argparse.Namespace(**values)
 
 
 @cache
-def _parser(command: str | None = None) -> _Reader:
-    """Command `command`'s parser, or with None the whole parser, with its
-    plain-argv table; each is built on first use (not at import) and
-    reused for the rest of the process, so one `cache_clear` drops both."""
-    return _Reader.of(build_parser() if command is None else build_command_parser(command))
+def _parser() -> argparse.ArgumentParser:
+    """The whole parser, built on first use (not at import) and reused for
+    the rest of the process."""
+    return build_parser()
+
+
+def read_plain(command: str, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the whole parser returns for `[command, *argv]` when
+    argv is plain, otherwise None, read from the command's table with no
+    argparse parser.  Plain: each token is a flag spelled in full, given
+    once and followed by a value that does not start with '-', or the next
+    positional; each value converts with its `type` into its `choices`;
+    every required argument is given.  A `store_true` flag is never plain
+    and starts as False.  Every other argv (help, `--`, `--opt=value`, an
+    abbreviation, an error) is argparse's to read.  argparse converts a
+    string default through its `type`; no argument has a typed string
+    default, which the plain-argv tests check."""
+    values: dict[str, object] = {"command": command, "func": COMMANDS[command][1]}
+    options, positionals, required, given = {}, [], set(), set()
+    for flag, keywords in _arguments(command):
+        dest = flag.lstrip("-").replace("-", "_")
+        action = keywords.get("action")
+        values[dest] = keywords.get("default", False if action == "store_true" else None)
+        if not flag.startswith("-"):
+            positionals.append((dest, keywords))
+            required.add(dest)
+            continue
+        if action is None:
+            options[flag] = dest, keywords
+        if keywords.get("required"):
+            required.add(dest)
+    positionals = iter(positionals)
+    tokens = iter(argv)
+    for token in tokens:
+        if token.startswith("-"):
+            dest, keywords = options.get(token, (None, None))
+            value = next(tokens, "-")  # none left: argparse's
+            if dest is None or dest in given or value.startswith("-"):
+                return None
+        else:
+            (dest, keywords), value = next(positionals, (None, None)), token
+            if dest is None:
+                return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given.add(dest)
+        values[dest] = value
+    return argparse.Namespace(**values) if required <= given else None
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """Parses argv as the whole parser does.  When argv names a command,
-    that command's table reads a plain argv (see `_Reader.read_plain`)
-    with no argparse parse at all, and otherwise the command's parser
-    reads it if it takes every argument, so a call builds one command's
-    parser rather than all of them; anything else (no command, an unknown
-    one, `--help`, an argument the command does not take) goes to the
-    whole parser, which prints what it always printed."""
+    """Parses argv as the whole parser does: a plain argv naming a command
+    from that command's table (`read_plain`), anything else (no command,
+    an unknown one, `--help`, another spelling, an error) with the whole
+    parser, which prints what it always printed."""
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in COMMANDS:
-        reader = _parser(argv[0])
-        args = reader.read_plain(argv[1:])
+        args = read_plain(argv[0], argv[1:])
         if args is not None:
             return args
-        args, extras = reader.parser.parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return _parser().parser.parse_args(argv)
+    return _parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -96,11 +96,10 @@ class ThetaSpec(_ThetaSpecFields):
     @classmethod
     def parse(cls, text: str) -> "ThetaSpec":
         body = text[6:] if text.startswith("theta:") else text
-        try:
-            lengths = tuple(int(part) for part in body.split(","))
-        except ValueError:
-            raise InvalidThetaSpec(f"cannot parse theta spec {text!r}") from None
-        return cls(lengths)
+        parts = body.split(",")  # ASCII digits only: no sign, space, '_' or other scripts
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise InvalidThetaSpec(f"cannot parse theta spec {text!r}")
+        return cls(map(int, parts))
 
 
 class FeedbackVertex(enum.Enum):
@@ -258,7 +257,7 @@ class Graph(_GraphFields):
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if parts[0] == "n" and len(parts) == 2:
+            if parts[0] == "n" and len(parts) == 2 and parts[1].isascii() and parts[1].isdigit():
                 if count is not None:
                     raise ValueError(f"second 'n <count>' line {raw!r}")
                 count = int(parts[1])

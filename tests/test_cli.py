@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from dpchroma import cli
-from dpchroma.cli import build_command_parser, main
+from dpchroma.cli import main
 from dpchroma.covers import SEARCH_BUDGET, min_over_covers
 from dpchroma.graphs import GRAPH_VERTEX_LIMIT, Graph
 from dpchroma.poly import M
@@ -261,9 +261,9 @@ def test_search_budget_below_one_is_rejected(capsys):
 def test_one_default_search_budget():
     want = inspect.signature(min_over_covers).parameters["budget"].default
     assert want == SEARCH_BUDGET == 10_000_000
-    for command, extra in (("dp-exact", ["--m", "3"]), ("compare", ["--m", "3"])):
-        args = build_command_parser(command).parse_args(["theta:2,2,2", *extra])
-        assert args.budget == SEARCH_BUDGET, command
+    for command in ("dp-exact", "compare"):
+        assert dict(cli._arguments(command))["--budget"]["default"] == SEARCH_BUDGET, command
+        assert cli.parse_args([command, "theta:2,2,2", "--m", "3"]).budget == SEARCH_BUDGET, command
 
 
 def test_worker_count_errors_name_the_flag(capsys):
@@ -271,6 +271,34 @@ def test_worker_count_errors_name_the_flag(capsys):
         argv = ("dp-exact", "theta:2,2,2", "--m", "3", "--workers", workers)
         want = f"dpchroma: --workers must be positive, not {workers}\n"
         assert run(capsys, *argv) == (2, "", want)
+
+
+def test_a_bad_worker_count_is_refused_before_the_graph_loads(monkeypatch, capsys):
+    # as a bad --budget is: a long Theta spec takes seconds to build
+    def no_graph(source):
+        raise AssertionError(f"{source} was loaded")
+
+    monkeypatch.setattr(cli, "load_graph", no_graph)
+    argv = ("dp-exact", "theta:2,3,1000000", "--m", "3", "--workers", "0")
+    assert run(capsys, *argv) == (2, "", "dpchroma: --workers must be positive, not 0\n")
+
+
+@pytest.mark.parametrize("count", ["\u0663", "3_000", "+3", "-3", "\uff13"])
+def test_a_vertex_count_is_ascii_digits(count, tmp_path, capsys):
+    # int() reads the Arabic-Indic three, the fullwidth three, '_' and a sign
+    path = tmp_path / "count.graph"
+    path.write_text(f"n {count}\ne a b\n", encoding="utf-8")
+    code, out, err = run(capsys, "chrom", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"dpchroma: malformed graph file {str(path)!r}: cannot parse graph line {f'n {count}'!r}\n"
+
+
+@pytest.mark.parametrize(
+    "spec", ["theta:\u0662,+3, 2_0", "theta:\u0662,3,2", "theta:2,+3,2", "theta:2,3, 2", "theta:2,3,2_0", "theta:2,-3,2"]
+)
+def test_theta_path_lengths_are_ascii_digits(spec, capsys):
+    for command in ("theta-chrom", "dp-formula"):
+        assert run(capsys, command, spec) == (2, "", f"dpchroma: cannot parse theta spec {spec!r}\n")
 
 
 def test_the_environment_sets_no_worker_count(monkeypatch, capsys):

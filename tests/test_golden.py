@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from dpchroma.cli import main
+from dpchroma.cli import COMMANDS, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 EXPECTED = GOLDEN_DIR / "expected.json"
@@ -150,6 +150,32 @@ def test_theta_grid_dp_exact_output_is_pinned(golden_env, capsys):
     for key, digest in THETA_GRID_DIGESTS.items():
         spec, m = key.split()
         assert main(["dp-exact", spec, "--m", m, "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, key
+
+
+# SHA-256 of the stdout of `dpchroma --help` and `dpchroma <command> --help`
+# at COLUMNS=80, recorded while each command still had an argparse parser
+# of its own.  argparse writes help with `file.write`, not `print`, so
+# these are pinned here rather than as cases above.
+HELP_DIGESTS = {
+    "--help": "914ce1a459608d0fe0644f621233cb961cb7f16c974fa4a7d581ac56517fb69b",
+    "chrom --help": "6ca4e154a2314f511f915681fcfe4693138127d2be2d86559a9b924f2ee407f5",
+    "theta-chrom --help": "f42995ca5bc32f0aa487496aee6cf18bb68841a11dd30ffac685ed890085516e",
+    "dp-exact --help": "991ca7f3eedba68e908091722738946d584e6d7c59e74ba123b99cf0f5314b3f",
+    "dp-formula --help": "2b543a8b61c06afbe79a23caf53d523fa06628a9f6b4262781a86272bf41bcc4",
+    "compare --help": "3589673dc4e9ad87ba4c20db69ae9179ae1a38ae5549892016fdd6a60331047c",
+    "verify --help": "42c707f4228c6065e14057b478dd756c8ce98d72c787a629e46a932925f986be",
+    "scan --help": "6872980a8ad3f72aadd0920b07dad7ca08a75b7b91846d540f5263c53766402a",
+    "threshold --help": "a441445a8173ebce87a56e86a73ef9c6612a1c068ac73c0fdaf7e6639a497fe9",
+}
+
+
+def test_help_output_is_pinned(golden_env, capsys):
+    assert list(HELP_DIGESTS) == ["--help"] + [f"{name} --help" for name in COMMANDS]
+    for key, digest in HELP_DIGESTS.items():
+        assert main(key.split()) == 0
         out, err = capsys.readouterr()
         assert err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest, key

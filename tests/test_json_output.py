@@ -119,17 +119,16 @@ def returned_lines(monkeypatch):
     """The text lines each `dp-exact`, `verify` and `compare` call returns
     to `main`, in call order."""
     seen = []
-    for name in ("cmd_dp_exact", "cmd_verify", "cmd_compare"):
+    for name in ("dp-exact", "verify", "compare"):
+        keywords, command, arguments = cli.COMMANDS[name]
 
-        def recording(args, command=getattr(cli, name)):
+        def recording(args, command=command):
             payload, lines, *status = command(args)
             seen.append(lines)
             return payload, lines, *status
 
-        monkeypatch.setattr(cli, name, recording)
-    cli._parser.cache_clear()  # parsers built from here on call the recorders
-    yield seen
-    cli._parser.cache_clear()
+        monkeypatch.setitem(cli.COMMANDS, name, (keywords, recording, arguments))
+    return seen
 
 
 @pytest.mark.parametrize(

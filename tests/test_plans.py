@@ -1,7 +1,8 @@
 """Each per-input set-up is built once and reused.
 
-`cli.main` builds the parser it needs, the named command's or the whole
-one, on first use and keeps it for the process.  A graph keeps its plans
+`cli.main` reads a plain argv from its command's table with no parser,
+and builds the whole parser on the first argv argparse must read, once
+for the process.  A graph keeps its plans
 (`Graph.plan`): the colour-pattern transfer's step table and one
 `_FeedbackPlan` per set of restricted vertices, which keeps one row table
 per fold.  The plans are left out of the graph's pickled state, so a
@@ -30,9 +31,10 @@ from test_golden import CASES, EXPECTED, GOLDEN_DIR
 
 
 def test_main_builds_each_parser_once_per_process(monkeypatch, capsys):
-    """A call naming a command builds that command's parser alone; a call
-    the whole parser must read (here `--help`) builds it; a later call
-    builds nothing."""
+    """A plain argv, cold or warm, constructs no `ArgumentParser`; the
+    whole parser (one parser and one per command) is built once, on the
+    first argv argparse must read (here `dp-exact` missing its `--m`), and
+    a later call builds nothing."""
     inits = []
     original = argparse.ArgumentParser.__init__
 
@@ -41,36 +43,23 @@ def test_main_builds_each_parser_once_per_process(monkeypatch, capsys):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    cli.build_parser()
-    per_build = len(inits)  # the parser and one per command
-    assert per_build == 1 + len(cli.COMMANDS)
     cli._parser.cache_clear()
-    inits.clear()
     monkeypatch.chdir(GOLDEN_DIR)
     monkeypatch.setenv("COLUMNS", "80")
     name = "dp-formula-fvs1-json"
     expected = json.loads(EXPECTED.read_text(encoding="utf-8"))[name]
-    assert cli.main(list(CASES[name])) == 0
-    assert capsys.readouterr().out == expected["stdout"]
-    assert len(inits) == 1
+    for _ in range(2):  # cold, then warm
+        assert cli.main(list(CASES[name])) == 0
+        assert capsys.readouterr().out == expected["stdout"]
+        assert inits == []
     assert cli.main(["dp-exact", "theta:2,2,2"]) == 2
-    assert len(inits) == 2
-    assert cli.main(["--help"]) == 0
-    assert len(inits) == 2 + per_build
-    for argv in (CASES[name], ["dp-exact", "theta:2,2,2"], ["--help"]):
+    assert len(inits) == 1 + len(cli.COMMANDS)
+    for argv in (CASES[name], ["dp-exact", "theta:2,2,2"], ["--help"], ["dp-exact", "theta:2,2,2", "--m=3"]):
         cli.main(list(argv))
-    assert len(inits) == 2 + per_build
+    assert len(inits) == 1 + len(cli.COMMANDS)
     capsys.readouterr()
     assert cli.main(list(CASES[name])) == 0
     assert capsys.readouterr().out == expected["stdout"]
-
-
-def test_a_command_parser_matches_its_subparser():
-    whole = cli.build_parser()
-    (commands,) = [a for a in whole._actions if a.dest == "command"]
-    assert list(commands.choices) == list(cli.COMMANDS)
-    for name, sub in commands.choices.items():
-        assert cli.build_command_parser(name).format_help() == sub.format_help()
 
 
 def _parsed(parse, argv, capsys):
@@ -113,30 +102,31 @@ def test_parse_args_reads_argv_as_the_whole_parser_does(monkeypatch, capsys):
     for argv in [*cases, *_random_argvs(random.Random(51), 3000)]:
         assert _parsed(cli.parse_args, argv, capsys) == _parsed(whole.parse_args, argv, capsys), argv
         if argv and argv[0] in cli.COMMANDS:
-            plain += cli._parser(argv[0]).read_plain(argv[1:]) is not None
+            plain += cli.read_plain(argv[0], argv[1:]) is not None
     assert plain > 100  # the table's own path is drawn, not only argparse's
 
 
 def _random_argvs(rng, count):
-    """Seeded argvs for every command: each command's option strings with
-    good and bad values, other spellings of them (`--opt=v`, a prefix),
-    repeats, `--`, `-h` and extra tokens, some left plain on purpose."""
+    """Seeded argvs for every command, drawn from `cli.COMMANDS`: each
+    command's flags with good and bad values, other spellings of them
+    (`--opt=v`, a prefix), repeats, `--`, `-h` and extra tokens, some left
+    plain on purpose."""
     bad = ["-3", "3.5", "", "bogus", "0", "--m"]
     positional = ["theta:2,2,2", "bowtie.txt", "", "-3", "a b"]
     for _ in range(count):
         name = rng.choice(list(cli.COMMANDS))
-        parser = cli.build_command_parser(name)
+        arguments = cli._arguments(name)
         tokens = []
-        for action in parser._actions:
-            if action.option_strings and action.nargs is None:
-                good = list(action.choices or (["3", "7"] if action.type is int else ["3..4", "2"]))
-                if action.required or rng.random() < 0.4:
-                    tokens.append([rng.choice(action.option_strings), rng.choice(good)])
-            elif not action.option_strings:
+        for flag, keywords in arguments:
+            if not flag.startswith("-"):
                 tokens.append([rng.choice(positional[:2])])
+            elif "action" not in keywords:
+                good = list(keywords.get("choices") or (["3", "7"] if keywords.get("type") is int else ["3..4", "2"]))
+                if keywords.get("required") or rng.random() < 0.4:
+                    tokens.append([flag, rng.choice(good)])
+        flags = [flag for flag, _ in arguments if flag.startswith("-")] + ["-h", "--help"]
         for _ in range(rng.choice((0, 0, 0, 1, 2))):  # spoil it
-            strings = rng.choice([a.option_strings for a in parser._actions if a.option_strings])
-            option = rng.choice(strings)
+            option = rng.choice(flags)
             value = rng.choice(bad + positional)
             tokens.append(
                 rng.choice(
@@ -157,8 +147,8 @@ def _random_argvs(rng, count):
 
 
 def test_a_warm_plain_argv_runs_no_argparse_parse(monkeypatch, capsys):
-    """Once a command's parser is built, a plain argv is read from its
-    table alone; every other spelling still goes through argparse."""
+    """A plain argv is read from its command's table alone, cold or warm;
+    every other spelling goes through argparse."""
     calls = []
     original = argparse.ArgumentParser.parse_known_args
 
@@ -170,7 +160,7 @@ def test_a_warm_plain_argv_runs_no_argparse_parse(monkeypatch, capsys):
     expected = vars(cli.build_parser().parse_args(plain))
     cli._parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
-    assert vars(cli.parse_args(plain)) == expected  # cold: builds the parser, parses nothing
+    assert vars(cli.parse_args(plain)) == expected  # cold: builds no parser, parses nothing
     assert vars(cli.parse_args(plain)) == expected
     assert cli.parse_args(["verify"]).suite == "all"
     assert calls == []
