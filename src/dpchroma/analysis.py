@@ -13,7 +13,6 @@ from fractions import Fraction
 from itertools import count
 from typing import NamedTuple
 
-from . import chromatic
 from .chromatic import (
     _transfer,
     chromatic_polynomial,
@@ -331,10 +330,11 @@ def classify_generalized(spec: ThetaSpec) -> ParityClassification:
     return ParityClassification(spec, "eventually-less", witness, bound)
 
 
-def _avoidance_count(d: StarDecomposition, grouping: tuple[int, ...]) -> IntPoly:
+def _avoidance_count(d: StarDecomposition, grouping: tuple[int, ...]) -> tuple[IntPoly, int]:
     """Colorings of the forest in which leaf d.alphas[i + 1] avoids color
     grouping[i]: m for the isolated center times the avoidance count of
-    every tree, one color-pattern transfer with avoided fixed colors."""
+    every tree, one color-pattern transfer with avoided fixed colors, and
+    the coefficient updates that transfer metered."""
     f = d.forest
     return _transfer(f, {}, {f.index[v]: r for v, r in zip(d.alphas[1:], grouping)})
 
@@ -359,7 +359,7 @@ def partition_weight(d: StarDecomposition, partition: PartitionSpec) -> IntPoly:
     if shift.keys() != set(d.alphas):
         raise ValueError("partition must cover exactly the star's vertices")
     grouping = tuple(shift[v] for v in d.alphas[1:])
-    return (_forest_chromatic(d) - _avoidance_count(d, grouping)).exact_div(M)
+    return (_forest_chromatic(d) - _avoidance_count(d, grouping)[0]).exact_div(M)
 
 
 class FeedbackPolynomialResult(NamedTuple):
@@ -368,9 +368,9 @@ class FeedbackPolynomialResult(NamedTuple):
     dp_polynomial = P(forest, m) - m * weight, exact from stable_from, the
     least fold (at least the part count) from which no count `value_at` reads
     undercuts it; `counts` keeps those it reads below, each with the first
-    grouping that has its fewest classes.  `ties` holds the leaf groupings
-    tied at the least count in enumeration order; one of s classes gives
-    s + 1 tied star partitions, the center joining a class or alone.
+    grouping that has its fewest classes.  `maximizers` counts the star
+    partitions tied at the least count: a tied leaf grouping of s classes
+    gives s + 1, the center joining a class or alone.
     `witness_cover(m)` builds a shift cover that counts `value_at(m)`.
     """
 
@@ -379,7 +379,7 @@ class FeedbackPolynomialResult(NamedTuple):
     weight: IntPoly
     dp_polynomial: IntPoly
     stable_from: int
-    ties: tuple[tuple[int, ...], ...]
+    maximizers: int
     counts: tuple[tuple[int, IntPoly, tuple[int, ...]], ...]  # (fewest classes, count, first grouping with them) per distinct grouping count
 
     def value_at(self, m: int) -> int:
@@ -407,16 +407,18 @@ class FeedbackPolynomialResult(NamedTuple):
 
 
 #: Most star vertices that `fvs1_dp_polynomial` accepts.  A star with k
-#: vertices has Bell(k - 1) leaf groupings, each one transfer: a fan with
-#: 11 star vertices (Bell(10) = 115,975 groupings) took 58 s and 92 MB on
-#: a 2-vCPU VM with Python 3.11.
+#: vertices has Bell(k - 1) leaf groupings, each one transfer whose fixed
+#: cost goes unmetered: past the limit (2-vCPU VM, Python 3.11) K_{1,10}
+#: and K_{1,11} answer in 3.8 s and 21 s at 17 MB, and a fan with 11 star
+#: vertices is refused by `FVS1_WORK_LIMIT` after 12 s.
 FVS1_STAR_LIMIT = 10
 
 #: Coefficient updates that the transfers of all of one graph's leaf
-#: groupings may meter together (`chromatic.transfer_work`), checked after
-#: each grouping.  The largest admitted sums are alt-hub 3x5's 4.0e7 and the
-#: fan with 10 star vertices' 1.5e7; a 10-star hub over a path of 100
-#: vertices sums 2.8e9 (about 100 s) and is refused here within seconds.
+#: groupings may meter together, summed from `_avoidance_count` and
+#: checked after each grouping.  The largest admitted sums are alt-hub
+#: 3x5's 4.0e7 and the fan with 10 star vertices' 1.5e7; a 10-star hub
+#: over a path of 100 vertices sums 2.8e9 (about 100 s) and is refused
+#: here within seconds.
 FVS1_WORK_LIMIT = 100_000_000
 
 
@@ -428,9 +430,10 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
     polynomial is the eventually least of these over the Bell(k - 1) leaf
     groupings of a star with k <= `FVS1_STAR_LIMIT` vertices, restricted-
     growth strings (`_growth_strings`) streamed once: the least count so
-    far with the groupings tied at it, and per distinct count, in order of
-    first occurrence, its fewest classes and the first grouping with them.
-    Their transfers together may meter `FVS1_WORK_LIMIT` updates.
+    far with its first grouping and the star partitions tied at it, and
+    per distinct count, in order of first occurrence, its fewest classes
+    and the first grouping with them.  Their transfers together may meter
+    `FVS1_WORK_LIMIT` updates.
     Only `partition` becomes a `PartitionSpec`: a tied grouping r has one
     star string per place j of the center, which joins class j (or stands
     alone, j = r's class count) in part 0, the classes below j moved up
@@ -461,26 +464,27 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
         )
     k = len(d.alphas) - 1
     firsts: dict[IntPoly, list] = {}  # count -> [fewest classes, first grouping with them]
-    dp = winner = ties = None  # the least count so far, its entry and its groupings
-    limit = chromatic.transfer_work + FVS1_WORK_LIMIT
+    dp = winner = tie = None  # the least count so far, its entry and its first grouping
+    maximizers = work = 0
     for i, r in enumerate(_growth_strings(k, k), 1):
-        c = _avoidance_count(d, r)
+        c, spent = _avoidance_count(d, r)
+        work += spent
         s = max(r, default=-1) + 1
         first = firsts.get(c)
         if first is None:
             first = firsts[c] = [s, r]
             if winner is None or c.coeffs[::-1] < dp.coeffs[::-1]:
-                dp, winner, ties = c, first, []
+                dp, winner, tie, maximizers = c, first, r, 0
         elif s < first[0]:
             first[:] = s, r
         if first is winner:
-            ties.append(r)
-        if chromatic.transfer_work > limit:
+            maximizers += s + 1
+        if work > FVS1_WORK_LIMIT:
             raise SearchBudgetExceeded(
                 f"the FVS-1 route passed FVS1_WORK_LIMIT = {FVS1_WORK_LIMIT:,}"
                 f" coefficient updates at leaf grouping {i:,}"
             )
-    partition = PartitionSpec.of_string(d.alphas, (0,) + ties[0])
+    partition = PartitionSpec.of_string(d.alphas, (0,) + tie)
     weight = (_forest_chromatic(d) - dp).exact_div(M)
     # c >= dp from positive_from(c - dp + 1) on (h >= 0 is h + 1 > 0); value_at
     # reads c from s on, and a fold up to the part count moves nothing, so the
@@ -494,7 +498,7 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
             folds.append(n)
     stable_from = max(folds)
     distinct = tuple(row for row in counts if row[0] < stable_from)
-    return FeedbackPolynomialResult(d, partition, weight, dp, stable_from, tuple(ties), distinct)
+    return FeedbackPolynomialResult(d, partition, weight, dp, stable_from, maximizers, distinct)
 
 
 class SubsetCheck(NamedTuple):

@@ -48,7 +48,7 @@ def chromatic_polynomial(g: Graph) -> IntPoly:
 
     Raises `SearchBudgetExceeded` past `CHROMATIC_WORK_LIMIT` updates.
     """
-    return _transfer(g, {}, {})
+    return _transfer(g, {}, {})[0]
 
 
 #: A walk's shape: per step, the positions of the entering vertex's
@@ -132,23 +132,21 @@ def _walk(g: Graph) -> tuple[Shape, list[int]]:
     return tuple(shape), order
 
 
-def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> IntPoly:
+def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> tuple[IntPoly, int]:
     """Colorings of g that put each vertex v of `named` on fixed color
     named[v] and each vertex v of `avoid` on any color but avoid[v], the s
     fixed colors numbered 0..s-1, as a polynomial in m: the count at every
-    m at which the fixed colors are colors.
+    m at which the fixed colors are colors, with the coefficient updates
+    its transfer metered.
 
     The count is `_transfers` of the walk's shape (`_walk`), s and the
     color pattern: for each vertex that `named` or `avoid` holds, in walk
     order, its step and its two colors, the colors renamed 0, 1, ... in
     order of first use.  Equal graphs, or graphs whose walks have the same
     shape, and precolorings that differ by a renaming of colors share one
-    transfer.  A table entry keeps the work its transfer metered; when
-    that exceeds `CHROMATIC_WORK_LIMIT` the transfer runs again, so a call
-    is refused as a fresh run is, with the same message.  Otherwise the
-    work is added to `transfer_work`.
+    transfer, and a table hit returns the work its entry's run metered.
+    A run past `CHROMATIC_WORK_LIMIT` raises and leaves no entry.
     """
-    global transfer_work
     shape, order = g.plan(_walk)
     s = 0  # 1 + the largest color named or avoided
     rename: dict[int, int] = {}  # the fixed colors in order of first use
@@ -166,18 +164,7 @@ def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> I
                 s = shun + 1
             shun = rename.setdefault(shun, len(rename))
         pattern.append((i, fixed, shun))
-    key = shape, s, tuple(pattern)
-    poly, work = _transfers(*key)
-    if work > CHROMATIC_WORK_LIMIT:  # refused, as a fresh run is
-        _transfers.__wrapped__(*key)
-    transfer_work += work
-    return poly
-
-
-#: Coefficient updates metered by every `_transfer` this process has
-#: made, a table hit counting its entry's reading: what a caller that
-#: makes many transfers reads before and after to budget their sum.
-transfer_work = 0
+    return _transfers(shape, s, tuple(pattern))
 
 
 #: Entries `_transfers` keeps, least recently used out first.  An entry
@@ -496,4 +483,4 @@ def precolored_polynomial(g: Graph, pc: Precoloring) -> IntPoly:
     """
     _check_precoloring(g, pc)
     colors = sorted(set(pc.assignment.values()))
-    return _transfer(g, {g.index[v]: colors.index(c) for v, c in pc.assignment.items()}, {})
+    return _transfer(g, {g.index[v]: colors.index(c) for v, c in pc.assignment.items()}, {})[0]

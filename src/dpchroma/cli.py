@@ -233,7 +233,7 @@ def cmd_dp_formula(args):
             "stable_from": route.stable_from,
             "center": route.decomposition.center,
             "partition": [sorted(part) for part in route.partition.parts],
-            "maximizers": sum(max(r, default=-1) + 2 for r in route.ties),
+            "maximizers": route.maximizers,
             "weight": poly_to_json(route.weight),
             "polynomial": poly_to_json(route.dp_polynomial),
         }

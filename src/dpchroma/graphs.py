@@ -155,10 +155,6 @@ class Graph(_GraphFields):
     def n(self) -> int:
         return len(self.vertices)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     @cached_property
     def index(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.vertices)}

@@ -13,17 +13,19 @@ cover from a fresh forest pass, the oracle of `covers.subset_walk`;
 from the closed-form count of color walks along each path, at folds far
 past plain enumeration.  `cycle_type`, `without_vertex`, `mask_of`,
 `full_mask`, `to_text` and `conjugated` are plain helpers that only the
-tests read, and `unpruned` turns off the search's stop and its pruning.
-`star_partitions` expands an FVS-1 result's tied leaf groupings into its
-tied star partitions by filtering every partition of the star.  `theta_by_labels` builds a generalized Theta graph by looking
-up each edge's ends by their string labels, the reference of
-`graphs.build_generalized_theta`.
+tests read, `unpruned` turns off the search's stop and its pruning, and
+`lowered_work_limit` lowers the transfer's meter with an empty transfer
+table.  `star_partitions` keeps the partitions of an FVS-1 result's star
+whose weight is the winner's.  `theta_by_labels` builds a generalized
+Theta graph by looking up each edge's ends by their string labels, the
+reference of `graphs.build_generalized_theta`.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product, zip_longest
 
 from dpchroma import chromatic, covers
+from dpchroma.analysis import partition_weight
 from dpchroma.covers import (
     FullCover,
     _forest,
@@ -90,9 +92,10 @@ def walk_steps(g: Graph) -> list[tuple[int, tuple[int, ...], tuple[int, ...], bo
     return [(v, *step) for v, step in zip(order, shape)]
 
 
-def reference_transfer(g: Graph, named, avoid) -> IntPoly:
+def reference_transfer(g: Graph, named, avoid) -> tuple[IntPoly, int]:
     """`chromatic._transfer` with each state's moves worked out at every
-    step, its meter charging the same updates and its refusal reading
+    step: its polynomial and the updates its meter charged, the same as the
+    tabled transfer's, and its refusal reading
     `chromatic.CHROMATIC_WORK_LIMIT` when called, as a test may patch it."""
     s = 1 + max([*named.values(), *avoid.values()], default=-1)
     states: dict[tuple[int, ...], list[int]] = {(): [1]}
@@ -135,7 +138,7 @@ def reference_transfer(g: Graph, named, avoid) -> IntPoly:
                     p + q for p, q in zip_longest(old, x, fillvalue=0)
                 ]
         states = merged
-    return IntPoly(states.get((), ()))
+    return IntPoly(states.get((), ())), work
 
 
 def cycle_type(p) -> tuple[int, ...]:
@@ -330,16 +333,9 @@ def growth_strings_by_recursion(k: int, most: int):
 def star_partitions(result) -> tuple:
     """The star partitions tied at an FVS-1 result's least count, in star
     string order: every partition of the star (`partitions_of`) whose
-    leaves, classes renumbered in order of first use, form a grouping in
-    `result.ties`."""
-    alphas = result.decomposition.alphas
-    ties = set(result.ties)
-
-    def grouping(p) -> tuple[int, ...]:
-        shift, first = p.shift, {}
-        return tuple(first.setdefault(shift[v], len(first)) for v in alphas[1:])
-
-    return tuple(p for p in partitions_of(alphas) if grouping(p) in ties)
+    `partition_weight` is the result's weight."""
+    d = result.decomposition
+    return tuple(p for p in partitions_of(d.alphas) if partition_weight(d, p) == result.weight)
 
 
 def unpruned(patch) -> None:
@@ -348,3 +344,13 @@ def unpruned(patch) -> None:
     count reaches the stop, and no prune table."""
     patch.setattr(covers, "dp_lower_bound", lambda g, m: -1)
     patch.setattr(covers._FeedbackPlan, "least_key_table", lambda self, m, free_edges: None)
+
+
+def lowered_work_limit(patch, limit: int) -> None:
+    """Patches (through `patch`, a pytest monkeypatch) `CHROMATIC_WORK_LIMIT`
+    to `limit` and clears the transfer table.  A hit answers without
+    reading the limit (an entry is kept only when its run stayed within
+    the limit it ran under), so under a lower limit an entry could answer
+    where a fresh run is refused."""
+    patch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", limit)
+    chromatic._transfers.cache_clear()

@@ -576,10 +576,10 @@ def test_fvs1_weights_take_no_deletion_contraction(monkeypatch):
     assert result.dp_polynomial.coeffs == (0, -16, 48, -56, 32, -9, 1)
     assert result.weight.coeffs == (16, -47, 52, -26, 5)
     assert result.stable_from == 1
-    assert len(star_partitions(result)) == 2
     # one transfer per grouping of the 5 leaves: Bell(5), not Bell(6) = 203
     assert len(calls) == 52
     assert len({tuple(sorted(avoid.items())) for avoid in calls}) == 52
+    assert len(star_partitions(result)) == 2  # the oracle's own transfers come last
 
 
 def test_fvs1_fields_match_their_pinned_values():
@@ -609,18 +609,38 @@ def test_fvs1_fields_match_their_pinned_values():
 
 
 def test_a_tied_grouping_of_s_classes_gives_s_plus_one_star_partitions():
-    # the rule by which `dp-formula` counts its `maximizers` from `ties`:
-    # the center joins one of the s classes or stands alone
+    # the rule by which the route counts its `maximizers` as it streams
+    # the leaf groupings: the center joins one of the s classes or stands alone
     pins = json.loads((Path(__file__).parent / "golden" / "fvs1_pins.json").read_text())
     for pin in pins:
         labels = tuple(f"x{i}" for i in range(pin["n"]))
         r = fvs1_dp_polynomial(Graph(labels, tuple(map(tuple, pin["edges"]))))
-        assert len(star_partitions(r)) == sum(max(t, default=-1) + 2 for t in r.ties), pin
-        assert list(r.ties) == sorted(set(r.ties)), pin  # enumeration order, no repeats
+        assert r.maximizers == len(star_partitions(r)), pin
+
+
+def test_a_star_whose_groupings_all_tie_holds_little_memory():
+    # every grouping of K_{1,9}'s leaves ties: the result counts the
+    # Bell(10) = 115,975 tied star partitions and keeps none of the
+    # Bell(9) = 21,147 tied groupings (kept, they held 2.33 MiB)
+    import tracemalloc
+
+    from dpchroma import chromatic
+
+    star = Graph(("c",) + tuple(f"x{i}" for i in range(9)), tuple((0, i) for i in range(1, 10)))
+    tracemalloc.start()
+    try:
+        result = fvs1_dp_polynomial(star)
+        chromatic._transfers.cache_clear()
+        chromatic._moves.cache_clear()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result.maximizers == 115_975
+    assert held < 2**19, held
 
 
 def test_fvs1_builds_partition_specs_only_for_its_answer(monkeypatch):
-    # the leaf groupings and their ties stay growth strings: `partition` is
+    # the leaf groupings stay growth strings: `partition` is
     # the one PartitionSpec built, even for the star K_{1,9}, whose
     # Bell(10) = 115,975 star partitions all tie
     built = []
@@ -723,15 +743,24 @@ def test_dp_formula_refuses_a_star_over_a_long_path_by_its_summed_work(tmp_path,
     assert errors[0].count("\n") == 1 and " coefficient updates at leaf grouping " in errors[0]
 
 
-def test_the_largest_admitted_stars_answer_under_the_work_limit():
-    from dpchroma import analysis, chromatic
+def test_the_largest_admitted_stars_answer_under_the_work_limit(monkeypatch):
+    from dpchroma import analysis
 
     from test_least_row_values import alt_hub
 
+    spent = []
+
+    def metered(d, grouping):
+        count = avoidance_count(d, grouping)
+        spent.append(count[1])
+        return count
+
+    avoidance_count = analysis._avoidance_count
+    monkeypatch.setattr(analysis, "_avoidance_count", metered)
     for g in (fan(9), alt_hub(3, 5)):  # 10 star vertices each
-        before = chromatic.transfer_work
+        spent.clear()
         fvs1_dp_polynomial(g)
-        work = chromatic.transfer_work - before
+        work = sum(spent)
         assert analysis.FVS1_WORK_LIMIT // 10 < work < analysis.FVS1_WORK_LIMIT, work
 
 
@@ -770,7 +799,6 @@ def test_fvs1_compares_once_per_leaf_grouping(monkeypatch):
         tied = tuple(p for p, (relation, _) in pairs if relation == "equal")
         assert result.partition == partitions[best], g
         assert result.weight == weights[best], g
-        assert star_partitions(result) == tied, g
         # the weights take integer values, so weights[best] >= w from the
         # fold at which weights[best] + 1 > w for good; below the number of
         # parts holding a leaf no grouping of w's count is read
@@ -785,6 +813,8 @@ def test_fvs1_compares_once_per_leaf_grouping(monkeypatch):
         # the selection's counts come first, then the test's own weights
         assert len(calls) == len(groupings) + len(partitions), g
         assert len(set(calls[: len(groupings)])) == len(groupings), g
+        assert star_partitions(result) == tied, g
+        assert result.maximizers == len(tied), g
 
 
 def test_every_avoidance_count_is_monic_of_the_forest_degree():
@@ -798,5 +828,5 @@ def test_every_avoidance_count_is_monic_of_the_forest_degree():
     for d in decompositions:
         k = len(d.alphas) - 1
         for grouping in analysis._growth_strings(k, k):
-            coeffs = analysis._avoidance_count(d, grouping).coeffs
+            coeffs = analysis._avoidance_count(d, grouping)[0].coeffs
             assert len(coeffs) == d.forest.n + 1 and coeffs[-1] == 1, (d.alphas, grouping)

@@ -14,6 +14,7 @@ their vertices numbered in a shuffled order.
 """
 
 import json
+import math
 import random
 
 import pytest
@@ -34,7 +35,14 @@ from dpchroma.graphs import Graph, ThetaSpec, build_generalized_theta, spanning_
 from dpchroma.poly import M, IntPoly
 from dpchroma.verify import _valid_length_tuples
 
-from oracles import chromatic_by_subsets, reference_transfer, to_text, transversal_count, walk_steps
+from oracles import (
+    chromatic_by_subsets,
+    lowered_work_limit,
+    reference_transfer,
+    to_text,
+    transversal_count,
+    walk_steps,
+)
 
 
 def reference_chrom(n, edges):
@@ -148,7 +156,7 @@ def test_avoided_colors_against_enumeration():
         g = Graph(tuple(f"t{i}" for i in range(n)), edges)
         avoid = {v: rng.randrange(3) for v in range(n) if rng.random() < 0.6}
         s = 1 + max(avoid.values(), default=-1)
-        poly = chromatic._transfer(g, {}, avoid)
+        poly, _ = chromatic._transfer(g, {}, avoid)
         for m in range(max(s, 1), s + 3):
             allowed = [[int(c != avoid.get(v)) for c in range(m)] for v in range(n)]
             want = transversal_count(g, m, [tuple(range(m))] * len(edges), allowed)
@@ -170,19 +178,7 @@ def test_theta_identity_graphs_against_plain_recursion():
         assert chromatic_polynomial(g) == reference_chrom(g.n, list(g.edges)), g.edges
 
 
-class WorkMeter:
-    """Stands in for CHROMATIC_WORK_LIMIT: refuses nothing and keeps the
-    largest count compared with it, a transfer's whole work."""
-
-    def __init__(self):
-        self.need = 0
-
-    def __lt__(self, work: int) -> bool:  # `work > limit` lands here
-        self.need = max(self.need, work)
-        return False
-
-
-def transfer_outcome(transfer, g: Graph, named, avoid) -> IntPoly | str:
+def transfer_outcome(transfer, g: Graph, named, avoid) -> tuple[IntPoly, int] | str:
     try:
         return transfer(g, named, avoid)
     except SearchBudgetExceeded as exc:
@@ -206,7 +202,8 @@ def transfer_cases() -> list[tuple[Graph, dict, dict]]:
 @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
 def test_tabled_moves_match_the_reference_transfer(monkeypatch, cold):
     # cold clears the move and transfer tables before every transfer; warm
-    # lets them fill across all 1,040 of them, as one process does
+    # lets the move table fill across all 1,040 of them, as one process
+    # does, and the transfer table up to the next lowered limit
     rng = random.Random(1040)
     refusals = 0
 
@@ -217,21 +214,22 @@ def test_tabled_moves_match_the_reference_transfer(monkeypatch, cold):
         return chromatic._transfer(g, named, avoid)
 
     for g, named, avoid in transfer_cases():
-        monkeypatch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", CHROMATIC_WORK_LIMIT)
-        g.plan(chromatic._walk)  # so the order's scans meet no meter
-        meter = WorkMeter()
-        monkeypatch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", meter)
+        monkeypatch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", math.inf)
         want = reference_transfer(g, named, avoid)
-        limits = [CHROMATIC_WORK_LIMIT, meter.need]
-        if meter.need:
-            limits.append(rng.randrange(meter.need))
+        need = want[1]
+        limits = [CHROMATIC_WORK_LIMIT, need]
+        if need:
+            limits.append(rng.randrange(need))
         for limit in limits:
-            monkeypatch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", limit)
+            if limit < need:
+                lowered_work_limit(monkeypatch, limit)
+            else:
+                monkeypatch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", limit)
             got = transfer_outcome(tabled, g, named, avoid)
             assert got == transfer_outcome(reference_transfer, g, named, avoid), (
                 g.edges, named, avoid, limit,
             )
-            if limit < meter.need:
+            if limit < need:
                 refusals += 1
                 assert "coefficient updates at vertex" in got
             else:
@@ -314,24 +312,6 @@ def test_renamed_precolorings_share_a_transfer():
     assert table_hits() == 1
 
 
-def test_a_hit_past_a_lowered_limit_is_refused_as_a_fresh_run(monkeypatch):
-    for g in (grid(4, 4), necklace(random.Random(7), 6)):
-        named = {0: 0}
-        chromatic._transfers.cache_clear()
-        poly = chromatic._transfer(g, named, {})
-        meter = WorkMeter()
-        monkeypatch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", meter)
-        reference_transfer(g, named, {})
-        for limit in (meter.need - 1, meter.need // 2, 1):
-            monkeypatch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", limit)
-            got = transfer_outcome(chromatic._transfer, g, named, {})
-            assert got == transfer_outcome(reference_transfer, g, named, {}), limit
-            assert "coefficient updates at vertex" in got
-        monkeypatch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", meter.need)
-        assert chromatic._transfer(g, named, {}) == poly
-        assert table_hits() == 4
-
-
 def test_the_transfer_table_stays_bounded():
     # more distinct patterns than the table keeps: every answer is still
     # the reference's, and the table never holds more than its bound
@@ -402,7 +382,7 @@ def test_packed_weights_match_the_list_transfer_past_64_bits():
                 named[v] = c
         avoid = {v: rng.randrange(s) for v in range(g.n) if v not in named and rng.random() < 0.2}
         want = reference_transfer(g, named, avoid)
-        assert max(map(abs, want.coeffs)) >= 2**64, (g.edges, named, avoid)
+        assert max(map(abs, want[0].coeffs)) >= 2**64, (g.edges, named, avoid)
         assert chromatic._transfer(g, named, avoid) == want, (g.edges, named, avoid)
 
 
@@ -539,7 +519,7 @@ def test_a_star_of_7000_precolored_leaves_answers():
 
 def test_the_walk_spends_none_of_the_transfer_budget(monkeypatch):
     # a 20,000-leaf broom: the leaves sit on the frontier together
-    monkeypatch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", 1)
+    lowered_work_limit(monkeypatch, 1)
     assert len(chromatic._walk(broom(1, 20_000))[0]) == 20_002
 
 

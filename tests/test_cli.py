@@ -415,8 +415,8 @@ def test_a_second_vertex_count_line_is_refused(tmp_path, capsys):
 
 
 def test_dp_formula_on_a_star_whose_groupings_all_tie(tmp_path, monkeypatch, capsys):
-    # every grouping of K_{1,9}'s leaves ties: Bell(9) = 21,147 groupings
-    # are kept, and the Bell(10) = 115,975 star partitions are only counted
+    # every grouping of K_{1,9}'s leaves ties: the route counts the
+    # Bell(10) = 115,975 star partitions of its Bell(9) = 21,147 groupings
     path = tmp_path / "k19.graph"
     path.write_text("n 10\n" + "".join(f"e c x{i}\n" for i in range(9)))
     routes = []
@@ -431,7 +431,7 @@ def test_dp_formula_on_a_star_whose_groupings_all_tie(tmp_path, monkeypatch, cap
     assert code == 0
     payload = json.loads(out)
     assert payload["maximizers"] == 115_975
-    assert len(routes[0].ties) == 21_147
+    assert routes[0].maximizers == 115_975
     assert payload["partition"] == [["c"] + [f"x{i}" for i in range(9)]]
     want = [str(c) for c in (M * (M - 1) ** 9).coeffs]
     assert payload["polynomial"]["coefficients"] == want

@@ -57,7 +57,7 @@ def theta(*lengths):
 def theta_cover(g, m, twists_by_path):
     """Cover of a theta graph with the given twists on the u-edges of paths >= 2."""
     twists = {}
-    for i in range(g.edge_count):
+    for i in range(len(g.edges)):
         if i not in g.standard_tree:
             twists[i] = twists_by_path.get(i + 1, tuple(range(m)))
     return FullCover(g, m, twists)
@@ -65,7 +65,7 @@ def theta_cover(g, m, twists_by_path):
 
 def test_standard_tree_leaves_u_edges_free():
     g = theta(2, 3, 3)
-    assert sorted(set(range(g.edge_count)) - g.standard_tree) == [1, 2]
+    assert sorted(set(range(len(g.edges))) - g.standard_tree) == [1, 2]
 
 
 def test_identity_cover_counts():
@@ -181,7 +181,7 @@ def test_gauge_canonicalization_preserves_counts():
     rng = random.Random(15)
     for _ in range(10):
         perms = {}
-        for i in range(g.edge_count):
+        for i in range(len(g.edges)):
             p = list(range(3))
             rng.shuffle(p)
             perms[i] = tuple(p)
@@ -204,7 +204,7 @@ def test_min_over_covers_against_full_enumeration_oracle():
     # by brute force over all assignments
     for lengths, m in (((2, 2, 2), 2), ((2, 2, 2), 3), ((1, 2, 2), 3)):
         g = theta(*lengths)
-        cotree = sorted(set(range(g.edge_count)) - g.standard_tree)
+        cotree = sorted(set(range(len(g.edges))) - g.standard_tree)
         best = None
         for twists in permutations_product(m, len(cotree)):
             cover = FullCover(g, m, dict(zip(cotree, twists)))
@@ -318,7 +318,7 @@ def test_subset_agreement_examples():
     assert subset_agreement_count(theta_cover(g, 3, {2: CYCLE3}), five) == 0
     assert subset_agreement_count(theta_cover(g, 3, {2: SWAP12}), five) == 9
     ident = identity_cover(g, 3)
-    for mask in range(0, 1 << g.edge_count, 7):
+    for mask in range(0, 1 << len(g.edges), 7):
         assert subset_agreement_count(ident, mask) == 3 ** component_count(g, mask)
 
 
@@ -327,7 +327,7 @@ def test_subset_agreement_bounded_by_whitney():
     g = theta(2, 3, 3)
     for _ in range(20):
         cover = random_cover(g, 3, rng)
-        for mask in range(1 << g.edge_count):
+        for mask in range(1 << len(g.edges)):
             assert subset_agreement_count(cover, mask) <= 3 ** component_count(g, mask)
 
 
