@@ -43,7 +43,7 @@ from .analysis import (
 )
 from .chromatic import chromatic_polynomial, theta_chromatic
 from .covers import SEARCH_BUDGET, cover_to_json, min_over_covers
-from .errors import DpchromaError, GraphTooLarge, OutOfRange, SearchBudgetExceeded
+from .errors import DpchromaError, GraphTooLarge, OutOfRange
 from .graphs import Graph, ThetaSpec, build_generalized_theta
 from .poly import poly_to_json
 
@@ -184,7 +184,7 @@ def cmd_dp_exact(args):
     def lines():
         yield (
             f"P_DP({args.source}, {args.m}) = {payload['minimum']}"
-            f"  [{result.candidates} covers examined]"
+            f"  [{result.candidates} candidate covers]"
         )
         yield json.dumps(payload["witness"])
 
@@ -526,9 +526,6 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    except SearchBudgetExceeded as exc:
-        print(f"dpchroma: search budget exceeded: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except (DpchromaError, ValueError) as exc:
         print(f"dpchroma: {exc}", file=sys.stderr)
         return USAGE_ERROR

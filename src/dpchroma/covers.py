@@ -887,7 +887,7 @@ def min_over_covers(
             candidates = min(candidates * fact, over)
     if candidates > budget:
         shown = candidates if candidates < over else f"more than 10^{_SHOWN_DIGITS}"
-        raise SearchBudgetExceeded(f"{shown} covers exceed the budget of {budget}")
+        raise SearchBudgetExceeded(f"search budget exceeded: {shown} covers exceed the budget of {budget}")
     chunks = [p for p, _ in _choices(m, orderly, None)] if free_edges else [None]
     plan = g.plan(_FeedbackPlan)
     stop = prune = None

@@ -13,8 +13,9 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from functools import cached_property
+from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BadEdge, GraphTooLarge, InvalidCenter, InvalidThetaSpec
 
@@ -408,7 +409,7 @@ def feedback_vertex_set(g: Graph) -> tuple[int, ...]:
     the S it stops at is a minimum, unless more than
     `EXACT_FEEDBACK_SUBSETS` sets were to try.  A forest on n' vertices
     has at most n' - 1 edges, so only a set R that leaves at most
-    n - |R| - 1 edges gets a union-find pass (`_sets_leaving_few_edges`).
+    n - |R| - 1 edges gets a union-find pass.
     """
     pivot = find_feedback_vertex(g)
     if pivot is FeedbackVertex.NONE_NEEDED:
@@ -427,46 +428,17 @@ def feedback_vertex_set(g: Graph) -> tuple[int, ...]:
     best = tuple(sorted(chosen))
     # one vertex was ruled out above
     while len(best) > 2 and comb(g.n, len(best) - 1) <= EXACT_FEEDBACK_SUBSETS:
-        sets = _sets_leaving_few_edges(g, len(best) - 1)
+        r = len(best) - 1
+        need = len(g.edges) - (g.n - r - 1)
+        sets = (
+            s for s in combinations(range(g.n), r)
+            if len(set().union(*(g.incident[v] for v in s))) >= need
+        )
         smaller = next((s for s in sets if _leaves_forest(g, s)), None)
         if smaller is None:
             break
         best = smaller
     return best
-
-
-def _sets_leaving_few_edges(g: Graph, r: int) -> Iterator[tuple[int, ...]]:
-    """The r-sets of vertices, in `combinations` order, whose removal
-    leaves at most n - r - 1 edges: they touch `need` edges or more.  A
-    partial set that cannot reach `need` even with the largest degrees
-    after its last vertex is cut, with all its extensions; the empty set
-    first, so no set is walked when the r largest degrees fall short."""
-    need = len(g.edges) - (g.n - r - 1)
-    near = [set(x) for x in g.adjacency]
-    degree = [len(x) for x in near]
-    # top[i][j]: the sum of the j largest degrees among vertices i, i + 1, ...
-    top = []
-    for i in range(g.n + 1):
-        sums = [0]
-        for d in sorted(degree[i:], reverse=True):
-            sums.append(sums[-1] + d)
-        top.append(sums)
-    chosen: list[int] = []
-
-    def rec(start: int, touched: int) -> Iterator[tuple[int, ...]]:
-        left = r - len(chosen)
-        if touched + top[start][left] < need:
-            return
-        if not left:
-            yield tuple(chosen)
-            return
-        for v in range(start, g.n - left + 1):
-            step = degree[v] - sum(1 for u in chosen if u in near[v])
-            chosen.append(v)
-            yield from rec(v + 1, touched + step)
-            chosen.pop()
-
-    return rec(0, 0)
 
 
 def _leaves_forest(g: Graph, removed: Iterable[int]) -> bool:

@@ -592,6 +592,8 @@ def test_wide_grid_is_refused_by_the_work_limit(tmp_path, capsys):
     path.write_text(to_text(grid(10, 10)))
     assert main(["chrom", str(path)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.count("\n") == 1
-    assert err.startswith("dpchroma: search budget exceeded: ")
-    assert f"CHROMATIC_WORK_LIMIT = {CHROMATIC_WORK_LIMIT:,}" in err
+    assert out == ""
+    assert err == (
+        f"dpchroma: the chromatic transfer passed CHROMATIC_WORK_LIMIT = {CHROMATIC_WORK_LIMIT:,}"
+        " coefficient updates at vertex 45 of 100 (17,007 states)\n"
+    )
