@@ -10,11 +10,12 @@ from __future__ import annotations
 import decimal
 import math
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
+from operator import itemgetter
 from typing import NamedTuple
 
 from .chromatic import (
-    _transfer,
     chromatic_polynomial,
     theta_chromatic,
     theta_closed_form,
@@ -24,6 +25,7 @@ from .chromatic import (
 from .covers import (
     FullCover,
     PartitionSpec,
+    _forest,
     _growth_strings,
     count_colorings,
     shift_cover,
@@ -44,7 +46,7 @@ from .graphs import (
     find_feedback_vertex,
     star_forest_decomposition,
 )
-from .poly import M, IntPoly, forest_polynomial, positive_from, power_m1, sign
+from .poly import M, IntPoly, forest_polynomial, positive_from, power_m1, sign, unpack
 
 
 def _parity_case(l1: int, l2: int, l3: int) -> int:
@@ -330,13 +332,159 @@ def classify_generalized(spec: ThetaSpec) -> ParityClassification:
     return ParityClassification(spec, "eventually-less", witness, bound)
 
 
-def _avoidance_count(d: StarDecomposition, grouping: tuple[int, ...]) -> tuple[IntPoly, int]:
+class _LeafCounts:
+    """The avoidance counts of one decomposition's leaf groupings: the
+    colorings of d.forest in which leaf d.alphas[i + 1] avoids color
+    grouping[i], from one tree DP, with its coefficient updates metered.
+
+    Only the Steiner forest S, the least subforest of d.forest that holds
+    every star leaf and joins those that share a tree, is counted per
+    grouping.  Every other forest vertex has one neighbor nearer S, so it
+    multiplies the count by m - 1, or starts a tree with no star leaf (the
+    isolated center among them), and multiplies it by m: one factor
+    m^a (m - 1)^t for all groupings, with a such trees and t = n - a - |S|.
+    S is rooted along the descent of `covers._forest`, each of its trees at
+    its vertex nearest the forest tree's root.
+
+    A vertex v of S has one entry per class that the star leaves of its
+    subtree name, in order of first use along `positions` (v first, then
+    its children's leaves), and one for every other color: the colorings
+    of its subtree with v on that color.  The other entry stands for m - b
+    colors, b the classes named, so the subtree's total is the named
+    entries plus m - b times the other.  A child u turns each entry into
+    its product with u's total less u's entry for that color, and v has no
+    coloring on its own class.  So v's value is fixed by its leaves'
+    classes renamed in order of first use: v keeps its last value, with
+    that key, and reuses it while the key stays the same.  A vertex whose
+    subtree holds one star leaf has one key, and its value is made once.
+
+    Values are ints, polynomials at m = 2^B, B = 8 * `width`.  Ring
+    operations are exact on them whatever their coefficients, and only
+    the product of S's totals, the Steiner count, is read back (`unpack`).
+    By inclusion-exclusion over its N constraints (an edge of S joining
+    equal colors, a star leaf on its class's color), that count is a signed
+    sum of 2^N terms, each 0 or a power of m, so no coefficient exceeds 2^N
+    in absolute value, and B >= N + 2 holds them.  So two Steiner counts
+    are equal exactly when their packed values are; and, both monic of
+    degree |S|, they order as their packed values do, since the lower
+    digits of their difference sum to less than its top digit's place.
+
+    The meter charges every grouping what a cold count of it costs: at
+    each vertex of S, b + 1 entries updated once per child and once into
+    the total, each at the vertex's |subtree| + 1 coefficients, and the
+    shared factor's a + t linear factors multiplied in one at a time, each
+    at the coefficient count of its product.  A reused value is charged
+    what it cost to make.  All of one call's groupings may charge
+    `FVS1_WORK_LIMIT` together, checked at every vertex.
+    """
+
+    def __init__(self, d: StarDecomposition):
+        f = d.forest
+        roots, descent = _forest(f, range(len(f.edges)))
+        parent = [-1] * f.n
+        self.leaf = leaf = [-1] * f.n  # v's place in a grouping, -1 off the star
+        for i, x in enumerate(d.alphas[1:]):
+            leaf[f.index[x]] = i
+        below = [int(i >= 0) for i in leaf]  # star leaves in v's subtree
+        for v, p, _, _ in reversed(descent):
+            parent[v] = p
+            below[p] += below[v]
+        full = below.copy()  # star leaves in v's tree
+        above = [False] * f.n  # one child of v holds them all: v is off S
+        for v, p, _, _ in descent:
+            full[v] = full[p]
+            above[p] |= below[v] == full[v]
+        steiner = [bool(below[v]) and not above[v] for v in range(f.n)]
+        size, leafy = sum(steiner), sum(1 for v in roots if full[v])
+        self.width = (size - leafy + len(d.alphas) - 1 + 9) // 8  # N + 2 bits or more
+        self.trees = len(roots) - leafy
+        self.lone = f.n - self.trees - size
+        factors = self.trees + self.lone
+        self.fixed = factors * (size + 1) + factors * (factors + 1) // 2
+        self.positions: list[tuple[int, ...]] = [()] * f.n
+        self.kids: list[list[tuple[int, int, int]]] = [[] for _ in range(f.n)]
+        self.sizes = [1] * f.n
+        self.values: list[list[int]] = [[]] * f.n
+        self.totals = [0] * f.n
+        self.keys: list[tuple[int, ...]] = [()] * f.n
+        self.raws: list[tuple[int, ...] | None] = [None] * f.n
+        self.costs = [0] * f.n
+        self.steps = []  # (v, its leaves' classes) per vertex of S above two star leaves, children first
+        self.roots = []  # the roots of S
+        self.groupings = self.work = 0
+        kids: list[list[int]] = [[] for _ in range(f.n)]
+        for v in reversed(roots + [v for v, _, _, _ in descent]):
+            if not steiner[v]:
+                continue
+            spots = (leaf[v],) if leaf[v] >= 0 else ()
+            for u in kids[v]:
+                self.kids[v].append((u, len(spots), len(spots) + len(self.positions[u])))
+                spots += self.positions[u]
+                self.sizes[v] += self.sizes[u]
+            self.positions[v] = spots
+            (self.roots if below[v] == full[v] else kids[parent[v]]).append(v)
+            if len(spots) > 1:
+                self.steps.append((v, itemgetter(*spots)))
+            else:
+                self._make(v, (0,), 1)
+                self.fixed += self.costs[v]
+
+    def _make(self, v: int, key: tuple[int, ...], b: int) -> None:
+        """v's value, total and cost under the renamed classes `key`, b of
+        them."""
+        entries = None
+        for u, first, end in self.kids[v]:
+            theirs, total = self.values[u], self.totals[u]
+            moves = [total - theirs[-1]] * (b + 1)
+            for x, c in enumerate(dict.fromkeys(key[first:end])):  # u's classes in its order
+                moves[c] = total - theirs[x]
+            entries = moves if entries is None else [e * x for e, x in zip(entries, moves)]
+        if entries is None:
+            entries = [1] * (b + 1)
+        if self.leaf[v] >= 0:
+            entries[0] = 0
+        bits, other = 8 * self.width, entries[b]
+        self.values[v], self.keys[v] = entries, key
+        self.totals[v] = sum(entries) + (other << bits) - (b + 1) * other
+        self.costs[v] = (b + 1) * (len(self.kids[v]) + 1) * (self.sizes[v] + 1)
+
+    def packed(self, grouping: tuple[int, ...]) -> int:
+        """The Steiner count of `grouping`, packed."""
+        self.groupings += 1
+        spent, raws, keys, costs = self.work + self.fixed, self.raws, self.keys, self.costs
+        for v, classes in self.steps:
+            if spent > FVS1_WORK_LIMIT:
+                break
+            raw = classes(grouping)
+            if raw != raws[v]:
+                raws[v] = raw
+                seen: dict[int, int] = {}
+                key = tuple([seen.setdefault(c, len(seen)) for c in raw])
+                if key != keys[v]:
+                    self._make(v, key, len(seen))
+            spent += costs[v]
+        if spent > FVS1_WORK_LIMIT:
+            raise SearchBudgetExceeded(
+                f"the FVS-1 route passed FVS1_WORK_LIMIT = {FVS1_WORK_LIMIT:,}"
+                f" coefficient updates at leaf grouping {self.groupings:,}"
+            )
+        self.work = spent
+        return math.prod(map(self.totals.__getitem__, self.roots))
+
+    def count(self, packed: int) -> IntPoly:
+        """The avoidance count whose Steiner count is `packed`."""
+        return unpack(packed, self.width) * self.factor
+
+    @cached_property
+    def factor(self) -> IntPoly:
+        return forest_polynomial(self.trees, self.lone)
+
+
+def _avoidance_count(d: StarDecomposition, grouping: tuple[int, ...]) -> IntPoly:
     """Colorings of the forest in which leaf d.alphas[i + 1] avoids color
-    grouping[i]: m for the isolated center times the avoidance count of
-    every tree, one color-pattern transfer with avoided fixed colors, and
-    the coefficient updates that transfer metered."""
-    f = d.forest
-    return _transfer(f, {}, {f.index[v]: r for v, r in zip(d.alphas[1:], grouping)})
+    grouping[i] (`_LeafCounts`)."""
+    counts = _LeafCounts(d)
+    return counts.count(counts.packed(grouping))
 
 
 def _forest_chromatic(d: StarDecomposition) -> IntPoly:
@@ -359,7 +507,7 @@ def partition_weight(d: StarDecomposition, partition: PartitionSpec) -> IntPoly:
     if shift.keys() != set(d.alphas):
         raise ValueError("partition must cover exactly the star's vertices")
     grouping = tuple(shift[v] for v in d.alphas[1:])
-    return (_forest_chromatic(d) - _avoidance_count(d, grouping)[0]).exact_div(M)
+    return (_forest_chromatic(d) - _avoidance_count(d, grouping)).exact_div(M)
 
 
 class FeedbackPolynomialResult(NamedTuple):
@@ -385,7 +533,7 @@ class FeedbackPolynomialResult(NamedTuple):
     def value_at(self, m: int) -> int:
         """P_DP(G, m): below `stable_from`, the least count of a grouping with
         at most m classes (proof: `covers.dp_lower_bound`; a count of s
-        classes is a transfer exact at every m >= s)."""
+        classes is a leaf count exact at every m >= s)."""
         if m < 1:
             raise OutOfRange("m must be positive")
         if m >= self.stable_from:
@@ -407,18 +555,23 @@ class FeedbackPolynomialResult(NamedTuple):
 
 
 #: Most star vertices that `fvs1_dp_polynomial` accepts.  A star with k
-#: vertices has Bell(k - 1) leaf groupings, each one transfer whose fixed
-#: cost goes unmetered: past the limit (2-vCPU VM, Python 3.11) K_{1,10}
-#: and K_{1,11} answer in 3.8 s and 21 s at 17 MB, and a fan with 11 star
-#: vertices is refused by `FVS1_WORK_LIMIT` after 12 s.
+#: vertices has Bell(k - 1) leaf groupings, each one pass of the leaf DP
+#: whose fixed cost goes unmetered: past the limit (2-vCPU VM, Python
+#: 3.11, in process) K_{1,10} and K_{1,11} answer in 0.2 s and 1.7 s at
+#: 27 MB, and a fan with 11 star vertices in 3.7 s at 59 MB (under the
+#: transfer: 3.8 s and 21 s at 17 MB, and the fan refused by
+#: `FVS1_WORK_LIMIT` after 12 s).
 FVS1_STAR_LIMIT = 10
 
-#: Coefficient updates that the transfers of all of one graph's leaf
-#: groupings may meter together, summed from `_avoidance_count` and
-#: checked after each grouping.  The largest admitted sums are alt-hub
-#: 3x5's 4.0e7 and the fan with 10 star vertices' 1.5e7; a 10-star hub
-#: over a path of 100 vertices sums 2.8e9 (about 100 s) and is refused
-#: here within seconds.
+#: Coefficient updates that the leaf counts of all of one graph's leaf
+#: groupings may meter together (`_LeafCounts`, checked at every vertex).
+#: The meter counts coefficients, not their bits.  Sums under the DP, with
+#: the transfer's before them (2-vCPU VM, Python 3.11, in process): the
+#: fan with 10 star vertices 1.07e7 in 0.6 s (1.5e7 in 1.7 s), alt-hub
+#: 3x5 7.2e6 in 0.15 s (4.0e7 in 3.1 s).  A 10-star hub over a path of L
+#: vertices: L = 20 answers at 4.5e7 in 1.4 s (9.6e7 in 6.4 s); L = 100,
+#: 200 and 300 are refused at groupings 2,259, 633 and 292 after 1.0,
+#: 0.8 and 0.8 s (1,100, 323 and 158 after 2.9, 3.2 and 4.0 s).
 FVS1_WORK_LIMIT = 100_000_000
 
 
@@ -429,11 +582,13 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
     `_avoidance_count(r)`, the same for every place of the center.  The
     polynomial is the eventually least of these over the Bell(k - 1) leaf
     groupings of a star with k <= `FVS1_STAR_LIMIT` vertices, restricted-
-    growth strings (`_growth_strings`) streamed once: the least count so
-    far with its first grouping and the star partitions tied at it, and
-    per distinct count, in order of first occurrence, its fewest classes
-    and the first grouping with them.  Their transfers together may meter
-    `FVS1_WORK_LIMIT` updates.
+    growth strings (`_growth_strings`) streamed once through one leaf DP
+    (`_LeafCounts`), which compares them by their packed Steiner counts:
+    the least count so far with its first grouping and the star partitions
+    tied at it, and per distinct count, in order of first occurrence, its
+    fewest classes and the first grouping with them.  Each distinct count
+    becomes an `IntPoly` once, after the loop.  Their counts together may
+    meter `FVS1_WORK_LIMIT` updates.
     Only `partition` becomes a `PartitionSpec`: a tied grouping r has one
     star string per place j of the center, which joins class j (or stands
     alone, j = r's class count) in part 0, the classes below j moved up
@@ -463,41 +618,38 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
             f"{len(d.alphas)} star vertices exceed FVS1_STAR_LIMIT = {FVS1_STAR_LIMIT}"
         )
     k = len(d.alphas) - 1
-    firsts: dict[IntPoly, list] = {}  # count -> [fewest classes, first grouping with them]
-    dp = winner = tie = None  # the least count so far, its entry and its first grouping
-    maximizers = work = 0
-    for i, r in enumerate(_growth_strings(k, k), 1):
-        c, spent = _avoidance_count(d, r)
-        work += spent
+    counts = _LeafCounts(d)
+    firsts: dict[int, list] = {}  # packed count -> [fewest classes, first grouping with them]
+    least = winner = tie = None  # the least packed count so far, its entry and its first grouping
+    maximizers = 0
+    for r in _growth_strings(k, k):
+        c = counts.packed(r)
         s = max(r, default=-1) + 1
         first = firsts.get(c)
         if first is None:
             first = firsts[c] = [s, r]
-            if winner is None or c.coeffs[::-1] < dp.coeffs[::-1]:
-                dp, winner, tie, maximizers = c, first, r, 0
+            if winner is None or c < least:
+                least, winner, tie, maximizers = c, first, r, 0
         elif s < first[0]:
             first[:] = s, r
         if first is winner:
             maximizers += s + 1
-        if work > FVS1_WORK_LIMIT:
-            raise SearchBudgetExceeded(
-                f"the FVS-1 route passed FVS1_WORK_LIMIT = {FVS1_WORK_LIMIT:,}"
-                f" coefficient updates at leaf grouping {i:,}"
-            )
     partition = PartitionSpec.of_string(d.alphas, (0,) + tie)
+    dp = counts.count(least)
     weight = (_forest_chromatic(d) - dp).exact_div(M)
     # c >= dp from positive_from(c - dp + 1) on (h >= 0 is h + 1 > 0); value_at
     # reads c from s on, and a fold up to the part count moves nothing, so the
     # search starts at t; the winner's own difference is the constant 1
     low, parts = dp - 1, len(partition.parts)
-    counts, folds = [], [parts]
-    for c, (s, r) in firsts.items():
-        counts.append((s, c, r))
+    rows, folds = [], [parts]
+    for packed, (s, r) in firsts.items():
+        c = dp if packed == least else counts.count(packed)
+        rows.append((s, c, r))
         t = max(s, parts)
         if c is not dp and (n := positive_from(c - low, t)) > t:
             folds.append(n)
     stable_from = max(folds)
-    distinct = tuple(row for row in counts if row[0] < stable_from)
+    distinct = tuple(row for row in rows if row[0] < stable_from)
     return FeedbackPolynomialResult(d, partition, weight, dp, stable_from, maximizers, distinct)
 
 

@@ -1,19 +1,18 @@
 """Exact chromatic polynomials and coloring counts.
 
-Every chromatic polynomial, precolored or not, and every count behind
-the feedback-vertex-one weights (leaves that avoid a color) comes from
-one transfer over the vertices in a frontier-greedy order (the
-transfer-matrix method of Biggs, Damerell and Sands, JCTB 1972; Salas and
-Sokal, J. Stat. Phys. 2001): each next vertex is the one that leaves the
-fewest vertices active.  The order and its per-step table are built once
+Every chromatic polynomial, precolored or not, comes from one transfer
+over the vertices in a frontier-greedy order (the transfer-matrix method
+of Biggs, Damerell and Sands, JCTB 1972; Salas and Sokal, J. Stat. Phys.
+2001): each next vertex is the one that leaves the fewest vertices
+active.  The order and its per-step table are built once
 per graph and shared by every transfer on it.  Its states are the
 partitions of the active vertices by equal color, so its cost follows the
 width of that order, not the number of cycles.  What a state becomes at a
 step depends on a few small tuples and not on the graph, so those moves
 are worked out once per process, in a bounded table that every transfer
 reads (`_moves`).  A whole transfer depends only on the walk's shape and
-on the pattern of fixed and avoided colors along it, so each distinct one
-runs once per process, in a second bounded table (`_transfers`).  A
+on the pattern of fixed colors along it, so each distinct one runs once
+per process, in a second bounded table (`_transfers`).  A
 state's weight, a polynomial in m, is held as one integer, its value at
 m = 2^B (Kronecker substitution), with B proven from the step table to
 hold every coefficient, so each move is a shift and a small product and
@@ -48,7 +47,7 @@ def chromatic_polynomial(g: Graph) -> IntPoly:
 
     Raises `SearchBudgetExceeded` past `CHROMATIC_WORK_LIMIT` updates.
     """
-    return _transfer(g, {}, {})[0]
+    return _transfer(g, {})[0]
 
 
 #: A walk's shape: per step, the positions of the entering vertex's
@@ -132,38 +131,30 @@ def _walk(g: Graph) -> tuple[Shape, list[int]]:
     return tuple(shape), order
 
 
-def _transfer(g: Graph, named: Mapping[int, int], avoid: Mapping[int, int]) -> tuple[IntPoly, int]:
+def _transfer(g: Graph, named: Mapping[int, int]) -> tuple[IntPoly, int]:
     """Colorings of g that put each vertex v of `named` on fixed color
-    named[v] and each vertex v of `avoid` on any color but avoid[v], the s
-    fixed colors numbered 0..s-1, as a polynomial in m: the count at every
-    m at which the fixed colors are colors, with the coefficient updates
-    its transfer metered.
+    named[v], the s fixed colors numbered 0..s-1, as a polynomial in m:
+    the count at every m at which the fixed colors are colors, with the
+    coefficient updates its transfer metered.
 
     The count is `_transfers` of the walk's shape (`_walk`), s and the
-    color pattern: for each vertex that `named` or `avoid` holds, in walk
-    order, its step and its two colors, the colors renamed 0, 1, ... in
-    order of first use.  Equal graphs, or graphs whose walks have the same
-    shape, and precolorings that differ by a renaming of colors share one
-    transfer, and a table hit returns the work its entry's run metered.
-    A run past `CHROMATIC_WORK_LIMIT` raises and leaves no entry.
+    color pattern: for each vertex that `named` holds, in walk order, its
+    step and its color, the colors renamed 0, 1, ... in order of first
+    use.  Equal graphs, or graphs whose walks have the same shape, and
+    precolorings that differ by a renaming of colors share one transfer,
+    and a table hit returns the work its entry's run metered.  A run past
+    `CHROMATIC_WORK_LIMIT` raises and leaves no entry.
     """
     shape, order = g.plan(_walk)
-    s = 0  # 1 + the largest color named or avoided
+    s = 0  # 1 + the largest color named
     rename: dict[int, int] = {}  # the fixed colors in order of first use
     pattern = []
-    for i, v in enumerate(order) if named or avoid else ():  # no pass for no colors
-        fixed, shun = named.get(v), avoid.get(v)
-        if fixed is None and shun is None:
-            continue
+    for i, v in enumerate(order) if named else ():  # no pass for no colors
+        fixed = named.get(v)
         if fixed is not None:
             if fixed >= s:
                 s = fixed + 1
-            fixed = rename.setdefault(fixed, len(rename))
-        if shun is not None:
-            if shun >= s:
-                s = shun + 1
-            shun = rename.setdefault(shun, len(rename))
-        pattern.append((i, fixed, shun))
+            pattern.append((i, rename.setdefault(fixed, len(rename))))
     return _transfers(shape, s, tuple(pattern))
 
 
@@ -181,11 +172,11 @@ _TRANSFER_TABLE_SIZE = 512
 def _transfers(
     shape: Shape,
     s: int,
-    pattern: tuple[tuple[int, int | None, int | None], ...],
+    pattern: tuple[tuple[int, int], ...],
 ) -> tuple[IntPoly, int]:
     """The transfer behind `_transfer`, on a walk of the given shape with
-    s fixed colors and (step, fixed, avoided) color pattern: its
-    polynomial and the coefficient updates it metered.
+    s fixed colors and (step, fixed color) pattern: its polynomial and
+    the coefficient updates it metered.
 
     A state gives each active vertex the label of its color block, and its
     weight counts the colorings of the entered vertices that induce it.
@@ -193,10 +184,10 @@ def _transfers(
     the weight on or multiplies it by m - b.  Equal states merge.
 
     The table is sound: two calls whose graphs have walks of one shape,
-    and whose fixed and avoided colors agree step by step up to a
-    permutation p of the s fixed colors, do the same arithmetic step for
-    step.  The transfer reads a graph only through its walk's shape (n is
-    its length) and a vertex only through its fixed and avoided colors.
+    and whose fixed colors agree step by step up to a permutation p of the
+    s fixed colors, do the same arithmetic step for step.  The transfer
+    reads a graph only through its walk's shape (n is its length) and a
+    vertex only through its fixed color.
     `_moves` reads a label below s only through whether it is in `taken`
     or is `fixed`, and renumbers the free blocks among themselves, so
     under p the moves of a state are p's images of its moves, with the
@@ -215,11 +206,10 @@ def _transfers(
     coefficients so read bound a weight's own in absolute value, and
     their sum over all states grows at a step by at most what one state's
     moves multiply it by.  That is 1 for a fixed v (one move, passed on);
-    1 + |near|, plus 1 if v avoids a color, for v that retires on entry
-    (one move, m - |taken|); and 2(s + a) + 1, less 1 if v has an active
-    neighbor, for v that stays (a join per block its neighbors leave
-    free, and m - b with b <= s + a, for a active vertices before the
-    step).  So every coefficient of every weight after a step is at most
+    1 + |near| for v that retires on entry (one move, m - |taken|); and
+    2(s + a) + 1, less 1 if v has an active neighbor, for v that stays (a
+    join per block its neighbors leave free, and m - b with b <= s + a,
+    for a active vertices before the step).  So every coefficient of every weight after a step is at most
     P, the product of the factors so far.  While P < 2^(B - 2), a weight
     with d + 1 coefficients, the leading one positive (it counts
     colorings), lies in [2^(Bd - 1), 2^(B(d + 1) - 1)), so
@@ -228,17 +218,17 @@ def _transfers(
     repacked a quarter wider than P needs, so that a long walk (a path, a
     broom) is not priced at its last step's width from its first.  The
     width starts at one digit of CPython's int
-    (`sys.int_info.sizeof_digit` bytes), which small transfers such as
-    the FVS-1 weights do not outgrow.
+    (`sys.int_info.sizeof_digit` bytes), which small transfers do not
+    outgrow.
     """
-    colors = {i: (fixed, shun) for i, fixed, shun in pattern}
+    colors = dict(pattern)
     width, bound, active = sys.int_info.sizeof_digit, 1, 0
     states: dict[tuple[int, ...], int] = {(): 1}
     work = 0
     for i, (near, keep, stays) in enumerate(shape):
-        fixed, shun = colors.get(i, (None, None))
+        fixed = colors.get(i)
         if fixed is None:
-            bound *= 2 * (s + active) + (not near) if stays else 1 + len(near) + (shun is not None)
+            bound *= 2 * (s + active) + (not near) if stays else 1 + len(near)
         active = len(keep) + stays
         need = bound.bit_length() + 2
         if need > 8 * width:
@@ -248,7 +238,7 @@ def _transfers(
         bits = 8 * width
         merged: dict[tuple[int, ...], int] = {}
         for labels, w in states.items():
-            moves = _moves(labels, near, keep, stays, fixed, shun, s)
+            moves = _moves(labels, near, keep, stays, fixed, s)
             work += (w.bit_length() // bits + 1) * len(moves)
             if work > CHROMATIC_WORK_LIMIT:
                 raise SearchBudgetExceeded(
@@ -282,7 +272,6 @@ def _moves(
     keep: tuple[int, ...],
     stays: bool,
     fixed: int | None,
-    shun: int | None,
     s: int,
 ) -> tuple[tuple[tuple[int, ...], int | None], ...]:
     """The moves of one state as a vertex v enters: pairs (key, b), the
@@ -294,14 +283,12 @@ def _moves(
     tuples.  With b blocks (the s fixed ones included), v joins a block
     that holds none of its neighbors (the active vertices at `near`), or
     takes one of the m - b new colors; v fixed to a color may only join
-    its own block, and v that avoids a color treats that block as taken.
+    its own block.
     The key keeps the labels at `keep`, their free blocks renumbered, and
     v's own block when v `stays`.  A pure function of its arguments, so
     it is kept in a process-wide table (`_MOVE_TABLE_SIZE`)."""
     b = max(s, max(labels, default=-1) + 1)
     taken = {labels[k] for k in near}
-    if shun is not None:
-        taken.add(shun)
     free: dict[int, int] = {}  # the kept free blocks, renumbered in order
     kept = tuple(
         a if a < s else free.setdefault(a, s + len(free)) for a in map(labels.__getitem__, keep)
@@ -483,4 +470,4 @@ def precolored_polynomial(g: Graph, pc: Precoloring) -> IntPoly:
     """
     _check_precoloring(g, pc)
     colors = sorted(set(pc.assignment.values()))
-    return _transfer(g, {g.index[v]: colors.index(c) for v, c in pc.assignment.items()}, {})[0]
+    return _transfer(g, {g.index[v]: colors.index(c) for v, c in pc.assignment.items()})[0]

@@ -33,7 +33,8 @@ and composes a cover's permutations only where a cycle can close: a
 forest subset agrees on m^c colorings whatever the twists.
 Set partitions have one enumerator, `_growth_strings` (row keys, FVS-1 leaf
 groupings, and star partitions in `partitions_of`); shift covers of star
-partitions live here too, weighed by `analysis._avoidance_count`.
+partitions live here too, weighed by the leaf DP of `analysis._LeafCounts`,
+which roots its Steiner forest along a `_forest` descent.
 """
 
 from __future__ import annotations

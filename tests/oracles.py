@@ -5,7 +5,9 @@ Everything here enumerates but `theta_transfer_count` and
 values computed by these oracles or compare the fast paths against them
 directly.  `reference_transfer` is the colour-pattern transfer as it was
 before its moves were tabled, each state's moves worked out afresh on the
-same walk, the reference of `chromatic._transfer` and its refusals.  The two
+same walk, the reference of `chromatic._transfer` and its refusals; with
+the avoided colours that the package's transfer no longer takes, it is
+the reference of the FVS-1 leaf DP (`analysis._LeafCounts`).  The two
 subset sums run the package's one inclusion-exclusion oracle,
 `verify.subset_sum`; `subset_agreement_count` answers one subset of a
 cover from a fresh forest pass, the oracle of `covers.subset_walk`;

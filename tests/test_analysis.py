@@ -563,23 +563,24 @@ def test_fvs1_weights_take_no_deletion_contraction(monkeypatch):
 
     monkeypatch.setattr(chromatic, "precolored_polynomial", refuse)
     monkeypatch.setattr(verify, "precolored_polynomial", refuse)
+    monkeypatch.setattr(chromatic, "_transfer", refuse)  # the leaf DP is the one engine
     calls = []
-    transfer = analysis._transfer
+    packed = analysis._LeafCounts.packed
 
-    def counted(g, named, avoid):
-        calls.append(avoid)
-        return transfer(g, named, avoid)
+    def counted(self, grouping):
+        calls.append(grouping)
+        return packed(self, grouping)
 
-    monkeypatch.setattr(analysis, "_transfer", counted)
+    monkeypatch.setattr(analysis._LeafCounts, "packed", counted)
     result = fvs1_dp_polynomial(fan(5))
     # golden values, computed by the subset sum over deletion-contraction
     assert result.dp_polynomial.coeffs == (0, -16, 48, -56, 32, -9, 1)
     assert result.weight.coeffs == (16, -47, 52, -26, 5)
     assert result.stable_from == 1
-    # one transfer per grouping of the 5 leaves: Bell(5), not Bell(6) = 203
+    # one leaf count per grouping of the 5 leaves: Bell(5), not Bell(6) = 203
     assert len(calls) == 52
-    assert len({tuple(sorted(avoid.items())) for avoid in calls}) == 52
-    assert len(star_partitions(result)) == 2  # the oracle's own transfers come last
+    assert len(set(calls)) == 52
+    assert len(star_partitions(result)) == 2  # the oracle's own counts come last
 
 
 def test_fvs1_fields_match_their_pinned_values():
@@ -694,7 +695,7 @@ def test_dp_formula_refuses_stars_past_the_partition_limit(tmp_path, monkeypatch
         raise AssertionError("partitions enumerated past the limit")
 
     monkeypatch.setattr(analysis, "_growth_strings", refuse)
-    monkeypatch.setattr(analysis, "_transfer", refuse)
+    monkeypatch.setattr(analysis, "_LeafCounts", refuse)
     leaves = tuple(f"l{i:04d}" for i in range(4000))
     star = Graph(("a",) + leaves, tuple((0, i) for i in range(1, 4001)))
     # 11 star vertices (Bell(10) = 115,975 leaf groupings), and 4,001, whose
@@ -722,10 +723,11 @@ def hub_over_path(length, spokes=9):
 
 
 def test_dp_formula_refuses_a_star_over_a_long_path_by_its_summed_work(tmp_path, capsys):
-    # 10 star vertices, 21,147 leaf groupings whose transfers sum to about
-    # 3e9 updates at 100 path vertices; at 200 the limit is passed soonest.
-    # The second run reads every transfer from the table, counts each
-    # entry's reading and is refused at the same grouping.
+    # 10 star vertices, 21,147 leaf groupings whose leaf counts would sum
+    # to about 3e9 updates; at 200 path vertices the limit is passed at
+    # grouping 633.  The meter charges every grouping what a cold count of
+    # it costs, so a second run in the same process is refused at the same
+    # grouping.
     import time
 
     from dpchroma.cli import main
@@ -748,20 +750,25 @@ def test_the_largest_admitted_stars_answer_under_the_work_limit(monkeypatch):
 
     from test_least_row_values import alt_hub
 
-    spent = []
+    made = []
+    init = analysis._LeafCounts.__init__
 
-    def metered(d, grouping):
-        count = avoidance_count(d, grouping)
-        spent.append(count[1])
-        return count
+    def kept(self, d):
+        init(self, d)
+        made.append(self)
 
-    avoidance_count = analysis._avoidance_count
-    monkeypatch.setattr(analysis, "_avoidance_count", metered)
-    for g in (fan(9), alt_hub(3, 5)):  # 10 star vertices each
-        spent.clear()
+    monkeypatch.setattr(analysis._LeafCounts, "__init__", kept)
+    spent = {}
+    for name, g in (("fan", fan(9)), ("alt-hub", alt_hub(3, 5))):  # 10 star vertices each
+        made.clear()
         fvs1_dp_polynomial(g)
-        work = sum(spent)
-        assert analysis.FVS1_WORK_LIMIT // 10 < work < analysis.FVS1_WORK_LIMIT, work
+        (counts,) = made  # one DP for all 21,147 groupings
+        spent[name] = counts.work
+    # the meter's sums, a function of the graph alone; the fan's is within
+    # a factor 10 of the limit, alt-hub's three 5-vertex trees cost less
+    assert spent == {"fan": 10_670_551, "alt-hub": 7_206_429}, spent
+    assert analysis.FVS1_WORK_LIMIT // 10 < spent["fan"] < analysis.FVS1_WORK_LIMIT
+    assert spent["alt-hub"] < analysis.FVS1_WORK_LIMIT
 
 
 def test_fvs1_compares_once_per_leaf_grouping(monkeypatch):
@@ -775,13 +782,13 @@ def test_fvs1_compares_once_per_leaf_grouping(monkeypatch):
     from dpchroma.poly import eventual_compare
 
     calls = []
+    packed = analysis._LeafCounts.packed
 
-    def counted(d, grouping):
+    def counted(self, grouping):
         calls.append(grouping)
-        return avoidance_count(d, grouping)
+        return packed(self, grouping)
 
-    avoidance_count = analysis._avoidance_count
-    monkeypatch.setattr(analysis, "_avoidance_count", counted)
+    monkeypatch.setattr(analysis._LeafCounts, "packed", counted)
     graphs = [fan(4), fan(5), theta(2, 2, 2), theta(2, 3, 3), theta(2, 2, 3, 3)]
     graphs += [g for g, _ in fvs1_instances()]
     for g in graphs:
@@ -819,14 +826,23 @@ def test_fvs1_compares_once_per_leaf_grouping(monkeypatch):
 
 def test_every_avoidance_count_is_monic_of_the_forest_degree():
     # the premise of the FVS-1 selection, which orders the counts by their
-    # coefficients read from the top
+    # coefficients read from the top, and of the leaf DP, which orders them
+    # by their packed Steiner counts: each monic of degree |S|, the count
+    # that Steiner count times the shared factor
     from dpchroma import analysis
+    from dpchroma.poly import unpack
 
     graphs = [fan(4), fan(5), theta(2, 2, 2), theta(2, 3, 3), theta(2, 2, 3, 3)]
     decompositions = [fvs1_dp_polynomial(g).decomposition for g in graphs]
     decompositions += [star_forest_decomposition(g, c) for g, c in fvs1_instances()]
     for d in decompositions:
         k = len(d.alphas) - 1
+        counts = analysis._LeafCounts(d)
+        steiner = d.forest.n - counts.trees - counts.lone
         for grouping in analysis._growth_strings(k, k):
-            coeffs = analysis._avoidance_count(d, grouping)[0].coeffs
+            count = analysis._avoidance_count(d, grouping)
+            coeffs = count.coeffs
             assert len(coeffs) == d.forest.n + 1 and coeffs[-1] == 1, (d.alphas, grouping)
+            packed = unpack(counts.packed(grouping), counts.width)
+            assert len(packed.coeffs) == steiner + 1 and packed.coeffs[-1] == 1, (d.alphas, grouping)
+            assert packed * counts.factor == count, (d.alphas, grouping)

@@ -6,11 +6,13 @@ keeps the partitions of the active vertices by color.  Each component
 starts at a least-degree vertex; each next vertex is the frontier vertex
 that leaves the fewest active vertices, then the one with the most
 entered neighbors, then the one with the fewest unentered neighbors,
-then the lowest index.  The transfer also takes colors a vertex must
-avoid, as the feedback-vertex-one weights need.  The graphs here have what
-that walk must get right: isolated vertices, pendant trees, several
-components, cycles sharing a vertex and cycles joined by bridges, with
-their vertices numbered in a shuffled order.
+then the lowest index.  The graphs here have what that walk must get
+right: isolated vertices, pendant trees, several components, cycles
+sharing a vertex and cycles joined by bridges, with their vertices
+numbered in a shuffled order.  Colors that a vertex must avoid, which
+the feedback-vertex-one weights need, are counted by the leaf DP
+(`analysis._LeafCounts`) instead; its cases here check it against
+enumeration and against the reference transfer, which still takes them.
 """
 
 import json
@@ -20,6 +22,7 @@ import random
 import pytest
 
 from dpchroma import chromatic
+from dpchroma.analysis import _avoidance_count, _growth_strings, _LeafCounts
 from dpchroma.chromatic import (
     CHROMATIC_WORK_LIMIT,
     Precoloring,
@@ -31,7 +34,14 @@ from dpchroma.chromatic import (
 from dpchroma.cli import main
 from dpchroma.covers import count_colorings, identity_cover
 from dpchroma.errors import SearchBudgetExceeded
-from dpchroma.graphs import Graph, ThetaSpec, build_generalized_theta, spanning_forest
+from dpchroma.graphs import (
+    Graph,
+    StarDecomposition,
+    ThetaSpec,
+    build_generalized_theta,
+    spanning_forest,
+    star_forest_decomposition,
+)
 from dpchroma.poly import M, IntPoly
 from dpchroma.verify import _valid_length_tuples
 
@@ -148,7 +158,21 @@ def test_random_precolorings_against_counts():
     assert conflicts >= 3
 
 
+def star_over(f: Graph, avoid: dict[int, int]) -> tuple[StarDecomposition, tuple[int, ...]]:
+    """The star decomposition of the forest f with a center joined to every
+    vertex of `avoid`, and the leaf grouping that has each such vertex
+    avoid its color, the colors renamed in order of first use along the
+    star.  Its forest is f with the center isolated, as vertex f.n."""
+    g = Graph(f.vertices + ("center",), f.edges + tuple((v, f.n) for v in sorted(avoid)))
+    d = star_forest_decomposition(g, "center")
+    names: dict[int, int] = {}
+    grouping = tuple(names.setdefault(avoid[g.index[x]], len(names)) for x in d.alphas[1:])
+    return d, grouping
+
+
 def test_avoided_colors_against_enumeration():
+    # the leaf DP on a forest whose leaves avoid colors, times m for the
+    # isolated center
     rng = random.Random(4242)
     for _ in range(60):
         n = rng.randint(1, 6)
@@ -156,11 +180,11 @@ def test_avoided_colors_against_enumeration():
         g = Graph(tuple(f"t{i}" for i in range(n)), edges)
         avoid = {v: rng.randrange(3) for v in range(n) if rng.random() < 0.6}
         s = 1 + max(avoid.values(), default=-1)
-        poly, _ = chromatic._transfer(g, {}, avoid)
+        poly = _avoidance_count(*star_over(g, avoid))
         for m in range(max(s, 1), s + 3):
             allowed = [[int(c != avoid.get(v)) for c in range(m)] for v in range(n)]
             want = transversal_count(g, m, [tuple(range(m))] * len(edges), allowed)
-            assert poly(m) == want, (edges, avoid, m)
+            assert poly(m) == m * want, (edges, avoid, m)
 
 
 def theta_identity_graphs() -> list[Graph]:
@@ -178,16 +202,23 @@ def test_theta_identity_graphs_against_plain_recursion():
         assert chromatic_polynomial(g) == reference_chrom(g.n, list(g.edges)), g.edges
 
 
-def transfer_outcome(transfer, g: Graph, named, avoid) -> tuple[IntPoly, int] | str:
+def transfer_outcome(transfer, g: Graph, named) -> tuple[IntPoly, int] | str:
     try:
-        return transfer(g, named, avoid)
+        return transfer(g, named)
     except SearchBudgetExceeded as exc:
         return str(exc)
 
 
+def reference(g: Graph, named) -> tuple[IntPoly, int]:
+    """The reference transfer with fixed colors alone."""
+    return reference_transfer(g, named, {})
+
+
 def transfer_cases() -> list[tuple[Graph, dict, dict]]:
     """The 840 theta-identity graphs, and 200 seeded random graphs with
-    random fixed and avoided colors, a vertex sometimes given both."""
+    random fixed colors for the transfer and random avoided colors, a
+    vertex sometimes given both, for the leaf DP on the graph's spanning
+    forest."""
     rng = random.Random(2828)
     cases = [(g, {}, {}) for g in theta_identity_graphs()]
     for _ in range(200):
@@ -207,15 +238,15 @@ def test_tabled_moves_match_the_reference_transfer(monkeypatch, cold):
     rng = random.Random(1040)
     refusals = 0
 
-    def tabled(g, named, avoid):
+    def tabled(g, named):
         if cold:
             chromatic._moves.cache_clear()
             chromatic._transfers.cache_clear()
-        return chromatic._transfer(g, named, avoid)
+        return chromatic._transfer(g, named)
 
-    for g, named, avoid in transfer_cases():
+    for g, named, _ in transfer_cases():
         monkeypatch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", math.inf)
-        want = reference_transfer(g, named, avoid)
+        want = reference(g, named)
         need = want[1]
         limits = [CHROMATIC_WORK_LIMIT, need]
         if need:
@@ -225,10 +256,8 @@ def test_tabled_moves_match_the_reference_transfer(monkeypatch, cold):
                 lowered_work_limit(monkeypatch, limit)
             else:
                 monkeypatch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", limit)
-            got = transfer_outcome(tabled, g, named, avoid)
-            assert got == transfer_outcome(reference_transfer, g, named, avoid), (
-                g.edges, named, avoid, limit,
-            )
+            got = transfer_outcome(tabled, g, named)
+            assert got == transfer_outcome(reference, g, named), (g.edges, named, limit)
             if limit < need:
                 refusals += 1
                 assert "coefficient updates at vertex" in got
@@ -258,44 +287,52 @@ def table_hits() -> int:
 def test_tabled_transfers_match_the_reference_transfer():
     # each case with the transfer table cleared (a miss), then again (a
     # hit), each answer the reference's
-    for g, named, avoid in transfer_cases():
-        want = reference_transfer(g, named, avoid)
+    for g, named, _ in transfer_cases():
+        want = reference(g, named)
         chromatic._transfers.cache_clear()
-        assert chromatic._transfer(g, named, avoid) == want, (g.edges, named, avoid)
+        assert chromatic._transfer(g, named) == want, (g.edges, named)
         assert table_hits() == 0
-        assert chromatic._transfer(g, named, avoid) == want, (g.edges, named, avoid)
+        assert chromatic._transfer(g, named) == want, (g.edges, named)
         assert table_hits() == 1
+
+
+def test_leaf_counts_match_the_reference_transfer():
+    # the avoided colors of each case, on the graph's spanning forest, by
+    # the leaf DP against the reference transfer with avoided colors
+    for g, _, avoid in transfer_cases():
+        cotree = set(spanning_forest(g.n, g.edges)[1])
+        f = Graph(g.vertices, tuple(e for i, e in enumerate(g.edges) if i not in cotree))
+        d, grouping = star_over(f, avoid)
+        want = reference_transfer(d.forest, {}, avoid)[0]
+        assert _avoidance_count(d, grouping) == want, (f.edges, avoid)
 
 
 def test_renamed_colors_share_a_transfer_and_other_patterns_do_not():
     rng = random.Random(3131)
     renamed = 0
-    for _ in range(60):
+    for _ in range(80):
         g = random_graph(rng, rng.randint(2, 9), 12)
-        named = {v: rng.randrange(4) for v in range(g.n) if rng.random() < 0.3}
-        avoid = {v: rng.randrange(4) for v in range(g.n) if rng.random() < 0.3}
+        named = {v: rng.randrange(4) for v in range(g.n) if rng.random() < 0.5}
         # the colors used, numbered 0..s-1 as the callers number them, so
         # that every permutation of them keeps s
-        used = sorted({*named.values(), *avoid.values()})
+        used = sorted(set(named.values()))
         if not used:
             continue
         named = {v: used.index(c) for v, c in named.items()}
-        avoid = {v: used.index(c) for v, c in avoid.items()}
         chromatic._transfers.cache_clear()
-        chromatic._transfer(g, named, avoid)
+        chromatic._transfer(g, named)
         p = list(range(len(used)))
         rng.shuffle(p)
         renamed += p != sorted(p)
         named2 = {v: p[c] for v, c in named.items()}
-        avoid2 = {v: p[c] for v, c in avoid.items()}
-        assert chromatic._transfer(g, named2, avoid2) == reference_transfer(g, named2, avoid2)
-        assert table_hits() == 1, (g.edges, named, avoid, p)
-        # one more avoided color, on a vertex that avoided none, is another pattern
-        v = next((v for v in range(g.n) if v not in avoid), None)
+        assert chromatic._transfer(g, named2) == reference(g, named2)
+        assert table_hits() == 1, (g.edges, named, p)
+        # one more fixed color, on a vertex that had none, is another pattern
+        v = next((v for v in range(g.n) if v not in named), None)
         if v is not None:
-            avoid3 = {**avoid, v: 0}
-            assert chromatic._transfer(g, named, avoid3) == reference_transfer(g, named, avoid3)
-            assert table_hits() == 1, (g.edges, named, avoid3)
+            named3 = {**named, v: 0}
+            assert chromatic._transfer(g, named3) == reference(g, named3)
+            assert table_hits() == 1, (g.edges, named3)
     assert renamed >= 30
 
 
@@ -319,8 +356,8 @@ def test_the_transfer_table_stays_bounded():
     chromatic._transfers.cache_clear()
     size = chromatic._TRANSFER_TABLE_SIZE
     for k in range(size + 40):
-        avoid = {v: 0 for v in range(12) if k >> v & 1}
-        assert chromatic._transfer(g, {}, avoid) == reference_transfer(g, {}, avoid), k
+        named = {v: 0 for v in range(12) if k >> v & 1}
+        assert chromatic._transfer(g, named) == reference(g, named), k
         info = chromatic._transfers.cache_info()
         assert info.currsize <= info.maxsize == size
     assert chromatic._transfers.cache_info().misses == size + 40
@@ -331,23 +368,23 @@ def test_packed_weights_match_the_list_transfer_on_grids():
     # the 7x7 grid's walk outgrows its first width several times
     for k in (6, 7):
         g = grid(k, k)
-        assert chromatic._transfer(g, {}, {}) == reference_transfer(g, {}, {}), k
+        assert chromatic._transfer(g, {}) == reference(g, {}), k
 
 
 def test_packed_weights_match_the_list_transfer_on_fan_groupings():
     # a seeded sample of the 21,147 avoidance counts behind dp-formula on
-    # the fan with 10 star vertices (hub c, leaves l0-l8 on a path)
-    from dpchroma.analysis import _growth_strings
-    from dpchroma.graphs import star_forest_decomposition
-
+    # the fan with 10 star vertices (hub c, leaves l0-l8 on a path), by
+    # the leaf DP's packed values, one DP for all of them as the route runs
     names = ("c",) + tuple(f"l{i}" for i in range(9))
     edges = tuple((0, i) for i in range(1, 10)) + tuple((i, i + 1) for i in range(1, 9))
     d = star_forest_decomposition(Graph(names, edges), "c")
     f = d.forest
+    counts = _LeafCounts(d)
     groupings = random.Random(2147).sample(list(_growth_strings(9, 9)), 300)
     for grouping in groupings:
         avoid = {f.index[v]: r for v, r in zip(d.alphas[1:], grouping)}
-        assert chromatic._transfer(f, {}, avoid) == reference_transfer(f, {}, avoid), grouping
+        want = reference_transfer(f, {}, avoid)[0]
+        assert counts.count(counts.packed(grouping)) == want, grouping
 
 
 def necklace(rng: random.Random, beads: int) -> Graph:
@@ -369,8 +406,8 @@ def necklace(rng: random.Random, beads: int) -> Graph:
 
 
 def test_packed_weights_match_the_list_transfer_past_64_bits():
-    # long seeded graphs with fixed and avoided colors, whose coefficients
-    # need more than a machine word and whose walks repack many times
+    # long seeded graphs with fixed colors, whose coefficients need more
+    # than a machine word and whose walks repack many times
     rng = random.Random(6464)
     for _ in range(20):
         g = necklace(rng, 25)
@@ -380,10 +417,9 @@ def test_packed_weights_match_the_list_transfer_past_64_bits():
             c = rng.randrange(s)
             if all(named.get(u) != c for u in g.adjacency[v]):
                 named[v] = c
-        avoid = {v: rng.randrange(s) for v in range(g.n) if v not in named and rng.random() < 0.2}
-        want = reference_transfer(g, named, avoid)
-        assert max(map(abs, want[0].coeffs)) >= 2**64, (g.edges, named, avoid)
-        assert chromatic._transfer(g, named, avoid) == want, (g.edges, named, avoid)
+        want = reference(g, named)
+        assert max(map(abs, want[0].coeffs)) >= 2**64, (g.edges, named)
+        assert chromatic._transfer(g, named) == want, (g.edges, named)
 
 
 def transfer_order(g: Graph) -> list[int]:

@@ -200,8 +200,8 @@ def test_fvs1_computes_the_frontier_order_once(monkeypatch):
     monkeypatch.setattr(chromatic, "_walk", counting)
     result = fvs1_dp_polynomial(fan(5))
     d = result.decomposition
-    assert orders == [d.forest]
-    # the subset-sum oracle and repeated precolored polynomials reuse it
+    assert orders == []  # the leaf DP walks the forest's own descent
+    # the subset-sum oracle and repeated precolored polynomials share one walk
     assert partition_weight_by_subsets(d, result.partition) == result.weight
     center = d.alphas[0]
     for color in (1, 2):
