@@ -46,7 +46,7 @@ from .graphs import (
     find_feedback_vertex,
     star_forest_decomposition,
 )
-from .poly import M, IntPoly, forest_polynomial, positive_from, power_m1, sign, unpack
+from .poly import M, IntPoly, forest_polynomial, pack, positive_from, power_m1, sign, unpack
 
 
 def _parity_case(l1: int, l2: int, l3: int) -> int:
@@ -343,8 +343,8 @@ class _LeafCounts:
     multiplies the count by m - 1, or starts a tree with no star leaf (the
     isolated center among them), and multiplies it by m: one factor
     m^a (m - 1)^t for all groupings, with a such trees and t = n - a - |S|.
-    S is rooted along the descent of `covers._forest`, each of its trees at
-    its vertex nearest the forest tree's root.
+    Each tree of S is rooted at its least star leaf, so that a path of S
+    between two star leaves multiplies no two children's polynomials.
 
     A vertex v of S has one entry per class that the star leaves of its
     subtree name, in order of first use along `positions` (v first, then
@@ -354,9 +354,20 @@ class _LeafCounts:
     entries plus m - b times the other.  A child u turns each entry into
     its product with u's total less u's entry for that color, and v has no
     coloring on its own class.  So v's value is fixed by its leaves'
-    classes renamed in order of first use: v keeps its last value, with
-    that key, and reuses it while the key stays the same.  A vertex whose
-    subtree holds one star leaf has one key, and its value is made once.
+    classes renamed in order of first use, its key.
+
+    A run is a vertex of S, its first, and the path above it of vertices
+    that are no star leaf and have one child in S, its climbs.  A climb
+    has its child's key and maps its child's entries x, with total T, to
+    T - x, and T to (m - 1)T.  So a run is made from its first vertex up
+    whenever its key changes, each climb dropping the entries below it,
+    and only its last vertex keeps a value: with l star leaves, S has at
+    most l - 1 vertices of two children or more, so at most 2l - 1 values
+    are kept, each at most l + 2 polynomials of degree |S| or less.  The
+    run up from a star leaf alone is made once, in closed form: its j
+    climbs are (A - I)^j on x = (0, 1) and T = m - 1, with A = 1 w^T of
+    rank one, w the entries' weights; since A^2 = mA, that gives
+    (-1)^j x + D_j T, D_j = ((m - 1)^j - (-1)^j) / m, and (m - 1)^(j + 1).
 
     Values are ints, polynomials at m = 2^B, B = 8 * `width`.  Ring
     operations are exact on them whatever their coefficients, and only
@@ -369,25 +380,29 @@ class _LeafCounts:
     degree |S|, they order as their packed values do, since the lower
     digits of their difference sum to less than its top digit's place.
 
-    The meter charges every grouping what a cold count of it costs: at
-    each vertex of S, b + 1 entries updated once per child and once into
-    the total, each at the vertex's |subtree| + 1 coefficients, and the
-    shared factor's a + t linear factors multiplied in one at a time, each
-    at the coefficient count of its product.  A reused value is charged
-    what it cost to make.  All of one call's groupings may charge
-    `FVS1_WORK_LIMIT` together, checked at every vertex.
+    The meter charges every grouping what a cold count of it vertex by
+    vertex costs: at each vertex of S, b + 1 entries updated once per
+    child and once into the total, each at the vertex's |subtree| + 1
+    coefficients, and b + 1 products of two children's polynomials at the
+    product of their coefficient counts; and the shared factor's a + t
+    linear factors multiplied in one at a time, each at the coefficient
+    count of its product.  A run made per grouping works on packed values
+    of up to (|subtree| + 1)B bits, so its updates are charged in 64-bit
+    words, times B / 64 rounded up; a run made once, in closed form, is
+    charged its coefficient updates alone.  A reused run is charged what
+    it cost to make.  All of one call's groupings may charge
+    `FVS1_WORK_LIMIT` together, checked before each run is made.
     """
 
     def __init__(self, d: StarDecomposition):
         f = d.forest
         roots, descent = _forest(f, range(len(f.edges)))
-        parent = [-1] * f.n
+        self.decomposition = d
         self.leaf = leaf = [-1] * f.n  # v's place in a grouping, -1 off the star
         for i, x in enumerate(d.alphas[1:]):
             leaf[f.index[x]] = i
         below = [int(i >= 0) for i in leaf]  # star leaves in v's subtree
         for v, p, _, _ in reversed(descent):
-            parent[v] = p
             below[p] += below[v]
         full = below.copy()  # star leaves in v's tree
         above = [False] * f.n  # one child of v holds them all: v is off S
@@ -402,67 +417,105 @@ class _LeafCounts:
         factors = self.trees + self.lone
         self.fixed = factors * (size + 1) + factors * (factors + 1) // 2
         self.positions: list[tuple[int, ...]] = [()] * f.n
+        # per vertex of S, its children's runs: (their last vertex, the span of their leaves)
         self.kids: list[list[tuple[int, int, int]]] = [[] for _ in range(f.n)]
         self.sizes = [1] * f.n
-        self.values: list[list[int]] = [[]] * f.n
-        self.totals = [0] * f.n
+        # per run, at its first vertex: its last, climbs, cost over b + 1 and key
+        self.tops = list(range(f.n))
+        self.climbs = [0] * f.n
+        self.rates = [0] * f.n
         self.keys: list[tuple[int, ...]] = [()] * f.n
-        self.raws: list[tuple[int, ...] | None] = [None] * f.n
-        self.costs = [0] * f.n
-        self.steps = []  # (v, its leaves' classes) per vertex of S above two star leaves, children first
+        self.values: list[list[int]] = [[]] * f.n  # at a run's last vertex
+        self.totals = [0] * f.n
+        self.steps = []  # (first vertex, its leaves' classes) per run above two star leaves, children first
         self.roots = []  # the roots of S
         self.groupings = self.work = 0
+        near: list[list[int]] = [[] for _ in range(f.n)]  # v's neighbors in S
+        for v, p, _, _ in descent:
+            if steiner[v] and steiner[p]:
+                near[v].append(p)
+                near[p].append(v)
         kids: list[list[int]] = [[] for _ in range(f.n)]
-        for v in reversed(roots + [v for v, _, _, _ in descent]):
-            if not steiner[v]:
+        order = []  # S's vertices, each tree from its least star leaf, parents first
+        seen = [False] * f.n
+        for root in range(f.n):
+            if leaf[root] < 0 or seen[root]:
                 continue
-            spots = (leaf[v],) if leaf[v] >= 0 else ()
+            seen[root] = True
+            self.roots.append(root)
+            stack = [root]
+            while stack:
+                order.append(x := stack.pop())
+                for y in near[x]:
+                    if not seen[y]:
+                        seen[y] = True
+                        kids[x].append(y)
+                        stack.append(y)
+        first = list(range(f.n))  # the first vertex of v's run
+        once = []  # the runs above one star leaf
+        for v in reversed(order):
+            spots, rate = (leaf[v],) if leaf[v] >= 0 else (), 0
             for u in kids[v]:
                 self.kids[v].append((u, len(spots), len(spots) + len(self.positions[u])))
                 spots += self.positions[u]
+                if len(self.kids[v]) > 1:  # a product of two children's polynomials
+                    rate += self.sizes[v] * (self.sizes[u] + 1)
                 self.sizes[v] += self.sizes[u]
             self.positions[v] = spots
-            (self.roots if below[v] == full[v] else kids[parent[v]]).append(v)
-            if len(spots) > 1:
+            if leaf[v] < 0 and len(kids[v]) == 1:  # a climb
+                first[v] = r = first[kids[v][0]]
+                self.tops[r] = v
+                self.climbs[r] += 1
+            elif len(spots) > 1:
+                r = v
                 self.steps.append((v, itemgetter(*spots)))
             else:
-                self._make(v, (0,), 1)
-                self.fixed += self.costs[v]
+                r = v
+                once.append(v)
+            self.rates[r] += rate + (len(kids[v]) + 1) * (self.sizes[v] + 1)
+        for r, _ in self.steps:
+            self.rates[r] *= -(-self.width // 8)  # the 64-bit words of a coefficient
+        bits = 8 * self.width
+        for r in once:  # a star leaf, x = (0, 1) and T = m - 1, and its climbs
+            self.fixed += 2 * self.rates[r]
+            if self.fixed > FVS1_WORK_LIMIT:
+                break  # every grouping is refused
+            j = self.climbs[r]
+            power, flip = pack(power_m1(j + 1), self.width), (-1) ** j  # (m - 1)^(j + 1), (-1)^j
+            lift = (power - flip * ((1 << bits) - 1)) >> bits  # D_j (m - 1)
+            self.values[self.tops[r]], self.totals[self.tops[r]] = [lift, lift + flip], power
 
-    def _make(self, v: int, key: tuple[int, ...], b: int) -> None:
-        """v's value, total and cost under the renamed classes `key`, b of
-        them."""
+    def _make(self, r: int, key: tuple[int, ...], b: int) -> None:
+        """The value and total of the run from r under the renamed classes
+        `key`, b of them, its climbs one at a time."""
         entries = None
-        for u, first, end in self.kids[v]:
+        for u, first, end in self.kids[r]:
             theirs, total = self.values[u], self.totals[u]
             moves = [total - theirs[-1]] * (b + 1)
             for x, c in enumerate(dict.fromkeys(key[first:end])):  # u's classes in its order
                 moves[c] = total - theirs[x]
             entries = moves if entries is None else [e * x for e, x in zip(entries, moves)]
-        if entries is None:
-            entries = [1] * (b + 1)
-        if self.leaf[v] >= 0:
+        if self.leaf[r] >= 0:
             entries[0] = 0
         bits, other = 8 * self.width, entries[b]
-        self.values[v], self.keys[v] = entries, key
-        self.totals[v] = sum(entries) + (other << bits) - (b + 1) * other
-        self.costs[v] = (b + 1) * (len(self.kids[v]) + 1) * (self.sizes[v] + 1)
+        total = sum(entries) + (other << bits) - (b + 1) * other
+        for _ in range(self.climbs[r]):
+            entries, total = [total - e for e in entries], (total << bits) - total
+        self.values[self.tops[r]], self.totals[self.tops[r]] = entries, total
 
     def packed(self, grouping: tuple[int, ...]) -> int:
         """The Steiner count of `grouping`, packed."""
         self.groupings += 1
-        spent, raws, keys, costs = self.work + self.fixed, self.raws, self.keys, self.costs
-        for v, classes in self.steps:
+        spent, keys, rates = self.work + self.fixed, self.keys, self.rates
+        for r, classes in self.steps:
+            seen: dict[int, int] = {}
+            key = tuple([seen.setdefault(c, len(seen)) for c in classes(grouping)])
+            spent += (len(seen) + 1) * rates[r]
             if spent > FVS1_WORK_LIMIT:
                 break
-            raw = classes(grouping)
-            if raw != raws[v]:
-                raws[v] = raw
-                seen: dict[int, int] = {}
-                key = tuple([seen.setdefault(c, len(seen)) for c in raw])
-                if key != keys[v]:
-                    self._make(v, key, len(seen))
-            spent += costs[v]
+            if key != keys[r]:
+                keys[r] = key
+                self._make(r, key, len(seen))
         if spent > FVS1_WORK_LIMIT:
             raise SearchBudgetExceeded(
                 f"the FVS-1 route passed FVS1_WORK_LIMIT = {FVS1_WORK_LIMIT:,}"
@@ -479,12 +532,16 @@ class _LeafCounts:
     def factor(self) -> IntPoly:
         return forest_polynomial(self.trees, self.lone)
 
-
-def _avoidance_count(d: StarDecomposition, grouping: tuple[int, ...]) -> IntPoly:
-    """Colorings of the forest in which leaf d.alphas[i + 1] avoids color
-    grouping[i] (`_LeafCounts`)."""
-    counts = _LeafCounts(d)
-    return counts.count(counts.packed(grouping))
+    def weight(self, partition: PartitionSpec) -> IntPoly:
+        """`partition_weight(d, partition)`, metered as a fresh count is;
+        runs made for earlier partitions are reused."""
+        d = self.decomposition
+        shift = partition.shift
+        if shift.keys() != set(d.alphas):
+            raise ValueError("partition must cover exactly the star's vertices")
+        self.work = self.groupings = 0
+        packed = self.packed(tuple(shift[v] for v in d.alphas[1:]))
+        return (_forest_chromatic(d) - self.count(packed)).exact_div(M)
 
 
 def _forest_chromatic(d: StarDecomposition) -> IntPoly:
@@ -503,11 +560,7 @@ def partition_weight(d: StarDecomposition, partition: PartitionSpec) -> IntPoly:
     part's color, over m.  The count depends only on which leaves share a
     part.
     """
-    shift = partition.shift
-    if shift.keys() != set(d.alphas):
-        raise ValueError("partition must cover exactly the star's vertices")
-    grouping = tuple(shift[v] for v in d.alphas[1:])
-    return (_forest_chromatic(d) - _avoidance_count(d, grouping)).exact_div(M)
+    return _LeafCounts(d).weight(partition)
 
 
 class FeedbackPolynomialResult(NamedTuple):
@@ -564,22 +617,26 @@ class FeedbackPolynomialResult(NamedTuple):
 FVS1_STAR_LIMIT = 10
 
 #: Coefficient updates that the leaf counts of all of one graph's leaf
-#: groupings may meter together (`_LeafCounts`, checked at every vertex).
-#: The meter counts coefficients, not their bits.  Sums under the DP, with
-#: the transfer's before them (2-vCPU VM, Python 3.11, in process): the
-#: fan with 10 star vertices 1.07e7 in 0.6 s (1.5e7 in 1.7 s), alt-hub
-#: 3x5 7.2e6 in 0.15 s (4.0e7 in 3.1 s).  A 10-star hub over a path of L
-#: vertices: L = 20 answers at 4.5e7 in 1.4 s (9.6e7 in 6.4 s); L = 100,
-#: 200 and 300 are refused at groupings 2,259, 633 and 292 after 1.0,
-#: 0.8 and 0.8 s (1,100, 323 and 158 after 2.9, 3.2 and 4.0 s).
+#: groupings may meter together (`_LeafCounts`, checked before each run).
+#: A run made per grouping is charged in 64-bit words, as its packed
+#: values grow with its path's length.  Sums, with the transfer's before
+#: them (2-vCPU VM, Python 3.11, in process): the fan with 10 star
+#: vertices 1.07e7 in 0.6 s (1.5e7 in 1.7 s), alt-hub 3x5 7.2e6 in 0.2 s
+#: (4.0e7 in 3.1 s).  A 10-star hub over a path of L vertices: L = 20
+#: answers at 4.5e7 in 1.2 s (9.6e7 in 6.4 s); L = 100, 200 and 300 are
+#: refused at groupings 1,157, 173 and 66 after 0.2, 0.1 and 0.1 s
+#: (1,100, 323 and 158 after 2.9, 3.2 and 4.0 s).  Cycles answer up to
+#: about 4,800 vertices, C_4,500 in 0.3 s at 61 MB in a fresh process
+#: (the transfer refused them past about 2,100).
 FVS1_WORK_LIMIT = 100_000_000
 
 
 def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
     """Polynomial form of the DP color function for feedback-vertex-one graphs.
 
-    A shift cover whose star partition groups the leaves as r counts
-    `_avoidance_count(r)`, the same for every place of the center.  The
+    A shift cover whose star partition groups the leaves as r counts the
+    colorings of the forest in which each leaf avoids its class's color
+    (r's avoidance count), the same for every place of the center.  The
     polynomial is the eventually least of these over the Bell(k - 1) leaf
     groupings of a star with k <= `FVS1_STAR_LIMIT` vertices, restricted-
     growth strings (`_growth_strings`) streamed once through one leaf DP

@@ -14,8 +14,9 @@ cover from a fresh forest pass, the oracle of `covers.subset_walk`;
 `theta_transfer_count` counts a full cover of a generalized Theta graph
 from the closed-form count of color walks along each path, at folds far
 past plain enumeration.  `cycle_type`, `without_vertex`, `mask_of`,
-`full_mask`, `to_text` and `conjugated` are plain helpers that only the
-tests read, `unpruned` turns off the search's stop and its pruning, and
+`full_mask`, `to_text`, `conjugated` and `avoidance_count` (one leaf
+grouping's count from a fresh FVS-1 leaf DP) are plain helpers that only
+the tests read, `unpruned` turns off the search's stop and its pruning, and
 `lowered_work_limit` lowers the transfer's meter with an empty transfer
 table.  `star_partitions` keeps the partitions of an FVS-1 result's star
 whose weight is the winner's.  `theta_by_labels` builds a generalized
@@ -27,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product, zip_longest
 
 from dpchroma import chromatic, covers
-from dpchroma.analysis import partition_weight
+from dpchroma.analysis import _LeafCounts, partition_weight
 from dpchroma.covers import (
     FullCover,
     _forest,
@@ -330,6 +331,13 @@ def growth_strings_by_recursion(k: int, most: int):
 
     start = 1 if k and most > 0 else 0  # item 0 is in class 0, if any class is allowed
     return rec(start, start)
+
+
+def avoidance_count(d, grouping) -> IntPoly:
+    """Colorings of d.forest in which leaf d.alphas[i + 1] avoids color
+    grouping[i], from a fresh `analysis._LeafCounts`."""
+    counts = _LeafCounts(d)
+    return counts.count(counts.packed(grouping))
 
 
 def star_partitions(result) -> tuple:

@@ -43,7 +43,7 @@ from dpchroma.graphs import (
 )
 from dpchroma.poly import M, positive_from, power_m1, prod, sign
 
-from oracles import mask_of, star_partitions, subset_agreement_count, to_text
+from oracles import avoidance_count, mask_of, star_partitions, subset_agreement_count, to_text
 
 
 def theta(*lengths):
@@ -724,8 +724,8 @@ def hub_over_path(length, spokes=9):
 
 def test_dp_formula_refuses_a_star_over_a_long_path_by_its_summed_work(tmp_path, capsys):
     # 10 star vertices, 21,147 leaf groupings whose leaf counts would sum
-    # to about 3e9 updates; at 200 path vertices the limit is passed at
-    # grouping 633.  The meter charges every grouping what a cold count of
+    # to about 1e10; at 200 path vertices the limit is passed at grouping
+    # 173.  The meter charges every grouping what a cold count of
     # it costs, so a second run in the same process is refused at the same
     # grouping.
     import time
@@ -840,7 +840,7 @@ def test_every_avoidance_count_is_monic_of_the_forest_degree():
         counts = analysis._LeafCounts(d)
         steiner = d.forest.n - counts.trees - counts.lone
         for grouping in analysis._growth_strings(k, k):
-            count = analysis._avoidance_count(d, grouping)
+            count = avoidance_count(d, grouping)
             coeffs = count.coeffs
             assert len(coeffs) == d.forest.n + 1 and coeffs[-1] == 1, (d.alphas, grouping)
             packed = unpack(counts.packed(grouping), counts.width)

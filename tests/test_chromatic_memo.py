@@ -22,7 +22,7 @@ import random
 import pytest
 
 from dpchroma import chromatic
-from dpchroma.analysis import _avoidance_count, _growth_strings, _LeafCounts
+from dpchroma.analysis import _growth_strings, _LeafCounts
 from dpchroma.chromatic import (
     CHROMATIC_WORK_LIMIT,
     Precoloring,
@@ -46,6 +46,7 @@ from dpchroma.poly import M, IntPoly
 from dpchroma.verify import _valid_length_tuples
 
 from oracles import (
+    avoidance_count,
     chromatic_by_subsets,
     lowered_work_limit,
     reference_transfer,
@@ -180,7 +181,7 @@ def test_avoided_colors_against_enumeration():
         g = Graph(tuple(f"t{i}" for i in range(n)), edges)
         avoid = {v: rng.randrange(3) for v in range(n) if rng.random() < 0.6}
         s = 1 + max(avoid.values(), default=-1)
-        poly = _avoidance_count(*star_over(g, avoid))
+        poly = avoidance_count(*star_over(g, avoid))
         for m in range(max(s, 1), s + 3):
             allowed = [[int(c != avoid.get(v)) for c in range(m)] for v in range(n)]
             want = transversal_count(g, m, [tuple(range(m))] * len(edges), allowed)
@@ -304,7 +305,7 @@ def test_leaf_counts_match_the_reference_transfer():
         f = Graph(g.vertices, tuple(e for i, e in enumerate(g.edges) if i not in cotree))
         d, grouping = star_over(f, avoid)
         want = reference_transfer(d.forest, {}, avoid)[0]
-        assert _avoidance_count(d, grouping) == want, (f.edges, avoid)
+        assert avoidance_count(d, grouping) == want, (f.edges, avoid)
 
 
 def test_renamed_colors_share_a_transfer_and_other_patterns_do_not():

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from dpchroma import cli, covers
-from dpchroma.analysis import FeedbackPolynomialResult, _avoidance_count, fvs1_dp_polynomial
+from dpchroma.analysis import FeedbackPolynomialResult, fvs1_dp_polynomial
 from dpchroma.chromatic import chromatic_polynomial
 from dpchroma.cli import dp_formula_route, main
 from dpchroma.covers import count_colorings, dp_lower_bound, min_over_covers, partitions_of
@@ -25,7 +25,7 @@ from dpchroma.errors import OutOfRange
 from dpchroma.graphs import Graph
 from dpchroma.verify import _graph_zoo
 
-from oracles import star_partitions, to_text
+from oracles import avoidance_count, star_partitions, to_text
 from test_merged_counter import random_fvs1
 
 
@@ -163,7 +163,7 @@ def test_value_at_is_the_least_row_bound_at_every_fold(name):
     # fewest classes that has its count
     assert all(s < result.stable_from for s, _, _ in result.counts)
     for s, c, r in result.counts:
-        assert max(r, default=-1) + 1 == s and _avoidance_count(result.decomposition, r) == c
+        assert max(r, default=-1) + 1 == s and avoidance_count(result.decomposition, r) == c
     assert result.stable_from == 1 or result.counts[0][0] <= 1
     assert result.stable_from <= 12
     bounds = [dp_lower_bound(g, m) for m in range(1, 13)]
@@ -209,7 +209,7 @@ def test_value_at_is_the_least_count_up_to_the_cauchy_ceiling(group):
         for spec in partitions_of(d.alphas[1:]):
             parts = spec.parts
             grouping = tuple(next(i for i, p in enumerate(parts) if v in p) for v in d.alphas[1:])
-            counts.append((len(parts), _avoidance_count(d, grouping)))
+            counts.append((len(parts), avoidance_count(d, grouping)))
         gap = max(abs(a - b) for _, c in counts for a, b in zip(c.coeffs, dp.coeffs))
         for m in range(1, min(max(g.n, 1 + gap), 300) + 1):
             assert result.value_at(m) == min(c(m) for s, c in counts if s <= m), (name, m)
