@@ -337,11 +337,12 @@ class _LeafCounts:
     colorings of d.forest in which leaf d.alphas[i + 1] avoids color
     grouping[i], from one tree DP, with its coefficient updates metered.
 
-    Only the Steiner forest S, the least subforest of d.forest that holds
-    every star leaf and joins those that share a tree, is counted per
-    grouping.  Every other forest vertex has one neighbor nearer S, so it
-    multiplies the count by m - 1, or starts a tree with no star leaf (the
-    isolated center among them), and multiplies it by m: one factor
+    Only the Steiner forest S, the least subforest of d.forest that joins
+    the star leaves of each tree holding two or more, is counted per
+    grouping.  Every other forest vertex is a star leaf alone in its tree,
+    which avoids one color, or has one neighbor nearer S or that leaf, so
+    it multiplies the count by m - 1, or starts a tree with no star leaf
+    (the isolated center among them), and multiplies it by m: one factor
     m^a (m - 1)^t for all groupings, with a such trees and t = n - a - |S|.
     Each tree of S is rooted at its least star leaf, so that a path of S
     between two star leaves multiplies no two children's polynomials.
@@ -384,14 +385,18 @@ class _LeafCounts:
     vertex costs: at each vertex of S, b + 1 entries updated once per
     child and once into the total, each at the vertex's |subtree| + 1
     coefficients, and b + 1 products of two children's polynomials at the
-    product of their coefficient counts; and the shared factor's a + t
-    linear factors multiplied in one at a time, each at the coefficient
-    count of its product.  A run made per grouping works on packed values
-    of up to (|subtree| + 1)B bits, so its updates are charged in 64-bit
-    words, times B / 64 rounded up; a run made once, in closed form, is
-    charged its coefficient updates alone.  A reused run is charged what
-    it cost to make.  All of one call's groupings may charge
-    `FVS1_WORK_LIMIT` together, checked before each run is made.
+    product of their coefficient counts; the shared factor's a + t linear
+    factors multiplied in one at a time, each at the coefficient count of
+    its product; and the product of S's totals, one tree at a time, at
+    |S| + 1 coefficients in 64-bit words each.  The last two, summed once
+    in `fixed`, grow with the star's width: uncharged, with each lone star
+    leaf a tree of S, K_{1,1000} and a windmill of 2,000 triangles ran
+    past 130 s.  A run made per grouping works on packed values of up to
+    (|subtree| + 1)B bits, so its updates are charged in 64-bit words,
+    times B / 64 rounded up; a run made once, in closed form, is charged
+    its coefficient updates alone.  A reused run is charged what it cost
+    to make.  All of one call's groupings may charge `FVS1_WORK_LIMIT`
+    together, checked before each run is made.
     """
 
     def __init__(self, d: StarDecomposition):
@@ -409,13 +414,15 @@ class _LeafCounts:
         for v, p, _, _ in descent:
             full[v] = full[p]
             above[p] |= below[v] == full[v]
-        steiner = [bool(below[v]) and not above[v] for v in range(f.n)]
-        size, leafy = sum(steiner), sum(1 for v in roots if full[v])
+        steiner = [full[v] > 1 and below[v] > 0 and not above[v] for v in range(f.n)]
+        size, leafy = sum(steiner), sum(1 for v in roots if full[v] > 1)
         self.width = (size - leafy + len(d.alphas) - 1 + 9) // 8  # N + 2 bits or more
-        self.trees = len(roots) - leafy
+        words = -(-self.width // 8)  # the 64-bit words of a coefficient
+        self.trees = sum(1 for v in roots if not full[v])
         self.lone = f.n - self.trees - size
         factors = self.trees + self.lone
         self.fixed = factors * (size + 1) + factors * (factors + 1) // 2
+        self.fixed += max(leafy - 1, 0) * (size + 1) * words  # the product of S's totals
         self.positions: list[tuple[int, ...]] = [()] * f.n
         # per vertex of S, its children's runs: (their last vertex, the span of their leaves)
         self.kids: list[list[tuple[int, int, int]]] = [[] for _ in range(f.n)]
@@ -439,7 +446,7 @@ class _LeafCounts:
         order = []  # S's vertices, each tree from its least star leaf, parents first
         seen = [False] * f.n
         for root in range(f.n):
-            if leaf[root] < 0 or seen[root]:
+            if not steiner[root] or leaf[root] < 0 or seen[root]:
                 continue
             seen[root] = True
             self.roots.append(root)
@@ -474,7 +481,7 @@ class _LeafCounts:
                 once.append(v)
             self.rates[r] += rate + (len(kids[v]) + 1) * (self.sizes[v] + 1)
         for r, _ in self.steps:
-            self.rates[r] *= -(-self.width // 8)  # the 64-bit words of a coefficient
+            self.rates[r] *= words
         bits = 8 * self.width
         for r in once:  # a star leaf, x = (0, 1) and T = m - 1, and its climbs
             self.fixed += 2 * self.rates[r]
@@ -607,27 +614,18 @@ class FeedbackPolynomialResult(NamedTuple):
         return shift_cover(d.graph, d, partition, m)
 
 
-#: Most star vertices that `fvs1_dp_polynomial` accepts.  A star with k
-#: vertices has Bell(k - 1) leaf groupings, each one pass of the leaf DP
-#: whose fixed cost goes unmetered: past the limit (2-vCPU VM, Python
-#: 3.11, in process) K_{1,10} and K_{1,11} answer in 0.2 s and 1.7 s at
-#: 27 MB, and a fan with 11 star vertices in 3.7 s at 59 MB (under the
-#: transfer: 3.8 s and 21 s at 17 MB, and the fan refused by
-#: `FVS1_WORK_LIMIT` after 12 s).
-FVS1_STAR_LIMIT = 10
-
 #: Coefficient updates that the leaf counts of all of one graph's leaf
-#: groupings may meter together (`_LeafCounts`, checked before each run).
-#: A run made per grouping is charged in 64-bit words, as its packed
-#: values grow with its path's length.  Sums, with the transfer's before
-#: them (2-vCPU VM, Python 3.11, in process): the fan with 10 star
-#: vertices 1.07e7 in 0.6 s (1.5e7 in 1.7 s), alt-hub 3x5 7.2e6 in 0.2 s
-#: (4.0e7 in 3.1 s).  A 10-star hub over a path of L vertices: L = 20
-#: answers at 4.5e7 in 1.2 s (9.6e7 in 6.4 s); L = 100, 200 and 300 are
-#: refused at groupings 1,157, 173 and 66 after 0.2, 0.1 and 0.1 s
-#: (1,100, 323 and 158 after 2.9, 3.2 and 4.0 s).  Cycles answer up to
-#: about 4,800 vertices, C_4,500 in 0.3 s at 61 MB in a fresh process
-#: (the transfer refused them past about 2,100).
+#: groupings may meter together (`_LeafCounts`, checked before each run),
+#: the FVS-1 route's one bound.  Sums (2-vCPU VM, Python 3.11, in
+#: process): the fan with 10 star vertices 1.07e7 in 0.7 s, alt-hub 3x5
+#: 7.9e6 in 0.2 s.  In a fresh process K_{1,11}, the fan with 11 star
+#: vertices and a windmill of 5 triangles answer in 1.9, 5.1 and 1.1 s;
+#: K_{1,12}, the fan with 12 and a windmill of 6 are refused after 2.1,
+#: 4.8 and 4.1 s, and K_{1,4000} or a windmill of 2,000 in 0.2 s.  A
+#: 10-star hub over a path of L vertices: L = 20 answers at 4.5e7 in
+#: 1.6 s; L = 100, 200 and 300 are refused at groupings 1,157, 173 and 66
+#: after 0.2, 0.1 and 0.1 s.  Cycles answer up to about 4,800 vertices,
+#: C_4,500 in 0.3 s at 61 MB in a fresh process.
 FVS1_WORK_LIMIT = 100_000_000
 
 
@@ -638,14 +636,14 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
     colorings of the forest in which each leaf avoids its class's color
     (r's avoidance count), the same for every place of the center.  The
     polynomial is the eventually least of these over the Bell(k - 1) leaf
-    groupings of a star with k <= `FVS1_STAR_LIMIT` vertices, restricted-
-    growth strings (`_growth_strings`) streamed once through one leaf DP
-    (`_LeafCounts`), which compares them by their packed Steiner counts:
-    the least count so far with its first grouping and the star partitions
-    tied at it, and per distinct count, in order of first occurrence, its
-    fewest classes and the first grouping with them.  Each distinct count
-    becomes an `IntPoly` once, after the loop.  Their counts together may
-    meter `FVS1_WORK_LIMIT` updates.
+    groupings of a star with k vertices, restricted-growth strings
+    (`_growth_strings`) streamed once through one leaf DP (`_LeafCounts`),
+    which compares them by their packed Steiner counts: the least count so
+    far with its first grouping and the star partitions tied at it, and
+    per distinct count, in order of first occurrence, its fewest classes
+    and the first grouping with them.  Each distinct count becomes an
+    `IntPoly` once, after the loop.  Their counts together may meter
+    `FVS1_WORK_LIMIT` updates, the route's one bound.
     Only `partition` becomes a `PartitionSpec`: a tied grouping r has one
     star string per place j of the center, which joins class j (or stands
     alone, j = r's class count) in part 0, the classes below j moved up
@@ -670,10 +668,6 @@ def fvs1_dp_polynomial(g: Graph) -> FeedbackPolynomialResult:
         with_degree = sorted(v for v in g.vertices if g.adjacency[g.index[v]])
         pivot = with_degree[0] if with_degree else sorted(g.vertices)[0]
     d = star_forest_decomposition(g, pivot)
-    if len(d.alphas) > FVS1_STAR_LIMIT:
-        raise SearchBudgetExceeded(
-            f"{len(d.alphas)} star vertices exceed FVS1_STAR_LIMIT = {FVS1_STAR_LIMIT}"
-        )
     k = len(d.alphas) - 1
     counts = _LeafCounts(d)
     firsts: dict[int, list] = {}  # packed count -> [fewest classes, first grouping with them]

@@ -159,12 +159,12 @@ def _transfer(g: Graph, named: Mapping[int, int]) -> tuple[IntPoly, int]:
 
 
 #: Entries `_transfers` keeps, least recently used out first.  An entry
-#: holds its key, the walk's shape among it.  `verify --suite all` makes
-#: 1,998 transfers over 667 keys; kept whole, its table ends at 935 KiB
-#: (tracemalloc), about 4% of the 24.5 MB at which perfbench's verify-all
-#: peaks.  At this bound the run still makes one transfer per key and ends
-#: at 664 KiB, and `theta-identity` alone makes 324 for its 840 rows; at
-#: 256 entries the run makes 691, and `theta-identity` 333.
+#: holds its key, the walk's shape among it.  `verify --suite all` asks
+#: for 1,904 transfers over 623 keys; kept whole, its table ends at 636
+#: KiB (tracemalloc), about 2.5% of the 25 MB at which perfbench's
+#: verify-all peaks.  At this bound the run still makes one transfer per
+#: key and ends at 417 KiB, and `theta-identity` alone makes 324 for its
+#: 840 rows; at 256 entries the run makes 647, and `theta-identity` 333.
 _TRANSFER_TABLE_SIZE = 512
 
 
@@ -256,12 +256,12 @@ def _transfers(
 
 #: Entries `_moves` keeps, least recently used out first.  Narrow graphs
 #: meet few distinct moves and meet them again and again: `verify --suite
-#: all` 359 over 22,180 lookups, a fan with 10 star vertices 560 over
-#: 800,918.  A wide graph meets many that rarely recur: the 8x8 grid
-#: 33,272 over 57,467, which kept whole cost 18 MB of peak memory (29 ->
-#: 52 MB for `chrom`) for no gain in time.  At this bound that grid keeps
-#: its time and peaks at 33 MB; at 1,024 it peaked at 32 MB with a fifth
-#: of the hits (3,601 against 19,236).
+#: all` 252 over 8,870 lookups, its `theta-identity` suite 26 over 6,921.
+#: A wide graph meets many that rarely recur: the 8x8 grid 33,272 over
+#: 57,467, which kept whole cost 19 MB of peak memory (27 -> 46 MB for
+#: `chrom`, in process) for no gain in time.  At this bound that grid
+#: keeps its time; at 1,024 it peaks at 24 MB, but with a fifth of the
+#: hits (3,601 against 19,236) it takes 0.57 s against 0.47 s.
 _MOVE_TABLE_SIZE = 4096
 
 

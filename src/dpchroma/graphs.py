@@ -386,13 +386,16 @@ def find_feedback_vertex(g: Graph) -> str | FeedbackVertex:
     """A vertex whose removal leaves a forest, trying labels in sorted order.
 
     Returns NONE_NEEDED when the graph is already a forest and NOT_SIZE_ONE
-    when no single vertex works.  Each candidate costs one union-find pass
-    over the edges that avoid it.
+    when no single vertex works.  A forest on n - 1 vertices has at most
+    n - 2 edges, so only a candidate whose removal leaves that few costs
+    one union-find pass over the edges that avoid it.
     """
     if g.is_forest():
         return FeedbackVertex.NONE_NEEDED
+    need = len(g.edges) - g.n + 2
     for label in sorted(g.vertices):
-        if _leaves_forest(g, (g.index[label],)):
+        v = g.index[label]
+        if len(g.incident[v]) >= need and _leaves_forest(g, (v,)):
             return label
     return FeedbackVertex.NOT_SIZE_ONE
 

@@ -76,9 +76,9 @@ CHECK_KINDS = {
         "ie-cover": "subset alternating sum equals the transfer count",
         "subset-audit": "deficit classification over all edge subsets",
         "gap-bound": "coloring deficit of a twisted cover is bounded below",
-        "fvs1-weight": "color-pattern transfer weight equals the leaf-subset inclusion-exclusion",
+        "fvs1-weight": "leaf DP weight equals the leaf-subset inclusion-exclusion",
         "fvs1-polynomial":
-            "least transfer avoidance count over leaf groupings with at most m classes"
+            "least leaf DP avoidance count over leaf groupings with at most m classes"
             " equals exhaustive minimum",
         "fvs1-witness": "shift cover attains the reported count",
         "fvs1-leading-terms":

@@ -33,7 +33,7 @@ from dpchroma.covers import (
     partitions_of,
     random_cover,
 )
-from dpchroma.errors import OutOfRange, OutOfScope, SearchBudgetExceeded
+from dpchroma.errors import OutOfRange, OutOfScope
 from dpchroma.graphs import (
     Graph,
     ThetaSpec,
@@ -665,52 +665,57 @@ def test_fvs1_builds_partition_specs_only_for_its_answer(monkeypatch):
         assert built == [result.partition], g.edges
 
 
-def test_star_limit_refuses_the_stars_the_partition_count_refused(monkeypatch):
-    # Bell(k) > Bell(10) = 115,975 exactly when k > 10 star vertices
-    from dpchroma import analysis
-
-    bell = [len(partitions_of(list("abcdefg")[:k])) for k in range(8)]
-    assert bell == [1, 1, 2, 5, 15, 52, 203, 877]
-
-    class Admitted(Exception):
-        pass
-
-    def admitted(*args, **kwargs):
-        raise Admitted
-
-    monkeypatch.setattr(analysis, "_growth_strings", admitted)
-    with pytest.raises(Admitted):
-        fvs1_dp_polynomial(fan(analysis.FVS1_STAR_LIMIT - 1))
-    with pytest.raises(SearchBudgetExceeded, match="11 star vertices exceed FVS1_STAR_LIMIT = 10"):
-        fvs1_dp_polynomial(fan(analysis.FVS1_STAR_LIMIT))
+def test_a_star_of_eleven_vertices_answers_under_the_work_limit():
+    # K_{1,10}: each leaf is a tree of the forest alone, so the leaf DP
+    # counts nothing per grouping and the meter charges each of the
+    # Bell(10) = 115,975 groupings its shared factor m (m - 1)^10, all
+    # tied, which gives Bell(11) = 678,570 star partitions
+    star = Graph(("c",) + tuple(f"x{i}" for i in range(10)), tuple((0, i) for i in range(1, 11)))
+    result = fvs1_dp_polynomial(star)
+    assert result.maximizers == 678_570
+    assert result.dp_polynomial == M * power_m1(10)
 
 
-def test_dp_formula_refuses_stars_past_the_partition_limit(tmp_path, monkeypatch, capsys):
+def windmill(blades):
+    """The hub h joined to both ends of `blades` disjoint edges."""
+    labels = ("h",) + tuple(f"b{i}" for i in range(2 * blades))
+    edges = [(2 * i + 1, 2 * i + 2) for i in range(blades)]
+    edges += [(0, v) for v in range(1, 2 * blades + 1)]
+    return Graph(labels, tuple(edges))
+
+
+def spiders(count):
+    """The hub h joined to both ends of `count` disjoint 3-vertex paths."""
+    labels = ("h",) + tuple(f"s{i}" for i in range(3 * count))
+    edges = [(3 * i + j, 3 * i + j + 1) for i in range(count) for j in (1, 2)]
+    edges += [(0, 3 * i + j) for i in range(count) for j in (1, 3)]
+    return Graph(labels, tuple(edges))
+
+
+def test_dp_formula_refuses_wide_stars_by_their_work(tmp_path, capsys):
+    # the work budget alone bounds the route, whatever the star's width:
+    # K_{1,4000}'s shared factor, 8.0e6 updates a grouping, passes it at
+    # grouping 13, and the product of the Steiner trees' totals, 2,000 or
+    # 1,000 trees of two star leaves, at grouping 1
     import time
 
-    from dpchroma import analysis
     from dpchroma.cli import main
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("partitions enumerated past the limit")
-
-    monkeypatch.setattr(analysis, "_growth_strings", refuse)
-    monkeypatch.setattr(analysis, "_LeafCounts", refuse)
-    leaves = tuple(f"l{i:04d}" for i in range(4000))
-    star = Graph(("a",) + leaves, tuple((0, i) for i in range(1, 4001)))
-    # 11 star vertices (Bell(10) = 115,975 leaf groupings), and 4,001, whose
-    # Bell number alone has more digits than Python prints by default
-    for g, k, seconds in ((fan(10), 11, 5), (star, 4001, 1)):
-        path = tmp_path / f"star{k}.txt"
+    star = Graph(("a",) + tuple(f"l{i:04d}" for i in range(4000)), tuple((0, i) for i in range(1, 4001)))
+    for name, g, grouping in (("star", star, 13), ("windmill", windmill(2000), 1), ("spiders", spiders(1000), 1)):
+        path = tmp_path / f"{name}.txt"
         path.write_text(to_text(g), encoding="utf-8")
         start = time.perf_counter()
         code = main(["dp-formula", str(path)])
         elapsed = time.perf_counter() - start
         err = capsys.readouterr().err
         assert code == 2
-        want = f"{k} star vertices exceed FVS1_STAR_LIMIT = 10"
-        assert err == f"dpchroma: {want}\n"
-        assert elapsed < seconds, k
+        want = (
+            "dpchroma: the FVS-1 route passed FVS1_WORK_LIMIT = 100,000,000"
+            f" coefficient updates at leaf grouping {grouping}\n"
+        )
+        assert err == want, name
+        assert elapsed < 1, name
 
 
 def hub_over_path(length, spokes=9):
@@ -765,8 +770,9 @@ def test_the_largest_admitted_stars_answer_under_the_work_limit(monkeypatch):
         (counts,) = made  # one DP for all 21,147 groupings
         spent[name] = counts.work
     # the meter's sums, a function of the graph alone; the fan's is within
-    # a factor 10 of the limit, alt-hub's three 5-vertex trees cost less
-    assert spent == {"fan": 10_670_551, "alt-hub": 7_206_429}, spent
+    # a factor 10 of the limit, alt-hub's three 5-vertex trees cost less,
+    # 676,704 of it for multiplying their totals
+    assert spent == {"fan": 10_670_551, "alt-hub": 7_883_133}, spent
     assert analysis.FVS1_WORK_LIMIT // 10 < spent["fan"] < analysis.FVS1_WORK_LIMIT
     assert spent["alt-hub"] < analysis.FVS1_WORK_LIMIT
 

@@ -1,11 +1,11 @@
 """The FVS-1 leaf counts (`analysis._LeafCounts`): one tree DP over the
 Steiner forest of the star's leaves, its values packed at m = 2^B.
 
-Every grouping of seeded FVS-1 graphs is counted cold (a DP per grouping)
-and warm (one DP reusing its values across the groupings in the route's
-order, then in a shuffled order), each against the reference transfer
-with avoided colors, and the meter charges a warm run what the cold runs
-cost.  The width B is checked to hold every Steiner count of the largest
+Every grouping of seeded FVS-1 graphs, and of stars whose leaves sit
+alone in their trees, is counted cold (a DP per grouping) and warm (one
+DP reusing its values across the groupings in the route's order, then
+in a shuffled order), each against the reference transfer with avoided
+colors, and the meter charges a warm run what the cold runs cost.  The width B is checked to hold every Steiner count of the largest
 admitted stars, brooms and hubs over paths.  A long path of S keeps one
 value per run, whichever vertex roots the forest, and `weight` reuses one
 DP across partitions at a fresh count's meter.
@@ -64,30 +64,55 @@ def shapes(d) -> set[str]:
     return found
 
 
+def lone_leaf_stars() -> list[tuple[Graph, int]]:
+    """Stars whose leaves sit alone in their trees, which leave the DP for
+    the shared factor, each with its number of trees in S: K_{1,k} with a
+    pendant path of i vertices on leaf i, and K_{1,5} with one edge
+    between two leaves."""
+    graphs = []
+    for k in (3, 5):
+        labels, edges = ["c"] + [f"x{i}" for i in range(k)], [(0, i) for i in range(1, k + 1)]
+        for i in range(k):
+            for j in range(i):
+                labels.append(f"p{i}{j}")
+                edges.append((len(labels) - 2 if j else i + 1, len(labels) - 1))
+        graphs.append((Graph(tuple(labels), tuple(edges)), 0))
+    labels = ("c",) + tuple(f"x{i}" for i in range(5))
+    graphs.append((Graph(labels, tuple((0, i) for i in range(1, 6)) + ((1, 2),)), 1))
+    return graphs
+
+
+def assert_cold_and_warm(g: Graph, rng: random.Random) -> int:
+    """Every grouping of g's star at c counted cold and warm, in the
+    route's order and then shuffled, against the reference transfer;
+    returns their number."""
+    d = star_forest_decomposition(g, "c")
+    k = len(d.alphas) - 1
+    warm = _LeafCounts(d)
+    order = list(_growth_strings(k, k))
+    for grouping in order:
+        want = reference_transfer(d.forest, {}, avoidance(d, grouping))[0]
+        cold = _LeafCounts(d)
+        assert cold.count(cold.packed(grouping)) == want, (g.edges, grouping)
+        assert avoidance_count(d, grouping) == want, (g.edges, grouping)
+        before = warm.work
+        assert warm.count(warm.packed(grouping)) == want, (g.edges, grouping)
+        # a reused value is charged what it cost to make
+        assert warm.work - before == cold.work, (g.edges, grouping)
+    rng.shuffle(order)
+    for grouping in order:
+        want = reference_transfer(d.forest, {}, avoidance(d, grouping))[0]
+        assert warm.count(warm.packed(grouping)) == want, (g.edges, grouping)
+    return len(order)
+
+
 def test_leaf_counts_match_the_reference_transfer_cold_and_warm():
     rng = random.Random(5656)
     cases, seen, groupings = 0, set(), 0
     while cases < 220:
         g = seeded_fvs1(rng)
-        d = star_forest_decomposition(g, "c")
-        k = len(d.alphas) - 1
-        seen |= shapes(d)
-        warm = _LeafCounts(d)
-        order = list(_growth_strings(k, k))
-        for grouping in order:
-            want = reference_transfer(d.forest, {}, avoidance(d, grouping))[0]
-            cold = _LeafCounts(d)
-            assert cold.count(cold.packed(grouping)) == want, (g.edges, grouping)
-            assert avoidance_count(d, grouping) == want, (g.edges, grouping)
-            before = warm.work
-            assert warm.count(warm.packed(grouping)) == want, (g.edges, grouping)
-            # a reused value is charged what it cost to make
-            assert warm.work - before == cold.work, (g.edges, grouping)
-            groupings += 1
-        rng.shuffle(order)
-        for grouping in order:
-            want = reference_transfer(d.forest, {}, avoidance(d, grouping))[0]
-            assert warm.count(warm.packed(grouping)) == want, (g.edges, grouping)
+        seen |= shapes(star_forest_decomposition(g, "c"))
+        groupings += assert_cold_and_warm(g, rng)
         cases += 1
     assert groupings > 2000
     assert {
@@ -97,6 +122,10 @@ def test_leaf_counts_match_the_reference_transfer_cold_and_warm():
         "pendant subtree",
         "several leafy trees",
     } <= seen, seen
+    for g, trees in lone_leaf_stars():
+        d = star_forest_decomposition(g, "c")
+        assert len(_LeafCounts(d).roots) == trees, g.edges
+        assert assert_cold_and_warm(g, rng) == len(partitions_of(d.alphas[1:]))
 
 
 def assert_width_holds(d, groupings) -> int:
@@ -143,7 +172,7 @@ def test_a_broom_counts_its_bristles_in_the_shared_factor():
         g = Graph(labels, ((0, 1),) + tuple((1, i) for i in range(2, bristles + 2)))
         d = fvs1_dp_polynomial(g).decomposition
         counts = _LeafCounts(d)
-        assert (counts.trees, counts.lone) == (1, bristles)
+        assert (counts.trees, counts.lone) == (1, bristles + 1)
         assert assert_width_holds(d, [(0,)]) == 1
         assert avoidance_count(d, (0,)) == M * power_m1(bristles + 1)
     # the star on the bristles: a Steiner star through b, its other

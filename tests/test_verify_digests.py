@@ -11,7 +11,8 @@ did (the checks, their order and their values stayed the same).  Those
 of fvs1 were recorded again when its fvs1-polynomial rows came to check
 the exact value `value_at(m)` in place of the eventual polynomial, under
 a rule that says so, and the suite gained folds 1 and 2 on each graph,
-where the polynomial and P_DP can differ.
+where the polynomial and P_DP can differ; and again when the rules of
+its fvs1-weight and fvs1-polynomial checks came to name the leaf DP.
 """
 
 import hashlib
@@ -45,7 +46,7 @@ DIGESTS = {
             "f3b8b31a913ca9fe9b9a6339ec91f2c25b7155a8f2bc2b35c128d302926c416a"
         ),
         "fvs1": (
-            "ae8760bbd385fbf95a69105cca437d4f130c01ae737f6f283bc7c099787cad12"
+            "258f0d33c2c2c4fb3a16766dd6b30b2b0a17933fc0282e055a75ed927f7f3526"
         ),
         "classify": (
             "f29927e0b7bcee08e735a8d3f95d45047a1670aebe589408bd1282fff3a2aaa2"
@@ -80,7 +81,7 @@ DIGESTS = {
             "392fb78b670ea6d9c1d08768d055e87ec24bdcc73f8439cadfc98ca512e5d430"
         ),
         "fvs1": (
-            "3a2ffa4e33490573c928676081ca66c48dd97e262c44fbe7fd4238a595dc7322"
+            "832cfd7d15eeb12d9a1bcefa7313f8a20cab4c6f60e9b2906c31b3ff95a22d14"
         ),
         "classify": (
             "c2d13afdfad108e86028b19875bcf601feac68fa0a114591a801e7676719a3ec"
