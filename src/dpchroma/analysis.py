@@ -344,8 +344,11 @@ class _LeafCounts:
     it multiplies the count by m - 1, or starts a tree with no star leaf
     (the isolated center among them), and multiplies it by m: one factor
     m^a (m - 1)^t for all groupings, with a such trees and t = n - a - |S|.
-    Each tree of S is rooted at its least star leaf, so that a path of S
-    between two star leaves multiplies no two children's polynomials.
+    One `_forest` descent, the star leaves tried first as roots, roots
+    each tree holding one at its least star leaf, so that a path of S
+    between two star leaves multiplies no two children's polynomials.  So
+    S is the vertices with a star leaf below them in a tree holding two or
+    more, and the descent gives S's children and a parent-first order.
 
     A vertex v of S has one entry per class that the star leaves of its
     subtree name, in order of first use along `positions` (v first, then
@@ -401,21 +404,25 @@ class _LeafCounts:
 
     def __init__(self, d: StarDecomposition):
         f = d.forest
-        roots, descent = _forest(f, range(len(f.edges)))
         self.decomposition = d
         self.leaf = leaf = [-1] * f.n  # v's place in a grouping, -1 off the star
         for i, x in enumerate(d.alphas[1:]):
             leaf[f.index[x]] = i
+        # each tree holding a star leaf rooted at its least one
+        roots, descent = _forest(f, range(len(f.edges)), [v for v in range(f.n) if leaf[v] >= 0])
         below = [int(i >= 0) for i in leaf]  # star leaves in v's subtree
         for v, p, _, _ in reversed(descent):
             below[p] += below[v]
         full = below.copy()  # star leaves in v's tree
-        above = [False] * f.n  # one child of v holds them all: v is off S
+        self.roots = [v for v in roots if full[v] > 1]  # the roots of S
+        order = self.roots.copy()  # S, parents first
+        kids: list[list[int]] = [[] for _ in range(f.n)]  # v's children in S
         for v, p, _, _ in descent:
             full[v] = full[p]
-            above[p] |= below[v] == full[v]
-        steiner = [full[v] > 1 and below[v] > 0 and not above[v] for v in range(f.n)]
-        size, leafy = sum(steiner), sum(1 for v in roots if full[v] > 1)
+            if full[v] > 1 and below[v]:
+                kids[p].append(v)
+                order.append(v)
+        size, leafy = len(order), len(self.roots)
         self.width = (size - leafy + len(d.alphas) - 1 + 9) // 8  # N + 2 bits or more
         words = -(-self.width // 8)  # the 64-bit words of a coefficient
         self.trees = sum(1 for v in roots if not full[v])
@@ -435,29 +442,7 @@ class _LeafCounts:
         self.values: list[list[int]] = [[]] * f.n  # at a run's last vertex
         self.totals = [0] * f.n
         self.steps = []  # (first vertex, its leaves' classes) per run above two star leaves, children first
-        self.roots = []  # the roots of S
         self.groupings = self.work = 0
-        near: list[list[int]] = [[] for _ in range(f.n)]  # v's neighbors in S
-        for v, p, _, _ in descent:
-            if steiner[v] and steiner[p]:
-                near[v].append(p)
-                near[p].append(v)
-        kids: list[list[int]] = [[] for _ in range(f.n)]
-        order = []  # S's vertices, each tree from its least star leaf, parents first
-        seen = [False] * f.n
-        for root in range(f.n):
-            if not steiner[root] or leaf[root] < 0 or seen[root]:
-                continue
-            seen[root] = True
-            self.roots.append(root)
-            stack = [root]
-            while stack:
-                order.append(x := stack.pop())
-                for y in near[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        kids[x].append(y)
-                        stack.append(y)
         first = list(range(f.n))  # the first vertex of v's run
         once = []  # the runs above one star leaf
         for v in reversed(order):

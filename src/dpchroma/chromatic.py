@@ -47,7 +47,7 @@ def chromatic_polynomial(g: Graph) -> IntPoly:
 
     Raises `SearchBudgetExceeded` past `CHROMATIC_WORK_LIMIT` updates.
     """
-    return _transfer(g, {})[0]
+    return _transfer(g, {})
 
 
 #: A walk's shape: per step, the positions of the entering vertex's
@@ -131,19 +131,17 @@ def _walk(g: Graph) -> tuple[Shape, list[int]]:
     return tuple(shape), order
 
 
-def _transfer(g: Graph, named: Mapping[int, int]) -> tuple[IntPoly, int]:
+def _transfer(g: Graph, named: Mapping[int, int]) -> IntPoly:
     """Colorings of g that put each vertex v of `named` on fixed color
     named[v], the s fixed colors numbered 0..s-1, as a polynomial in m:
-    the count at every m at which the fixed colors are colors, with the
-    coefficient updates its transfer metered.
+    the count at every m at which the fixed colors are colors.
 
     The count is `_transfers` of the walk's shape (`_walk`), s and the
     color pattern: for each vertex that `named` holds, in walk order, its
     step and its color, the colors renamed 0, 1, ... in order of first
     use.  Equal graphs, or graphs whose walks have the same shape, and
-    precolorings that differ by a renaming of colors share one transfer,
-    and a table hit returns the work its entry's run metered.  A run past
-    `CHROMATIC_WORK_LIMIT` raises and leaves no entry.
+    precolorings that differ by a renaming of colors share one transfer.
+    A run past `CHROMATIC_WORK_LIMIT` raises and leaves no entry.
     """
     shape, order = g.plan(_walk)
     s = 0  # 1 + the largest color named
@@ -173,10 +171,10 @@ def _transfers(
     shape: Shape,
     s: int,
     pattern: tuple[tuple[int, int], ...],
-) -> tuple[IntPoly, int]:
+) -> IntPoly:
     """The transfer behind `_transfer`, on a walk of the given shape with
-    s fixed colors and (step, fixed color) pattern: its polynomial and
-    the coefficient updates it metered.
+    s fixed colors and (step, fixed color) pattern: its polynomial, its
+    coefficient updates metered against `CHROMATIC_WORK_LIMIT`.
 
     A state gives each active vertex the label of its color block, and its
     weight counts the colorings of the entered vertices that induce it.
@@ -251,7 +249,7 @@ def _transfers(
                 old = merged.get(key)
                 merged[key] = x if old is None else old + x
         states = merged
-    return unpack(states.get((), 0), width), work
+    return unpack(states.get((), 0), width)
 
 
 #: Entries `_moves` keeps, least recently used out first.  Narrow graphs
@@ -470,4 +468,4 @@ def precolored_polynomial(g: Graph, pc: Precoloring) -> IntPoly:
     """
     _check_precoloring(g, pc)
     colors = sorted(set(pc.assignment.values()))
-    return _transfer(g, {g.index[v]: colors.index(c) for v, c in pc.assignment.items()})[0]
+    return _transfer(g, {g.index[v]: colors.index(c) for v, c in pc.assignment.items()})

@@ -42,7 +42,7 @@ from __future__ import annotations
 import os
 from contextlib import nullcontext
 from functools import cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import prod
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -197,12 +197,15 @@ def _orbit_sweep(m: int, group: tuple[tuple[Perm, Perm], ...]) -> tuple[tuple[Pe
     return tuple(kept)
 
 
-def _forest(g: Graph, edge_ids: Iterable[int]) -> tuple[list[int], list[tuple[int, int, int, bool]]]:
-    """The roots of the forest spanned by `edge_ids`, each tree's least
-    vertex, and its descent: every non-root step (v, parent, edge index,
-    forward), each parent first and each tree one slice in root order;
-    forward when the edge is stored from the parent.  Reversed, the descent
-    visits every child before its parent."""
+def _forest(
+    g: Graph, edge_ids: Iterable[int], first: Iterable[int] = ()
+) -> tuple[list[int], list[tuple[int, int, int, bool]]]:
+    """The roots of the forest spanned by `edge_ids`, each tree's first
+    vertex listed in `first`, else its least vertex, and its descent:
+    every non-root step (v, parent, edge index, forward), each parent
+    first and each tree one slice in root order; forward when the edge is
+    stored from the parent.  Reversed, the descent visits every child
+    before its parent."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for e in edge_ids:
         a, b = g.edges[e]
@@ -210,7 +213,7 @@ def _forest(g: Graph, edge_ids: Iterable[int]) -> tuple[list[int], list[tuple[in
         adj[b].append((a, e))
     seen = [False] * g.n
     roots, descent = [], []
-    for root in range(g.n):
+    for root in chain(first, range(g.n)):
         if seen[root]:
             continue
         seen[root] = True

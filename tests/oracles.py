@@ -97,8 +97,8 @@ def walk_steps(g: Graph) -> list[tuple[int, tuple[int, ...], tuple[int, ...], bo
 
 def reference_transfer(g: Graph, named, avoid) -> tuple[IntPoly, int]:
     """`chromatic._transfer` with each state's moves worked out at every
-    step: its polynomial and the updates its meter charged, the same as the
-    tabled transfer's, and its refusal reading
+    step: its polynomial and the updates its meter charged, which the
+    tabled transfer's meter must match, and its refusal reading
     `chromatic.CHROMATIC_WORK_LIMIT` when called, as a test may patch it."""
     s = 1 + max([*named.values(), *avoid.values()], default=-1)
     states: dict[tuple[int, ...], list[int]] = {(): [1]}

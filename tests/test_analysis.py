@@ -750,6 +750,38 @@ def test_dp_formula_refuses_a_star_over_a_long_path_by_its_summed_work(tmp_path,
     assert errors[0].count("\n") == 1 and " coefficient updates at leaf grouping " in errors[0]
 
 
+def hub_over_random_tree(seed, size=200, spokes=9):
+    """The hub h joined to `spokes` seeded vertices of a random tree on
+    `size` more, each tree vertex joined to a random earlier one."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(1, v), v) for v in range(2, size + 1)]
+    edges += [(0, v) for v in rng.sample(range(1, size + 1), spokes)]
+    return Graph(("h",) + tuple(f"t{i:03d}" for i in range(size)), tuple(edges))
+
+
+def test_dp_formula_refuses_a_hub_over_a_branching_tree_at_a_pinned_grouping(tmp_path, capsys):
+    # S is the Steiner tree of 9 leaves in a 200-vertex random tree, with
+    # a vertex of three children in S, where the order of the children
+    # enters the charge for their product.  The grouping at which the
+    # summed work passes the limit pins that charge.
+    import time
+
+    from dpchroma import analysis
+    from dpchroma.cli import main
+
+    d = star_forest_decomposition(hub_over_random_tree(3), "h")
+    assert max(map(len, analysis._LeafCounts(d).kids)) == 3
+    path = tmp_path / "hub.txt"
+    path.write_text(to_text(d.graph), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["dp-formula", str(path)]) == 2
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err == (
+        "dpchroma: the FVS-1 route passed FVS1_WORK_LIMIT = 100,000,000"
+        " coefficient updates at leaf grouping 4,321\n"
+    )
+
+
 def test_the_largest_admitted_stars_answer_under_the_work_limit(monkeypatch):
     from dpchroma import analysis
 

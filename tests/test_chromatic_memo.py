@@ -203,16 +203,16 @@ def test_theta_identity_graphs_against_plain_recursion():
         assert chromatic_polynomial(g) == reference_chrom(g.n, list(g.edges)), g.edges
 
 
-def transfer_outcome(transfer, g: Graph, named) -> tuple[IntPoly, int] | str:
+def transfer_outcome(transfer, g: Graph, named) -> IntPoly | str:
     try:
         return transfer(g, named)
     except SearchBudgetExceeded as exc:
         return str(exc)
 
 
-def reference(g: Graph, named) -> tuple[IntPoly, int]:
-    """The reference transfer with fixed colors alone."""
-    return reference_transfer(g, named, {})
+def reference(g: Graph, named) -> IntPoly:
+    """The reference transfer's polynomial with fixed colors alone."""
+    return reference_transfer(g, named, {})[0]
 
 
 def transfer_cases() -> list[tuple[Graph, dict, dict]]:
@@ -235,7 +235,9 @@ def transfer_cases() -> list[tuple[Graph, dict, dict]]:
 def test_tabled_moves_match_the_reference_transfer(monkeypatch, cold):
     # cold clears the move and transfer tables before every transfer; warm
     # lets the move table fill across all 1,040 of them, as one process
-    # does, and the transfer table up to the next lowered limit
+    # does, and the transfer table up to the next lowered limit.  The
+    # transfer returns its polynomial alone, so a refusal at need - 1 and
+    # an answer at need pin its meter to the reference's count
     rng = random.Random(1040)
     refusals = 0
 
@@ -247,11 +249,10 @@ def test_tabled_moves_match_the_reference_transfer(monkeypatch, cold):
 
     for g, named, _ in transfer_cases():
         monkeypatch.setattr(chromatic, "CHROMATIC_WORK_LIMIT", math.inf)
-        want = reference(g, named)
-        need = want[1]
+        want, need = reference_transfer(g, named, {})
         limits = [CHROMATIC_WORK_LIMIT, need]
         if need:
-            limits.append(rng.randrange(need))
+            limits += [need - 1, rng.randrange(need)]
         for limit in limits:
             if limit < need:
                 lowered_work_limit(monkeypatch, limit)
@@ -419,7 +420,7 @@ def test_packed_weights_match_the_list_transfer_past_64_bits():
             if all(named.get(u) != c for u in g.adjacency[v]):
                 named[v] = c
         want = reference(g, named)
-        assert max(map(abs, want[0].coeffs)) >= 2**64, (g.edges, named)
+        assert max(map(abs, want.coeffs)) >= 2**64, (g.edges, named)
         assert chromatic._transfer(g, named) == want, (g.edges, named)
 
 

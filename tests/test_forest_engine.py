@@ -2,11 +2,12 @@
 
 `graphs.spanning_forest` (one union-find pass) answers every forest,
 component, spanning-tree, cycle-edge and feedback-vertex question, and
-`covers._forest` (one walk: the forest's roots and one parent-first
-descent) carries the fiber transport and the forest DP.  Each question
-is checked here against an independent route on seeded random graphs
-with several components: cycle enumeration, vertex deletion,
-inclusion-exclusion and plain enumeration.
+`covers._forest` (one walk: the forest's roots, each tree's first vertex
+listed in `first`, else its least, and one parent-first descent) carries
+the fiber transport and the forest DP.  Each question is checked here
+against an independent route on seeded random graphs with several
+components: cycle enumeration, vertex deletion, inclusion-exclusion and
+plain enumeration.
 """
 
 import random
@@ -21,6 +22,7 @@ from dpchroma.cli import main
 from dpchroma.covers import (
     FullCover,
     _FeedbackPlan,
+    _forest,
     count_colorings,
     count_from_edge_perms,
     identity_perm,
@@ -165,6 +167,60 @@ def test_forest_and_feedback_vertex_tests_enumerate_no_cycles(
     code = main(["dp-formula", str(path)])
     err = capsys.readouterr().err
     assert code == 2 and "no feedback vertex set of size one" in err
+
+
+def assert_descent(g: Graph, edge_ids, roots, descent) -> None:
+    """Each non-root vertex once, after its parent, along an edge of
+    `edge_ids` read forward from the parent; each tree one slice, in root
+    order."""
+    component = spanning_forest(g.n, [g.edges[e] for e in edge_ids])[0]
+    placed = {r: i for i, r in enumerate(roots)}  # vertex -> its root's place
+    assert len(placed) == len(set(component)) == g.n - len(descent)
+    last = 0
+    for v, parent, e, forward in descent:
+        assert v not in placed and parent in placed and e in edge_ids
+        assert set(g.edges[e]) == {v, parent} and forward == (g.edges[e][0] == parent)
+        placed[v] = placed[parent]
+        assert placed[v] >= last and component[v] == component[roots[placed[v]]]
+        last = placed[v]
+
+
+def test_forest_roots_each_tree_at_its_first_listed_vertex():
+    # a tree with a vertex in `first` is rooted at the first one listed,
+    # those trees in the list's order; every other tree at its least
+    # vertex, by default every tree
+    rng = random.Random(58)
+    for g in random_graphs(58, 150):
+        cotree = set(spanning_forest(g.n, g.edges)[1])
+        edge_ids = [i for i in range(len(g.edges)) if i not in cotree]
+        component = spanning_forest(g.n, g.edges)[0]
+        least = sorted({min(v for v in range(g.n) if component[v] == c) for c in component})
+        roots, descent = _forest(g, edge_ids)
+        assert roots == least, g.edges
+        assert_descent(g, edge_ids, roots, descent)
+        first = rng.sample(range(g.n), rng.randint(0, g.n))
+        want: list[int] = []
+        for v in first + least:
+            if all(component[v] != component[r] for r in want):
+                want.append(v)
+        roots, descent = _forest(g, edge_ids, first)
+        assert roots == want, (g.edges, first)
+        assert_descent(g, edge_ids, roots, descent)
+
+
+def test_forest_descent_is_pinned():
+    # a-b, a-c, c-d and e-f: depth first, the last child found walked
+    # first.  Listed d, b, f: d roots its tree, b's tree already has a
+    # root, and the edges into c, a and e are read backward
+    g = Graph(tuple("abcdef"), ((0, 1), (0, 2), (2, 3), (4, 5)))
+    assert _forest(g, range(4)) == (
+        [0, 4],
+        [(1, 0, 0, True), (2, 0, 1, True), (3, 2, 2, True), (5, 4, 3, True)],
+    )
+    assert _forest(g, range(4), (3, 1, 5)) == (
+        [3, 5],
+        [(2, 3, 2, False), (0, 2, 1, False), (1, 0, 0, True), (4, 5, 3, False)],
+    )
 
 
 def test_forest_count_keeps_no_read_vector():

@@ -8,7 +8,8 @@ in a shuffled order), each against the reference transfer with avoided
 colors, and the meter charges a warm run what the cold runs cost.  The width B is checked to hold every Steiner count of the largest
 admitted stars, brooms and hubs over paths.  A long path of S keeps one
 value per run, whichever vertex roots the forest, and `weight` reuses one
-DP across partitions at a fresh count's meter.
+DP across partitions at a fresh count's meter.  The meter's sums over
+seeded cones whose Steiner trees branch are pinned.
 """
 
 import random
@@ -186,6 +187,38 @@ def test_a_broom_counts_its_bristles_in_the_shared_factor():
     for grouping in _growth_strings(5, 5):
         want = reference_transfer(d.forest, {}, avoidance(d, grouping))[0]
         assert counts.count(counts.packed(grouping)) == want, grouping
+
+
+def cone_over_random_tree(rng: random.Random) -> Graph:
+    """A center c joined to 2-7 vertices of a random tree on 3-30 more,
+    each tree vertex joined to a random earlier one, so that S often has
+    a vertex with two or three children in S."""
+    n = rng.randint(3, 30)
+    edges = [(rng.randrange(1, v), v) for v in range(2, n + 1)]
+    edges += [(0, v) for v in rng.sample(range(1, n + 1), rng.randint(2, min(7, n)))]
+    return Graph(("c",) + tuple(f"x{i:02d}" for i in range(n)), tuple(edges))
+
+
+def test_the_meter_of_branching_steiner_trees_is_pinned():
+    # every grouping of 120 seeded cones, one DP each: the summed meter
+    # reading and fixed charge.  The order of a vertex's children in S,
+    # which follows the edge list, enters the charge for their product
+    # once it has three.
+    rng = random.Random(58)
+    work = fixed = two = three = 0
+    for _ in range(120):
+        d = star_forest_decomposition(cone_over_random_tree(rng), "c")
+        counts = _LeafCounts(d)
+        k = len(d.alphas) - 1
+        for grouping in _growth_strings(k, k):
+            counts.packed(grouping)
+        work += counts.work
+        fixed += counts.fixed
+        widest = max(map(len, counts.kids))
+        two += widest >= 2
+        three += widest >= 3
+    assert (two, three) == (91, 41)
+    assert (work, fixed) == (19_348_544, 24_301)
 
 
 def kept_values(counts) -> int:
